@@ -1,6 +1,8 @@
 """Command-line workbench.
 
-Exit codes: 0 success, 2 parse error, 3 type error, 4 budget exhausted.
+Exit codes: 0 success, 1 malformed input (graph file, rule, edge order),
+failed axiom check or internal error, 2 parse error, 3 type error,
+4 budget exhausted.
 """
 from __future__ import annotations
 

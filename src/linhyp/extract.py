@@ -79,29 +79,26 @@ def shuffle(H: LinearHypergraph) -> Term:
 
     Wire ``i`` (in target order) leaves at position ``p(i)`` (in source
     order), where ``conn`` pairs the ``i``-th target with the ``p(i)``-th
-    source.  Built recursively: the wire feeding the first source is
-    pulled to the top, then the rest is shuffled under one wire.
+    source.  Each step pulls the wire feeding the next source to the top;
+    the rest is shuffled under that wire.  The steps are collected first
+    and nested from the innermost outward, so wide graphs need no
+    recursion.
     """
-    targets = list(H.targets)
-    sources = list(H.sources)
+    ts = list(H.targets)
     conn_inv = H.conn_inv()
-
-    def build(ts: list[int], ss: list[int]) -> Term:
-        if not ss:
-            return Id(())
-        v_s = ss[0]
+    steps: list[tuple[Term, str]] = []
+    for v_s in H.sources:
         v_t = conn_inv[v_s]
         i = ts.index(v_t)
-        j = len(ts) - i - 1
         lead_word = tuple(H.vtlabels[v] for v in ts[:i])
         step: Term = Tensor(Swap(lead_word, (H.vtlabels[v_t],)), Id(
             tuple(H.vtlabels[v] for v in ts[i + 1:])))
-        rest = build(ts[:i] + ts[i + 1:], ss[1:])
-        return Seq(step, Tensor(Id((H.vslabels[v_s],)), rest))
-
-    if not sources:
-        return Id(())
-    return build(targets, sources)
+        steps.append((step, H.vslabels[v_s]))
+        del ts[i]
+    out: Term = Id(())
+    for step, label in reversed(steps):
+        out = Seq(step, Tensor(Id((label,)), out))
+    return out
 
 
 def extract_term(H: LinearHypergraph, ord: EdgeOrder | None = None) -> Term:

@@ -324,12 +324,6 @@ class Homomorphism:
     vmap_s: dict[int, int]
     emap: dict[int, int]
 
-    def apply_t(self, v: int) -> int:
-        return self.vmap_t[v]
-
-    def apply_s(self, v: int) -> int:
-        return self.vmap_s[v]
-
     def is_embedding(self) -> bool:
         return (is_homomorphism(self)
                 and len(set(self.vmap_t.values())) == len(self.vmap_t)
@@ -363,13 +357,6 @@ class Homomorphism:
             {v: other.vmap_s[w] for v, w in self.vmap_s.items()},
             {e: other.emap[d] for e, d in self.emap.items()},
         )
-
-
-def identity_hom(H: LinearHypergraph) -> Homomorphism:
-    return Homomorphism(H, H,
-                        {v: v for v in H.targets},
-                        {v: v for v in H.sources},
-                        {e: e for e in H.edges})
 
 
 def is_homomorphism(h: Homomorphism,

@@ -1,31 +1,138 @@
 """Structural translation from terms to linear hypergraphs."""
 from __future__ import annotations
 
-from . import ops
-from .graphs import LinearHypergraph, find_isomorphism
+from .graphs import LinearHypergraph, find_isomorphism, fresh_ids
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace,
-                    TypeMismatch, type_of)
+                    TypeMismatch, render_word, type_of)
 
 
 def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     """The graph of a well-typed term.
 
     Generators become single edges; identity, swap, composition, tensor
-    and trace map to the corresponding graph operations.
+    and trace map to the corresponding graph operations.  Built in one
+    iterative post-order pass: each leaf allocates its ids once,
+    composition and trace splice wires in place, and tensor joins the
+    two interface lists.  Each splice deletes two vertices, so apart from
+    tensor's bulk list joins the cost is linear in the size of the term,
+    and the term may be arbitrarily deep.
+    The stored orders match the fold of :mod:`linhyp.ops` combinators:
+    leaf vertices and edges in left-to-right leaf order, minus the
+    spliced ones.
     """
-    if isinstance(t, Gen):
-        return ops.generator(t.name, sig)
-    if isinstance(t, Id):
-        return ops.identity(t.word)
-    if isinstance(t, Swap):
-        return ops.swap(t.upper, t.lower)
-    if isinstance(t, Seq):
-        return ops.compose(interpret(t.left, sig), interpret(t.right, sig))
-    if isinstance(t, Tensor):
-        return ops.tensor(interpret(t.top, sig), interpret(t.bottom, sig))
-    if isinstance(t, Trace):
-        return ops.trace(t.loop, interpret(t.body, sig))
-    raise TypeMismatch(f"not a term: {t!r}", t)
+    targets: dict[int, str] = {}   # live target vertex -> object label
+    sources: dict[int, str] = {}   # live source vertex -> object label
+    left: dict[int, int] = {}      # edge ports only; others are INTERFACE
+    right: dict[int, int] = {}
+    conn: dict[int, int] = {}
+    conn_inv: dict[int, int] = {}
+    edges: list[int] = []
+    labels: dict[int, str] = {}
+
+    def splice(o: int, i: int) -> None:
+        """Join output vertex ``o`` to input vertex ``i``: the wire
+        entering ``o`` now continues where ``i``'s wire went."""
+        before, after = conn_inv.pop(o), conn.pop(i)
+        del sources[o], targets[i]
+        if before != i:  # otherwise a bare wire closed on itself vanishes
+            conn[before] = after
+            conn_inv[after] = before
+
+    def add_wires(ts: list[int], t_word, ss: list[int], s_word,
+                  pairs: list[tuple[int, int]]) -> None:
+        targets.update(zip(ts, t_word))
+        sources.update(zip(ss, s_word))
+        conn.update(pairs)
+        conn_inv.update((s, v) for v, s in pairs)
+
+    def cat(a: list[int], b: list[int]) -> list[int]:
+        """``a`` then ``b``, copying the shorter one into the longer."""
+        if len(a) >= len(b):
+            a.extend(b)
+            return a
+        b[:0] = a
+        return b
+
+    # interfaces of finished subterms: (input targets, output sources)
+    values: list[tuple[list[int], list[int]]] = []
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if isinstance(u, Gen):
+            if u.name not in sig:
+                raise TypeMismatch(f"unknown generator {u.name!r}", u)
+            dom, cod = sig.generators[u.name]
+            m, n = len(dom), len(cod)
+            ids = fresh_ids(2 * (m + n) + 1)
+            ins, e_tgts = ids[:m], ids[m:m + n]
+            e_srcs, outs = ids[m + n:2 * m + n], ids[2 * m + n:-1]
+            e = ids[-1]
+            add_wires(ins + e_tgts, dom + cod, e_srcs + outs, dom + cod,
+                      list(zip(ins, e_srcs)) + list(zip(e_tgts, outs)))
+            left.update(dict.fromkeys(e_tgts, e))
+            right.update(dict.fromkeys(e_srcs, e))
+            edges.append(e)
+            labels[e] = u.name
+            values.append((ins, outs))
+        elif isinstance(u, (Id, Swap)):
+            a, b = (u.word, ()) if isinstance(u, Id) else (u.upper, u.lower)
+            k = len(a) + len(b)
+            ids = fresh_ids(2 * k)
+            ts, ss = ids[:k], ids[k:]
+            # the a-block leaves below the b-block
+            add_wires(ts, a + b, ss, b + a,
+                      list(zip(ts, ss[len(b):] + ss[:len(b)])))
+            values.append((ts, ss))
+        elif not isinstance(u, (Seq, Tensor, Trace)):
+            raise TypeMismatch(f"not a term: {u!r}", u)
+        elif not ready:
+            todo.append((u, True))
+            if isinstance(u, Trace):
+                todo.append((u.body, False))
+            elif isinstance(u, Seq):
+                todo += [(u.right, False), (u.left, False)]
+            else:
+                todo += [(u.bottom, False), (u.top, False)]
+        elif isinstance(u, Trace):
+            ins, outs = values[-1]
+            x = u.loop
+            dom = tuple(targets[v] for v in ins[:len(x)])
+            cod = tuple(sources[v] for v in outs[:len(x)])
+            if dom != x or cod != x:
+                raise TypeMismatch(
+                    f"cannot trace {render_word(x)} out of a graph whose"
+                    f" interface starts {render_word(dom)} ->"
+                    f" {render_word(cod)}", u)
+            for o, i in zip(outs[:len(x)], ins[:len(x)]):
+                splice(o, i)
+            del outs[:len(x)], ins[:len(x)]
+        else:
+            (f_ins, f_outs), (g_ins, g_outs) = values[-2], values.pop()
+            if isinstance(u, Tensor):
+                values[-1] = (cat(f_ins, g_ins), cat(f_outs, g_outs))
+                continue
+            cod = tuple(sources[v] for v in f_outs)
+            dom = tuple(targets[v] for v in g_ins)
+            if cod != dom:
+                raise TypeMismatch(
+                    f"cannot compose: {render_word(cod)} does not match"
+                    f" {render_word(dom)}", u)
+            for o, i in zip(f_outs, g_ins):
+                splice(o, i)
+            values[-1] = (f_ins, g_outs)
+
+    # fresh dicts: the working ones keep the capacity of their peak size
+    return LinearHypergraph(
+        targets=tuple(targets),
+        sources=tuple(sources),
+        edges=tuple(edges),
+        left={v: left.get(v) for v in targets},
+        right={v: right.get(v) for v in sources},
+        conn={v: conn[v] for v in targets},
+        labels=labels,
+        vtlabels={v: targets[v] for v in targets},
+        vslabels={v: sources[v] for v in sources},
+    )
 
 
 def equal_mod_stmc(s: Term, t: Term, sig: Signature) -> bool:

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import json
 
-from .graphs import IDENTITY_LABEL, INTERFACE, LinearHypergraph, canonical
+from .graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph, assert_valid,
+                     canonical)
 from .terms import ANON
 
 
@@ -55,10 +56,13 @@ def save_graph(H: LinearHypergraph, canonicalize: bool = True) -> str:
 
 
 def load_graph(text: str) -> LinearHypergraph:
+    """Parse a graph file and check it is well formed; raises
+    ``ValueError`` for malformed JSON or a malformed graph."""
     try:
-        return graph_from_dict(json.loads(text))
+        H = graph_from_dict(json.loads(text))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"not a graph file: {exc}") from exc
+    return assert_valid(H)
 
 
 def to_dot(H: LinearHypergraph, name: str = "G") -> str:

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import itertools
 
-from linhyp import Homomorphism, LinearHypergraph, is_homomorphism
+from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, CircuitSignature
 from linhyp.graphs import INTERFACE, fresh_ids
-from linhyp.terms import ANON
+from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
+                          Trace, TypeMismatch)
 
 
 def brute_force_isomorphism(F: LinearHypergraph,
@@ -37,6 +38,26 @@ def brute_force_isomorphism(F: LinearHypergraph,
                 if is_homomorphism(h) and h.is_isomorphism():
                     return h
     return None
+
+
+def interpret_by_combinators(t: Term, sig: Signature) -> LinearHypergraph:
+    """The graph of a term as a recursive fold of the graph combinators,
+    each of which copies its operands onto fresh ids."""
+    if isinstance(t, Gen):
+        return ops.generator(t.name, sig)
+    if isinstance(t, Id):
+        return ops.identity(t.word)
+    if isinstance(t, Swap):
+        return ops.swap(t.upper, t.lower)
+    if isinstance(t, Seq):
+        return ops.compose(interpret_by_combinators(t.left, sig),
+                           interpret_by_combinators(t.right, sig))
+    if isinstance(t, Tensor):
+        return ops.tensor(interpret_by_combinators(t.top, sig),
+                          interpret_by_combinators(t.bottom, sig))
+    if isinstance(t, Trace):
+        return ops.trace(t.loop, interpret_by_combinators(t.body, sig))
+    raise TypeMismatch(f"not a term: {t!r}", t)
 
 
 def brute_force_matchings(L: LinearHypergraph,

@@ -145,6 +145,19 @@ def test_extract_identity_graph(files, capsys, tmp_path):
                       interpret(parse_term("id 2", full_sig), full_sig))
 
 
+def test_extract_malformed_graph_exit_code(capsys, tmp_path):
+    # conn sends both targets to source 2 and never reaches source 3
+    gfile = tmp_path / "bad.json"
+    gfile.write_text(
+        '{"targets":[0,1],"sources":[2,3],"edges":[],'
+        '"left":{"0":"interface","1":"interface"},'
+        '"right":{"2":"interface","3":"interface"},"conn":{"0":2,"1":2}}')
+    code, out, err = run(capsys, "extract", str(gfile))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed hypergraph: ")
+    assert "not injective" in err and "Traceback" not in err
+
+
 def test_iso_command(files, capsys, tmp_path):
     sig = files / "circuit.sig"
     t1 = tmp_path / "a.term"

@@ -210,3 +210,18 @@ def test_composite_definability(rng):
     X = tensor(identity(1), X)
     assert equal_mod_stmc(extract_term(trace(1, X)),
                           Trace(1, extract_term(X)), SIG)
+
+
+def test_extract_wide_identity_needs_no_recursion():
+    # the shuffle of n wires nests n steps deep; its interpretation holds
+    # Θ(n²) wires, so only the extraction itself is run at this width
+    t = extract_term(interpret(Id(1500), SIG))
+    assert isinstance(t, Trace)
+
+
+@pytest.mark.parametrize("H", [
+    identity(60),
+    permutation_graph(random.Random(60).sample(range(60), 60)),
+])
+def test_extract_sixty_wires_round_trip(H):
+    assert find_isomorphism(interpret(extract_term(H), SIG), H) is not None

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linhyp import (Gen, Id, Seq, Tensor, Trace, TypeMismatch,
+from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
                     equal_mod_stmc, find_isomorphism, identity, interpret,
-                    parse_term, type_of, validate)
+                    parse_term, rename, signature, type_of, validate)
 from linhyp.laws import axiom_schemes, law_signature, random_term
+from oracles import interpret_by_combinators
 
 SIG = law_signature()
 
@@ -87,3 +88,120 @@ def test_generalised_ops_reject_label_mismatch(gsig):
         trace("A", f)  # cod starts with B, not A
     loop = interpret(parse_term("f ; g", gsig), gsig)  # A -> A
     assert trace("A", loop).arity() == (0, 0)
+
+
+# -- the single-pass builder against the combinator fold ----------------------
+
+LSIG = signature({"f": ("A", "B"), "g": ("B", "A"),
+                  "h": (("A", "B"), ("B", "A")), "k": (("A", "A"), "B"),
+                  "c": ("B", ("A", "A")), "uA": ((), "A"), "uB": ((), "B"),
+                  "zA": ("A", ()), "zB": ("B", ())})
+
+
+def random_labelled_term(rng, m, n, depth):
+    """A random well-typed term of type ``m -> n`` over ``LSIG``."""
+    def word():
+        return tuple(rng.choice("AB") for _ in range(rng.randint(0, 2)))
+
+    named = [g for g, ty in LSIG.generators.items() if ty == (m, n)]
+    cuts = [i for i in range(len(m) + 1) if m[i:] + m[:i] == n]
+    choices = ["gen"] * 3 * bool(named) + ["cross"] * bool(cuts)
+    if m == n:
+        choices += ["id", "swap"]
+    if depth > 0:
+        choices += ["seq", "ten", "seq", "ten", "tr"]
+    pick = rng.choice(choices or ["plumb"])
+    if pick == "gen":
+        return Gen(rng.choice(named))
+    if pick == "id":
+        return Id(m)
+    if pick == "cross":
+        a = rng.choice(cuts)
+        return Swap(m[:a], m[a:])
+    if pick == "swap":
+        a = rng.randint(0, len(m))
+        return Seq(Swap(m[:a], m[a:]), Swap(m[a:], m[:a]))
+    if pick == "seq":
+        k = word()
+        return Seq(random_labelled_term(rng, m, k, depth - 1),
+                   random_labelled_term(rng, k, n, depth - 1))
+    if pick == "ten":
+        i, j = rng.randint(0, len(m)), rng.randint(0, len(n))
+        return Tensor(random_labelled_term(rng, m[:i], n[:j], depth - 1),
+                      random_labelled_term(rng, m[i:], n[j:], depth - 1))
+    if pick == "tr":
+        x = word()
+        return Trace(x, random_labelled_term(rng, x + m, x + n, depth - 1))
+    # sink every input, then source every output
+    t = Id(())
+    for lab in m:
+        t = Tensor(t, Gen("z" + lab))
+    s = Id(())
+    for lab in n:
+        s = Tensor(s, Gen("u" + lab))
+    return Seq(t, s)
+
+
+def assert_same_stored_order(t, sig):
+    old = interpret_by_combinators(t, sig)
+    new = interpret(t, sig)
+    assert (len(old.targets), len(old.sources), len(old.edges)) == \
+        (len(new.targets), len(new.sources), len(new.edges))
+    perm = dict(zip(old.targets + old.sources + old.edges,
+                    new.targets + new.sources + new.edges))
+    assert rename(old, perm) == new
+
+
+def test_builder_matches_combinator_fold_position_for_position():
+    for seed in range(1000):
+        rng = random.Random(seed)
+        depth = 1 + seed % 7
+        if seed % 4 == 3:
+            m, n = (tuple(rng.choice("AB") for _ in range(rng.randint(0, 2)))
+                    for _ in range(2))
+            t, sig = random_labelled_term(rng, m, n, depth), LSIG
+        else:
+            m, n = rng.randint(0, 2), rng.randint(0, 2)
+            t, sig = random_term(rng, SIG, m, n, depth, traces=True), SIG
+        assert_same_stored_order(t, sig)
+
+
+@pytest.mark.parametrize("t, sig", [
+    (Swap(1, 2), SIG),
+    (Trace(1, Swap(1, 1)), SIG),
+    (Trace(1, Swap(1, 2)), SIG),
+    (Trace(2, Swap(1, 2)), SIG),
+    (Seq(Swap(2, 1), Tensor(Gen("h"), Gen("f"))), SIG),
+    (Swap(("A", "B"), "A"), LSIG),
+    (Trace(("A", "A"), Swap("A", "A")), LSIG),
+    (Trace(("B",), Seq(Swap("B", "A"), Tensor(Gen("f"), Gen("g")))), LSIG),
+])
+def test_builder_matches_combinator_fold_on_crossings(t, sig):
+    assert_same_stored_order(t, sig)
+
+
+@pytest.mark.parametrize("t, sig", [
+    (Seq(Gen("f"), Gen("h")), SIG),
+    (Tensor(Gen("f"), Seq(Gen("k"), Gen("h"))), SIG),
+    (Trace(2, Gen("g")), SIG),
+    (Trace("A", Gen("f")), LSIG),
+    (Trace(("B",), Seq(Gen("f"), Gen("c"))), LSIG),
+    (Seq(Gen("f"), Gen("f")), LSIG),
+    (Seq(Gen("f"), Gen("nope")), SIG),
+    (Tensor(Gen("nope"), Seq(Gen("f"), Gen("h"))), SIG),
+])
+def test_builder_type_errors_match_combinator_fold(t, sig):
+    with pytest.raises(TypeMismatch):
+        interpret_by_combinators(t, sig)
+    with pytest.raises(TypeMismatch):
+        interpret(t, sig)
+
+
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_interpret_deep_seq_chain(nested):
+    t = Gen("f")
+    for _ in range(5000):
+        t = Seq(t, Gen("f")) if nested == "left" else Seq(Gen("f"), t)
+    H = interpret(t, SIG)
+    assert len(H.edges) == 5001 and H.arity() == (1, 1)
+    assert validate(H, SIG) == []

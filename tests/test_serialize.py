@@ -67,6 +67,14 @@ def test_load_rejects_garbage():
         load_graph("not json at all")
     with pytest.raises(ValueError):
         load_graph('{"targets": [0]}')
+    non_injective = json.dumps({
+        "targets": [0, 1], "sources": [2, 3], "edges": [],
+        "left": {"0": "interface", "1": "interface"},
+        "right": {"2": "interface", "3": "interface"},
+        "conn": {"0": 2, "1": 2}})
+    with pytest.raises(ValueError,
+                       match="malformed hypergraph: .*not injective"):
+        load_graph(non_injective)
 
 
 @given(graphs)
