@@ -17,7 +17,8 @@ from .extract import extract_term
 from .graphs import find_isomorphism, validate
 from .interp import equal_mod_stmc, interpret
 from .laws import axiom_schemes, law_signature
-from .rewrite import RewriteError, normalize, parse_rules
+from .rewrite import (NormalizeResult, RewriteError, normal_forms, normalize,
+                      parse_rules)
 from .serialize import load_graph, save_graph, to_dot
 from .terms import (ParseError, Signature, TypeMismatch, parse_signature,
                     parse_term, render_term)
@@ -80,7 +81,11 @@ def cmd_rewrite(args) -> int:
     H = load_graph(_read(args.graph_file))
     sig = _load_sig(args.sig)
     rules = parse_rules(_read(args.rules), sig)
-    result = normalize(H, rules, max_steps=args.steps, strategy=args.strategy)
+    if args.strategy == "exhaustive":
+        nfs, exhausted = normal_forms(H, rules, max_steps=args.steps)
+        result = NormalizeResult(nfs[0] if nfs else H, [], exhausted)
+    else:
+        result = normalize(H, rules, max_steps=args.steps)
     for step in result.steps:
         print(step, file=sys.stderr)
     if result.exhausted:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .terms import ANON, Word
@@ -175,6 +176,17 @@ def validate(H: LinearHypergraph, sig=None) -> list[str]:
     for e in H.edges:
         if e not in H.labels:
             report.append(f"edge {e} has no label")
+    # entries for ids the graph does not have would be dropped on save
+    for name, table, carrier, kind in (
+            ("left", H.left, tset, "target"), ("conn", H.conn, tset, "target"),
+            ("vtlabels", H.vtlabels, tset, "target"),
+            ("right", H.right, sset, "source"),
+            ("vslabels", H.vslabels, sset, "source"),
+            ("labels", H.labels, eset, "edge")):
+        for k in table:
+            if k not in carrier:
+                report.append(f"{name} has an entry for {k}, which is not a"
+                              f" {kind} of the graph")
     if report:
         return report
 
@@ -404,16 +416,269 @@ def is_homomorphism(h: Homomorphism,
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search
+# Embedding search
 # ---------------------------------------------------------------------------
+
+class _Conflict(Exception):
+    """A partial map that no embedding extends."""
+
+
+def embeddings(L: LinearHypergraph, G: LinearHypergraph,
+               up_to_homeo: bool = False,
+               anchor_t: Iterable[tuple[int, int]] = (),
+               anchor_s: Iterable[tuple[int, int]] = ()
+               ) -> Iterator[Homomorphism]:
+    """Yield maps of L into G, in a deterministic order.
+
+    The one wire-propagation engine: fixing the image of a vertex or an
+    edge fixes its wire and edge-port neighbours, so a search state is
+    propagated to closure after each choice, and a clash discards it.
+    ``anchor_t`` and ``anchor_s`` seed the search with (L-vertex,
+    G-vertex) pairs.  Each edge component of L that the seeds leave
+    unbound is pinned by its first edge in stored order, trying G's
+    edges in stored order; bare wires of L then range over the remaining
+    wires of G.  Unseeded interfaces of L may land anywhere.
+
+    With ``up_to_homeo`` the loose ends of L's boundary wires are bound
+    last, and when the wire leaving the matched part re-enters it
+    immediately (a loop through the pattern's boundary), the host wire is
+    expanded with an identity edge so both boundary wires fit.  The
+    yielded homomorphisms then land in that expanded host.
+
+    Every yielded map is total and injective by construction; callers
+    still run their own final check (``is_embedding`` or
+    ``is_isomorphism``) on it.
+    """
+    ltgts, lsrcs = L.port_tables()
+    gtgts, gsrcs = G.port_tables()
+    lconn_inv = L.conn_inv()
+    gconn_inv = G.conn_inv()
+    l_port_t = {v: (e, i) for e in L.edges for i, v in enumerate(ltgts[e])}
+    l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
+
+    # the first edge in stored order of each wire-connected component
+    neighbours: dict[int, list[int]] = {e: [] for e in L.edges}
+    for t in L.targets:
+        e1 = L.left[t]
+        e2 = L.right[L.conn[t]]
+        if e1 is not INTERFACE and e2 is not INTERFACE:
+            neighbours[e1].append(e2)
+            neighbours[e2].append(e1)
+    anchors: list[int] = []
+    placed: set[int] = set()
+    for e in L.edges:
+        if e in placed:
+            continue
+        anchors.append(e)
+        placed.add(e)
+        stack = [e]
+        while stack:
+            for x in neighbours[stack.pop()]:
+                if x not in placed:
+                    placed.add(x)
+                    stack.append(x)
+
+    bare_wires = [t for t in L.targets
+                  if L.left[t] is INTERFACE
+                  and L.right[L.conn[t]] is INTERFACE]
+    # boundary wires whose loose end is bound late in homeo mode
+    out_wires = [t for t in L.targets
+                 if L.left[t] is not INTERFACE
+                 and L.right[L.conn[t]] is INTERFACE]
+    in_wires = [t for t in L.targets
+                if L.left[t] is INTERFACE
+                and L.right[L.conn[t]] is not INTERFACE]
+
+    def put(state, kind: str, a: int, b: int) -> None:
+        table, used = state[kind]
+        if a in table:
+            if table[a] != b:
+                raise _Conflict
+            return
+        if b in used:
+            raise _Conflict
+        table[a] = b
+        used.add(b)
+        state["agenda"].append((kind, a))
+
+    def propagate(state) -> None:
+        agenda = state["agenda"]
+        tmap, smap, emap = state["t"][0], state["s"][0], state["e"][0]
+        while agenda:
+            kind, a = agenda.pop()
+            if kind == "t":
+                b = tmap[a]
+                if L.vtlabels[a] != G.vtlabels[b]:
+                    raise _Conflict
+                partner = L.conn[a]
+                defer = (up_to_homeo
+                         and L.left[a] is not INTERFACE
+                         and L.right[partner] is INTERFACE)
+                if not defer:
+                    put(state, "s", partner, G.conn[b])
+                if a in l_port_t:
+                    e, i = l_port_t[a]
+                    d = G.left[b]
+                    if d is INTERFACE or G.labels[d] != L.labels[e]:
+                        raise _Conflict
+                    if len(gtgts[d]) <= i or gtgts[d][i] != b:
+                        raise _Conflict
+                    put(state, "e", e, d)
+            elif kind == "s":
+                b = smap[a]
+                if L.vslabels[a] != G.vslabels[b]:
+                    raise _Conflict
+                partner = lconn_inv[a]
+                defer = (up_to_homeo
+                         and L.right[a] is not INTERFACE
+                         and L.left[partner] is INTERFACE)
+                if not defer:
+                    put(state, "t", partner, gconn_inv[b])
+                if a in l_port_s:
+                    e, i = l_port_s[a]
+                    d = G.right[b]
+                    if d is INTERFACE or G.labels[d] != L.labels[e]:
+                        raise _Conflict
+                    if len(gsrcs[d]) <= i or gsrcs[d][i] != b:
+                        raise _Conflict
+                    put(state, "e", e, d)
+            else:
+                d = emap[a]
+                if G.labels[d] != L.labels[a]:
+                    raise _Conflict
+                if (len(gtgts[d]) != len(ltgts[a])
+                        or len(gsrcs[d]) != len(lsrcs[a])):
+                    raise _Conflict
+                for u, w in zip(ltgts[a], gtgts[d]):
+                    put(state, "t", u, w)
+                for u, w in zip(lsrcs[a], gsrcs[d]):
+                    put(state, "s", u, w)
+
+    def extend(state, kind: str, a: int, b: int):
+        """A copy of ``state`` with ``a -> b`` added and propagated, or
+        None on a clash."""
+        (tmap, used_t), (smap, used_s), (emap, used_e) = (
+            state["t"], state["s"], state["e"])
+        trial = {"t": (dict(tmap), set(used_t)), "s": (dict(smap), set(used_s)),
+                 "e": (dict(emap), set(used_e)), "agenda": []}
+        try:
+            put(trial, kind, a, b)
+            propagate(trial)
+        except _Conflict:
+            return None
+        return trial
+
+    def assign_components(idx: int, state):
+        emap, used_e = state["e"]
+        while idx < len(anchors) and anchors[idx] in emap:
+            idx += 1
+        if idx == len(anchors):
+            yield from assign_bare(0, state)
+            return
+        anchor = anchors[idx]
+        for d in G.edges:
+            if d in used_e or G.labels[d] != L.labels[anchor]:
+                continue
+            trial = extend(state, "e", anchor, d)
+            if trial is not None:
+                yield from assign_components(idx + 1, trial)
+
+    def assign_bare(idx: int, state):
+        tmap, used_t = state["t"]
+        while idx < len(bare_wires) and bare_wires[idx] in tmap:
+            idx += 1
+        if idx == len(bare_wires):
+            h = finish(state)
+            if h is not None:
+                yield h
+            return
+        t = bare_wires[idx]
+        used_s = state["s"][1]
+        for tg in G.targets:
+            if tg in used_t or G.conn[tg] in used_s:
+                continue
+            if G.vtlabels[tg] != L.vtlabels[t]:
+                continue
+            trial = extend(state, "t", t, tg)
+            if trial is not None:
+                yield from assign_bare(idx + 1, trial)
+
+    def finish(state) -> Homomorphism | None:
+        tmap, smap, emap = state["t"][0], state["s"][0], state["e"][0]
+        host = G
+        if up_to_homeo:
+            tmap, smap = dict(tmap), dict(smap)
+            host = resolve_boundary(tmap, smap, set(state["t"][1]),
+                                    set(state["s"][1]))
+            if host is None:
+                return None
+        if len(tmap) != len(L.targets) or len(smap) != len(L.sources):
+            return None
+        return Homomorphism(L, host, dict(tmap), dict(smap), dict(emap))
+
+    def resolve_boundary(tmap, smap, used_t, used_s):
+        """Bind the loose ends of boundary wires, expanding the host
+        where an out-wire's host wire immediately re-enters an in-wire."""
+        host = G
+        pending_in = {}
+        for a in in_wires:
+            b = L.conn[a]
+            if b not in smap:
+                return None
+            pending_in[gconn_inv[smap[b]]] = a
+        for c in out_wires:
+            if c not in tmap:
+                return None
+            d = L.conn[c]
+            t_w = tmap[c]
+            s_w = host.conn[t_w]
+            hit = pending_in.get(t_w)
+            if hit is not None:
+                # the wire leaving the match feeds straight back in: split it
+                host = expand(host, t_w)
+                t_new, s_new = host.targets[-1], host.sources[-1]
+                if (L.vslabels[d] != host.vslabels[s_new]
+                        or L.vtlabels[hit] != host.vtlabels[t_new]):
+                    return None
+                smap[d] = s_new
+                used_s.add(s_new)
+                tmap[hit] = t_new
+                used_t.add(t_new)
+                del pending_in[t_w]
+            else:
+                if s_w in used_s or L.vslabels[d] != host.vslabels[s_w]:
+                    return None
+                smap[d] = s_w
+                used_s.add(s_w)
+        for anchor_t, a in pending_in.items():
+            if anchor_t in used_t or L.vtlabels[a] != host.vtlabels[anchor_t]:
+                return None
+            tmap[a] = anchor_t
+            used_t.add(anchor_t)
+        return host
+
+    initial = {"t": ({}, set()), "s": ({}, set()), "e": ({}, set()),
+               "agenda": []}
+    try:
+        for a, b in anchor_t:
+            put(initial, "t", a, b)
+        for a, b in anchor_s:
+            put(initial, "s", a, b)
+        propagate(initial)
+    except _Conflict:
+        return
+    yield from assign_components(0, initial)
+
 
 def find_isomorphism(F: LinearHypergraph,
                      G: LinearHypergraph) -> Homomorphism | None:
     """A witness isomorphism, or None.
 
-    Anchored on the ordered interfaces and propagated along wires and
-    edge ports; interface-free loops are matched by backtracking over
-    label-compatible edges.  Deterministic for fixed inputs.
+    An isomorphism is an embedding between graphs of equal size that
+    sends F's ordered interfaces onto G's, so the search is the embedding
+    search seeded with the interface pairs.  Deterministic for fixed
+    inputs; the witness lists F's targets, sources and edges in F's
+    stored order.
     """
     if (len(F.targets) != len(G.targets) or len(F.sources) != len(G.sources)
             or len(F.edges) != len(G.edges)):
@@ -422,116 +687,13 @@ def find_isomorphism(F: LinearHypergraph,
         return None
     if sorted(F.labels[e] for e in F.edges) != sorted(G.labels[e] for e in G.edges):
         return None
-
-    ftgts, fsrcs = F.port_tables()
-    gtgts, gsrcs = G.port_tables()
-    fconn_inv, gconn_inv = F.conn_inv(), G.conn_inv()
-    f_t_pos = {v: i for i, v in enumerate(F.targets)}
-    f_port_t = {v: (e, i) for e in F.edges for i, v in enumerate(ftgts[e])}
-    f_port_s = {v: (e, i) for e in F.edges for i, v in enumerate(fsrcs[e])}
-
-    class Conflict(Exception):
-        pass
-
-    def solve(tmap: dict[int, int], smap: dict[int, int], emap: dict[int, int],
-              used_t: set[int], used_s: set[int], used_e: set[int],
-              agenda: list[tuple[str, int]]) -> Homomorphism | None:
-        def put(kind: str, a: int, b: int) -> None:
-            table, used = {"t": (tmap, used_t), "s": (smap, used_s),
-                           "e": (emap, used_e)}[kind]
-            if a in table:
-                if table[a] != b:
-                    raise Conflict
-                return
-            if b in used:
-                raise Conflict
-            table[a] = b
-            used.add(b)
-            agenda.append((kind, a))
-
-        def propagate() -> None:
-            while agenda:
-                kind, a = agenda.pop()
-                if kind == "t":
-                    b = tmap[a]
-                    if F.vtlabels[a] != G.vtlabels[b]:
-                        raise Conflict
-                    put("s", F.conn[a], G.conn[b])
-                    if a in f_port_t:
-                        e, i = f_port_t[a]
-                        d = G.left[b]
-                        if d is INTERFACE or G.labels[d] != F.labels[e]:
-                            raise Conflict
-                        if gtgts[d][i] != b:
-                            raise Conflict
-                        put("e", e, d)
-                    elif G.left[b] is not INTERFACE:
-                        raise Conflict
-                elif kind == "s":
-                    b = smap[a]
-                    if F.vslabels[a] != G.vslabels[b]:
-                        raise Conflict
-                    put("t", fconn_inv[a], gconn_inv[b])
-                    if a in f_port_s:
-                        e, i = f_port_s[a]
-                        d = G.right[b]
-                        if d is INTERFACE or G.labels[d] != F.labels[e]:
-                            raise Conflict
-                        if gsrcs[d][i] != b:
-                            raise Conflict
-                        put("e", e, d)
-                    elif G.right[b] is not INTERFACE:
-                        raise Conflict
-                else:
-                    d = emap[a]
-                    for u, w in zip(ftgts[a], gtgts[d]):
-                        put("t", u, w)
-                    for u, w in zip(fsrcs[a], gsrcs[d]):
-                        put("s", u, w)
-
-        try:
-            propagate()
-        except Conflict:
-            return None
-
-        pending = [e for e in F.edges if e not in emap]
-        if not pending:
-            h = Homomorphism(F, G, dict(tmap), dict(smap), dict(emap))
-            return h if h.is_isomorphism() else None
-        e = min(pending, key=lambda x: F.edges.index(x))
-        for d in G.edges:
-            if d in used_e or G.labels[d] != F.labels[e]:
-                continue
-            t2, s2, e2 = dict(tmap), dict(smap), dict(emap)
-            u2t, u2s, u2e = set(used_t), set(used_s), set(used_e)
-            try:
-                e2[e] = d
-                u2e.add(d)
-                result = solve(t2, s2, e2, u2t, u2s, u2e, [("e", e)])
-            except Conflict:
-                continue
-            if result is not None:
-                return result
-        return None
-
-    tmap: dict[int, int] = {}
-    smap: dict[int, int] = {}
-    emap: dict[int, int] = {}
-    used_t: set[int] = set()
-    used_s: set[int] = set()
-    used_e: set[int] = set()
-    agenda: list[tuple[str, int]] = []
-    for a, b in zip(F.inputs(), G.inputs()):
-        tmap[a] = b
-        used_t.add(b)
-        agenda.append(("t", a))
-    for a, b in zip(F.outputs(), G.outputs()):
-        if a in smap:
-            continue
-        smap[a] = b
-        used_s.add(b)
-        agenda.append(("s", a))
-    return solve(tmap, smap, emap, used_t, used_s, used_e, agenda)
+    for h in embeddings(F, G, anchor_t=zip(F.inputs(), G.inputs()),
+                        anchor_s=zip(F.outputs(), G.outputs())):
+        if h.is_isomorphism():
+            return Homomorphism(F, G, {v: h.vmap_t[v] for v in F.targets},
+                                {v: h.vmap_s[v] for v in F.sources},
+                                {e: h.emap[e] for e in F.edges})
+    return None
 
 
 def isomorphic(F: LinearHypergraph, G: LinearHypergraph) -> bool:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Homomorphism,
-                     LinearHypergraph, SimpleHypergraph, expand, freshen,
-                     find_isomorphism, smooth, to_simple)
+                     LinearHypergraph, SimpleHypergraph, embeddings, expand,
+                     find_isomorphism, freshen, smooth, to_simple)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .terms import Signature, Term, TypeMismatch, parse_term, type_of
@@ -130,237 +130,6 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
 # Matching
 # ---------------------------------------------------------------------------
 
-class _Conflict(Exception):
-    pass
-
-
-def _embeddings(L: LinearHypergraph, G: LinearHypergraph,
-                up_to_homeo: bool = False) -> list[Homomorphism]:
-    """Every embedding of L into G, in a deterministic order.
-
-    Edge-anchored: each edge component of L is pinned by its first edge
-    and the rest follows the wires; bare wires of L range over the
-    remaining wires of G.  Interfaces of L may land anywhere.
-
-    With ``up_to_homeo`` the loose ends of L's boundary wires are bound
-    last, and when the wire leaving the matched part re-enters it
-    immediately (a loop through the pattern's boundary), the host wire is
-    expanded with an identity edge so both boundary wires fit.  The
-    returned homomorphisms then land in that expanded host.
-    """
-    ltgts, lsrcs = L.port_tables()
-    gtgts, gsrcs = G.port_tables()
-    lconn_inv = L.conn_inv()
-    gconn_inv = G.conn_inv()
-    l_port_t = {v: (e, i) for e in L.edges for i, v in enumerate(ltgts[e])}
-    l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
-
-    # group L's edges into wire-connected components, each led by its
-    # first edge in stored order
-    neighbours: dict[int, set[int]] = {e: set() for e in L.edges}
-    for t in L.targets:
-        e1 = L.left[t]
-        e2 = L.right[L.conn[t]]
-        if e1 is not INTERFACE and e2 is not INTERFACE:
-            neighbours[e1].add(e2)
-            neighbours[e2].add(e1)
-    components: list[list[int]] = []
-    placed: set[int] = set()
-    for e in L.edges:
-        if e in placed:
-            continue
-        comp, queue = [], [e]
-        while queue:
-            x = queue.pop(0)
-            if x in placed:
-                continue
-            placed.add(x)
-            comp.append(x)
-            queue.extend(sorted(neighbours[x], key=L.edges.index))
-        components.append(comp)
-
-    bare_wires = [t for t in L.targets
-                  if L.left[t] is INTERFACE
-                  and L.right[L.conn[t]] is INTERFACE]
-    # boundary wires whose loose end is bound late in homeo mode
-    out_wires = [t for t in L.targets
-                 if L.left[t] is not INTERFACE
-                 and L.right[L.conn[t]] is INTERFACE]
-    in_wires = [t for t in L.targets
-                if L.left[t] is INTERFACE
-                and L.right[L.conn[t]] is not INTERFACE]
-
-    solutions: list[Homomorphism] = []
-
-    def put(state, kind: str, a: int, b: int) -> None:
-        table, used = state[kind]
-        if a in table:
-            if table[a] != b:
-                raise _Conflict
-            return
-        if b in used:
-            raise _Conflict
-        table[a] = b
-        used.add(b)
-        state["agenda"].append((kind, a))
-
-    def propagate(state) -> None:
-        agenda = state["agenda"]
-        tmap, smap, emap = state["t"][0], state["s"][0], state["e"][0]
-        while agenda:
-            kind, a = agenda.pop()
-            if kind == "t":
-                b = tmap[a]
-                if L.vtlabels[a] != G.vtlabels[b]:
-                    raise _Conflict
-                partner = L.conn[a]
-                defer = (up_to_homeo
-                         and L.left[a] is not INTERFACE
-                         and L.right[partner] is INTERFACE)
-                if not defer:
-                    put(state, "s", partner, G.conn[b])
-                if a in l_port_t:
-                    e, i = l_port_t[a]
-                    d = G.left[b]
-                    if d is INTERFACE or G.labels[d] != L.labels[e]:
-                        raise _Conflict
-                    if len(gtgts[d]) <= i or gtgts[d][i] != b:
-                        raise _Conflict
-                    put(state, "e", e, d)
-            elif kind == "s":
-                b = smap[a]
-                if L.vslabels[a] != G.vslabels[b]:
-                    raise _Conflict
-                partner = lconn_inv[a]
-                defer = (up_to_homeo
-                         and L.right[a] is not INTERFACE
-                         and L.left[partner] is INTERFACE)
-                if not defer:
-                    put(state, "t", partner, gconn_inv[b])
-                if a in l_port_s:
-                    e, i = l_port_s[a]
-                    d = G.right[b]
-                    if d is INTERFACE or G.labels[d] != L.labels[e]:
-                        raise _Conflict
-                    if len(gsrcs[d]) <= i or gsrcs[d][i] != b:
-                        raise _Conflict
-                    put(state, "e", e, d)
-            else:
-                d = emap[a]
-                if G.labels[d] != L.labels[a]:
-                    raise _Conflict
-                if (len(gtgts[d]) != len(ltgts[a])
-                        or len(gsrcs[d]) != len(lsrcs[a])):
-                    raise _Conflict
-                for u, w in zip(ltgts[a], gtgts[d]):
-                    put(state, "t", u, w)
-                for u, w in zip(lsrcs[a], gsrcs[d]):
-                    put(state, "s", u, w)
-
-    def clone(state):
-        return {
-            "t": (dict(state["t"][0]), set(state["t"][1])),
-            "s": (dict(state["s"][0]), set(state["s"][1])),
-            "e": (dict(state["e"][0]), set(state["e"][1])),
-            "agenda": [],
-        }
-
-    def assign_components(idx: int, state) -> None:
-        if idx == len(components):
-            assign_bare(0, state)
-            return
-        anchor = components[idx][0]
-        for d in G.edges:
-            if d in state["e"][1] or G.labels[d] != L.labels[anchor]:
-                continue
-            trial = clone(state)
-            try:
-                put(trial, "e", anchor, d)
-                propagate(trial)
-            except _Conflict:
-                continue
-            assign_components(idx + 1, trial)
-
-    def assign_bare(idx: int, state) -> None:
-        if idx == len(bare_wires):
-            finalize(state)
-            return
-        t = bare_wires[idx]
-        for tg in G.targets:
-            if tg in state["t"][1] or G.conn[tg] in state["s"][1]:
-                continue
-            if G.vtlabels[tg] != L.vtlabels[t]:
-                continue
-            trial = clone(state)
-            try:
-                put(trial, "t", t, tg)
-                propagate(trial)
-            except _Conflict:
-                continue
-            assign_bare(idx + 1, trial)
-
-    def finalize(state) -> None:
-        tmap, smap, emap = (dict(state["t"][0]), dict(state["s"][0]),
-                            dict(state["e"][0]))
-        host = G
-        if up_to_homeo:
-            host = _resolve_boundary(tmap, smap, set(state["t"][1]),
-                                     set(state["s"][1]))
-            if host is None:
-                return
-        if len(tmap) != len(L.targets) or len(smap) != len(L.sources):
-            return
-        h = Homomorphism(L, host, tmap, smap, emap)
-        if h.is_embedding():
-            solutions.append(h)
-
-    def _resolve_boundary(tmap, smap, used_t, used_s):
-        """Bind the loose ends of boundary wires, expanding the host
-        where an out-wire's host wire immediately re-enters an in-wire."""
-        host = G
-        pending_in = {}
-        for a in in_wires:
-            b = L.conn[a]
-            if b not in smap:
-                return None
-            pending_in[gconn_inv[smap[b]]] = a
-        for c in out_wires:
-            if c not in tmap:
-                return None
-            d = L.conn[c]
-            t_w = tmap[c]
-            s_w = host.conn[t_w]
-            hit = pending_in.get(t_w)
-            if hit is not None:
-                # the wire leaving the match feeds straight back in: split it
-                host = expand(host, t_w)
-                t_new, s_new = host.targets[-1], host.sources[-1]
-                if (L.vslabels[d] != host.vslabels[s_new]
-                        or L.vtlabels[hit] != host.vtlabels[t_new]):
-                    return None
-                smap[d] = s_new
-                used_s.add(s_new)
-                tmap[hit] = t_new
-                used_t.add(t_new)
-                del pending_in[t_w]
-            else:
-                if s_w in used_s or L.vslabels[d] != host.vslabels[s_w]:
-                    return None
-                smap[d] = s_w
-                used_s.add(s_w)
-        for anchor_t, a in pending_in.items():
-            if anchor_t in used_t or L.vtlabels[a] != host.vtlabels[anchor_t]:
-                return None
-            tmap[a] = anchor_t
-            used_t.add(anchor_t)
-        return host
-
-    initial = {"t": ({}, set()), "s": ({}, set()), "e": ({}, set()),
-               "agenda": []}
-    assign_components(0, initial)
-    return solutions
-
-
 def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
     """Maximal runs of identity edges, each anchored at the surviving
     target vertex that feeds the run."""
@@ -406,13 +175,15 @@ def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
     redex need this).
     """
     if not any(L.labels[e] == IDENTITY_LABEL for e in L.edges):
-        return [Matching(h, h.dst)
-                for h in _embeddings(L, G, up_to_homeo)]
+        return [Matching(h, h.dst) for h in embeddings(L, G, up_to_homeo)
+                if h.is_embedding()]
     chains = _identity_chains(L)
     Ls = smooth(L)
     ltgts, lsrcs = L.port_tables()
     matchings = []
-    for base in _embeddings(Ls, G, up_to_homeo):
+    for base in embeddings(Ls, G, up_to_homeo):
+        if not base.is_embedding():
+            continue
         host = base.dst
         vmap_t = dict(base.vmap_t)
         vmap_s = dict(base.vmap_s)
@@ -652,20 +423,13 @@ class NormalizeResult:
 
 
 def normalize(G: LinearHypergraph, rules: list[RewriteRule],
-              max_steps: int = 10000,
-              strategy: str = "deterministic") -> NormalizeResult:
+              max_steps: int = 10000) -> NormalizeResult:
     """Apply rules until no rule matches or the step budget runs out.
 
-    The deterministic strategy always takes the first rule's first match
-    under the canonical order, so runs are reproducible.  The exhaustive
-    strategy explores every match order and returns the first normal
-    form found (see :func:`normal_forms`).
+    Each step takes the first rule's first match under the canonical
+    order, so runs are reproducible; :func:`normal_forms` explores every
+    match order instead.
     """
-    if strategy == "exhaustive":
-        nfs, exhausted = normal_forms(G, rules, max_steps=max_steps)
-        return NormalizeResult(nfs[0] if nfs else G, [], exhausted)
-    if strategy != "deterministic":
-        raise ValueError(f"unknown strategy {strategy!r}")
     # a rule whose left side is the empty graph matches everywhere and
     # rewrites nothing; the driver would never terminate on it
     rules = [r for r in rules if r.L.targets or r.L.edges]

@@ -167,38 +167,61 @@ class Trace(Term):
 _RESERVED_NAMES = frozenset({"id", "swap", "tr", "@id"})
 
 
+# marks the end of a composite node's children on an explicit stack
+_DONE = object()
+
+
 def type_of(t: Term, sig: Signature) -> tuple[Word, Word]:
-    """Domain and codomain words of ``t``, raising on ill-typed nodes."""
-    if isinstance(t, Gen):
-        if t.name not in sig:
-            raise TypeMismatch(f"unknown generator {t.name!r}", t)
-        return sig.generators[t.name]
-    if isinstance(t, Id):
-        return t.word, t.word
-    if isinstance(t, Swap):
-        return t.upper + t.lower, t.lower + t.upper
-    if isinstance(t, Seq):
-        ld, lc = type_of(t.left, sig)
-        rd, rc = type_of(t.right, sig)
-        if lc != rd:
-            raise TypeMismatch(
-                f"cannot compose {render_word(lc)} with {render_word(rd)}"
-                f" in {render_term(t)}", t)
-        return ld, rc
-    if isinstance(t, Tensor):
-        td, tc = type_of(t.top, sig)
-        bd, bc = type_of(t.bottom, sig)
-        return td + bd, tc + bc
-    if isinstance(t, Trace):
-        d, c = type_of(t.body, sig)
-        x = t.loop
-        if d[:len(x)] != x or c[:len(x)] != x:
-            raise TypeMismatch(
-                f"trace over {render_word(x)} needs a body typed"
-                f" {render_word(x)}+m -> {render_word(x)}+n,"
-                f" got {render_word(d)} -> {render_word(c)}", t)
-        return d[len(x):], c[len(x):]
-    raise TypeMismatch(f"not a term: {t!r}", t)
+    """Domain and codomain words of ``t``, raising on ill-typed nodes.
+
+    One iterative post-order pass, so the term may be arbitrarily deep;
+    subterms are checked left to right, as a recursive walk would.
+    Dispatch is on the exact node class; ``isinstance`` chains make the
+    loop about a third slower on small terms.
+    """
+    values: list[tuple[Word, Word]] = []  # types of finished subterms
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        k = type(u)
+        if u is _DONE:
+            u = todo.pop()
+            if type(u) is Trace:
+                d, c = values[-1]
+                x = u.loop
+                if d[:len(x)] != x or c[:len(x)] != x:
+                    raise TypeMismatch(
+                        f"trace over {render_word(x)} needs a body typed"
+                        f" {render_word(x)}+m -> {render_word(x)}+n,"
+                        f" got {render_word(d)} -> {render_word(c)}", u)
+                values[-1] = d[len(x):], c[len(x):]
+                continue
+            (ld, lc), (rd, rc) = values[-2], values.pop()
+            if type(u) is Tensor:
+                values[-1] = ld + rd, lc + rc
+            elif lc != rd:
+                raise TypeMismatch(
+                    f"cannot compose {render_word(lc)} with {render_word(rd)}"
+                    f" in {render_term(u)}", u)
+            else:
+                values[-1] = ld, rc
+        elif k is Gen:
+            if u.name not in sig:
+                raise TypeMismatch(f"unknown generator {u.name!r}", u)
+            values.append(sig.generators[u.name])
+        elif k is Tensor:
+            todo += (u, _DONE, u.bottom, u.top)
+        elif k is Seq:
+            todo += (u, _DONE, u.right, u.left)
+        elif k is Id:
+            values.append((u.word, u.word))
+        elif k is Swap:
+            values.append((u.upper + u.lower, u.lower + u.upper))
+        elif k is Trace:
+            todo += (u, _DONE, u.body)
+        else:
+            raise TypeMismatch(f"not a term: {u!r}", u)
+    return values[0]
 
 
 def is_trace_free(t: Term) -> bool:
@@ -352,35 +375,56 @@ def parse_term(text: str, sig: Signature) -> Term:
     return t
 
 
+class _Piece(str):
+    """Literal text waiting on :func:`render_term`'s stack."""
+
+
+_SEQ, _SEQ_OPEN = _Piece(" ; "), _Piece(" ; (")
+_TEN, _TEN_OPEN = _Piece(" * "), _Piece(" * (")
+_OPEN, _CLOSE = _Piece("("), _Piece(")")
+
+
 def render_term(t: Term) -> str:
     """Print a term so that parsing the output rebuilds the same tree.
 
     Left-nested chains print flat (the parser folds left); right-nested
-    composition and tensor keep their parentheses.
+    composition and tensor keep their parentheses.  Pieces are emitted
+    in order from an explicit stack, so the term may be arbitrarily deep.
+    Dispatch is on the exact node class, as in :func:`type_of`.
     """
-    if isinstance(t, Seq):
-        left = render_term(t.left)
-        right = render_term(t.right)
-        if isinstance(t.right, Seq):
-            right = f"({right})"
-        return f"{left} ; {right}"
-    if isinstance(t, Tensor):
-        top = render_term(t.top)
-        if isinstance(t.top, Seq):
-            top = f"({top})"
-        bottom = render_term(t.bottom)
-        if isinstance(t.bottom, (Seq, Tensor)):
-            bottom = f"({bottom})"
-        return f"{top} * {bottom}"
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Id):
-        return f"id {render_word(t.word)}"
-    if isinstance(t, Swap):
-        return f"swap {render_word(t.upper)} {render_word(t.lower)}"
-    if isinstance(t, Trace):
-        return f"tr {render_word(t.loop)} ({render_term(t.body)})"
-    raise TermError(f"not a term: {t!r}")
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        k = type(u)
+        if k is _Piece:
+            out.append(u)
+        elif k is Gen:
+            out.append(u.name)
+        elif k is Tensor:
+            b = u.bottom
+            if type(b) is Seq or type(b) is Tensor:
+                todo += (_CLOSE, b, _TEN_OPEN)
+            else:
+                todo += (b, _TEN)
+            if type(u.top) is Seq:
+                todo += (_CLOSE, u.top, _OPEN)
+            else:
+                todo.append(u.top)
+        elif k is Seq:
+            if type(u.right) is Seq:
+                todo += (_CLOSE, u.right, _SEQ_OPEN, u.left)
+            else:
+                todo += (u.right, _SEQ, u.left)
+        elif k is Id:
+            out.append(f"id {render_word(u.word)}")
+        elif k is Swap:
+            out.append(f"swap {render_word(u.upper)} {render_word(u.lower)}")
+        elif k is Trace:
+            todo += (_CLOSE, u.body, _Piece(f"tr {render_word(u.loop)} ("))
+        else:
+            raise TermError(f"not a term: {u!r}")
+    return "".join(out)
 
 
 def parse_signature(text: str) -> Signature:

@@ -158,6 +158,19 @@ def test_extract_malformed_graph_exit_code(capsys, tmp_path):
     assert "not injective" in err and "Traceback" not in err
 
 
+def test_extract_stray_key_exit_code(capsys, tmp_path):
+    # "9" is not a target: left would name an edge the graph does not have
+    gfile = tmp_path / "stray.json"
+    gfile.write_text(
+        '{"targets":[0,1],"sources":[2,3],"edges":[],'
+        '"left":{"0":"interface","1":"interface","9":5},'
+        '"right":{"2":"interface","3":"interface"},"conn":{"0":2,"1":3}}')
+    code, out, err = run(capsys, "extract", str(gfile))
+    assert code == 1 and out == ""
+    assert err == ("error: malformed hypergraph: left has an entry for 9,"
+                   " which is not a target of the graph\n")
+
+
 def test_iso_command(files, capsys, tmp_path):
     sig = files / "circuit.sig"
     t1 = tmp_path / "a.term"
@@ -208,6 +221,32 @@ def test_rewrite_command_with_budget(files, capsys, tmp_path):
     assert err.count("rule squash") == 1
     assert isomorphic(load_graph(out),
                       interpret(parse_term("f ; f", full_sig), full_sig))
+
+
+def test_rewrite_exhaustive_strategy(files, capsys, tmp_path):
+    sig = files / "circuit.sig"
+    rules = tmp_path / "rules.txt"
+    rules.write_text("squash : f ; f => f\n")
+    t = tmp_path / "chain.term"
+    t.write_text("f ; f ; f")
+    g = tmp_path / "g.json"
+    _, out, _ = run(capsys, "interpret", str(t), "--sig", str(sig))
+    g.write_text(out)
+    full_sig = signature({"f": (1, 1)})
+
+    code, out, err = run(capsys, "rewrite", str(g), "--rules", str(rules),
+                         "--sig", str(sig), "--strategy", "exhaustive")
+    assert code == 0 and err == ""  # no steps are listed
+    assert isomorphic(load_graph(out),
+                      interpret(parse_term("f", full_sig), full_sig))
+
+    # out of budget before any normal form: the input comes back
+    code, out2, err = run(capsys, "rewrite", str(g), "--rules", str(rules),
+                          "--sig", str(sig), "--strategy", "exhaustive",
+                          "--steps", "0")
+    assert code == 4
+    assert err == "step budget (0) exhausted\n"
+    assert json.loads(out2) == json.loads(g.read_text())
 
 
 def test_rewrite_empty_rules_is_identity(files, capsys, tmp_path):

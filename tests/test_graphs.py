@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linhyp import (Gen, Homomorphism, Seq, Tensor, canonical, compose,
+from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
                     expand, find_isomorphism, freshen, identity, interpret,
                     is_homomorphism, isomorphic, parse_term, rename,
                     signature, smooth, to_simple, validate)
@@ -209,6 +209,15 @@ def test_iso_agrees_with_brute_force_on_small(F, G):
     assert (fast is None) == (slow is None)
 
 
+@given(graphs)
+@settings(max_examples=30, deadline=None)
+def test_iso_witness_lists_ids_in_stored_order(H):
+    w = find_isomorphism(H, freshen(H))
+    assert list(w.vmap_t) == list(H.targets)
+    assert list(w.vmap_s) == list(H.sources)
+    assert list(w.emap) == list(H.edges)
+
+
 def test_closed_loops_need_edge_backtracking():
     """Two disjoint closed loops, each through one edge: no interface to
     anchor the search."""
@@ -239,6 +248,72 @@ def test_iso_distinguishes_loop_partitions():
     assert len(two3.edges) == len(one6.edges) == 6
     assert find_isomorphism(two3, one6) is None
     assert find_isomorphism(two3, freshen(two3)) is not None
+
+
+LOOP_SIG = signature({"f": (1, 1), "p": (1, 1)})
+
+
+def _loop_family(cycles, through=()):
+    """Closed loops, one per label cycle, below an optional chain of
+    edges from the input to the output."""
+    def chain(labels):
+        t = Gen(labels[0])
+        for lab in labels[1:]:
+            t = Seq(t, Gen(lab))
+        return t
+
+    parts = ([chain(through)] if through else []) + [
+        Trace(1, chain(c)) for c in cycles]
+    t = parts[0]
+    for part in parts[1:]:
+        t = Tensor(t, part)
+    return interpret(t, LOOP_SIG)
+
+
+def _cycle_key(c):
+    return min(c[i:] + c[:i] for i in range(len(c)))
+
+
+def _families(max_edges):
+    """Every family of 2-4 labelled loops with at most ``max_edges``
+    edges, one cycle order per family."""
+    import itertools
+    cycles = sorted({_cycle_key(c) for n in range(1, max_edges + 1)
+                     for c in itertools.product("fp", repeat=n)})
+    out = []
+    for k in (2, 3, 4):
+        for fam in itertools.combinations_with_replacement(cycles, k):
+            if sum(map(len, fam)) <= max_edges:
+                out.append(fam)
+    return out
+
+
+def test_iso_on_loop_families_agrees_with_brute_force():
+    """Interface-free loop families, isomorphic and not, in other stored
+    orders and rotations; with a through-wire, whose anchor edge the
+    interfaces already bind before any loop is tried."""
+    f, p = ("f",), ("p",)
+    fams = _families(3) + [(f, f, f, f), (f, f, f, p)]
+    for a in fams:
+        F = _loop_family(a)
+        for b in fams:
+            if sum(map(len, a)) != sum(map(len, b)):
+                continue
+            # the other family with its loops reversed and rotated by one
+            G = _loop_family([c[1:] + c[:1] for c in reversed(b)])
+            fast = find_isomorphism(F, G)
+            slow = brute_force_isomorphism(F, G)
+            assert (fast is None) == (slow is None), (a, b)
+            assert (fast is not None) == (sorted(a) == sorted(b)), (a, b)
+            if fast is not None:
+                assert fast.is_isomorphism()
+    for a in _families(2):
+        for b in _families(2):
+            F = _loop_family(a, through="p")
+            G = _loop_family(b[::-1], through="p")
+            fast = find_isomorphism(F, G)
+            assert (fast is None) == (brute_force_isomorphism(F, G) is None)
+            assert (fast is not None) == (a == b), (a, b)
 
 
 def test_zero_arity_edges_everywhere():

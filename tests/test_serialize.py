@@ -77,6 +77,31 @@ def test_load_rejects_garbage():
         load_graph(non_injective)
 
 
+
+def test_load_rejects_stray_keys():
+    import pytest
+    good = {"targets": [0, 1], "sources": [2, 3], "edges": [],
+            "left": {"0": "interface", "1": "interface"},
+            "right": {"2": "interface", "3": "interface"},
+            "conn": {"0": 2, "1": 3}}
+    load_graph(json.dumps(good))
+    strays = [("left", "9", 5, "left has an entry for 9, which is not a target"),
+              ("conn", "2", 3, "conn has an entry for 2, which is not a target"),
+              ("right", "0", "interface",
+               "right has an entry for 0, which is not a source")]
+    for table, key, value, message in strays:
+        bad = json.loads(json.dumps(good))
+        bad[table][key] = value
+        with pytest.raises(ValueError, match="malformed hypergraph: .*" + message):
+            load_graph(json.dumps(bad))
+    labelled = dict(good, vtlabels={"0": "A", "1": "A", "7": "A"},
+                    vslabels={"2": "A", "3": "A", "8": "A"})
+    with pytest.raises(ValueError) as err:
+        load_graph(json.dumps(labelled))
+    assert "vtlabels has an entry for 7, which is not a target" in str(err.value)
+    assert "vslabels has an entry for 8, which is not a source" in str(err.value)
+
+
 @given(graphs)
 @settings(max_examples=30, deadline=None)
 def test_canonical_invariant_under_renaming(H):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (Gen, Id, ParseError, Seq, Swap, Tensor, Trace,
                     TypeMismatch, global_trace_form, parse_signature,
                     parse_term, render_term, signature, stage, type_of, word)
-from linhyp.interp import interpret
+from linhyp.interp import equal_mod_stmc, interpret
 from linhyp.graphs import find_isomorphism
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import SignatureError, is_trace_free
@@ -181,3 +181,60 @@ def test_global_trace_form_meaning(t):
     assert is_trace_free(body)
     assert find_isomorphism(interpret(Trace(x, body), SIG),
                             interpret(t, SIG))
+
+
+def _chain(n, nested):
+    t = Gen("f")
+    for _ in range(n):
+        t = Seq(t, Gen("f")) if nested == "left" else Seq(Gen("f"), t)
+    return t
+
+
+def _same_tree(a, b):
+    """Structural equality without recursion; ``==`` on terms recurses
+    once per level."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Seq):
+            todo += [(x.left, y.left), (x.right, y.right)]
+        elif isinstance(x, Tensor):
+            todo += [(x.top, y.top), (x.bottom, y.bottom)]
+        elif isinstance(x, Trace):
+            if x.loop != y.loop:
+                return False
+            todo.append((x.body, y.body))
+        elif x != y:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_deep_chains_type_render_and_compare(nested):
+    t = _chain(5000, nested)
+    assert type_of(t, SIG) == (word(1), word(1))
+    assert equal_mod_stmc(t, t, SIG)
+    text = render_term(t)
+    if nested == "left":
+        assert text == " ; ".join(["f"] * 5001)
+        assert _same_tree(parse_term(text, SIG), t)
+    else:
+        assert text == "f ; (" * 4999 + "f ; f" + ")" * 4999
+        # the parser recurses on each parenthesis, so parse a shallower one
+        short = _chain(200, nested)
+        assert _same_tree(parse_term(render_term(short), SIG), short)
+
+
+def test_deep_type_errors_keep_their_messages():
+    bad = Seq(_chain(3000, "left"), Gen("g"))
+    assert type_of(bad.left, SIG) == (word(1), word(1))
+    bad = Seq(bad, Gen("f"))
+    with pytest.raises(TypeMismatch, match=r"^cannot compose 2 with 1 in f ; f"):
+        type_of(bad, SIG)
+    loop = Trace(2, _chain(3000, "right"))
+    with pytest.raises(TypeMismatch,
+                       match=r"^trace over 2 needs a body typed 2\+m -> 2\+n,"
+                             r" got 1 -> 1$"):
+        type_of(loop, SIG)
