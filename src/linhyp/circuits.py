@@ -15,7 +15,7 @@ from .graphs import INTERFACE, LinearHypergraph
 from .interp import interpret
 from .ops import compose as compose_graphs
 from .rewrite import RewriteRule, normalize, rule_from_terms
-from .terms import Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace, signature
+from .terms import Gen, Id, Seq, Signature, Swap, Tensor, Term, signature
 
 FORK, JOIN, STUB, DELAY = "fork", "join", "stub", "delay"
 
@@ -364,7 +364,6 @@ def evaluate(circuit: Term | LinearHypergraph,
         raise ValueError(f"unknown values {bad}")
     closed = compose_graphs(interpret(value_row(inputs), sig), H)
     traced = extract_term(closed)
-    assert isinstance(traced, Trace)
     loop, body = traced.loop, traced.body
     x = len(loop)
     rules = eval_rules(csig)

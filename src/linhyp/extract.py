@@ -11,7 +11,8 @@ import itertools
 import math
 import random
 
-from .graphs import IDENTITY_LABEL, LinearHypergraph, find_isomorphism, traversal_order
+from .graphs import (IDENTITY_LABEL, LinearHypergraph, canonical_labelling,
+                     find_isomorphism)
 from .interp import interpret
 from .terms import Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace
 
@@ -19,10 +20,8 @@ EdgeOrder = tuple[int, ...]
 
 
 def canonical_edge_order(H: LinearHypergraph) -> EdgeOrder:
-    """Edges in interface-first traversal order; the default for extraction."""
-    _, _, order_e = traversal_order(H)
-    rest = [e for e in H.edges if e not in set(order_e)]
-    return tuple(order_e + rest)
+    """Edges in canonical labelling order; the default for extraction."""
+    return tuple(canonical_labelling(H)[2])
 
 
 def _check_order(H: LinearHypergraph, ord: EdgeOrder) -> None:
@@ -101,7 +100,7 @@ def shuffle(H: LinearHypergraph) -> Term:
     return out
 
 
-def extract_term(H: LinearHypergraph, ord: EdgeOrder | None = None) -> Term:
+def extract_term(H: LinearHypergraph, ord: EdgeOrder | None = None) -> Trace:
     """A term whose interpretation is isomorphic to ``H``."""
     if ord is None:
         ord = canonical_edge_order(H)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .terms import ANON, Word
 
@@ -26,19 +27,24 @@ class _IdSupply:
     """Process-global fresh-id counter; thread-safe."""
 
     def __init__(self) -> None:
-        self._counter = itertools.count()
-        self._lock = threading.Lock()
+        self.next = 0
+        self.lock = threading.Lock()
 
-    def fresh(self, n: int = 1) -> list[int]:
-        with self._lock:
-            return [next(self._counter) for _ in range(n)]
+    def fresh(self, n: int) -> list[int]:
+        with self.lock:
+            self.next += n
+            return list(range(self.next - n, self.next))
+
+    def reserve(self, ids: Iterable[int]) -> None:
+        """Hand out only ids above ``ids`` (a loaded file's) from now on."""
+        top = max(ids, default=-1)
+        with self.lock:
+            self.next = max(self.next, top + 1)
 
 
 _SUPPLY = _IdSupply()
-
-
-def fresh_ids(n: int) -> list[int]:
-    return _SUPPLY.fresh(n)
+fresh_ids = _SUPPLY.fresh
+reserve_ids = _SUPPLY.reserve
 
 
 @dataclass(frozen=True)
@@ -108,10 +114,6 @@ class LinearHypergraph:
         m, n = self.arity()
         return (f"LinearHypergraph({m}->{n}, |T|={len(self.targets)},"
                 f" edges={[self.labels[e] for e in self.edges]})")
-
-
-def empty_graph() -> LinearHypergraph:
-    return LinearHypergraph((), (), (), {}, {}, {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -264,62 +266,92 @@ def freshen(H: LinearHypergraph) -> LinearHypergraph:
     return rename(H, dict(zip(ids, fresh_ids(len(ids)))))
 
 
-def traversal_order(H: LinearHypergraph) -> tuple[list[int], list[int], list[int]]:
-    """Deterministic interface-first traversal of vertices and edges.
+def _walk(H: LinearHypergraph, tgts: dict[int, tuple[int, ...]],
+          srcs: dict[int, tuple[int, ...]], conn_inv: dict[int, int],
+          starts: Iterable[int | None], seen: set[int]) -> list[int]:
+    """The edges reached breadth-first along wires from ``starts``, less
+    those in ``seen``, which it extends.  From each edge the walk visits
+    the far end of each target port, then of each source port, in port
+    order."""
+    right, left, conn = H.right, H.left, H.conn
+    order = [e for e in dict.fromkeys(starts)
+             if e is not INTERFACE and e not in seen]
+    seen.update(order)
+    for e in order:  # grows while it is read: breadth-first
+        for d in ([right[conn[v]] for v in tgts[e]]
+                  + [left[conn_inv[s]] for s in srcs[e]]):
+            if d is not INTERFACE and d not in seen:
+                seen.add(d)
+                order.append(d)
+    return order
 
-    Walks wires from the inputs, entering edges through their source
-    ports and leaving through their target ports; remaining pieces
-    (closed loops) are seeded in stored target order.  Depends only on
-    the stored orders, never on id values.
+
+def canonical_labelling(H: LinearHypergraph
+                        ) -> tuple[list[int], list[int], list[int]]:
+    """H's targets, sources and edges in an order that isomorphisms keep.
+
+    Edges are numbered by a walk from the consumers of the inputs and
+    then the producers of the outputs.  Fixing one edge fixes its whole
+    wire-connected component, so each interface-free component is walked
+    from the anchor, among its edges of the rarest label, that gives the
+    least code, and the components follow in code order.  Targets are
+    the inputs and then each edge's target block, sources each edge's
+    source block and then the outputs, as in ``untangle``.
     """
     tgts, srcs = H.port_tables()
-    seen_t: list[int] = []
-    seen_s: list[int] = []
-    seen_e: list[int] = []
-    seen = set()
+    conn_inv = H.conn_inv()
 
-    def visit_target(t: int) -> None:
-        queue = [t]
-        while queue:
-            v = queue.pop(0)
-            if v in seen:
-                continue
-            seen.add(v)
-            seen_t.append(v)
-            s = H.conn[v]
-            if s not in seen:
-                seen.add(s)
-                seen_s.append(s)
-                e = H.right[s]
-                if e is not INTERFACE and e not in seen:
-                    seen.add(e)
-                    seen_e.append(e)
-                    queue.extend(w for w in tgts[e] if w not in seen)
+    def code(order: list[int]) -> tuple:
+        """Per edge: its label, its number of targets, then per port the
+        far edge's walk number, the far port's index and the object
+        label."""
+        num = {e: i for i, e in enumerate(order)}
+        return tuple((H.labels[e], len(tgts[e]), tuple(
+            (num[H.right[s]], srcs[H.right[s]].index(s), H.vslabels[s])
+            for s in [H.conn[v] for v in tgts[e]]) + tuple(
+            (num[H.left[t]], tgts[H.left[t]].index(t), H.vtlabels[t])
+            for t in [conn_inv[s] for s in srcs[e]])) for e in order)
 
-    for t in H.inputs():
-        visit_target(t)
-    for t in H.targets:
-        visit_target(t)
-    return seen_t, seen_s, seen_e
+    ins, outs = H.inputs(), H.outputs()
+    seen: set[int] = set()
+    edges = _walk(H, tgts, srcs, conn_inv, [H.right[H.conn[t]] for t in ins]
+                  + [H.left[conn_inv[s]] for s in outs], seen)
+    coded = []
+    for e in H.edges:
+        if e not in seen:  # an interface-free component
+            comp = _walk(H, tgts, srcs, conn_inv, (e,), seen)
+            # anchors: the edges of the rarest label, the least on a tie;
+            # ``comp`` is already the walk from ``e``
+            count = Counter(H.labels[a] for a in comp)
+            rare = min(count, key=lambda lab: (count[lab], lab))
+            coded.append(min((code(w), w) for w in (
+                comp if a == e else _walk(H, tgts, srcs, conn_inv, (a,), set())
+                for a in comp if H.labels[a] == rare)))
+    for _, order in sorted(coded):
+        edges += order
+    targets = [*ins, *(v for e in edges for v in tgts[e])]
+    sources = [*(v for e in edges for v in srcs[e]), *outs]
+    return targets, sources, edges
 
 
 def canonical(H: LinearHypergraph) -> LinearHypergraph:
-    """Renumber ids along the interface-first traversal.
+    """Renumber ids along the canonical labelling.
 
-    Isomorphic-by-renaming graphs become structurally equal, so output
-    files are byte-stable.
+    Two graphs are isomorphic exactly when their canonical forms are
+    equal, so output files of isomorphic graphs are byte-identical.
+    Raises ``ValueError`` when the labelling does not list every stored
+    id exactly once, as with duplicate ids.
     """
-    order_t, order_s, order_e = traversal_order(H)
-    perm: dict[int, int] = {}
-    for v in order_t:
-        perm[v] = len(perm)
-    for v in order_s:
-        perm[v] = len(perm)
-    for e in order_e:
-        perm[e] = len(perm)
-    for e in H.edges:  # 0->0 edges carry no vertices, so the walk misses them
-        perm.setdefault(e, len(perm))
-    return rename(H, perm)
+    targets, sources, edges = canonical_labelling(H)
+    order = targets + sources + edges
+    perm = {x: i for i, x in enumerate(order)}
+    if len(perm) != len(H.targets) + len(H.sources) + len(H.edges):
+        raise ValueError("the canonical labelling does not list every id of"
+                         " the graph exactly once")
+    n_t, n_s = len(targets), len(sources)
+    return replace(rename(H, perm), targets=tuple(range(n_t)),
+                   sources=tuple(range(n_t, n_t + n_s)),
+                   edges=tuple(range(n_t + n_s, len(order))))
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +456,16 @@ class _Conflict(Exception):
 
 
 def embeddings(L: LinearHypergraph, G: LinearHypergraph,
-               up_to_homeo: bool = False,
-               anchor_t: Iterable[tuple[int, int]] = (),
-               anchor_s: Iterable[tuple[int, int]] = ()
-               ) -> Iterator[Homomorphism]:
+               up_to_homeo: bool = False) -> Iterator[Homomorphism]:
     """Yield maps of L into G, in a deterministic order.
 
-    The one wire-propagation engine: fixing the image of a vertex or an
-    edge fixes its wire and edge-port neighbours, so a search state is
-    propagated to closure after each choice, and a clash discards it.
-    ``anchor_t`` and ``anchor_s`` seed the search with (L-vertex,
-    G-vertex) pairs.  Each edge component of L that the seeds leave
-    unbound is pinned by its first edge in stored order, trying G's
-    edges in stored order; bare wires of L then range over the remaining
-    wires of G.  Unseeded interfaces of L may land anywhere.
+    The wire-propagation engine behind matching: fixing the image of a
+    vertex or an edge fixes its wire and edge-port neighbours, so a
+    search state is propagated to closure after each choice, and a clash
+    discards it.  Each edge component of L is pinned by its first edge
+    in stored order, trying G's edges in stored order; bare wires of L
+    then range over the remaining wires of G.  L's interfaces may land
+    anywhere.
 
     With ``up_to_homeo`` the loose ends of L's boundary wires are bound
     last, and when the wire leaving the matched part re-enters it
@@ -446,8 +474,7 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
     yielded homomorphisms then land in that expanded host.
 
     Every yielded map is total and injective by construction; callers
-    still run their own final check (``is_embedding`` or
-    ``is_isomorphism``) on it.
+    still run their own final check (``is_embedding``) on it.
     """
     ltgts, lsrcs = L.port_tables()
     gtgts, gsrcs = G.port_tables()
@@ -457,26 +484,12 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
     l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
 
     # the first edge in stored order of each wire-connected component
-    neighbours: dict[int, list[int]] = {e: [] for e in L.edges}
-    for t in L.targets:
-        e1 = L.left[t]
-        e2 = L.right[L.conn[t]]
-        if e1 is not INTERFACE and e2 is not INTERFACE:
-            neighbours[e1].append(e2)
-            neighbours[e2].append(e1)
     anchors: list[int] = []
     placed: set[int] = set()
     for e in L.edges:
-        if e in placed:
-            continue
-        anchors.append(e)
-        placed.add(e)
-        stack = [e]
-        while stack:
-            for x in neighbours[stack.pop()]:
-                if x not in placed:
-                    placed.add(x)
-                    stack.append(x)
+        if e not in placed:
+            anchors.append(e)
+            _walk(L, ltgts, lsrcs, lconn_inv, (e,), placed)
 
     bare_wires = [t for t in L.targets
                   if L.left[t] is INTERFACE
@@ -569,9 +582,7 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
         return trial
 
     def assign_components(idx: int, state):
-        emap, used_e = state["e"]
-        while idx < len(anchors) and anchors[idx] in emap:
-            idx += 1
+        used_e = state["e"][1]
         if idx == len(anchors):
             yield from assign_bare(0, state)
             return
@@ -584,16 +595,13 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
                 yield from assign_components(idx + 1, trial)
 
     def assign_bare(idx: int, state):
-        tmap, used_t = state["t"]
-        while idx < len(bare_wires) and bare_wires[idx] in tmap:
-            idx += 1
         if idx == len(bare_wires):
             h = finish(state)
             if h is not None:
                 yield h
             return
         t = bare_wires[idx]
-        used_s = state["s"][1]
+        used_t, used_s = state["t"][1], state["s"][1]
         for tg in G.targets:
             if tg in used_t or G.conn[tg] in used_s:
                 continue
@@ -657,43 +665,28 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
             used_t.add(anchor_t)
         return host
 
-    initial = {"t": ({}, set()), "s": ({}, set()), "e": ({}, set()),
-               "agenda": []}
-    try:
-        for a, b in anchor_t:
-            put(initial, "t", a, b)
-        for a, b in anchor_s:
-            put(initial, "s", a, b)
-        propagate(initial)
-    except _Conflict:
-        return
-    yield from assign_components(0, initial)
+    yield from assign_components(0, {"t": ({}, set()), "s": ({}, set()),
+                                     "e": ({}, set()), "agenda": []})
 
 
 def find_isomorphism(F: LinearHypergraph,
                      G: LinearHypergraph) -> Homomorphism | None:
     """A witness isomorphism, or None.
 
-    An isomorphism is an embedding between graphs of equal size that
-    sends F's ordered interfaces onto G's, so the search is the embedding
-    search seeded with the interface pairs.  Deterministic for fixed
-    inputs; the witness lists F's targets, sources and edges in F's
+    The canonical labellings of isomorphic graphs correspond position by
+    position, so the only candidate pairs them up; ``is_isomorphism``
+    decides.  The witness lists F's targets, sources and edges in F's
     stored order.
     """
     if (len(F.targets) != len(G.targets) or len(F.sources) != len(G.sources)
             or len(F.edges) != len(G.edges)):
         return None
-    if F.dom() != G.dom() or F.cod() != G.cod():
-        return None
-    if sorted(F.labels[e] for e in F.edges) != sorted(G.labels[e] for e in G.edges):
-        return None
-    for h in embeddings(F, G, anchor_t=zip(F.inputs(), G.inputs()),
-                        anchor_s=zip(F.outputs(), G.outputs())):
-        if h.is_isomorphism():
-            return Homomorphism(F, G, {v: h.vmap_t[v] for v in F.targets},
-                                {v: h.vmap_s[v] for v in F.sources},
-                                {e: h.emap[e] for e in F.edges})
-    return None
+    vmap_t, vmap_s, emap = (dict(zip(f, g)) for f, g in zip(
+        canonical_labelling(F), canonical_labelling(G)))
+    h = Homomorphism(F, G, {v: vmap_t[v] for v in F.targets},
+                     {v: vmap_s[v] for v in F.sources},
+                     {e: emap[e] for e in F.edges})
+    return h if h.is_isomorphism() else None
 
 
 def isomorphic(F: LinearHypergraph, G: LinearHypergraph) -> bool:

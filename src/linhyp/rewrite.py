@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Homomorphism,
                      LinearHypergraph, SimpleHypergraph, embeddings, expand,
-                     find_isomorphism, freshen, smooth, to_simple)
+                     freshen, smooth, to_simple)
 from .interp import interpret
 from .ops import identity as identity_graph
+from .serialize import save_graph
 from .terms import Signature, Term, TypeMismatch, parse_term, type_of
 
 
@@ -461,7 +462,7 @@ def normal_forms(G: LinearHypergraph, rules: list[RewriteRule],
     and whether the state bound cut the search short.
     """
     rules = [r for r in rules if r.L.targets or r.L.edges]
-    seen: list[LinearHypergraph] = [G]
+    seen = {save_graph(G)}  # canonical files: one per isomorphism class
     frontier = [G]
     nfs: list[LinearHypergraph] = []
     expansions = 0
@@ -473,15 +474,15 @@ def normal_forms(G: LinearHypergraph, rules: list[RewriteRule],
             for match in find_matchings(rule.L, cur, up_to_homeo=True):
                 succs.append(apply_rewrite(cur, rule, match))
         if not succs:
-            if not any(find_isomorphism(cur, x) for x in nfs):
-                nfs.append(cur)
+            nfs.append(cur)
             continue
         expansions += 1
         if expansions > max_steps or len(seen) > max_states:
             exhausted = True
             break
         for s in succs:
-            if not any(find_isomorphism(s, x) for x in seen):
-                seen.append(s)
+            key = save_graph(s)
+            if key not in seen:
+                seen.add(key)
                 frontier.append(s)
     return nfs, exhausted

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph, assert_valid,
-                     canonical)
+                     canonical, reserve_ids)
 from .terms import ANON
 
 
@@ -50,19 +50,22 @@ def graph_from_dict(data: dict) -> LinearHypergraph:
 
 def save_graph(H: LinearHypergraph, canonicalize: bool = True) -> str:
     """Serialize to JSON; by default ids are renumbered canonically so
-    equal-up-to-renaming graphs serialize identically."""
+    isomorphic graphs serialize identically."""
     G = canonical(H) if canonicalize else H
     return json.dumps(graph_to_dict(G), indent=2) + "\n"
 
 
 def load_graph(text: str) -> LinearHypergraph:
     """Parse a graph file and check it is well formed; raises
-    ``ValueError`` for malformed JSON or a malformed graph."""
+    ``ValueError`` for malformed JSON or a malformed graph.  Fresh ids
+    handed out afterwards stay clear of the file's ids."""
     try:
         H = graph_from_dict(json.loads(text))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"not a graph file: {exc}") from exc
-    return assert_valid(H)
+    assert_valid(H)
+    reserve_ids(H.targets + H.sources + H.edges)
+    return H
 
 
 def to_dot(H: LinearHypergraph, name: str = "G") -> str:

@@ -301,22 +301,44 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
 
     def term(self) -> Term:
-        t = self.tensor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[1] != ";":
-                return t
-            self._next()
-            t = Seq(t, self.tensor())
+        """``term := tensor (';' tensor)*``, ``tensor := atom ('*' atom)*``.
 
-    def tensor(self) -> Term:
-        t = self.atom()
+        Parentheses and ``tr`` bodies open a frame on an explicit stack
+        instead of recursing, so nesting depth is unbounded.
+        """
+        # per open group: its trace word (None for plain parentheses) and
+        # the enclosing composite and tensor built so far
+        frames: list[tuple[Word | None, Term | None, Term | None]] = []
+        seq: Term | None = None
+        ten: Term | None = None
         while True:
-            tok = self._peek()
-            if tok is None or tok[1] != "*":
-                return t
-            self._next()
-            t = Tensor(t, self.atom())
+            tok = self._next()
+            if tok[1] == "(" or tok[1] == "tr":
+                loop = None
+                if tok[1] == "tr":
+                    loop = self.word()
+                    self._expect("(")
+                frames.append((loop, seq, ten))
+                seq = ten = None
+                continue
+            t = self.atom(tok)
+            while True:
+                ten = t if ten is None else Tensor(ten, t)
+                nxt = self._peek()
+                if nxt is not None and nxt[1] == "*":
+                    self._next()
+                    break
+                seq = ten if seq is None else Seq(seq, ten)
+                ten = None
+                if nxt is not None and nxt[1] == ";":
+                    self._next()
+                    break
+                if not frames:
+                    return seq
+                self._expect(")")
+                loop, outer_seq, outer_ten = frames.pop()
+                t = seq if loop is None else Trace(loop, seq)
+                seq, ten = outer_seq, outer_ten
 
     def word(self) -> Word:
         tok = self._next()
@@ -340,22 +362,12 @@ class _Parser:
                     raise ParseError("expected ',' or ']'", sep[2])
         raise ParseError("expected a wire count or [labels]", tok[2])
 
-    def atom(self) -> Term:
-        tok = self._next()
-        if tok[1] == "(":
-            t = self.term()
-            self._expect(")")
-            return t
+    def atom(self, tok: tuple[str, str, int]) -> Term:
+        """An atom without parentheses, starting at ``tok``."""
         if tok[1] == "id":
             return Id(self.word())
         if tok[1] == "swap":
             return Swap(self.word(), self.word())
-        if tok[1] == "tr":
-            loop = self.word()
-            self._expect("(")
-            body = self.term()
-            self._expect(")")
-            return Trace(loop, body)
         if tok[0] == "name":
             return Gen(tok[1])
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])

@@ -10,7 +10,7 @@ import pytest
 
 from linhyp import (Gen, Id, Seq, Tensor, Trace,
                     CircuitSignature, Homomorphism, apply_rewrite, belnap,
-                    boundary_coherent, circuit_rules,
+                    boundary_coherent, canonical, circuit_rules,
                     equal_mod_stmc, evaluate, expand, extract_term,
                     find_isomorphism, find_matchings, gate_from_fn,
                     glue_simple, identity, interpret, is_homomorphism,
@@ -114,10 +114,12 @@ def test_criterion_6_isomorphism_oracle():
         for F in family:
             assert len(F.targets) + len(F.sources) <= 6
             assert len(F.edges) <= 3
+        canon = {id(F): canonical(F) for F in family}
         for F, G in itertools.product(family, family):
             fast = find_isomorphism(F, G)
             slow = brute_force_isomorphism(F, G)
             assert (fast is None) == (slow is None)
+            assert (canon[id(F)] == canon[id(G)]) == (slow is not None)
             if fast is not None:
                 assert is_homomorphism(fast) and fast.is_isomorphism()
         rng = random.Random(SEED + 3)

@@ -290,8 +290,8 @@ def _families(max_edges):
 
 def test_iso_on_loop_families_agrees_with_brute_force():
     """Interface-free loop families, isomorphic and not, in other stored
-    orders and rotations; with a through-wire, whose anchor edge the
-    interfaces already bind before any loop is tried."""
+    orders and rotations; and the same families beside a through-wire,
+    which the walk from the interfaces numbers before any loop."""
     f, p = ("f",), ("p",)
     fams = _families(3) + [(f, f, f, f), (f, f, f, p)]
     for a in fams:
@@ -304,6 +304,7 @@ def test_iso_on_loop_families_agrees_with_brute_force():
             fast = find_isomorphism(F, G)
             slow = brute_force_isomorphism(F, G)
             assert (fast is None) == (slow is None), (a, b)
+            assert (canonical(F) == canonical(G)) == (slow is not None)
             assert (fast is not None) == (sorted(a) == sorted(b)), (a, b)
             if fast is not None:
                 assert fast.is_isomorphism()
@@ -314,6 +315,55 @@ def test_iso_on_loop_families_agrees_with_brute_force():
             fast = find_isomorphism(F, G)
             assert (fast is None) == (brute_force_isomorphism(F, G) is None)
             assert (fast is not None) == (a == b), (a, b)
+            assert (canonical(F) == canonical(G)) == (a == b), (a, b)
+
+
+@pytest.mark.parametrize("loops", [8, 64])
+def test_iso_on_many_loops(loops):
+    """All 2-cycles against a 1-cycle, a 3-cycle and 2-cycles: every
+    counting invariant agrees; so do the permuted and rotated copies."""
+    f = ("f",)
+    pairs = [f * 2] * loops
+    mixed = [f, f * 3] + [f * 2] * (loops - 2)
+    A, B = _loop_family(pairs), _loop_family(mixed)
+    assert len(A.edges) == len(B.edges) == 2 * loops
+    assert find_isomorphism(A, B) is None
+    assert find_isomorphism(B, A) is None
+    assert canonical(A) != canonical(B)
+    rotated = _loop_family([c[1:] + c[:1] for c in reversed(mixed)])
+    w = find_isomorphism(B, rotated)
+    assert w is not None and w.is_isomorphism()
+    assert canonical(B) == canonical(rotated)
+
+
+def test_fresh_ids_stay_unique_across_threads():
+    """Threads drawing fresh ids while others reserve ids above them
+    never get the same id twice."""
+    import sys
+    import threading
+    from linhyp.graphs import reserve_ids
+    drawn = []
+
+    def draw():
+        drawn.append([i for _ in range(2000) for i in fresh_ids(3)])
+
+    def reserve():
+        for _ in range(2000):
+            reserve_ids([fresh_ids(1)[0] + 5])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=f) for f in (draw, reserve) * 2]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    ids = [i for block in drawn for i in block]
+    assert len(ids) == len(set(ids)) == 2 * 2000 * 3
 
 
 def test_zero_arity_edges_everywhere():

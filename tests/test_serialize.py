@@ -3,8 +3,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from linhyp import (canonical, expand, freshen, interpret, isomorphic,
-                    load_graph, parse_term, save_graph, to_dot)
+                    load_graph, normalize, parse_rules, parse_term, rename,
+                    save_graph, signature, to_dot, validate)
+from linhyp.graphs import LinearHypergraph, fresh_ids
 from linhyp.laws import law_signature, random_graph
 
 SIG = law_signature()
@@ -24,6 +28,72 @@ def test_json_round_trip_is_canonical(H):
 @settings(max_examples=30, deadline=None)
 def test_save_is_stable_under_renaming(H):
     assert save_graph(H) == save_graph(freshen(H))
+
+
+def _shuffled(H, rng):
+    """``H`` with its stored targets, sources and edges in another order;
+    each edge's ports and each interface keep their own order."""
+    def merge(groups):
+        groups = [list(g) for g in groups.values()]
+        out = []
+        while groups:
+            g = rng.choice(groups)
+            out.append(g.pop(0))
+            if not g:
+                groups.remove(g)
+        return tuple(out)
+
+    by_left, by_right = {}, {}
+    for v in H.targets:
+        by_left.setdefault(H.left[v], []).append(v)
+    for v in H.sources:
+        by_right.setdefault(H.right[v], []).append(v)
+    edges = list(H.edges)
+    rng.shuffle(edges)
+    return freshen(LinearHypergraph(
+        merge(by_left), merge(by_right), tuple(edges), H.left, H.right,
+        H.conn, H.labels, H.vtlabels, H.vslabels))
+
+
+@given(graphs, st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_save_is_byte_equal_for_isomorphic_graphs(H, seed):
+    G = _shuffled(H, random.Random(seed))
+    assert isomorphic(H, G)
+    assert save_graph(G) == save_graph(H)
+    assert to_dot(G) == to_dot(H)
+
+
+def test_save_raises_on_duplicate_edge_ids():
+    H = interpret(parse_term("f ; f", SIG), SIG)
+    e = H.edges[0]
+    merged = LinearHypergraph(
+        H.targets, H.sources, (e, e),
+        {v: e if d is not None else d for v, d in H.left.items()},
+        {v: e if d is not None else d for v, d in H.right.items()},
+        H.conn, {e: "f"}, H.vtlabels, H.vslabels)
+    with pytest.raises(ValueError):
+        save_graph(merged)
+
+
+def test_loaded_ids_stay_clear_of_fresh_ids():
+    """A file whose ids lie just above the fresh-id supply rewrites as it
+    does in memory: loading moves the supply past the file's ids."""
+    sig = signature({"f": (1, 1)})
+    rules = parse_rules("ff : f ; f => f", sig)
+    H = interpret(parse_term("f ; f ; f ; f ; f ; f", sig), sig)
+    start = fresh_ids(1)[0] + 1
+    # edges first, so the first fresh ids would name live edges
+    ids = list(H.edges) + list(H.targets) + list(H.sources)
+    raw = rename(H, {x: start + i for i, x in enumerate(ids)})
+    loaded = load_graph(save_graph(raw, canonicalize=False))
+    assert loaded == raw
+    assert fresh_ids(1)[0] >= start + len(ids)
+    got = normalize(loaded, rules)  # first, while the supply is still low
+    want = normalize(H, rules)
+    assert len(got.steps) == len(want.steps) == 5
+    assert validate(got.graph) == []
+    assert save_graph(got.graph) == save_graph(want.graph)
 
 
 def test_json_keeps_vertex_labels(gsig):
@@ -62,7 +132,6 @@ def test_dot_marks_identity_edges_grey():
 
 
 def test_load_rejects_garbage():
-    import pytest
     with pytest.raises(ValueError):
         load_graph("not json at all")
     with pytest.raises(ValueError):
@@ -79,7 +148,6 @@ def test_load_rejects_garbage():
 
 
 def test_load_rejects_stray_keys():
-    import pytest
     good = {"targets": [0, 1], "sources": [2, 3], "edges": [],
             "left": {"0": "interface", "1": "interface"},
             "right": {"2": "interface", "3": "interface"},

@@ -219,12 +219,25 @@ def test_deep_chains_type_render_and_compare(nested):
     text = render_term(t)
     if nested == "left":
         assert text == " ; ".join(["f"] * 5001)
-        assert _same_tree(parse_term(text, SIG), t)
     else:
         assert text == "f ; (" * 4999 + "f ; f" + ")" * 4999
-        # the parser recurses on each parenthesis, so parse a shallower one
-        short = _chain(200, nested)
-        assert _same_tree(parse_term(render_term(short), SIG), short)
+    # compared as text: ``==`` on terms recurses once per level
+    assert render_term(parse_term(text, SIG)) == text
+
+
+def test_parser_takes_deep_traces_and_parentheses():
+    t = Gen("f")
+    for i in range(3000):
+        t = Trace(word(0), t) if i % 2 else Tensor(Gen("f"), t)
+    text = render_term(t)
+    assert text.count("tr 0 (") == 1500
+    assert render_term(parse_term(text, SIG)) == text
+    deep = "(" * 5000 + "f" + ")" * 5000
+    assert render_term(parse_term(deep, SIG)) == "f"
+    with pytest.raises(ParseError) as err:
+        parse_term("(" * 5000 + "f" + ")" * 4999, SIG)
+    assert str(err.value) == (
+        f"unexpected end of input (at position {len(deep) - 1})")
 
 
 def test_deep_type_errors_keep_their_messages():
