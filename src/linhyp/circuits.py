@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .extract import extract_term
 from .graphs import INTERFACE, LinearHypergraph
@@ -144,6 +145,17 @@ class CircuitSignature:
         gens.update({g.name: (g.arity, 1) for g in self.gates.values()})
         gens.update({FORK: (1, 2), JOIN: (2, 1), STUB: (1, 0), DELAY: (1, 1)})
         return signature(gens)
+
+    @cached_property
+    def _eval_rules(self) -> tuple[RewriteRule, ...]:
+        # compiled on first use, not at parse time: a parsed signature
+        # that never evaluates pays nothing
+        pushing = [r for r in circuit_rules(self)
+                   if not r.name.startswith(("stream-", "delay-"))
+                   or r.name in ("delay-bot", "delay-stub")]
+        structural = [r for r in cartesian_rules(self)
+                      if r.L.targets or r.L.edges]
+        return tuple(pushing + structural)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +313,17 @@ def circuit_rules(csig: CircuitSignature) -> list[RewriteRule]:
     return rules
 
 
-def eval_rules(csig: CircuitSignature) -> list[RewriteRule]:
+def eval_rules(csig: CircuitSignature) -> tuple[RewriteRule, ...]:
     """The value-pushing subset used by the evaluator, ordered so value
     reduction always wins over structural rules.
 
     Streaming and delay-gate commutation instances are axiom-level
     equalities, not reduction steps, so they stay out; rules with an
-    empty left side match vacuously and stay out too.
+    empty left side match vacuously and stay out too.  The rules are
+    compiled on the first call for ``csig`` and kept on it, so later
+    calls return the same tuple.
     """
-    pushing = [r for r in circuit_rules(csig)
-               if not r.name.startswith(("stream-", "delay-"))
-               or r.name in ("delay-bot", "delay-stub")]
-    structural = [r for r in cartesian_rules(csig)
-                  if r.L.targets or r.L.edges]
-    return pushing + structural
+    return csig._eval_rules
 
 
 # ---------------------------------------------------------------------------

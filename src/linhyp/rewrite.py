@@ -9,7 +9,10 @@ expands the host on the wires the identity edges need.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Homomorphism,
                      LinearHypergraph, SimpleHypergraph, embeddings, expand,
@@ -32,6 +35,12 @@ class RewriteRule:
     R: LinearHypergraph
     left_leg: Homomorphism
     right_leg: Homomorphism
+
+    @cached_property
+    def labels(self) -> frozenset[str]:
+        """The labels of L's edges, identity edges aside: a host that
+        lacks one of them has no match."""
+        return frozenset(self.L.labels.values()) - {IDENTITY_LABEL}
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,13 @@ def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
 
 def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
                    up_to_homeo: bool = False) -> list[Matching]:
-    """All ways the pattern L embeds into G.
+    """All ways the pattern L embeds into G, in :func:`matchings` order."""
+    return list(matchings(L, G, up_to_homeo))
+
+
+def matchings(L: LinearHypergraph, G: LinearHypergraph,
+              up_to_homeo: bool = False) -> Iterator[Matching]:
+    """Yield the ways the pattern L embeds into G, one at a time.
 
     Identity edges in L match by expanding the corresponding wire of G,
     so the returned host may be a homeomorphic expansion of G.  With
@@ -176,12 +191,13 @@ def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
     redex need this).
     """
     if not any(L.labels[e] == IDENTITY_LABEL for e in L.edges):
-        return [Matching(h, h.dst) for h in embeddings(L, G, up_to_homeo)
-                if h.is_embedding()]
+        for h in embeddings(L, G, up_to_homeo):
+            if h.is_embedding():
+                yield Matching(h, h.dst)
+        return
     chains = _identity_chains(L)
     Ls = smooth(L)
     ltgts, lsrcs = L.port_tables()
-    matchings = []
     for base in embeddings(Ls, G, up_to_homeo):
         if not base.is_embedding():
             continue
@@ -199,9 +215,7 @@ def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
                 vmap_s[lsrcs[e][0]] = s_new
                 emap[e] = e_new
                 cur = t_new
-        matchings.append(Matching(Homomorphism(L, host, vmap_t, vmap_s, emap),
-                                  host))
-    return matchings
+        yield Matching(Homomorphism(L, host, vmap_t, vmap_s, emap), host)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +437,15 @@ class NormalizeResult:
     exhausted: bool = False
 
 
-def normalize(G: LinearHypergraph, rules: list[RewriteRule],
+def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
               max_steps: int = 10000) -> NormalizeResult:
     """Apply rules until no rule matches or the step budget runs out.
 
     Each step takes the first rule's first match under the canonical
     order, so runs are reproducible; :func:`normal_forms` explores every
-    match order instead.
+    match order instead.  Matches are drawn lazily, so a step searches
+    no further than its first match, and a rule is not searched at all
+    while the host lacks one of its edge labels.
     """
     # a rule whose left side is the empty graph matches everywhere and
     # rewrites nothing; the driver would never terminate on it
@@ -439,21 +455,21 @@ def normalize(G: LinearHypergraph, rules: list[RewriteRule],
     while True:
         if len(steps) >= max_steps:
             return NormalizeResult(current, steps, exhausted=True)
-        hit = None
+        present = set(current.labels.values())
         for rule in rules:
-            ms = find_matchings(rule.L, current, up_to_homeo=True)
-            if ms:
-                hit = (rule, ms[0])
-                break
-        if hit is None:
+            if rule.labels <= present:
+                match = next(matchings(rule.L, current, up_to_homeo=True),
+                             None)
+                if match is not None:
+                    break
+        else:
             return NormalizeResult(current, steps, exhausted=False)
-        rule, match = hit
         matched_edges = tuple(sorted(match.embedding.emap.values()))
         current = apply_rewrite(current, rule, match)
         steps.append(Step(len(steps) + 1, rule.name, matched_edges))
 
 
-def normal_forms(G: LinearHypergraph, rules: list[RewriteRule],
+def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
                  max_steps: int = 10000,
                  max_states: int = 2000) -> tuple[list[LinearHypergraph], bool]:
     """Breadth-first exploration of every rewrite order.
@@ -463,12 +479,12 @@ def normal_forms(G: LinearHypergraph, rules: list[RewriteRule],
     """
     rules = [r for r in rules if r.L.targets or r.L.edges]
     seen = {save_graph(G)}  # canonical files: one per isomorphism class
-    frontier = [G]
+    frontier = deque([G])
     nfs: list[LinearHypergraph] = []
     expansions = 0
     exhausted = False
     while frontier:
-        cur = frontier.pop(0)
+        cur = frontier.popleft()
         succs = []
         for rule in rules:
             for match in find_matchings(rule.L, cur, up_to_homeo=True):

@@ -118,13 +118,60 @@ class Term:
     def __repr__(self) -> str:
         return f"<{render_term(self)}>"
 
+    # Structural equality and hashing walk the tree with an explicit
+    # stack, so arbitrarily deep terms compare; the dataclass defaults
+    # recurse once per level.  Subclasses are declared with ``eq=False``
+    # so that these two stay in force.
 
-@dataclass(frozen=True, repr=False)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            k = type(a)
+            if k is not type(b):
+                return False
+            if k is Seq:
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif k is Tensor:
+                todo += ((a.bottom, b.bottom), (a.top, b.top))
+            elif k is Trace:
+                if a.loop != b.loop:
+                    return False
+                todo.append((a.body, b.body))
+            elif vars(a) != vars(b):  # Gen, Id, Swap: no subterms
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # the node classes and leaf fields in pre-order fix the tree
+        parts: list = []
+        todo: list[Term] = [self]
+        while todo:
+            u = todo.pop()
+            k = type(u)
+            parts.append(k)
+            if k is Seq:
+                todo += (u.right, u.left)
+            elif k is Tensor:
+                todo += (u.bottom, u.top)
+            elif k is Trace:
+                parts.append(u.loop)
+                todo.append(u.body)
+            else:
+                parts += vars(u).values()
+        return hash(tuple(parts))
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class Gen(Term):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Id(Term):
     word: Word
 
@@ -132,7 +179,7 @@ class Id(Term):
         object.__setattr__(self, "word", as_word(self.word))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Swap(Term):
     upper: Word
     lower: Word
@@ -142,19 +189,19 @@ class Swap(Term):
         object.__setattr__(self, "lower", as_word(self.lower))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Seq(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Tensor(Term):
     top: Term
     bottom: Term
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Trace(Term):
     loop: Word
     body: Term

@@ -1,7 +1,8 @@
 """Independent oracles the implementation is checked against.
 
 Everything here is brute force or direct dataflow: no code path is shared
-with the algorithms under test.
+with the algorithms under test, except in ``normalize_by_enumeration``,
+the list-based rewriting driver that the lazy one must agree with.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import itertools
 from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, CircuitSignature
 from linhyp.graphs import INTERFACE, fresh_ids
+from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
+                            find_matchings)
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch)
 
@@ -97,6 +100,32 @@ def brute_force_matchings(L: LinearHypergraph,
             if is_homomorphism(h) and h.is_embedding():
                 out.append(h)
     return out
+
+
+def normalize_by_enumeration(G: LinearHypergraph, rules,
+                             max_steps: int = 10000) -> NormalizeResult:
+    """The rewriting driver as an exhaustive list search: each step lists
+    every match of each rule in turn and takes the first rule's first
+    match.  It shares matching and the DPO step with the driver under
+    test and differs only in how the step's match is chosen."""
+    rules = [r for r in rules if r.L.targets or r.L.edges]
+    current = G
+    steps: list[Step] = []
+    while True:
+        if len(steps) >= max_steps:
+            return NormalizeResult(current, steps, exhausted=True)
+        hit = None
+        for rule in rules:
+            ms = find_matchings(rule.L, current, up_to_homeo=True)
+            if ms:
+                hit = (rule, ms[0])
+                break
+        if hit is None:
+            return NormalizeResult(current, steps, exhausted=False)
+        rule, match = hit
+        matched_edges = tuple(sorted(match.embedding.emap.values()))
+        current = apply_rewrite(current, rule, match)
+        steps.append(Step(len(steps) + 1, rule.name, matched_edges))
 
 
 def _powerset(xs):

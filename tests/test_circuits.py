@@ -339,3 +339,34 @@ def test_parse_circuit_signature_errors():
     with pytest.raises(LatticeError):
         parse_circuit_signature(
             "values: a\nbottom: a\njoin: a a -> a\ngate g arity 2: a -> a\n")
+
+
+def test_eval_rules_compile_once_on_first_use(monkeypatch):
+    import linhyp.circuits as circuits
+
+    compiled = []
+    real = circuits.rule_from_terms
+
+    def counting(*args, **kwargs):
+        compiled.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "rule_from_terms", counting)
+    text = "\n".join(["values: bot top", "bottom: bot"] + [
+        f"join: {a} {b} -> {'top' if 'top' in (a, b) else 'bot'}"
+        for a in ("bot", "top") for b in ("bot", "top")] + [
+        f"gate amp arity 1: {a} -> {a}" for a in ("bot", "top")])
+    csig = parse_circuit_signature(text)
+    csig.signature()
+    assert compiled == []  # parsing compiles nothing
+    rules = eval_rules(csig)
+    assert isinstance(rules, tuple) and compiled
+    count = len(compiled)
+    assert eval_rules(csig) is rules
+    assert evaluate(Gen("amp"), ("top",), csig) == ("top",)
+    assert evaluate(Gen("amp"), ("bot",), csig) == ("bot",)
+    assert len(compiled) == count
+    # another signature object compiles its own rules
+    other = parse_circuit_signature(text)
+    assert eval_rules(other) is not rules
+    assert [r.name for r in eval_rules(other)] == [r.name for r in rules]

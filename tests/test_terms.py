@@ -183,32 +183,11 @@ def test_global_trace_form_meaning(t):
                             interpret(t, SIG))
 
 
-def _chain(n, nested):
-    t = Gen("f")
+def _chain(n, nested, deepest="f"):
+    t = Gen(deepest)
     for _ in range(n):
         t = Seq(t, Gen("f")) if nested == "left" else Seq(Gen("f"), t)
     return t
-
-
-def _same_tree(a, b):
-    """Structural equality without recursion; ``==`` on terms recurses
-    once per level."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Seq):
-            todo += [(x.left, y.left), (x.right, y.right)]
-        elif isinstance(x, Tensor):
-            todo += [(x.top, y.top), (x.bottom, y.bottom)]
-        elif isinstance(x, Trace):
-            if x.loop != y.loop:
-                return False
-            todo.append((x.body, y.body))
-        elif x != y:
-            return False
-    return True
 
 
 @pytest.mark.parametrize("nested", ["left", "right"])
@@ -221,8 +200,12 @@ def test_deep_chains_type_render_and_compare(nested):
         assert text == " ; ".join(["f"] * 5001)
     else:
         assert text == "f ; (" * 4999 + "f ; f" + ")" * 4999
-    # compared as text: ``==`` on terms recurses once per level
-    assert render_term(parse_term(text, SIG)) == text
+    parsed = parse_term(text, SIG)
+    assert parsed == t and hash(parsed) == hash(t)
+    # differs from t only at its deepest leaf
+    odd = _chain(5000, nested, deepest="g")
+    assert odd != t and not odd == t
+    assert len({t, parsed, odd}) == 2 and {t: 1}.get(odd) is None
 
 
 def test_parser_takes_deep_traces_and_parentheses():
