@@ -8,13 +8,13 @@ instantiates to finitely many rewrite rules.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .extract import extract_term
-from .graphs import INTERFACE, LinearHypergraph
+from .graphs import (INTERFACE, LinearHypergraph, canonical_labelling,
+                     fresh_ids, freshen)
 from .interp import interpret
-from .ops import compose as compose_graphs
 from .rewrite import RewriteRule, normalize, rule_from_terms
 from .terms import Gen, Id, Seq, Signature, Swap, Tensor, Term, signature
 
@@ -330,16 +330,17 @@ def eval_rules(csig: CircuitSignature) -> tuple[RewriteRule, ...]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def read_value_word(H: LinearHypergraph,
-                    csig: CircuitSignature) -> tuple[str, ...] | None:
-    """The values feeding the outputs of a fully reduced 0 -> n graph,
-    or None when some output is not driven by a value edge."""
+def read_value_word(H: LinearHypergraph, csig: CircuitSignature,
+                    outputs: Sequence[int] | None = None
+                    ) -> tuple[str, ...] | None:
+    """The values feeding the given output vertices of a fully reduced
+    graph (by default all its outputs, in order), or None when one of
+    them is not driven by a value edge."""
     conn_inv = H.conn_inv()
+    _, srcs = H.port_tables()
     out: list[str] = []
-    tgts, srcs = H.port_tables()
-    for s in H.outputs():
-        t = conn_inv[s]
-        e = H.left[t]
+    for s in H.outputs() if outputs is None else outputs:
+        e = H.left[conn_inv[s]]
         if e is INTERFACE:
             return None
         lab = H.labels[e]
@@ -349,6 +350,41 @@ def read_value_word(H: LinearHypergraph,
     return tuple(out)
 
 
+def feedback_wires(H: LinearHypergraph) -> list[int]:
+    """The wires that close a cycle in a depth-first walk over H's edges,
+    each named by its producer end (a target vertex).
+
+    The walk follows wires from producer to consumer edge and takes its
+    roots in ``canonical_labelling`` order, so isomorphic graphs get
+    corresponding wires.  Every cycle of H meets the set, and a loop-free
+    H has none.
+    """
+    tgts, _ = H.port_tables()
+    _, _, order = canonical_labelling(H)
+    done: set[int] = set()
+    cut: list[int] = []
+    for root in order:
+        if root in done:
+            continue
+        on_path = {root}
+        stack = [(root, iter(tgts[root]))]
+        while stack:
+            e, ports = stack[-1]
+            for t in ports:
+                d = H.right[H.conn[t]]
+                if d in on_path:
+                    cut.append(t)
+                elif d is not INTERFACE and d not in done:
+                    on_path.add(d)
+                    stack.append((d, iter(tgts[d])))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(e)
+                done.add(e)
+    return cut
+
+
 def evaluate(circuit: Term | LinearHypergraph,
              inputs: tuple[str, ...] | list[str],
              csig: CircuitSignature,
@@ -356,39 +392,67 @@ def evaluate(circuit: Term | LinearHypergraph,
              max_steps: int = 10000):
     """Run a circuit on concrete input values by graph reduction.
 
-    Feedback is handled by unfolding: the graph is cut open at its global
-    trace, and the loop values are iterated from bottom until they stop
-    changing.  Returns the output value word, or UNPRODUCTIVE when any
-    budget is exhausted or reduction gets stuck (delays holding non-bottom
-    values do that).
+    Feedback is handled by unfolding on the graph.  The circuit's
+    :func:`feedback_wires` are cut open: each round puts value edges on
+    the circuit inputs and on the consumer end of every cut wire, makes
+    each cut wire's producer end an extra output, normalizes, and reads
+    the values at the cut outputs and the circuit outputs.  The cut
+    values start at bottom and are iterated until they repeat; for
+    monotone gates that is the least fixed point, reached within
+    height(lattice) * |feedback wires| + 1 rounds, and ``max_unfoldings``
+    bounds the number of rounds.  A loop-free circuit takes one round.
+    ``max_steps`` bounds each round's reduction.  Returns the output
+    value word, or UNPRODUCTIVE when any budget is exhausted or
+    reduction gets stuck (delays holding non-bottom values do that).
     """
-    sig = csig.signature()
-    H = interpret(circuit, sig) if isinstance(circuit, Term) else circuit
-    m, n = H.arity()
+    H = (interpret(circuit, csig.signature()) if isinstance(circuit, Term)
+         else freshen(circuit))
+    ins, outs = H.inputs(), H.outputs()
     inputs = tuple(inputs)
-    if len(inputs) != m:
-        raise ValueError(f"circuit takes {m} inputs, got {len(inputs)}")
+    if len(inputs) != len(ins):
+        raise ValueError(f"circuit takes {len(ins)} inputs, got {len(inputs)}")
     bad = [v for v in inputs if v not in csig.lattice.values]
     if bad:
         raise ValueError(f"unknown values {bad}")
-    closed = compose_graphs(interpret(value_row(inputs), sig), H)
-    traced = extract_term(closed)
-    loop, body = traced.loop, traced.body
-    x = len(loop)
+
+    # the open graph: each cut wire t -> s becomes t -> (new output) and
+    # (new value edge) -> s; the inputs become value edges' ports
+    cut = feedback_wires(H)
+    k = len(cut)
+    in_edges, cut_edges = fresh_ids(len(ins)), fresh_ids(k)
+    cut_tgts, cut_outs = fresh_ids(k), fresh_ids(k)
+    conn = dict(H.conn)
+    for t, tv, so in zip(cut, cut_tgts, cut_outs):
+        conn[tv] = conn[t]
+        conn[t] = so
+    targets = H.targets + tuple(cut_tgts)
+    sources = H.sources + tuple(cut_outs)
+    edges = tuple(in_edges) + tuple(cut_edges) + H.edges
+    left = {**H.left, **dict(zip(ins, in_edges)),
+            **dict(zip(cut_tgts, cut_edges))}
+    right = {**H.right, **dict.fromkeys(cut_outs, INTERFACE)}
+    labels = {**H.labels, **dict(zip(in_edges, inputs))}
+    vtlabels = {**H.vtlabels,
+                **{tv: H.vtlabels[t] for t, tv in zip(cut, cut_tgts)}}
+    vslabels = {**H.vslabels,
+                **{so: H.vtlabels[t] for t, so in zip(cut, cut_outs)}}
+    read = cut_outs + list(outs)
     rules = eval_rules(csig)
 
-    w = (csig.lattice.bottom,) * x
+    w = (csig.lattice.bottom,) * k
     for _ in range(max_unfoldings):
-        probe = Seq(value_row(w), body) if x else body
-        result = normalize(interpret(probe, sig), rules, max_steps=max_steps)
+        G = LinearHypergraph(targets, sources, edges, left, right, conn,
+                             {**labels, **dict(zip(cut_edges, w))},
+                             vtlabels, vslabels)
+        result = normalize(G, rules, max_steps=max_steps)
         if result.exhausted:
             return UNPRODUCTIVE
-        vals = read_value_word(result.graph, csig)
-        if vals is None or len(vals) != x + n:
+        vals = read_value_word(result.graph, csig, read)
+        if vals is None:
             return UNPRODUCTIVE
-        w_next, outs = vals[:x], vals[x:]
+        w_next, out_vals = vals[:k], vals[k:]
         if w_next == w:
-            return outs
+            return out_vals
         w = w_next
     return UNPRODUCTIVE
 

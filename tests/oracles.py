@@ -2,17 +2,23 @@
 
 Everything here is brute force or direct dataflow: no code path is shared
 with the algorithms under test, except in ``normalize_by_enumeration``,
-the list-based rewriting driver that the lazy one must agree with.
+the list-based rewriting driver that the lazy one must agree with, and
+``evaluate_by_unfolding_all_wires``, the term-level evaluator that the
+graph-level one must agree with.
 """
 from __future__ import annotations
 
 import itertools
 
 from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
-from linhyp.circuits import DELAY, FORK, JOIN, STUB, CircuitSignature
+from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
+                             CircuitSignature, eval_rules, read_value_word,
+                             value_row)
+from linhyp.extract import extract_term
 from linhyp.graphs import INTERFACE, fresh_ids
+from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
-                            find_matchings)
+                            find_matchings, normalize)
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch)
 
@@ -240,6 +246,40 @@ def dataflow_fixed_point(H: LinearHypergraph, inputs: tuple[str, ...],
         if not changed:
             break
     return tuple(wire_in(s) for s in H.outputs())
+
+
+def evaluate_by_unfolding_all_wires(circuit: Term | LinearHypergraph,
+                                    inputs: tuple[str, ...],
+                                    csig: CircuitSignature,
+                                    max_unfoldings: int = 64,
+                                    max_steps: int = 10000):
+    """The evaluator that cuts every wire: the circuit, closed with its
+    input values, is cut open at its global trace by ``extract_term``,
+    which traces the output wires of every edge, and the loop values are
+    iterated from bottom, one round per ``interpret`` and ``normalize``
+    of the whole body.  Values move one edge deeper per round, so a
+    circuit of depth d needs d + 1 rounds."""
+    sig = csig.signature()
+    H = interpret(circuit, sig) if isinstance(circuit, Term) else circuit
+    n = len(H.outputs())
+    closed = ops.compose(interpret(value_row(tuple(inputs)), sig), H)
+    traced = extract_term(closed)
+    x = len(traced.loop)
+    rules = eval_rules(csig)
+    w = (csig.lattice.bottom,) * x
+    for _ in range(max_unfoldings):
+        probe = Seq(value_row(w), traced.body) if x else traced.body
+        result = normalize(interpret(probe, sig), rules, max_steps=max_steps)
+        if result.exhausted:
+            return UNPRODUCTIVE
+        vals = read_value_word(result.graph, csig)
+        if vals is None or len(vals) != x + n:
+            return UNPRODUCTIVE
+        w_next, outs = vals[:x], vals[x:]
+        if w_next == w:
+            return outs
+        w = w_next
+    return UNPRODUCTIVE
 
 
 def enumerate_graphs(sig, max_t: int) -> list[LinearHypergraph]:

@@ -9,10 +9,12 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, UNPRODUCTIVE,
                     gate_from_fn, interpret, isomorphic, merge_term,
                     normalize, parse_circuit_signature, two_point, type_of,
                     validate, value_row)
-from linhyp.circuits import DELAY, FORK, JOIN, STUB, LatticeError, eval_rules
+from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
+                             eval_rules, feedback_wires)
+from linhyp.graphs import INTERFACE
 from linhyp.laws import random_term
 from linhyp.terms import signature
-from oracles import dataflow_fixed_point
+from oracles import dataflow_fixed_point, evaluate_by_unfolding_all_wires
 
 # Belnap gates via the evidence-pair encoding: each value is a pair of
 # "can be true" / "can be false" bits, and bitwise-monotone boolean maps
@@ -247,6 +249,11 @@ def test_evaluate_feedback_reaches_fixed_point():
     loop = Trace(1, Seq(Seq(Gen("org"), Gen(FORK)), Id(2)))
     assert evaluate(loop, ("top",), csig) == ("top",)
     assert evaluate(loop, ("bot",), csig) == ("bot",)
+    # x = join(x, top) with no inputs: the cut lands on the join -> fork
+    # wire, so the output reads bottom until a second round
+    late = Trace(1, Seq(Seq(Tensor(Id(1), Gen("top")), Gen(JOIN)),
+                        Gen(FORK)))
+    assert evaluate(late, (), csig) == ("top",)
 
 
 def test_evaluate_delay_loop_unproductive():
@@ -254,19 +261,57 @@ def test_evaluate_delay_loop_unproductive():
     # feeding top into a delay never reduces
     stuck = Seq(Gen("top"), Gen(DELAY))
     assert evaluate(stuck, (), csig) is UNPRODUCTIVE
+    assert evaluate_by_unfolding_all_wires(stuck, (), csig) is UNPRODUCTIVE
+    # unless its output is discarded: ``delay-stub`` erases it, where
+    # cutting every wire left it stuck on a cut wire
+    dropped = Seq(stuck, Gen(STUB))
+    assert evaluate(dropped, (), csig) == ()
+    assert evaluate_by_unfolding_all_wires(dropped, (), csig) is UNPRODUCTIVE
 
 
-def _random_loop_free(rng, csig, gates_max=4):
+def _gen_sig(csig, extra=()):
     sig = csig.signature()
-    names = list(csig.lattice.values) + list(csig.gates) + [FORK, JOIN, STUB]
-    gen_sig = signature({n: (len(sig.dom(n)), len(sig.cod(n)))
-                         for n in names})
+    names = (list(csig.lattice.values) + list(csig.gates)
+             + [FORK, JOIN, STUB, *extra])
+    return signature({n: (len(sig.dom(n)), len(sig.cod(n))) for n in names})
+
+
+def _random_loop_free(rng, csig, gates_max=4, wires_max=2):
+    sig = csig.signature()
+    gen_sig = _gen_sig(csig)
     while True:
-        m, n = rng.randint(0, 2), rng.randint(0, 2)
+        m, n = rng.randint(0, wires_max), rng.randint(0, wires_max)
         t = random_term(rng, gen_sig, m, n, depth=3, traces=False)
         H = interpret(t, sig)
         if 1 <= len(H.edges) <= gates_max + 4:
             return t, H
+
+
+def _random_feedback(rng, csig, x):
+    """A random circuit with ``x`` fed-back wires, and its input values."""
+    while True:
+        t, H = _random_loop_free(rng, csig, gates_max=6, wires_max=x + 1)
+        if min(len(H.dom()), len(H.cod())) >= x:
+            inputs = tuple(rng.choice(csig.lattice.values)
+                           for _ in range(len(H.dom()) - x))
+            return Trace(x, t), inputs
+
+
+def _height(lat):
+    """The length of the longest strictly rising chain of values."""
+    rank = {v: 0 for v in lat.values}
+    for _ in lat.values:
+        for a, b in itertools.product(lat.values, lat.values):
+            if a != b and lat.leq(a, b):
+                rank[b] = max(rank[b], rank[a] + 1)
+    return max(rank.values())
+
+
+def _amp_chain(n):
+    t = Gen("amp")
+    for _ in range(n - 1):
+        t = Seq(t, Gen("amp"))
+    return t
 
 
 def test_evaluate_matches_dataflow_oracle_loop_free(rng):
@@ -281,22 +326,125 @@ def test_evaluate_matches_dataflow_oracle_loop_free(rng):
 
 
 def test_evaluate_matches_dataflow_oracle_feedback(rng):
+    for csig in (two_point_sig(), belnap_sig()):
+        for i in range(30):
+            looped, inputs = _random_feedback(rng, csig, 1 + i % 3)
+            Hl = interpret(looped, csig.signature())
+            got = evaluate(looped, inputs, csig)
+            assert got == dataflow_fixed_point(Hl, inputs, csig)
+
+
+@pytest.mark.parametrize("n", [63, 100, 200])
+def test_evaluate_deep_chains_match_dataflow_oracle(n):
+    # cutting every wire needs n + 1 rounds, more than the default 64
     csig = two_point_sig()
-    count = 0
-    while count < 15:
-        t, H = _random_loop_free(rng, csig)
-        m, n = len(H.dom()), len(H.cod())
-        x = min(m, n, 1 + (count % 2))
-        if x == 0:
-            continue
-        looped = Trace(x, t)
-        Hl = interpret(looped, csig.signature())
-        inputs = tuple(rng.choice(csig.lattice.values)
-                       for _ in range(len(Hl.dom())))
-        got = evaluate(looped, inputs, csig)
-        want = dataflow_fixed_point(Hl, inputs, csig)
-        assert got == want
-        count += 1
+    chain = _amp_chain(n)
+    H = interpret(chain, csig.signature())
+    for v in csig.lattice.values:
+        assert evaluate(chain, (v,), csig) == dataflow_fixed_point(
+            H, (v,), csig) == (v,)
+
+
+def _count_normalize(monkeypatch):
+    import linhyp.circuits as circuits
+
+    calls = []
+    real = circuits.normalize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "normalize", counting)
+    return calls
+
+
+def test_evaluate_normalizes_once_without_feedback(monkeypatch, rng):
+    calls = _count_normalize(monkeypatch)
+    csig = two_point_sig()
+    chain = _amp_chain(40)
+    assert feedback_wires(interpret(chain, csig.signature())) == []
+    assert evaluate(chain, ("top",), csig) == ("top",)
+    assert len(calls) == 1
+    for csig in (two_point_sig(), belnap_sig()):
+        for _ in range(10):
+            t, H = _random_loop_free(rng, csig)
+            assert feedback_wires(H) == []
+            del calls[:]
+            inputs = tuple(rng.choice(csig.lattice.values)
+                           for _ in range(len(H.dom())))
+            evaluate(t, inputs, csig)
+            assert len(calls) == 1
+
+
+def test_evaluate_rounds_bounded_by_feedback(monkeypatch, rng):
+    calls = _count_normalize(monkeypatch)
+    seen = set()
+    for csig in (two_point_sig(), belnap_sig()):
+        height = _height(csig.lattice)
+        done = 0
+        while done < 20:
+            looped, inputs = _random_feedback(rng, csig, 1 + done % 3)
+            cut = feedback_wires(interpret(looped, csig.signature()))
+            if not cut:  # the trace closed no cycle
+                continue
+            del calls[:]
+            assert evaluate(looped, inputs, csig) is not UNPRODUCTIVE
+            assert 1 <= len(calls) <= height * len(cut) + 1
+            seen.add((len(cut), len(calls)))
+            done += 1
+    # the sample has two-wire cuts and meets the bound on Belnap
+    assert {c for c, _ in seen} >= {1, 2}
+    assert max(r for _, r in seen) == 3
+    # x = or(x, input): one cut wire, at most two rounds on two points
+    del calls[:]
+    loop = Trace(1, Seq(Seq(Gen("org"), Gen(FORK)), Id(2)))
+    assert evaluate(loop, ("top",), two_point_sig()) == ("top",)
+    assert len(calls) == 2
+
+
+def _discarded(H, e):
+    """Whether no circuit output lies downstream of edge ``e``."""
+    tgts, _ = H.port_tables()
+    seen, todo = {e}, [e]
+    while todo:
+        for t in tgts[todo.pop()]:
+            d = H.right[H.conn[t]]
+            if d is INTERFACE:
+                return False
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return True
+
+
+def test_evaluate_agrees_with_unfolding_all_wires(rng):
+    # Cutting every wire leaves each delay's output on a cut wire, so a
+    # delay whose output is discarded holds its input value for good and
+    # the all-wire evaluator gives UNPRODUCTIVE where ``delay-stub``
+    # would have erased it.  That is the only difference allowed.
+    differences = 0
+    for csig in (two_point_sig(), belnap_sig()):
+        sig = csig.signature()
+        gen_sig = _gen_sig(csig, [DELAY])
+        for _ in range(150):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            t = random_term(rng, gen_sig, m, n, depth=3, traces=True)
+            x = rng.randint(0, min(m, n, 3))
+            if x:
+                t = Trace(x, t)
+            H = interpret(t, sig)
+            inputs = tuple(rng.choice(csig.lattice.values)
+                           for _ in range(len(H.dom())))
+            got = evaluate(t, inputs, csig)
+            want = evaluate_by_unfolding_all_wires(t, inputs, csig,
+                                                   max_unfoldings=500)
+            if got != want:
+                differences += 1
+                assert want is UNPRODUCTIVE and got is not UNPRODUCTIVE
+                assert any(H.labels[e] == DELAY and _discarded(H, e)
+                           for e in H.edges)
+    assert differences  # the sample reaches the case
 
 
 def test_merge_and_copy_helpers_type():

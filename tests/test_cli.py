@@ -277,6 +277,18 @@ def test_evaluate_command(files, capsys, tmp_path):
     assert code == 4 and out.strip() == "UNPRODUCTIVE"
 
 
+def test_evaluate_deep_chain(capsys, tmp_path):
+    # cutting every wire would take 101 rounds, over the default 64
+    lattice = tmp_path / "buf.lattice"
+    lattice.write_text(LATTICE_TEXT + "gate buf arity 1: bot -> bot\n"
+                       "gate buf arity 1: top -> top\n")
+    chain = tmp_path / "chain.term"
+    chain.write_text(" ; ".join(["buf"] * 100))
+    code, out, _ = run(capsys, "evaluate", str(chain), "--lattice",
+                       str(lattice), "--inputs", "top")
+    assert code == 0 and out.strip() == "top"
+
+
 def test_interpret_object_labelled_signature(capsys, tmp_path):
     sig = tmp_path / "objs.sig"
     sig.write_text("f : [A] -> [B]\ng : [B] -> [A]\nh : [B,A] -> [C,D]\n")
