@@ -6,15 +6,13 @@ equations run as double-pushout rewrite rules; a digital-circuit rule
 library and a reduction evaluator sit on top.
 """
 from .terms import (ANON, Gen, Id, ParseError, Seq, Signature, Swap, Tensor,
-                    Term, Trace, TypeMismatch, Word, global_trace_form,
-                    parse_signature, parse_term, render_term, signature,
-                    stage, type_of, word)
+                    Term, Trace, TypeMismatch, Word, parse_signature,
+                    parse_term, render_term, signature, type_of, word)
 from .graphs import (IDENTITY_LABEL, INTERFACE, Homomorphism,
                      LinearHypergraph, SimpleHypergraph, canonical, expand,
                      find_isomorphism, freshen, is_homomorphism, isomorphic,
                      rename, smooth, to_simple, validate)
-from .ops import (compose, generator, identity, swap, swap_recursive, tensor,
-                  trace, trace_mono)
+from .ops import compose, generator, identity, swap, tensor, trace
 from .interp import equal_mod_stmc, interpret
 from .extract import (canonical_edge_order, check_coherence, extract_term,
                       shuffle, stack, untangle)

@@ -488,9 +488,10 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             except ValueError:
                 raise LatticeError(f"line {lineno}: bad join row")
         elif line.startswith("gate "):
-            head, body = line.split(":", 1)
+            head, colon, body = line.partition(":")
             parts = head.split()
-            if len(parts) != 4 or parts[2] != "arity":
+            if (not colon or len(parts) != 4 or parts[2] != "arity"
+                    or not parts[3].isdigit()):
                 raise LatticeError(
                     f"line {lineno}: expected 'gate NAME arity N: row'")
             name, arity = parts[1], int(parts[3])

@@ -1,8 +1,8 @@
 """Command-line workbench.
 
-Exit codes: 0 success, 1 malformed input (graph file, rule, edge order),
-failed axiom check or internal error, 2 parse error, 3 type error,
-4 budget exhausted.
+Exit codes: 0 success, 1 malformed input (graph file, rule, signature,
+lattice, edge order), failed axiom check or internal error, 2 parse error,
+3 type error, 4 budget exhausted.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import random
 import sys
 from pathlib import Path
 
-from .circuits import UNPRODUCTIVE, evaluate, parse_circuit_signature
+from .circuits import (UNPRODUCTIVE, LatticeError, evaluate,
+                       parse_circuit_signature)
 from .extract import extract_term
 from .graphs import find_isomorphism, validate
 from .interp import equal_mod_stmc, interpret
@@ -20,8 +21,8 @@ from .laws import axiom_schemes, law_signature
 from .rewrite import (NormalizeResult, RewriteError, normal_forms, normalize,
                       parse_rules)
 from .serialize import load_graph, save_graph, to_dot
-from .terms import (ParseError, Signature, TypeMismatch, parse_signature,
-                    parse_term, render_term)
+from .terms import (ParseError, Signature, SignatureError, TypeMismatch,
+                    parse_signature, parse_term, render_term)
 
 EXIT_OK, EXIT_PARSE, EXIT_TYPE, EXIT_BUDGET = 0, 2, 3, 4
 
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except TypeMismatch as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return EXIT_TYPE
-    except (RewriteError, ValueError) as exc:
+    except (RewriteError, SignatureError, LatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

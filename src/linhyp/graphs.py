@@ -73,12 +73,6 @@ class LinearHypergraph:
     def outputs(self) -> tuple[int, ...]:
         return tuple(v for v in self.sources if self.right[v] is INTERFACE)
 
-    def edge_targets(self, e: int) -> tuple[int, ...]:
-        return tuple(v for v in self.targets if self.left[v] == e)
-
-    def edge_sources(self, e: int) -> tuple[int, ...]:
-        return tuple(v for v in self.sources if self.right[v] == e)
-
     def conn_inv(self) -> dict[int, int]:
         return {s: t for t, s in self.conn.items()}
 
@@ -105,10 +99,6 @@ class LinearHypergraph:
                 srcs[e].append(v)
         return ({e: tuple(vs) for e, vs in tgts.items()},
                 {e: tuple(vs) for e, vs in srcs.items()})
-
-    def real_edges(self) -> tuple[int, ...]:
-        """Edges excluding identity edges."""
-        return tuple(e for e in self.edges if self.labels[e] != IDENTITY_LABEL)
 
     def __repr__(self) -> str:
         m, n = self.arity()
@@ -403,13 +393,10 @@ class Homomorphism:
         )
 
 
-def is_homomorphism(h: Homomorphism,
-                    F: LinearHypergraph | None = None,
-                    G: LinearHypergraph | None = None) -> bool:
+def is_homomorphism(h: Homomorphism) -> bool:
     """Check the commuting conditions: sources, targets, connections,
     labels, and (when present) vertex labels."""
-    F = F if F is not None else h.src
-    G = G if G is not None else h.dst
+    F, G = h.src, h.dst
     if set(h.vmap_t) != set(F.targets) or set(h.vmap_s) != set(F.sources):
         return False
     if set(h.emap) != set(F.edges):

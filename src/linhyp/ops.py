@@ -7,8 +7,7 @@ onto fresh ids first, so callers never manage id disjointness.
 """
 from __future__ import annotations
 
-from .graphs import (INTERFACE, LinearHypergraph, Homomorphism, expand,
-                     fresh_ids, freshen)
+from .graphs import INTERFACE, LinearHypergraph, fresh_ids, freshen
 from .terms import Signature, TypeMismatch, Word, as_word
 
 
@@ -73,31 +72,6 @@ def swap(m: int | str | Word, n: int | str | Word) -> LinearHypergraph:
         vtlabels=dict(zip(ts, a + b)),
         vslabels=dict(zip(ss, out_word)),
     )
-
-
-def swap_recursive(m: int, n: int) -> LinearHypergraph:
-    """The inductive build of composite swaps from single crossings.
-
-    Kept separate from :func:`swap` so the two constructions can be
-    compared up to isomorphism.
-    """
-    if m == 0:
-        return identity(n)
-    if n == 0:
-        return identity(m)
-    if m == 1 and n == 1:
-        return swap(1, 1)
-    if n == 1:
-        return compose(tensor(identity(m - 1), swap(1, 1)),
-                       tensor(swap_recursive(m - 1, 1), identity(1)))
-    if m == 1:
-        return compose(tensor(swap_recursive(1, n - 1), identity(1)),
-                       tensor(identity(n - 1), swap(1, 1)))
-    return compose(
-        compose(
-            tensor(tensor(identity(m - 1), swap_recursive(1, n - 1)), identity(1)),
-            tensor(swap_recursive(m - 1, n - 1), swap(1, 1))),
-        tensor(tensor(identity(n - 1), swap_recursive(m - 1, 1)), identity(1)))
 
 
 def compose(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
@@ -192,34 +166,3 @@ def trace(x: int | str | Word, F: LinearHypergraph) -> LinearHypergraph:
     for _ in range(len(w)):
         H = _trace_once(H)
     return H
-
-
-def trace_mono(x: int | str | Word,
-               F: LinearHypergraph) -> tuple[LinearHypergraph, Homomorphism]:
-    """Trace that keeps the traced vertices alive behind identity edges.
-
-    Returns the traced graph together with an embedding of ``F`` into it;
-    smoothing the result gives the plain trace.
-    """
-    w = as_word(x)
-    if F.dom()[:len(w)] != w or F.cod()[:len(w)] != w:
-        raise TypeMismatch(
-            f"cannot trace {w} out of a {F.dom()} -> {F.cod()} graph")
-    H = freshen(F)
-    ids = list(F.targets) + list(F.sources) + list(F.edges)
-    ids_h = list(H.targets) + list(H.sources) + list(H.edges)
-    ren = dict(zip(ids, ids_h))
-    vmap_t = {v: ren[v] for v in F.targets}
-    vmap_s = {v: ren[v] for v in F.sources}
-    emap = {e: ren[e] for e in F.edges}
-    for _ in range(len(w)):
-        t0 = H.inputs()[0]
-        s0 = H.outputs()[0]
-        H2 = expand(H, t0)
-        t_new, s_new = H2.targets[-1], H2.sources[-1]
-        H = _trace_once(H2)
-        redirect_t = {t0: t_new}
-        redirect_s = {s0: s_new}
-        vmap_t = {v: redirect_t.get(img, img) for v, img in vmap_t.items()}
-        vmap_s = {v: redirect_s.get(img, img) for v, img in vmap_s.items()}
-    return H, Homomorphism(F, H, vmap_t, vmap_s, emap)

@@ -412,12 +412,12 @@ def glue_simple(m: Homomorphism, n: Homomorphism) -> SimpleHypergraph:
 # Steps and the driver
 # ---------------------------------------------------------------------------
 
-def apply_rewrite(G: LinearHypergraph, rule: RewriteRule, match: Matching,
-                  keep_identities: bool = False) -> LinearHypergraph:
+def apply_rewrite(G: LinearHypergraph, rule: RewriteRule,
+                  match: Matching) -> LinearHypergraph:
     """One DPO step at the given match: complement, glue, smooth."""
     k_to_c, _ = pushout_complement(rule.left_leg, match.embedding)
     H, _, _ = pushout(k_to_c, rule.right_leg)
-    return H if keep_identities else smooth(H)
+    return smooth(H)
 
 
 @dataclass(frozen=True)

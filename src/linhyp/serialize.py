@@ -26,25 +26,61 @@ def graph_to_dict(H: LinearHypergraph) -> dict:
     return data
 
 
-def graph_from_dict(data: dict) -> LinearHypergraph:
-    def side(x):
-        return INTERFACE if x == "interface" else int(x)
+_KINDS = {int: "an integer id", str: "a string", list: "an array",
+          dict: "an object"}
 
-    targets = tuple(int(v) for v in data["targets"])
-    sources = tuple(int(v) for v in data["sources"])
-    edges = tuple(int(e["id"]) for e in data["edges"])
-    vt = {int(k): v for k, v in data.get("vtlabels", {}).items()}
-    vs = {int(k): v for k, v in data.get("vslabels", {}).items()}
+
+def graph_from_dict(data: dict) -> LinearHypergraph:
+    """The graph of a parsed graph file.  The JSON types are checked: the
+    tables are objects, the id lists arrays, every id a JSON integer and
+    every label a string; anything else raises ``ValueError("not a graph
+    file: …")``.  Well-formedness is left to ``validate``."""
+    def bad(what: str) -> ValueError:
+        return ValueError(f"not a graph file: {what}")
+
+    def check(xs: list, kind: type, where: str) -> list:
+        # exact types: a bool is an int in Python and a float would
+        # truncate, so neither passes as an id
+        if set(map(type, xs)) - {kind}:
+            x = next(x for x in xs if type(x) is not kind)
+            raise bad(f"{where}: {x!r} is not {_KINDS[kind]}")
+        return xs
+
+    def get(name: str, kind: type, optional: bool = False):
+        if name not in data and not optional:
+            raise bad(f"no {name!r}")
+        return check([data.get(name, kind())], kind, name)[0]
+
+    def table(name: str, kind: type, optional: bool = False,
+              sides: bool = False) -> dict:
+        d = get(name, dict, optional)
+        # JSON keys are strings; an id key is an integer written plainly
+        keys = [int(k) if k.removeprefix("-").isdecimal() else k for k in d]
+        if list(map(str, check(keys, int, name))) != list(d):
+            raise bad(f"{name}: a key is not an integer id")
+        values = list(d.values())
+        if sides:  # "interface" or an edge id
+            values = [INTERFACE if v == "interface" else v for v in values]
+        check([v for v in values if v is not INTERFACE], kind, name)
+        return dict(zip(keys, values))
+
+    check([data], dict, "the file")
+    edges = check(get("edges", list), dict, "edges")
+    if not all("id" in e and "label" in e for e in edges):
+        raise bad("an edge lacks its id or label")
+    edge_ids = check([e["id"] for e in edges], int, "edges")
     return LinearHypergraph(
-        targets=targets,
-        sources=sources,
-        edges=edges,
-        left={int(k): side(v) for k, v in data["left"].items()},
-        right={int(k): side(v) for k, v in data["right"].items()},
-        conn={int(k): int(v) for k, v in data["conn"].items()},
-        labels={int(e["id"]): e["label"] for e in data["edges"]},
-        vtlabels=vt or {v: ANON for v in targets},
-        vslabels=vs or {v: ANON for v in sources},
+        targets=tuple(check(get("targets", list), int, "targets")),
+        sources=tuple(check(get("sources", list), int, "sources")),
+        edges=tuple(edge_ids),
+        left=table("left", int, sides=True),
+        right=table("right", int, sides=True),
+        conn=table("conn", int),
+        labels=dict(zip(edge_ids, check([e["label"] for e in edges], str,
+                                        "edges"))),
+        # empty tables mean unlabelled wires
+        vtlabels=table("vtlabels", str, optional=True),
+        vslabels=table("vslabels", str, optional=True),
     )
 
 
@@ -60,19 +96,20 @@ def load_graph(text: str) -> LinearHypergraph:
     ``ValueError`` for malformed JSON or a malformed graph.  Fresh ids
     handed out afterwards stay clear of the file's ids."""
     try:
-        H = graph_from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValueError(f"not a graph file: {exc}") from exc
+    H = graph_from_dict(data)
     assert_valid(H)
     reserve_ids(H.targets + H.sources + H.edges)
     return H
 
 
-def to_dot(H: LinearHypergraph, name: str = "G") -> str:
+def to_dot(H: LinearHypergraph) -> str:
     """Informal drawing: one dot per wire, boxes for edges, grey
     pseudo-nodes for the interfaces."""
     G = canonical(H)
-    lines = [f"digraph {name} {{", "  rankdir=LR;",
+    lines = ["digraph G {", "  rankdir=LR;",
              '  node [fontname="monospace"];']
     ins, outs = G.inputs(), G.outputs()
     if ins:

@@ -271,16 +271,6 @@ def type_of(t: Term, sig: Signature) -> tuple[Word, Word]:
     return values[0]
 
 
-def is_trace_free(t: Term) -> bool:
-    if isinstance(t, Trace):
-        return False
-    if isinstance(t, Seq):
-        return is_trace_free(t.left) and is_trace_free(t.right)
-    if isinstance(t, Tensor):
-        return is_trace_free(t.top) and is_trace_free(t.bottom)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Concrete syntax
 #
@@ -516,121 +506,3 @@ def _parse_word(text: str, lineno: int) -> Word:
             return ()
         return tuple(part.strip() for part in inner.split(","))
     raise SignatureError(f"line {lineno}: bad word {text!r}")
-
-
-# ---------------------------------------------------------------------------
-# Normal-form helpers
-# ---------------------------------------------------------------------------
-
-def _norm_atom(t: Term) -> Term:
-    if isinstance(t, Swap):
-        if t.upper == ():
-            return Id(t.lower)
-        if t.lower == ():
-            return Id(t.upper)
-    return t
-
-
-def _smart_tensor(parts: list[Term]) -> Term:
-    flat: list[Term] = []
-    for p in parts:
-        p = _norm_atom(p)
-        if isinstance(p, Id) and p.word == ():
-            continue
-        if flat and isinstance(flat[-1], Id) and isinstance(p, Id):
-            flat[-1] = Id(flat[-1].word + p.word)
-        else:
-            flat.append(p)
-    if not flat:
-        return Id(())
-    t = flat[0]
-    for p in flat[1:]:
-        t = Tensor(t, p)
-    return t
-
-
-def _smart_seq(parts: list[Term], dom: Word) -> Term:
-    parts = [p for p in parts if not isinstance(p, Id)]
-    if not parts:
-        return Id(dom)
-    t = parts[0]
-    for p in parts[1:]:
-        t = Seq(t, p)
-    return t
-
-
-def stage(t: Term, sig: Signature) -> Term:
-    """Rewrite a trace-free term as a chain of one-box slices.
-
-    Each slice is ``Id(m) * k * Id(n)`` with a single non-identity ``k``
-    (a generator or a swap); trivial padding is dropped.  The result is
-    equal to ``t`` modulo the traced monoidal equations.
-    """
-    if not is_trace_free(t):
-        raise TypeMismatch("stage requires a trace-free term", t)
-    dom, _ = type_of(t, sig)
-
-    def slices(u: Term) -> list[tuple[Word, Term, Word]]:
-        if isinstance(u, Id):
-            return []
-        if isinstance(u, (Gen, Swap)):
-            return [((), u, ())]
-        if isinstance(u, Seq):
-            return slices(u.left) + slices(u.right)
-        if isinstance(u, Tensor):
-            td, tc = type_of(u.top, sig)
-            bd, bc = type_of(u.bottom, sig)
-            top = [(m, k, n + bd) for (m, k, n) in slices(u.top)]
-            bottom = [(tc + m, k, n) for (m, k, n) in slices(u.bottom)]
-            return top + bottom
-        raise TypeMismatch(f"cannot stage {u!r}", u)
-
-    def materialize(m: Word, k: Term, n: Word) -> Term:
-        return _smart_tensor([Id(m), k, Id(n)])
-
-    return _smart_seq([materialize(*s) for s in slices(t)], dom)
-
-
-def global_trace_form(t: Term, sig: Signature) -> tuple[Word, Term]:
-    """Pull every trace in ``t`` to a single outermost one.
-
-    Returns ``(x, body)`` with ``body`` trace-free and ``Trace(x, body)``
-    equal to ``t`` modulo the traced monoidal equations.
-    """
-    type_of(t, sig)
-
-    def go(u: Term) -> tuple[Word, Term]:
-        if isinstance(u, (Gen, Id, Swap)):
-            return (), u
-        if isinstance(u, Trace):
-            x, body = go(u.body)
-            return x + u.loop, body
-        if isinstance(u, Seq):
-            p, f = go(u.left)
-            q, g = go(u.right)
-            m, k = type_of(u.left, sig)
-            # f : p+m -> p+k, g : q+k -> q+n
-            body = _smart_seq([
-                _smart_tensor([Id(p), Swap(q, m)]),
-                _smart_tensor([f, Id(q)]),
-                _smart_tensor([Id(p), Swap(k, q)]),
-                _smart_tensor([Id(p), g]),
-            ], p + q + m)
-            return p + q, body
-        if isinstance(u, Tensor):
-            p, f = go(u.top)
-            q, g = go(u.bottom)
-            a, b = type_of(u.top, sig)
-            c, d = type_of(u.bottom, sig)
-            # f : p+a -> p+b, g : q+c -> q+d
-            body = _smart_seq([
-                _smart_tensor([Id(p), Swap(q, a), Id(c)]),
-                _smart_tensor([f, g]),
-                _smart_tensor([Id(p), Swap(b, q), Id(d)]),
-            ], p + q + a + c)
-            return p + q, body
-        raise TypeMismatch(f"not a term: {u!r}", u)
-
-    x, body = go(t)
-    type_of(Trace(x, body) if x else body, sig)
-    return x, body

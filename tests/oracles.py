@@ -5,6 +5,14 @@ with the algorithms under test, except in ``normalize_by_enumeration``,
 the list-based rewriting driver that the lazy one must agree with, and
 ``evaluate_by_unfolding_all_wires``, the term-level evaluator that the
 graph-level one must agree with.
+
+The file also holds the paper's alternative constructions, which the
+library does not need but the tests compare against it: the term-level
+staging and global trace form of the completeness proof (``stage``,
+``global_trace_form``, ``is_trace_free``), the inductive composite swap
+``swap_recursive``, and ``trace_mono``, the trace that keeps its loop
+vertices behind identity edges.  They are plain recursive folds, meant
+for small terms.
 """
 from __future__ import annotations
 
@@ -15,12 +23,12 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, eval_rules, read_value_word,
                              value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import INTERFACE, fresh_ids
+from linhyp.graphs import INTERFACE, expand, fresh_ids
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
                             find_matchings, normalize)
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
-                          Trace, TypeMismatch)
+                          Trace, TypeMismatch, Word, as_word, type_of)
 
 
 def brute_force_isomorphism(F: LinearHypergraph,
@@ -330,3 +338,182 @@ def enumerate_graphs(sig, max_t: int) -> list[LinearHypergraph]:
                     vslabels={v: ANON for v in sources},
                 ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The paper's alternative constructions
+# ---------------------------------------------------------------------------
+
+def is_trace_free(t: Term) -> bool:
+    if isinstance(t, Trace):
+        return False
+    if isinstance(t, Seq):
+        return is_trace_free(t.left) and is_trace_free(t.right)
+    if isinstance(t, Tensor):
+        return is_trace_free(t.top) and is_trace_free(t.bottom)
+    return True
+
+
+def _norm_atom(t: Term) -> Term:
+    if isinstance(t, Swap):
+        if t.upper == ():
+            return Id(t.lower)
+        if t.lower == ():
+            return Id(t.upper)
+    return t
+
+
+def _smart_tensor(parts: list[Term]) -> Term:
+    flat: list[Term] = []
+    for p in parts:
+        p = _norm_atom(p)
+        if isinstance(p, Id) and p.word == ():
+            continue
+        if flat and isinstance(flat[-1], Id) and isinstance(p, Id):
+            flat[-1] = Id(flat[-1].word + p.word)
+        else:
+            flat.append(p)
+    if not flat:
+        return Id(())
+    t = flat[0]
+    for p in flat[1:]:
+        t = Tensor(t, p)
+    return t
+
+
+def _smart_seq(parts: list[Term], dom: Word) -> Term:
+    parts = [p for p in parts if not isinstance(p, Id)]
+    if not parts:
+        return Id(dom)
+    t = parts[0]
+    for p in parts[1:]:
+        t = Seq(t, p)
+    return t
+
+
+def stage(t: Term, sig: Signature) -> Term:
+    """Rewrite a trace-free term as a chain of one-box slices.
+
+    Each slice is ``Id(m) * k * Id(n)`` with a single non-identity ``k``
+    (a generator or a swap); trivial padding is dropped.  The result is
+    equal to ``t`` modulo the traced monoidal equations.
+    """
+    if not is_trace_free(t):
+        raise TypeMismatch("stage requires a trace-free term", t)
+    dom, _ = type_of(t, sig)
+
+    def slices(u: Term) -> list[tuple[Word, Term, Word]]:
+        if isinstance(u, Id):
+            return []
+        if isinstance(u, (Gen, Swap)):
+            return [((), u, ())]
+        if isinstance(u, Seq):
+            return slices(u.left) + slices(u.right)
+        if isinstance(u, Tensor):
+            _, tc = type_of(u.top, sig)
+            bd, _ = type_of(u.bottom, sig)
+            top = [(m, k, n + bd) for (m, k, n) in slices(u.top)]
+            bottom = [(tc + m, k, n) for (m, k, n) in slices(u.bottom)]
+            return top + bottom
+        raise TypeMismatch(f"cannot stage {u!r}", u)
+
+    return _smart_seq([_smart_tensor([Id(m), k, Id(n)])
+                       for m, k, n in slices(t)], dom)
+
+
+def global_trace_form(t: Term, sig: Signature) -> tuple[Word, Term]:
+    """Pull every trace in ``t`` to a single outermost one.
+
+    Returns ``(x, body)`` with ``body`` trace-free and ``Trace(x, body)``
+    equal to ``t`` modulo the traced monoidal equations.
+    """
+    type_of(t, sig)
+
+    def go(u: Term) -> tuple[Word, Term]:
+        if isinstance(u, (Gen, Id, Swap)):
+            return (), u
+        if isinstance(u, Trace):
+            x, body = go(u.body)
+            return x + u.loop, body
+        if isinstance(u, Seq):
+            p, f = go(u.left)
+            q, g = go(u.right)
+            m, k = type_of(u.left, sig)
+            # f : p+m -> p+k, g : q+k -> q+n
+            body = _smart_seq([
+                _smart_tensor([Id(p), Swap(q, m)]),
+                _smart_tensor([f, Id(q)]),
+                _smart_tensor([Id(p), Swap(k, q)]),
+                _smart_tensor([Id(p), g]),
+            ], p + q + m)
+            return p + q, body
+        if isinstance(u, Tensor):
+            p, f = go(u.top)
+            q, g = go(u.bottom)
+            a, b = type_of(u.top, sig)
+            c, d = type_of(u.bottom, sig)
+            # f : p+a -> p+b, g : q+c -> q+d
+            body = _smart_seq([
+                _smart_tensor([Id(p), Swap(q, a), Id(c)]),
+                _smart_tensor([f, g]),
+                _smart_tensor([Id(p), Swap(b, q), Id(d)]),
+            ], p + q + a + c)
+            return p + q, body
+        raise TypeMismatch(f"not a term: {u!r}", u)
+
+    x, body = go(t)
+    type_of(Trace(x, body) if x else body, sig)
+    return x, body
+
+
+def swap_recursive(m: int, n: int) -> LinearHypergraph:
+    """The inductive build of composite swaps from single crossings, to
+    compare with the direct ``ops.swap`` up to isomorphism."""
+    if m == 0:
+        return ops.identity(n)
+    if n == 0:
+        return ops.identity(m)
+    if m == 1 and n == 1:
+        return ops.swap(1, 1)
+    compose, tensor, identity, cross = (ops.compose, ops.tensor,
+                                        ops.identity, ops.swap(1, 1))
+    if n == 1:
+        return compose(tensor(identity(m - 1), cross),
+                       tensor(swap_recursive(m - 1, 1), identity(1)))
+    if m == 1:
+        return compose(tensor(swap_recursive(1, n - 1), identity(1)),
+                       tensor(identity(n - 1), cross))
+    return compose(
+        compose(
+            tensor(tensor(identity(m - 1), swap_recursive(1, n - 1)),
+                   identity(1)),
+            tensor(swap_recursive(m - 1, n - 1), cross)),
+        tensor(tensor(identity(n - 1), swap_recursive(m - 1, 1)), identity(1)))
+
+
+def trace_mono(x: int | str | Word, F: LinearHypergraph
+               ) -> tuple[LinearHypergraph, Homomorphism]:
+    """Trace that keeps the traced vertices alive behind identity edges.
+
+    Each of the first ``x`` input wires gets an identity edge, then the
+    plain trace closes the loops.  Returns the traced graph together with
+    an embedding of ``F`` into it; smoothing the result gives the plain
+    trace.
+    """
+    loop_in = F.inputs()[:len(as_word(x))]
+    loop_out = F.outputs()[:len(loop_in)]
+    E = F
+    for t in loop_in:
+        E = expand(E, t)
+    H = ops.trace(x, E)
+    # trace copies E onto fresh ids and drops the loop vertices, keeping
+    # the order of the rest; F's loop vertices live on as the ports of
+    # the identity edges, which expand appended in loop order
+    ren = dict(zip([v for v in E.targets if v not in loop_in], H.targets))
+    ren.update(zip([v for v in E.sources if v not in loop_out], H.sources))
+    ren.update(zip(E.edges, H.edges))
+    ren.update(zip(loop_in, (ren[v] for v in E.targets[len(F.targets):])))
+    ren.update(zip(loop_out, (ren[v] for v in E.sources[len(F.sources):])))
+    return H, Homomorphism(F, H, {v: ren[v] for v in F.targets},
+                           {v: ren[v] for v in F.sources},
+                           {e: ren[e] for e in F.edges})

@@ -17,7 +17,7 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace,
                     isomorphic, parse_term, pushout, pushout_complement,
                     rule_from_terms, signature, smooth, two_point, type_of,
                     validate, value_row)
-from linhyp.circuits import FORK, JOIN, STUB, DELAY
+from linhyp.circuits import FORK, JOIN, STUB, DELAY, feedback_wires
 from linhyp.graphs import IDENTITY_LABEL
 from linhyp.laws import axiom_schemes, law_signature, random_graph, random_term
 from oracles import (brute_force_complements, brute_force_isomorphism,
@@ -311,12 +311,10 @@ def test_criterion_9_circuits():
         done = 0
         while done < 50:
             t, H = loop_free(6)
-            m, n = len(H.dom()), len(H.cod())
-            x = min(m, n)
-            if x == 0:
-                continue
-            looped = Trace(x, t)
+            looped = Trace(min(len(H.dom()), len(H.cod())), t)
             Hl = interpret(looped, sig)
+            if not feedback_wires(Hl):  # the trace closed no cycle
+                continue
             inputs = tuple(rng.choice(csig.lattice.values)
                            for _ in range(len(Hl.dom())))
             got = evaluate(looped, inputs, csig)

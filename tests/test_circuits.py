@@ -288,13 +288,17 @@ def _random_loop_free(rng, csig, gates_max=4, wires_max=2):
 
 
 def _random_feedback(rng, csig, x):
-    """A random circuit with ``x`` fed-back wires, and its input values."""
+    """A random circuit with ``x`` fed-back wires, at least one of which
+    closes a cycle, and its input values."""
     while True:
         t, H = _random_loop_free(rng, csig, gates_max=6, wires_max=x + 1)
-        if min(len(H.dom()), len(H.cod())) >= x:
-            inputs = tuple(rng.choice(csig.lattice.values)
-                           for _ in range(len(H.dom()) - x))
-            return Trace(x, t), inputs
+        if min(len(H.dom()), len(H.cod())) < x:
+            continue
+        looped = Trace(x, t)
+        inputs = tuple(rng.choice(csig.lattice.values)
+                       for _ in range(len(H.dom()) - x))
+        if feedback_wires(interpret(looped, csig.signature())):
+            return looped, inputs
 
 
 def _height(lat):
@@ -386,8 +390,6 @@ def test_evaluate_rounds_bounded_by_feedback(monkeypatch, rng):
         while done < 20:
             looped, inputs = _random_feedback(rng, csig, 1 + done % 3)
             cut = feedback_wires(interpret(looped, csig.signature()))
-            if not cut:  # the trace closed no cycle
-                continue
             del calls[:]
             assert evaluate(looped, inputs, csig) is not UNPRODUCTIVE
             assert 1 <= len(calls) <= height * len(cut) + 1

@@ -171,6 +171,55 @@ def test_extract_stray_key_exit_code(capsys, tmp_path):
                    " which is not a target of the graph\n")
 
 
+_GOOD_GRAPH = {"targets": [0, 1], "sources": [2, 3],
+               "edges": [{"id": 4, "label": "f"}],
+               "left": {"0": "interface", "1": 4},
+               "right": {"2": 4, "3": "interface"},
+               "conn": {"0": 2, "1": 3}}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("left", []), ("conn", [1]), ("vtlabels", [1]),
+    ("edges", [{"id": 4, "label": [1]}]), ("edges", [{"id": 4, "label": 7}]),
+    ("conn", {"0": 2.7, "1": 3}), ("targets", ["0", 1]),
+    ("targets", [True, 1]), ("edges", [4]),
+    ("left", {"00": "interface", "1": 4}),
+])
+def test_wrongly_typed_graph_file_is_malformed(capsys, tmp_path, key, value):
+    text = json.dumps(dict(_GOOD_GRAPH, **{key: value}))
+    load_graph(json.dumps(_GOOD_GRAPH))
+    with pytest.raises(ValueError, match="not a graph file: "):
+        load_graph(text)
+    gfile = tmp_path / "bad.json"
+    gfile.write_text(text)
+    code, out, err = run(capsys, "extract", str(gfile))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,sig_text,lattice_text,message", [
+    ("interpret", "f : 1 -> x\n", None, "line 1: bad word 'x'"),
+    ("evaluate", None, "values: bot top\nbottom: bot\n",
+     "join undefined on (bot, bot)"),
+    ("evaluate", None, LATTICE_TEXT + "gate g arity x: bot -> bot\n",
+     "line 11: expected 'gate NAME arity N: row'"),
+])
+def test_bad_signature_or_lattice_file_exit_code(capsys, tmp_path, command,
+                                                 sig_text, lattice_text,
+                                                 message):
+    term = tmp_path / "t.term"
+    term.write_text("f")
+    if sig_text is not None:
+        (tmp_path / "bad.sig").write_text(sig_text)
+        argv = ["--sig", str(tmp_path / "bad.sig")]
+    else:
+        (tmp_path / "bad.lattice").write_text(lattice_text)
+        argv = ["--lattice", str(tmp_path / "bad.lattice")]
+    code, out, err = run(capsys, command, str(term), *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_iso_command(files, capsys, tmp_path):
     sig = files / "circuit.sig"
     t1 = tmp_path / "a.term"

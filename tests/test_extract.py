@@ -51,13 +51,14 @@ def test_untangle_sorts_a_tangled_graph():
     assert validate(U) == []
     assert find_isomorphism(U, H) is not None
     # inputs first, then the target block of each edge in order
+    tgts, srcs_of = U.port_tables()
     expect_targets = list(U.inputs())
     for e in ord_:
-        expect_targets.extend(U.edge_targets(e))
+        expect_targets.extend(tgts[e])
     assert list(U.targets) == expect_targets
     srcs = []
     for e in ord_:
-        srcs.extend(U.edge_sources(e))
+        srcs.extend(srcs_of[e])
     assert list(U.sources) == srcs + list(U.outputs())
 
 

@@ -34,10 +34,11 @@ def test_generalised_example(gsig):
     assert sorted(H.labels.values()) == ["f", "g", "h"]
     # f's output wire carries a B into h's first input
     f_edge = next(e for e in H.edges if H.labels[e] == "f")
-    (t_out,) = H.edge_targets(f_edge)
+    tgts, srcs = H.port_tables()
+    (t_out,) = tgts[f_edge]
     assert H.vtlabels[t_out] == "B"
     h_edge = next(e for e in H.edges if H.labels[e] == "h")
-    assert H.conn[t_out] == H.edge_sources(h_edge)[0]
+    assert H.conn[t_out] == srcs[h_edge][0]
 
 
 @given(terms)

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linhyp import (Gen, Id, ParseError, Seq, Swap, Tensor, Trace,
-                    TypeMismatch, global_trace_form, parse_signature,
-                    parse_term, render_term, signature, stage, type_of, word)
+                    TypeMismatch, parse_signature, parse_term, render_term,
+                    signature, type_of, word)
 from linhyp.interp import equal_mod_stmc, interpret
 from linhyp.graphs import find_isomorphism
 from linhyp.laws import law_signature, random_term
-from linhyp.terms import SignatureError, is_trace_free
+from linhyp.terms import SignatureError
+from oracles import global_trace_form, is_trace_free, stage
 
 SIG = law_signature()
 
