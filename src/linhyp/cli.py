@@ -57,10 +57,21 @@ def cmd_extract(args) -> int:
     H = load_graph(_read(args.graph_file))
     order = None
     if args.order:
-        order = tuple(int(x) for x in args.order.split(","))
+        order = tuple(_edge_id(x, H) for x in args.order.split(","))
     term = extract_term(H, order)
     print(render_term(term))
     return EXIT_OK
+
+
+def _edge_id(entry: str, H) -> int:
+    """One ``--order`` entry as an edge of H."""
+    try:
+        e = int(entry)
+    except ValueError:
+        raise ValueError(f"--order: {entry!r} is not an edge id") from None
+    if e not in H.labels:
+        raise ValueError(f"--order: {entry!r} is not an edge of the graph")
+    return e
 
 
 def cmd_iso(args) -> int:

@@ -13,6 +13,7 @@ import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .terms import ANON, Word
 
@@ -45,6 +46,33 @@ class _IdSupply:
 _SUPPLY = _IdSupply()
 fresh_ids = _SUPPLY.fresh
 reserve_ids = _SUPPLY.reserve
+
+
+class GraphView:
+    """The tables the embedding search and the commuting checks read
+    from a graph: its vertex and edge maps, each edge's ordered target
+    and source ports, the inverse of ``conn`` and the edges by label.
+    Iterating ``targets`` and each ``by_label`` entry gives them in
+    stored order.  The last two tables are built on first use.
+    """
+
+    def __init__(self, H: LinearHypergraph) -> None:
+        self.targets, self._edges = H.targets, H.edges
+        self.left, self.right, self.conn = H.left, H.right, H.conn
+        self.labels, self.vtlabels, self.vslabels = (H.labels, H.vtlabels,
+                                                     H.vslabels)
+        self.tgts, self.srcs = H.port_tables()
+
+    @cached_property
+    def conn_inv(self) -> dict[int, int]:
+        return {s: t for t, s in self.conn.items()}
+
+    @cached_property
+    def by_label(self) -> dict[str, list[int]]:
+        out: dict[str, list[int]] = {}
+        for e in self._edges:
+            out.setdefault(self.labels[e], []).append(e)
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,6 +127,11 @@ class LinearHypergraph:
                 srcs[e].append(v)
         return ({e: tuple(vs) for e, vs in tgts.items()},
                 {e: tuple(vs) for e, vs in srcs.items()})
+
+    @cached_property
+    def view(self) -> GraphView:
+        """The graph's tables for matching, built once."""
+        return GraphView(self)
 
     def __repr__(self) -> str:
         m, n = self.arity()
@@ -409,29 +442,28 @@ def is_homomorphism(h: Homomorphism) -> bool:
         return False
     if any(e not in g_edges for e in h.emap.values()):
         return False
-    # connections
+    return commutes(F, G.view, h.vmap_t, h.vmap_s, h.emap)
+
+
+def commutes(F: LinearHypergraph, G: GraphView, vmap_t: dict[int, int],
+             vmap_s: dict[int, int], emap: dict[int, int]) -> bool:
+    """Whether total maps of F's elements into G's keep connections, edge
+    labels, ordered ports and object labels; O(|F|) given G's tables."""
     for t in F.targets:
-        if G.conn[h.vmap_t[t]] != h.vmap_s[F.conn[t]]:
+        if G.conn[vmap_t[t]] != vmap_s[F.conn[t]]:
             return False
-    # edge structure: ordered ports map positionally, labels preserved
-    ftgts, fsrcs = F.port_tables()
-    gtgts, gsrcs = G.port_tables()
+    ftgts, fsrcs = F.view.tgts, F.view.srcs
     for e in F.edges:
-        d = h.emap[e]
+        d = emap[e]
         if F.labels[e] != G.labels[d]:
             return False
-        if tuple(h.vmap_t[v] for v in ftgts[e]) != gtgts[d]:
+        if tuple(vmap_t[v] for v in ftgts[e]) != G.tgts[d]:
             return False
-        if tuple(h.vmap_s[v] for v in fsrcs[e]) != gsrcs[d]:
+        if tuple(vmap_s[v] for v in fsrcs[e]) != G.srcs[d]:
             return False
-    # object labels
-    for v in F.targets:
-        if F.vtlabels[v] != G.vtlabels[h.vmap_t[v]]:
-            return False
-    for v in F.sources:
-        if F.vslabels[v] != G.vslabels[h.vmap_s[v]]:
-            return False
-    return True
+    return (all(F.vtlabels[v] == G.vtlabels[vmap_t[v]] for v in F.targets)
+            and all(F.vslabels[v] == G.vslabels[vmap_s[v]]
+                    for v in F.sources))
 
 
 # ---------------------------------------------------------------------------
@@ -442,33 +474,42 @@ class _Conflict(Exception):
     """A partial map that no embedding extends."""
 
 
-def embeddings(L: LinearHypergraph, G: LinearHypergraph,
-               up_to_homeo: bool = False) -> Iterator[Homomorphism]:
-    """Yield maps of L into G, in a deterministic order.
+#: A map of L's elements into a host, as :func:`embeddings` yields it:
+#: target, source and edge maps, and the host wires to split.
+Found = tuple[dict[int, int], dict[int, int], dict[int, int],
+              list[tuple[int, int, int]]]
+
+
+def embeddings(L: LinearHypergraph, G: GraphView,
+               up_to_homeo: bool = False) -> Iterator[Found]:
+    """Yield maps of L into the graph whose tables are G, in a
+    deterministic order.
 
     The wire-propagation engine behind matching: fixing the image of a
     vertex or an edge fixes its wire and edge-port neighbours, so a
     search state is propagated to closure after each choice, and a clash
     discards it.  Each edge component of L is pinned by its first edge
-    in stored order, trying G's edges in stored order; bare wires of L
-    then range over the remaining wires of G.  L's interfaces may land
-    anywhere.
+    in stored order, trying G's edges of its label in stored order; bare
+    wires of L then range over the remaining wires of G.  L's interfaces
+    may land anywhere.
 
     With ``up_to_homeo`` the loose ends of L's boundary wires are bound
-    last, and when the wire leaving the matched part re-enters it
-    immediately (a loop through the pattern's boundary), the host wire is
-    expanded with an identity edge so both boundary wires fit.  The
-    yielded homomorphisms then land in that expanded host.
+    last.  When the wire leaving the matched part re-enters it
+    immediately (a loop through the pattern's boundary), the host wire
+    must be split with an identity edge so both boundary wires fit.  The
+    engine changes nothing: each yielded map comes with its list of
+    splits ``(t, s, t2)``, in the order they are to be made, and the
+    caller expands the host on the wire leaving target ``t``, mapping L's
+    source ``s`` to the new source and L's target ``t2`` to the new
+    target.  A candidate the search rejects thus leaves no trace.
 
-    Every yielded map is total and injective by construction; callers
-    still run their own final check (``is_embedding``) on it.
+    Every yielded map is total and injective once split, and commutes.
     """
-    ltgts, lsrcs = L.port_tables()
-    gtgts, gsrcs = G.port_tables()
-    lconn_inv = L.conn_inv()
-    gconn_inv = G.conn_inv()
+    lv = L.view
+    ltgts, lsrcs, lconn_inv = lv.tgts, lv.srcs, lv.conn_inv
     l_port_t = {v: (e, i) for e in L.edges for i, v in enumerate(ltgts[e])}
     l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
+    gtgts, gsrcs, gconn_inv = G.tgts, G.srcs, G.conn_inv
 
     # the first edge in stored order of each wire-connected component
     anchors: list[int] = []
@@ -574,8 +615,8 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
             yield from assign_bare(0, state)
             return
         anchor = anchors[idx]
-        for d in G.edges:
-            if d in used_e or G.labels[d] != L.labels[anchor]:
+        for d in G.by_label.get(L.labels[anchor], ()):
+            if d in used_e:
                 continue
             trial = extend(state, "e", anchor, d)
             if trial is not None:
@@ -583,9 +624,9 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
 
     def assign_bare(idx: int, state):
         if idx == len(bare_wires):
-            h = finish(state)
-            if h is not None:
-                yield h
+            found = finish(state)
+            if found is not None:
+                yield found
             return
         t = bare_wires[idx]
         used_t, used_s = state["t"][1], state["s"][1]
@@ -598,59 +639,51 @@ def embeddings(L: LinearHypergraph, G: LinearHypergraph,
             if trial is not None:
                 yield from assign_bare(idx + 1, trial)
 
-    def finish(state) -> Homomorphism | None:
-        tmap, smap, emap = state["t"][0], state["s"][0], state["e"][0]
-        host = G
-        if up_to_homeo:
-            tmap, smap = dict(tmap), dict(smap)
-            host = resolve_boundary(tmap, smap, set(state["t"][1]),
-                                    set(state["s"][1]))
-            if host is None:
-                return None
-        if len(tmap) != len(L.targets) or len(smap) != len(L.sources):
+    def finish(state) -> Found | None:
+        tmap, smap, emap = (dict(state[k][0]) for k in "tse")
+        splits: list[tuple[int, int, int]] = []
+        if up_to_homeo and not resolve_boundary(
+                tmap, smap, set(state["t"][1]), set(state["s"][1]), splits):
             return None
-        return Homomorphism(L, host, dict(tmap), dict(smap), dict(emap))
+        if (len(tmap) + len(splits) != len(L.targets)
+                or len(smap) + len(splits) != len(L.sources)):
+            return None
+        return tmap, smap, emap, splits
 
-    def resolve_boundary(tmap, smap, used_t, used_s):
-        """Bind the loose ends of boundary wires, expanding the host
-        where an out-wire's host wire immediately re-enters an in-wire."""
-        host = G
+    def resolve_boundary(tmap, smap, used_t, used_s, splits) -> bool:
+        """Bind the loose ends of boundary wires, listing a split where
+        an out-wire's host wire immediately re-enters an in-wire."""
         pending_in = {}
         for a in in_wires:
             b = L.conn[a]
             if b not in smap:
-                return None
+                return False
             pending_in[gconn_inv[smap[b]]] = a
         for c in out_wires:
             if c not in tmap:
-                return None
+                return False
             d = L.conn[c]
             t_w = tmap[c]
-            s_w = host.conn[t_w]
-            hit = pending_in.get(t_w)
+            hit = pending_in.pop(t_w, None)
             if hit is not None:
-                # the wire leaving the match feeds straight back in: split it
-                host = expand(host, t_w)
-                t_new, s_new = host.targets[-1], host.sources[-1]
-                if (L.vslabels[d] != host.vslabels[s_new]
-                        or L.vtlabels[hit] != host.vtlabels[t_new]):
-                    return None
-                smap[d] = s_new
-                used_s.add(s_new)
-                tmap[hit] = t_new
-                used_t.add(t_new)
-                del pending_in[t_w]
+                # the wire leaving the match feeds straight back in: both
+                # ends of the split carry the wire's object label
+                lab = G.vtlabels[t_w]
+                if L.vslabels[d] != lab or L.vtlabels[hit] != lab:
+                    return False
+                splits.append((t_w, d, hit))
             else:
-                if s_w in used_s or L.vslabels[d] != host.vslabels[s_w]:
-                    return None
+                s_w = G.conn[t_w]
+                if s_w in used_s or L.vslabels[d] != G.vslabels[s_w]:
+                    return False
                 smap[d] = s_w
                 used_s.add(s_w)
         for anchor_t, a in pending_in.items():
-            if anchor_t in used_t or L.vtlabels[a] != host.vtlabels[anchor_t]:
-                return None
+            if anchor_t in used_t or L.vtlabels[a] != G.vtlabels[anchor_t]:
+                return False
             tmap[a] = anchor_t
             used_t.add(anchor_t)
-        return host
+        return True
 
     yield from assign_components(0, {"t": ({}, set()), "s": ({}, set()),
                                      "e": ({}, set()), "agenda": []})

@@ -9,14 +9,16 @@ expands the host on the wires the identity edges need.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .graphs import (IDENTITY_LABEL, INTERFACE, Homomorphism,
-                     LinearHypergraph, SimpleHypergraph, embeddings, expand,
-                     freshen, smooth, to_simple)
+from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
+                     Homomorphism, LinearHypergraph, SimpleHypergraph,
+                     commutes, embeddings, expand, fresh_ids, freshen, smooth,
+                     to_simple)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
@@ -41,6 +43,16 @@ class RewriteRule:
         """The labels of L's edges, identity edges aside: a host that
         lacks one of them has no match."""
         return frozenset(self.L.labels.values()) - {IDENTITY_LABEL}
+
+    @cached_property
+    def _search(self) -> tuple[LinearHypergraph, list[tuple[int, list[int]]]]:
+        """What matching searches for L, and L's identity chains."""
+        return _pattern(self.L)
+
+    @cached_property
+    def _legs_embed(self) -> tuple[bool, bool]:
+        """Whether the left and the right leg are embeddings."""
+        return self.left_leg.is_embedding(), self.right_leg.is_embedding()
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,36 @@ def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
     return chains
 
 
+def _pattern(L: LinearHypergraph
+             ) -> tuple[LinearHypergraph, list[tuple[int, list[int]]]]:
+    """The graph the search matches for L: L itself or, when L carries
+    identity edges, L smoothed, with the identity chains that matching
+    expands the host along."""
+    if not any(L.labels[e] == IDENTITY_LABEL for e in L.edges):
+        return L, []
+    chains = _identity_chains(L)
+    return smooth(L), chains
+
+
+def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
+              found: Found, split: Callable[[int], tuple[int, int, int]]
+              ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Turn a map the search found into a map of L: make the host splits
+    it lists, then expand the host along L's identity chains, in that
+    order.  ``split(t)`` inserts an identity edge on the host wire
+    leaving target ``t`` and returns the new target, source and edge."""
+    vmap_t, vmap_s, emap, splits = found
+    for t_w, s, t in splits:
+        vmap_t[t], vmap_s[s], _ = split(t_w)
+    ltgts, lsrcs = L.view.tgts, L.view.srcs
+    for t0, chain in chains:
+        cur = vmap_t[t0]
+        for e in chain:
+            cur, vmap_s[lsrcs[e][0]], emap[e] = split(cur)
+            vmap_t[ltgts[e][0]] = cur
+    return vmap_t, vmap_s, emap
+
+
 def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
                    up_to_homeo: bool = False) -> list[Matching]:
     """All ways the pattern L embeds into G, in :func:`matchings` order."""
@@ -190,31 +232,16 @@ def matchings(L: LinearHypergraph, G: LinearHypergraph,
     (the rewrite theory works up to wire homeomorphism; loops through a
     redex need this).
     """
-    if not any(L.labels[e] == IDENTITY_LABEL for e in L.edges):
-        for h in embeddings(L, G, up_to_homeo):
-            if h.is_embedding():
-                yield Matching(h, h.dst)
-        return
-    chains = _identity_chains(L)
-    Ls = smooth(L)
-    ltgts, lsrcs = L.port_tables()
-    for base in embeddings(Ls, G, up_to_homeo):
-        if not base.is_embedding():
-            continue
-        host = base.dst
-        vmap_t = dict(base.vmap_t)
-        vmap_s = dict(base.vmap_s)
-        emap = dict(base.emap)
-        for t0, chain in chains:
-            cur = vmap_t[t0]
-            for e in chain:
-                host = expand(host, cur)
-                t_new, s_new, e_new = (host.targets[-1], host.sources[-1],
-                                       host.edges[-1])
-                vmap_t[ltgts[e][0]] = t_new
-                vmap_s[lsrcs[e][0]] = s_new
-                emap[e] = e_new
-                cur = t_new
+    pattern, chains = _pattern(L)
+    for found in embeddings(pattern, G.view, up_to_homeo):
+        host = G
+
+        def split(t: int) -> tuple[int, int, int]:
+            nonlocal host
+            host = expand(host, t)
+            return host.targets[-1], host.sources[-1], host.edges[-1]
+
+        vmap_t, vmap_s, emap = _complete(L, chains, found, split)
         yield Matching(Homomorphism(L, host, vmap_t, vmap_s, emap), host)
 
 
@@ -437,6 +464,218 @@ class NormalizeResult:
     exhausted: bool = False
 
 
+class _Host(GraphView):
+    """A host graph that :func:`normalize` rewrites in place.
+
+    It keeps the tables of a :class:`GraphView` current, so the search
+    reads it live.  ``targets``, ``sources`` and ``labels`` are
+    insertion-ordered and list the vertices and edges in the stored
+    order the pure pipeline gives (:func:`apply_rewrite`): survivors keep
+    their order and new elements follow in the order they are made.
+    ``seq`` numbers the vertices in that order, for the one place it is
+    read back: an edge of R that is glued onto surviving vertices takes
+    its ports in stored order, as ``port_tables`` does.
+    """
+
+    def __init__(self, G: LinearHypergraph) -> None:
+        # every table is a mutable copy of the view's, in stored order
+        v = G.view
+        self.targets = dict.fromkeys(G.targets)
+        self.sources = dict.fromkeys(G.sources)
+        self.labels = {e: G.labels[e] for e in G.edges}
+        self.left, self.right = dict(G.left), dict(G.right)
+        self.conn, self.conn_inv = dict(G.conn), dict(v.conn_inv)
+        self.vtlabels, self.vslabels = dict(G.vtlabels), dict(G.vslabels)
+        self.tgts, self.srcs = dict(v.tgts), dict(v.srcs)
+        self.by_label = {lab: dict.fromkeys(es)
+                         for lab, es in v.by_label.items()}
+        self.tick = itertools.count()
+        self.seq = {x: next(self.tick)
+                    for x in itertools.chain(G.targets, G.sources)}
+
+    def freeze(self) -> LinearHypergraph:
+        return LinearHypergraph(
+            targets=tuple(self.targets), sources=tuple(self.sources),
+            edges=tuple(self.labels), left=self.left, right=self.right,
+            conn=self.conn, labels=self.labels, vtlabels=self.vtlabels,
+            vslabels=self.vslabels)
+
+    # -- elements -----------------------------------------------------------
+
+    def _add_target(self, t: int, e: int | None, lab: str) -> None:
+        self.targets[t] = None
+        self.left[t] = e
+        self.vtlabels[t] = lab
+        self.seq[t] = next(self.tick)
+
+    def _add_source(self, s: int, e: int | None, lab: str) -> None:
+        self.sources[s] = None
+        self.right[s] = e
+        self.vslabels[s] = lab
+        self.seq[s] = next(self.tick)
+
+    def _add_edge(self, e: int, lab: str, tgts: tuple[int, ...],
+                  srcs: tuple[int, ...]) -> None:
+        self.labels[e] = lab
+        self.tgts[e] = tgts
+        self.srcs[e] = srcs
+        self.by_label.setdefault(lab, {})[e] = None
+
+    def _link(self, t: int, s: int) -> None:
+        self.conn[t] = s
+        self.conn_inv[s] = t
+
+    def _drop_target(self, t: int) -> None:
+        del self.targets[t], self.left[t], self.vtlabels[t], self.seq[t]
+
+    def _drop_source(self, s: int) -> None:
+        del self.sources[s], self.right[s], self.vslabels[s], self.seq[s]
+
+    def _drop_edge(self, e: int) -> None:
+        lab = self.labels.pop(e)
+        del self.by_label[lab][e], self.tgts[e], self.srcs[e]
+        if not self.by_label[lab]:
+            del self.by_label[lab]
+
+    # -- steps --------------------------------------------------------------
+
+    def expand(self, w: int) -> tuple[int, int, int]:
+        """Insert one identity edge on the wire leaving target ``w``, as
+        :func:`~linhyp.graphs.expand` does; return its new target, source
+        and edge."""
+        t, s, e = fresh_ids(3)
+        lab = self.vtlabels[w]
+        self._add_target(t, e, lab)
+        self._add_source(s, e, lab)
+        self._add_edge(e, IDENTITY_LABEL, (t,), (s,))
+        self._link(t, self.conn[w])
+        self._link(w, s)
+        return t, s, e
+
+    def embeds(self, L: LinearHypergraph, vmap_t: dict[int, int],
+               vmap_s: dict[int, int], emap: dict[int, int]) -> bool:
+        """``Homomorphism.is_embedding`` for a map of L into the host,
+        checked on L's image only."""
+        return (vmap_t.keys() == set(L.targets)
+                and vmap_s.keys() == set(L.sources)
+                and emap.keys() == set(L.edges)
+                and all(v in self.targets for v in vmap_t.values())
+                and all(v in self.sources for v in vmap_s.values())
+                and all(e in self.labels for e in emap.values())
+                and len(set(vmap_t.values())) == len(vmap_t)
+                and len(set(vmap_s.values())) == len(vmap_s)
+                and len(set(emap.values())) == len(emap)
+                and commutes(L, self, vmap_t, vmap_s, emap))
+
+    def rewrite(self, rule: RewriteRule, vmap_t: dict[int, int],
+                vmap_s: dict[int, int], emap: dict[int, int]) -> None:
+        """One DPO step at a match of ``rule.L``, in O(|L| + |R|).
+
+        It gives what :func:`apply_rewrite` gives, raising the same
+        errors in the same order: delete the image of L less K's, glue a
+        fresh copy of R along K, and splice out the identity edges.
+        """
+        K, R = rule.K, rule.R
+        ll, rl = rule.left_leg, rule.right_leg
+        left_ok, right_ok = rule._legs_embed
+        # pushout complement
+        if not left_ok or not self.embeds(rule.L, vmap_t, vmap_s, emap):
+            raise RewriteError("pushout complement needs embeddings")
+        keep_t = {k: vmap_t[ll.vmap_t[k]] for k in K.targets}
+        keep_s = {k: vmap_s[ll.vmap_s[k]] for k in K.sources}
+        kill_t = set(vmap_t.values()) - set(keep_t.values())
+        kill_s = set(vmap_s.values()) - set(keep_s.values())
+        kill_e = (set(emap.values())
+                  - {emap[ll.emap[k]] for k in K.edges})
+        severed = [t for t in map(self.conn_inv.__getitem__, kill_s)
+                   if t not in kill_t]
+        if severed:
+            t = min(severed, key=self.seq.__getitem__)
+            raise RewriteError(
+                f"deleting the match severs wire {t}->{self.conn[t]} badly")
+
+        def cut(e: int | None) -> int | None:
+            return INTERFACE if e in kill_e else e
+
+        # pushout
+        if K.edges:
+            raise RewriteError("pushout interface must be edge-free")
+        if not right_ok:
+            raise RewriteError("pushout needs a span of embeddings")
+        for k in K.targets:
+            if (cut(self.left[keep_t[k]]) is not INTERFACE
+                    and R.left[rl.vmap_t[k]] is not INTERFACE):
+                raise RewriteError(
+                    f"not boundary coherent: interface vertex {k} is"
+                    " edge-attached on both sides")
+        for k in K.sources:
+            if (cut(self.right[keep_s[k]]) is not INTERFACE
+                    and R.right[rl.vmap_s[k]] is not INTERFACE):
+                raise RewriteError(
+                    f"not boundary coherent: interface vertex {k} is"
+                    " edge-attached on both sides")
+
+        # the checks passed: change the host
+        for v in keep_t.values():
+            self.left[v] = cut(self.left[v])
+        for v in keep_s.values():
+            self.right[v] = cut(self.right[v])
+        for t in kill_t:
+            del self.conn_inv[self.conn.pop(t)]
+            self._drop_target(t)
+        for s in kill_s:
+            self._drop_source(s)
+        for e in kill_e:
+            self._drop_edge(e)
+
+        img_t = {rl.vmap_t[k]: v for k, v in keep_t.items()}
+        img_s = {rl.vmap_s[k]: v for k, v in keep_s.items()}
+        new_t = [v for v in R.targets if v not in img_t]
+        new_s = [v for v in R.sources if v not in img_s]
+        ids = iter(fresh_ids(len(new_t) + len(new_s) + len(R.edges)))
+        img_t.update(zip(new_t, ids))
+        img_s.update(zip(new_s, ids))
+        img_e = dict(zip(R.edges, ids))
+
+        def img(e: int | None) -> int | None:
+            return INTERFACE if e is INTERFACE else img_e[e]
+
+        for k, v in keep_t.items():
+            if self.left[v] is INTERFACE:
+                self.left[v] = img(R.left[rl.vmap_t[k]])
+        for k, v in keep_s.items():
+            if self.right[v] is INTERFACE:
+                self.right[v] = img(R.right[rl.vmap_s[k]])
+        for v in new_t:
+            self._add_target(img_t[v], img(R.left[v]), R.vtlabels[v])
+        for v in new_s:
+            self._add_source(img_s[v], img(R.right[v]), R.vslabels[v])
+        for v in new_t:
+            self._link(img_t[v], img_s[R.conn[v]])
+        rtgts, rsrcs = R.view.tgts, R.view.srcs
+        seq = self.seq.__getitem__
+        for e in R.edges:
+            self._add_edge(
+                img_e[e], R.labels[e],
+                tuple(sorted((img_t[v] for v in rtgts[e]), key=seq)),
+                tuple(sorted((img_s[v] for v in rsrcs[e]), key=seq)))
+        self.smooth()
+
+    def smooth(self) -> None:
+        """Remove every identity edge, splicing the wire through it, as
+        :func:`~linhyp.graphs.smooth` does.  After the first step the
+        only identity edges are those the last step made."""
+        for e in list(self.by_label.get(IDENTITY_LABEL, ())):
+            (t,), (s,) = self.tgts[e], self.srcs[e]
+            before = self.conn_inv.pop(s)
+            after = self.conn.pop(t)
+            if before != t:  # else a loop of this identity edge alone
+                self._link(before, after)
+            self._drop_target(t)
+            self._drop_source(s)
+            self._drop_edge(e)
+
+
 def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
               max_steps: int = 10000) -> NormalizeResult:
     """Apply rules until no rule matches or the step budget runs out.
@@ -445,28 +684,31 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     order, so runs are reproducible; :func:`normal_forms` explores every
     match order instead.  Matches are drawn lazily, so a step searches
     no further than its first match, and a rule is not searched at all
-    while the host lacks one of its edge labels.
+    while the host lacks one of its edge labels.  The host is copied
+    once and each step changes it in place, in O(|L| + |R|) beyond the
+    search; it takes the same steps to the same graph as
+    :func:`apply_rewrite` at the first of :func:`matchings`.
     """
     # a rule whose left side is the empty graph matches everywhere and
     # rewrites nothing; the driver would never terminate on it
     rules = [r for r in rules if r.L.targets or r.L.edges]
-    current = G
+    host = _Host(G)
     steps: list[Step] = []
-    while True:
-        if len(steps) >= max_steps:
-            return NormalizeResult(current, steps, exhausted=True)
-        present = set(current.labels.values())
+    while len(steps) < max_steps:
         for rule in rules:
-            if rule.labels <= present:
-                match = next(matchings(rule.L, current, up_to_homeo=True),
-                             None)
-                if match is not None:
+            if host.by_label.keys() >= rule.labels:
+                pattern, chains = rule._search
+                found = next(embeddings(pattern, host, True), None)
+                if found is not None:
                     break
         else:
-            return NormalizeResult(current, steps, exhausted=False)
-        matched_edges = tuple(sorted(match.embedding.emap.values()))
-        current = apply_rewrite(current, rule, match)
-        steps.append(Step(len(steps) + 1, rule.name, matched_edges))
+            return NormalizeResult(host.freeze() if steps else G, steps)
+        vmap_t, vmap_s, emap = _complete(rule.L, chains, found, host.expand)
+        steps.append(Step(len(steps) + 1, rule.name,
+                          tuple(sorted(emap.values()))))
+        host.rewrite(rule, vmap_t, vmap_s, emap)
+    return NormalizeResult(host.freeze() if steps else G, steps,
+                           exhausted=True)
 
 
 def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],

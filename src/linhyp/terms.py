@@ -489,12 +489,23 @@ def parse_signature(text: str) -> Signature:
         except ValueError:
             raise SignatureError(f"line {lineno}: expected 'name : WORD -> WORD'")
         name = name_part.strip()
-        if not name or name in gens:
+        if not _is_name(name):
+            raise SignatureError(
+                f"line {lineno}: {name!r} is not a generator name (a letter"
+                " or '_', then letters, digits or '_')")
+        if name in gens:
             raise SignatureError(f"line {lineno}: bad or duplicate name {name!r}")
         gens[name] = (_parse_word(dom_part.strip(), lineno),
                       _parse_word(cod_part.strip(), lineno))
     return Signature(gens, frozenset(
         {lab for d, c in gens.values() for lab in (*d, *c)} | {ANON}))
+
+
+def _is_name(text: str) -> bool:
+    """Whether :func:`_tokenize` reads ``text`` as one name token: a
+    letter or ``_``, then letters, digits or ``_``."""
+    return ((text[:1].isalpha() or text[:1] == "_")
+            and text.replace("_", "a").isalnum())
 
 
 def _parse_word(text: str, lineno: int) -> Word:

@@ -220,6 +220,37 @@ def test_bad_signature_or_lattice_file_exit_code(capsys, tmp_path, command,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name", ["f g", "1x"])
+def test_signature_name_the_grammar_cannot_spell_exit_code(capsys, tmp_path,
+                                                           name):
+    term = tmp_path / "t.term"
+    term.write_text("f")
+    (tmp_path / "bad.sig").write_text(f"f : 1 -> 1\n{name} : 1 -> 1\n")
+    code, out, err = run(capsys, "interpret", str(term), "--sig",
+                         str(tmp_path / "bad.sig"))
+    assert code == 1 and out == ""
+    assert err == (f"error: line 2: {name!r} is not a generator name (a"
+                   " letter or '_', then letters, digits or '_')\n")
+
+
+def test_extract_rejects_bad_order_entries(files, capsys, tmp_path):
+    t = tmp_path / "pair.term"
+    t.write_text("f * g")
+    _, out, _ = run(capsys, "interpret", str(t), "--sig",
+                    str(files / "circuit.sig"))
+    gfile = tmp_path / "g.json"
+    gfile.write_text(out)
+    e0, e1 = load_graph(out).edges
+    stray = max(e0, e1) + 1
+    for order, message in [(f"{e0},x", "'x' is not an edge id"),
+                           (f"{e0},", "'' is not an edge id"),
+                           (f"{stray},{e1}",
+                            f"'{stray}' is not an edge of the graph")]:
+        code, text, err = run(capsys, "extract", str(gfile), "--order", order)
+        assert code == 1 and text == ""
+        assert err == f"error: --order: {message}\n"
+
+
 def test_iso_command(files, capsys, tmp_path):
     sig = files / "circuit.sig"
     t1 = tmp_path / "a.term"

@@ -1,18 +1,20 @@
-"""The lazy rewriting driver against the list-based one.
+"""The rewriting driver against the list-based one.
 
-`normalize` takes each step's match lazily and skips rules whose edge
-labels the host lacks; `normalize_by_enumeration` lists every match of
-each rule.  Both must take the same steps to the same normal form.
+`normalize` takes each step's match lazily, skips rules whose edge
+labels the host lacks and rewrites one mutable copy of the host in
+place; `normalize_by_enumeration` lists every match of each rule and
+builds each step's graph with the pure pushout constructions.  Both must
+take the same steps to the same normal form.
 """
 import random
 
 import pytest
 
 from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normalize,
-                    parse_rules, save_graph)
+                    parse_rules, rename, save_graph)
 from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
-from linhyp.graphs import IDENTITY_LABEL
+from linhyp.graphs import IDENTITY_LABEL, LinearHypergraph, validate
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import normalize_by_enumeration
@@ -104,24 +106,39 @@ def _positions(G, step):
                         for e in step.edges))
 
 
+def _numbered(H):
+    """H with every id replaced by its stored position: equal for two
+    graphs exactly when they agree element by element in stored order."""
+    order = H.targets + H.sources + H.edges
+    return rename(H, {x: i for i, x in enumerate(order)})
+
+
 def assert_same_run(G, rules, max_steps=200):
+    """The driver's whole run against the list search, and each of the
+    list search's steps against one driver step from the same graph: the
+    same rule, the same matched positions and the same graph, element by
+    element in stored order.  Fresh ids differ (the list search expands
+    the host for matches it then discards), so elements are compared by
+    position."""
     lazy = normalize(G, rules, max_steps)
-    listed = normalize_by_enumeration(G, rules, max_steps)
-    assert ([(s.index, s.rule) for s in lazy.steps]
-            == [(s.index, s.rule) for s in listed.steps])
-    assert lazy.exhausted == listed.exhausted
-    assert save_graph(lazy.graph) == save_graph(listed.graph)
-    # step by step from the same graph: the same match and the same file.
-    # Fresh ids differ (the list search expands the host for matches it
-    # then discards), so expansion edges are compared by position.
-    cur = G
-    for _ in lazy.steps:
+    # the list search keeps no state but the graph, so its steps one at a
+    # time are its whole run
+    cur, listed = G, []
+    while len(listed) < max_steps:
         a = normalize(cur, rules, 1)
         b = normalize_by_enumeration(cur, rules, 1)
-        assert a.steps[0].rule == b.steps[0].rule
+        assert [s.rule for s in a.steps] == [s.rule for s in b.steps]
+        if not b.steps:
+            break
         assert _positions(cur, a.steps[0]) == _positions(cur, b.steps[0])
-        assert save_graph(a.graph) == save_graph(b.graph)
-        cur = a.graph
+        assert _numbered(a.graph) == _numbered(b.graph)
+        listed.append(b.steps[0].rule)
+        cur = b.graph
+    assert [s.rule for s in lazy.steps] == listed
+    assert [s.index for s in lazy.steps] == list(range(1, len(listed) + 1))
+    assert lazy.exhausted == (len(listed) == max_steps)
+    assert _numbered(lazy.graph) == _numbered(cur)
+    assert save_graph(lazy.graph) == save_graph(cur)
     return lazy
 
 
@@ -132,6 +149,144 @@ def test_lazy_driver_agrees_on_rewrite_hosts():
         res = assert_same_run(_host(rng), RULES)
         taken.update(s.rule for s in res.steps)
     assert taken == {"hh", "ff", "copy-nat", "counit", "k-drop"}
+
+
+@pytest.mark.parametrize("n,max_steps", [(160, 200), (320, 400), (640, 64)],
+                         ids=["160", "320", "640"])
+def test_driver_agrees_on_long_chains(n, max_steps):
+    """Each ``ff`` step appends its f to the stored order, so once the
+    first half of the chain is used up, matches run over the edges that
+    earlier steps made.  The list search costs O(n) per step, so the
+    640-chain runs out of budget after its first 64 steps."""
+    res = assert_same_run(interpret(_chain([Gen("f")] * n), RSIG), RULES,
+                          max_steps)
+    assert len(res.steps) == min(n - 1, max_steps)
+    assert res.exhausted == (max_steps < n - 1)
+
+
+def _counting_expand(monkeypatch):
+    """Count the identity edges the driver inserts into its host."""
+    calls = []
+    real = rewrite._Host.expand
+
+    def counting(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(rewrite._Host, "expand", counting)
+    return calls
+
+
+def _loops(rng, count):
+    """Loops of 1-5 f's, half of them through one w: ``ff`` on a bare
+    loop of two f's splits its wire while the boundary is resolved."""
+    parts = []
+    for _ in range(count):
+        body = [Gen("f")] * rng.randint(1, 5)
+        if rng.random() < 0.5:
+            body = [Gen("w")] + body
+        parts.append(Trace(1, _chain(body)))
+    return interpret(_tensor_all(parts), RSIG)
+
+
+def test_driver_agrees_on_hosts_with_many_loops(monkeypatch):
+    rng = random.Random(3)
+    splits = _counting_expand(monkeypatch)
+    for _ in range(8):
+        res = assert_same_run(_loops(rng, rng.randint(8, 12)), RULES)
+        assert {s.rule for s in res.steps} == {"ff"}
+    assert splits
+
+
+def test_rejected_candidates_leave_no_trace(monkeypatch):
+    """The loops through w come first in stored order, and each of their
+    f's is tried and rejected as the anchor of ``ff``; the bare 2-loop
+    then matches by splitting its wire.  The driver inserts an identity
+    edge for the match it takes only, where the list search also
+    expands the host for the match it discards."""
+    host = interpret(_tensor_all(
+        [Trace(1, Seq(Gen("w"), Gen("f")))] * 4
+        + [Trace(1, Seq(Gen("f"), Gen("f")))]), RSIG)
+    expanded = []
+    real = rewrite.expand
+    monkeypatch.setattr(rewrite, "expand",
+                        lambda H, w: expanded.append(w) or real(H, w))
+    listed = normalize_by_enumeration(host, RULES)
+    assert len(expanded) == 2  # both rotations of the 2-loop
+    splits = _counting_expand(monkeypatch)
+    res = assert_same_run(host, RULES)
+    assert [s.rule for s in res.steps] == [s.rule for s in listed.steps]
+    assert [(s.rule, _positions(host, s)) for s in res.steps] == [
+        ("ff", (8, 9))]
+    assert len(splits) == 2  # the whole run, then the step replayed
+    assert save_graph(res.graph) == save_graph(interpret(_tensor_all(
+        [Trace(1, Seq(Gen("w"), Gen("f")))] * 4 + [Trace(1, Gen("f"))]),
+        RSIG))
+
+
+def test_host_tables_stay_those_of_its_graph(monkeypatch):
+    """After every in-place step the host's port tables, ``conn``
+    inverse, label index and vertex numbering are those of the graph it
+    stands for.  ``glue`` puts an f's output beside a new p on a c that
+    R lists the other way round: ports follow the stored order, as in
+    :func:`pushout`."""
+    checked = []
+    real = rewrite._Host.rewrite
+
+    def checking(self, *args):
+        real(self, *args)
+        H = LinearHypergraph(
+            tuple(self.targets), tuple(self.sources), tuple(self.labels),
+            dict(self.left), dict(self.right), dict(self.conn),
+            dict(self.labels), dict(self.vtlabels), dict(self.vslabels))
+        assert validate(H) == []
+        assert (self.tgts, self.srcs) == H.port_tables()
+        assert self.conn_inv == H.conn_inv()
+        assert {lab: list(es) for lab, es in self.by_label.items()} == (
+            H.view.by_label)
+        for order in (H.targets, H.sources):
+            assert sorted(order, key=self.seq.__getitem__) == list(order)
+        checked.append(len(H.edges))
+
+    monkeypatch.setattr(rewrite._Host, "rewrite", checking)
+    glue = parse_rules("glue : f ; c => c ; p * id 1\n", RSIG)
+    rng = random.Random(9)
+    for _ in range(10):
+        assert_same_run(_host(rng), RULES)
+    for G in _circuits(two_point_sig(), rng, 10):
+        assert_same_run(G, eval_rules(two_point_sig()), max_steps=40)
+    G = interpret(_chain([Gen("f"), Gen("c"), Tensor(Gen("f"), Gen("p")),
+                          Tensor(Gen("c"), Gen("c"))]), RSIG)
+    assert_same_run(G, glue + RULES)
+    assert len(checked) > 100
+
+
+def test_normalize_cost_per_step_builds_no_graph(monkeypatch):
+    """A step changes the host in place: a run builds port tables and
+    graphs a fixed number of times, whatever the length of the chain."""
+    normalize(interpret(_chain([Gen("f")] * 3), RSIG), RULES)  # warm caches
+    counts = []
+    real_tables = LinearHypergraph.port_tables
+    real_post_init = LinearHypergraph.__post_init__
+
+    def tables(self):
+        counts[-1]["port_tables"] += 1
+        return real_tables(self)
+
+    def post_init(self):
+        counts[-1]["graphs"] += 1
+        real_post_init(self)
+
+    for n in (40, 320):
+        G = interpret(_chain([Gen("f")] * n), RSIG)
+        counts.append({"port_tables": 0, "graphs": 0})
+        monkeypatch.setattr(LinearHypergraph, "port_tables", tables)
+        monkeypatch.setattr(LinearHypergraph, "__post_init__", post_init)
+        res = normalize(G, RULES)
+        monkeypatch.undo()
+        assert len(res.steps) == n - 1 and len(res.graph.edges) == 1
+    assert counts[0] == counts[1]
+    assert counts[0]["graphs"] <= 1 and counts[0]["port_tables"] <= 1
 
 
 @pytest.mark.parametrize("make_sig", [two_point_sig, belnap_sig],

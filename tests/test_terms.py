@@ -115,6 +115,23 @@ def test_parse_signature_file():
     assert sig.cod("h") == ("C", "D")
 
 
+@pytest.mark.parametrize("name", ["f g", "1x", "f-g", "f.g", "", "x'", "²x"])
+def test_parse_signature_rejects_names_the_grammar_cannot_spell(name):
+    with pytest.raises(SignatureError) as info:
+        parse_signature(f"f : 1 -> 1\n{name} : 1 -> 1\n")
+    assert str(info.value).startswith(f"line 2: {name!r} is not a")
+
+
+def test_parse_signature_takes_every_name_token():
+    sig = parse_signature("_ : 1 -> 1\nf_1 : 1 -> 2\n  Gx2 : 0 -> 1\n"
+                          "é² : 1 -> 1\n")
+    assert set(sig.generators) == {"_", "f_1", "Gx2", "é²"}
+    assert parse_term("é² ; _", sig) == Seq(Gen("é²"), Gen("_"))
+    assert type_of(parse_term("_ ; f_1", sig), sig) == (word(1), word(2))
+    # programmatic signatures keep their own rules
+    assert "f g" in signature({"f g": (1, 1)})
+
+
 def test_stage_single_generator(sig):
     assert stage(Gen("f"), sig) == Gen("f")
 
