@@ -81,19 +81,19 @@ def shuffle(H: LinearHypergraph) -> Term:
     source.  Each step pulls the wire feeding the next source to the top;
     the rest is shuffled under that wire.  The steps are collected first
     and nested from the innermost outward, so wide graphs need no
-    recursion.
+    recursion.  For n wires the term has Θ(n) nodes but Θ(n²) total word
+    length, since each of the n steps spells out the remaining wires.
     """
     ts = list(H.targets)
+    labels = [H.vtlabels[v] for v in ts]   # kept in step with ts
     conn_inv = H.conn_inv()
     steps: list[tuple[Term, str]] = []
     for v_s in H.sources:
-        v_t = conn_inv[v_s]
-        i = ts.index(v_t)
-        lead_word = tuple(H.vtlabels[v] for v in ts[:i])
-        step: Term = Tensor(Swap(lead_word, (H.vtlabels[v_t],)), Id(
-            tuple(H.vtlabels[v] for v in ts[i + 1:])))
+        i = ts.index(conn_inv[v_s])
+        step: Term = Tensor(Swap(tuple(labels[:i]), (labels[i],)),
+                            Id(tuple(labels[i + 1:])))
         steps.append((step, H.vslabels[v_s]))
-        del ts[i]
+        del ts[i], labels[i]
     out: Term = Id(())
     for step, label in reversed(steps):
         out = Seq(step, Tensor(Id((label,)), out))

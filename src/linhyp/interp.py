@@ -11,11 +11,18 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
 
     Generators become single edges; identity, swap, composition, tensor
     and trace map to the corresponding graph operations.  Built in one
-    iterative post-order pass: each leaf allocates its ids once,
-    composition and trace splice wires in place, and tensor joins the
-    two interface lists.  Each splice deletes two vertices, so apart from
-    tensor's bulk list joins the cost is linear in the size of the term,
-    and the term may be arbitrarily deep.
+    iterative post-order pass, so the term may be arbitrarily deep.
+    Identities and swaps allocate nothing: each is a permutation
+    ``(dom, cod, src)`` whose output ``j`` carries input ``src[j]``, and
+    composition and tensor of two permutations compose them as lists.
+    Each maximal run of identities and swaps thus becomes one permutation,
+    which gets two ids per wire only when something needs vertices: a
+    generator, a trace, a composition or tensor with a built graph, or
+    the end of the pass.  Generators allocate their ids once, composition
+    and trace splice wires in place, and tensor joins the two interface
+    lists.  Apart from bulk list joins the cost is linear in the number
+    of nodes plus the total word length of the identity and swap leaves;
+    the ids drawn for an extracted term are linear in the graph.
     The stored orders match the fold of :mod:`linhyp.ops` combinators:
     leaf vertices and edges in left-to-right leaf order, minus the
     spliced ones.
@@ -53,14 +60,35 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         b[:0] = a
         return b
 
-    # interfaces of finished subterms: (input targets, output sources)
-    values: list[tuple[list[int], list[int]]] = []
+    def mismatch(cod, dom, u: Term) -> TypeMismatch:
+        return TypeMismatch(f"cannot compose: {render_word(cod)} does not"
+                            f" match {render_word(dom)}", u)
+
+    def materialise() -> None:
+        """Give the pending permutations vertices, in stack order."""
+        nonlocal pending
+        for p in range(len(values) - pending, len(values)):
+            dom, cod, src = values[p]
+            k = len(dom)
+            ids = fresh_ids(2 * k)
+            ts, ss = ids[:k], ids[k:]
+            add_wires(ts, dom, ss, cod, [(ts[j], s) for j, s in zip(src, ss)])
+            values[p] = (ts, ss)
+        pending = 0
+
+    # interfaces of finished subterms: (input targets, output sources), or
+    # for the last ``pending`` ones a permutation (dom, cod, src) whose
+    # output j carries input src[j]
+    values: list = []
+    pending = 0
     todo: list[tuple[Term, bool]] = [(t, False)]
     while todo:
         u, ready = todo.pop()
         if isinstance(u, Gen):
             if u.name not in sig:
                 raise TypeMismatch(f"unknown generator {u.name!r}", u)
+            if pending:
+                materialise()
             dom, cod = sig.generators[u.name]
             m, n = len(dom), len(cod)
             ids = fresh_ids(2 * (m + n) + 1)
@@ -76,13 +104,10 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             values.append((ins, outs))
         elif isinstance(u, (Id, Swap)):
             a, b = (u.word, ()) if isinstance(u, Id) else (u.upper, u.lower)
-            k = len(a) + len(b)
-            ids = fresh_ids(2 * k)
-            ts, ss = ids[:k], ids[k:]
             # the a-block leaves below the b-block
-            add_wires(ts, a + b, ss, b + a,
-                      list(zip(ts, ss[len(b):] + ss[:len(b)])))
-            values.append((ts, ss))
+            values.append((a + b, b + a, list(range(len(a), len(a) + len(b)))
+                           + list(range(len(a)))))
+            pending += 1
         elif not isinstance(u, (Seq, Tensor, Trace)):
             raise TypeMismatch(f"not a term: {u!r}", u)
         elif not ready:
@@ -94,6 +119,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             else:
                 todo += [(u.bottom, False), (u.top, False)]
         elif isinstance(u, Trace):
+            if pending:
+                materialise()
             ins, outs = values[-1]
             x = u.loop
             dom = tuple(targets[v] for v in ins[:len(x)])
@@ -106,7 +133,21 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             for o, i in zip(outs[:len(x)], ins[:len(x)]):
                 splice(o, i)
             del outs[:len(x)], ins[:len(x)]
+        elif pending >= 2:  # pending values are a suffix: both operands
+            (f_dom, f_cod, f_src), (g_dom, g_cod, g_src) = \
+                values[-2], values.pop()
+            pending -= 1
+            if isinstance(u, Tensor):
+                k = len(f_dom)
+                values[-1] = (f_dom + g_dom, f_cod + g_cod,
+                              f_src + [k + j for j in g_src])
+                continue
+            if f_cod != g_dom:
+                raise mismatch(f_cod, g_dom, u)
+            values[-1] = (f_dom, g_cod, [f_src[j] for j in g_src])
         else:
+            if pending:
+                materialise()
             (f_ins, f_outs), (g_ins, g_outs) = values[-2], values.pop()
             if isinstance(u, Tensor):
                 values[-1] = (cat(f_ins, g_ins), cat(f_outs, g_outs))
@@ -114,13 +155,13 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             cod = tuple(sources[v] for v in f_outs)
             dom = tuple(targets[v] for v in g_ins)
             if cod != dom:
-                raise TypeMismatch(
-                    f"cannot compose: {render_word(cod)} does not match"
-                    f" {render_word(dom)}", u)
+                raise mismatch(cod, dom, u)
             for o, i in zip(f_outs, g_ins):
                 splice(o, i)
             values[-1] = (f_ins, g_outs)
 
+    if pending:
+        materialise()
     # fresh dicts: the working ones keep the capacity of their peak size
     return LinearHypergraph(
         targets=tuple(targets),

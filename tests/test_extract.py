@@ -9,7 +9,7 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, check_coherence,
                     identity, interpret, parse_term, shuffle, stack, tensor,
                     trace, untangle, validate)
 from linhyp.extract import canonical_edge_order
-from linhyp.graphs import INTERFACE, LinearHypergraph, fresh_ids
+from linhyp.graphs import _SUPPLY, INTERFACE, LinearHypergraph, fresh_ids
 from linhyp.laws import law_signature, random_graph, random_term
 
 
@@ -213,11 +213,41 @@ def test_composite_definability(rng):
                           Trace(1, extract_term(X)), SIG)
 
 
+def _interpret_counting_ids(t, sig):
+    before = _SUPPLY.next
+    G = interpret(t, sig)
+    return G, _SUPPLY.next - before
+
+
 def test_extract_wide_identity_needs_no_recursion():
-    # the shuffle of n wires nests n steps deep; its interpretation holds
-    # Θ(n²) wires, so only the extraction itself is run at this width
-    t = extract_term(interpret(Id(1500), SIG))
-    assert isinstance(t, Trace)
+    perm = random.Random(1500).sample(range(1500), 1500)
+    for H in (identity(1500), permutation_graph(perm)):
+        t = extract_term(H)
+        assert isinstance(t, Trace)
+        G, drawn = _interpret_counting_ids(t, SIG)
+        assert drawn == 2 * 1500
+        assert find_isomorphism(G, H) is not None
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 300])
+def test_interpreting_extracted_wiring_draws_two_ids_per_wire(n):
+    # the whole extracted term is identities and swaps: one permutation
+    perm = random.Random(n).sample(range(n), n)
+    for H in (identity(n), permutation_graph(perm)):
+        assert _interpret_counting_ids(extract_term(H), SIG)[1] == 2 * n
+
+
+def test_interpreting_extracted_composite_draws_linear_ids():
+    # two ids per wire of the permutation in front of the generators and
+    # of the output identity behind them, and 2 * ports + 1 per generator
+    for seed in range(5):
+        H = random_graph(random.Random(seed), SIG, max_edges=300,
+                         max_extra_wires=10)
+        tgts, srcs = H.port_tables()
+        ports = sum(len(tgts[e]) + len(srcs[e]) for e in H.edges)
+        expected = (2 * len(H.targets) + 2 * ports + len(H.edges)
+                    + 2 * len(H.outputs()))
+        assert _interpret_counting_ids(extract_term(H), SIG)[1] == expected
 
 
 @pytest.mark.parametrize("H", [

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
-                    equal_mod_stmc, find_isomorphism, identity, interpret,
-                    parse_term, rename, signature, type_of, validate)
-from linhyp.laws import axiom_schemes, law_signature, random_term
+                    equal_mod_stmc, extract_term, find_isomorphism, identity,
+                    interpret, parse_term, rename, signature, type_of,
+                    validate)
+from linhyp.laws import axiom_schemes, law_signature, random_graph, random_term
 from oracles import interpret_by_combinators
 
 SIG = law_signature()
@@ -182,6 +183,46 @@ def test_builder_matches_combinator_fold_on_crossings(t, sig):
 
 
 @pytest.mark.parametrize("t, sig", [
+    # identity/swap blocks left and right of Seq and Tensor, by generators
+    (Seq(Id(1), Gen("f")), SIG),
+    (Seq(Gen("f"), Id(1)), SIG),
+    (Seq(Seq(Swap(1, 1), Tensor(Id(1), Id(1))), Gen("h")), SIG),
+    (Seq(Gen("h"), Seq(Swap(1, 1), Tensor(Id(1), Id(1)))), SIG),
+    (Tensor(Swap(1, 1), Gen("f")), SIG),
+    (Tensor(Gen("f"), Seq(Swap(1, 2), Swap(2, 1))), SIG),
+    (Tensor(Id(1), Tensor(Gen("f"), Id(2))), SIG),
+    (Seq(Tensor(Id(1), Gen("g")), Seq(Swap(1, 2), Tensor(Gen("k"), Id(1)))),
+     SIG),
+    (Seq(Tensor(Id("A"), Gen("f")),
+         Seq(Seq(Swap("A", "B"), Swap("B", "A")), Gen("h"))), LSIG),
+    (Tensor(Id(()), Gen("f")), SIG),
+    (Seq(Gen("z"), Id(())), SIG),
+    # under a trace, bare or beside generators and pending blocks
+    (Trace(2, Swap(2, 2)), SIG),
+    (Trace(("A", "B"), Swap(("A", "B"), ("A", "B"))), LSIG),
+    (Trace(1, Seq(Tensor(Id(1), Id(1)), Swap(1, 1))), SIG),
+    (Trace(1, Seq(Swap(1, 1), Tensor(Gen("f"), Id(1)))), SIG),
+    (Tensor(Gen("u"), Trace(1, Swap(1, 1))), SIG),
+    (Seq(Tensor(Id(1), Trace(1, Seq(Swap(1, 1), Id(2)))), Gen("h")), SIG),
+    # the whole term
+    (Id(()), SIG),
+    (Id(3), SIG),
+    (Swap(2, 1), SIG),
+    (Seq(Swap(1, 2), Swap(2, 1)), SIG),
+    (Tensor(Swap(1, 1), Seq(Id(2), Swap(1, 1))), SIG),
+    (Seq(Tensor(Id("A"), Swap("B", "A")), Swap(("A", "A"), "B")), LSIG),
+])
+def test_builder_matches_combinator_fold_on_wiring(t, sig):
+    assert_same_stored_order(t, sig)
+
+
+def test_builder_matches_combinator_fold_on_extracted_terms():
+    for seed in range(200):
+        H = random_graph(random.Random(seed), SIG)
+        assert_same_stored_order(extract_term(H), SIG)
+
+
+@pytest.mark.parametrize("t, sig", [
     (Seq(Gen("f"), Gen("h")), SIG),
     (Tensor(Gen("f"), Seq(Gen("k"), Gen("h"))), SIG),
     (Trace(2, Gen("g")), SIG),
@@ -190,12 +231,24 @@ def test_builder_matches_combinator_fold_on_crossings(t, sig):
     (Seq(Gen("f"), Gen("f")), LSIG),
     (Seq(Gen("f"), Gen("nope")), SIG),
     (Tensor(Gen("nope"), Seq(Gen("f"), Gen("h"))), SIG),
+    (Seq(Swap(1, 1), Id(3)), SIG),
+    (Tensor(Gen("f"), Seq(Id(1), Seq(Swap(1, 1), Id(2)))), SIG),
+    (Seq(Swap("A", "B"), Id(("A", "B"))), LSIG),
 ])
 def test_builder_type_errors_match_combinator_fold(t, sig):
     with pytest.raises(TypeMismatch):
         interpret_by_combinators(t, sig)
     with pytest.raises(TypeMismatch):
         interpret(t, sig)
+
+
+def test_wiring_type_error_names_both_words():
+    with pytest.raises(TypeMismatch,
+                       match=r"^cannot compose: 2 does not match 3$"):
+        interpret(Seq(Swap(1, 1), Id(3)), SIG)
+    with pytest.raises(TypeMismatch, match=r"^cannot compose: \[B,A\] does"
+                                           r" not match \[A,B\]$"):
+        interpret(Seq(Swap("A", "B"), Id(("A", "B"))), LSIG)
 
 
 @pytest.mark.parametrize("nested", ["left", "right"])
