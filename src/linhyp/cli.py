@@ -1,8 +1,8 @@
 """Command-line workbench.
 
 Exit codes: 0 success, 1 malformed input (graph file, rule, signature,
-lattice, edge order), failed axiom check or internal error, 2 parse error,
-3 type error, 4 budget exhausted.
+lattice, edge order, negative step budget), failed axiom check or internal
+error, 2 parse error, 3 type error, 4 budget exhausted.
 """
 from __future__ import annotations
 
@@ -89,7 +89,13 @@ def cmd_iso(args) -> int:
     return EXIT_OK
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"--steps must be 0 or more, not {steps}")
+
+
 def cmd_rewrite(args) -> int:
+    _check_steps(args.steps)
     H = load_graph(_read(args.graph_file))
     sig = _load_sig(args.sig)
     rules = parse_rules(_read(args.rules), sig)
@@ -109,6 +115,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_steps(args.steps)
     csig = parse_circuit_signature(_read(args.lattice))
     sig = csig.signature()
     term = parse_term(_read(args.term_file).strip(), sig)

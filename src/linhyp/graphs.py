@@ -51,9 +51,11 @@ reserve_ids = _SUPPLY.reserve
 class GraphView:
     """The tables the embedding search and the commuting checks read
     from a graph: its vertex and edge maps, each edge's ordered target
-    and source ports, the inverse of ``conn`` and the edges by label.
-    Iterating ``targets`` and each ``by_label`` entry gives them in
-    stored order.  The last two tables are built on first use.
+    and source ports, the inverse of ``conn``, the edges by label and
+    each edge's stored position (``edge_seq``, a number that grows along
+    the stored order).  Iterating ``targets`` and each ``by_label`` entry
+    gives them in stored order.  The last three tables are built on
+    first use.
     """
 
     def __init__(self, H: LinearHypergraph) -> None:
@@ -73,6 +75,10 @@ class GraphView:
         for e in self._edges:
             out.setdefault(self.labels[e], []).append(e)
         return out
+
+    @cached_property
+    def edge_seq(self) -> dict[int, int]:
+        return {e: i for i, e in enumerate(self._edges)}
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,11 @@ class LinearHypergraph:
     def view(self) -> GraphView:
         """The graph's tables for matching, built once."""
         return GraphView(self)
+
+    @cached_property
+    def pattern(self) -> PatternTables:
+        """The graph's tables as a pattern to match, built once."""
+        return PatternTables(self)
 
     def __repr__(self) -> str:
         m, n = self.arity()
@@ -470,14 +481,52 @@ def commutes(F: LinearHypergraph, G: GraphView, vmap_t: dict[int, int],
 # Embedding search
 # ---------------------------------------------------------------------------
 
-class _Conflict(Exception):
-    """A partial map that no embedding extends."""
-
-
 #: A map of L's elements into a host, as :func:`embeddings` yields it:
 #: target, source and edge maps, and the host wires to split.
 Found = tuple[dict[int, int], dict[int, int], dict[int, int],
               list[tuple[int, int, int]]]
+
+# the kinds of element a search maps, indexing its tables
+_T, _S, _E = 0, 1, 2
+
+
+class PatternTables:
+    """What :func:`embeddings` reads from a pattern graph L beyond its
+    view; built once per graph, as ``LinearHypergraph.pattern``.
+
+    ``port_t`` and ``port_s`` give the edge and port index of each port
+    vertex.  ``components`` lists L's wire-connected components in
+    stored order of their first edges, each as its edges in walk order
+    from that first edge.  ``bare_wires`` run from L's input interface
+    straight to its output interface.  ``out_wires`` leave an edge for
+    the output interface and ``in_wires`` enter an edge from the input
+    interface: their loose ends are bound last when matching up to
+    homeomorphism, so propagation does not cross them (``defer_t`` and
+    ``defer_s``).
+    """
+
+    def __init__(self, L: LinearHypergraph) -> None:
+        lv = L.view
+        ltgts, lsrcs = lv.tgts, lv.srcs
+        self.port_t = {v: (e, i) for e in L.edges
+                       for i, v in enumerate(ltgts[e])}
+        self.port_s = {v: (e, i) for e in L.edges
+                       for i, v in enumerate(lsrcs[e])}
+        self.components: list[list[int]] = []
+        placed: set[int] = set()
+        for e in L.edges:
+            if e not in placed:
+                self.components.append(
+                    _walk(L, ltgts, lsrcs, lv.conn_inv, (e,), placed))
+        left, right, conn = L.left, L.right, L.conn
+        self.bare_wires = [t for t in L.targets if left[t] is INTERFACE
+                           and right[conn[t]] is INTERFACE]
+        self.out_wires = [t for t in L.targets if left[t] is not INTERFACE
+                          and right[conn[t]] is INTERFACE]
+        self.in_wires = [t for t in L.targets if left[t] is INTERFACE
+                         and right[conn[t]] is not INTERFACE]
+        self.defer_t = frozenset(self.out_wires)
+        self.defer_s = frozenset(conn[t] for t in self.in_wires)
 
 
 def embeddings(L: LinearHypergraph, G: GraphView,
@@ -488,10 +537,17 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     The wire-propagation engine behind matching: fixing the image of a
     vertex or an edge fixes its wire and edge-port neighbours, so a
     search state is propagated to closure after each choice, and a clash
-    discards it.  Each edge component of L is pinned by its first edge
-    in stored order, trying G's edges of its label in stored order; bare
-    wires of L then range over the remaining wires of G.  L's interfaces
-    may land anywhere.
+    undoes it.  The maps come ordered by the host image of each edge
+    component's first edge in L's stored order, in G's stored order,
+    component by component; bare wires of L then range over the
+    remaining wires of G.  L's interfaces may land anywhere.
+
+    Fixing one edge fixes its whole component, so each component's
+    search starts from its edge whose label has the fewest edges in G.
+    When that is not the component's first edge, the first edge's images
+    that complete the component are collected and sorted by G's stored
+    order (``G.edge_seq``) before the search goes on, which keeps the
+    order above.
 
     With ``up_to_homeo`` the loose ends of L's boundary wires are bound
     last.  When the wire leaving the matched part re-enters it
@@ -505,161 +561,185 @@ def embeddings(L: LinearHypergraph, G: GraphView,
 
     Every yielded map is total and injective once split, and commutes.
     """
-    lv = L.view
-    ltgts, lsrcs, lconn_inv = lv.tgts, lv.srcs, lv.conn_inv
-    l_port_t = {v: (e, i) for e in L.edges for i, v in enumerate(ltgts[e])}
-    l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
-    gtgts, gsrcs, gconn_inv = G.tgts, G.srcs, G.conn_inv
+    yield from _Search(L, G, up_to_homeo).components(0)
 
-    # the first edge in stored order of each wire-connected component
-    anchors: list[int] = []
-    placed: set[int] = set()
-    for e in L.edges:
-        if e not in placed:
-            anchors.append(e)
-            _walk(L, ltgts, lsrcs, lconn_inv, (e,), placed)
 
-    bare_wires = [t for t in L.targets
-                  if L.left[t] is INTERFACE
-                  and L.right[L.conn[t]] is INTERFACE]
-    # boundary wires whose loose end is bound late in homeo mode
-    out_wires = [t for t in L.targets
-                 if L.left[t] is not INTERFACE
-                 and L.right[L.conn[t]] is INTERFACE]
-    in_wires = [t for t in L.targets
-                if L.left[t] is INTERFACE
-                and L.right[L.conn[t]] is not INTERFACE]
+class _Search:
+    """One run of :func:`embeddings`: the partial map of L into G, held
+    in one set of tables, and the trail of its assignments in the order
+    they were made, which undoing pops.  Entries past the point where an
+    extension started are also that extension's propagation agenda."""
 
-    def put(state, kind: str, a: int, b: int) -> None:
-        table, used = state[kind]
+    def __init__(self, L: LinearHypergraph, G: GraphView,
+                 up_to_homeo: bool) -> None:
+        self.L, self.G, self.homeo = L, G, up_to_homeo
+        self.P = P = L.pattern
+        self.defer_t = P.defer_t if up_to_homeo else frozenset()
+        self.defer_s = P.defer_s if up_to_homeo else frozenset()
+        self.maps: tuple[dict[int, int], ...] = ({}, {}, {})
+        self.used: tuple[set[int], ...] = (set(), set(), set())
+        self.trail: list[tuple[int, int]] = []
+        # each component's first edge, and the edge its search starts at
+        by_label, labels = G.by_label, L.labels
+        self.starts = [(comp[0], min(comp, key=lambda e: len(
+            by_label.get(labels[e], ())))) for comp in P.components]
+
+    def put(self, kind: int, a: int, b: int) -> bool:
+        """Record ``a -> b`` unless it clashes with the map."""
+        table = self.maps[kind]
         if a in table:
-            if table[a] != b:
-                raise _Conflict
-            return
+            return table[a] == b
+        used = self.used[kind]
         if b in used:
-            raise _Conflict
+            return False
         table[a] = b
         used.add(b)
-        state["agenda"].append((kind, a))
+        self.trail.append((kind, a))
+        return True
 
-    def propagate(state) -> None:
-        agenda = state["agenda"]
-        tmap, smap, emap = state["t"][0], state["s"][0], state["e"][0]
-        while agenda:
-            kind, a = agenda.pop()
-            if kind == "t":
+    def undo(self, mark: int) -> None:
+        """Drop the assignments made since the trail was ``mark`` long."""
+        trail, maps, used = self.trail, self.maps, self.used
+        while len(trail) > mark:
+            kind, a = trail.pop()
+            used[kind].remove(maps[kind].pop(a))
+
+    def extend(self, kind: int, a: int, b: int) -> bool:
+        """Add ``a -> b`` and propagate it to closure; on a clash, undo
+        all of it and return False."""
+        mark = len(self.trail)
+        if self.put(kind, a, b) and self.propagate(mark):
+            return True
+        self.undo(mark)
+        return False
+
+    def propagate(self, i: int) -> bool:
+        """Check the assignments on the trail from position ``i`` and add
+        what each forces, until none is left; False on a clash."""
+        L, G, P, put, trail = self.L, self.G, self.P, self.put, self.trail
+        lv, tmap, smap, emap = L.view, *self.maps
+        defer_t, defer_s = self.defer_t, self.defer_s
+        while i < len(trail):
+            kind, a = trail[i]
+            i += 1
+            if kind == _T:
                 b = tmap[a]
                 if L.vtlabels[a] != G.vtlabels[b]:
-                    raise _Conflict
-                partner = L.conn[a]
-                defer = (up_to_homeo
-                         and L.left[a] is not INTERFACE
-                         and L.right[partner] is INTERFACE)
-                if not defer:
-                    put(state, "s", partner, G.conn[b])
-                if a in l_port_t:
-                    e, i = l_port_t[a]
+                    return False
+                if a not in defer_t and not put(_S, L.conn[a], G.conn[b]):
+                    return False
+                port = P.port_t.get(a)
+                if port is not None:
+                    e, j = port
                     d = G.left[b]
                     if d is INTERFACE or G.labels[d] != L.labels[e]:
-                        raise _Conflict
-                    if len(gtgts[d]) <= i or gtgts[d][i] != b:
-                        raise _Conflict
-                    put(state, "e", e, d)
-            elif kind == "s":
+                        return False
+                    ports = G.tgts[d]
+                    if len(ports) <= j or ports[j] != b or not put(_E, e, d):
+                        return False
+            elif kind == _S:
                 b = smap[a]
                 if L.vslabels[a] != G.vslabels[b]:
-                    raise _Conflict
-                partner = lconn_inv[a]
-                defer = (up_to_homeo
-                         and L.right[a] is not INTERFACE
-                         and L.left[partner] is INTERFACE)
-                if not defer:
-                    put(state, "t", partner, gconn_inv[b])
-                if a in l_port_s:
-                    e, i = l_port_s[a]
+                    return False
+                if a not in defer_s and not put(
+                        _T, lv.conn_inv[a], G.conn_inv[b]):
+                    return False
+                port = P.port_s.get(a)
+                if port is not None:
+                    e, j = port
                     d = G.right[b]
                     if d is INTERFACE or G.labels[d] != L.labels[e]:
-                        raise _Conflict
-                    if len(gsrcs[d]) <= i or gsrcs[d][i] != b:
-                        raise _Conflict
-                    put(state, "e", e, d)
+                        return False
+                    ports = G.srcs[d]
+                    if len(ports) <= j or ports[j] != b or not put(_E, e, d):
+                        return False
             else:
                 d = emap[a]
-                if G.labels[d] != L.labels[a]:
-                    raise _Conflict
-                if (len(gtgts[d]) != len(ltgts[a])
-                        or len(gsrcs[d]) != len(lsrcs[a])):
-                    raise _Conflict
-                for u, w in zip(ltgts[a], gtgts[d]):
-                    put(state, "t", u, w)
-                for u, w in zip(lsrcs[a], gsrcs[d]):
-                    put(state, "s", u, w)
+                ltgts, lsrcs = lv.tgts[a], lv.srcs[a]
+                gtgts, gsrcs = G.tgts[d], G.srcs[d]
+                if (G.labels[d] != L.labels[a] or len(gtgts) != len(ltgts)
+                        or len(gsrcs) != len(lsrcs)):
+                    return False
+                for u, w in zip(ltgts, gtgts):
+                    if not put(_T, u, w):
+                        return False
+                for u, w in zip(lsrcs, gsrcs):
+                    if not put(_S, u, w):
+                        return False
+        return True
 
-    def extend(state, kind: str, a: int, b: int):
-        """A copy of ``state`` with ``a -> b`` added and propagated, or
-        None on a clash."""
-        (tmap, used_t), (smap, used_s), (emap, used_e) = (
-            state["t"], state["s"], state["e"])
-        trial = {"t": (dict(tmap), set(used_t)), "s": (dict(smap), set(used_s)),
-                 "e": (dict(emap), set(used_e)), "agenda": []}
-        try:
-            put(trial, kind, a, b)
-            propagate(trial)
-        except _Conflict:
-            return None
-        return trial
+    def anchor_images(self, anchor: int, start: int) -> Iterable[int]:
+        """The host edges to try for a component's first edge, in G's
+        stored order: those of its label or, when the search starts
+        elsewhere, those that complete the component."""
+        edges = self.G.by_label.get(self.L.labels[start], ())
+        if start == anchor:
+            return edges
+        used_e, emap = self.used[_E], self.maps[_E]
+        mark = len(self.trail)
+        images = []
+        for d in edges:
+            if d not in used_e and self.extend(_E, start, d):
+                images.append(emap[anchor])
+                self.undo(mark)
+        images.sort(key=self.G.edge_seq.__getitem__)
+        return images
 
-    def assign_components(idx: int, state):
-        used_e = state["e"][1]
-        if idx == len(anchors):
-            yield from assign_bare(0, state)
+    def components(self, idx: int) -> Iterator[Found]:
+        if idx == len(self.starts):
+            yield from self.bare(0)
             return
-        anchor = anchors[idx]
-        for d in G.by_label.get(L.labels[anchor], ()):
-            if d in used_e:
-                continue
-            trial = extend(state, "e", anchor, d)
-            if trial is not None:
-                yield from assign_components(idx + 1, trial)
+        anchor, start = self.starts[idx]
+        used_e = self.used[_E]
+        mark = len(self.trail)
+        for d in self.anchor_images(anchor, start):
+            if d not in used_e and self.extend(_E, anchor, d):
+                yield from self.components(idx + 1)
+                self.undo(mark)
 
-    def assign_bare(idx: int, state):
-        if idx == len(bare_wires):
-            found = finish(state)
+    def bare(self, idx: int) -> Iterator[Found]:
+        P, G = self.P, self.G
+        if idx == len(P.bare_wires):
+            found = self.finish()
             if found is not None:
                 yield found
             return
-        t = bare_wires[idx]
-        used_t, used_s = state["t"][1], state["s"][1]
+        t = P.bare_wires[idx]
+        lab = self.L.vtlabels[t]
+        used_t, used_s = self.used[_T], self.used[_S]
+        mark = len(self.trail)
         for tg in G.targets:
-            if tg in used_t or G.conn[tg] in used_s:
+            if (tg in used_t or G.conn[tg] in used_s
+                    or G.vtlabels[tg] != lab):
                 continue
-            if G.vtlabels[tg] != L.vtlabels[t]:
-                continue
-            trial = extend(state, "t", t, tg)
-            if trial is not None:
-                yield from assign_bare(idx + 1, trial)
+            if self.extend(_T, t, tg):
+                yield from self.bare(idx + 1)
+                self.undo(mark)
 
-    def finish(state) -> Found | None:
-        tmap, smap, emap = (dict(state[k][0]) for k in "tse")
+    def finish(self) -> Found | None:
+        L = self.L
+        tmap, smap, emap = (dict(m) for m in self.maps)
         splits: list[tuple[int, int, int]] = []
-        if up_to_homeo and not resolve_boundary(
-                tmap, smap, set(state["t"][1]), set(state["s"][1]), splits):
+        if self.homeo and not self.resolve_boundary(tmap, smap, splits):
             return None
         if (len(tmap) + len(splits) != len(L.targets)
                 or len(smap) + len(splits) != len(L.sources)):
             return None
         return tmap, smap, emap, splits
 
-    def resolve_boundary(tmap, smap, used_t, used_s, splits) -> bool:
+    def resolve_boundary(self, tmap: dict[int, int], smap: dict[int, int],
+                         splits: list[tuple[int, int, int]]) -> bool:
         """Bind the loose ends of boundary wires, listing a split where
         an out-wire's host wire immediately re-enters an in-wire."""
+        L, G, P = self.L, self.G, self.P
+        used_t, used_s = set(self.used[_T]), set(self.used[_S])
         pending_in = {}
-        for a in in_wires:
+        for a in P.in_wires:
             b = L.conn[a]
             if b not in smap:
                 return False
-            pending_in[gconn_inv[smap[b]]] = a
-        for c in out_wires:
+            pending_in[G.conn_inv[smap[b]]] = a
+        for c in P.out_wires:
             if c not in tmap:
                 return False
             d = L.conn[c]
@@ -684,9 +764,6 @@ def embeddings(L: LinearHypergraph, G: GraphView,
             tmap[a] = anchor_t
             used_t.add(anchor_t)
         return True
-
-    yield from assign_components(0, {"t": ({}, set()), "s": ({}, set()),
-                                     "e": ({}, set()), "agenda": []})
 
 
 def find_isomorphism(F: LinearHypergraph,

@@ -472,9 +472,10 @@ class _Host(GraphView):
     insertion-ordered and list the vertices and edges in the stored
     order the pure pipeline gives (:func:`apply_rewrite`): survivors keep
     their order and new elements follow in the order they are made.
-    ``seq`` numbers the vertices in that order, for the one place it is
-    read back: an edge of R that is glued onto surviving vertices takes
-    its ports in stored order, as ``port_tables`` does.
+    ``seq`` numbers the vertices in that order: an edge of R that is
+    glued onto surviving vertices takes its ports in stored order, as
+    ``port_tables`` does.  ``edge_seq`` numbers the edges from the same
+    counter, for the search to sort by.
     """
 
     def __init__(self, G: LinearHypergraph) -> None:
@@ -492,6 +493,7 @@ class _Host(GraphView):
         self.tick = itertools.count()
         self.seq = {x: next(self.tick)
                     for x in itertools.chain(G.targets, G.sources)}
+        self.edge_seq = {e: next(self.tick) for e in G.edges}
 
     def freeze(self) -> LinearHypergraph:
         return LinearHypergraph(
@@ -520,6 +522,7 @@ class _Host(GraphView):
         self.tgts[e] = tgts
         self.srcs[e] = srcs
         self.by_label.setdefault(lab, {})[e] = None
+        self.edge_seq[e] = next(self.tick)
 
     def _link(self, t: int, s: int) -> None:
         self.conn[t] = s
@@ -534,6 +537,7 @@ class _Host(GraphView):
     def _drop_edge(self, e: int) -> None:
         lab = self.labels.pop(e)
         del self.by_label[lab][e], self.tgts[e], self.srcs[e]
+        del self.edge_seq[e]
         if not self.by_label[lab]:
             del self.by_label[lab]
 
@@ -684,17 +688,24 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     order, so runs are reproducible; :func:`normal_forms` explores every
     match order instead.  Matches are drawn lazily, so a step searches
     no further than its first match, and a rule is not searched at all
-    while the host lacks one of its edge labels.  The host is copied
-    once and each step changes it in place, in O(|L| + |R|) beyond the
-    search; it takes the same steps to the same graph as
-    :func:`apply_rewrite` at the first of :func:`matchings`.
+    while the host lacks one of its edge labels.  The search for each
+    component of a left side starts at its edge whose label is rarest in
+    the host, which leaves the order of matches unchanged (see
+    :func:`~linhyp.graphs.embeddings`).  The host is copied once and each
+    step changes it in place, in O(|L| + |R|) beyond the search; it takes
+    the same steps to the same graph as :func:`apply_rewrite` at the
+    first of :func:`matchings`.
+
+    ``exhausted`` is set when ``max_steps`` steps are taken and some rule
+    still matches; a run that reaches its normal form on the last step
+    allowed is not exhausted.
     """
     # a rule whose left side is the empty graph matches everywhere and
     # rewrites nothing; the driver would never terminate on it
     rules = [r for r in rules if r.L.targets or r.L.edges]
     host = _Host(G)
     steps: list[Step] = []
-    while len(steps) < max_steps:
+    while True:
         for rule in rules:
             if host.by_label.keys() >= rule.labels:
                 pattern, chains = rule._search
@@ -703,12 +714,13 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
                     break
         else:
             return NormalizeResult(host.freeze() if steps else G, steps)
+        if len(steps) >= max_steps:
+            return NormalizeResult(host.freeze() if steps else G, steps,
+                                   exhausted=True)
         vmap_t, vmap_s, emap = _complete(rule.L, chains, found, host.expand)
         steps.append(Step(len(steps) + 1, rule.name,
                           tuple(sorted(emap.values()))))
         host.rewrite(rule, vmap_t, vmap_s, emap)
-    return NormalizeResult(host.freeze() if steps else G, steps,
-                           exhausted=True)
 
 
 def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],

@@ -2,9 +2,10 @@
 
 Everything here is brute force or direct dataflow: no code path is shared
 with the algorithms under test, except in ``normalize_by_enumeration``,
-the list-based rewriting driver that the lazy one must agree with, and
+the list-based rewriting driver that the lazy one must agree with,
 ``evaluate_by_unfolding_all_wires``, the term-level evaluator that the
-graph-level one must agree with.
+graph-level one must agree with, and ``embeddings_from_first_edge``, the
+embedding search whose order of maps the library's must keep.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -17,13 +18,14 @@ for small terms.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
 from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, eval_rules, read_value_word,
                              value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import INTERFACE, expand, fresh_ids
+from linhyp.graphs import INTERFACE, Found, GraphView, expand, fresh_ids
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
                             find_matchings, normalize)
@@ -116,6 +118,209 @@ def brute_force_matchings(L: LinearHypergraph,
     return out
 
 
+class _Conflict(Exception):
+    """A partial map that no embedding extends."""
+
+
+def embeddings_from_first_edge(L: LinearHypergraph, G: GraphView,
+                               up_to_homeo: bool = False) -> Iterator[Found]:
+    """The embedding search with no search plan: it pins each edge
+    component of L by its first edge in stored order, trying every edge
+    of G with that label in stored order, and copies its partial map for
+    each candidate.  :func:`linhyp.graphs.embeddings` must yield the same
+    maps in the same order."""
+    lv = L.view
+    ltgts, lsrcs, lconn_inv = lv.tgts, lv.srcs, lv.conn_inv
+    l_port_t = {v: (e, i) for e in L.edges for i, v in enumerate(ltgts[e])}
+    l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
+    gtgts, gsrcs, gconn_inv = G.tgts, G.srcs, G.conn_inv
+
+    # the first edge in stored order of each wire-connected component
+    anchors: list[int] = []
+    placed: set[int] = set()
+    for e in L.edges:
+        if e not in placed:
+            anchors.append(e)
+            placed.add(e)
+            stack = [e]
+            while stack:
+                x = stack.pop()
+                for d in ([L.right[L.conn[v]] for v in ltgts[x]]
+                          + [L.left[lconn_inv[s]] for s in lsrcs[x]]):
+                    if d is not INTERFACE and d not in placed:
+                        placed.add(d)
+                        stack.append(d)
+
+    bare_wires = [t for t in L.targets
+                  if L.left[t] is INTERFACE
+                  and L.right[L.conn[t]] is INTERFACE]
+    # boundary wires whose loose end is bound late in homeo mode
+    out_wires = [t for t in L.targets
+                 if L.left[t] is not INTERFACE
+                 and L.right[L.conn[t]] is INTERFACE]
+    in_wires = [t for t in L.targets
+                if L.left[t] is INTERFACE
+                and L.right[L.conn[t]] is not INTERFACE]
+
+    def put(state, kind: str, a: int, b: int) -> None:
+        table, used = state[kind]
+        if a in table:
+            if table[a] != b:
+                raise _Conflict
+            return
+        if b in used:
+            raise _Conflict
+        table[a] = b
+        used.add(b)
+        state["agenda"].append((kind, a))
+
+    def propagate(state) -> None:
+        agenda = state["agenda"]
+        tmap, smap, emap = state["t"][0], state["s"][0], state["e"][0]
+        while agenda:
+            kind, a = agenda.pop()
+            if kind == "t":
+                b = tmap[a]
+                if L.vtlabels[a] != G.vtlabels[b]:
+                    raise _Conflict
+                partner = L.conn[a]
+                defer = (up_to_homeo
+                         and L.left[a] is not INTERFACE
+                         and L.right[partner] is INTERFACE)
+                if not defer:
+                    put(state, "s", partner, G.conn[b])
+                if a in l_port_t:
+                    e, i = l_port_t[a]
+                    d = G.left[b]
+                    if d is INTERFACE or G.labels[d] != L.labels[e]:
+                        raise _Conflict
+                    if len(gtgts[d]) <= i or gtgts[d][i] != b:
+                        raise _Conflict
+                    put(state, "e", e, d)
+            elif kind == "s":
+                b = smap[a]
+                if L.vslabels[a] != G.vslabels[b]:
+                    raise _Conflict
+                partner = lconn_inv[a]
+                defer = (up_to_homeo
+                         and L.right[a] is not INTERFACE
+                         and L.left[partner] is INTERFACE)
+                if not defer:
+                    put(state, "t", partner, gconn_inv[b])
+                if a in l_port_s:
+                    e, i = l_port_s[a]
+                    d = G.right[b]
+                    if d is INTERFACE or G.labels[d] != L.labels[e]:
+                        raise _Conflict
+                    if len(gsrcs[d]) <= i or gsrcs[d][i] != b:
+                        raise _Conflict
+                    put(state, "e", e, d)
+            else:
+                d = emap[a]
+                if G.labels[d] != L.labels[a]:
+                    raise _Conflict
+                if (len(gtgts[d]) != len(ltgts[a])
+                        or len(gsrcs[d]) != len(lsrcs[a])):
+                    raise _Conflict
+                for u, w in zip(ltgts[a], gtgts[d]):
+                    put(state, "t", u, w)
+                for u, w in zip(lsrcs[a], gsrcs[d]):
+                    put(state, "s", u, w)
+
+    def extend(state, kind: str, a: int, b: int):
+        """A copy of ``state`` with ``a -> b`` added and propagated, or
+        None on a clash."""
+        (tmap, used_t), (smap, used_s), (emap, used_e) = (
+            state["t"], state["s"], state["e"])
+        trial = {"t": (dict(tmap), set(used_t)), "s": (dict(smap), set(used_s)),
+                 "e": (dict(emap), set(used_e)), "agenda": []}
+        try:
+            put(trial, kind, a, b)
+            propagate(trial)
+        except _Conflict:
+            return None
+        return trial
+
+    def assign_components(idx: int, state):
+        used_e = state["e"][1]
+        if idx == len(anchors):
+            yield from assign_bare(0, state)
+            return
+        anchor = anchors[idx]
+        for d in G.by_label.get(L.labels[anchor], ()):
+            if d in used_e:
+                continue
+            trial = extend(state, "e", anchor, d)
+            if trial is not None:
+                yield from assign_components(idx + 1, trial)
+
+    def assign_bare(idx: int, state):
+        if idx == len(bare_wires):
+            found = finish(state)
+            if found is not None:
+                yield found
+            return
+        t = bare_wires[idx]
+        used_t, used_s = state["t"][1], state["s"][1]
+        for tg in G.targets:
+            if tg in used_t or G.conn[tg] in used_s:
+                continue
+            if G.vtlabels[tg] != L.vtlabels[t]:
+                continue
+            trial = extend(state, "t", t, tg)
+            if trial is not None:
+                yield from assign_bare(idx + 1, trial)
+
+    def finish(state) -> Found | None:
+        tmap, smap, emap = (dict(state[k][0]) for k in "tse")
+        splits: list[tuple[int, int, int]] = []
+        if up_to_homeo and not resolve_boundary(
+                tmap, smap, set(state["t"][1]), set(state["s"][1]), splits):
+            return None
+        if (len(tmap) + len(splits) != len(L.targets)
+                or len(smap) + len(splits) != len(L.sources)):
+            return None
+        return tmap, smap, emap, splits
+
+    def resolve_boundary(tmap, smap, used_t, used_s, splits) -> bool:
+        """Bind the loose ends of boundary wires, listing a split where
+        an out-wire's host wire immediately re-enters an in-wire."""
+        pending_in = {}
+        for a in in_wires:
+            b = L.conn[a]
+            if b not in smap:
+                return False
+            pending_in[gconn_inv[smap[b]]] = a
+        for c in out_wires:
+            if c not in tmap:
+                return False
+            d = L.conn[c]
+            t_w = tmap[c]
+            hit = pending_in.pop(t_w, None)
+            if hit is not None:
+                # the wire leaving the match feeds straight back in: both
+                # ends of the split carry the wire's object label
+                lab = G.vtlabels[t_w]
+                if L.vslabels[d] != lab or L.vtlabels[hit] != lab:
+                    return False
+                splits.append((t_w, d, hit))
+            else:
+                s_w = G.conn[t_w]
+                if s_w in used_s or L.vslabels[d] != G.vslabels[s_w]:
+                    return False
+                smap[d] = s_w
+                used_s.add(s_w)
+        for anchor_t, a in pending_in.items():
+            if anchor_t in used_t or L.vtlabels[a] != G.vtlabels[anchor_t]:
+                return False
+            tmap[a] = anchor_t
+            used_t.add(anchor_t)
+        return True
+
+    yield from assign_components(0, {"t": ({}, set()), "s": ({}, set()),
+                                     "e": ({}, set()), "agenda": []})
+
+
 def normalize_by_enumeration(G: LinearHypergraph, rules,
                              max_steps: int = 10000) -> NormalizeResult:
     """The rewriting driver as an exhaustive list search: each step lists
@@ -126,8 +331,6 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
     current = G
     steps: list[Step] = []
     while True:
-        if len(steps) >= max_steps:
-            return NormalizeResult(current, steps, exhausted=True)
         hit = None
         for rule in rules:
             ms = find_matchings(rule.L, current, up_to_homeo=True)
@@ -136,6 +339,8 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
                 break
         if hit is None:
             return NormalizeResult(current, steps, exhausted=False)
+        if len(steps) >= max_steps:
+            return NormalizeResult(current, steps, exhausted=True)
         rule, match = hit
         matched_edges = tuple(sorted(match.embedding.emap.values()))
         current = apply_rewrite(current, rule, match)

@@ -235,6 +235,14 @@ def test_evaluate_fork_and_identity():
     assert evaluate(Id(2), ("top", "bot"), csig) == ("top", "bot")
 
 
+def test_evaluate_round_may_use_its_whole_step_budget():
+    """``top ; fork`` reaches its values in one step, by ``fork-top``."""
+    csig = two_point_sig()
+    circuit = Seq(Gen("top"), Gen(FORK))
+    assert evaluate(circuit, (), csig, max_steps=1) == ("top", "top")
+    assert evaluate(circuit, (), csig, max_steps=0) is UNPRODUCTIVE
+
+
 def test_evaluate_checks_inputs():
     csig = two_point_sig()
     with pytest.raises(ValueError):

@@ -302,6 +302,19 @@ def test_rewrite_command_with_budget(files, capsys, tmp_path):
     assert isomorphic(load_graph(out),
                       interpret(parse_term("f ; f", full_sig), full_sig))
 
+    # the normal form is reached on the last step allowed
+    code, out, err = run(capsys, "rewrite", str(g), "--rules", str(rules),
+                         "--sig", str(sig), "--steps", "2")
+    assert code == 0
+    assert "budget" not in err and err.count("rule squash") == 2
+    assert isomorphic(load_graph(out),
+                      interpret(parse_term("f", full_sig), full_sig))
+
+    code, out, err = run(capsys, "rewrite", str(g), "--rules", str(rules),
+                         "--sig", str(sig), "--steps", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: --steps must be 0 or more, not -1\n"
+
 
 def test_rewrite_exhaustive_strategy(files, capsys, tmp_path):
     sig = files / "circuit.sig"
@@ -355,6 +368,12 @@ def test_evaluate_command(files, capsys, tmp_path):
     code, out, _ = run(capsys, "evaluate", str(t2), "--lattice",
                        str(files / "two.lattice"))
     assert code == 4 and out.strip() == "UNPRODUCTIVE"
+
+    code, out, err = run(capsys, "evaluate", str(t), "--lattice",
+                         str(files / "two.lattice"), "--inputs", "bot,top",
+                         "--steps", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: --steps must be 0 or more, not -1\n"
 
 
 def test_evaluate_deep_chain(capsys, tmp_path):

@@ -136,7 +136,8 @@ def assert_same_run(G, rules, max_steps=200):
         cur = b.graph
     assert [s.rule for s in lazy.steps] == listed
     assert [s.index for s in lazy.steps] == list(range(1, len(listed) + 1))
-    assert lazy.exhausted == (len(listed) == max_steps)
+    # the budget is exhausted only if the last graph still has a match
+    assert lazy.exhausted == normalize_by_enumeration(cur, rules, 0).exhausted
     assert _numbered(lazy.graph) == _numbered(cur)
     assert save_graph(lazy.graph) == save_graph(cur)
     return lazy
@@ -226,10 +227,10 @@ def test_rejected_candidates_leave_no_trace(monkeypatch):
 
 def test_host_tables_stay_those_of_its_graph(monkeypatch):
     """After every in-place step the host's port tables, ``conn``
-    inverse, label index and vertex numbering are those of the graph it
-    stands for.  ``glue`` puts an f's output beside a new p on a c that
-    R lists the other way round: ports follow the stored order, as in
-    :func:`pushout`."""
+    inverse, label index and vertex and edge numberings are those of the
+    graph it stands for.  ``glue`` puts an f's output beside a new p on a
+    c that R lists the other way round: ports follow the stored order, as
+    in :func:`pushout`."""
     checked = []
     real = rewrite._Host.rewrite
 
@@ -246,6 +247,8 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
             H.view.by_label)
         for order in (H.targets, H.sources):
             assert sorted(order, key=self.seq.__getitem__) == list(order)
+        assert self.edge_seq.keys() == set(H.edges)
+        assert sorted(H.edges, key=self.edge_seq.__getitem__) == list(H.edges)
         checked.append(len(H.edges))
 
     monkeypatch.setattr(rewrite._Host, "rewrite", checking)

@@ -11,7 +11,7 @@ from linhyp.graphs import IDENTITY_LABEL
 from linhyp.laws import law_signature, random_graph, random_term
 from linhyp.terms import signature, type_of
 from oracles import (brute_force_complements, brute_force_matchings,
-                     trace_mono)
+                     normalize_by_enumeration, trace_mono)
 
 SIG = law_signature()
 CSIG = signature({"join": (2, 1), "f": (1, 1), "copy": (1, 2)})
@@ -347,6 +347,23 @@ def test_normalize_logs_and_budget():
     res1 = normalize(G, rules, max_steps=1)
     assert res1.exhausted and len(res1.steps) == 1
     assert isomorphic(res1.graph, interpret(parse_term("f ; f ; f", sig), sig))
+
+
+@pytest.mark.parametrize("budget,steps,exhausted",
+                         [(0, 0, True), (1, 1, True), (2, 2, False),
+                          (3, 2, False)])
+def test_budget_is_exhausted_only_while_a_rule_matches(budget, steps,
+                                                       exhausted):
+    """``f ; f ; f`` takes two ``squash`` steps to its normal form ``f``,
+    in the driver and in the list search alike."""
+    rules = [rule_from_terms(parse_term("f ; f", CSIG), Gen("f"), CSIG,
+                             "squash")]
+    G = interpret(parse_term("f ; f ; f", CSIG), CSIG)
+    for run in (normalize, normalize_by_enumeration):
+        res = run(G, rules, max_steps=budget)
+        assert (len(res.steps), res.exhausted) == (steps, exhausted)
+        assert len(res.graph.edges) == 3 - steps
+        assert not run(interpret(Gen("f"), CSIG), rules, 0).exhausted
 
 
 def test_normalize_skips_empty_left_sides():
