@@ -140,6 +140,11 @@ class LinearHypergraph:
         return GraphView(self)
 
     @cached_property
+    def labelling(self) -> Labelling:
+        """The graph's canonical labelling, computed once."""
+        return _canonical_labelling(self)
+
+    @cached_property
     def pattern(self) -> PatternTables:
         """The graph's tables as a pattern to match, built once."""
         return PatternTables(self)
@@ -320,8 +325,10 @@ def _walk(H: LinearHypergraph, tgts: dict[int, tuple[int, ...]],
     return order
 
 
-def canonical_labelling(H: LinearHypergraph
-                        ) -> tuple[list[int], list[int], list[int]]:
+Labelling = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def canonical_labelling(H: LinearHypergraph) -> Labelling:
     """H's targets, sources and edges in an order that isomorphisms keep.
 
     Edges are numbered by a walk from the consumers of the inputs and
@@ -330,9 +337,26 @@ def canonical_labelling(H: LinearHypergraph
     from the anchor, among its edges of the rarest label, that gives the
     least code, and the components follow in code order.  Targets are
     the inputs and then each edge's target block, sources each edge's
-    source block and then the outputs, as in ``untangle``.
+    source block and then the outputs, as in ``untangle``.  Computed
+    once per graph (``LinearHypergraph.labelling``).
     """
-    tgts, srcs = H.port_tables()
+    return H.labelling
+
+
+def _canonical_labelling(H: LinearHypergraph) -> Labelling:
+    # each edge's ordered ports, as in ``port_tables``, and each port's
+    # index in its edge's port list, in the same pass
+    tgts: dict[int, list[int]] = {e: [] for e in H.edges}
+    srcs: dict[int, list[int]] = {e: [] for e in H.edges}
+    t_port: dict[int, int] = {}
+    s_port: dict[int, int] = {}
+    for vs, side, ports, index in ((H.targets, H.left, tgts, t_port),
+                                   (H.sources, H.right, srcs, s_port)):
+        for v in vs:
+            e = side[v]
+            if e is not INTERFACE:
+                index[v] = len(ports[e])
+                ports[e].append(v)
     conn_inv = H.conn_inv()
 
     def code(order: list[int]) -> tuple:
@@ -341,9 +365,9 @@ def canonical_labelling(H: LinearHypergraph
         label."""
         num = {e: i for i, e in enumerate(order)}
         return tuple((H.labels[e], len(tgts[e]), tuple(
-            (num[H.right[s]], srcs[H.right[s]].index(s), H.vslabels[s])
+            (num[H.right[s]], s_port[s], H.vslabels[s])
             for s in [H.conn[v] for v in tgts[e]]) + tuple(
-            (num[H.left[t]], tgts[H.left[t]].index(t), H.vtlabels[t])
+            (num[H.left[t]], t_port[t], H.vtlabels[t])
             for t in [conn_inv[s] for s in srcs[e]])) for e in order)
 
     ins, outs = H.inputs(), H.outputs()
@@ -363,9 +387,9 @@ def canonical_labelling(H: LinearHypergraph
                 for a in comp if H.labels[a] == rare)))
     for _, order in sorted(coded):
         edges += order
-    targets = [*ins, *(v for e in edges for v in tgts[e])]
-    sources = [*(v for e in edges for v in srcs[e]), *outs]
-    return targets, sources, edges
+    targets = (*ins, *(v for e in edges for v in tgts[e]))
+    sources = (*(v for e in edges for v in srcs[e]), *outs)
+    return targets, sources, tuple(edges)
 
 
 def canonical(H: LinearHypergraph) -> LinearHypergraph:

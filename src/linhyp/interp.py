@@ -25,7 +25,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     the ids drawn for an extracted term are linear in the graph.
     The stored orders match the fold of :mod:`linhyp.ops` combinators:
     leaf vertices and edges in left-to-right leaf order, minus the
-    spliced ones.
+    spliced ones.  Dispatch is on the exact node class, as in
+    :func:`linhyp.terms.type_of`.
     """
     targets: dict[int, str] = {}   # live target vertex -> object label
     sources: dict[int, str] = {}   # live source vertex -> object label
@@ -84,7 +85,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     todo: list[tuple[Term, bool]] = [(t, False)]
     while todo:
         u, ready = todo.pop()
-        if isinstance(u, Gen):
+        kind = type(u)
+        if kind is Gen:
             if u.name not in sig:
                 raise TypeMismatch(f"unknown generator {u.name!r}", u)
             if pending:
@@ -102,23 +104,23 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             edges.append(e)
             labels[e] = u.name
             values.append((ins, outs))
-        elif isinstance(u, (Id, Swap)):
-            a, b = (u.word, ()) if isinstance(u, Id) else (u.upper, u.lower)
+        elif kind is Id or kind is Swap:
+            a, b = (u.word, ()) if kind is Id else (u.upper, u.lower)
             # the a-block leaves below the b-block
             values.append((a + b, b + a, list(range(len(a), len(a) + len(b)))
                            + list(range(len(a)))))
             pending += 1
-        elif not isinstance(u, (Seq, Tensor, Trace)):
+        elif kind is not Seq and kind is not Tensor and kind is not Trace:
             raise TypeMismatch(f"not a term: {u!r}", u)
         elif not ready:
             todo.append((u, True))
-            if isinstance(u, Trace):
+            if kind is Trace:
                 todo.append((u.body, False))
-            elif isinstance(u, Seq):
+            elif kind is Seq:
                 todo += [(u.right, False), (u.left, False)]
             else:
                 todo += [(u.bottom, False), (u.top, False)]
-        elif isinstance(u, Trace):
+        elif kind is Trace:
             if pending:
                 materialise()
             ins, outs = values[-1]
@@ -137,7 +139,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             (f_dom, f_cod, f_src), (g_dom, g_cod, g_src) = \
                 values[-2], values.pop()
             pending -= 1
-            if isinstance(u, Tensor):
+            if kind is Tensor:
                 k = len(f_dom)
                 values[-1] = (f_dom + g_dom, f_cod + g_cod,
                               f_src + [k + j for j in g_src])
@@ -149,7 +151,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             if pending:
                 materialise()
             (f_ins, f_outs), (g_ins, g_outs) = values[-2], values.pop()
-            if isinstance(u, Tensor):
+            if kind is Tensor:
                 values[-1] = (cat(f_ins, g_ins), cat(f_outs, g_outs))
                 continue
             cod = tuple(sources[v] for v in f_outs)

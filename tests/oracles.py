@@ -4,8 +4,11 @@ Everything here is brute force or direct dataflow: no code path is shared
 with the algorithms under test, except in ``normalize_by_enumeration``,
 the list-based rewriting driver that the lazy one must agree with,
 ``evaluate_by_unfolding_all_wires``, the term-level evaluator that the
-graph-level one must agree with, and ``embeddings_from_first_edge``, the
-embedding search whose order of maps the library's must keep.
+graph-level one must agree with, ``embeddings_from_first_edge``, the
+embedding search whose order of maps the library's must keep, and
+``canonical_labelling_by_port_search``, the labelling whose codes the
+library's must keep.  ``shuffle_by_insertion`` is the quadratic wiring
+term that the library's merge sort replaced.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -18,6 +21,7 @@ for small terms.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterator
 
 from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
@@ -25,7 +29,8 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, eval_rules, read_value_word,
                              value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import INTERFACE, Found, GraphView, expand, fresh_ids
+from linhyp.graphs import (INTERFACE, Found, GraphView, _walk, expand,
+                           fresh_ids)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
                             find_matchings, normalize)
@@ -722,3 +727,62 @@ def trace_mono(x: int | str | Word, F: LinearHypergraph
     return H, Homomorphism(F, H, {v: ren[v] for v in F.targets},
                            {v: ren[v] for v in F.sources},
                            {e: ren[e] for e in F.edges})
+
+
+def shuffle_by_insertion(H: LinearHypergraph) -> Term:
+    """The wiring term of an untangled graph, one wire per step.
+
+    Each step pulls the wire feeding the next source to the top and
+    spells out the remaining wires, so n wires give Θ(n) nested steps and
+    Θ(n²) total word length.  Meant for a few hundred wires at most.
+    """
+    ts = list(H.targets)
+    labels = [H.vtlabels[v] for v in ts]   # kept in step with ts
+    conn_inv = H.conn_inv()
+    steps: list[tuple[Term, str]] = []
+    for v_s in H.sources:
+        i = ts.index(conn_inv[v_s])
+        step: Term = Tensor(Swap(tuple(labels[:i]), (labels[i],)),
+                            Id(tuple(labels[i + 1:])))
+        steps.append((step, H.vslabels[v_s]))
+        del ts[i], labels[i]
+    out: Term = Id(())
+    for step, label in reversed(steps):
+        out = Seq(step, Tensor(Id((label,)), out))
+    return out
+
+
+def canonical_labelling_by_port_search(H: LinearHypergraph
+                                       ) -> tuple[list[int], list[int],
+                                                  list[int]]:
+    """The canonical labelling with each far port's index found by a
+    search of its edge's port tuple, as before the port-index tables."""
+    tgts, srcs = H.port_tables()
+    conn_inv = H.conn_inv()
+
+    def code(order: list[int]) -> tuple:
+        num = {e: i for i, e in enumerate(order)}
+        return tuple((H.labels[e], len(tgts[e]), tuple(
+            (num[H.right[s]], srcs[H.right[s]].index(s), H.vslabels[s])
+            for s in [H.conn[v] for v in tgts[e]]) + tuple(
+            (num[H.left[t]], tgts[H.left[t]].index(t), H.vtlabels[t])
+            for t in [conn_inv[s] for s in srcs[e]])) for e in order)
+
+    ins, outs = H.inputs(), H.outputs()
+    seen: set[int] = set()
+    edges = _walk(H, tgts, srcs, conn_inv, [H.right[H.conn[t]] for t in ins]
+                  + [H.left[conn_inv[s]] for s in outs], seen)
+    coded = []
+    for e in H.edges:
+        if e not in seen:
+            comp = _walk(H, tgts, srcs, conn_inv, (e,), seen)
+            count = Counter(H.labels[a] for a in comp)
+            rare = min(count, key=lambda lab: (count[lab], lab))
+            coded.append(min((code(w), w) for w in (
+                comp if a == e else _walk(H, tgts, srcs, conn_inv, (a,), set())
+                for a in comp if H.labels[a] == rare)))
+    for _, order in sorted(coded):
+        edges += order
+    targets = [*ins, *(v for e in edges for v in tgts[e])]
+    sources = [*(v for e in edges for v in srcs[e]), *outs]
+    return targets, sources, edges

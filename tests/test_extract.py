@@ -1,16 +1,19 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, check_coherence,
                     compose, equal_mod_stmc, extract_term, find_isomorphism,
-                    identity, interpret, parse_term, shuffle, stack, tensor,
-                    trace, untangle, validate)
+                    identity, interpret, parse_term, render_term, shuffle,
+                    stack, tensor, trace, type_of, untangle, validate)
 from linhyp.extract import canonical_edge_order
 from linhyp.graphs import _SUPPLY, INTERFACE, LinearHypergraph, fresh_ids
 from linhyp.laws import law_signature, random_graph, random_term
+from oracles import shuffle_by_insertion
 
 
 SIG = law_signature()
@@ -30,8 +33,9 @@ def wiring_only(t):
     return False
 
 
-def permutation_graph(perm):
-    """Edge-free graph whose i-th target wires to the perm(i)-th source."""
+def permutation_graph(perm, labels=None):
+    """Edge-free graph whose i-th target wires to the perm(i)-th source;
+    wire i carries the object ``labels[i]``, unlabelled by default."""
     n = len(perm)
     ts, ss = fresh_ids(n), fresh_ids(n)
     return LinearHypergraph(
@@ -40,7 +44,30 @@ def permutation_graph(perm):
         right={v: INTERFACE for v in ss},
         conn={ts[i]: ss[perm[i]] for i in range(n)},
         labels={},
+        vtlabels=dict(zip(ts, labels)) if labels else {},
+        vslabels={ss[perm[i]]: labels[i] for i in range(n)} if labels else {},
     )
+
+
+def word_length_and_depth(t):
+    """Total length of the Id and Swap words of ``t``, and its nesting
+    depth (a leaf has depth 1)."""
+    words = depth = 0
+    todo = [(t, 1)]
+    while todo:
+        u, d = todo.pop()
+        depth = max(depth, d)
+        if isinstance(u, Id):
+            words += len(u.word)
+        elif isinstance(u, Swap):
+            words += len(u.upper) + len(u.lower)
+        elif isinstance(u, Seq):
+            todo += [(u.left, d + 1), (u.right, d + 1)]
+        elif isinstance(u, Tensor):
+            todo += [(u.top, d + 1), (u.bottom, d + 1)]
+        elif isinstance(u, Trace):
+            todo.append((u.body, d + 1))
+    return words, depth
 
 
 def test_untangle_sorts_a_tangled_graph():
@@ -104,18 +131,75 @@ def test_shuffle_identity_permutation():
     assert equal_mod_stmc(t, Id(4), SIG)
 
 
-def test_shuffle_realizes_connection_permutation(rng):
-    for _ in range(25):
-        n = rng.randint(0, 5)
+def _permutations(rng):
+    """Seeded permutations of up to 300 wires: uniform ones, and near
+    identities with a few long jumps, the shape extracted composites
+    give (neighbouring edges' wires cross, a few wires run far)."""
+    for n in (0, 1, 2, 3, 5, 8, 9, 16, 17, 40, 64, 129, 300):
+        yield rng.sample(range(n), n)
         perm = list(range(n))
-        rng.shuffle(perm)
-        H = permutation_graph(perm)
-        t = shuffle(H)
+        for _ in range(n // 3):
+            i = rng.randrange(n - 1)
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        for _ in range(min(n, 3)):
+            perm.insert(rng.randrange(n), perm.pop(rng.randrange(n)))
+        yield perm
+        yield perm[::-1]
+
+
+def test_shuffle_realizes_connection_permutation(rng, gsig):
+    for perm in _permutations(rng):
+        n = len(perm)
+        labels = [rng.choice("ABCD") for _ in range(n)]
+        H = permutation_graph(perm, labels)
+        t, oracle = shuffle(H), shuffle_by_insertion(H)
         assert wiring_only(t)
-        G = interpret(t, SIG)
-        # the interpreted shuffle must wire target i to source perm(i)
+        assert type_of(t, gsig) == type_of(oracle, gsig) == (H.dom(), H.cod())
+        G, O = interpret(t, gsig), interpret(oracle, gsig)
+        # both must wire target i to source perm(i), keeping its label
         for i in range(n):
             assert G.conn[G.targets[i]] == G.sources[perm[i]]
+            assert O.conn[O.targets[i]] == O.sources[perm[i]]
+            assert (G.vtlabels[G.targets[i]] == O.vtlabels[O.targets[i]]
+                    == labels[i])
+
+
+def test_shuffle_of_sixteen_thousand_wires_is_n_log_squared():
+    n = 16000
+    H = permutation_graph(random.Random(n).sample(range(n), n))
+    words, depth = word_length_and_depth(shuffle(H))
+    log_n = math.ceil(math.log2(n))
+    # about 0.44 n log² n words and depth 39 here; one wire per step
+    # would take n²/2 words and depth 2n
+    assert words <= n * log_n ** 2
+    assert depth <= log_n ** 2
+
+
+def test_extract_sixteen_thousand_wires_round_trip():
+    n = 16000
+    H = permutation_graph(random.Random(n + 1).sample(range(n), n))
+    assert find_isomorphism(interpret(extract_term(H), SIG), H) is not None
+
+
+@pytest.mark.parametrize("join, gens", [(Seq, 5000), (Tensor, 10_000)],
+                         ids=["chain", "tensor"])
+def test_ten_thousand_round_trip_in_bounded_memory(join, gens):
+    # a chain of 10^4 nodes and a tensor 10^4 generators wide, through
+    # render -> parse -> type -> interpret -> extract -> interpret -> iso
+    # as the CLI's interpret, extract and iso commands run them
+    t = Gen("f")
+    for _ in range(gens - 1):
+        t = join(t, Gen("f"))
+    tracemalloc.start()
+    try:
+        parsed = parse_term(render_term(t), SIG)
+        assert type_of(parsed, SIG) == type_of(t, SIG)
+        H = interpret(parsed, SIG)
+        assert find_isomorphism(H, interpret(extract_term(H), SIG))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
 
 
 def test_extract_identity():

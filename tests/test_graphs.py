@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,9 +9,10 @@ from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
                     is_homomorphism, isomorphic, parse_term, rename,
                     signature, smooth, to_simple, validate)
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph,
-                           fresh_ids)
+                           canonical_labelling, fresh_ids)
 from linhyp.laws import law_signature, random_graph
-from oracles import brute_force_isomorphism
+from linhyp.serialize import save_graph
+from oracles import brute_force_isomorphism, canonical_labelling_by_port_search
 
 SIG = law_signature()
 
@@ -335,6 +337,54 @@ def test_iso_on_many_loops(loops):
     w = find_isomorphism(B, rotated)
     assert w is not None and w.is_isomorphism()
     assert canonical(B) == canonical(rotated)
+
+
+def _rings():
+    """Interface-free rings: of f, of mixed labels, and through the
+    two-port edges of the law signature, whose far ports have index 1."""
+    rings = [_loop_family([c]) for c in ("f", "ff", "f" * 7, "f" * 40,
+                                         "fp" * 10, "ffp" * 5)]
+    for text in ("tr 1 (h ; h)", "tr 2 (h ; h)", "tr 1 (h ; swap 1 1 ; h)",
+                 "tr 2 (h ; swap 1 1 ; h)", "tr 1 (k ; g)", "tr 2 (k ; g)",
+                 "tr 1 (g ; h ; k)"):
+        rings.append(interpret(parse_term(text, SIG), SIG))
+    return rings
+
+
+def test_labelling_keeps_the_port_search_codes():
+    rng = random.Random(11)
+    law = [random_graph(rng, SIG, max_edges=m, max_extra_wires=w)
+           for m in (2, 5, 12, 30) for w in (0, 2) for _ in range(15)]
+    loops = [_loop_family(fam) for fam in _families(4)]
+    for H in law + loops + _rings():
+        want = canonical_labelling_by_port_search(H)
+        assert canonical_labelling(H) == tuple(map(tuple, want))
+
+
+def test_labelling_is_computed_once_per_graph():
+    H = random_graph(random.Random(3), SIG, max_edges=8)
+    first = canonical_labelling(H)
+    assert canonical_labelling(H) is first
+    assert all(type(part) is tuple for part in first)
+    # the file written from the cached labelling is the one written
+    # from a fresh computation on an equal graph
+    assert save_graph(H) == save_graph(freshen(H)) == save_graph(
+        LinearHypergraph(**{k: getattr(H, k) for k in (
+            "targets", "sources", "edges", "left", "right", "conn",
+            "labels", "vtlabels", "vslabels")}))
+
+
+@pytest.mark.parametrize("text, digest", [
+    ("tr 1 (h ; k * u) ; g",
+     "861aa22741dc9fe21287c991dff0a09a5880f55485133bad53fe25865a787974"),
+    ("tr 1 (h ; swap 1 1) * tr 1 (f ; f) ; g ; z * f",
+     "3c02d40cb3d2c04188bc5f1ec161df0e3c9ff0a47d16431a8e2a690e51bfa221"),
+])
+def test_saved_file_bytes_are_pinned(text, digest):
+    # the SHA-256 of each saved file, which changes with any change to
+    # the canonical labelling or the file layout
+    text = save_graph(interpret(parse_term(text, SIG), SIG))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_fresh_ids_stay_unique_across_threads():
