@@ -359,7 +359,7 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
     corresponding wires.  Every cycle of H meets the set, and a loop-free
     H has none.
     """
-    tgts, _ = H.port_tables()
+    tgts = H.view.tgts
     _, _, order = canonical_labelling(H)
     done: set[int] = set()
     cut: list[int] = []

@@ -34,7 +34,7 @@ def untangle(H: LinearHypergraph, ord: EdgeOrder) -> LinearHypergraph:
     """Reorder vertices so inputs come first, outputs last, and each
     edge's ports form a consecutive block following ``ord``."""
     _check_order(H, ord)
-    tgts, srcs = H.port_tables()
+    tgts, srcs = H.view.tgts, H.view.srcs
     targets = list(H.inputs())
     for e in ord:
         targets.extend(tgts[e])
@@ -59,7 +59,7 @@ def stack(H: LinearHypergraph, ord: EdgeOrder) -> Term:
     """The tensor of all edge generators, in the given order."""
     _check_order(H, ord)
     parts: list[Term] = []
-    tgts, _ = H.port_tables()
+    tgts = H.view.tgts
     for e in ord:
         if H.labels[e] == IDENTITY_LABEL:
             (t,) = tgts[e]
@@ -207,9 +207,10 @@ def extract_term(H: LinearHypergraph, ord: EdgeOrder | None = None) -> Trace:
     n = len(U.outputs())
     in_word = U.dom()
     loop_word = tuple(U.vtlabels[v] for v in U.targets[m:])
+    # U keeps H's edges, labels and ports, so H's cached tables serve
     body: Term = Seq(
         Seq(Swap(loop_word, in_word), shuffle(U)),
-        Tensor(stack(U, ord), Id(U.cod())))
+        Tensor(stack(H, ord), Id(U.cod())))
     return Trace(loop_word, body)
 
 

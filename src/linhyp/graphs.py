@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -232,7 +231,7 @@ def validate(H: LinearHypergraph, sig=None) -> list[str]:
         return report
 
     # label-arity agreement
-    tgts, srcs = H.port_tables()
+    tgts, srcs = H.view.tgts, H.view.srcs
     arities: dict[str, tuple[Word, Word]] = {}
     for e in H.edges:
         lab = H.labels[e]
@@ -335,56 +334,148 @@ def canonical_labelling(H: LinearHypergraph) -> Labelling:
     then the producers of the outputs.  Fixing one edge fixes its whole
     wire-connected component, so each interface-free component is walked
     from the anchor, among its edges of the rarest label, that gives the
-    least code, and the components follow in code order.  Targets are
-    the inputs and then each edge's target block, sources each edge's
-    source block and then the outputs, as in ``untangle``.  Computed
-    once per graph (``LinearHypergraph.labelling``).
+    least code (the least anchor id on a tie), and the components follow
+    in code order.  Targets are the inputs and then each edge's target
+    block, sources each edge's source block and then the outputs, as in
+    ``untangle``.  A component costs about one walk per orbit of its
+    anchors: a walk stops as soon as its code exceeds the best so far,
+    and two walks with equal codes are an automorphism, whose orbits
+    need no walk of their own.  Computed once per graph
+    (``LinearHypergraph.labelling``).
     """
     return H.labelling
 
 
+#: What :func:`_coded_walk` reads beyond the graph: each edge's target
+#: and source ports, the inverse of ``conn``, and each port's index in
+#: its edge's port tuple.
+_Ports = tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]],
+               dict[int, int], dict[int, int], dict[int, int]]
+
+
+def _coded_walk(H: LinearHypergraph, ports: _Ports, anchor: int,
+                best: list[tuple] | None
+                ) -> tuple[list[int], list[tuple], bool] | None:
+    """The walk of ``anchor``'s interface-free component from ``anchor``,
+    in ``_walk``'s order, and its code: per edge its label, its number of
+    targets, then per port the far edge's walk number, the far port's
+    index and the object label.  Each edge's code entry is made when the
+    walk reaches it, and is compared with ``best`` there: None as soon as
+    the code exceeds ``best``, else the walk, the code and whether the
+    code is less than ``best`` (True when there is none)."""
+    tgts, srcs, conn_inv, t_port, s_port = ports
+    labels, right, left, conn = H.labels, H.right, H.left, H.conn
+    vtlabels, vslabels = H.vtlabels, H.vslabels
+    order = [anchor]
+    num = {anchor: 0}
+    code: list[tuple] = []
+    less = best is None
+    for e in order:  # grows while it is read: breadth-first
+        row: list = [labels[e], len(tgts[e])]
+        for v in tgts[e]:
+            s = conn[v]
+            d = right[s]
+            n = num.get(d)
+            if n is None:
+                n = num[d] = len(order)
+                order.append(d)
+            row += (n, s_port[s], vslabels[s])
+        for s in srcs[e]:
+            t = conn_inv[s]
+            d = left[t]
+            n = num.get(d)
+            if n is None:
+                n = num[d] = len(order)
+                order.append(d)
+            row += (n, t_port[t], vtlabels[t])
+        entry = tuple(row)
+        if not less:
+            other = best[len(code)]
+            if entry != other:
+                if entry > other:
+                    return None
+                less = True
+        code.append(entry)
+    return order, code, less
+
+
+def _least_walk(H: LinearHypergraph, ports: _Ports, order: list[int],
+                code: list[tuple]) -> tuple[list[tuple], list[int]]:
+    """The least code of an interface-free component and the walk that
+    gives it from the least anchor, given the walk ``order`` with code
+    ``code`` from the component's first stored edge.
+
+    Anchors in one orbit of the component's automorphisms give equal
+    codes, and two walks with equal codes correspond, position by
+    position, by an automorphism.  A union-find of the anchors merges
+    the pairs of each such correspondence, and an anchor whose class
+    already holds a walked anchor is not walked: its code is that one's.
+    """
+    labels = H.labels
+    count: dict[str, int] = {}
+    for e in order:
+        count[labels[e]] = count.get(labels[e], 0) + 1
+    rare = min(count, key=lambda lab: (count[lab], lab))
+    anchors = [a for a in order if labels[a] == rare]
+    if labels[order[0]] != rare:
+        order, code, _ = _coded_walk(H, ports, anchors[0], None)
+    if len(anchors) == 1:
+        return code, order
+    parent = dict(zip(anchors, anchors))
+    walked = {order[0]}  # roots of classes that hold a walked anchor
+    ties = [order[0]]    # the walked anchors whose code is ``code``
+    for a in anchors:
+        root = _root(parent, a)
+        if root in walked:
+            continue
+        walked.add(root)
+        got = _coded_walk(H, ports, a, code)
+        if got is None:
+            continue
+        if got[2]:
+            order, code, _ = got
+            ties = [a]
+            continue
+        ties.append(a)
+        for x, y in zip(order, got[0]):  # an automorphism
+            if labels[x] == rare:
+                rx, ry = _root(parent, x), _root(parent, y)
+                if rx != ry:
+                    parent[ry] = rx
+                    if ry in walked:
+                        walked.add(rx)
+    least = {_root(parent, a) for a in ties}
+    first = min(a for a in anchors if _root(parent, a) in least)
+    if first != order[0]:
+        order = _coded_walk(H, ports, first, None)[0]
+    return code, order
+
+
+def _root(parent: dict[int, int], a: int) -> int:
+    """The root of ``a``'s class in a union-find, halving its path."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
+
+
 def _canonical_labelling(H: LinearHypergraph) -> Labelling:
-    # each edge's ordered ports, as in ``port_tables``, and each port's
-    # index in its edge's port list, in the same pass
-    tgts: dict[int, list[int]] = {e: [] for e in H.edges}
-    srcs: dict[int, list[int]] = {e: [] for e in H.edges}
-    t_port: dict[int, int] = {}
-    s_port: dict[int, int] = {}
-    for vs, side, ports, index in ((H.targets, H.left, tgts, t_port),
-                                   (H.sources, H.right, srcs, s_port)):
-        for v in vs:
-            e = side[v]
-            if e is not INTERFACE:
-                index[v] = len(ports[e])
-                ports[e].append(v)
-    conn_inv = H.conn_inv()
-
-    def code(order: list[int]) -> tuple:
-        """Per edge: its label, its number of targets, then per port the
-        far edge's walk number, the far port's index and the object
-        label."""
-        num = {e: i for i, e in enumerate(order)}
-        return tuple((H.labels[e], len(tgts[e]), tuple(
-            (num[H.right[s]], s_port[s], H.vslabels[s])
-            for s in [H.conn[v] for v in tgts[e]]) + tuple(
-            (num[H.left[t]], t_port[t], H.vtlabels[t])
-            for t in [conn_inv[s] for s in srcs[e]])) for e in order)
-
+    view = H.view
+    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
     ins, outs = H.inputs(), H.outputs()
     seen: set[int] = set()
     edges = _walk(H, tgts, srcs, conn_inv, [H.right[H.conn[t]] for t in ins]
                   + [H.left[conn_inv[s]] for s in outs], seen)
     coded = []
+    ports: _Ports | None = None
     for e in H.edges:
         if e not in seen:  # an interface-free component
-            comp = _walk(H, tgts, srcs, conn_inv, (e,), seen)
-            # anchors: the edges of the rarest label, the least on a tie;
-            # ``comp`` is already the walk from ``e``
-            count = Counter(H.labels[a] for a in comp)
-            rare = min(count, key=lambda lab: (count[lab], lab))
-            coded.append(min((code(w), w) for w in (
-                comp if a == e else _walk(H, tgts, srcs, conn_inv, (a,), set())
-                for a in comp if H.labels[a] == rare)))
+            if ports is None:  # each port's index in its edge's port tuple
+                ports = (tgts, srcs, conn_inv, *(
+                    {v: i for vs in side.values() for i, v in enumerate(vs)}
+                    for side in (tgts, srcs)))
+            order, code, _ = _coded_walk(H, ports, e, None)
+            seen.update(order)
+            coded.append(_least_walk(H, ports, order, code))
     for _, order in sorted(coded):
         edges += order
     targets = (*ins, *(v for e in edges for v in tgts[e]))

@@ -1,9 +1,15 @@
 """Structural translation from terms to linear hypergraphs."""
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
+
 from .graphs import LinearHypergraph, find_isomorphism, fresh_ids
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace,
                     TypeMismatch, render_word, type_of)
+
+#: A subterm's input targets or output sources, in order.
+Ends = list[int] | deque[int]
 
 
 def interpret(t: Term, sig: Signature) -> LinearHypergraph:
@@ -53,13 +59,25 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         conn.update(pairs)
         conn_inv.update((s, v) for v, s in pairs)
 
-    def cat(a: list[int], b: list[int]) -> list[int]:
-        """``a`` then ``b``, copying the shorter one into the longer."""
+    def cat(a: Ends, b: Ends) -> Ends:
+        """``a`` then ``b``, copying the shorter one into the longer; a
+        list that takes a shorter one in front becomes a deque, so a
+        right-nested tensor shifts nothing."""
         if len(a) >= len(b):
             a.extend(b)
             return a
-        b[:0] = a
+        if type(b) is list:
+            b = deque(b)
+        b.extendleft(reversed(a))
         return b
+
+    def behead(vs: Ends, k: int) -> list[int]:
+        """Remove and return the first ``k`` entries of ``vs``."""
+        if type(vs) is deque:
+            return [vs.popleft() for _ in range(k)]
+        head = vs[:k]
+        del vs[:k]
+        return head
 
     def mismatch(cod, dom, u: Term) -> TypeMismatch:
         return TypeMismatch(f"cannot compose: {render_word(cod)} does not"
@@ -125,16 +143,15 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                 materialise()
             ins, outs = values[-1]
             x = u.loop
-            dom = tuple(targets[v] for v in ins[:len(x)])
-            cod = tuple(sources[v] for v in outs[:len(x)])
+            dom = tuple(targets[v] for v in islice(ins, len(x)))
+            cod = tuple(sources[v] for v in islice(outs, len(x)))
             if dom != x or cod != x:
                 raise TypeMismatch(
                     f"cannot trace {render_word(x)} out of a graph whose"
                     f" interface starts {render_word(dom)} ->"
                     f" {render_word(cod)}", u)
-            for o, i in zip(outs[:len(x)], ins[:len(x)]):
+            for o, i in zip(behead(outs, len(x)), behead(ins, len(x))):
                 splice(o, i)
-            del outs[:len(x)], ins[:len(x)]
         elif pending >= 2:  # pending values are a suffix: both operands
             (f_dom, f_cod, f_src), (g_dom, g_cod, g_src) = \
                 values[-2], values.pop()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
-                    expand, find_isomorphism, freshen, identity, interpret,
-                    is_homomorphism, isomorphic, parse_term, rename,
-                    signature, smooth, to_simple, validate)
+                    equal_mod_stmc, expand, find_isomorphism, freshen,
+                    identity, interpret, is_homomorphism, isomorphic,
+                    parse_term, rename, signature, smooth, to_simple,
+                    validate)
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph,
                            canonical_labelling, fresh_ids)
 from linhyp.laws import law_signature, random_graph
@@ -351,14 +352,87 @@ def _rings():
     return rings
 
 
+def _fibonacci_word(n):
+    """The first n letters of the Fibonacci word over f and p, which is
+    aperiodic."""
+    a, b = "f", "fp"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _symmetric_graphs():
+    """Rings of f, (f ; p)^k, (f ; f ; p)^k and the Fibonacci word, and
+    families of up to 7 loops: components with many anchors per orbit,
+    and families of identical components."""
+    sizes = (1, 2, 3, 4, 6, 9, 12, 20, 35, 60)
+    words = [w for n in sizes for w in (
+        "f" * n, "fp" * (n // 2 or 1), "ffp" * (n // 3 or 1),
+        _fibonacci_word(n))]
+    families = [[c] * k for c in ("f", "fff", "ffp", "fpfp") for k in
+                range(2, 8)]
+    families += [["fff"] * 5 + ["ff", "f"], ["fp", "pf", "ffp", "pff"],
+                 ["fpp", "fp"] * 3 + ["ppf"]]
+    return ([_loop_family([w]) for w in words]
+            + [_loop_family(fam) for fam in families])
+
+
+def _shuffled_ids(H, rng):
+    """H with its ids permuted at random and its stored order kept."""
+    ids = list(H.targets) + list(H.sources) + list(H.edges)
+    return rename(H, dict(zip(ids, rng.sample(ids, len(ids)))))
+
+
 def test_labelling_keeps_the_port_search_codes():
     rng = random.Random(11)
     law = [random_graph(rng, SIG, max_edges=m, max_extra_wires=w)
            for m in (2, 5, 12, 30) for w in (0, 2) for _ in range(15)]
     loops = [_loop_family(fam) for fam in _families(4)]
-    for H in law + loops + _rings():
+    symmetric = _symmetric_graphs()
+    # the least anchor id among equal codes decides the walk; shuffled
+    # ids put it on an anchor that automorphisms settle without a walk
+    shuffled = [_shuffled_ids(H, rng) for H in symmetric + loops + _rings()
+                for _ in range(3)]
+    for H in law + loops + _rings() + symmetric + shuffled:
         want = canonical_labelling_by_port_search(H)
         assert canonical_labelling(H) == tuple(map(tuple, want))
+
+
+def test_ten_thousand_edge_ring_is_walked_at_most_three_times(monkeypatch):
+    """An interface-free ring of 10^4 f: the walk from its first edge
+    and the walk from the next anchor give the rotation that puts every
+    anchor in one orbit, and at most one more walk starts from the least
+    anchor id."""
+    from linhyp import graphs
+    walks = []
+    coded_walk = graphs._coded_walk
+
+    def counted(*args):
+        walks.append(args[2])
+        return coded_walk(*args)
+
+    monkeypatch.setattr(graphs, "_coded_walk", counted)
+    H = _loop_family(["f" * 10_000])
+    _, _, edges = canonical_labelling(H)
+    assert len(edges) == 10_000
+    assert len(walks) <= 3
+
+
+@pytest.mark.parametrize("word", [
+    "f" * 10_000, "fp" * 5000,
+    "".join(random.Random(4).choice("fp") for _ in range(10_000))],
+    ids=["f", "fp", "random"])
+def test_ten_thousand_edge_ring_equals_its_rotation(word):
+    def ring(w):
+        t = Gen(w[0])
+        for lab in w[1:]:
+            t = Seq(t, Gen(lab))
+        return Trace(1, t)
+
+    turned = word[4321:] + word[:4321]
+    assert equal_mod_stmc(ring(word), ring(turned), LOOP_SIG)
+    assert (save_graph(interpret(ring(word), LOOP_SIG))
+            == save_graph(interpret(ring(turned), LOOP_SIG)))
 
 
 def test_labelling_is_computed_once_per_graph():

@@ -259,3 +259,17 @@ def test_interpret_deep_seq_chain(nested):
     H = interpret(t, SIG)
     assert len(H.edges) == 5001 and H.arity() == (1, 1)
     assert validate(H, SIG) == []
+
+
+def test_right_and_left_nested_tensors_give_one_stored_order():
+    # tensor joins the interface lists at either end in place, so neither
+    # nesting shifts a long list once per node
+    left = right = Gen("f")
+    for _ in range(19_999):
+        left, right = Tensor(left, Gen("f")), Tensor(Gen("f"), right)
+    for t, u in ((left, right), (Trace(1, left), Trace(1, right))):
+        L, R = interpret(t, SIG), interpret(u, SIG)
+        assert L.arity() == R.arity() and len(L.edges) == 20_000
+        perm = dict(zip(R.targets + R.sources + R.edges,
+                        L.targets + L.sources + L.edges))
+        assert rename(R, perm) == L
