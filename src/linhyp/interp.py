@@ -28,7 +28,11 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     and trace splice wires in place, and tensor joins the two interface
     lists.  Apart from bulk list joins the cost is linear in the number
     of nodes plus the total word length of the identity and swap leaves;
-    the ids drawn for an extracted term are linear in the graph.
+    the ids drawn for an extracted term are linear in the graph.  The
+    constant is that of the graph built: each generator's shape is looked
+    up once per call, and each port or spliced wire costs only the
+    dictionary writes of its entries, with no helper call per generator
+    or wire.
     The stored orders match the fold of :mod:`linhyp.ops` combinators:
     leaf vertices and edges in left-to-right leaf order, minus the
     spliced ones.  Dispatch is on the exact node class, as in
@@ -42,22 +46,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     conn_inv: dict[int, int] = {}
     edges: list[int] = []
     labels: dict[int, str] = {}
-
-    def splice(o: int, i: int) -> None:
-        """Join output vertex ``o`` to input vertex ``i``: the wire
-        entering ``o`` now continues where ``i``'s wire went."""
-        before, after = conn_inv.pop(o), conn.pop(i)
-        del sources[o], targets[i]
-        if before != i:  # otherwise a bare wire closed on itself vanishes
-            conn[before] = after
-            conn_inv[after] = before
-
-    def add_wires(ts: list[int], t_word, ss: list[int], s_word,
-                  pairs: list[tuple[int, int]]) -> None:
-        targets.update(zip(ts, t_word))
-        sources.update(zip(ss, s_word))
-        conn.update(pairs)
-        conn_inv.update((s, v) for v, s in pairs)
+    shapes: dict[str, tuple] = {}  # generator -> (dom + cod, m, m + n)
 
     def cat(a: Ends, b: Ends) -> Ends:
         """``a`` then ``b``, copying the shorter one into the longer; a
@@ -84,15 +73,20 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                             f" match {render_word(dom)}", u)
 
     def materialise() -> None:
-        """Give the pending permutations vertices, in stack order."""
+        """Give the pending permutations vertices, in stack order: wire
+        ``j`` joins target ``ids[src[j]]`` to source ``ids[k + j]``."""
         nonlocal pending
         for p in range(len(values) - pending, len(values)):
             dom, cod, src = values[p]
             k = len(dom)
             ids = fresh_ids(2 * k)
-            ts, ss = ids[:k], ids[k:]
-            add_wires(ts, dom, ss, cod, [(ts[j], s) for j, s in zip(src, ss)])
-            values[p] = (ts, ss)
+            for j in range(k):
+                v, s = ids[src[j]], ids[k + j]
+                targets[ids[j]] = dom[j]
+                sources[s] = cod[j]
+                conn[v] = s
+                conn_inv[s] = v
+            values[p] = (ids[:k], ids[k:])
         pending = 0
 
     # interfaces of finished subterms: (input targets, output sources), or
@@ -105,28 +99,38 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         u, ready = todo.pop()
         kind = type(u)
         if kind is Gen:
-            if u.name not in sig:
-                raise TypeMismatch(f"unknown generator {u.name!r}", u)
+            shape = shapes.get(u.name)
+            if shape is None:
+                if u.name not in sig:
+                    raise TypeMismatch(f"unknown generator {u.name!r}", u)
+                dom, cod = sig.generators[u.name]
+                shape = shapes[u.name] = (dom + cod, len(dom),
+                                          len(dom) + len(cod))
             if pending:
                 materialise()
-            dom, cod = sig.generators[u.name]
-            m, n = len(dom), len(cod)
-            ids = fresh_ids(2 * (m + n) + 1)
-            ins, e_tgts = ids[:m], ids[m:m + n]
-            e_srcs, outs = ids[m + n:2 * m + n], ids[2 * m + n:-1]
+            word, m, k = shape
+            # the id block: m inputs and the edge's targets, the edge's m
+            # sources and the outputs, then the edge; wire j is ids[j] to
+            # ids[k + j]
+            ids = fresh_ids(2 * k + 1)
             e = ids[-1]
-            add_wires(ins + e_tgts, dom + cod, e_srcs + outs, dom + cod,
-                      list(zip(ins, e_srcs)) + list(zip(e_tgts, outs)))
-            left.update(dict.fromkeys(e_tgts, e))
-            right.update(dict.fromkeys(e_srcs, e))
+            for j in range(k):
+                v, s = ids[j], ids[k + j]
+                targets[v] = sources[s] = word[j]
+                conn[v] = s
+                conn_inv[s] = v
+                if j < m:
+                    right[s] = e
+                else:
+                    left[v] = e
             edges.append(e)
             labels[e] = u.name
-            values.append((ins, outs))
+            values.append((ids[:m], ids[k + m:-1]))
         elif kind is Id or kind is Swap:
             a, b = (u.word, ()) if kind is Id else (u.upper, u.lower)
             # the a-block leaves below the b-block
-            values.append((a + b, b + a, list(range(len(a), len(a) + len(b)))
-                           + list(range(len(a)))))
+            values.append((a + b, b + a, [*range(len(a), len(a) + len(b)),
+                                          *range(len(a))]))
             pending += 1
         elif kind is not Seq and kind is not Tensor and kind is not Trace:
             raise TypeMismatch(f"not a term: {u!r}", u)
@@ -138,21 +142,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                 todo += [(u.right, False), (u.left, False)]
             else:
                 todo += [(u.bottom, False), (u.top, False)]
-        elif kind is Trace:
-            if pending:
-                materialise()
-            ins, outs = values[-1]
-            x = u.loop
-            dom = tuple(targets[v] for v in islice(ins, len(x)))
-            cod = tuple(sources[v] for v in islice(outs, len(x)))
-            if dom != x or cod != x:
-                raise TypeMismatch(
-                    f"cannot trace {render_word(x)} out of a graph whose"
-                    f" interface starts {render_word(dom)} ->"
-                    f" {render_word(cod)}", u)
-            for o, i in zip(behead(outs, len(x)), behead(ins, len(x))):
-                splice(o, i)
-        elif pending >= 2:  # pending values are a suffix: both operands
+        elif pending >= 2 and kind is not Trace:  # both operands pending
             (f_dom, f_cod, f_src), (g_dom, g_cod, g_src) = \
                 values[-2], values.pop()
             pending -= 1
@@ -167,17 +157,36 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         else:
             if pending:
                 materialise()
-            (f_ins, f_outs), (g_ins, g_outs) = values[-2], values.pop()
-            if kind is Tensor:
-                values[-1] = (cat(f_ins, g_ins), cat(f_outs, g_outs))
-                continue
-            cod = tuple(sources[v] for v in f_outs)
-            dom = tuple(targets[v] for v in g_ins)
-            if cod != dom:
-                raise mismatch(cod, dom, u)
-            for o, i in zip(f_outs, g_ins):
-                splice(o, i)
-            values[-1] = (f_ins, g_outs)
+            if kind is Trace:
+                ins, outs = values[-1]
+                x = u.loop
+                k = len(x)
+                dom = tuple(map(targets.__getitem__, islice(ins, k)))
+                cod = tuple(map(sources.__getitem__, islice(outs, k)))
+                if dom != x or cod != x:
+                    raise TypeMismatch(
+                        f"cannot trace {render_word(x)} out of a graph whose"
+                        f" interface starts {render_word(dom)} ->"
+                        f" {render_word(cod)}", u)
+                outs, ins = behead(outs, k), behead(ins, k)
+            else:
+                (f_ins, outs), (ins, g_outs) = values[-2], values.pop()
+                if kind is Tensor:
+                    values[-1] = (cat(f_ins, ins), cat(outs, g_outs))
+                    continue
+                cod = tuple(map(sources.__getitem__, outs))
+                dom = tuple(map(targets.__getitem__, ins))
+                if cod != dom:
+                    raise mismatch(cod, dom, u)
+                values[-1] = (f_ins, g_outs)
+            # splice: the wire entering output o now continues where
+            # input i's wire went
+            for o, i in zip(outs, ins):
+                before, after = conn_inv.pop(o), conn.pop(i)
+                del sources[o], targets[i]
+                if before != i:  # else a bare wire closed on itself vanishes
+                    conn[before] = after
+                    conn_inv[after] = before
 
     if pending:
         materialise()
@@ -190,8 +199,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         right={v: right.get(v) for v in sources},
         conn={v: conn[v] for v in targets},
         labels=labels,
-        vtlabels={v: targets[v] for v in targets},
-        vslabels={v: sources[v] for v in sources},
+        vtlabels=dict(targets),
+        vslabels=dict(sources),
     )
 
 

@@ -232,7 +232,14 @@ def matchings(L: LinearHypergraph, G: LinearHypergraph,
     (the rewrite theory works up to wire homeomorphism; loops through a
     redex need this).
     """
-    pattern, chains = _pattern(L)
+    return _matchings(L, *_pattern(L), G, up_to_homeo)
+
+
+def _matchings(L: LinearHypergraph, pattern: LinearHypergraph,
+               chains: list[tuple[int, list[int]]], G: LinearHypergraph,
+               up_to_homeo: bool) -> Iterator[Matching]:
+    """:func:`matchings` with L's search pattern given, as a rule caches
+    it."""
     for found in embeddings(pattern, G.view, up_to_homeo):
         host = G
 
@@ -741,7 +748,7 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
         cur = frontier.popleft()
         succs = []
         for rule in rules:
-            for match in find_matchings(rule.L, cur, up_to_homeo=True):
+            for match in list(_matchings(rule.L, *rule._search, cur, True)):
                 succs.append(apply_rewrite(cur, rule, match))
         if not succs:
             nfs.append(cur)

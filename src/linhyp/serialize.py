@@ -84,11 +84,38 @@ def graph_from_dict(data: dict) -> LinearHypergraph:
     )
 
 
+def _dumps(data: dict) -> str:
+    """``json.dumps(data, indent=2)`` for a dict of :func:`graph_to_dict`,
+    written directly: ``indent`` forces the pure-Python encoder.  Ids and
+    table keys are integers; a label is quoted by ``json.dumps`` of the
+    one string, which takes the C path."""
+    def block(items: list[str], pad: str, brackets: str) -> str:
+        if not items:
+            return brackets
+        sep = f",\n{pad}  "
+        return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
+
+    parts = []
+    for key, x in data.items():
+        if key == "edges":
+            text = block([f'{{\n      "id": {e["id"]},\n      "label": '
+                          f'{json.dumps(e["label"])}\n    }}' for e in x],
+                         "  ", "[]")
+        elif type(x) is list:
+            text = block(list(map(str, x)), "  ", "[]")
+        else:  # an int, "interface" or a label per id
+            text = block([f'"{k}": {v}' if type(v) is int
+                          else f'"{k}": {json.dumps(v)}'
+                          for k, v in x.items()], "  ", "{}")
+        parts.append(f'"{key}": {text}')
+    return block(parts, "", "{}") + "\n"
+
+
 def save_graph(H: LinearHypergraph, canonicalize: bool = True) -> str:
     """Serialize to JSON; by default ids are renumbered canonically so
     isomorphic graphs serialize identically."""
     G = canonical(H) if canonicalize else H
-    return json.dumps(graph_to_dict(G), indent=2) + "\n"
+    return _dumps(graph_to_dict(G))
 
 
 def load_graph(text: str) -> LinearHypergraph:

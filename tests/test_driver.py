@@ -10,11 +10,12 @@ import random
 
 import pytest
 
-from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normalize,
-                    parse_rules, rename, save_graph)
+from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normal_forms,
+                    normalize, parse_rules, rename, save_graph)
 from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
-from linhyp.graphs import IDENTITY_LABEL, LinearHypergraph, validate
+from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
+                           validate)
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import normalize_by_enumeration
@@ -26,13 +27,14 @@ RSIG = signature({"f": (1, 1), "p": (1, 1), "c": (1, 2), "d": (1, 2),
 # has a bare wire on its right side and `k-drop` on both, so they are
 # saturated with identity edges, and `k-drop` matches by expanding a host
 # wire beside the k
-RULES = parse_rules("""
+RULE_TEXT = """
 hh : h ; h => h
 ff : f ; f => f
 copy-nat : p ; c => c ; p * p
 counit : d ; s * id 1 => id 1
 k-drop : k * id 1 => id 2
-""", RSIG)
+"""
+RULES = parse_rules(RULE_TEXT, RSIG)
 
 
 def _chain(parts):
@@ -290,6 +292,28 @@ def test_normalize_cost_per_step_builds_no_graph(monkeypatch):
         assert len(res.steps) == n - 1 and len(res.graph.edges) == 1
     assert counts[0] == counts[1]
     assert counts[0]["graphs"] <= 1 and counts[0]["port_tables"] <= 1
+
+
+def test_normal_forms_builds_each_search_pattern_once(monkeypatch):
+    """Every state searches a rule with the pattern the rule keeps, also
+    when its left side carries identity edges and is smoothed first."""
+    built = []
+    real = PatternTables.__init__
+
+    def counting(self, L):
+        built.append(L)
+        real(self, L)
+
+    monkeypatch.setattr(PatternTables, "__init__", counting)
+    kf = Tensor(Gen("k"), Gen("f"))
+    for rules in (parse_rules("k-drop : k * id 1 => id 2", RSIG),
+                  parse_rules(RULE_TEXT, RSIG)):
+        built.clear()
+        G = interpret(_chain([kf, kf, kf, Tensor(Gen("p"), Gen("f")),
+                              Tensor(Gen("c"), Gen("f"))]), RSIG)
+        nfs, exhausted = normal_forms(G, rules)
+        assert nfs and not exhausted
+        assert len(built) <= len(rules)
 
 
 @pytest.mark.parametrize("make_sig", [two_point_sig, belnap_sig],

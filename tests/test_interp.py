@@ -222,24 +222,62 @@ def test_builder_matches_combinator_fold_on_extracted_terms():
         assert_same_stored_order(extract_term(H), SIG)
 
 
-@pytest.mark.parametrize("t, sig", [
-    (Seq(Gen("f"), Gen("h")), SIG),
-    (Tensor(Gen("f"), Seq(Gen("k"), Gen("h"))), SIG),
-    (Trace(2, Gen("g")), SIG),
-    (Trace("A", Gen("f")), LSIG),
-    (Trace(("B",), Seq(Gen("f"), Gen("c"))), LSIG),
-    (Seq(Gen("f"), Gen("f")), LSIG),
-    (Seq(Gen("f"), Gen("nope")), SIG),
-    (Tensor(Gen("nope"), Seq(Gen("f"), Gen("h"))), SIG),
-    (Seq(Swap(1, 1), Id(3)), SIG),
-    (Tensor(Gen("f"), Seq(Id(1), Seq(Swap(1, 1), Id(2)))), SIG),
-    (Seq(Swap("A", "B"), Id(("A", "B"))), LSIG),
-])
+#: ill-typed terms, the message ``interpret`` raises, and the path of
+#: attribute names from the term to the node it names
+TYPE_ERRORS = [
+    (Seq(Gen("f"), Gen("h")), SIG, "cannot compose: 1 does not match 2", ()),
+    (Tensor(Gen("f"), Seq(Gen("k"), Gen("h"))), SIG,
+     "cannot compose: 1 does not match 2", ("bottom",)),
+    (Trace(2, Gen("g")), SIG,
+     "cannot trace 2 out of a graph whose interface starts 1 -> 2", ()),
+    (Trace("A", Gen("f")), LSIG, "cannot trace [A] out of a graph whose"
+     " interface starts [A] -> [B]", ()),
+    (Trace(("B",), Seq(Gen("f"), Gen("c"))), LSIG, "cannot trace [B] out of"
+     " a graph whose interface starts [A] -> [A]", ()),
+    (Seq(Gen("f"), Gen("f")), LSIG,
+     "cannot compose: [B] does not match [A]", ()),
+    (Seq(Gen("f"), Gen("nope")), SIG, "unknown generator 'nope'",
+     ("right",)),
+    (Tensor(Gen("nope"), Seq(Gen("f"), Gen("h"))), SIG,
+     "unknown generator 'nope'", ("top",)),
+    (Seq(Swap(1, 1), Id(3)), SIG, "cannot compose: 2 does not match 3", ()),
+    (Tensor(Gen("f"), Seq(Id(1), Seq(Swap(1, 1), Id(2)))), SIG,
+     "cannot compose: 1 does not match 2", ("bottom",)),
+    (Seq(Swap("A", "B"), Id(("A", "B"))), LSIG,
+     "cannot compose: [B,A] does not match [A,B]", ()),
+]
+
+
+@pytest.mark.parametrize("t, sig", [(t, sig) for t, sig, *_ in TYPE_ERRORS])
 def test_builder_type_errors_match_combinator_fold(t, sig):
     with pytest.raises(TypeMismatch):
         interpret_by_combinators(t, sig)
     with pytest.raises(TypeMismatch):
         interpret(t, sig)
+
+
+def _node_at(t, path):
+    for name in path:
+        t = getattr(t, name)
+    return t
+
+
+@pytest.mark.parametrize("t, sig, message, path", TYPE_ERRORS + [
+    # the first of two unknown generators in leaf order is the one named,
+    # however the term nests
+    (Seq(Tensor(Gen("f"), Gen("nope")), Gen("nix")), SIG,
+     "unknown generator 'nope'", ("left", "bottom")),
+    (Tensor(Gen("nix"), Seq(Gen("f"), Gen("nope"))), SIG,
+     "unknown generator 'nix'", ("top",)),
+    (Seq(Gen("f"), Trace(1, Seq(Gen("nope"), Gen("nope")))), SIG,
+     "unknown generator 'nope'", ("right", "body", "left")),
+])
+def test_builder_type_errors_keep_their_message_and_node(t, sig, message,
+                                                          path):
+    with pytest.raises(TypeMismatch) as exc:
+        interpret(t, sig)
+    assert str(exc.value) == message
+    assert exc.value.subterm is _node_at(t, path)
 
 
 def test_wiring_type_error_names_both_words():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from linhyp import (canonical, expand, freshen, interpret, isomorphic,
                     load_graph, normalize, parse_rules, parse_term, rename,
                     save_graph, signature, to_dot, validate)
 from linhyp.graphs import LinearHypergraph, fresh_ids
+from linhyp.serialize import graph_to_dict
 from linhyp.laws import law_signature, random_graph
 
 SIG = law_signature()
@@ -114,6 +116,27 @@ def test_json_omits_labels_for_plain_graphs():
 def test_raw_save_preserves_ids():
     H = random_graph(random.Random(6), SIG)
     assert load_graph(save_graph(H, canonicalize=False)) == H
+
+
+def test_save_writes_the_bytes_of_the_json_encoder(gsig):
+    def by_encoder(H, canonicalize):
+        G = canonical(H) if canonicalize else H
+        return json.dumps(graph_to_dict(G), indent=2) + "\n"
+
+    H = interpret(parse_term("f * g ; h", gsig), gsig)
+    odd = {"A": 'A"\\é', "B": "\\", "C": "ĉ ☃", "D": "d\n\t"}
+    quoted = replace(
+        H, labels={e: lab for e, lab in zip(H.edges, ['"f"', "g\\", "hé"])},
+        vtlabels={v: odd[x] for v, x in H.vtlabels.items()},
+        vslabels={v: odd[x] for v, x in H.vslabels.items()})
+    ids = H.targets + H.sources + H.edges
+    graphs = [H, quoted, rename(quoted, {x: -1 - x for x in ids}),
+              LinearHypergraph((), (), (), {}, {}, {}, {})]
+    graphs += [random_graph(random.Random(seed), SIG) for seed in range(60)]
+    for G in graphs:
+        for canonicalize in (True, False):
+            assert save_graph(G, canonicalize) == by_encoder(G, canonicalize)
+    assert "vtlabels" in save_graph(quoted)
 
 
 def test_dot_mentions_every_edge_and_interface(gsig):
