@@ -141,6 +141,12 @@ class CircuitSignature:
                         f"{gate.table[lo]} but {hi} -> {gate.table[hi]}")
 
     def signature(self) -> Signature:
+        """The term signature of the circuits: values, gates and the
+        wiring generators; built once."""
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> Signature:
         gens: dict[str, tuple[int, int]] = {v: (0, 1) for v in self.lattice.values}
         gens.update({g.name: (g.arity, 1) for g in self.gates.values()})
         gens.update({FORK: (1, 2), JOIN: (2, 1), STUB: (1, 0), DELAY: (1, 1)})
@@ -491,7 +497,7 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             head, colon, body = line.partition(":")
             parts = head.split()
             if (not colon or len(parts) != 4 or parts[2] != "arity"
-                    or not parts[3].isdigit()):
+                    or not parts[3].isdecimal()):
                 raise LatticeError(
                     f"line {lineno}: expected 'gate NAME arity N: row'")
             name, arity = parts[1], int(parts[3])

@@ -659,10 +659,10 @@ def embeddings(L: LinearHypergraph, G: GraphView,
 
     Fixing one edge fixes its whole component, so each component's
     search starts from its edge whose label has the fewest edges in G.
-    When that is not the component's first edge, the first edge's images
-    that complete the component are collected and sorted by G's stored
-    order (``G.edge_seq``) before the search goes on, which keeps the
-    order above.
+    When that is not the component's first edge, the component's
+    completions are collected, each propagated once, and sorted by G's
+    stored order (``G.edge_seq``) of the first edge's image before the
+    search goes on, which keeps the order above.
 
     With ``up_to_homeo`` the loose ends of L's boundary wires are bound
     last.  When the wire leaving the matched part re-enters it
@@ -783,34 +783,50 @@ class _Search:
                         return False
         return True
 
-    def anchor_images(self, anchor: int, start: int) -> Iterable[int]:
-        """The host edges to try for a component's first edge, in G's
-        stored order: those of its label or, when the search starts
-        elsewhere, those that complete the component."""
-        edges = self.G.by_label.get(self.L.labels[start], ())
-        if start == anchor:
-            return edges
-        used_e, emap = self.used[_E], self.maps[_E]
-        mark = len(self.trail)
-        images = []
-        for d in edges:
-            if d not in used_e and self.extend(_E, start, d):
-                images.append(emap[anchor])
-                self.undo(mark)
-        images.sort(key=self.G.edge_seq.__getitem__)
-        return images
-
     def components(self, idx: int) -> Iterator[Found]:
         if idx == len(self.starts):
             yield from self.bare(0)
             return
         anchor, start = self.starts[idx]
-        used_e = self.used[_E]
         mark = len(self.trail)
-        for d in self.anchor_images(anchor, start):
+        if start != anchor:
+            for entries in self.completions(anchor, start):
+                self.replay(entries)
+                yield from self.components(idx + 1)
+                self.undo(mark)
+            return
+        used_e = self.used[_E]
+        for d in self.G.by_label.get(self.L.labels[anchor], ()):
             if d not in used_e and self.extend(_E, anchor, d):
                 yield from self.components(idx + 1)
                 self.undo(mark)
+
+    def completions(self, anchor: int, start: int
+                    ) -> list[list[tuple[int, int, int]]]:
+        """The ways to map a component whose search starts at an edge
+        other than its first, found from that edge: each as the
+        assignments it adds, in G's stored order of the first edge's
+        image."""
+        G, maps, trail, used_e = self.G, self.maps, self.trail, self.used[_E]
+        mark = len(trail)
+        found = []
+        for d in G.by_label.get(self.L.labels[start], ()):
+            if d not in used_e and self.extend(_E, start, d):
+                found.append((G.edge_seq[maps[_E][anchor]],
+                              [(kind, a, maps[kind][a])
+                               for kind, a in trail[mark:]]))
+                self.undo(mark)
+        found.sort(key=lambda f: f[0])
+        return [entries for _, entries in found]
+
+    def replay(self, entries: list[tuple[int, int, int]]) -> None:
+        """Make again assignments that :meth:`completions` found, in the
+        state it found them in, so that they do not clash."""
+        maps, used, trail = self.maps, self.used, self.trail
+        for kind, a, b in entries:
+            maps[kind][a] = b
+            used[kind].add(b)
+            trail.append((kind, a))
 
     def bare(self, idx: int) -> Iterator[Found]:
         P, G = self.P, self.G

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
                      Homomorphism, LinearHypergraph, SimpleHypergraph,
-                     commutes, embeddings, expand, fresh_ids, freshen, smooth,
+                     embeddings, expand, fresh_ids, freshen, smooth,
                      to_simple)
 from .interp import interpret
 from .ops import identity as identity_graph
@@ -50,9 +50,9 @@ class RewriteRule:
         return _pattern(self.L)
 
     @cached_property
-    def _legs_embed(self) -> tuple[bool, bool]:
-        """Whether the left and the right leg are embeddings."""
-        return self.left_leg.is_embedding(), self.right_leg.is_embedding()
+    def _step(self) -> _StepPlan:
+        """What a DPO step of this rule does at any match."""
+        return _StepPlan(self)
 
 
 @dataclass(frozen=True)
@@ -471,6 +471,103 @@ class NormalizeResult:
     exhausted: bool = False
 
 
+class _StepPlan:
+    """What a DPO step of one rule does at any match, worked out once
+    from the span ``L <- K -> R``, so that a step only looks the match
+    up and writes the host (Ehrig, Ehrig, Prange & Taentzer, 2006, give
+    the gluing conditions as properties of the rule).
+
+    ``error`` is the error the span raises at every match, in
+    :func:`apply_rewrite`'s order: a left leg that is not an embedding,
+    an interface with edges, a right leg that is not an embedding.  The
+    other fields are set only when it is None.  The "severs wire" error
+    of :func:`pushout_complement` cannot arise here: the left leg and
+    the match commute with ``conn``, so a wire that K keeps one end of
+    it keeps whole.
+
+    A step gives R's elements their host ids in one list of slots,
+    ``img``: fresh ids for R's new targets, new sources and edges, in
+    that order (``fresh`` of them), then the host images of ``keep_t``
+    and ``keep_s``, L's elements that K maps to, in K's order, then
+    INTERFACE, so slot -1 stands for it.
+
+    - ``check_t`` and ``check_s`` pair a K vertex with its L vertex
+      where that L vertex is on the interface and R's is attached: only
+      there can the host be attached too, which boundary coherence
+      forbids.
+    - ``kill_t``, ``kill_s`` and ``kill_e`` are L's elements outside K's
+      image, which the step deletes.
+    - ``glue_t`` and ``glue_s`` give the slots of a kept vertex and of
+      the edge R attaches it to (or -1), where L or R attaches it.
+    - ``new_t``, ``new_s``, ``links`` and ``edges`` make R's new
+      elements in R's stored order: their slots, the slots of their
+      edges, ports and wires, and their labels.
+    """
+
+    def __init__(self, rule: RewriteRule) -> None:
+        K, L, R = rule.K, rule.L, rule.R
+        ll, rl = rule.left_leg, rule.right_leg
+        self.error = (
+            "pushout complement needs embeddings" if not ll.is_embedding()
+            else "pushout interface must be edge-free" if K.edges
+            else "pushout needs a span of embeddings"
+            if not rl.is_embedding() else None)
+        if self.error is not None:
+            return
+        self.keep_t = [ll.vmap_t[k] for k in K.targets]
+        self.keep_s = [ll.vmap_s[k] for k in K.sources]
+        kept_t, kept_s = set(self.keep_t), set(self.keep_s)
+        self.kill_t = [v for v in L.targets if v not in kept_t]
+        self.kill_s = [v for v in L.sources if v not in kept_s]
+        self.kill_e = list(L.edges)
+
+        glued_t = {rl.vmap_t[k]: i for i, k in enumerate(K.targets)}
+        glued_s = {rl.vmap_s[k]: i for i, k in enumerate(K.sources)}
+        new_t = [v for v in R.targets if v not in glued_t]
+        new_s = [v for v in R.sources if v not in glued_s]
+        slots = itertools.count()
+        slot_t = {v: next(slots) for v in new_t}
+        slot_s = {v: next(slots) for v in new_s}
+        slot_e = {e: next(slots) for e in R.edges}
+        self.fresh = n = next(slots)
+        slot_e[INTERFACE] = -1
+        slot_t.update((v, n + i) for v, i in glued_t.items())
+        n += len(K.targets)
+        slot_s.update((v, n + i) for v, i in glued_s.items())
+
+        self.check_t, self.glue_t = self._glue(
+            K.targets, self.keep_t, L.left, rl.vmap_t, R.left, slot_t, slot_e)
+        self.check_s, self.glue_s = self._glue(
+            K.sources, self.keep_s, L.right, rl.vmap_s, R.right, slot_s,
+            slot_e)
+        self.new_t = [(slot_t[v], slot_e[R.left[v]], R.vtlabels[v])
+                      for v in new_t]
+        self.new_s = [(slot_s[v], slot_e[R.right[v]], R.vslabels[v])
+                      for v in new_s]
+        self.links = [(slot_t[v], slot_s[R.conn[v]]) for v in new_t]
+        rtgts, rsrcs = R.view.tgts, R.view.srcs
+        self.edges = [(slot_e[e], R.labels[e],
+                       [slot_t[v] for v in rtgts[e]],
+                       [slot_s[v] for v in rsrcs[e]]) for e in R.edges]
+
+    @staticmethod
+    def _glue(ks: Sequence[int], keep: list[int], l_side: dict, r_map: dict,
+              r_side: dict, slot: dict, slot_e: dict
+              ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The coherence checks and the attachments of K's targets (or
+        of its sources), given each vertex's edge in L and in R."""
+        check, glue = [], []
+        for k, v in zip(ks, keep):
+            r = r_map[k]
+            r_edge = r_side[r]
+            if l_side[v] is INTERFACE:
+                if r_edge is INTERFACE:
+                    continue
+                check.append((k, v))
+            glue.append((slot[r], slot_e[r_edge]))
+        return check, glue
+
+
 class _Host(GraphView):
     """A host graph that :func:`normalize` rewrites in place.
 
@@ -563,113 +660,58 @@ class _Host(GraphView):
         self._link(w, s)
         return t, s, e
 
-    def embeds(self, L: LinearHypergraph, vmap_t: dict[int, int],
-               vmap_s: dict[int, int], emap: dict[int, int]) -> bool:
-        """``Homomorphism.is_embedding`` for a map of L into the host,
-        checked on L's image only."""
-        return (vmap_t.keys() == set(L.targets)
-                and vmap_s.keys() == set(L.sources)
-                and emap.keys() == set(L.edges)
-                and all(v in self.targets for v in vmap_t.values())
-                and all(v in self.sources for v in vmap_s.values())
-                and all(e in self.labels for e in emap.values())
-                and len(set(vmap_t.values())) == len(vmap_t)
-                and len(set(vmap_s.values())) == len(vmap_s)
-                and len(set(emap.values())) == len(emap)
-                and commutes(L, self, vmap_t, vmap_s, emap))
-
     def rewrite(self, rule: RewriteRule, vmap_t: dict[int, int],
                 vmap_s: dict[int, int], emap: dict[int, int]) -> None:
         """One DPO step at a match of ``rule.L``, in O(|L| + |R|).
 
         It gives what :func:`apply_rewrite` gives, raising the same
         errors in the same order: delete the image of L less K's, glue a
-        fresh copy of R along K, and splice out the identity edges.
+        fresh copy of R along K, and splice out the identity edges.  The
+        match must be an embedding, as :func:`~linhyp.graphs.embeddings`
+        yields it; the rule's part of the work is ``rule._step``'s.
         """
-        K, R = rule.K, rule.R
-        ll, rl = rule.left_leg, rule.right_leg
-        left_ok, right_ok = rule._legs_embed
-        # pushout complement
-        if not left_ok or not self.embeds(rule.L, vmap_t, vmap_s, emap):
-            raise RewriteError("pushout complement needs embeddings")
-        keep_t = {k: vmap_t[ll.vmap_t[k]] for k in K.targets}
-        keep_s = {k: vmap_s[ll.vmap_s[k]] for k in K.sources}
-        kill_t = set(vmap_t.values()) - set(keep_t.values())
-        kill_s = set(vmap_s.values()) - set(keep_s.values())
-        kill_e = (set(emap.values())
-                  - {emap[ll.emap[k]] for k in K.edges})
-        severed = [t for t in map(self.conn_inv.__getitem__, kill_s)
-                   if t not in kill_t]
-        if severed:
-            t = min(severed, key=self.seq.__getitem__)
-            raise RewriteError(
-                f"deleting the match severs wire {t}->{self.conn[t]} badly")
-
-        def cut(e: int | None) -> int | None:
-            return INTERFACE if e in kill_e else e
-
-        # pushout
-        if K.edges:
-            raise RewriteError("pushout interface must be edge-free")
-        if not right_ok:
-            raise RewriteError("pushout needs a span of embeddings")
-        for k in K.targets:
-            if (cut(self.left[keep_t[k]]) is not INTERFACE
-                    and R.left[rl.vmap_t[k]] is not INTERFACE):
+        p = rule._step
+        if p.error is not None:
+            raise RewriteError(p.error)
+        left, right = self.left, self.right
+        for k, v in p.check_t:
+            if left[vmap_t[v]] is not INTERFACE:
                 raise RewriteError(
                     f"not boundary coherent: interface vertex {k} is"
                     " edge-attached on both sides")
-        for k in K.sources:
-            if (cut(self.right[keep_s[k]]) is not INTERFACE
-                    and R.right[rl.vmap_s[k]] is not INTERFACE):
+        for k, v in p.check_s:
+            if right[vmap_s[v]] is not INTERFACE:
                 raise RewriteError(
                     f"not boundary coherent: interface vertex {k} is"
                     " edge-attached on both sides")
 
         # the checks passed: change the host
-        for v in keep_t.values():
-            self.left[v] = cut(self.left[v])
-        for v in keep_s.values():
-            self.right[v] = cut(self.right[v])
-        for t in kill_t:
+        img = fresh_ids(p.fresh)
+        img += map(vmap_t.__getitem__, p.keep_t)
+        img += map(vmap_s.__getitem__, p.keep_s)
+        img.append(INTERFACE)
+        for t in map(vmap_t.__getitem__, p.kill_t):
             del self.conn_inv[self.conn.pop(t)]
             self._drop_target(t)
-        for s in kill_s:
+        for s in map(vmap_s.__getitem__, p.kill_s):
             self._drop_source(s)
-        for e in kill_e:
+        for e in map(emap.__getitem__, p.kill_e):
             self._drop_edge(e)
-
-        img_t = {rl.vmap_t[k]: v for k, v in keep_t.items()}
-        img_s = {rl.vmap_s[k]: v for k, v in keep_s.items()}
-        new_t = [v for v in R.targets if v not in img_t]
-        new_s = [v for v in R.sources if v not in img_s]
-        ids = iter(fresh_ids(len(new_t) + len(new_s) + len(R.edges)))
-        img_t.update(zip(new_t, ids))
-        img_s.update(zip(new_s, ids))
-        img_e = dict(zip(R.edges, ids))
-
-        def img(e: int | None) -> int | None:
-            return INTERFACE if e is INTERFACE else img_e[e]
-
-        for k, v in keep_t.items():
-            if self.left[v] is INTERFACE:
-                self.left[v] = img(R.left[rl.vmap_t[k]])
-        for k, v in keep_s.items():
-            if self.right[v] is INTERFACE:
-                self.right[v] = img(R.right[rl.vmap_s[k]])
-        for v in new_t:
-            self._add_target(img_t[v], img(R.left[v]), R.vtlabels[v])
-        for v in new_s:
-            self._add_source(img_s[v], img(R.right[v]), R.vslabels[v])
-        for v in new_t:
-            self._link(img_t[v], img_s[R.conn[v]])
-        rtgts, rsrcs = R.view.tgts, R.view.srcs
+        for i, j in p.glue_t:
+            left[img[i]] = img[j]
+        for i, j in p.glue_s:
+            right[img[i]] = img[j]
+        for i, j, lab in p.new_t:
+            self._add_target(img[i], img[j], lab)
+        for i, j, lab in p.new_s:
+            self._add_source(img[i], img[j], lab)
+        for i, j in p.links:
+            self._link(img[i], img[j])
         seq = self.seq.__getitem__
-        for e in R.edges:
-            self._add_edge(
-                img_e[e], R.labels[e],
-                tuple(sorted((img_t[v] for v in rtgts[e]), key=seq)),
-                tuple(sorted((img_s[v] for v in rsrcs[e]), key=seq)))
+        for i, lab, ts, ss in p.edges:
+            self._add_edge(img[i], lab,
+                           tuple(sorted([img[j] for j in ts], key=seq)),
+                           tuple(sorted([img[j] for j in ss], key=seq)))
         self.smooth()
 
     def smooth(self) -> None:

@@ -321,9 +321,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("sym", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("nat", text[i:j], i))
             i = j
@@ -532,7 +532,7 @@ def _is_name(text: str) -> bool:
 
 
 def _parse_word(text: str, lineno: int) -> Word:
-    if text.isdigit():
+    if text.isdecimal():
         return word(int(text))
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1].strip()

@@ -7,8 +7,10 @@ the list-based rewriting driver that the lazy one must agree with,
 graph-level one must agree with, ``embeddings_from_first_edge``, the
 embedding search whose order of maps the library's must keep, and
 ``canonical_labelling_by_port_search``, the labelling whose codes the
-library's must keep.  ``shuffle_by_insertion`` is the quadratic wiring
-term that the library's merge sort replaced.
+library's must keep, and ``embeds``, which checks a match on the host
+``normalize`` rewrites with the commuting check of
+``Homomorphism.is_embedding``.  ``shuffle_by_insertion`` is the
+quadratic wiring term that the library's merge sort replaced.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -29,8 +31,8 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, eval_rules, read_value_word,
                              value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import (INTERFACE, Found, GraphView, _walk, expand,
-                           fresh_ids)
+from linhyp.graphs import (INTERFACE, Found, GraphView, _walk, commutes,
+                           expand, fresh_ids)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
                             find_matchings, normalize)
@@ -350,6 +352,23 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
         matched_edges = tuple(sorted(match.embedding.emap.values()))
         current = apply_rewrite(current, rule, match)
         steps.append(Step(len(steps) + 1, rule.name, matched_edges))
+
+
+def embeds(L: LinearHypergraph, host, vmap_t: dict[int, int],
+           vmap_s: dict[int, int], emap: dict[int, int]) -> bool:
+    """``Homomorphism.is_embedding`` for a map of L into a host that
+    ``normalize`` rewrites in place, checked on L's image only: the
+    check the in-place step leaves to the search."""
+    return (vmap_t.keys() == set(L.targets)
+            and vmap_s.keys() == set(L.sources)
+            and emap.keys() == set(L.edges)
+            and all(v in host.targets for v in vmap_t.values())
+            and all(v in host.sources for v in vmap_s.values())
+            and all(e in host.labels for e in emap.values())
+            and len(set(vmap_t.values())) == len(vmap_t)
+            and len(set(vmap_s.values())) == len(vmap_s)
+            and len(set(emap.values())) == len(emap)
+            and commutes(L, host, vmap_t, vmap_s, emap))
 
 
 def _powerset(xs):

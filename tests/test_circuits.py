@@ -499,6 +499,30 @@ def test_parse_circuit_signature_errors():
             "values: a\nbottom: a\njoin: a a -> a\ngate g arity 2: a -> a\n")
 
 
+def test_parse_circuit_signature_reads_only_decimal_arities():
+    with pytest.raises(LatticeError) as info:
+        parse_circuit_signature(
+            "values: a\nbottom: a\njoin: a a -> a\ngate g arity ¹: a -> a\n")
+    assert str(info.value) == "line 4: expected 'gate NAME arity N: row'"
+
+
+def test_circuit_signature_is_built_once_per_lattice(monkeypatch):
+    """``evaluate`` reads the term signature on every call; it is built
+    and checked once per parsed lattice."""
+    import linhyp.circuits as circuits
+
+    built = []
+    real = circuits.signature
+    monkeypatch.setattr(circuits, "signature",
+                        lambda gens: built.append(gens) or real(gens))
+    csig = two_point_sig()
+    sig = csig.signature()
+    for value in ("bot", "top"):
+        assert evaluate(Gen("amp"), (value,), csig) == (value,)
+    assert csig.signature() is sig and len(built) == 1
+    assert two_point_sig().signature() is not sig
+
+
 def test_eval_rules_compile_once_on_first_use(monkeypatch):
     import linhyp.circuits as circuits
 

@@ -18,7 +18,7 @@ from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
                            validate)
 from linhyp.laws import random_term
 from linhyp.terms import signature
-from oracles import normalize_by_enumeration
+from oracles import embeds, normalize_by_enumeration
 from test_circuits import belnap_sig, two_point_sig
 
 RSIG = signature({"f": (1, 1), "p": (1, 1), "c": (1, 2), "d": (1, 2),
@@ -264,6 +264,38 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
                           Tensor(Gen("c"), Gen("c"))]), RSIG)
     assert_same_run(G, glue + RULES)
     assert len(checked) > 100
+
+
+def test_every_match_the_driver_applies_is_an_embedding(monkeypatch):
+    """The in-place step trusts the search: every map that ``normalize``
+    completes and applies is total, injective and commutes, on the
+    rewrite hosts, the loop hosts (whose matches split host wires) and
+    circuits under the evaluator's rules.  A map with two target images
+    exchanged fails the same check."""
+    applied = []
+    real = rewrite._Host.rewrite
+
+    def checking(self, rule, vmap_t, vmap_s, emap):
+        assert embeds(rule.L, self, vmap_t, vmap_s, emap)
+        if len(vmap_t) > 1:
+            (a, x), (b, y) = list(vmap_t.items())[:2]
+            assert not embeds(rule.L, self, {**vmap_t, a: y, b: x}, vmap_s,
+                              emap)
+        applied.append(rule.name)
+        real(self, rule, vmap_t, vmap_s, emap)
+
+    monkeypatch.setattr(rewrite._Host, "rewrite", checking)
+    rng = random.Random(5)
+    for _ in range(40):
+        normalize(_host(rng), RULES)
+    for _ in range(8):
+        normalize(_loops(rng, rng.randint(8, 12)), RULES)
+    for csig in (two_point_sig(), belnap_sig()):
+        for G in _circuits(csig, rng, 20):
+            normalize(G, eval_rules(csig), max_steps=40)
+    names = {r.name for r in RULES}
+    assert names <= set(applied) and len(set(applied) - names) >= 10
+    assert len(applied) > 500
 
 
 def test_normalize_cost_per_step_builds_no_graph(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from linhyp import (Gen, Homomorphism, Id, Seq, Swap, Tensor, Trace,
@@ -392,3 +394,108 @@ def test_parse_rules_file():
     rules = parse_rules(text, CSIG)
     assert [r.name for r in rules] == ["squash", "grow"]
     assert rules[1].left_leg.is_embedding()
+
+
+# ---------------------------------------------------------------------------
+# The in-place step's errors against the pure step's, on hand-built spans
+# ---------------------------------------------------------------------------
+
+def _step_errors(rule, G):
+    """The error ``normalize`` raises at its first step, and the one
+    :func:`apply_rewrite` raises at the same match."""
+    with pytest.raises(RewriteError) as in_place:
+        normalize(G, [rule])
+    match = find_matchings(rule.L, G, up_to_homeo=True)[0]
+    with pytest.raises(RewriteError) as pure:
+        apply_rewrite(G, rule, match)
+    return str(in_place.value), str(pure.value)
+
+
+def _f_rule():
+    """``f => f``, whose interface K is one input and one output wire:
+    K's targets and sources are (input, output) in that order."""
+    rule = rule_from_terms(Gen("f"), Gen("f"), CSIG, "f-f")
+    assert len(rule.K.targets) == 2 and not rule.K.edges
+    return rule
+
+
+def _swapped_targets(leg):
+    """``leg`` with the images of K's two targets exchanged: it no
+    longer commutes with ``conn``."""
+    k0, k1 = leg.src.targets
+    return Homomorphism(leg.src, leg.dst,
+                        {k0: leg.vmap_t[k1], k1: leg.vmap_t[k0]},
+                        dict(leg.vmap_s), dict(leg.emap))
+
+
+FF = interpret(parse_term("f ; f", CSIG), CSIG)
+
+
+def test_left_leg_that_is_no_embedding_is_refused_at_every_match():
+    rule = _f_rule()
+    rule = dataclasses.replace(rule, left_leg=_swapped_targets(rule.left_leg))
+    assert _step_errors(rule, FF) == (
+        "pushout complement needs embeddings",) * 2
+
+
+def test_deleting_a_match_never_severs_a_wire():
+    """A one-wire interface that keeps L's input vertex but not the
+    source it feeds would sever that wire, but such a leg does not
+    commute with ``conn``: both steps refuse the span before deleting
+    anything."""
+    rule = _f_rule()
+    L, K = rule.L, identity(1)
+    (t_in,), (s_out,) = L.inputs(), L.outputs()
+    (k,) = K.targets
+    severing = Homomorphism(K, L, {k: t_in}, {K.conn[k]: s_out}, {})
+    assert L.conn[t_in] not in severing.vmap_s.values()
+    assert not severing.is_embedding()
+    rule = dataclasses.replace(rule, K=K, left_leg=severing)
+    assert _step_errors(rule, FF) == (
+        "pushout complement needs embeddings",) * 2
+
+
+def test_interface_with_an_edge_is_refused_at_every_match():
+    L = interpret(Gen("f"), CSIG)
+    same = Homomorphism(L, L, {v: v for v in L.targets},
+                        {v: v for v in L.sources}, {e: e for e in L.edges})
+    rule = dataclasses.replace(_f_rule(), K=L, L=L, R=L, left_leg=same,
+                               right_leg=same)
+    assert same.is_embedding()
+    assert _step_errors(rule, FF) == (
+        "pushout interface must be edge-free",) * 2
+
+
+def test_right_leg_that_is_no_embedding_is_refused_at_every_match():
+    rule = _f_rule()
+    rule = dataclasses.replace(rule,
+                               right_leg=_swapped_targets(rule.right_leg))
+    assert _step_errors(rule, FF) == (
+        "pushout needs a span of embeddings",) * 2
+
+
+@pytest.mark.parametrize("host,side,i", [("copy ; f * id 1", "targets", 0),
+                                         ("f ; f", "sources", 1)],
+                         ids=["target", "source"])
+def test_incoherent_gluing_is_refused_where_the_host_is_attached(host, side,
+                                                                  i):
+    """A right leg that glues K's input wire onto f's output and K's
+    output wire onto R's input is an embedding, but it attaches R at
+    K's input target and output source, where L leaves the interface.
+    The host refuses it where its own edge sits there too: before the
+    match for the target, after it for the source (the first f of
+    ``f ; f`` has a host input on its left)."""
+    rule = _f_rule()
+    R, K = rule.R, rule.K
+    (t_in,), (s_out,) = R.inputs(), R.outputs()
+    (e,) = R.edges
+    k_in, k_out = K.targets
+    glue = Homomorphism(K, R, {k_in: R.conn_inv()[s_out], k_out: t_in},
+                        {K.conn[k_in]: s_out, K.conn[k_out]: R.conn[t_in]},
+                        {})
+    assert glue.is_embedding() and R.left[glue.vmap_t[k_in]] == e
+    rule = dataclasses.replace(rule, right_leg=glue)
+    k = getattr(K, side)[i]
+    assert _step_errors(rule, interpret(parse_term(host, CSIG), CSIG)) == (
+        f"not boundary coherent: interface vertex {k} is edge-attached on"
+        " both sides",) * 2

@@ -43,6 +43,15 @@ def test_parse_reports_position(sig):
     assert "position 4" in str(err.value)
 
 
+def test_parse_reads_only_decimal_digits_as_numbers(sig):
+    """``²`` is a digit to ``str.isdigit`` but no number to ``int``: the
+    parser reports it as a character it cannot read, where it stands."""
+    with pytest.raises(ParseError) as err:
+        parse_term("id ²", sig)
+    assert str(err.value) == "unexpected character '²' (at position 3)"
+    assert parse_term("id ٣", sig) == Id(word(3))  # a decimal digit
+
+
 def test_parse_unknown_generator(sig):
     with pytest.raises(TypeMismatch):
         parse_term("nosuch", sig)
@@ -120,6 +129,13 @@ def test_parse_signature_rejects_names_the_grammar_cannot_spell(name):
     with pytest.raises(SignatureError) as info:
         parse_signature(f"f : 1 -> 1\n{name} : 1 -> 1\n")
     assert str(info.value).startswith(f"line 2: {name!r} is not a")
+
+
+@pytest.mark.parametrize("text", ["²", "1²"])
+def test_parse_signature_reads_only_decimal_digits_as_numbers(text):
+    with pytest.raises(SignatureError) as info:
+        parse_signature(f"f : {text} -> 1\n")
+    assert str(info.value) == f"line 1: bad word {text!r}"
 
 
 def test_parse_signature_takes_every_name_token():
