@@ -17,10 +17,9 @@ from .interp import equal_mod_stmc, interpret
 from .extract import (canonical_edge_order, check_coherence, extract_term,
                       shuffle, stack, untangle)
 from .rewrite import (Matching, NormalizeResult, RewriteError, RewriteRule,
-                      Step, apply_rewrite, boundary_coherent, find_matchings,
-                      glue_simple, normal_forms, normalize, parse_rules,
-                      pushout, pushout_complement, rule_from_terms,
-                      saturate_rule)
+                      Step, apply_rewrite, find_matchings, normal_forms,
+                      normalize, parse_rules, pushout, pushout_complement,
+                      rule_from_terms, saturate_rule)
 from .circuits import (UNPRODUCTIVE, CircuitSignature, Gate, ValueLattice,
                        belnap, cartesian_rules, circuit_rules, copy_term,
                        delete_term, evaluate, gate_from_fn,

@@ -675,6 +675,10 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     target.  A candidate the search rejects thus leaves no trace.
 
     Every yielded map is total and injective once split, and commutes.
+    Its dicts are its own, so a caller may complete them in place while
+    the search goes on.  The rewriting driver stops at the first map
+    and rewrites the host it searched; the exhaustive one rewrites a
+    fresh copy of the graph at every map, and matching expands a copy.
     """
     yield from _Search(L, G, up_to_homeo).components(0)
 

@@ -5,7 +5,9 @@ step finds an embedding of ``L`` in a host graph, removes ``L`` up to the
 interface (pushout complement), and glues ``R`` back in (pushout).
 Rules whose interface legs would collapse a straight-through wire are
 saturated with identity edges first; matching such rules transparently
-expands the host on the wires the identity edges need.
+expands the host on the wires the identity edges need.  Every step is
+made in place on a mutable copy of the host (``_Host``); the pushout
+constructions build the same graph and are kept as its reference.
 """
 from __future__ import annotations
 
@@ -16,13 +18,13 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
-                     Homomorphism, LinearHypergraph, SimpleHypergraph,
-                     embeddings, expand, fresh_ids, freshen, smooth,
-                     to_simple)
+                     Homomorphism, LinearHypergraph, embeddings, expand,
+                     fresh_ids, freshen, smooth)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
-from .terms import Signature, Term, TypeMismatch, parse_term, type_of
+from .terms import (ParseError, Signature, Term, TypeMismatch, _is_name,
+                    parse_term, type_of)
 
 
 class RewriteError(Exception):
@@ -130,8 +132,10 @@ def saturate_rule(rule: RewriteRule) -> RewriteRule:
 
 
 def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
-    """Rule file: one ``name : lhs => rhs`` line per rule."""
-    rules = []
+    """Rule file: one ``name : lhs => rhs`` line per rule, each with its
+    own name: generator-style names joined by ``-`` (``copy-nat``).
+    Errors name their line and keep their class."""
+    rules: dict[str, RewriteRule] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,11 +145,21 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
             lhs_part, rhs_part = rest.split("=>", 1)
         except ValueError:
             raise RewriteError(f"line {lineno}: expected 'name : lhs => rhs'")
-        rules.append(rule_from_terms(
-            parse_term(lhs_part.strip(), sig),
-            parse_term(rhs_part.strip(), sig),
-            sig, name_part.strip()))
-    return rules
+        name = name_part.strip()
+        if not all(map(_is_name, name.split("-"))):
+            raise RewriteError(
+                f"line {lineno}: {name!r} is not a rule name (names made of"
+                " letters, digits and '_', joined by '-')")
+        if name in rules:
+            raise RewriteError(f"line {lineno}: duplicate rule name {name!r}")
+        try:
+            rules[name] = rule_from_terms(parse_term(lhs_part.strip(), sig),
+                                          parse_term(rhs_part.strip(), sig),
+                                          sig, name)
+        except (ParseError, TypeMismatch) as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
+    return list(rules.values())
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +246,7 @@ def matchings(L: LinearHypergraph, G: LinearHypergraph,
     (the rewrite theory works up to wire homeomorphism; loops through a
     redex need this).
     """
-    return _matchings(L, *_pattern(L), G, up_to_homeo)
-
-
-def _matchings(L: LinearHypergraph, pattern: LinearHypergraph,
-               chains: list[tuple[int, list[int]]], G: LinearHypergraph,
-               up_to_homeo: bool) -> Iterator[Matching]:
-    """:func:`matchings` with L's search pattern given, as a rule caches
-    it."""
+    pattern, chains = _pattern(L)
     for found in embeddings(pattern, G.view, up_to_homeo):
         host = G
 
@@ -255,21 +262,6 @@ def _matchings(L: LinearHypergraph, pattern: LinearHypergraph,
 # ---------------------------------------------------------------------------
 # Pushouts
 # ---------------------------------------------------------------------------
-
-def boundary_coherent(m: Homomorphism, n: Homomorphism) -> bool:
-    """Every input of the shared domain is an input under at least one
-    leg, and dually for outputs."""
-    F = m.src
-    for v in F.inputs():
-        if (m.dst.left[m.vmap_t[v]] is not INTERFACE
-                and n.dst.left[n.vmap_t[v]] is not INTERFACE):
-            return False
-    for v in F.outputs():
-        if (m.dst.right[m.vmap_s[v]] is not INTERFACE
-                and n.dst.right[n.vmap_s[v]] is not INTERFACE):
-            return False
-    return True
-
 
 def pushout_complement(left_leg: Homomorphism, match: Homomorphism
                        ) -> tuple[Homomorphism, Homomorphism]:
@@ -289,26 +281,17 @@ def pushout_complement(left_leg: Homomorphism, match: Homomorphism
     kill_e = ({match.emap[e] for e in L.edges}
               - {match.emap[left_leg.emap[k]] for k in K.edges})
 
-    def cut_left(v: int) -> int | None:
-        e = G.left[v]
-        return INTERFACE if e in kill_e else e
-
-    def cut_right(v: int) -> int | None:
-        e = G.right[v]
-        return INTERFACE if e in kill_e else e
-
+    # embeddings commute with conn, so no kept target loses its source
     targets = tuple(v for v in G.targets if v not in kill_t)
     sources = tuple(v for v in G.sources if v not in kill_s)
-    for t in targets:
-        if G.conn[t] in kill_s:
-            raise RewriteError(
-                f"deleting the match severs wire {t}->{G.conn[t]} badly")
     C = LinearHypergraph(
         targets=targets,
         sources=sources,
         edges=tuple(e for e in G.edges if e not in kill_e),
-        left={v: cut_left(v) for v in targets},
-        right={v: cut_right(v) for v in sources},
+        left={v: INTERFACE if G.left[v] in kill_e else G.left[v]
+              for v in targets},
+        right={v: INTERFACE if G.right[v] in kill_e else G.right[v]
+               for v in sources},
         conn={t: G.conn[t] for t in targets},
         labels={e: lab for e, lab in G.labels.items() if e not in kill_e},
         vtlabels={v: l for v, l in G.vtlabels.items() if v not in kill_t},
@@ -343,27 +326,17 @@ def pushout(m: Homomorphism, n: Homomorphism
         raise RewriteError("pushout needs a span of embeddings")
     R_orig = n.dst
     R = freshen(R_orig)
-    ids_old = list(R_orig.targets) + list(R_orig.sources) + list(R_orig.edges)
-    ids_new = list(R.targets) + list(R.sources) + list(R.edges)
-    lift = dict(zip(ids_old, ids_new))
-    n = Homomorphism(K, R,
-                     {k: lift[v] for k, v in n.vmap_t.items()},
-                     {k: lift[v] for k, v in n.vmap_s.items()},
-                     {})
+    lift = dict(zip(R_orig.targets + R_orig.sources + R_orig.edges,
+                    R.targets + R.sources + R.edges))
+    n_t = {k: lift[v] for k, v in n.vmap_t.items()}
+    n_s = {k: lift[v] for k, v in n.vmap_s.items()}
 
-    rep_t = {n.vmap_t[k]: m.vmap_t[k] for k in K.targets}
-    rep_s = {n.vmap_s[k]: m.vmap_s[k] for k in K.sources}
-    for k in K.targets:
-        cl = C.left[m.vmap_t[k]]
-        rl = R.left[n.vmap_t[k]]
-        if cl is not INTERFACE and rl is not INTERFACE:
-            raise RewriteError(
-                f"not boundary coherent: interface vertex {k} is"
-                " edge-attached on both sides")
-    for k in K.sources:
-        cr = C.right[m.vmap_s[k]]
-        rr = R.right[n.vmap_s[k]]
-        if cr is not INTERFACE and rr is not INTERFACE:
+    rep_t = {n_t[k]: m.vmap_t[k] for k in K.targets}
+    rep_s = {n_s[k]: m.vmap_s[k] for k in K.sources}
+    ends = [(k, C.left[m.vmap_t[k]], R.left[n_t[k]]) for k in K.targets]
+    ends += [(k, C.right[m.vmap_s[k]], R.right[n_s[k]]) for k in K.sources]
+    for k, c_edge, r_edge in ends:
+        if c_edge is not INTERFACE and r_edge is not INTERFACE:
             raise RewriteError(
                 f"not boundary coherent: interface vertex {k} is"
                 " edge-attached on both sides")
@@ -371,23 +344,17 @@ def pushout(m: Homomorphism, n: Homomorphism
     r_only_t = tuple(v for v in R.targets if v not in rep_t)
     r_only_s = tuple(v for v in R.sources if v not in rep_s)
 
-    left = {}
-    for v in C.targets:
-        left[v] = C.left[v]
+    left = {v: C.left[v] for v in C.targets}
     for k in K.targets:
         if C.left[m.vmap_t[k]] is INTERFACE:
-            left[m.vmap_t[k]] = R.left[n.vmap_t[k]]
-    for v in r_only_t:
-        left[v] = R.left[v]
+            left[m.vmap_t[k]] = R.left[n_t[k]]
+    left.update((v, R.left[v]) for v in r_only_t)
 
-    right = {}
-    for v in C.sources:
-        right[v] = C.right[v]
+    right = {v: C.right[v] for v in C.sources}
     for k in K.sources:
         if C.right[m.vmap_s[k]] is INTERFACE:
-            right[m.vmap_s[k]] = R.right[n.vmap_s[k]]
-    for v in r_only_s:
-        right[v] = R.right[v]
+            right[m.vmap_s[k]] = R.right[n_s[k]]
+    right.update((v, R.right[v]) for v in r_only_s)
 
     conn = dict(C.conn)
     for v in r_only_t:
@@ -417,41 +384,22 @@ def pushout(m: Homomorphism, n: Homomorphism
     return H, c_to_h, r_to_h
 
 
-def glue_simple(m: Homomorphism, n: Homomorphism) -> SimpleHypergraph:
-    """The pushout computed in plain simple hypergraphs.
-
-    Always exists; used to witness that non-boundary-coherent spans glue
-    to something that is no longer linear."""
-    K = m.src
-    IC, IR = to_simple(m.dst), to_simple(n.dst)
-    rep = {n.vmap_s[k]: m.vmap_s[k] for k in K.sources}
-    vertices = IC.vertices + tuple(v for v in IR.vertices if v not in rep)
-
-    def r_img(v: int) -> int:
-        return rep.get(v, v)
-
-    src = {**{e: IC.src[e] for e in IC.edges},
-           **{e: tuple(r_img(v) for v in IR.src[e]) for e in IR.edges}}
-    tgt = {**{e: IC.tgt[e] for e in IC.edges},
-           **{e: tuple(r_img(v) for v in IR.tgt[e]) for e in IR.edges}}
-    return SimpleHypergraph(
-        vertices=vertices,
-        edges=IC.edges + IR.edges,
-        src=src, tgt=tgt,
-        labels={**IC.labels, **IR.labels},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Steps and the driver
 # ---------------------------------------------------------------------------
 
 def apply_rewrite(G: LinearHypergraph, rule: RewriteRule,
                   match: Matching) -> LinearHypergraph:
-    """One DPO step at the given match: complement, glue, smooth."""
-    k_to_c, _ = pushout_complement(rule.left_leg, match.embedding)
-    H, _, _ = pushout(k_to_c, rule.right_leg)
-    return smooth(H)
+    """One DPO step at the given match, on a copy of ``match.host`` (G
+    or an expansion of it), by :meth:`_Host.rewrite`: it gives what
+    :func:`pushout_complement`, :func:`pushout` and
+    :func:`~linhyp.graphs.smooth` give and raises what they raise."""
+    if not match.embedding.is_embedding():
+        raise RewriteError("pushout complement needs embeddings")
+    m = match.embedding
+    host = _Host(match.host)
+    host.rewrite(rule, m.vmap_t, m.vmap_s, m.emap)
+    return host.freeze()
 
 
 @dataclass(frozen=True)
@@ -477,13 +425,11 @@ class _StepPlan:
     up and writes the host (Ehrig, Ehrig, Prange & Taentzer, 2006, give
     the gluing conditions as properties of the rule).
 
-    ``error`` is the error the span raises at every match, in
-    :func:`apply_rewrite`'s order: a left leg that is not an embedding,
-    an interface with edges, a right leg that is not an embedding.  The
-    other fields are set only when it is None.  The "severs wire" error
-    of :func:`pushout_complement` cannot arise here: the left leg and
-    the match commute with ``conn``, so a wire that K keeps one end of
-    it keeps whole.
+    ``error`` is the error the span raises at every match, in the
+    order :func:`pushout_complement` and :func:`pushout` check: a left
+    leg that is not an embedding, an interface with edges, a right leg
+    that is not an embedding.  The other fields are set only when it is
+    None.
 
     A step gives R's elements their host ids in one list of slots,
     ``img``: fresh ids for R's new targets, new sources and edges, in
@@ -569,13 +515,16 @@ class _StepPlan:
 
 
 class _Host(GraphView):
-    """A host graph that :func:`normalize` rewrites in place.
+    """A host graph that DPO steps rewrite in place: the one step engine
+    behind :func:`normalize`, :func:`normal_forms` and :func:`apply_rewrite`.
 
     It keeps the tables of a :class:`GraphView` current, so the search
     reads it live.  ``targets``, ``sources`` and ``labels`` are
     insertion-ordered and list the vertices and edges in the stored
-    order the pure pipeline gives (:func:`apply_rewrite`): survivors keep
-    their order and new elements follow in the order they are made.
+    order that :func:`pushout_complement`, :func:`pushout` and
+    :func:`~linhyp.graphs.smooth` give, which the tests check it
+    against: survivors keep their order and new elements follow in the
+    order they are made.
     ``seq`` numbers the vertices in that order: an edge of R that is
     glued onto surviving vertices takes its ports in stored order, as
     ``port_tables`` does.  ``edge_seq`` numbers the edges from the same
@@ -664,11 +613,13 @@ class _Host(GraphView):
                 vmap_s: dict[int, int], emap: dict[int, int]) -> None:
         """One DPO step at a match of ``rule.L``, in O(|L| + |R|).
 
-        It gives what :func:`apply_rewrite` gives, raising the same
-        errors in the same order: delete the image of L less K's, glue a
-        fresh copy of R along K, and splice out the identity edges.  The
-        match must be an embedding, as :func:`~linhyp.graphs.embeddings`
-        yields it; the rule's part of the work is ``rule._step``'s.
+        Delete the image of L less K's, glue a fresh copy of R along K,
+        and splice out the identity edges: the graph and the errors, in
+        their order, of :func:`pushout_complement`, :func:`pushout` and
+        :func:`~linhyp.graphs.smooth` at that match.  The match must be
+        an embedding, as :func:`~linhyp.graphs.embeddings` yields it and
+        :func:`apply_rewrite` checks it; the rule's part of the work is
+        ``rule._step``'s.
         """
         p = rule._step
         if p.error is not None:
@@ -741,9 +692,9 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     component of a left side starts at its edge whose label is rarest in
     the host, which leaves the order of matches unchanged (see
     :func:`~linhyp.graphs.embeddings`).  The host is copied once and each
-    step changes it in place, in O(|L| + |R|) beyond the search; it takes
-    the same steps to the same graph as :func:`apply_rewrite` at the
-    first of :func:`matchings`.
+    step changes it in place (:meth:`_Host.rewrite`), in O(|L| + |R|)
+    beyond the search; it takes the same steps to the same graph as
+    :func:`apply_rewrite` at the first of :func:`matchings`.
 
     ``exhausted`` is set when ``max_steps`` steps are taken and some rule
     still matches; a run that reaches its normal form on the last step
@@ -778,7 +729,9 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     """Breadth-first exploration of every rewrite order.
 
     Returns the normal forms reached (deduplicated up to isomorphism)
-    and whether the state bound cut the search short.
+    and whether the state bound cut the search short.  A state's
+    successors are its steps at every match, in :func:`matchings` order,
+    each on a fresh :class:`_Host` copy of the state.
     """
     rules = [r for r in rules if r.L.targets or r.L.edges]
     seen = {save_graph(G)}  # canonical files: one per isomorphism class
@@ -790,8 +743,12 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
         cur = frontier.popleft()
         succs = []
         for rule in rules:
-            for match in list(_matchings(rule.L, *rule._search, cur, True)):
-                succs.append(apply_rewrite(cur, rule, match))
+            pattern, chains = rule._search
+            for found in embeddings(pattern, cur.view, True):
+                host = _Host(cur)
+                host.rewrite(rule,
+                             *_complete(rule.L, chains, found, host.expand))
+                succs.append(host.freeze())
         if not succs:
             nfs.append(cur)
             continue

@@ -12,6 +12,13 @@ library's must keep, and ``embeds``, which checks a match on the host
 ``Homomorphism.is_embedding``.  ``shuffle_by_insertion`` is the
 quadratic wiring term that the library's merge sort replaced.
 
+``apply_by_pushouts`` and ``normal_forms_by_pushouts`` share matching
+with the library but build each DPO step from the paper's constructions,
+``pushout_complement``, ``pushout`` and ``smooth``, which the library
+keeps as the reference for its one in-place step engine.
+``boundary_coherent`` and ``glue_simple`` state the gluing condition and
+glue in plain simple hypergraphs.
+
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
 staging and global trace form of the completeness proof (``stage``,
@@ -23,7 +30,7 @@ for small terms.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 
 from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
@@ -31,11 +38,13 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, eval_rules, read_value_word,
                              value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import (INTERFACE, Found, GraphView, _walk, commutes,
-                           expand, fresh_ids)
+from linhyp.graphs import (INTERFACE, Found, GraphView, SimpleHypergraph,
+                           _walk, commutes, expand, fresh_ids, smooth,
+                           to_simple)
 from linhyp.interp import interpret
-from linhyp.rewrite import (NormalizeResult, Step, apply_rewrite,
-                            find_matchings, normalize)
+from linhyp.rewrite import (NormalizeResult, Step, find_matchings, normalize,
+                            pushout, pushout_complement)
+from linhyp.serialize import save_graph
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch, Word, as_word, type_of)
 
@@ -332,8 +341,9 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
                              max_steps: int = 10000) -> NormalizeResult:
     """The rewriting driver as an exhaustive list search: each step lists
     every match of each rule in turn and takes the first rule's first
-    match.  It shares matching and the DPO step with the driver under
-    test and differs only in how the step's match is chosen."""
+    match.  It shares matching with the driver under test, and builds
+    each step's graph with the pushout constructions
+    (:func:`apply_by_pushouts`), not in place."""
     rules = [r for r in rules if r.L.targets or r.L.edges]
     current = G
     steps: list[Step] = []
@@ -350,8 +360,87 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
             return NormalizeResult(current, steps, exhausted=True)
         rule, match = hit
         matched_edges = tuple(sorted(match.embedding.emap.values()))
-        current = apply_rewrite(current, rule, match)
+        current = apply_by_pushouts(current, rule, match)
         steps.append(Step(len(steps) + 1, rule.name, matched_edges))
+
+
+def apply_by_pushouts(G: LinearHypergraph, rule, match) -> LinearHypergraph:
+    """One DPO step at the given match: complement, glue, smooth."""
+    k_to_c, _ = pushout_complement(rule.left_leg, match.embedding)
+    H, _, _ = pushout(k_to_c, rule.right_leg)
+    return smooth(H)
+
+
+def normal_forms_by_pushouts(G: LinearHypergraph, rules,
+                             max_steps: int = 10000, max_states: int = 2000
+                             ) -> tuple[list[LinearHypergraph], bool]:
+    """``normal_forms`` with every match listed first and every step
+    built by :func:`apply_by_pushouts`."""
+    rules = [r for r in rules if r.L.targets or r.L.edges]
+    seen = {save_graph(G)}  # canonical files: one per isomorphism class
+    frontier = deque([G])
+    nfs: list[LinearHypergraph] = []
+    expansions = 0
+    exhausted = False
+    while frontier:
+        cur = frontier.popleft()
+        succs = []
+        for rule in rules:
+            for match in find_matchings(rule.L, cur, up_to_homeo=True):
+                succs.append(apply_by_pushouts(cur, rule, match))
+        if not succs:
+            nfs.append(cur)
+            continue
+        expansions += 1
+        if expansions > max_steps or len(seen) > max_states:
+            exhausted = True
+            break
+        for s in succs:
+            key = save_graph(s)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(s)
+    return nfs, exhausted
+
+
+def boundary_coherent(m: Homomorphism, n: Homomorphism) -> bool:
+    """Every input of the shared domain is an input under at least one
+    leg, and dually for outputs."""
+    F = m.src
+    for v in F.inputs():
+        if (m.dst.left[m.vmap_t[v]] is not INTERFACE
+                and n.dst.left[n.vmap_t[v]] is not INTERFACE):
+            return False
+    for v in F.outputs():
+        if (m.dst.right[m.vmap_s[v]] is not INTERFACE
+                and n.dst.right[n.vmap_s[v]] is not INTERFACE):
+            return False
+    return True
+
+
+def glue_simple(m: Homomorphism, n: Homomorphism) -> SimpleHypergraph:
+    """The pushout computed in plain simple hypergraphs.
+
+    Always exists; used to witness that non-boundary-coherent spans glue
+    to something that is no longer linear."""
+    K = m.src
+    IC, IR = to_simple(m.dst), to_simple(n.dst)
+    rep = {n.vmap_s[k]: m.vmap_s[k] for k in K.sources}
+    vertices = IC.vertices + tuple(v for v in IR.vertices if v not in rep)
+
+    def r_img(v: int) -> int:
+        return rep.get(v, v)
+
+    src = {**{e: IC.src[e] for e in IC.edges},
+           **{e: tuple(r_img(v) for v in IR.src[e]) for e in IR.edges}}
+    tgt = {**{e: IC.tgt[e] for e in IC.edges},
+           **{e: tuple(r_img(v) for v in IR.tgt[e]) for e in IR.edges}}
+    return SimpleHypergraph(
+        vertices=vertices,
+        edges=IC.edges + IR.edges,
+        src=src, tgt=tgt,
+        labels={**IC.labels, **IR.labels},
+    )
 
 
 def embeds(L: LinearHypergraph, host, vmap_t: dict[int, int],

@@ -10,18 +10,18 @@ import pytest
 
 from linhyp import (Gen, Id, Seq, Tensor, Trace,
                     CircuitSignature, Homomorphism, apply_rewrite, belnap,
-                    boundary_coherent, canonical, circuit_rules,
-                    equal_mod_stmc, evaluate, expand, extract_term,
-                    find_isomorphism, find_matchings, gate_from_fn,
-                    glue_simple, identity, interpret, is_homomorphism,
+                    canonical, circuit_rules, equal_mod_stmc, evaluate,
+                    expand, extract_term, find_isomorphism, find_matchings,
+                    gate_from_fn, identity, interpret, is_homomorphism,
                     isomorphic, parse_term, pushout, pushout_complement,
                     rule_from_terms, signature, smooth, two_point, type_of,
                     validate, value_row)
 from linhyp.circuits import FORK, JOIN, STUB, DELAY, feedback_wires
 from linhyp.graphs import IDENTITY_LABEL
 from linhyp.laws import axiom_schemes, law_signature, random_graph, random_term
-from oracles import (brute_force_complements, brute_force_isomorphism,
-                     dataflow_fixed_point, enumerate_graphs)
+from oracles import (boundary_coherent, brute_force_complements,
+                     brute_force_isomorphism, dataflow_fixed_point,
+                     enumerate_graphs, glue_simple)
 
 SIG = law_signature()
 SEED = 20240817

@@ -342,6 +342,26 @@ def test_rewrite_exhaustive_strategy(files, capsys, tmp_path):
     assert json.loads(out2) == json.loads(g.read_text())
 
 
+def test_rewrite_rule_errors_name_their_line(files, capsys, tmp_path):
+    """A rule file's errors name their line and keep their exit codes."""
+    sig = files / "circuit.sig"
+    g = tmp_path / "g.json"
+    _, out, _ = run(capsys, "interpret", str(files / "example.term"),
+                    "--sig", str(sig))
+    g.write_text(out)
+    rules = tmp_path / "rules.txt"
+    for text, code, err in [
+            ("ok : f => f\nbad : f => copy\n", 3,
+             "type error: line 2: rule sides must share a type\n"),
+            ("ok : f => f\nbad : f ; => f\n", 2, "parse error: line 2:"
+             " unexpected end of input (at position 3)\n"),
+            ("x : f => f\nx : f => f\n", 1,
+             "error: line 2: duplicate rule name 'x'\n")]:
+        rules.write_text(text)
+        assert run(capsys, "rewrite", str(g), "--rules", str(rules),
+                   "--sig", str(sig)) == (code, "", err)
+
+
 def test_rewrite_empty_rules_is_identity(files, capsys, tmp_path):
     sig = files / "circuit.sig"
     rules = tmp_path / "rules.txt"
