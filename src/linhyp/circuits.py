@@ -16,7 +16,8 @@ from .graphs import (INTERFACE, LinearHypergraph, canonical_labelling,
                      fresh_ids, freshen)
 from .interp import interpret
 from .rewrite import RewriteRule, normalize, rule_from_terms
-from .terms import Gen, Id, Seq, Signature, Swap, Tensor, Term, signature
+from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, signature,
+                    tensor_all)
 
 FORK, JOIN, STUB, DELAY = "fork", "join", "stub", "delay"
 
@@ -106,12 +107,6 @@ class Gate:
     table: dict[tuple[str, ...], str]
 
 
-def gate_from_fn(name: str, arity: int, fn, lattice: ValueLattice) -> Gate:
-    table = {vs: fn(*vs)
-             for vs in itertools.product(lattice.values, repeat=arity)}
-    return Gate(name, arity, table)
-
-
 @dataclass(frozen=True)
 class CircuitSignature:
     lattice: ValueLattice
@@ -156,12 +151,8 @@ class CircuitSignature:
     def _eval_rules(self) -> tuple[RewriteRule, ...]:
         # compiled on first use, not at parse time: a parsed signature
         # that never evaluates pays nothing
-        pushing = [r for r in circuit_rules(self)
-                   if not r.name.startswith(("stream-", "delay-"))
-                   or r.name in ("delay-bot", "delay-stub")]
-        structural = [r for r in cartesian_rules(self)
-                      if r.L.targets or r.L.edges]
-        return tuple(pushing + structural)
+        return tuple(_circuit_rules(self, axioms=False)
+                     + _cartesian_rules(self, units=False))
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +171,7 @@ def copy_term(n: int) -> Term:
 
 
 def delete_term(n: int) -> Term:
-    if n == 0:
-        return Id(0)
-    t: Term = Gen(STUB)
-    for _ in range(n - 1):
-        t = Tensor(t, Gen(STUB))
-    return t
+    return tensor_all([Gen(STUB)] * n)
 
 
 def _interleave(n: int) -> Term:
@@ -200,28 +186,11 @@ def merge_term(n: int) -> Term:
     """Pointwise join of two ``n``-buses."""
     if n == 0:
         return Id(0)
-    joins: Term = Gen(JOIN)
-    for _ in range(n - 1):
-        joins = Tensor(joins, Gen(JOIN))
-    return Seq(_interleave(n), joins)
+    return Seq(_interleave(n), tensor_all([Gen(JOIN)] * n))
 
 
 def value_row(values: tuple[str, ...] | list[str]) -> Term:
-    if not values:
-        return Id(0)
-    t: Term = Gen(values[0])
-    for v in values[1:]:
-        t = Tensor(t, Gen(v))
-    return t
-
-
-def _tensor_power(t: Term, n: int) -> Term:
-    if n == 0:
-        return Id(0)
-    out = t
-    for _ in range(n - 1):
-        out = Tensor(out, t)
-    return out
+    return tensor_all([Gen(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +203,13 @@ def cartesian_rules(csig: CircuitSignature) -> list[RewriteRule]:
     Naturality is instantiated per generator of the circuit signature
     (gates, join, delay); the bookkeeping rows are single instances.
     """
+    return _cartesian_rules(csig, units=True)
+
+
+def _cartesian_rules(csig: CircuitSignature,
+                     units: bool) -> list[RewriteRule]:
+    """:func:`cartesian_rules`, less ``copy-unit`` and ``del-unit``
+    unless ``units``: their left side is empty."""
     sig = csig.signature()
     rules: list[RewriteRule] = []
     natural = [(g.name, g.arity) for g in csig.gates.values()]
@@ -257,12 +233,14 @@ def cartesian_rules(csig: CircuitSignature) -> list[RewriteRule]:
         Seq(Gen(FORK), Tensor(Id(1), Gen(STUB))), Id(1), sig, "counit-r"))
     rules.append(rule_from_terms(
         Seq(Gen(FORK), Swap(1, 1)), Gen(FORK), sig, "cocomm"))
-    rules.append(rule_from_terms(Id(0), Id(0), sig, "copy-unit"))
+    if units:
+        rules.append(rule_from_terms(Id(0), Id(0), sig, "copy-unit"))
     rules.append(rule_from_terms(
         Seq(copy_term(2), Tensor(Tensor(Id(1), Swap(1, 1)), Id(1))),
         Tensor(Gen(FORK), Gen(FORK)),
         sig, "copy-coherence"))
-    rules.append(rule_from_terms(Id(0), Id(0), sig, "del-unit"))
+    if units:
+        rules.append(rule_from_terms(Id(0), Id(0), sig, "del-unit"))
     rules.append(rule_from_terms(
         delete_term(2), Tensor(Gen(STUB), Gen(STUB)), sig, "del-coherence"))
     return rules
@@ -271,6 +249,13 @@ def cartesian_rules(csig: CircuitSignature) -> list[RewriteRule]:
 def circuit_rules(csig: CircuitSignature) -> list[RewriteRule]:
     """Value, gate, delay and garbage-collection rules, one instance per
     value combination."""
+    return _circuit_rules(csig, axioms=True)
+
+
+def _circuit_rules(csig: CircuitSignature,
+                   axioms: bool) -> list[RewriteRule]:
+    """:func:`circuit_rules`, less the delay-gate commutations and the
+    streaming instances unless ``axioms``."""
     sig = csig.signature()
     lat = csig.lattice
     rules: list[RewriteRule] = []
@@ -295,21 +280,19 @@ def circuit_rules(csig: CircuitSignature) -> list[RewriteRule]:
     rules.append(rule_from_terms(
         Seq(Gen(DELAY), Gen(STUB)), Gen(STUB), sig, "delay-stub"))
     for gate in csig.gates.values():
-        rules.append(rule_from_terms(
-            Seq(_tensor_power(Gen(DELAY), gate.arity), Gen(gate.name)),
-            Seq(Gen(gate.name), Gen(DELAY)),
-            sig, f"delay-{gate.name}"))
-        for row in itertools.product(lat.values, repeat=gate.arity):
-            lhs = Seq(Seq(
-                Tensor(_tensor_power(Gen(DELAY), gate.arity), value_row(row)),
-                merge_term(gate.arity)), Gen(gate.name))
-            rhs = Seq(
-                Tensor(Seq(_tensor_power(Gen(DELAY), gate.arity),
-                           Gen(gate.name)),
-                       Seq(value_row(row), Gen(gate.name))),
-                Gen(JOIN))
+        if axioms:
+            delays = tensor_all([Gen(DELAY)] * gate.arity)
             rules.append(rule_from_terms(
-                lhs, rhs, sig, f"stream-{gate.name}-" + "-".join(row)))
+                Seq(delays, Gen(gate.name)), Seq(Gen(gate.name), Gen(DELAY)),
+                sig, f"delay-{gate.name}"))
+            for row in itertools.product(lat.values, repeat=gate.arity):
+                lhs = Seq(Seq(Tensor(delays, value_row(row)),
+                              merge_term(gate.arity)), Gen(gate.name))
+                rhs = Seq(Tensor(Seq(delays, Gen(gate.name)),
+                                 Seq(value_row(row), Gen(gate.name))),
+                          Gen(JOIN))
+                rules.append(rule_from_terms(
+                    lhs, rhs, sig, f"stream-{gate.name}-" + "-".join(row)))
         rules.append(rule_from_terms(
             Seq(Gen(gate.name), Gen(STUB)), delete_term(gate.arity),
             sig, f"gc-{gate.name}"))
@@ -325,9 +308,9 @@ def eval_rules(csig: CircuitSignature) -> tuple[RewriteRule, ...]:
 
     Streaming and delay-gate commutation instances are axiom-level
     equalities, not reduction steps, so they stay out; rules with an
-    empty left side match vacuously and stay out too.  The rules are
-    compiled on the first call for ``csig`` and kept on it, so later
-    calls return the same tuple.
+    empty left side match vacuously and stay out too.  Neither is
+    compiled.  The rules are compiled on the first call for ``csig`` and
+    kept on it, so later calls return the same tuple.
     """
     return csig._eval_rules
 
@@ -342,8 +325,8 @@ def read_value_word(H: LinearHypergraph, csig: CircuitSignature,
     """The values feeding the given output vertices of a fully reduced
     graph (by default all its outputs, in order), or None when one of
     them is not driven by a value edge."""
-    conn_inv = H.conn_inv()
-    _, srcs = H.port_tables()
+    view = H.view
+    srcs, conn_inv = view.srcs, view.conn_inv
     out: list[str] = []
     for s in H.outputs() if outputs is None else outputs:
         e = H.left[conn_inv[s]]

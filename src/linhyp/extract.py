@@ -7,15 +7,10 @@ swaps realizing the wiring, and a stack of all edge generators.
 """
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from bisect import bisect_left
 
-from .graphs import (IDENTITY_LABEL, LinearHypergraph, canonical_labelling,
-                     find_isomorphism)
-from .interp import interpret
-from .terms import Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace
+from .graphs import IDENTITY_LABEL, LinearHypergraph, canonical_labelling
+from .terms import Gen, Id, Seq, Swap, Tensor, Term, Trace, tensor_all
 
 EdgeOrder = tuple[int, ...]
 
@@ -66,12 +61,7 @@ def stack(H: LinearHypergraph, ord: EdgeOrder) -> Term:
             parts.append(Id((H.vtlabels[t],)))
         else:
             parts.append(Gen(H.labels[e]))
-    if not parts:
-        return Id(())
-    t = parts[0]
-    for p in parts[1:]:
-        t = Tensor(t, p)
-    return t
+    return tensor_all(parts)
 
 
 def shuffle(H: LinearHypergraph) -> Term:
@@ -213,26 +203,3 @@ def extract_term(H: LinearHypergraph, ord: EdgeOrder | None = None) -> Trace:
         Tensor(stack(H, ord), Id(U.cod())))
     return Trace(loop_word, body)
 
-
-def check_coherence(H: LinearHypergraph, sig: Signature,
-                    max_orders: int = 24) -> bool:
-    """Extracted terms agree across edge orders.
-
-    All orders are tried when there are at most ``max_orders`` of them,
-    otherwise a seeded sample.  Since graph isomorphism is an equivalence,
-    agreement with the first order settles every pair.
-    """
-    edges = list(H.edges)
-    total = math.factorial(len(edges))
-    if total <= max_orders:
-        orders = [tuple(p) for p in itertools.permutations(edges)]
-    else:
-        rng = random.Random(0)
-        orders = []
-        for _ in range(max_orders):
-            p = edges[:]
-            rng.shuffle(p)
-            orders.append(tuple(p))
-    graphs = [interpret(extract_term(H, o), sig) for o in orders]
-    first = graphs[0]
-    return all(find_isomorphism(first, G) is not None for G in graphs[1:])

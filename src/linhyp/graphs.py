@@ -8,7 +8,6 @@ one edge side or the interface, so wires never split or merge.
 """
 from __future__ import annotations
 
-import itertools
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -48,13 +47,16 @@ reserve_ids = _SUPPLY.reserve
 
 
 class GraphView:
-    """The tables the embedding search and the commuting checks read
-    from a graph: its vertex and edge maps, each edge's ordered target
-    and source ports, the inverse of ``conn``, the edges by label and
-    each edge's stored position (``edge_seq``, a number that grows along
-    the stored order).  Iterating ``targets`` and each ``by_label`` entry
-    gives them in stored order.  The last three tables are built on
-    first use.
+    """A graph's derived tables, the one place they are built, once per
+    graph (``LinearHypergraph.view``): beside its vertex and edge maps,
+    each edge's ordered target and source ports, each port's index in
+    its edge's port tuple, the inverse of ``conn``, the edges by label
+    and each edge's stored position (``edge_seq``, a number that grows
+    along the stored order).  Iterating ``targets`` and each
+    ``by_label`` entry gives them in stored order.  The port index, the
+    label index and ``edge_seq`` are built on first use.  The view holds
+    no reference to the graph, which caches it: a cycle would keep every
+    graph alive until the cyclic collector runs.
     """
 
     def __init__(self, H: LinearHypergraph) -> None:
@@ -63,10 +65,14 @@ class GraphView:
         self.labels, self.vtlabels, self.vslabels = (H.labels, H.vtlabels,
                                                      H.vslabels)
         self.tgts, self.srcs = H.port_tables()
+        self.conn_inv = H.conn_inv()
 
     @cached_property
-    def conn_inv(self) -> dict[int, int]:
-        return {s: t for t, s in self.conn.items()}
+    def port_index(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Each attached target's, and each attached source's, index in
+        its edge's target or source tuple."""
+        return ({v: i for vs in self.tgts.values() for i, v in enumerate(vs)},
+                {v: i for vs in self.srcs.values() for i, v in enumerate(vs)})
 
     @cached_property
     def by_label(self) -> dict[str, list[int]]:
@@ -346,15 +352,7 @@ def canonical_labelling(H: LinearHypergraph) -> Labelling:
     return H.labelling
 
 
-#: What :func:`_coded_walk` reads beyond the graph: each edge's target
-#: and source ports, the inverse of ``conn``, and each port's index in
-#: its edge's port tuple.
-_Ports = tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]],
-               dict[int, int], dict[int, int], dict[int, int]]
-
-
-def _coded_walk(H: LinearHypergraph, ports: _Ports, anchor: int,
-                best: list[tuple] | None
+def _coded_walk(H: LinearHypergraph, anchor: int, best: list[tuple] | None
                 ) -> tuple[list[int], list[tuple], bool] | None:
     """The walk of ``anchor``'s interface-free component from ``anchor``,
     in ``_walk``'s order, and its code: per edge its label, its number of
@@ -363,7 +361,9 @@ def _coded_walk(H: LinearHypergraph, ports: _Ports, anchor: int,
     walk reaches it, and is compared with ``best`` there: None as soon as
     the code exceeds ``best``, else the walk, the code and whether the
     code is less than ``best`` (True when there is none)."""
-    tgts, srcs, conn_inv, t_port, s_port = ports
+    view = H.view
+    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
+    t_port, s_port = view.port_index
     labels, right, left, conn = H.labels, H.right, H.left, H.conn
     vtlabels, vslabels = H.vtlabels, H.vslabels
     order = [anchor]
@@ -399,8 +399,8 @@ def _coded_walk(H: LinearHypergraph, ports: _Ports, anchor: int,
     return order, code, less
 
 
-def _least_walk(H: LinearHypergraph, ports: _Ports, order: list[int],
-                code: list[tuple]) -> tuple[list[tuple], list[int]]:
+def _least_walk(H: LinearHypergraph, order: list[int], code: list[tuple]
+                ) -> tuple[list[tuple], list[int]]:
     """The least code of an interface-free component and the walk that
     gives it from the least anchor, given the walk ``order`` with code
     ``code`` from the component's first stored edge.
@@ -418,7 +418,7 @@ def _least_walk(H: LinearHypergraph, ports: _Ports, order: list[int],
     rare = min(count, key=lambda lab: (count[lab], lab))
     anchors = [a for a in order if labels[a] == rare]
     if labels[order[0]] != rare:
-        order, code, _ = _coded_walk(H, ports, anchors[0], None)
+        order, code, _ = _coded_walk(H, anchors[0], None)
     if len(anchors) == 1:
         return code, order
     parent = dict(zip(anchors, anchors))
@@ -429,7 +429,7 @@ def _least_walk(H: LinearHypergraph, ports: _Ports, order: list[int],
         if root in walked:
             continue
         walked.add(root)
-        got = _coded_walk(H, ports, a, code)
+        got = _coded_walk(H, a, code)
         if got is None:
             continue
         if got[2]:
@@ -447,7 +447,7 @@ def _least_walk(H: LinearHypergraph, ports: _Ports, order: list[int],
     least = {_root(parent, a) for a in ties}
     first = min(a for a in anchors if _root(parent, a) in least)
     if first != order[0]:
-        order = _coded_walk(H, ports, first, None)[0]
+        order = _coded_walk(H, first, None)[0]
     return code, order
 
 
@@ -466,16 +466,11 @@ def _canonical_labelling(H: LinearHypergraph) -> Labelling:
     edges = _walk(H, tgts, srcs, conn_inv, [H.right[H.conn[t]] for t in ins]
                   + [H.left[conn_inv[s]] for s in outs], seen)
     coded = []
-    ports: _Ports | None = None
     for e in H.edges:
         if e not in seen:  # an interface-free component
-            if ports is None:  # each port's index in its edge's port tuple
-                ports = (tgts, srcs, conn_inv, *(
-                    {v: i for vs in side.values() for i, v in enumerate(vs)}
-                    for side in (tgts, srcs)))
-            order, code, _ = _coded_walk(H, ports, e, None)
+            order, code, _ = _coded_walk(H, e, None)
             seen.update(order)
-            coded.append(_least_walk(H, ports, order, code))
+            coded.append(_least_walk(H, order, code))
     for _, order in sorted(coded):
         edges += order
     targets = (*ins, *(v for e in edges for v in tgts[e]))
@@ -609,8 +604,7 @@ class PatternTables:
     """What :func:`embeddings` reads from a pattern graph L beyond its
     view; built once per graph, as ``LinearHypergraph.pattern``.
 
-    ``port_t`` and ``port_s`` give the edge and port index of each port
-    vertex.  ``components`` lists L's wire-connected components in
+    ``components`` lists L's wire-connected components in
     stored order of their first edges, each as its edges in walk order
     from that first edge.  ``bare_wires`` run from L's input interface
     straight to its output interface.  ``out_wires`` leave an edge for
@@ -622,17 +616,12 @@ class PatternTables:
 
     def __init__(self, L: LinearHypergraph) -> None:
         lv = L.view
-        ltgts, lsrcs = lv.tgts, lv.srcs
-        self.port_t = {v: (e, i) for e in L.edges
-                       for i, v in enumerate(ltgts[e])}
-        self.port_s = {v: (e, i) for e in L.edges
-                       for i, v in enumerate(lsrcs[e])}
         self.components: list[list[int]] = []
         placed: set[int] = set()
         for e in L.edges:
             if e not in placed:
                 self.components.append(
-                    _walk(L, ltgts, lsrcs, lv.conn_inv, (e,), placed))
+                    _walk(L, lv.tgts, lv.srcs, lv.conn_inv, (e,), placed))
         left, right, conn = L.left, L.right, L.conn
         self.bare_wires = [t for t in L.targets if left[t] is INTERFACE
                            and right[conn[t]] is INTERFACE]
@@ -735,8 +724,10 @@ class _Search:
     def propagate(self, i: int) -> bool:
         """Check the assignments on the trail from position ``i`` and add
         what each forces, until none is left; False on a clash."""
-        L, G, P, put, trail = self.L, self.G, self.P, self.put, self.trail
+        L, G, put, trail = self.L, self.G, self.put, self.trail
         lv, tmap, smap, emap = L.view, *self.maps
+        lleft, lright = L.left, L.right
+        t_port, s_port = lv.port_index
         defer_t, defer_s = self.defer_t, self.defer_s
         while i < len(trail):
             kind, a = trail[i]
@@ -747,9 +738,9 @@ class _Search:
                     return False
                 if a not in defer_t and not put(_S, L.conn[a], G.conn[b]):
                     return False
-                port = P.port_t.get(a)
-                if port is not None:
-                    e, j = port
+                e = lleft[a]
+                if e is not INTERFACE:
+                    j = t_port[a]
                     d = G.left[b]
                     if d is INTERFACE or G.labels[d] != L.labels[e]:
                         return False
@@ -763,9 +754,9 @@ class _Search:
                 if a not in defer_s and not put(
                         _T, lv.conn_inv[a], G.conn_inv[b]):
                     return False
-                port = P.port_s.get(a)
-                if port is not None:
-                    e, j = port
+                e = lright[a]
+                if e is not INTERFACE:
+                    j = s_port[a]
                     d = G.right[b]
                     if d is INTERFACE or G.labels[d] != L.labels[e]:
                         return False
@@ -957,9 +948,9 @@ def smooth(H: LinearHypergraph) -> LinearHypergraph:
     idents = [e for e in H.edges if H.labels[e] == IDENTITY_LABEL]
     if not idents:
         return H
-    tgts, srcs = H.port_tables()
-    conn = dict(H.conn)
-    conn_inv = {s: t for t, s in conn.items()}
+    view = H.view
+    tgts, srcs = view.tgts, view.srcs
+    conn, conn_inv = dict(H.conn), dict(view.conn_inv)
     dead_t: set[int] = set()
     dead_s: set[int] = set()
     for e in idents:
@@ -985,41 +976,4 @@ def smooth(H: LinearHypergraph) -> LinearHypergraph:
         labels={e: lab for e, lab in H.labels.items() if e not in idents},
         vtlabels={v: lab for v, lab in H.vtlabels.items() if v not in dead_t},
         vslabels={v: lab for v, lab in H.vslabels.items() if v not in dead_s},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Inclusion into simple hypergraphs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimpleHypergraph:
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    src: dict[int, tuple[int, ...]]
-    tgt: dict[int, tuple[int, ...]]
-    labels: dict[int, str]
-
-    def is_linear_shape(self) -> bool:
-        """Every vertex occurs at most once among all edge sources, and
-        at most once among all edge targets."""
-        for table in (self.src, self.tgt):
-            seen: set[int] = set()
-            for e in self.edges:
-                for v in table[e]:
-                    if v in seen:
-                        return False
-                    seen.add(v)
-        return True
-
-
-def to_simple(H: LinearHypergraph) -> SimpleHypergraph:
-    """Collapse each wire onto its source endpoint."""
-    tgts, srcs = H.port_tables()
-    return SimpleHypergraph(
-        vertices=H.sources,
-        edges=H.edges,
-        src={e: srcs[e] for e in H.edges},
-        tgt={e: tuple(H.conn[v] for v in tgts[e]) for e in H.edges},
-        labels=dict(H.labels),
     )

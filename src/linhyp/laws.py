@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .graphs import INTERFACE, LinearHypergraph, fresh_ids
-from .terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace,
-                    signature)
+from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace,
+                    signature, tensor_all)
 
 
 def law_signature() -> Signature:
@@ -64,70 +63,13 @@ def random_term(rng: random.Random, sig: Signature, m: int, n: int,
     if (m and not sinks) or (n and not sources):
         raise ValueError(
             f"signature has no generators to realize a {m} -> {n} term")
-    sink: Term = Id(0)
-    for i in range(m):
-        g = Gen(rng.choice(sinks))
-        sink = g if i == 0 else Tensor(sink, g)
-    source: Term = Id(0)
-    for i in range(n):
-        g = Gen(rng.choice(sources))
-        source = g if i == 0 else Tensor(source, g)
+    sink = tensor_all([Gen(rng.choice(sinks)) for _ in range(m)])
+    source = tensor_all([Gen(rng.choice(sources)) for _ in range(n)])
     if m == 0:
         return source
     if n == 0:
         return sink
     return Seq(sink, source)
-
-
-def random_graph(rng: random.Random, sig: Signature,
-                 max_edges: int = 4, max_extra_wires: int = 3
-                 ) -> LinearHypergraph:
-    """A random well-formed graph over a plain signature.
-
-    Edge labels are drawn from the signature, interface wires are added,
-    and the wiring is a uniformly random bijection; every such bijection
-    gives a valid graph.
-    """
-    gens = list(sig.generators)
-    k = rng.randint(0, max_edges)
-    labels = [rng.choice(gens) for _ in range(k)]
-    sum_dom = sum(len(sig.dom(l)) for l in labels)
-    sum_cod = sum(len(sig.cod(l)) for l in labels)
-    m = max(0, sum_dom - sum_cod) + rng.randint(0, max_extra_wires)
-    n = m + sum_cod - sum_dom
-
-    edges = fresh_ids(k)
-    targets: list[int] = fresh_ids(m)
-    left: dict[int, int | None] = {v: INTERFACE for v in targets}
-    sources: list[int] = []
-    right: dict[int, int | None] = {}
-    for e, lab in zip(edges, labels):
-        ports_s = fresh_ids(len(sig.dom(lab)))
-        ports_t = fresh_ids(len(sig.cod(lab)))
-        for v in ports_s:
-            right[v] = e
-        for v in ports_t:
-            left[v] = e
-        sources.extend(ports_s)
-        targets.extend(ports_t)
-    outs = fresh_ids(n)
-    for v in outs:
-        right[v] = INTERFACE
-    sources.extend(outs)
-
-    shuffled = sources[:]
-    rng.shuffle(shuffled)
-    return LinearHypergraph(
-        targets=tuple(targets),
-        sources=tuple(sources),
-        edges=tuple(edges),
-        left=left,
-        right=right,
-        conn=dict(zip(targets, shuffled)),
-        labels=dict(zip(edges, labels)),
-        vtlabels={v: ANON for v in targets},
-        vslabels={v: ANON for v in sources},
-    )
 
 
 def axiom_schemes(rng: random.Random, sig: Signature

@@ -78,7 +78,7 @@ def _interface_leg(K: LinearHypergraph, X: LinearHypergraph) -> Homomorphism:
     """Map the i-th input wire of K to X's i-th input wire, and the j-th
     output wire to X's j-th output wire."""
     m = len(X.dom())
-    conn_inv = X.conn_inv()
+    conn_inv = X.view.conn_inv
     ins, outs = X.inputs(), X.outputs()
     vmap_t: dict[int, int] = {}
     vmap_s: dict[int, int] = {}
@@ -134,11 +134,12 @@ def saturate_rule(rule: RewriteRule) -> RewriteRule:
 def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
     """Rule file: one ``name : lhs => rhs`` line per rule, each with its
     own name: generator-style names joined by ``-`` (``copy-nat``).
-    Errors name their line and keep their class."""
+    Errors name their line and keep their class; a parse error gives
+    its position in the line as written."""
     rules: dict[str, RewriteRule] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         try:
             name_part, rest = line.split(":", 1)
@@ -152,10 +153,14 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
                 " letters, digits and '_', joined by '-')")
         if name in rules:
             raise RewriteError(f"line {lineno}: duplicate rule name {name!r}")
+        # each side is parsed where it stands in the line, blanks before
+        # it, so that a parse error gives its position in the line
+        at = len(name_part) + 1
         try:
-            rules[name] = rule_from_terms(parse_term(lhs_part.strip(), sig),
-                                          parse_term(rhs_part.strip(), sig),
-                                          sig, name)
+            lhs = parse_term(" " * at + lhs_part.rstrip(), sig)
+            at += len(lhs_part) + len("=>")
+            rhs = parse_term(" " * at + rhs_part.rstrip(), sig)
+            rules[name] = rule_from_terms(lhs, rhs, sig, name)
         except (ParseError, TypeMismatch) as exc:
             exc.args = (f"line {lineno}: {exc}",)
             raise
@@ -169,8 +174,8 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
 def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
     """Maximal runs of identity edges, each anchored at the surviving
     target vertex that feeds the run."""
-    tgts, srcs = L.port_tables()
-    conn_inv = L.conn_inv()
+    view = L.view
+    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
     id_edges = [e for e in L.edges if L.labels[e] == IDENTITY_LABEL]
 
     def is_ident(e: int | None) -> bool:
@@ -317,7 +322,9 @@ def pushout(m: Homomorphism, n: Homomorphism
     """Glue the codomains of ``m : K -> C`` and ``n : K -> R`` along K.
 
     Requires an edge-free K, embeddings, and boundary coherence; the
-    violating vertex is reported otherwise.
+    violating vertex is reported otherwise.  Each edge of R keeps R's
+    port words: C's and R's vertices that no edge of R attaches come
+    first, in that order, then each edge of R's ports in R's order.
     """
     K, C = m.src, m.dst
     if K.edges:
@@ -361,9 +368,15 @@ def pushout(m: Homomorphism, n: Homomorphism
         s = R.conn[v]
         conn[v] = rep_s.get(s, s)
 
+    rtgts, rsrcs = R.view.tgts, R.view.srcs
+    ports_t = tuple(rep_t.get(v, v) for e in R.edges for v in rtgts[e])
+    ports_s = tuple(rep_s.get(v, v) for e in R.edges for v in rsrcs[e])
+    moved_t, moved_s = set(ports_t), set(ports_s)
     H = LinearHypergraph(
-        targets=C.targets + r_only_t,
-        sources=C.sources + r_only_s,
+        targets=tuple(v for v in C.targets + r_only_t
+                      if v not in moved_t) + ports_t,
+        sources=tuple(v for v in C.sources + r_only_s
+                      if v not in moved_s) + ports_s,
         edges=C.edges + R.edges,
         left=left,
         right=right,
@@ -519,16 +532,17 @@ class _Host(GraphView):
     behind :func:`normalize`, :func:`normal_forms` and :func:`apply_rewrite`.
 
     It keeps the tables of a :class:`GraphView` current, so the search
-    reads it live.  ``targets``, ``sources`` and ``labels`` are
-    insertion-ordered and list the vertices and edges in the stored
-    order that :func:`pushout_complement`, :func:`pushout` and
+    reads it live; only the port index, which the search reads of the
+    pattern and never of the host, is not kept.  ``targets``,
+    ``sources`` and ``labels`` are insertion-ordered and list the
+    vertices and edges in the stored order that
+    :func:`pushout_complement`, :func:`pushout` and
     :func:`~linhyp.graphs.smooth` give, which the tests check it
     against: survivors keep their order and new elements follow in the
-    order they are made.
-    ``seq`` numbers the vertices in that order: an edge of R that is
-    glued onto surviving vertices takes its ports in stored order, as
-    ``port_tables`` does.  ``edge_seq`` numbers the edges from the same
-    counter, for the search to sort by.
+    order they are made, except that each edge of R moves its ports,
+    glued ones too, to the end in R's order, so that it keeps R's port
+    words.  ``edge_seq`` numbers the edges in stored order, for the
+    search to sort by.
     """
 
     def __init__(self, G: LinearHypergraph) -> None:
@@ -544,8 +558,6 @@ class _Host(GraphView):
         self.by_label = {lab: dict.fromkeys(es)
                          for lab, es in v.by_label.items()}
         self.tick = itertools.count()
-        self.seq = {x: next(self.tick)
-                    for x in itertools.chain(G.targets, G.sources)}
         self.edge_seq = {e: next(self.tick) for e in G.edges}
 
     def freeze(self) -> LinearHypergraph:
@@ -561,13 +573,11 @@ class _Host(GraphView):
         self.targets[t] = None
         self.left[t] = e
         self.vtlabels[t] = lab
-        self.seq[t] = next(self.tick)
 
     def _add_source(self, s: int, e: int | None, lab: str) -> None:
         self.sources[s] = None
         self.right[s] = e
         self.vslabels[s] = lab
-        self.seq[s] = next(self.tick)
 
     def _add_edge(self, e: int, lab: str, tgts: tuple[int, ...],
                   srcs: tuple[int, ...]) -> None:
@@ -582,10 +592,10 @@ class _Host(GraphView):
         self.conn_inv[s] = t
 
     def _drop_target(self, t: int) -> None:
-        del self.targets[t], self.left[t], self.vtlabels[t], self.seq[t]
+        del self.targets[t], self.left[t], self.vtlabels[t]
 
     def _drop_source(self, s: int) -> None:
-        del self.sources[s], self.right[s], self.vslabels[s], self.seq[s]
+        del self.sources[s], self.right[s], self.vslabels[s]
 
     def _drop_edge(self, e: int) -> None:
         lab = self.labels.pop(e)
@@ -658,11 +668,15 @@ class _Host(GraphView):
             self._add_source(img[i], img[j], lab)
         for i, j in p.links:
             self._link(img[i], img[j])
-        seq = self.seq.__getitem__
+        targets, sources = self.targets, self.sources
         for i, lab, ts, ss in p.edges:
-            self._add_edge(img[i], lab,
-                           tuple(sorted([img[j] for j in ts], key=seq)),
-                           tuple(sorted([img[j] for j in ss], key=seq)))
+            ts = tuple([img[j] for j in ts])
+            ss = tuple([img[j] for j in ss])
+            for v in ts:  # the edge's ports go last, in R's order
+                targets[v] = targets.pop(v)
+            for v in ss:
+                sources[v] = sources.pop(v)
+            self._add_edge(img[i], lab, ts, ss)
         self.smooth()
 
     def smooth(self) -> None:

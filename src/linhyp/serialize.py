@@ -153,12 +153,12 @@ def to_dot(H: LinearHypergraph) -> str:
             lines.append(f'  e{e} [label="", shape=diamond, color=grey];')
         else:
             lines.append(f'  e{e} [label="{lab}", shape=box];')
-    conn_inv = G.conn_inv()
+    view = G.view
+    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
     for i, t in enumerate(ins):
         lines.append(f"  IN -> w{t} [taillabel={i}, color=grey];")
     for i, s in enumerate(outs):
         lines.append(f"  w{conn_inv[s]} -> OUT [headlabel={i}, color=grey];")
-    tgts, srcs = G.port_tables()
     for e in G.edges:
         for i, s in enumerate(srcs[e]):
             lines.append(f"  w{conn_inv[s]} -> e{e} [headlabel={i}];")

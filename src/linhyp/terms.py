@@ -8,7 +8,9 @@ code path.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 Word = tuple[str, ...]
@@ -209,6 +211,12 @@ class Trace(Term):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "loop", as_word(self.loop))
+
+
+def tensor_all(parts: Sequence[Term]) -> Term:
+    """The left-nested tensor ``((p0 * p1) * p2) * ...`` of ``parts``;
+    ``Id(())`` when there are none."""
+    return reduce(Tensor, parts) if parts else Id(())
 
 
 # "@id" is the label graphs use for invisible identity edges

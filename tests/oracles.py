@@ -17,7 +17,9 @@ with the library but build each DPO step from the paper's constructions,
 ``pushout_complement``, ``pushout`` and ``smooth``, which the library
 keeps as the reference for its one in-place step engine.
 ``boundary_coherent`` and ``glue_simple`` state the gluing condition and
-glue in plain simple hypergraphs.
+glue in plain simple hypergraphs (``SimpleHypergraph``, ``to_simple``).
+``tables_from_scratch`` derives a graph's port tables, port index and
+``conn`` inverse edge by edge, for ``GraphView`` to be checked against.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -26,21 +28,27 @@ staging and global trace form of the completeness proof (``stage``,
 ``swap_recursive``, and ``trace_mono``, the trace that keeps its loop
 vertices behind identity edges.  They are plain recursive folds, meant
 for small terms.
+
+Last come the builders and checks only the tests use: ``random_graph``
+draws a well-formed graph, ``gate_from_fn`` tabulates a gate, and
+``check_coherence`` extracts a graph along many edge orders.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from collections import Counter, deque
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 from linhyp import Homomorphism, LinearHypergraph, is_homomorphism, ops
 from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
-                             CircuitSignature, eval_rules, read_value_word,
-                             value_row)
+                             CircuitSignature, Gate, ValueLattice, eval_rules,
+                             read_value_word, value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import (INTERFACE, Found, GraphView, SimpleHypergraph,
-                           _walk, commutes, expand, fresh_ids, smooth,
-                           to_simple)
+from linhyp.graphs import (INTERFACE, Found, GraphView, _walk, commutes,
+                           expand, find_isomorphism, fresh_ids, smooth)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, find_matchings, normalize,
                             pushout, pushout_complement)
@@ -401,6 +409,58 @@ def normal_forms_by_pushouts(G: LinearHypergraph, rules,
                 seen.add(key)
                 frontier.append(s)
     return nfs, exhausted
+
+
+@dataclass(frozen=True)
+class SimpleHypergraph:
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
+    src: dict[int, tuple[int, ...]]
+    tgt: dict[int, tuple[int, ...]]
+    labels: dict[int, str]
+
+    def is_linear_shape(self) -> bool:
+        """Every vertex occurs at most once among all edge sources, and
+        at most once among all edge targets."""
+        for table in (self.src, self.tgt):
+            seen: set[int] = set()
+            for e in self.edges:
+                for v in table[e]:
+                    if v in seen:
+                        return False
+                    seen.add(v)
+        return True
+
+
+def to_simple(H: LinearHypergraph) -> SimpleHypergraph:
+    """Collapse each wire onto its source endpoint."""
+    tgts, srcs = H.port_tables()
+    return SimpleHypergraph(
+        vertices=H.sources,
+        edges=H.edges,
+        src={e: srcs[e] for e in H.edges},
+        tgt={e: tuple(H.conn[v] for v in tgts[e]) for e in H.edges},
+        labels=dict(H.labels),
+    )
+
+
+def tables_from_scratch(H: LinearHypergraph) -> tuple:
+    """What ``H.view`` derives, read off the vertex lists one edge at a
+    time: the port tables, each port's index in its edge's port tuple,
+    and the inverse of ``conn``."""
+    tgts = {e: tuple(v for v in H.targets if H.left[v] == e) for e in H.edges}
+    srcs = {e: tuple(v for v in H.sources if H.right[v] == e)
+            for e in H.edges}
+    index = tuple({v: ports.index(v) for ports in side.values() for v in ports}
+                  for side in (tgts, srcs))
+    return tgts, srcs, index, {H.conn[t]: t for t in H.targets}
+
+
+def view_tables(H: LinearHypergraph) -> tuple:
+    """The tables ``H.view`` holds, in :func:`tables_from_scratch`'s
+    shape."""
+    v = H.view
+    return v.tgts, v.srcs, v.port_index, v.conn_inv
 
 
 def boundary_coherent(m: Homomorphism, n: Homomorphism) -> bool:
@@ -894,3 +954,89 @@ def canonical_labelling_by_port_search(H: LinearHypergraph
     targets = [*ins, *(v for e in edges for v in tgts[e])]
     sources = [*(v for e in edges for v in srcs[e]), *outs]
     return targets, sources, edges
+
+
+# ---------------------------------------------------------------------------
+# Builders and checks that only the tests use
+# ---------------------------------------------------------------------------
+
+def random_graph(rng: random.Random, sig: Signature,
+                 max_edges: int = 4, max_extra_wires: int = 3
+                 ) -> LinearHypergraph:
+    """A random well-formed graph over a plain signature.
+
+    Edge labels are drawn from the signature, interface wires are added,
+    and the wiring is a uniformly random bijection; every such bijection
+    gives a valid graph.
+    """
+    gens = list(sig.generators)
+    k = rng.randint(0, max_edges)
+    labels = [rng.choice(gens) for _ in range(k)]
+    sum_dom = sum(len(sig.dom(l)) for l in labels)
+    sum_cod = sum(len(sig.cod(l)) for l in labels)
+    m = max(0, sum_dom - sum_cod) + rng.randint(0, max_extra_wires)
+    n = m + sum_cod - sum_dom
+
+    edges = fresh_ids(k)
+    targets: list[int] = fresh_ids(m)
+    left: dict[int, int | None] = {v: INTERFACE for v in targets}
+    sources: list[int] = []
+    right: dict[int, int | None] = {}
+    for e, lab in zip(edges, labels):
+        ports_s = fresh_ids(len(sig.dom(lab)))
+        ports_t = fresh_ids(len(sig.cod(lab)))
+        for v in ports_s:
+            right[v] = e
+        for v in ports_t:
+            left[v] = e
+        sources.extend(ports_s)
+        targets.extend(ports_t)
+    outs = fresh_ids(n)
+    for v in outs:
+        right[v] = INTERFACE
+    sources.extend(outs)
+
+    shuffled = sources[:]
+    rng.shuffle(shuffled)
+    return LinearHypergraph(
+        targets=tuple(targets),
+        sources=tuple(sources),
+        edges=tuple(edges),
+        left=left,
+        right=right,
+        conn=dict(zip(targets, shuffled)),
+        labels=dict(zip(edges, labels)),
+        vtlabels={v: ANON for v in targets},
+        vslabels={v: ANON for v in sources},
+    )
+
+
+def gate_from_fn(name: str, arity: int, fn, lattice: ValueLattice) -> Gate:
+    """The gate whose truth table is ``fn`` on every row of values."""
+    table = {vs: fn(*vs)
+             for vs in itertools.product(lattice.values, repeat=arity)}
+    return Gate(name, arity, table)
+
+
+def check_coherence(H: LinearHypergraph, sig: Signature,
+                    max_orders: int = 24) -> bool:
+    """Extracted terms agree across edge orders.
+
+    All orders are tried when there are at most ``max_orders`` of them,
+    otherwise a seeded sample.  Since graph isomorphism is an equivalence,
+    agreement with the first order settles every pair.
+    """
+    edges = list(H.edges)
+    total = math.factorial(len(edges))
+    if total <= max_orders:
+        orders = [tuple(p) for p in itertools.permutations(edges)]
+    else:
+        rng = random.Random(0)
+        orders = []
+        for _ in range(max_orders):
+            p = edges[:]
+            rng.shuffle(p)
+            orders.append(tuple(p))
+    graphs = [interpret(extract_term(H, o), sig) for o in orders]
+    first = graphs[0]
+    return all(find_isomorphism(first, G) is not None for G in graphs[1:])

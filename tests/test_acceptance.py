@@ -12,16 +12,17 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace,
                     CircuitSignature, Homomorphism, apply_rewrite, belnap,
                     canonical, circuit_rules, equal_mod_stmc, evaluate,
                     expand, extract_term, find_isomorphism, find_matchings,
-                    gate_from_fn, identity, interpret, is_homomorphism,
+                    identity, interpret, is_homomorphism,
                     isomorphic, parse_term, pushout, pushout_complement,
                     rule_from_terms, signature, smooth, two_point, type_of,
                     validate, value_row)
 from linhyp.circuits import FORK, JOIN, STUB, DELAY, feedback_wires
 from linhyp.graphs import IDENTITY_LABEL
-from linhyp.laws import axiom_schemes, law_signature, random_graph, random_term
+from linhyp.laws import axiom_schemes, law_signature, random_term
 from oracles import (boundary_coherent, brute_force_complements,
-                     brute_force_isomorphism, dataflow_fixed_point,
-                     enumerate_graphs, glue_simple)
+                     brute_force_isomorphism, check_coherence,
+                     dataflow_fixed_point, enumerate_graphs, gate_from_fn,
+                     glue_simple, random_graph)
 
 SIG = law_signature()
 SEED = 20240817
@@ -95,7 +96,6 @@ def test_criterion_4_inverse_round_trip():
 def test_criterion_5_coherence_exhaustive():
     with criterion(5, "coherence over all edge orders, |E| <= 4"):
         rng = random.Random(SEED + 2)
-        from linhyp import check_coherence
         for k in range(5):
             made = 0
             while made < 8:

@@ -6,15 +6,17 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, UNPRODUCTIVE,
                     CircuitSignature, ValueLattice, apply_rewrite,
                     belnap, cartesian_rules, circuit_rules, copy_term,
                     delete_term, evaluate, find_matchings,
-                    gate_from_fn, interpret, isomorphic, merge_term,
+                    interpret, isomorphic, merge_term,
                     normalize, parse_circuit_signature, two_point, type_of,
                     validate, value_row)
 from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
                              eval_rules, feedback_wires)
+from linhyp.terms import Swap
 from linhyp.graphs import INTERFACE
 from linhyp.laws import random_term
 from linhyp.terms import signature
-from oracles import dataflow_fixed_point, evaluate_by_unfolding_all_wires
+from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
+                     gate_from_fn)
 
 # Belnap gates via the evidence-pair encoding: each value is a pair of
 # "can be true" / "can be false" bits, and bitwise-monotone boolean maps
@@ -552,3 +554,69 @@ def test_eval_rules_compile_once_on_first_use(monkeypatch):
     other = parse_circuit_signature(text)
     assert eval_rules(other) is not rules
     assert [r.name for r in eval_rules(other)] == [r.name for r in rules]
+
+
+def test_wiring_terms_are_left_nested_tensors():
+    """The bus terms the rule families are built from, as trees."""
+    a, b, c, stub, join = (Gen("a"), Gen("b"), Gen("c"), Gen(STUB),
+                           Gen(JOIN))
+    assert value_row(()) == Id(0)
+    assert value_row(("a",)) == a
+    assert value_row(["a", "b", "c"]) == Tensor(Tensor(a, b), c)
+    assert delete_term(0) == Id(0)
+    assert delete_term(1) == stub
+    assert delete_term(3) == Tensor(Tensor(stub, stub), stub)
+    assert merge_term(0) == Id(0)
+    assert merge_term(1) == Seq(Id(2), join)
+    assert merge_term(2) == Seq(
+        Seq(Tensor(Tensor(Id(1), Swap(1, 1)), Id(1)), Tensor(Id(2), Id(2))),
+        Tensor(join, join))
+
+
+def _eval_rule_names(lat, gates):
+    """The evaluator's rule names, in order, for a lattice and
+    ``(gate, arity)`` pairs: value pushing, then the structural rules
+    with a non-empty left side."""
+    vals = lat.values
+    return ([f"fork-{v}" for v in vals]
+            + [f"join-{v}-{w}" for v in vals for w in vals]
+            + [f"stub-{v}" for v in vals]
+            + ["-".join((g, *row)) for g, n in gates
+               for row in itertools.product(vals, repeat=n)]
+            + ["delay-bot", "delay-stub"]
+            + [f"gc-{g}" for g, _ in gates] + ["gc-join"]
+            + [f"{kind}-nat-{g}" for g in [*(g for g, _ in gates), JOIN,
+                                            DELAY]
+               for kind in ("copy", "del")]
+            + ["coassoc", "counit-l", "counit-r", "cocomm",
+               "copy-coherence", "del-coherence"])
+
+
+@pytest.mark.parametrize("make_sig,gates,count", [
+    (two_point_sig, [("org", 2), ("amp", 1)], 33),
+    (belnap_sig, [("andg", 2), ("org", 2), ("notg", 1)], 82),
+], ids=["two-point", "belnap"])
+def test_eval_rules_compile_only_the_rules_they_keep(monkeypatch, make_sig,
+                                                      gates, count):
+    """The evaluator's rules, by name and in order, are each compiled
+    once: no streaming instance, delay-gate commutation or empty-sided
+    unit rule is compiled only to be dropped."""
+    import linhyp.circuits as circuits
+
+    compiled = []
+    real = circuits.rule_from_terms
+
+    def counting(lhs, rhs, sig, name):
+        compiled.append(name)
+        return real(lhs, rhs, sig, name)
+
+    monkeypatch.setattr(circuits, "rule_from_terms", counting)
+    csig = make_sig()
+    names = [r.name for r in eval_rules(csig)]
+    assert names == _eval_rule_names(csig.lattice, gates)
+    assert len(names) == count
+    assert compiled == names
+    axioms = {r.name for r in circuit_rules(csig)} - set(names)
+    assert axioms == {f"delay-{g}" for g, _ in gates} | {
+        "-".join(("stream", g, *row)) for g, n in gates
+        for row in itertools.product(csig.lattice.values, repeat=n)}

@@ -354,7 +354,7 @@ def test_rewrite_rule_errors_name_their_line(files, capsys, tmp_path):
             ("ok : f => f\nbad : f => copy\n", 3,
              "type error: line 2: rule sides must share a type\n"),
             ("ok : f => f\nbad : f ; => f\n", 2, "parse error: line 2:"
-             " unexpected end of input (at position 3)\n"),
+             " unexpected end of input (at position 9)\n"),
             ("x : f => f\nx : f => f\n", 1,
              "error: line 2: duplicate rule name 'x'\n")]:
         rules.write_text(text)

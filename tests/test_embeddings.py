@@ -11,9 +11,9 @@ from linhyp import (Gen, Seq, interpret, normalize, parse_rules,
                     rule_from_terms, signature, tensor, trace)
 from linhyp import rewrite
 from linhyp.graphs import embeddings
-from linhyp.laws import law_signature, random_graph, random_term
+from linhyp.laws import law_signature, random_term
 from linhyp.terms import type_of
-from oracles import embeddings_from_first_edge
+from oracles import embeddings_from_first_edge, random_graph
 
 # f : 1 -> 1, g : 1 -> 2, h : 2 -> 2, k : 2 -> 1, u : 0 -> 1, z : 1 -> 0
 SIG = law_signature()

@@ -6,14 +6,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, check_coherence,
-                    compose, equal_mod_stmc, extract_term, find_isomorphism,
+from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, compose,
+                    equal_mod_stmc, expand, extract_term, find_isomorphism,
                     identity, interpret, parse_term, render_term, shuffle,
                     stack, tensor, trace, type_of, untangle, validate)
 from linhyp.extract import canonical_edge_order
 from linhyp.graphs import _SUPPLY, INTERFACE, LinearHypergraph, fresh_ids
-from linhyp.laws import law_signature, random_graph, random_term
-from oracles import shuffle_by_insertion
+from linhyp.laws import law_signature, random_term
+from oracles import check_coherence, random_graph, shuffle_by_insertion
 
 
 SIG = law_signature()
@@ -119,6 +119,11 @@ def test_stack_tensors_labels():
     e_g = next(e for e in F.edges if F.labels[e] == "g")
     assert stack(F, (e_f, e_g)) == Tensor(Gen("f"), Gen("g"))
     assert stack(F, (e_g, e_f)) == Tensor(Gen("g"), Gen("f"))
+    # three edges fold to the left; an identity edge stacks as its wire
+    H = expand(F, F.inputs()[0])
+    e_id = next(e for e in H.edges if H.labels[e] == "@id")
+    assert stack(H, (e_g, e_id, e_f)) == Tensor(Tensor(Gen("g"), Id(1)),
+                                                Gen("f"))
 
 
 def test_stack_of_edgeless_graph():

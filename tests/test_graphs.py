@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
                     equal_mod_stmc, expand, find_isomorphism, freshen,
                     identity, interpret, is_homomorphism, isomorphic,
-                    parse_term, rename, signature, smooth, to_simple,
-                    validate)
+                    parse_term, rename, signature, smooth, validate)
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph,
                            canonical_labelling, fresh_ids)
-from linhyp.laws import law_signature, random_graph
+from linhyp.laws import law_signature
 from linhyp.serialize import save_graph
-from oracles import brute_force_isomorphism, canonical_labelling_by_port_search
+from oracles import (brute_force_isomorphism,
+                     canonical_labelling_by_port_search, random_graph,
+                     tables_from_scratch, to_simple, view_tables)
 
 SIG = law_signature()
 
@@ -408,7 +409,7 @@ def test_ten_thousand_edge_ring_is_walked_at_most_three_times(monkeypatch):
     coded_walk = graphs._coded_walk
 
     def counted(*args):
-        walks.append(args[2])
+        walks.append(args[1])
         return coded_walk(*args)
 
     monkeypatch.setattr(graphs, "_coded_walk", counted)
@@ -560,3 +561,18 @@ def test_canonical_is_renaming_invariant():
 @settings(max_examples=40, deadline=None)
 def test_random_graphs_validate(H):
     assert validate(H, SIG) == []
+
+
+def test_view_tables_equal_a_derivation_from_scratch():
+    """Each graph's view holds its port tables, port index and ``conn``
+    inverse as an edge-by-edge derivation gives them, on random graphs
+    and on graphs of terms, expanded and smoothed."""
+    rng = random.Random(12)
+    graphs = [random_graph(rng, SIG, max_edges=6, max_extra_wires=3)
+              for _ in range(60)]
+    graphs += [interpret(parse_term(t, SIG), SIG) for t in (
+        "id 0", "id 2", "swap 1 2", "tr 1 (h) ; g", "g ; h ; k ; f * u")]
+    graphs += [expand(H, H.targets[0]) for H in graphs if H.targets]
+    graphs += [smooth(H) for H in graphs]
+    for H in graphs:
+        assert view_tables(H) == tables_from_scratch(H)

@@ -7,8 +7,8 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
                     equal_mod_stmc, extract_term, find_isomorphism, identity,
                     interpret, parse_term, rename, signature, type_of,
                     validate)
-from linhyp.laws import axiom_schemes, law_signature, random_graph, random_term
-from oracles import interpret_by_combinators
+from linhyp.laws import axiom_schemes, law_signature, random_term
+from oracles import interpret_by_combinators, random_graph
 
 SIG = law_signature()
 

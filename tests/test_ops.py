@@ -7,8 +7,8 @@ from linhyp import (IDENTITY_LABEL, Gen, TypeMismatch, compose,
                     find_isomorphism, generator, identity, interpret,
                     isomorphic, smooth, swap, tensor, trace, validate)
 from linhyp.graphs import LinearHypergraph
-from linhyp.laws import law_signature, random_graph
-from oracles import swap_recursive, trace_mono
+from linhyp.laws import law_signature
+from oracles import random_graph, swap_recursive, trace_mono
 
 SIG = law_signature()
 

@@ -11,12 +11,13 @@ from linhyp import (Gen, Homomorphism, Id, Matching, ParseError, Seq, Swap,
                     saturate_rule, save_graph, tensor, validate)
 from linhyp.circuits import eval_rules
 from linhyp.graphs import IDENTITY_LABEL
-from linhyp.laws import law_signature, random_graph, random_term
+from linhyp.laws import law_signature, random_term
 from linhyp.terms import signature, type_of
 from oracles import (apply_by_pushouts, boundary_coherent,
                      brute_force_complements, brute_force_matchings,
                      glue_simple, normal_forms_by_pushouts,
-                     normalize_by_enumeration, trace_mono)
+                     normalize_by_enumeration, random_graph,
+                     tables_from_scratch, trace_mono, view_tables)
 from test_circuits import belnap_sig, two_point_sig
 from test_driver import RULES, _circuits, _host, _numbered
 
@@ -421,10 +422,16 @@ def test_parse_rules_rejects_bad_names(text, error):
     ("ok : f => f\n\nbad : f => q", TypeMismatch,
      "line 3: unknown generator 'q'"),
     ("ok : f => f\nbad : f ; => f", ParseError,
-     "line 2: unexpected end of input (at position 3)"),
-], ids=["type", "unknown-generator", "parse"])
+     "line 2: unexpected end of input (at position 9)"),
+    ("ok : f => f\n  bad :  f => f ; ", ParseError,
+     "line 2: unexpected end of input (at position 17)"),
+    ("bad : f => f ; ( # f", ParseError,
+     "line 1: unexpected end of input (at position 16)"),
+], ids=["type", "unknown-generator", "parse", "parse-indented",
+        "parse-right-side"])
 def test_parse_rules_names_the_line_of_term_errors(text, kind, error):
-    """The error keeps its class, which sets the CLI's exit code."""
+    """The error keeps its class, which sets the CLI's exit code, and a
+    parse error gives its position in the line as written."""
     with pytest.raises(kind) as err:
         parse_rules(text, CSIG)
     assert str(err.value) == error
@@ -619,22 +626,14 @@ def test_normal_forms_matches_the_pushouts():
     assert True in flags and False in flags
 
 
-# An edge of R glued onto surviving host vertices takes its ports in the
-# host's stored order, not in R's port order (ROADMAP item 1): mending it
-# must remove these markers.
-_PORT_ORDER = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: glued R edges take stored port order")
-
-
 @pytest.mark.parametrize("engine", ["apply_rewrite", "normalize"])
 @pytest.mark.parametrize("in_context", [False, True],
                          ids=["bare", "in-context"])
 @pytest.mark.parametrize("lhs,rhs,context", [
     ("f ; g", "g ; id 1 * f", "u ; _ ; k"),
     ("k ; f", "id 1 * f ; k", "u * u ; _ ; z"),
-    pytest.param("f ; g", "g ; f * id 1", "u ; _ ; k", marks=_PORT_ORDER),
-    pytest.param("k ; f", "f * id 1 ; k", "u * u ; _ ; z",
-                 marks=_PORT_ORDER),
+    ("f ; g", "g ; f * id 1", "u ; _ ; k"),
+    ("k ; f", "f * id 1 ; k", "u * u ; _ ; z"),
 ], ids=["g-then-id-f", "id-f-then-k", "g-then-f-id", "f-id-then-k"])
 def test_one_step_on_c_of_l_gives_c_of_r(lhs, rhs, context, in_context,
                                           engine):
@@ -658,3 +657,63 @@ def test_one_step_on_c_of_l_gives_c_of_r(lhs, rhs, context, in_context,
         (match,) = find_matchings(rule.L, G, up_to_homeo=True)
         H = apply_rewrite(G, rule, match)
     assert isomorphic(H, interpret(parse_term(plug(rhs), sig), sig))
+
+
+def test_one_step_on_a_lone_left_side_gives_its_right_side():
+    """Soundness of string-diagram rewriting on random rules: on a host
+    that is the left side alone and has one match, one step gives the
+    right side up to isomorphism.  Each edge of R keeps R's port words
+    (Bonchi et al., "String diagram rewrite theory I", 2022), which a
+    step that orders a glued edge's ports by the host's stored order
+    breaks in about one step in twenty here."""
+    sig = law_signature()
+    rng = random.Random(7)
+    steps = 0
+    for _ in range(1000):
+        m, n = rng.randint(0, 2), rng.randint(0, 2)
+        lhs = random_term(rng, sig, m, n, depth=2, traces=False)
+        rhs = random_term(rng, sig, m, n, depth=3, traces=True)
+        rule = rule_from_terms(lhs, rhs, sig, "probe")
+        if not rule.L.edges:
+            continue
+        G = interpret(lhs, sig)
+        matches = find_matchings(rule.L, G, up_to_homeo=True)
+        if len(matches) != 1:
+            continue
+        want = interpret(rhs, sig)
+        assert isomorphic(apply_rewrite(G, rule, matches[0]), want)
+        res = normalize(G, [rule], max_steps=1)
+        assert len(res.steps) == 1 and isomorphic(res.graph, want)
+        steps += 1
+    assert steps > 500
+
+
+def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
+    """The graph a host freezes to after each in-place step, and each
+    graph :func:`apply_rewrite` returns, has in its view the port
+    tables, port index and ``conn`` inverse an edge-by-edge derivation
+    gives."""
+    from linhyp import rewrite
+
+    checked = []
+    real = rewrite._Host.rewrite
+
+    def checking(self, *args):
+        real(self, *args)
+        H = self.freeze()  # shares the host's tables: checked at once
+        assert view_tables(H) == tables_from_scratch(H)
+        checked.append(H)
+
+    monkeypatch.setattr(rewrite._Host, "rewrite", checking)
+    rng = random.Random(3)
+    for _ in range(10):
+        normalize(_host(rng), RULES)
+    for G in _circuits(two_point_sig(), rng, 5):
+        normalize(G, eval_rules(two_point_sig()), max_steps=40)
+    assert len(checked) > 50
+    monkeypatch.undo()
+    for G in [_host(rng) for _ in range(5)]:
+        for rule in RULES:
+            for m in find_matchings(rule.L, G, up_to_homeo=True):
+                H = apply_rewrite(G, rule, m)
+                assert view_tables(H) == tables_from_scratch(H)

@@ -11,7 +11,8 @@ from linhyp import (canonical, expand, freshen, interpret, isomorphic,
                     save_graph, signature, to_dot, validate)
 from linhyp.graphs import LinearHypergraph, fresh_ids
 from linhyp.serialize import graph_to_dict
-from linhyp.laws import law_signature, random_graph
+from linhyp.laws import law_signature
+from oracles import random_graph
 
 SIG = law_signature()
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from linhyp import (Gen, Id, ParseError, Seq, Swap, Tensor, Trace,
                     TypeMismatch, parse_signature, parse_term, render_term,
-                    signature, type_of, word)
+                    signature, tensor_all, type_of, word)
 from linhyp.interp import equal_mod_stmc, interpret
 from linhyp.graphs import find_isomorphism
 from linhyp.laws import law_signature, random_term
@@ -268,3 +268,11 @@ def test_deep_type_errors_keep_their_messages():
                        match=r"^trace over 2 needs a body typed 2\+m -> 2\+n,"
                              r" got 1 -> 1$"):
         type_of(loop, SIG)
+
+
+def test_tensor_all_folds_left():
+    a, b, c = Gen("a"), Gen("b"), Gen("c")
+    assert tensor_all([]) == Id(0)
+    assert tensor_all((a,)) is a
+    assert tensor_all([a, b, c]) == Tensor(Tensor(a, b), c)
+    assert tensor_all([a, b, c]) != Tensor(a, Tensor(b, c))
