@@ -37,17 +37,10 @@ def untangle(H: LinearHypergraph, ord: EdgeOrder) -> LinearHypergraph:
     for e in ord:
         sources.extend(srcs[e])
     sources.extend(H.outputs())
-    return LinearHypergraph(
-        targets=tuple(targets),
-        sources=tuple(sources),
-        edges=tuple(ord),
-        left=dict(H.left),
-        right=dict(H.right),
-        conn=dict(H.conn),
-        labels=dict(H.labels),
-        vtlabels=dict(H.vtlabels),
-        vslabels=dict(H.vslabels),
-    )
+    # only the orders change, so the tables are shared
+    return LinearHypergraph(tuple(targets), tuple(sources), tuple(ord),
+                            H.left, H.right, H.conn, H.labels, H.vtlabels,
+                            H.vslabels)
 
 
 def stack(H: LinearHypergraph, ord: EdgeOrder) -> Term:

@@ -9,9 +9,10 @@ one edge side or the interface, so wires never split or merge.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import count
 
 from .terms import ANON, Word
 
@@ -599,6 +600,11 @@ Found = tuple[dict[int, int], dict[int, int], dict[int, int],
 # the kinds of element a search maps, indexing its tables
 _T, _S, _E = 0, 1, 2
 
+#: A compiled plan: given the host image of its start element, the
+#: host's tables, the search's maps, used sets and trail, it extends the
+#: map and returns True, or leaves it as it was and returns False.
+Plan = Callable[[int, GraphView, tuple, tuple, list], bool]
+
 
 class PatternTables:
     """What :func:`embeddings` reads from a pattern graph L beyond its
@@ -611,7 +617,10 @@ class PatternTables:
     the output interface and ``in_wires`` enter an edge from the input
     interface: their loose ends are bound last when matching up to
     homeomorphism, so propagation does not cross them (``defer_t`` and
-    ``defer_s``).
+    ``defer_s``).  ``plans`` holds the compiled plans (:func:`_compile`)
+    by ``(kind, start, up_to_homeo)``, each compiled on its first use.
+    The tables hold no reference to L, which caches them: a cycle would
+    keep every pattern alive until the cyclic collector runs.
     """
 
     def __init__(self, L: LinearHypergraph) -> None:
@@ -631,6 +640,150 @@ class PatternTables:
                          and right[conn[t]] is not INTERFACE]
         self.defer_t = frozenset(self.out_wires)
         self.defer_s = frozenset(conn[t] for t in self.in_wires)
+        self.plans: dict[tuple[int, int, bool], Plan] = {}
+
+    def plan(self, L: LinearHypergraph, kind: int, start: int,
+             up_to_homeo: bool) -> Plan:
+        """The plan that maps ``start``, an element of L of ``kind``,
+        and all it forces; compiled once."""
+        key = (kind, start, up_to_homeo)
+        plan = self.plans.get(key)
+        if plan is None:
+            none = frozenset()
+            plan = self.plans[key] = _compile(
+                L, kind, start, self.defer_t if up_to_homeo else none,
+                self.defer_s if up_to_homeo else none)
+        return plan
+
+
+# per kind, the plan's local names for the search's map and used set
+_MAP = ("tmap", "smap", "emap")
+_USED = ("used_t", "used_s", "used_e")
+
+
+def _compile(L: LinearHypergraph, kind: int, start: int,
+             defer_t: frozenset[int], defer_s: frozenset[int]) -> Plan:
+    """The wire propagation from ``start``, run once on L alone and
+    emitted as one Python function: a compiled plan.
+
+    Mapping one element of L fixes its wire and edge-port neighbours,
+    and so, step by step, its whole component.  The plan makes the maps
+    of all of them from the start element's host image ``x0`` into
+    locals, in the order the propagation reaches them, and checks as it
+    goes what the propagation checks: object and edge labels, port
+    counts, that each port sits at its index on its edge, that wires
+    agree with ``conn`` and its inverse where an element is reached
+    twice, and that no image is used already or twice.  A host lookup
+    comes only after the checks that guard it.  Only when every check
+    holds does it write the maps, the used sets and the trail, in the
+    order the propagation reaches the elements, and return True; else it
+    returns False having written nothing.  Wires in ``defer_t`` and
+    ``defer_s`` are not crossed.
+
+    The source holds only local names, slot numbers and port indices;
+    L's labels and ids enter as constants bound to the plan, so no text
+    of a graph file is ever compiled.  Compiling one takes about 1 ms.
+    """
+    lv = L.view
+    t_port, s_port = lv.port_index
+    consts: dict = {}  # each constant the plan binds, by value
+    body = ["used_t, used_s, used_e = used"]
+    loaded: set[str] = set()
+    checks: set[str] = set()
+    images: tuple[dict[int, str], ...] = ({}, {}, {})
+    order: list[tuple[int, int]] = []  # the elements mapped, as reached
+    ports: dict[str, str] = {}  # a host edge's port tuple, by expression
+    names = count(1)
+
+    def const(x) -> str:
+        if x not in consts:
+            consts[x] = f"k{len(consts)}"
+        return consts[x]
+
+    def table(name: str) -> str:
+        """A host table, read into a local before its first use."""
+        if name not in loaded:
+            loaded.add(name)
+            body.append(f"G_{name} = G.{name}")
+        return f"G_{name}"
+
+    def local(expr: str) -> str:
+        name = f"x{next(names)}"
+        body.append(f"{name} = {expr}")
+        return name
+
+    def check(fails: str) -> None:
+        if fails not in checks:
+            checks.add(fails)
+            body.append(f"if {fails}: return False")
+
+    def put(k: int, a: int, expr: str) -> None:
+        name = images[k].get(a)
+        if name is not None:  # reached again: the wires must agree
+            check(f"{expr} != {name}")
+            return
+        name = expr if expr.isidentifier() else local(expr)
+        check(f"{name} in {_USED[k]}")
+        images[k][a] = name
+        order.append((k, a))
+
+    def port_tuple(side: str, d: str) -> str:
+        expr = f"{table(side)}[{d}]"
+        if expr not in ports:
+            ports[expr] = local(expr)
+        return ports[expr]
+
+    def edge_port(side: str, ends: str, x: str, e: int, j: int) -> None:
+        d = local(f"{table(side)}[{x}]")
+        check(f"{d} is None")
+        check(f"{table('labels')}[{d}] != {const(L.labels[e])}")
+        p = port_tuple(ends, d)
+        check(f"len({p}) <= {j}")
+        check(f"{p}[{j}] != {x}")
+        put(_E, e, d)
+
+    put(kind, start, "x0")
+    for k, a in order:  # grows while it is read: the propagation agenda
+        x = images[k][a]
+        if k == _T:
+            check(f"{table('vtlabels')}[{x}] != {const(L.vtlabels[a])}")
+            if a not in defer_t:
+                put(_S, L.conn[a], f"{table('conn')}[{x}]")
+            if L.left[a] is not INTERFACE:
+                edge_port("left", "tgts", x, L.left[a], t_port[a])
+        elif k == _S:
+            check(f"{table('vslabels')}[{x}] != {const(L.vslabels[a])}")
+            if a not in defer_s:
+                put(_T, lv.conn_inv[a], f"{table('conn_inv')}[{x}]")
+            if L.right[a] is not INTERFACE:
+                edge_port("right", "srcs", x, L.right[a], s_port[a])
+        else:
+            check(f"{table('labels')}[{x}] != {const(L.labels[a])}")
+            p, q = port_tuple("tgts", x), port_tuple("srcs", x)
+            check(f"len({p}) != {len(lv.tgts[a])}")
+            check(f"len({q}) != {len(lv.srcs[a])}")
+            for i, u in enumerate(lv.tgts[a]):
+                put(_T, u, f"{p}[{i}]")
+            for i, u in enumerate(lv.srcs[a]):
+                put(_S, u, f"{q}[{i}]")
+    for k in (_T, _S, _E):
+        if len(images[k]) > 1:
+            check(f"len({{{', '.join(images[k].values())}}})"
+                  f" != {len(images[k])}")
+    body.append("tmap, smap, emap = maps")
+    for k, a in order:
+        body.append(f"{_MAP[k]}[{const(a)}] = {images[k][a]}")
+        body.append(f"{_USED[k]}.add({images[k][a]})")
+    body.append(f"trail.extend({const(tuple(order))})")
+    body.append("return True")
+    source = "\n".join(
+        [f"def _bind({', '.join(consts.values())}):",
+         "    def plan(x0, G, maps, used, trail):"]
+        + [f"        {line}" for line in body]
+        + ["    return plan"])
+    scope: dict = {}
+    exec(compile(source, "<compiled plan>", "exec"), scope)
+    return scope["_bind"](*consts)
 
 
 def embeddings(L: LinearHypergraph, G: GraphView,
@@ -639,9 +792,15 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     deterministic order.
 
     The wire-propagation engine behind matching: fixing the image of a
-    vertex or an edge fixes its wire and edge-port neighbours, so a
-    search state is propagated to closure after each choice, and a clash
-    undoes it.  The maps come ordered by the host image of each edge
+    vertex or an edge fixes its wire and edge-port neighbours, so each
+    choice is propagated to closure, and a clash rejects it.  Each
+    choice runs a compiled plan (:func:`_compile`): the propagation from
+    that start element, worked out on L once and emitted as straight-line
+    Python, which computes and checks every forced image and writes the
+    whole extension or nothing.  A plan is compiled, in about 1 ms, on
+    the first search that needs it, and cached on L's pattern tables
+    (``PatternTables.plans``); its source holds no text of L.  The maps
+    come ordered by the host image of each edge
     component's first edge in L's stored order, in G's stored order,
     component by component; bare wires of L then range over the
     remaining wires of G.  L's interfaces may land anywhere.
@@ -675,15 +834,16 @@ def embeddings(L: LinearHypergraph, G: GraphView,
 class _Search:
     """One run of :func:`embeddings`: the partial map of L into G, held
     in one set of tables, and the trail of its assignments in the order
-    they were made, which undoing pops.  Entries past the point where an
-    extension started are also that extension's propagation agenda."""
+    they were made, which undoing pops.  Each choice of an image for a
+    component's start edge or a bare wire extends the map through that
+    element's compiled plan (:meth:`PatternTables.plan`), which writes a
+    whole propagation or nothing, so only a choice the search goes past
+    is undone."""
 
     def __init__(self, L: LinearHypergraph, G: GraphView,
                  up_to_homeo: bool) -> None:
         self.L, self.G, self.homeo = L, G, up_to_homeo
         self.P = P = L.pattern
-        self.defer_t = P.defer_t if up_to_homeo else frozenset()
-        self.defer_s = P.defer_s if up_to_homeo else frozenset()
         self.maps: tuple[dict[int, int], ...] = ({}, {}, {})
         self.used: tuple[set[int], ...] = (set(), set(), set())
         self.trail: list[tuple[int, int]] = []
@@ -692,19 +852,6 @@ class _Search:
         self.starts = [(comp[0], min(comp, key=lambda e: len(
             by_label.get(labels[e], ())))) for comp in P.components]
 
-    def put(self, kind: int, a: int, b: int) -> bool:
-        """Record ``a -> b`` unless it clashes with the map."""
-        table = self.maps[kind]
-        if a in table:
-            return table[a] == b
-        used = self.used[kind]
-        if b in used:
-            return False
-        table[a] = b
-        used.add(b)
-        self.trail.append((kind, a))
-        return True
-
     def undo(self, mark: int) -> None:
         """Drop the assignments made since the trail was ``mark`` long."""
         trail, maps, used = self.trail, self.maps, self.used
@@ -712,89 +859,33 @@ class _Search:
             kind, a = trail.pop()
             used[kind].remove(maps[kind].pop(a))
 
-    def extend(self, kind: int, a: int, b: int) -> bool:
-        """Add ``a -> b`` and propagate it to closure; on a clash, undo
-        all of it and return False."""
-        mark = len(self.trail)
-        if self.put(kind, a, b) and self.propagate(mark):
-            return True
-        self.undo(mark)
-        return False
-
-    def propagate(self, i: int) -> bool:
-        """Check the assignments on the trail from position ``i`` and add
-        what each forces, until none is left; False on a clash."""
-        L, G, put, trail = self.L, self.G, self.put, self.trail
-        lv, tmap, smap, emap = L.view, *self.maps
-        lleft, lright = L.left, L.right
-        t_port, s_port = lv.port_index
-        defer_t, defer_s = self.defer_t, self.defer_s
-        while i < len(trail):
-            kind, a = trail[i]
-            i += 1
-            if kind == _T:
-                b = tmap[a]
-                if L.vtlabels[a] != G.vtlabels[b]:
-                    return False
-                if a not in defer_t and not put(_S, L.conn[a], G.conn[b]):
-                    return False
-                e = lleft[a]
-                if e is not INTERFACE:
-                    j = t_port[a]
-                    d = G.left[b]
-                    if d is INTERFACE or G.labels[d] != L.labels[e]:
-                        return False
-                    ports = G.tgts[d]
-                    if len(ports) <= j or ports[j] != b or not put(_E, e, d):
-                        return False
-            elif kind == _S:
-                b = smap[a]
-                if L.vslabels[a] != G.vslabels[b]:
-                    return False
-                if a not in defer_s and not put(
-                        _T, lv.conn_inv[a], G.conn_inv[b]):
-                    return False
-                e = lright[a]
-                if e is not INTERFACE:
-                    j = s_port[a]
-                    d = G.right[b]
-                    if d is INTERFACE or G.labels[d] != L.labels[e]:
-                        return False
-                    ports = G.srcs[d]
-                    if len(ports) <= j or ports[j] != b or not put(_E, e, d):
-                        return False
-            else:
-                d = emap[a]
-                ltgts, lsrcs = lv.tgts[a], lv.srcs[a]
-                gtgts, gsrcs = G.tgts[d], G.srcs[d]
-                if (G.labels[d] != L.labels[a] or len(gtgts) != len(ltgts)
-                        or len(gsrcs) != len(lsrcs)):
-                    return False
-                for u, w in zip(ltgts, gtgts):
-                    if not put(_T, u, w):
-                        return False
-                for u, w in zip(lsrcs, gsrcs):
-                    if not put(_S, u, w):
-                        return False
-        return True
+    def extend(self, kind: int, a: int, images: Iterable[int]
+               ) -> Iterator[None]:
+        """For each of ``images`` in turn that ``a`` can map to, with
+        all it forces: yield with the map extended, and undo it after."""
+        plan = self.P.plan(self.L, kind, a, self.homeo)
+        G, maps, used, trail = self.G, self.maps, self.used, self.trail
+        mark = len(trail)
+        for b in images:
+            if plan(b, G, maps, used, trail):
+                yield
+                self.undo(mark)
 
     def components(self, idx: int) -> Iterator[Found]:
         if idx == len(self.starts):
             yield from self.bare(0)
             return
         anchor, start = self.starts[idx]
-        mark = len(self.trail)
         if start != anchor:
+            mark = len(self.trail)
             for entries in self.completions(anchor, start):
                 self.replay(entries)
                 yield from self.components(idx + 1)
                 self.undo(mark)
             return
-        used_e = self.used[_E]
-        for d in self.G.by_label.get(self.L.labels[anchor], ()):
-            if d not in used_e and self.extend(_E, anchor, d):
-                yield from self.components(idx + 1)
-                self.undo(mark)
+        for _ in self.extend(_E, anchor, self.G.by_label.get(
+                self.L.labels[anchor], ())):
+            yield from self.components(idx + 1)
 
     def completions(self, anchor: int, start: int
                     ) -> list[list[tuple[int, int, int]]]:
@@ -802,15 +893,14 @@ class _Search:
         other than its first, found from that edge: each as the
         assignments it adds, in G's stored order of the first edge's
         image."""
-        G, maps, trail, used_e = self.G, self.maps, self.trail, self.used[_E]
+        G, maps, trail = self.G, self.maps, self.trail
         mark = len(trail)
         found = []
-        for d in G.by_label.get(self.L.labels[start], ()):
-            if d not in used_e and self.extend(_E, start, d):
-                found.append((G.edge_seq[maps[_E][anchor]],
-                              [(kind, a, maps[kind][a])
-                               for kind, a in trail[mark:]]))
-                self.undo(mark)
+        for _ in self.extend(_E, start, G.by_label.get(
+                self.L.labels[start], ())):
+            found.append((G.edge_seq[maps[_E][anchor]],
+                          [(kind, a, maps[kind][a])
+                           for kind, a in trail[mark:]]))
         found.sort(key=lambda f: f[0])
         return [entries for _, entries in found]
 
@@ -830,17 +920,8 @@ class _Search:
             if found is not None:
                 yield found
             return
-        t = P.bare_wires[idx]
-        lab = self.L.vtlabels[t]
-        used_t, used_s = self.used[_T], self.used[_S]
-        mark = len(self.trail)
-        for tg in G.targets:
-            if (tg in used_t or G.conn[tg] in used_s
-                    or G.vtlabels[tg] != lab):
-                continue
-            if self.extend(_T, t, tg):
-                yield from self.bare(idx + 1)
-                self.undo(mark)
+        for _ in self.extend(_T, P.bare_wires[idx], G.targets):
+            yield from self.bare(idx + 1)
 
     def finish(self) -> Found | None:
         L = self.L

@@ -28,7 +28,10 @@ def word(n: int) -> Word:
 
 
 def as_word(w: int | str | Word) -> Word:
-    """Coerce an int (wire count), label or tuple of labels to a word."""
+    """Coerce an int (wire count), label or tuple of labels to a word; a
+    word that is already a tuple is returned as it is."""
+    if type(w) is tuple:
+        return w
     if isinstance(w, int):
         return word(w)
     if isinstance(w, str):

@@ -17,7 +17,7 @@ from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
 from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
                            validate)
 from linhyp.laws import random_term
-from linhyp.terms import signature
+from linhyp.terms import signature, tensor_all
 from oracles import embeds, normalize_by_enumeration
 from test_circuits import belnap_sig, two_point_sig
 
@@ -41,13 +41,6 @@ def _chain(parts):
     t = parts[0]
     for u in parts[1:]:
         t = Seq(t, u)
-    return t
-
-
-def _tensor_all(parts):
-    t = parts[0]
-    for u in parts[1:]:
-        t = Tensor(t, u)
     return t
 
 
@@ -77,7 +70,7 @@ def _host(rng):
             parts.append(Seq(Seq(ps, Gen("c")),
                              Tensor(_word(rng, rng.randint(1, 3)),
                                     Seq(Gen("c"), Tensor(Id(1), Gen("p"))))))
-    return interpret(_tensor_all(parts), RSIG)
+    return interpret(tensor_all(parts), RSIG)
 
 
 def _circuits(csig, rng, count):
@@ -189,7 +182,7 @@ def _loops(rng, count):
         if rng.random() < 0.5:
             body = [Gen("w")] + body
         parts.append(Trace(1, _chain(body)))
-    return interpret(_tensor_all(parts), RSIG)
+    return interpret(tensor_all(parts), RSIG)
 
 
 def test_driver_agrees_on_hosts_with_many_loops(monkeypatch):
@@ -207,7 +200,7 @@ def test_rejected_candidates_leave_no_trace(monkeypatch):
     then matches by splitting its wire.  The driver inserts an identity
     edge for the match it takes only, where the list search also
     expands the host for the match it discards."""
-    host = interpret(_tensor_all(
+    host = interpret(tensor_all(
         [Trace(1, Seq(Gen("w"), Gen("f")))] * 4
         + [Trace(1, Seq(Gen("f"), Gen("f")))]), RSIG)
     expanded = []
@@ -222,7 +215,7 @@ def test_rejected_candidates_leave_no_trace(monkeypatch):
     assert [(s.rule, _positions(host, s)) for s in res.steps] == [
         ("ff", (8, 9))]
     assert len(splits) == 2  # the whole run, then the step replayed
-    assert save_graph(res.graph) == save_graph(interpret(_tensor_all(
+    assert save_graph(res.graph) == save_graph(interpret(tensor_all(
         [Trace(1, Seq(Gen("w"), Gen("f")))] * 4 + [Trace(1, Gen("f"))]),
         RSIG))
 

@@ -5,11 +5,15 @@ order, read from a graph's view and from a host that ``normalize`` is
 rewriting.  And the search's cost per rewriting step, which must not
 grow with the host when the pattern's first edge has a common label.
 """
+import gc
 import random
+import weakref
 
-from linhyp import (Gen, Seq, interpret, normalize, parse_rules,
-                    rule_from_terms, signature, tensor, trace)
-from linhyp import rewrite
+from linhyp import (Gen, Seq, Swap, Tensor, find_matchings, interpret,
+                    load_graph, normalize, parse_rules, rule_from_terms,
+                    saturate_rule, save_graph, signature, tensor,
+                    tensor_all, trace)
+from linhyp import graphs, rewrite
 from linhyp.graphs import embeddings
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import type_of
@@ -168,3 +172,109 @@ def test_search_cost_per_step_does_not_grow_with_the_host(monkeypatch):
         assert len(res.steps) == n and not res.exhausted
         per_step.append(indexes[-1].drawn / n)
     assert per_step[1] <= per_step[0] <= 2
+
+
+# Labels that must never reach a compiled plan's source: a quote, a
+# backslash, a newline, a brace, non-ASCII text, and the names of the
+# plan's own locals and bound constants.
+ODD = '"k0\\\n'
+ODD_SIG = signature({
+    'a"b': ((ODD,), ("used",)),
+    "\\": (("used",), ("G",)),
+    "}\n{": (("G",), ("x0", "x0")),
+    "ünï€ß": (("x0", "x0"), ("x0",)),
+    "x0": (("x0",), ("x0",)),
+    "used": ((ODD,), ("x0",)),
+    "G": (("x0",), ("x0",)),
+}, objects={ODD, "used", "G", "x0"})
+
+
+def _odd_chain(*labels):
+    t = Gen(labels[0])
+    for lab in labels[1:]:
+        t = Seq(t, Gen(lab))
+    return t
+
+
+def test_compiled_plans_hold_no_label_text():
+    """Pattern and host files whose labels would break generated source
+    if pasted into it: the search finds the oracle's maps in its order,
+    ``normalize`` takes the steps it took before plans were compiled,
+    and each plan's code holds no string, its labels being bound."""
+    side = Tensor(_odd_chain('a"b', "\\", "}\n{", "ünï€ß"),
+                  _odd_chain("x0", "x0"))
+    # the decoy crosses the wires between "}\n{" and "ünï€ß"
+    crossed = Seq(_odd_chain('a"b', "\\", "}\n{"),
+                  Seq(Swap(("x0",), ("x0",)), Gen("ünï€ß")))
+    host = trace(("x0",), interpret(tensor_all(
+        [_odd_chain("x0", "x0", "x0"), side, crossed,
+         _odd_chain("x0", "G", "x0"), side]), ODD_SIG))
+    files = [save_graph(interpret(side, ODD_SIG)),
+             save_graph(interpret(Tensor(Gen("used"), Gen("G")), ODD_SIG)),
+             save_graph(host)]
+    assert all('a\\"b' in text for text in files[::2])
+    L, R, G = map(load_graph, files)
+
+    found = [(m.embedding.vmap_t, m.embedding.vmap_s, m.embedding.emap)
+             for m in find_matchings(L, G)]
+    assert found == [(t, s, e) for t, s, e, _ in
+                     embeddings_from_first_edge(L, G.view)]
+    assert len(found) == 10
+    _assert_same_maps(L, G.view)
+
+    rule = saturate_rule(rewrite._make_rule("odd", L, R))
+    res = normalize(G, [rule])
+    assert [str(s) for s in res.steps] == [
+        "step 1: rule odd at edges [62, 63, 68, 69, 74, 78]",
+        "step 2: rule odd at edges [66, 67, 72, 73, 77, 80]"]
+
+    plans = L.pattern.plans
+    assert {start for _, start, _ in plans} >= {c[0] for c in
+                                                L.pattern.components}
+    for plan in plans.values():
+        assert not [c for c in plan.__code__.co_consts if isinstance(c, str)]
+        bound = {cell.cell_contents for cell in plan.__closure__}
+        assert bound & set(L.labels.values())
+
+
+def test_plans_compile_once_per_pattern_start_and_flag(monkeypatch):
+    """Over ``normalize`` runs, which all match up to homeomorphism, no
+    plan is compiled twice."""
+    compiled, patterns = [], []
+    real = graphs._compile
+
+    def counting(L, kind, start, defer_t, defer_s):
+        patterns.append(L)  # keeps each id(L) unique
+        compiled.append((id(L), kind, start, defer_t, defer_s))
+        return real(L, kind, start, defer_t, defer_s)
+
+    monkeypatch.setattr(graphs, "_compile", counting)
+    rules = parse_rules("""
+ff : f ; f => f
+gk : g ; k => f
+counit : g ; z * id 1 => id 1
+hk : h ; k => k
+""", SIG)
+    rng = random.Random(3)
+    for P in _patterns(rng, 6):
+        normalize(_host(rng, P), rules, max_steps=6)
+        normalize(_host(rng, P), rules, max_steps=6)
+    assert compiled
+    assert len(set(compiled)) == len(compiled)
+
+
+def test_a_pattern_with_compiled_plans_is_freed_without_the_collector():
+    """The plans a pattern caches hold no reference back to it."""
+    rng = random.Random(5)
+    P = _patterns(rng, 1)[0]
+    G = _host(rng, P).view
+    gc.disable()
+    try:
+        for homeo in (False, True):
+            list(embeddings(P, G, homeo))
+        assert P.pattern.plans
+        ref = weakref.ref(P)
+        del P
+        assert ref() is None
+    finally:
+        gc.enable()

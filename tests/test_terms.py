@@ -276,3 +276,15 @@ def test_tensor_all_folds_left():
     assert tensor_all((a,)) is a
     assert tensor_all([a, b, c]) == Tensor(Tensor(a, b), c)
     assert tensor_all([a, b, c]) != Tensor(a, Tensor(b, c))
+
+
+def test_words_that_are_tuples_are_kept_not_copied():
+    w, u, v = ("A", "B"), ("A",), ("B", "C")
+    assert Id(w).word is w
+    s = Swap(u, v)
+    assert s.upper is u and s.lower is v
+    assert Trace(w, Id(w + w)).loop is w
+    # anything else is still coerced to a fresh tuple
+    listed = ["A", "B"]
+    assert Id(listed).word == w and type(Id(listed).word) is tuple
+    assert Id(2).word == word(2) and Swap("A", 1).upper == ("A",)
