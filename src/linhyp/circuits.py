@@ -346,9 +346,27 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
     The walk follows wires from producer to consumer edge and takes its
     roots in ``canonical_labelling`` order, so isomorphic graphs get
     corresponding wires.  Every cycle of H meets the set, and a loop-free
-    H has none.
+    H has none: a pass that peels off edges with no unpeeled producer
+    (Kahn's algorithm) tells a loop-free H in linear time, and only an H
+    it does not peel whole is labelled and walked.
     """
-    tgts = H.view.tgts
+    tgts, right, conn = H.view.tgts, H.right, H.conn
+    producers = dict.fromkeys(H.edges, 0)
+    for e in H.edges:
+        for t in tgts[e]:
+            d = right[conn[t]]
+            if d is not INTERFACE:
+                producers[d] += 1
+    peeled = [e for e, n in producers.items() if n == 0]
+    for e in peeled:  # grows while it is read
+        for t in tgts[e]:
+            d = right[conn[t]]
+            if d is not INTERFACE:
+                producers[d] -= 1
+                if producers[d] == 0:
+                    peeled.append(d)
+    if len(peeled) == len(producers):
+        return []
     _, _, order = canonical_labelling(H)
     done: set[int] = set()
     cut: list[int] = []
@@ -360,7 +378,7 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
         while stack:
             e, ports = stack[-1]
             for t in ports:
-                d = H.right[H.conn[t]]
+                d = right[conn[t]]
                 if d in on_path:
                     cut.append(t)
                 elif d is not INTERFACE and d not in done:

@@ -597,13 +597,12 @@ def commutes(F: LinearHypergraph, G: GraphView, vmap_t: dict[int, int],
 Found = tuple[dict[int, int], dict[int, int], dict[int, int],
               list[tuple[int, int, int]]]
 
-# the kinds of element a search maps, indexing its tables
-_T, _S, _E = 0, 1, 2
+#: A compiled search (:func:`_compile_search`): given a host's tables,
+#: it yields the maps of its pattern into that host.
+Search = Callable[[GraphView], Iterator[Found]]
 
-#: A compiled plan: given the host image of its start element, the
-#: host's tables, the search's maps, used sets and trail, it extends the
-#: map and returns True, or leaves it as it was and returns False.
-Plan = Callable[[int, GraphView, tuple, tuple, list], bool]
+# the kinds of element a search maps
+_T, _S, _E = 0, 1, 2
 
 
 class PatternTables:
@@ -612,15 +611,17 @@ class PatternTables:
 
     ``components`` lists L's wire-connected components in
     stored order of their first edges, each as its edges in walk order
-    from that first edge.  ``bare_wires`` run from L's input interface
-    straight to its output interface.  ``out_wires`` leave an edge for
-    the output interface and ``in_wires`` enter an edge from the input
-    interface: their loose ends are bound last when matching up to
-    homeomorphism, so propagation does not cross them (``defer_t`` and
-    ``defer_s``).  ``plans`` holds the compiled plans (:func:`_compile`)
-    by ``(kind, start, up_to_homeo)``, each compiled on its first use.
-    The tables hold no reference to L, which caches them: a cycle would
-    keep every pattern alive until the cyclic collector runs.
+    from that first edge, and ``starts`` lists per component the labels
+    it holds and its first edge of each: the edges its search may start
+    at.  ``bare_wires`` run from L's input interface straight to its
+    output interface.  ``out_wires`` leave an edge for the output
+    interface and ``in_wires`` enter an edge from the input interface:
+    their loose ends are bound last when matching up to homeomorphism,
+    so propagation does not cross them.  ``searches`` holds the compiled searches (:func:`_compile_search`)
+    by each component's start edge and ``up_to_homeo``, each compiled on
+    its first use.  The tables hold no reference to L, which caches
+    them: a cycle would keep every pattern alive until the cyclic
+    collector runs.
     """
 
     def __init__(self, L: LinearHypergraph) -> None:
@@ -631,6 +632,12 @@ class PatternTables:
             if e not in placed:
                 self.components.append(
                     _walk(L, lv.tgts, lv.srcs, lv.conn_inv, (e,), placed))
+        self.starts: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
+        for comp in self.components:
+            first: dict[str, int] = {}
+            for e in comp:
+                first.setdefault(L.labels[e], e)
+            self.starts.append((tuple(first), tuple(first.values())))
         left, right, conn = L.left, L.right, L.conn
         self.bare_wires = [t for t in L.targets if left[t] is INTERFACE
                            and right[conn[t]] is INTERFACE]
@@ -638,152 +645,7 @@ class PatternTables:
                           and right[conn[t]] is INTERFACE]
         self.in_wires = [t for t in L.targets if left[t] is INTERFACE
                          and right[conn[t]] is not INTERFACE]
-        self.defer_t = frozenset(self.out_wires)
-        self.defer_s = frozenset(conn[t] for t in self.in_wires)
-        self.plans: dict[tuple[int, int, bool], Plan] = {}
-
-    def plan(self, L: LinearHypergraph, kind: int, start: int,
-             up_to_homeo: bool) -> Plan:
-        """The plan that maps ``start``, an element of L of ``kind``,
-        and all it forces; compiled once."""
-        key = (kind, start, up_to_homeo)
-        plan = self.plans.get(key)
-        if plan is None:
-            none = frozenset()
-            plan = self.plans[key] = _compile(
-                L, kind, start, self.defer_t if up_to_homeo else none,
-                self.defer_s if up_to_homeo else none)
-        return plan
-
-
-# per kind, the plan's local names for the search's map and used set
-_MAP = ("tmap", "smap", "emap")
-_USED = ("used_t", "used_s", "used_e")
-
-
-def _compile(L: LinearHypergraph, kind: int, start: int,
-             defer_t: frozenset[int], defer_s: frozenset[int]) -> Plan:
-    """The wire propagation from ``start``, run once on L alone and
-    emitted as one Python function: a compiled plan.
-
-    Mapping one element of L fixes its wire and edge-port neighbours,
-    and so, step by step, its whole component.  The plan makes the maps
-    of all of them from the start element's host image ``x0`` into
-    locals, in the order the propagation reaches them, and checks as it
-    goes what the propagation checks: object and edge labels, port
-    counts, that each port sits at its index on its edge, that wires
-    agree with ``conn`` and its inverse where an element is reached
-    twice, and that no image is used already or twice.  A host lookup
-    comes only after the checks that guard it.  Only when every check
-    holds does it write the maps, the used sets and the trail, in the
-    order the propagation reaches the elements, and return True; else it
-    returns False having written nothing.  Wires in ``defer_t`` and
-    ``defer_s`` are not crossed.
-
-    The source holds only local names, slot numbers and port indices;
-    L's labels and ids enter as constants bound to the plan, so no text
-    of a graph file is ever compiled.  Compiling one takes about 1 ms.
-    """
-    lv = L.view
-    t_port, s_port = lv.port_index
-    consts: dict = {}  # each constant the plan binds, by value
-    body = ["used_t, used_s, used_e = used"]
-    loaded: set[str] = set()
-    checks: set[str] = set()
-    images: tuple[dict[int, str], ...] = ({}, {}, {})
-    order: list[tuple[int, int]] = []  # the elements mapped, as reached
-    ports: dict[str, str] = {}  # a host edge's port tuple, by expression
-    names = count(1)
-
-    def const(x) -> str:
-        if x not in consts:
-            consts[x] = f"k{len(consts)}"
-        return consts[x]
-
-    def table(name: str) -> str:
-        """A host table, read into a local before its first use."""
-        if name not in loaded:
-            loaded.add(name)
-            body.append(f"G_{name} = G.{name}")
-        return f"G_{name}"
-
-    def local(expr: str) -> str:
-        name = f"x{next(names)}"
-        body.append(f"{name} = {expr}")
-        return name
-
-    def check(fails: str) -> None:
-        if fails not in checks:
-            checks.add(fails)
-            body.append(f"if {fails}: return False")
-
-    def put(k: int, a: int, expr: str) -> None:
-        name = images[k].get(a)
-        if name is not None:  # reached again: the wires must agree
-            check(f"{expr} != {name}")
-            return
-        name = expr if expr.isidentifier() else local(expr)
-        check(f"{name} in {_USED[k]}")
-        images[k][a] = name
-        order.append((k, a))
-
-    def port_tuple(side: str, d: str) -> str:
-        expr = f"{table(side)}[{d}]"
-        if expr not in ports:
-            ports[expr] = local(expr)
-        return ports[expr]
-
-    def edge_port(side: str, ends: str, x: str, e: int, j: int) -> None:
-        d = local(f"{table(side)}[{x}]")
-        check(f"{d} is None")
-        check(f"{table('labels')}[{d}] != {const(L.labels[e])}")
-        p = port_tuple(ends, d)
-        check(f"len({p}) <= {j}")
-        check(f"{p}[{j}] != {x}")
-        put(_E, e, d)
-
-    put(kind, start, "x0")
-    for k, a in order:  # grows while it is read: the propagation agenda
-        x = images[k][a]
-        if k == _T:
-            check(f"{table('vtlabels')}[{x}] != {const(L.vtlabels[a])}")
-            if a not in defer_t:
-                put(_S, L.conn[a], f"{table('conn')}[{x}]")
-            if L.left[a] is not INTERFACE:
-                edge_port("left", "tgts", x, L.left[a], t_port[a])
-        elif k == _S:
-            check(f"{table('vslabels')}[{x}] != {const(L.vslabels[a])}")
-            if a not in defer_s:
-                put(_T, lv.conn_inv[a], f"{table('conn_inv')}[{x}]")
-            if L.right[a] is not INTERFACE:
-                edge_port("right", "srcs", x, L.right[a], s_port[a])
-        else:
-            check(f"{table('labels')}[{x}] != {const(L.labels[a])}")
-            p, q = port_tuple("tgts", x), port_tuple("srcs", x)
-            check(f"len({p}) != {len(lv.tgts[a])}")
-            check(f"len({q}) != {len(lv.srcs[a])}")
-            for i, u in enumerate(lv.tgts[a]):
-                put(_T, u, f"{p}[{i}]")
-            for i, u in enumerate(lv.srcs[a]):
-                put(_S, u, f"{q}[{i}]")
-    for k in (_T, _S, _E):
-        if len(images[k]) > 1:
-            check(f"len({{{', '.join(images[k].values())}}})"
-                  f" != {len(images[k])}")
-    body.append("tmap, smap, emap = maps")
-    for k, a in order:
-        body.append(f"{_MAP[k]}[{const(a)}] = {images[k][a]}")
-        body.append(f"{_USED[k]}.add({images[k][a]})")
-    body.append(f"trail.extend({const(tuple(order))})")
-    body.append("return True")
-    source = "\n".join(
-        [f"def _bind({', '.join(consts.values())}):",
-         "    def plan(x0, G, maps, used, trail):"]
-        + [f"        {line}" for line in body]
-        + ["    return plan"])
-    scope: dict = {}
-    exec(compile(source, "<compiled plan>", "exec"), scope)
-    return scope["_bind"](*consts)
+        self.searches: dict[tuple, Search] = {}
 
 
 def embeddings(L: LinearHypergraph, G: GraphView,
@@ -791,26 +653,33 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     """Yield maps of L into the graph whose tables are G, in a
     deterministic order.
 
-    The wire-propagation engine behind matching: fixing the image of a
-    vertex or an edge fixes its wire and edge-port neighbours, so each
-    choice is propagated to closure, and a clash rejects it.  Each
-    choice runs a compiled plan (:func:`_compile`): the propagation from
-    that start element, worked out on L once and emitted as straight-line
-    Python, which computes and checks every forced image and writes the
-    whole extension or nothing.  A plan is compiled, in about 1 ms, on
-    the first search that needs it, and cached on L's pattern tables
-    (``PatternTables.plans``); its source holds no text of L.  The maps
-    come ordered by the host image of each edge
+    The wire-propagation engine behind matching: fixing the image of an
+    edge fixes its ports, their wires and the edges beyond, so each
+    choice is propagated to closure, and a clash rejects it.  The whole
+    search is one generator compiled for L (:func:`_compile_search`) per
+    choice of start edges and ``up_to_homeo``, on the first search that
+    needs it, and cached on L's pattern tables
+    (``PatternTables.searches``); its source holds no text of L.  The
+    maps come ordered by the host image of each edge
     component's first edge in L's stored order, in G's stored order,
     component by component; bare wires of L then range over the
     remaining wires of G.  L's interfaces may land anywhere.
 
     Fixing one edge fixes its whole component, so each component's
-    search starts from its edge whose label has the fewest edges in G.
-    When that is not the component's first edge, the component's
-    completions are collected, each propagated once, and sorted by G's
-    stored order (``G.edge_seq``) of the first edge's image before the
-    search goes on, which keeps the order above.
+    search starts from its edge whose label has the fewest edges in G
+    (the first such edge in walk order).  When that is not the
+    component's first edge, the component's completions are collected,
+    each propagated once, and sorted by G's stored order
+    (``G.edge_seq``) of the first edge's image before the search goes
+    on, which keeps the order above.
+
+    The search takes G's tables to agree with each other, as every
+    ``GraphView`` builds them and ``rewrite._Host`` keeps them: each
+    edge's port tuples list, in order, the vertices whose ``left`` or
+    ``right`` is that edge, ``conn_inv`` inverts ``conn``, and
+    ``by_label`` lists just the edges of each label.  So it checks only
+    forward: it does not walk back from a port to the edge it was
+    reached from, nor along a wire to the end it was reached from.
 
     With ``up_to_homeo`` the loose ends of L's boundary wires are bound
     last.  When the wire leaving the matched part re-enters it
@@ -828,149 +697,232 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     and rewrites the host it searched; the exhaustive one rewrites a
     fresh copy of the graph at every map, and matching expands a copy.
     """
-    yield from _Search(L, G, up_to_homeo).components(0)
+    P = L.pattern
+    get = G.by_label.get
+    starts = []
+    for labels, edges in P.starts:
+        if len(edges) > 1:
+            sizes = [len(get(lab, ())) for lab in labels]
+            edges = edges[sizes.index(min(sizes)):]
+        starts.append(edges[0])
+    key = (*starts, up_to_homeo)
+    search = P.searches.get(key)
+    if search is None:
+        search = P.searches[key] = _compile_search(L, tuple(starts),
+                                                   up_to_homeo)
+    return search(G)
 
 
-class _Search:
-    """One run of :func:`embeddings`: the partial map of L into G, held
-    in one set of tables, and the trail of its assignments in the order
-    they were made, which undoing pops.  Each choice of an image for a
-    component's start edge or a bare wire extends the map through that
-    element's compiled plan (:meth:`PatternTables.plan`), which writes a
-    whole propagation or nothing, so only a choice the search goes past
-    is undone."""
+def _compile_search(L: LinearHypergraph, starts: tuple[int, ...],
+                    up_to_homeo: bool) -> Search:
+    """The search for maps of L, starting each component at its edge in
+    ``starts``, emitted as one Python generator function.
 
-    def __init__(self, L: LinearHypergraph, G: GraphView,
-                 up_to_homeo: bool) -> None:
-        self.L, self.G, self.homeo = L, G, up_to_homeo
-        self.P = P = L.pattern
-        self.maps: tuple[dict[int, int], ...] = ({}, {}, {})
-        self.used: tuple[set[int], ...] = (set(), set(), set())
-        self.trail: list[tuple[int, int]] = []
-        # each component's first edge, and the edge its search starts at
-        by_label, labels = G.by_label, L.labels
-        self.starts = [(comp[0], min(comp, key=lambda e: len(
-            by_label.get(labels[e], ())))) for comp in P.components]
+    It nests one ``for`` loop per component, in order, then one per bare
+    wire.  A component searched from its first edge ranges over the
+    host's edges of that label; one searched from another edge ranges
+    over its completions, collected into a list first and sorted by the
+    host's stored order of its first edge's image.  A bare wire ranges
+    over the host's targets.  Each loop body propagates the image it
+    draws through its component into locals, in the order the
+    propagation reaches the elements, and checks as it goes what the
+    propagation must: object and edge labels, port counts, that a port
+    sits at its index on its edge and that a wire agrees with ``conn``
+    where an element is reached a second time, that no image is bound
+    by an enclosing loop, and at the end that none is used twice.  A
+    host lookup comes only after the checks that guard it.  The
+    innermost body binds the loose ends of L's boundary wires (up to
+    homeomorphism) in straight-line code and yields fresh maps; a
+    rejected candidate writes nothing.
 
-    def undo(self, mark: int) -> None:
-        """Drop the assignments made since the trail was ``mark`` long."""
-        trail, maps, used = self.trail, self.maps, self.used
-        while len(trail) > mark:
-            kind, a = trail.pop()
-            used[kind].remove(maps[kind].pop(a))
+    The source holds only keywords, local names, host table names and
+    port counts; L's labels and ids enter as constants bound to the
+    search, so no text of a graph file is ever compiled.  Compiling one
+    takes about 1 ms.
+    """
+    P, lv = L.pattern, L.view
+    ins, outs = (P.in_wires, P.out_wires) if up_to_homeo else ((), ())
+    # per vertex kind: its object labels, the wires propagation does not
+    # cross, the wire to its far end and the edge it sits on, in L and
+    # as host tables
+    vertex = {_T: ("vtlabels", L.vtlabels, set(outs), "conn", L.conn,
+                   "left", L.left),
+              _S: ("vslabels", L.vslabels, {L.conn[t] for t in ins},
+                   "conn_inv", lv.conn_inv, "right", L.right)}
+    consts: dict = {}  # each constant the search binds, by value
+    tables: dict[str, None] = {}  # the host tables it reads
+    body: list[str] = []
+    indent = "        "
+    names = count()
+    bound: tuple[dict[int, str], ...] = ({}, {}, {})  # by enclosing loops
 
-    def extend(self, kind: int, a: int, images: Iterable[int]
-               ) -> Iterator[None]:
-        """For each of ``images`` in turn that ``a`` can map to, with
-        all it forces: yield with the map extended, and undo it after."""
-        plan = self.P.plan(self.L, kind, a, self.homeo)
-        G, maps, used, trail = self.G, self.maps, self.used, self.trail
-        mark = len(trail)
-        for b in images:
-            if plan(b, G, maps, used, trail):
-                yield
-                self.undo(mark)
+    def const(x) -> str:
+        if x not in consts:
+            consts[x] = f"k{len(consts)}"
+        return consts[x]
 
-    def components(self, idx: int) -> Iterator[Found]:
-        if idx == len(self.starts):
-            yield from self.bare(0)
-            return
-        anchor, start = self.starts[idx]
-        if start != anchor:
-            mark = len(self.trail)
-            for entries in self.completions(anchor, start):
-                self.replay(entries)
-                yield from self.components(idx + 1)
-                self.undo(mark)
-            return
-        for _ in self.extend(_E, anchor, self.G.by_label.get(
-                self.L.labels[anchor], ())):
-            yield from self.components(idx + 1)
+    def table(name: str) -> str:
+        tables[name] = None
+        return f"G_{name}"
 
-    def completions(self, anchor: int, start: int
-                    ) -> list[list[tuple[int, int, int]]]:
-        """The ways to map a component whose search starts at an edge
-        other than its first, found from that edge: each as the
-        assignments it adds, in G's stored order of the first edge's
-        image."""
-        G, maps, trail = self.G, self.maps, self.trail
-        mark = len(trail)
-        found = []
-        for _ in self.extend(_E, start, G.by_label.get(
-                self.L.labels[start], ())):
-            found.append((G.edge_seq[maps[_E][anchor]],
-                          [(kind, a, maps[kind][a])
-                           for kind, a in trail[mark:]]))
-        found.sort(key=lambda f: f[0])
-        return [entries for _, entries in found]
+    def emit(line: str) -> None:
+        body.append(indent + line)
 
-    def replay(self, entries: list[tuple[int, int, int]]) -> None:
-        """Make again assignments that :meth:`completions` found, in the
-        state it found them in, so that they do not clash."""
-        maps, used, trail = self.maps, self.used, self.trail
-        for kind, a, b in entries:
-            maps[kind][a] = b
-            used[kind].add(b)
-            trail.append((kind, a))
+    def fresh() -> str:
+        return f"x{next(names)}"
 
-    def bare(self, idx: int) -> Iterator[Found]:
-        P, G = self.P, self.G
-        if idx == len(P.bare_wires):
-            found = self.finish()
-            if found is not None:
-                yield found
-            return
-        for _ in self.extend(_T, P.bare_wires[idx], G.targets):
-            yield from self.bare(idx + 1)
+    def local(expr: str) -> str:
+        name = fresh()
+        emit(f"{name} = {expr}")
+        return name
 
-    def finish(self) -> Found | None:
-        L = self.L
-        tmap, smap, emap = (dict(m) for m in self.maps)
-        splits: list[tuple[int, int, int]] = []
-        if self.homeo and not self.resolve_boundary(tmap, smap, splits):
-            return None
-        if (len(tmap) + len(splits) != len(L.targets)
-                or len(smap) + len(splits) != len(L.sources)):
-            return None
-        return tmap, smap, emap, splits
+    def fail_if(cond: str) -> None:
+        emit(f"if {cond}: continue")
 
-    def resolve_boundary(self, tmap: dict[int, int], smap: dict[int, int],
-                         splits: list[tuple[int, int, int]]) -> bool:
-        """Bind the loose ends of boundary wires, listing a split where
-        an out-wire's host wire immediately re-enters an in-wire."""
-        L, G, P = self.L, self.G, self.P
-        used_t, used_s = set(self.used[_T]), set(self.used[_S])
-        pending_in = {}
-        for a in P.in_wires:
-            b = L.conn[a]
-            if b not in smap:
-                return False
-            pending_in[G.conn_inv[smap[b]]] = a
-        for c in P.out_wires:
-            if c not in tmap:
-                return False
-            d = L.conn[c]
-            t_w = tmap[c]
-            hit = pending_in.pop(t_w, None)
-            if hit is not None:
-                # the wire leaving the match feeds straight back in: both
-                # ends of the split carry the wire's object label
-                lab = G.vtlabels[t_w]
-                if L.vslabels[d] != lab or L.vtlabels[hit] != lab:
-                    return False
-                splits.append((t_w, d, hit))
-            else:
-                s_w = G.conn[t_w]
-                if s_w in used_s or L.vslabels[d] != G.vslabels[s_w]:
-                    return False
-                smap[d] = s_w
-                used_s.add(s_w)
-        for anchor_t, a in pending_in.items():
-            if anchor_t in used_t or L.vtlabels[a] != G.vtlabels[anchor_t]:
-                return False
-            tmap[a] = anchor_t
-            used_t.add(anchor_t)
-        return True
+    def unbound(k: int, x: str) -> None:
+        if bound[k]:
+            fail_if(f"{x} in ({', '.join(bound[k].values())},)")
+
+    def literal(k: int) -> str:
+        return "{" + ", ".join(f"{const(a)}: {x}"
+                               for a, x in bound[k].items()) + "}"
+
+    def propagate(start: int, x0: str) -> list[tuple[int, int, str]]:
+        """Emit the propagation of ``start``'s image ``x0``; return the
+        images it binds, as reached."""
+        images: tuple[dict[int, str], ...] = ({}, {}, {})
+        order: list[tuple[int, int]] = []
+        done: set[tuple[int, int]] = set()
+
+        def put(k: int, a: int, x: str) -> None:
+            unbound(k, x)
+            images[k][a] = x
+            order.append((k, a))
+
+        put(_E, start, x0)
+        for k, a in order:  # grows while it is read: the agenda
+            done.add((k, a))
+            x = images[k][a]
+            if k == _E:
+                if a != start:  # the start is drawn by its label
+                    fail_if(f"{table('labels')}[{x}] != {const(L.labels[a])}")
+                for side, vk, ports in (("tgts", _T, lv.tgts[a]),
+                                        ("srcs", _S, lv.srcs[a])):
+                    p = local(f"{table(side)}[{x}]")
+                    fail_if(f"len({p}) != {len(ports)}")
+                    if not ports:
+                        continue
+                    got = [fresh() for _ in ports]
+                    emit(f"{', '.join(got)}, = {p}")
+                    for u, y in zip(ports, got):
+                        if u in images[vk]:
+                            fail_if(f"{y} != {images[vk][u]}")
+                        else:
+                            put(vk, u, y)
+                continue
+            labs, lab, defer, wire, far, side, edge = vertex[k]
+            fail_if(f"{table(labs)}[{x}] != {const(lab[a])}")
+            if a not in defer:
+                b = far[a]
+                if b not in images[1 - k]:
+                    put(1 - k, b, local(f"{table(wire)}[{x}]"))
+                elif (1 - k, b) not in done:  # else it has checked this wire
+                    fail_if(f"{table(wire)}[{x}] != {images[1 - k][b]}")
+            e = edge[a]
+            if e is not INTERFACE and e not in images[_E]:
+                d = local(f"{table(side)}[{x}]")
+                fail_if(f"{d} is None")
+                put(_E, e, d)
+        for k in (_T, _S, _E):
+            if len(images[k]) > 1:
+                fail_if(f"len({{{', '.join(images[k].values())}}})"
+                        f" != {len(images[k])}")
+        return [(k, a, images[k][a]) for k, a in order]
+
+    for comp, start in zip(P.components, starts):
+        x = fresh()
+        edges = f"{table('by_label')}.get({const(L.labels[start])}, ())"
+        if start == comp[0]:
+            emit(f"for {x} in {edges}:")
+            indent += "    "
+            found = propagate(start, x)
+        else:
+            c = fresh()
+            emit(f"{c} = []")
+            emit(f"for {x} in {edges}:")
+            indent += "    "
+            found = propagate(start, x)
+            xs = ", ".join(y for _, _, y in found)
+            first = next(y for k, a, y in found if k == _E and a == comp[0])
+            emit(f"{c}.append(({table('edge_seq')}[{first}], {xs}))")
+            indent = indent[:-4]
+            emit(f"{c}.sort()")
+            emit(f"for _, {xs} in {c}:")
+            indent += "    "
+        for k, a, y in found:
+            bound[k][a] = y
+    for a in P.bare_wires:
+        x = fresh()
+        emit(f"for {x} in {table('targets')}:")
+        indent += "    "
+        unbound(_T, x)
+        fail_if(f"{table('vtlabels')}[{x}] != {const(L.vtlabels[a])}")
+        y = local(f"{table('conn')}[{x}]")
+        unbound(_S, y)
+        fail_if(f"{table('vslabels')}[{y}] != {const(L.vslabels[L.conn[a]])}")
+        bound[_T][a], bound[_S][L.conn[a]] = x, y
+
+    # up to homeomorphism, the boundary wires' loose ends: an out-wire
+    # whose host wire feeds straight back into an in-wire is split there
+    ends = {a: local(f"{table('conn_inv')}[{bound[_S][L.conn[a]]}]")
+            for a in ins}
+    loose = {}  # an out-wire's L source, and its host image
+    splits = "splits" if ends and outs else "[]"
+    if ends and outs:
+        emit("splits = []")
+    for c in outs:
+        d, t, s = L.conn[c], bound[_T][c], fresh()
+        if ends:
+            emit(f"{s} = None")
+            for i, (a, w) in enumerate(ends.items()):
+                emit(f"{'elif' if i else 'if'} {t} == {w}:")
+                if L.vslabels[d] != L.vtlabels[a]:
+                    emit("    continue")
+                    continue
+                # both ends of the split carry the wire's object label
+                emit(f"    if {table('vtlabels')}[{t}] !="
+                     f" {const(L.vslabels[d])}: continue")
+                emit(f"    splits.append(({t}, {const(d)}, {const(a)}))")
+                emit(f"    {w} = None")
+            emit("else:")
+            indent += "    "
+        emit(f"{s} = {table('conn')}[{t}]")
+        unbound(_S, s)
+        fail_if(f"{table('vslabels')}[{s}] != {const(L.vslabels[d])}")
+        if ends:
+            indent = indent[:-4]
+        loose[d] = s
+    for a, w in ends.items():
+        guard = f"{w} is not None and " if loose else ""
+        if bound[_T]:
+            fail_if(f"{guard}{w} in ({', '.join(bound[_T].values())},)")
+        fail_if(f"{guard}{table('vtlabels')}[{w}] != {const(L.vtlabels[a])}")
+    emit(f"tmap, smap = {literal(_T)}, {literal(_S)}")
+    for d, s in loose.items():
+        emit(f"if {s} is not None: smap[{const(d)}] = {s}" if ends
+             else f"smap[{const(d)}] = {s}")
+    for a, w in ends.items():
+        emit(f"if {w} is not None: tmap[{const(a)}] = {w}" if loose
+             else f"tmap[{const(a)}] = {w}")
+    emit(f"yield tmap, smap, {literal(_E)}, {splits}")
+    source = "\n".join(
+        [f"def _bind({', '.join(consts.values())}):",
+         "    def search(G):"]
+        + [f"        G_{name} = G.{name}" for name in tables]
+        + body + ["    return search"])
+    scope: dict = {}
+    exec(compile(source, "<compiled search>", "exec"), scope)
+    return scope.pop("_bind")(*consts)
 
 
 def find_isomorphism(F: LinearHypergraph,

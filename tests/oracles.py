@@ -5,9 +5,11 @@ with the algorithms under test, except in ``normalize_by_enumeration``,
 the list-based rewriting driver that the lazy one must agree with,
 ``evaluate_by_unfolding_all_wires``, the term-level evaluator that the
 graph-level one must agree with, ``embeddings_from_first_edge``, the
-embedding search whose order of maps the library's must keep, and
+embedding search whose order of maps the library's must keep,
 ``canonical_labelling_by_port_search``, the labelling whose codes the
-library's must keep, and ``embeds``, which checks a match on the host
+library's must keep, ``feedback_wires_by_labelled_walk``, the cut the
+library's must keep, which it finds from the canonical labelling for
+every graph, and ``embeds``, which checks a match on the host
 ``normalize`` rewrites with the commuting check of
 ``Homomorphism.is_embedding``.  ``shuffle_by_insertion`` is the
 quadratic wiring term that the library's merge sort replaced.
@@ -47,8 +49,9 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, Gate, ValueLattice, eval_rules,
                              read_value_word, value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import (INTERFACE, Found, GraphView, _walk, commutes,
-                           expand, find_isomorphism, fresh_ids, smooth)
+from linhyp.graphs import (INTERFACE, Found, GraphView, _walk,
+                           canonical_labelling, commutes, expand,
+                           find_isomorphism, fresh_ids, smooth)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, find_matchings, normalize,
                             pushout, pushout_complement)
@@ -632,6 +635,38 @@ def dataflow_fixed_point(H: LinearHypergraph, inputs: tuple[str, ...],
         if not changed:
             break
     return tuple(wire_in(s) for s in H.outputs())
+
+
+def feedback_wires_by_labelled_walk(H: LinearHypergraph) -> list[int]:
+    """The cut :func:`linhyp.circuits.feedback_wires` must return: the
+    wires that close a cycle in a depth-first walk over H's edges from
+    producer to consumer, rooted in ``canonical_labelling`` order, each
+    named by its producer end; computed for every graph, loop-free or
+    not."""
+    tgts = H.view.tgts
+    _, _, order = canonical_labelling(H)
+    done: set[int] = set()
+    cut: list[int] = []
+    for root in order:
+        if root in done:
+            continue
+        on_path = {root}
+        stack = [(root, iter(tgts[root]))]
+        while stack:
+            e, ports = stack[-1]
+            for t in ports:
+                d = H.right[H.conn[t]]
+                if d in on_path:
+                    cut.append(t)
+                elif d is not INTERFACE and d not in done:
+                    on_path.add(d)
+                    stack.append((d, iter(tgts[d])))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(e)
+                done.add(e)
+    return cut
 
 
 def evaluate_by_unfolding_all_wires(circuit: Term | LinearHypergraph,

@@ -16,7 +16,7 @@ from linhyp.graphs import INTERFACE
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
-                     gate_from_fn)
+                     feedback_wires_by_labelled_walk, gate_from_fn)
 
 # Belnap gates via the evidence-pair encoding: each value is a pair of
 # "can be true" / "can be false" bits, and bitwise-monotone boolean maps
@@ -428,6 +428,46 @@ def _discarded(H, e):
                 seen.add(d)
                 todo.append(d)
     return True
+
+
+def test_feedback_wires_agree_with_the_labelled_walk(monkeypatch, rng):
+    """The cut is the labelled walk's on random circuits with 0-2 traced
+    wires and on the looped circuits above, and a circuit with no cycle
+    computes no canonical labelling."""
+    import linhyp.graphs as graphs
+
+    labelled = []
+    real = graphs._canonical_labelling
+
+    def counting(H):
+        labelled.append(H)
+        return real(H)
+
+    monkeypatch.setattr(graphs, "_canonical_labelling", counting)
+    circuits = [(two_point_sig(), Trace(1, Seq(Seq(Gen("org"), Gen(FORK)),
+                                               Id(2)))),
+                (two_point_sig(), Trace(1, Seq(Seq(Tensor(Id(1), Gen("top")),
+                                                   Gen(JOIN)), Gen(FORK))))]
+    for csig in (two_point_sig(), belnap_sig()):
+        gen_sig = _gen_sig(csig, [DELAY])
+        for i in range(120):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            t = random_term(rng, gen_sig, m, n, depth=3, traces=i % 2 == 0)
+            x = rng.randint(0, min(m, n, 2))
+            circuits.append((csig, Trace(x, t) if x else t))
+        for x in (1, 2, 3):
+            circuits.append((csig, _random_feedback(rng, csig, x)[0]))
+    sizes = set()
+    for csig, t in circuits:
+        H = interpret(t, csig.signature())
+        del labelled[:]
+        cut = feedback_wires(H)
+        assert labelled == ([H] if cut else [])
+        assert cut == feedback_wires_by_labelled_walk(H)
+        sizes.add(len(cut))
+        if not cut and isinstance(t, Trace):
+            sizes.add("traced, loop-free")
+    assert sizes >= {0, 1, 2, "traced, loop-free"}
 
 
 def test_evaluate_agrees_with_unfolding_all_wires(rng):

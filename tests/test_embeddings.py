@@ -6,7 +6,11 @@ rewriting.  And the search's cost per rewriting step, which must not
 grow with the host when the pattern's first edge has a common label.
 """
 import gc
+import io
+import itertools
 import random
+import re
+import tokenize
 import weakref
 
 from linhyp import (Gen, Seq, Swap, Tensor, find_matchings, interpret,
@@ -14,7 +18,7 @@ from linhyp import (Gen, Seq, Swap, Tensor, find_matchings, interpret,
                     saturate_rule, save_graph, signature, tensor,
                     tensor_all, trace)
 from linhyp import graphs, rewrite
-from linhyp.graphs import embeddings
+from linhyp.graphs import LinearHypergraph, embeddings
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import type_of
 from oracles import embeddings_from_first_edge, random_graph
@@ -66,6 +70,16 @@ def _host(rng, P):
     return trace(rng.randint(0, min(len(H.inputs()), len(H.outputs()))), H)
 
 
+def _with_decoys(rng, P, H):
+    """H beside edges with P's labels and one more target each, some of
+    them wired into H: a host and a pattern need not agree on a label's
+    arity."""
+    sig = signature({lab: (len(SIG.dom(lab)), len(SIG.cod(lab)) + 1)
+                     for lab in set(P.labels.values())})
+    H = tensor(random_graph(rng, sig, 4, 1), H)
+    return trace(rng.randint(0, min(len(H.inputs()), len(H.outputs()))), H)
+
+
 def _starts_elsewhere(P, G):
     """Whether some component of P has an edge whose label is rarer in G
     than its first edge's."""
@@ -81,17 +95,60 @@ def _assert_same_maps(P, G):
                 == list(embeddings_from_first_edge(P, G, homeo)))
 
 
+def _component(P, comp):
+    """P's component of edges ``comp`` with its boundary wires, as a
+    pattern of its own."""
+    es = set(comp)
+    conn_inv = P.view.conn_inv
+    ts = [t for t in P.targets
+          if P.left[t] in es or P.right[P.conn[t]] in es]
+    ss = [s for s in P.sources
+          if P.right[s] in es or P.left[conn_inv[s]] in es]
+    return LinearHypergraph(
+        targets=tuple(ts), sources=tuple(ss),
+        edges=tuple(e for e in P.edges if e in es),
+        left={t: P.left[t] for t in ts}, right={s: P.right[s] for s in ss},
+        conn={t: P.conn[t] for t in ts},
+        labels={e: P.labels[e] for e in es},
+        vtlabels={t: P.vtlabels[t] for t in ts},
+        vslabels={s: P.vslabels[s] for s in ss})
+
+
+def _images_collide(P, G):
+    """Whether two components of P that share a label each map onto one
+    host edge in some maps of their own, so that the search rejects a
+    candidate only because an enclosing loop holds that image."""
+    comps = P.pattern.components
+    labels = [{P.labels[e] for e in comp} for comp in comps]
+    images = [{d for _, _, emap, _ in embeddings_from_first_edge(
+        _component(P, comp), G) for d in emap.values()} for comp in comps]
+    return any(labels[i] & labels[j] and images[i] & images[j]
+               for i, j in itertools.combinations(range(len(comps)), 2))
+
+
 def test_same_maps_in_the_same_order_as_the_oracle():
+    """Each case the compiled search handles in code of its own is met:
+    a component searched from a rarer edge, components that share a
+    label where only the check against an enclosing loop's images
+    rejects, a bare wire beside a component, and maps up to
+    homeomorphism that split a host wire.  Host edges whose label has
+    another arity there are rejected by their port counts."""
     rng = random.Random(4)
     components, elsewhere, found = set(), 0, 0
+    collide = bare = split = 0
     for P in _patterns(rng, 60):
-        G = _host(rng, P).view
+        G = _with_decoys(rng, P, _host(rng, P)).view
         _assert_same_maps(P, G)
         components.add(len(P.pattern.components))
         elsewhere += _starts_elsewhere(P, G)
-        found += next(embeddings(P, G), None) is not None
+        first = next(embeddings(P, G), None)
+        found += first is not None
+        collide += _images_collide(P, G)
+        bare += bool(first and P.pattern.bare_wires and P.pattern.components)
+        split += any(s for *_, s in embeddings(P, G, True))
     assert components == {1, 2, 3}
     assert elsewhere >= 15 and found >= 40
+    assert collide >= 6 and bare >= 5 and split >= 10
 
 
 RULES = parse_rules("""
@@ -174,19 +231,28 @@ def test_search_cost_per_step_does_not_grow_with_the_host(monkeypatch):
     assert per_step[1] <= per_step[0] <= 2
 
 
-# Labels that must never reach a compiled plan's source: a quote, a
+# Labels that must never reach a compiled search's source: a quote, a
 # backslash, a newline, a brace, non-ASCII text, and the names of the
-# plan's own locals and bound constants.
+# search's own locals and bound constants.
 ODD = '"k0\\\n'
 ODD_SIG = signature({
-    'a"b': ((ODD,), ("used",)),
-    "\\": (("used",), ("G",)),
+    'a"b': ((ODD,), ("splits",)),
+    "\\": (("splits",), ("G",)),
     "}\n{": (("G",), ("x0", "x0")),
     "ünï€ß": (("x0", "x0"), ("x0",)),
     "x0": (("x0",), ("x0",)),
-    "used": ((ODD,), ("x0",)),
+    "splits": ((ODD,), ("x0",)),
     "G": (("x0",), ("x0",)),
-}, objects={ODD, "used", "G", "x0"})
+}, objects={ODD, "splits", "G", "x0"})
+
+# the only names a compiled search's source may hold: its keywords and
+# builtins, its locals, the host tables it reads and its constants
+TABLES = (r"(targets|left|right|conn|conn_inv|labels|vtlabels|vslabels"
+          r"|tgts|srcs|by_label|edge_seq)")
+SEARCH_NAMES = re.compile(
+    r"(def|for|in|if|elif|else|is|not|and|None|continue|return|yield"
+    r"|len|get|sort|append|_bind|search|G|x\d+|k\d+|_|tmap|smap|splits"
+    rf"|{TABLES}|G_{TABLES})")
 
 
 def _odd_chain(*labels):
@@ -196,11 +262,20 @@ def _odd_chain(*labels):
     return t
 
 
-def test_compiled_plans_hold_no_label_text():
+def test_compiled_plans_hold_no_label_text(monkeypatch):
     """Pattern and host files whose labels would break generated source
     if pasted into it: the search finds the oracle's maps in its order,
-    ``normalize`` takes the steps it took before plans were compiled,
-    and each plan's code holds no string, its labels being bound."""
+    ``normalize`` takes the steps it took before searches were
+    compiled, and each search's source, its boundary code included,
+    holds no string and no name but its own, its labels being bound."""
+    sources = []
+    real = compile
+
+    def keeping(source, *args):
+        sources.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(graphs, "compile", keeping, raising=False)
     side = Tensor(_odd_chain('a"b', "\\", "}\n{", "ünï€ß"),
                   _odd_chain("x0", "x0"))
     # the decoy crosses the wires between "}\n{" and "ünï€ß"
@@ -210,7 +285,7 @@ def test_compiled_plans_hold_no_label_text():
         [_odd_chain("x0", "x0", "x0"), side, crossed,
          _odd_chain("x0", "G", "x0"), side]), ODD_SIG))
     files = [save_graph(interpret(side, ODD_SIG)),
-             save_graph(interpret(Tensor(Gen("used"), Gen("G")), ODD_SIG)),
+             save_graph(interpret(Tensor(Gen("splits"), Gen("G")), ODD_SIG)),
              save_graph(host)]
     assert all('a\\"b' in text for text in files[::2])
     L, R, G = map(load_graph, files)
@@ -228,27 +303,41 @@ def test_compiled_plans_hold_no_label_text():
         "step 1: rule odd at edges [62, 63, 68, 69, 74, 78]",
         "step 2: rule odd at edges [66, 67, 72, 73, 77, 80]"]
 
-    plans = L.pattern.plans
-    assert {start for _, start, _ in plans} >= {c[0] for c in
-                                                L.pattern.components}
-    for plan in plans.values():
-        assert not [c for c in plan.__code__.co_consts if isinstance(c, str)]
-        bound = {cell.cell_contents for cell in plan.__closure__}
-        assert bound & set(L.labels.values())
+    searches = L.pattern.searches
+    assert {key[-1] for key in searches} == {False, True}
+    assert all(len(key) == len(L.pattern.components) + 1 for key in searches)
+    assert len(sources) >= len(searches)
+    # up to homeomorphism, L's boundary wires are bound in code of their own
+    assert any("splits.append" in source for source in sources)
+    for source in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        assert all(SEARCH_NAMES.fullmatch(t.string)
+                   for t in tokens if t.type == tokenize.NAME)
+        assert source.isascii()
+    labels = set(L.labels.values())
+    objects = set(L.vtlabels.values()) | set(L.vslabels.values())
+    for key, search in searches.items():
+        assert not [c for c in search.__code__.co_consts
+                    if isinstance(c, str)]
+        bound = {cell.cell_contents for cell in search.__closure__}
+        assert bound & labels
+        if key[-1]:  # the boundary code checks the wires' object labels
+            assert bound >= objects
 
 
 def test_plans_compile_once_per_pattern_start_and_flag(monkeypatch):
     """Over ``normalize`` runs, which all match up to homeomorphism, no
-    plan is compiled twice."""
+    search is compiled twice."""
     compiled, patterns = [], []
-    real = graphs._compile
+    real = graphs._compile_search
 
-    def counting(L, kind, start, defer_t, defer_s):
+    def counting(L, starts, up_to_homeo):
         patterns.append(L)  # keeps each id(L) unique
-        compiled.append((id(L), kind, start, defer_t, defer_s))
-        return real(L, kind, start, defer_t, defer_s)
+        compiled.append((id(L), starts, up_to_homeo))
+        return real(L, starts, up_to_homeo)
 
-    monkeypatch.setattr(graphs, "_compile", counting)
+    monkeypatch.setattr(graphs, "_compile_search", counting)
     rules = parse_rules("""
 ff : f ; f => f
 gk : g ; k => f
@@ -264,7 +353,7 @@ hk : h ; k => k
 
 
 def test_a_pattern_with_compiled_plans_is_freed_without_the_collector():
-    """The plans a pattern caches hold no reference back to it."""
+    """The searches a pattern caches hold no reference back to it."""
     rng = random.Random(5)
     P = _patterns(rng, 1)[0]
     G = _host(rng, P).view
@@ -272,7 +361,7 @@ def test_a_pattern_with_compiled_plans_is_freed_without_the_collector():
     try:
         for homeo in (False, True):
             list(embeddings(P, G, homeo))
-        assert P.pattern.plans
+        assert P.pattern.searches
         ref = weakref.ref(P)
         del P
         assert ref() is None
