@@ -171,7 +171,55 @@ def validate(H: LinearHypergraph, sig=None) -> list[str]:
     With a signature, edge labels are also checked against their declared
     arity words; without one, same-labelled edges only need to agree with
     each other.
+
+    A well-formed graph is recognised in bulk (``_well_formed``), with
+    set and dict-view operations and one check per distinct label and
+    arity; only a graph that fails it is walked element by element, to
+    word the report.
     """
+    if _well_formed(H, sig):
+        return []
+    return _report(H, sig)
+
+
+def _well_formed(H: LinearHypergraph, sig) -> bool:
+    """Whether ``_report`` finds nothing: each table's keys are its
+    carrier, ``left``/``right`` name edges or the interface, ``conn`` is
+    a bijection onto the sources, and only then, on the view, each
+    distinct label and arity agrees with the identity shape, the
+    signature and the other edges of its label, and each wire keeps its
+    object label."""
+    tset, sset, eset = set(H.targets), set(H.sources), set(H.edges)
+    ends = {*H.left.values(), *H.right.values()}
+    ends.discard(INTERFACE)
+    if not (len(tset) == len(H.targets) == len(H.sources) == len(sset)
+            and len(eset) == len(H.edges) and tset.isdisjoint(sset)
+            and H.left.keys() == tset and H.conn.keys() == tset
+            and H.vtlabels.keys() == tset and H.right.keys() == sset
+            and H.vslabels.keys() == sset and H.labels.keys() == eset
+            and ends <= eset and set(H.conn.values()) == sset):
+        return False
+    view = H.view
+    tgts, srcs = view.tgts, view.srcs
+    vt, vs = H.vtlabels.__getitem__, H.vslabels.__getitem__
+    shapes = {(lab, tuple(map(vs, srcs[e])), tuple(map(vt, tgts[e])))
+              for e, lab in H.labels.items()}
+    seen: set[str] = set()
+    for lab, dom_w, cod_w in shapes:
+        if lab == IDENTITY_LABEL:
+            if len(dom_w) != 1 or dom_w != cod_w:
+                return False
+        elif lab in seen or sig is not None and (
+                lab not in sig or dom_w != sig.dom(lab)
+                or cod_w != sig.cod(lab)):
+            return False
+        seen.add(lab)
+    return list(map(vt, H.conn)) == list(map(vs, H.conn.values()))
+
+
+def _report(H: LinearHypergraph, sig) -> list[str]:
+    """``validate``'s report, checked clause by clause and element by
+    element, so that each violation gets its own message."""
     report: list[str] = []
     tset, sset = set(H.targets), set(H.sources)
     if len(tset) != len(H.targets):
@@ -488,15 +536,25 @@ def canonical(H: LinearHypergraph) -> LinearHypergraph:
     id exactly once, as with duplicate ids.
     """
     targets, sources, edges = canonical_labelling(H)
-    order = targets + sources + edges
-    perm = {x: i for i, x in enumerate(order)}
-    if len(perm) != len(H.targets) + len(H.sources) + len(H.edges):
-        raise ValueError("the canonical labelling does not list every id of"
-                         " the graph exactly once")
+    perm = canonical_ids(H)
     n_t, n_s = len(targets), len(sources)
     return replace(rename(H, perm), targets=tuple(range(n_t)),
                    sources=tuple(range(n_t, n_t + n_s)),
-                   edges=tuple(range(n_t + n_s, len(order))))
+                   edges=tuple(range(n_t + n_s, len(perm))))
+
+
+def canonical_ids(H: LinearHypergraph) -> dict[int, int]:
+    """Each id's number in ``canonical``: its position along the canonical
+    labelling's targets, sources and edges.  A fresh dict.  Raises
+    ``ValueError`` when the labelling does not list every stored id
+    exactly once, as with duplicate ids."""
+    targets, sources, edges = canonical_labelling(H)
+    order = targets + sources + edges
+    ids = dict(zip(order, range(len(order))))
+    if len(ids) != len(H.targets) + len(H.sources) + len(H.edges):
+        raise ValueError("the canonical labelling does not list every id of"
+                         " the graph exactly once")
+    return ids
 
 
 # ---------------------------------------------------------------------------

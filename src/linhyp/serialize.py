@@ -2,47 +2,42 @@
 from __future__ import annotations
 
 import json
+# ``_quote(s)`` is ``json.dumps(s)`` for a string s
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph, assert_valid,
-                     canonical, reserve_ids)
+                     canonical, canonical_ids, canonical_labelling,
+                     reserve_ids)
 from .terms import ANON
-
-
-def graph_to_dict(H: LinearHypergraph) -> dict:
-    def side(x: int | None):
-        return "interface" if x is INTERFACE else x
-
-    data: dict = {
-        "targets": list(H.targets),
-        "sources": list(H.sources),
-        "edges": [{"id": e, "label": H.labels[e]} for e in H.edges],
-        "left": {str(v): side(H.left[v]) for v in H.targets},
-        "right": {str(v): side(H.right[v]) for v in H.sources},
-        "conn": {str(t): H.conn[t] for t in H.targets},
-    }
-    if any(l != ANON for l in H.vtlabels.values()):
-        data["vtlabels"] = {str(v): H.vtlabels[v] for v in H.targets}
-        data["vslabels"] = {str(v): H.vslabels[v] for v in H.sources}
-    return data
-
 
 _KINDS = {int: "an integer id", str: "a string", list: "an array",
           dict: "an object"}
+_NONE = frozenset({type(None)})
+_SIDES = {"interface": INTERFACE}
 
 
 def graph_from_dict(data: dict) -> LinearHypergraph:
     """The graph of a parsed graph file.  The JSON types are checked: the
     tables are objects, the id lists arrays, every id a JSON integer and
     every label a string; anything else raises ``ValueError("not a graph
-    file: …")``.  Well-formedness is left to ``validate``."""
+    file: …")``.  Well-formedness is left to ``validate``.
+
+    Each list and table is checked whole: by the set of its value types,
+    and by one comparison of its keys with the decimal ids of its carrier
+    (``targets`` or ``sources``) in stored order, as every saved file has
+    them.  Only keys in another order, and a check that fails, are walked
+    entry by entry, to convert them or to name the first bad entry."""
     def bad(what: str) -> ValueError:
         return ValueError(f"not a graph file: {what}")
 
-    def check(xs: list, kind: type, where: str) -> list:
+    def check(xs: list, kind: type, where: str,
+              also: frozenset = frozenset()) -> list:
         # exact types: a bool is an int in Python and a float would
         # truncate, so neither passes as an id
-        if set(map(type, xs)) - {kind}:
-            x = next(x for x in xs if type(x) is not kind)
+        if set(map(type, xs)) - also - {kind}:
+            x = next(x for x in xs
+                     if type(x) is not kind and type(x) not in also)
             raise bad(f"{where}: {x!r} is not {_KINDS[kind]}")
         return xs
 
@@ -51,80 +46,120 @@ def graph_from_dict(data: dict) -> LinearHypergraph:
             raise bad(f"no {name!r}")
         return check([data.get(name, kind())], kind, name)[0]
 
-    def table(name: str, kind: type, optional: bool = False,
-              sides: bool = False) -> dict:
+    def table(name: str, kind: type, carrier: tuple[list, list],
+              optional: bool = False, sides: bool = False) -> dict:
         d = get(name, dict, optional)
-        # JSON keys are strings; an id key is an integer written plainly
-        keys = [int(k) if k.removeprefix("-").isdecimal() else k for k in d]
-        if list(map(str, check(keys, int, name))) != list(d):
-            raise bad(f"{name}: a key is not an integer id")
+        keys = list(d)
+        if keys == carrier[1]:  # the carrier's ids in order, as saved
+            keys = carrier[0]
+        else:  # JSON keys are strings; an id key is an integer written plainly
+            keys = [int(k) if k.removeprefix("-").isdecimal() else k
+                    for k in d]
+            if list(map(str, check(keys, int, name))) != list(d):
+                raise bad(f"{name}: a key is not an integer id")
         values = list(d.values())
         if sides:  # "interface" or an edge id
-            values = [INTERFACE if v == "interface" else v for v in values]
-        check([v for v in values if v is not INTERFACE], kind, name)
+            try:
+                values = list(map(_SIDES.get, values, values))
+            except TypeError:  # an array or an object among them
+                values = [INTERFACE if v == "interface" else v
+                          for v in values]
+        check(values, kind, name, _NONE if sides else frozenset())
         return dict(zip(keys, values))
 
     check([data], dict, "the file")
     edges = check(get("edges", list), dict, "edges")
-    if not all("id" in e and "label" in e for e in edges):
-        raise bad("an edge lacks its id or label")
-    edge_ids = check([e["id"] for e in edges], int, "edges")
+    try:
+        edge_ids = list(map(itemgetter("id"), edges))
+        edge_labels = list(map(itemgetter("label"), edges))
+    except KeyError:
+        raise bad("an edge lacks its id or label") from None
+    check(edge_ids, int, "edges")
+    targets = check(get("targets", list), int, "targets")
+    sources = check(get("sources", list), int, "sources")
+    on_t = targets, list(map(str, targets))
+    on_s = sources, list(map(str, sources))
     return LinearHypergraph(
-        targets=tuple(check(get("targets", list), int, "targets")),
-        sources=tuple(check(get("sources", list), int, "sources")),
+        targets=tuple(targets),
+        sources=tuple(sources),
         edges=tuple(edge_ids),
-        left=table("left", int, sides=True),
-        right=table("right", int, sides=True),
-        conn=table("conn", int),
-        labels=dict(zip(edge_ids, check([e["label"] for e in edges], str,
-                                        "edges"))),
+        left=table("left", int, on_t, sides=True),
+        right=table("right", int, on_s, sides=True),
+        conn=table("conn", int, on_t),
+        labels=dict(zip(edge_ids, check(edge_labels, str, "edges"))),
         # empty tables mean unlabelled wires
-        vtlabels=table("vtlabels", str, optional=True),
-        vslabels=table("vslabels", str, optional=True),
+        vtlabels=table("vtlabels", str, on_t, optional=True),
+        vslabels=table("vslabels", str, on_s, optional=True),
     )
 
 
-def _dumps(data: dict) -> str:
-    """``json.dumps(data, indent=2)`` for a dict of :func:`graph_to_dict`,
-    written directly: ``indent`` forces the pure-Python encoder.  Ids and
-    table keys are integers; a label is quoted by ``json.dumps`` of the
-    one string, which takes the C path."""
-    def block(items: list[str], pad: str, brackets: str) -> str:
-        if not items:
-            return brackets
-        sep = f",\n{pad}  "
-        return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
-
-    parts = []
-    for key, x in data.items():
-        if key == "edges":
-            text = block([f'{{\n      "id": {e["id"]},\n      "label": '
-                          f'{json.dumps(e["label"])}\n    }}' for e in x],
-                         "  ", "[]")
-        elif type(x) is list:
-            text = block(list(map(str, x)), "  ", "[]")
-        else:  # an int, "interface" or a label per id
-            text = block([f'"{k}": {v}' if type(v) is int
-                          else f'"{k}": {json.dumps(v)}'
-                          for k, v in x.items()], "  ", "{}")
-        parts.append(f'"{key}": {text}')
-    return block(parts, "", "{}") + "\n"
+def _block(items, brackets: str) -> str:
+    """A list or object of ``items``, one level down, as ``json.dumps``
+    with ``indent=2`` writes it."""
+    text = ",\n    ".join(items)
+    if not text:
+        return brackets
+    return f"{brackets[0]}\n    {text}\n  {brackets[1]}"
 
 
 def save_graph(H: LinearHypergraph, canonicalize: bool = True) -> str:
-    """Serialize to JSON; by default ids are renumbered canonically so
-    isomorphic graphs serialize identically."""
-    G = canonical(H) if canonicalize else H
-    return _dumps(graph_to_dict(G))
+    """The graph file of H: JSON, laid out as ``json.dumps(..., indent=2)``
+    lays it out.  By default ids are renumbered along the canonical
+    labelling, so isomorphic graphs serialize identically; with
+    ``canonicalize=False`` the stored order and ids are kept.  Either way
+    the file is written in one pass from H, the order and the id map,
+    with no renamed copy of H; it holds the ``vtlabels`` and
+    ``vslabels`` tables only when some wire is labelled.  Raises
+    ``ValueError`` as ``canonical`` does when the labelling does not
+    list every id exactly once."""
+    if canonicalize:
+        targets, sources, edges = canonical_labelling(H)
+        perm = canonical_ids(H)
+        ids = dict(zip(perm, map(str, perm.values())))
+    else:
+        targets, sources, edges = H.targets, H.sources, H.edges
+        ids = {}
+    ids[INTERFACE] = '"interface"'  # every other id missing from ids is kept
+
+    def names(xs) -> list:
+        """What the file says for each id of the sequence ``xs``."""
+        return list(map(ids.get, xs, xs))
+
+    def at(d: dict, keys) -> list:
+        return list(map(d.__getitem__, keys))
+
+    def table(keys: list, values) -> str:
+        return _block([f'"{k}": {v}' for k, v in zip(keys, values)], "{}")
+
+    tn, sn = names(targets), names(sources)
+    edge_list = [f'{{\n      "id": {e},\n      "label": {lab}\n    }}'
+                 for e, lab in zip(names(edges),
+                                   map(_quote, at(H.labels, edges)))]
+    parts = [
+        ("targets", _block(map(str, tn), "[]")),
+        ("sources", _block(map(str, sn), "[]")),
+        ("edges", _block(edge_list, "[]")),
+        ("left", table(tn, names(at(H.left, targets)))),
+        ("right", table(sn, names(at(H.right, sources)))),
+        ("conn", table(tn, names(at(H.conn, targets))))]
+    if not {ANON}.issuperset(H.vtlabels.values()):
+        parts += [
+            ("vtlabels", table(tn, map(_quote, at(H.vtlabels, targets)))),
+            ("vslabels", table(sn, map(_quote, at(H.vslabels, sources))))]
+    return "{\n  " + ",\n  ".join(
+        f'"{key}": {text}' for key, text in parts) + "\n}\n"
 
 
 def load_graph(text: str) -> LinearHypergraph:
     """Parse a graph file and check it is well formed; raises
-    ``ValueError`` for malformed JSON or a malformed graph.  Fresh ids
-    handed out afterwards stay clear of the file's ids."""
+    ``ValueError`` for malformed or too deeply nested JSON or a malformed
+    graph.  Both checks run in bulk (``graph_from_dict``, ``validate``),
+    and walk the file entry by entry only to word the error of a bad
+    one.  Fresh ids handed out afterwards stay clear of the file's
+    ids."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"not a graph file: {exc}") from exc
     H = graph_from_dict(data)
     assert_valid(H)

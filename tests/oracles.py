@@ -22,6 +22,9 @@ keeps as the reference for its one in-place step engine.
 glue in plain simple hypergraphs (``SimpleHypergraph``, ``to_simple``).
 ``tables_from_scratch`` derives a graph's port tables, port index and
 ``conn`` inverse edge by edge, for ``GraphView`` to be checked against.
+``graph_to_dict`` and ``graph_from_dict_per_entry`` encode and decode a
+graph file entry by entry, for the bulk writer and loader of
+``linhyp.serialize`` to be checked against.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -992,6 +995,88 @@ def canonical_labelling_by_port_search(H: LinearHypergraph
 
 
 # ---------------------------------------------------------------------------
+# Graph files entry by entry
+# ---------------------------------------------------------------------------
+
+def graph_to_dict(H: LinearHypergraph) -> dict:
+    """The parsed form of H's graph file with H's own ids: what
+    ``save_graph(H, canonicalize=False)`` writes is ``json.dumps`` of it
+    with ``indent=2``."""
+    def side(x: int | None):
+        return "interface" if x is INTERFACE else x
+
+    data: dict = {
+        "targets": list(H.targets),
+        "sources": list(H.sources),
+        "edges": [{"id": e, "label": H.labels[e]} for e in H.edges],
+        "left": {str(v): side(H.left[v]) for v in H.targets},
+        "right": {str(v): side(H.right[v]) for v in H.sources},
+        "conn": {str(t): H.conn[t] for t in H.targets},
+    }
+    if any(l != ANON for l in H.vtlabels.values()):
+        data["vtlabels"] = {str(v): H.vtlabels[v] for v in H.targets}
+        data["vslabels"] = {str(v): H.vslabels[v] for v in H.sources}
+    return data
+
+
+_KINDS = {int: "an integer id", str: "a string", list: "an array",
+          dict: "an object"}
+
+
+def graph_from_dict_per_entry(data) -> LinearHypergraph:
+    """``serialize.graph_from_dict`` entry by entry: every key and value is
+    converted and type-checked on its own, and the first bad one raises
+    ``ValueError("not a graph file: …")``; ``null`` passes only in
+    ``left`` and ``right``, as the interface.  The library's bulk checks
+    must accept the same files, build the same graphs and word the same
+    errors."""
+    def bad(what: str) -> ValueError:
+        return ValueError(f"not a graph file: {what}")
+
+    def check(xs: list, kind: type, where: str) -> list:
+        if set(map(type, xs)) - {kind}:
+            x = next(x for x in xs if type(x) is not kind)
+            raise bad(f"{where}: {x!r} is not {_KINDS[kind]}")
+        return xs
+
+    def get(name: str, kind: type, optional: bool = False):
+        if name not in data and not optional:
+            raise bad(f"no {name!r}")
+        return check([data.get(name, kind())], kind, name)[0]
+
+    def table(name: str, kind: type, optional: bool = False,
+              sides: bool = False) -> dict:
+        d = get(name, dict, optional)
+        keys = [int(k) if k.removeprefix("-").isdecimal() else k for k in d]
+        if list(map(str, check(keys, int, name))) != list(d):
+            raise bad(f"{name}: a key is not an integer id")
+        values = list(d.values())
+        if sides:
+            values = [INTERFACE if v == "interface" else v for v in values]
+            check([v for v in values if v is not INTERFACE], kind, name)
+        else:  # null is no id and no label
+            check(values, kind, name)
+        return dict(zip(keys, values))
+
+    check([data], dict, "the file")
+    edges = check(get("edges", list), dict, "edges")
+    if not all("id" in e and "label" in e for e in edges):
+        raise bad("an edge lacks its id or label")
+    edge_ids = check([e["id"] for e in edges], int, "edges")
+    return LinearHypergraph(
+        targets=tuple(check(get("targets", list), int, "targets")),
+        sources=tuple(check(get("sources", list), int, "sources")),
+        edges=tuple(edge_ids),
+        left=table("left", int, sides=True),
+        right=table("right", int, sides=True),
+        conn=table("conn", int),
+        labels=dict(zip(edge_ids, check([e["label"] for e in edges], str,
+                                        "edges"))),
+        vtlabels=table("vtlabels", str, optional=True),
+        vslabels=table("vslabels", str, optional=True),
+    )
+
+
 # Builders and checks that only the tests use
 # ---------------------------------------------------------------------------
 

@@ -197,6 +197,32 @@ def test_wrongly_typed_graph_file_is_malformed(capsys, tmp_path, key, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_null_wire_labels_are_not_a_graph_file(capsys, tmp_path):
+    """null is no object label, even where every wire end agrees on it:
+    such a file once loaded, and ``extract`` then failed in rendering."""
+    text = json.dumps(dict(_GOOD_GRAPH, vtlabels={"0": None, "1": None},
+                           vslabels={"2": None, "3": None}))
+    gfile = tmp_path / "null.json"
+    gfile.write_text(text)
+    code, out, err = run(capsys, "extract", str(gfile))
+    assert code == 1 and out == ""
+    assert err == "error: not a graph file: vtlabels: None is not a string\n"
+
+
+@pytest.mark.parametrize("command", ["extract", "iso"])
+def test_deeply_nested_graph_file_is_malformed(capsys, tmp_path, command):
+    """JSON nested deeper than the decoder's recursion limit is reported
+    as a bad graph file, not as a RecursionError."""
+    gfile = tmp_path / "deep.json"
+    gfile.write_text("[" * 100_000)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_GOOD_GRAPH))
+    argv = [str(gfile)] if command == "extract" else [str(good), str(gfile)]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: not a graph file") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,sig_text,lattice_text,message", [
     ("interpret", "f : 1 -> x\n", None, "line 1: bad word 'x'"),
     ("evaluate", None, "values: bot top\nbottom: bot\n",

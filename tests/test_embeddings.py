@@ -14,14 +14,15 @@ import tokenize
 import weakref
 
 from linhyp import (Gen, Seq, Swap, Tensor, find_matchings, interpret,
-                    load_graph, normalize, parse_rules, rule_from_terms,
-                    saturate_rule, save_graph, signature, tensor,
-                    tensor_all, trace)
+                    load_graph, normalize, parse_rules, parse_term,
+                    rule_from_terms, saturate_rule, save_graph, signature,
+                    tensor, tensor_all, trace)
 from linhyp import graphs, rewrite
 from linhyp.graphs import LinearHypergraph, embeddings
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import type_of
-from oracles import embeddings_from_first_edge, random_graph
+from oracles import (brute_force_matchings, embeddings_from_first_edge,
+                     random_graph)
 
 # f : 1 -> 1, g : 1 -> 2, h : 2 -> 2, k : 2 -> 1, u : 0 -> 1, z : 1 -> 0
 SIG = law_signature()
@@ -149,6 +150,25 @@ def test_same_maps_in_the_same_order_as_the_oracle():
     assert components == {1, 2, 3}
     assert elsewhere >= 15 and found >= 40
     assert collide >= 6 and bare >= 5 and split >= 10
+
+
+def test_port_less_edges_of_one_label_take_distinct_host_edges():
+    """``tick * tick`` is two components of one port-less label: only the
+    check of the second edge's image against the edge bound by the
+    enclosing loop keeps both from landing on one host tick.  Each host
+    holds its ticks among other edges, and the maps are the brute-force
+    oracle's, in its order: 0, 2 and 6 of them."""
+    sig = signature({"tick": (0, 0), "f": (1, 1), "g": (1, 2)})
+    P = interpret(parse_term("tick * tick", sig), sig)
+    hosts = ["f * tick ; g", "tick * f ; g * tick",
+             "tick * g ; tick * f * f * tick"]
+    for text, count in zip(hosts, (0, 2, 6)):
+        G = interpret(parse_term(text, sig), sig)
+        assert len(G.view.by_label["tick"]) == text.count("tick")
+        want = [(h.vmap_t, h.vmap_s, h.emap)
+                for h in brute_force_matchings(P, G)]
+        got = [(t, s, e) for t, s, e, _ in embeddings(P, G.view)]
+        assert got == want and len(got) == count, text
 
 
 RULES = parse_rules("""

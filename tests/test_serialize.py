@@ -1,20 +1,22 @@
+import copy
 import json
 import random
 from dataclasses import replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
 from linhyp import (canonical, expand, freshen, interpret, isomorphic,
                     load_graph, normalize, parse_rules, parse_term, rename,
                     save_graph, signature, to_dot, validate)
-from linhyp.graphs import LinearHypergraph, fresh_ids
-from linhyp.serialize import graph_to_dict
+from linhyp.graphs import LinearHypergraph, _report, _well_formed, fresh_ids
 from linhyp.laws import law_signature
-from oracles import random_graph
+from oracles import graph_from_dict_per_entry, graph_to_dict, random_graph
 
 SIG = law_signature()
+GSIG = signature({"f": ("A", "B"), "g": ("B", "A"),
+                  "h": (("B", "A"), ("C", "D"))})
 
 graphs = st.builds(
     lambda seed: random_graph(random.Random(seed), SIG),
@@ -106,6 +108,7 @@ def test_json_keeps_vertex_labels(gsig):
     back = load_graph(save_graph(H))
     assert back.dom() == ("A", "B") and back.cod() == ("C", "D")
     assert isomorphic(back, H)
+    assert "vtlabels" in save_graph(_ODD[1])
 
 
 def test_json_omits_labels_for_plain_graphs():
@@ -119,25 +122,52 @@ def test_raw_save_preserves_ids():
     assert load_graph(save_graph(H, canonicalize=False)) == H
 
 
-def test_save_writes_the_bytes_of_the_json_encoder(gsig):
-    def by_encoder(H, canonicalize):
-        G = canonical(H) if canonicalize else H
-        return json.dumps(graph_to_dict(G), indent=2) + "\n"
-
-    H = interpret(parse_term("f * g ; h", gsig), gsig)
+def _odd_graphs() -> list[LinearHypergraph]:
+    """Graphs whose files test the writer's quoting and number layout:
+    labels with quotes, backslashes, control and non-ASCII characters,
+    negative ids and the empty graph."""
+    H = interpret(parse_term("f * g ; h", GSIG), GSIG)
     odd = {"A": 'A"\\é', "B": "\\", "C": "ĉ ☃", "D": "d\n\t"}
     quoted = replace(
         H, labels={e: lab for e, lab in zip(H.edges, ['"f"', "g\\", "hé"])},
         vtlabels={v: odd[x] for v, x in H.vtlabels.items()},
         vslabels={v: odd[x] for v, x in H.vslabels.items()})
     ids = H.targets + H.sources + H.edges
-    graphs = [H, quoted, rename(quoted, {x: -1 - x for x in ids}),
-              LinearHypergraph((), (), (), {}, {}, {}, {})]
-    graphs += [random_graph(random.Random(seed), SIG) for seed in range(60)]
-    for G in graphs:
-        for canonicalize in (True, False):
-            assert save_graph(G, canonicalize) == by_encoder(G, canonicalize)
-    assert "vtlabels" in save_graph(quoted)
+    return [H, quoted, rename(quoted, {x: -1 - x for x in ids}),
+            LinearHypergraph((), (), (), {}, {}, {}, {})]
+
+
+@st.composite
+def _written_graphs(draw) -> LinearHypergraph:
+    """Random graphs, some with drawn text for edge and wire labels, some
+    on negative ids."""
+    H = draw(graphs)
+    if draw(st.booleans()):
+        H = replace(H, labels={e: draw(st.text(max_size=3)) for e in H.edges})
+    if draw(st.booleans()):
+        lab = draw(st.text(max_size=3))
+        H = replace(H, vtlabels=dict.fromkeys(H.targets, lab),
+                    vslabels=dict.fromkeys(H.sources, lab))
+    if draw(st.booleans()):
+        ids = H.targets + H.sources + H.edges
+        H = rename(H, {x: -1 - x for x in ids})
+    return H
+
+
+_ODD = _odd_graphs()
+
+
+@given(_written_graphs())
+@example(_ODD[0])
+@example(_ODD[1])
+@example(_ODD[2])
+@example(_ODD[3])
+@settings(max_examples=100, deadline=None)
+def test_save_writes_the_bytes_of_the_json_encoder(G):
+    for canonicalize in (True, False):
+        want = json.dumps(graph_to_dict(canonical(G) if canonicalize else G),
+                          indent=2) + "\n"
+        assert save_graph(G, canonicalize) == want
 
 
 def test_dot_mentions_every_edge_and_interface(gsig):
@@ -153,6 +183,165 @@ def test_dot_marks_identity_edges_grey():
     H = interpret(parse_term("f", SIG), SIG)
     grown = expand(H, H.targets[0])
     assert "diamond" in to_dot(grown)
+
+
+# Files mutated from saved graphs: the bulk loader against the per-entry
+# path it replaced
+# ---------------------------------------------------------------------------
+
+_ODD_KEYS = ["007", "-0", " 3", "3 ", "1_0", "00", "+1", "\u0663", "-", "",
+             "x", "1.0", "--1"]
+_ODD_VALUES = [True, False, 1.5, 2.0, None, "x", "interface", "", [], {},
+               [1], {"id": 1}]
+_EDGE_LABELS = ["f", "g", "h", "z", "q", "@id", "", 7, None]
+_OPS = ["drop", "duplicate", "retarget", "rekey", "retype", "retype", "copy",
+        "edge", "wire"]
+
+
+def _mutate(draw, data: dict, ids: list) -> None:
+    """One drawn change to one entry of a parsed graph file: a dropped,
+    duplicated, retargeted or renamed key or element, a value of the
+    wrong JSON type, a value copied from another entry (a ``conn`` that
+    is no bijection), a bad edge id or label, or a changed wire label.
+    A change that does not fit what earlier changes left does nothing."""
+    key = draw(st.sampled_from(sorted(data)))
+    x = data[key]
+    op = draw(st.sampled_from(_OPS))
+    some_id = draw(st.sampled_from(ids))
+    whole = draw(st.integers(0, 3)) == 0  # the key's whole value, or one entry
+    if op == "drop":
+        if x and type(x) in (list, dict) and not whole:
+            if type(x) is list:
+                del x[draw(st.integers(0, len(x) - 1))]
+            else:
+                del x[draw(st.sampled_from(list(x)))]
+        else:
+            del data[key]
+    elif op == "duplicate" and x and type(x) in (list, dict):
+        if type(x) is list:
+            i = draw(st.integers(0, len(x) - 1))
+            x.insert(draw(st.integers(0, len(x))), copy.deepcopy(x[i]))
+        else:
+            x[str(some_id)] = x[draw(st.sampled_from(list(x)))]
+    elif op == "retarget" and x and type(x) in (list, dict):
+        if type(x) is list:
+            x[draw(st.integers(0, len(x) - 1))] = some_id
+        else:
+            x[draw(st.sampled_from(list(x)))] = draw(
+                st.sampled_from([some_id, "interface"]))
+    elif op == "rekey" and x and type(x) is dict:
+        value = x.pop(draw(st.sampled_from(list(x))))
+        x[draw(st.sampled_from(_ODD_KEYS + [str(some_id)]))] = value
+    elif op == "retype":
+        odd = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        if x and type(x) is list and not whole:
+            x[draw(st.integers(0, len(x) - 1))] = odd
+        elif x and type(x) is dict and not whole:
+            x[draw(st.sampled_from(list(x)))] = odd
+        else:
+            data[key] = odd
+    elif op == "copy" and type(x) is dict and len(x) > 1:
+        a, b = draw(st.lists(st.sampled_from(list(x)), min_size=2,
+                             max_size=2, unique=True))
+        x[a] = x[b]
+    elif op == "edge" and type(data.get("edges")) is list and data["edges"]:
+        e = draw(st.sampled_from(data["edges"]))
+        if type(e) is dict:
+            field = draw(st.sampled_from(["id", "label"]))
+            if draw(st.booleans()):
+                e.pop(field, None)
+            elif field == "id":
+                e["id"] = draw(st.sampled_from([some_id, "1", 1.0, True]))
+            else:
+                e["label"] = draw(st.sampled_from(_EDGE_LABELS))
+    elif op == "wire":
+        for name in ("vtlabels", "vslabels"):
+            if type(data.get(name)) is dict and data[name]:
+                data[name][draw(st.sampled_from(list(data[name])))] = "B"
+
+
+@st.composite
+def _mutated_files(draw) -> str:
+    """The text of a saved random graph, some with an identity edge or
+    labelled wires, after one to three drawn changes."""
+    H = draw(graphs)
+    if H.targets and draw(st.booleans()):
+        H = expand(H, draw(st.sampled_from(H.targets)))
+    if draw(st.booleans()):
+        lab = draw(st.sampled_from(["A", 'a"\\\u00e9']))
+        H = replace(H, vtlabels=dict.fromkeys(H.targets, lab),
+                    vslabels=dict.fromkeys(H.sources, lab))
+    data = json.loads(save_graph(H, draw(st.booleans())))
+    ids = [*data["targets"], *data["sources"],
+           *(e["id"] for e in data["edges"])]
+    ids += [max(ids, default=0) + 1, -1]
+    for _ in range(draw(st.integers(1, 3))):
+        if data:
+            _mutate(draw, data, ids)
+    return json.dumps(data)
+
+
+def _load_per_entry(text: str) -> LinearHypergraph:
+    """``load_graph`` as the per-entry decoder and the per-element
+    report word it."""
+    H = graph_from_dict_per_entry(json.loads(text))
+    report = _report(H, None)
+    if report:
+        raise ValueError("malformed hypergraph: " + "; ".join(report))
+    return H
+
+
+def _outcome(fn, text: str):
+    try:
+        return fn(text)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+@given(_mutated_files())
+@settings(max_examples=400, deadline=None)
+def test_load_accepts_and_words_errors_as_the_per_entry_path(text):
+    assert _outcome(load_graph, text) == _outcome(_load_per_entry, text)
+
+
+def test_each_odd_key_and_value_is_worded_as_the_per_entry_path():
+    """Every odd key and every odd value in every place of a labelled
+    graph file with an identity edge, one at a time."""
+    H = interpret(parse_term("f * g ; h", GSIG), GSIG)
+    good = json.loads(save_graph(expand(H, H.targets[0])))
+    changes = []  # (list or table, entry or None for the whole, change)
+    for name, x in good.items():
+        changes += [(name, None, odd) for odd in _ODD_VALUES]
+        for at in (x if type(x) is dict else range(len(x))):
+            changes += [(name, at, odd) for odd in _ODD_VALUES]
+            if type(x) is dict:  # the entry moved to an odd key
+                changes += [(name, at, ("key", odd)) for odd in _ODD_KEYS]
+    for name, at, odd in changes:
+        data = copy.deepcopy(good)
+        if at is None:
+            data[name] = odd
+        elif type(odd) is tuple:
+            data[name][odd[1]] = data[name].pop(at)
+        elif name == "edges":
+            data[name][at]["id"] = odd
+        else:
+            data[name][at] = odd
+        text = json.dumps(data)
+        assert _outcome(load_graph, text) == _outcome(_load_per_entry,
+                                                     text), text
+    assert len(changes) > 500
+
+
+@given(_mutated_files())
+@settings(max_examples=400, deadline=None)
+def test_bulk_validation_accepts_exactly_the_graphs_with_no_report(text):
+    try:
+        H = graph_from_dict_per_entry(json.loads(text))
+    except ValueError:
+        return
+    for sig in (None, SIG):
+        report = _report(H, sig)
+        assert _well_formed(H, sig) == (report == [])
 
 
 def test_load_rejects_garbage():
