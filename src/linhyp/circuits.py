@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (INTERFACE, LinearHypergraph, canonical_labelling,
-                     fresh_ids, freshen)
+                     next_id)
 from .interp import interpret
 from .rewrite import RewriteRule, normalize, rule_from_terms
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, signature,
@@ -413,7 +413,7 @@ def evaluate(circuit: Term | LinearHypergraph,
     reduction gets stuck (delays holding non-bottom values do that).
     """
     H = (interpret(circuit, csig.signature()) if isinstance(circuit, Term)
-         else freshen(circuit))
+         else circuit)
     ins, outs = H.inputs(), H.outputs()
     inputs = tuple(inputs)
     if len(inputs) != len(ins):
@@ -426,8 +426,10 @@ def evaluate(circuit: Term | LinearHypergraph,
     # (new value edge) -> s; the inputs become value edges' ports
     cut = feedback_wires(H)
     k = len(cut)
-    in_edges, cut_edges = fresh_ids(len(ins)), fresh_ids(k)
-    cut_tgts, cut_outs = fresh_ids(k), fresh_ids(k)
+    ids = itertools.count(next_id(H))
+    in_edges = [next(ids) for _ in ins]
+    cut_edges, cut_tgts, cut_outs = ([next(ids) for _ in cut]
+                                     for _ in range(3))
     conn = dict(H.conn)
     for t, tv, so in zip(cut, cut_tgts, cut_outs):
         conn[tv] = conn[t]

@@ -8,11 +8,10 @@ one edge side or the interface, so wires never split or merge.
 """
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import count
+from itertools import count, islice
 
 from .terms import ANON, Word
 
@@ -21,30 +20,6 @@ INTERFACE = None
 
 #: Reserved edge label for invisible identity edges (wire homeomorphisms).
 IDENTITY_LABEL = "@id"
-
-
-class _IdSupply:
-    """Process-global fresh-id counter; thread-safe."""
-
-    def __init__(self) -> None:
-        self.next = 0
-        self.lock = threading.Lock()
-
-    def fresh(self, n: int) -> list[int]:
-        with self.lock:
-            self.next += n
-            return list(range(self.next - n, self.next))
-
-    def reserve(self, ids: Iterable[int]) -> None:
-        """Hand out only ids above ``ids`` (a loaded file's) from now on."""
-        top = max(ids, default=-1)
-        with self.lock:
-            self.next = max(self.next, top + 1)
-
-
-_SUPPLY = _IdSupply()
-fresh_ids = _SUPPLY.fresh
-reserve_ids = _SUPPLY.reserve
 
 
 class GraphView:
@@ -353,10 +328,25 @@ def rename(H: LinearHypergraph, perm: dict[int, int]) -> LinearHypergraph:
     )
 
 
+def next_id(H: LinearHypergraph) -> int:
+    """Where new ids for ``H`` start: one more than its largest id, or 0.
+
+    Ids need only be distinct within their graph, so every operation
+    that adds elements to a graph numbers them from here."""
+    return max(max(H.targets, default=-1), max(H.sources, default=-1),
+               max(H.edges, default=-1)) + 1
+
+
+def above(H: LinearHypergraph, F: LinearHypergraph) -> LinearHypergraph:
+    """``H`` renumbered from ``next_id(F)`` on, along its targets, sources
+    and edges: a copy that shares no id with ``F``."""
+    ids = H.targets + H.sources + H.edges
+    return rename(H, dict(zip(ids, count(next_id(F)))))
+
+
 def freshen(H: LinearHypergraph) -> LinearHypergraph:
-    """Copy ``H`` onto entirely fresh ids."""
-    ids = list(H.targets) + list(H.sources) + list(H.edges)
-    return rename(H, dict(zip(ids, fresh_ids(len(ids)))))
+    """``H`` on ids above its own."""
+    return above(H, H)
 
 
 def _walk(H: LinearHypergraph, tgts: dict[int, tuple[int, ...]],
@@ -1015,7 +1005,7 @@ def expand(H: LinearHypergraph, w: int) -> LinearHypergraph:
     """Insert one identity edge on the wire leaving target vertex ``w``."""
     if w not in H.conn:
         raise ValueError(f"{w} is not a target vertex")
-    t_new, s_new, e_new = fresh_ids(3)
+    t_new, s_new, e_new = islice(count(next_id(H)), 3)
     lab = H.vtlabels[w]
     conn = dict(H.conn)
     old = conn[w]

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
+from itertools import count, islice
 
-from .graphs import LinearHypergraph, find_isomorphism, fresh_ids
+from .graphs import LinearHypergraph, find_isomorphism
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace,
                     TypeMismatch, render_word, type_of)
 
@@ -32,7 +32,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     constant is that of the graph built: each generator's shape is looked
     up once per call, and each port or spliced wire costs only the
     dictionary writes of its entries, with no helper call per generator
-    or wire.
+    or wire.  Ids are numbered from 0 in the order they are drawn.
     The stored orders match the fold of :mod:`linhyp.ops` combinators:
     leaf vertices and edges in left-to-right leaf order, minus the
     spliced ones.  Dispatch is on the exact node class, as in
@@ -79,7 +79,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         for p in range(len(values) - pending, len(values)):
             dom, cod, src = values[p]
             k = len(dom)
-            ids = fresh_ids(2 * k)
+            ids = list(islice(new_ids, 2 * k))
             for j in range(k):
                 v, s = ids[src[j]], ids[k + j]
                 targets[ids[j]] = dom[j]
@@ -94,6 +94,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     # output j carries input src[j]
     values: list = []
     pending = 0
+    new_ids = count()
     todo: list[tuple[Term, bool]] = [(t, False)]
     while todo:
         u, ready = todo.pop()
@@ -112,7 +113,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             # the id block: m inputs and the edge's targets, the edge's m
             # sources and the outputs, then the edge; wire j is ids[j] to
             # ids[k + j]
-            ids = fresh_ids(2 * k + 1)
+            ids = list(islice(new_ids, 2 * k + 1))
             e = ids[-1]
             for j in range(k):
                 v, s = ids[j], ids[k + j]

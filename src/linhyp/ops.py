@@ -2,20 +2,21 @@
 
 These make linear hypergraphs a symmetric traced monoidal structure:
 identities and swaps are edge-free wiring, generators are single edges,
-and composition / tensor / trace combine graphs.  Operands are copied
-onto fresh ids first, so callers never manage id disjointness.
+and composition / tensor / trace combine graphs.  The constructors
+number their ids from 0, and composition and tensor renumber only the
+second operand, above the first (``graphs.above``), so callers never
+manage id disjointness.
 """
 from __future__ import annotations
 
-from .graphs import INTERFACE, LinearHypergraph, fresh_ids, freshen
+from .graphs import INTERFACE, LinearHypergraph, above
 from .terms import Signature, TypeMismatch, Word, as_word
 
 
 def identity(n: int | str | Word) -> LinearHypergraph:
     """``n`` wires straight through, no edges."""
     w = as_word(n)
-    ts = fresh_ids(len(w))
-    ss = fresh_ids(len(w))
+    ts, ss = range(len(w)), range(len(w), 2 * len(w))
     return LinearHypergraph(
         targets=tuple(ts), sources=tuple(ss), edges=(),
         left={v: INTERFACE for v in ts},
@@ -33,11 +34,11 @@ def generator(name: str, sig: Signature) -> LinearHypergraph:
         raise TypeMismatch(f"unknown generator {name!r}")
     dom, cod = sig.generators[name]
     m, n = len(dom), len(cod)
-    ins = fresh_ids(m)        # interface targets
-    e_srcs = fresh_ids(m)     # edge source ports
-    e_tgts = fresh_ids(n)     # edge target ports
-    outs = fresh_ids(n)       # interface sources
-    (e,) = fresh_ids(1)
+    ins = range(m)                          # interface targets
+    e_srcs = range(m, 2 * m)                # edge source ports
+    e_tgts = range(2 * m, 2 * m + n)        # edge target ports
+    outs = range(2 * m + n, 2 * m + 2 * n)  # interface sources
+    e = 2 * m + 2 * n
     return LinearHypergraph(
         targets=tuple(ins) + tuple(e_tgts),
         sources=tuple(e_srcs) + tuple(outs),
@@ -54,8 +55,8 @@ def generator(name: str, sig: Signature) -> LinearHypergraph:
 def swap(m: int | str | Word, n: int | str | Word) -> LinearHypergraph:
     """Cross an ``m``-block over an ``n``-block of wires."""
     a, b = as_word(m), as_word(n)
-    ts = fresh_ids(len(a) + len(b))
-    ss = fresh_ids(len(a) + len(b))
+    k = len(a) + len(b)
+    ts, ss = range(k), range(k, 2 * k)
     # outputs carry the n-block first, then the m-block
     out_word = b + a
     conn = {}
@@ -79,7 +80,7 @@ def compose(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
     if F.cod() != G.dom():
         raise TypeMismatch(
             f"cannot compose: {F.cod()} does not match {G.dom()}")
-    F, G = freshen(F), freshen(G)
+    G = above(G, F)
     f_outs = F.outputs()
     g_ins = G.inputs()
     out_pos = {v: i for i, v in enumerate(f_outs)}
@@ -114,7 +115,7 @@ def compose(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
 
 def tensor(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
     """Disjoint union, with ``F``'s wires above ``G``'s."""
-    F, G = freshen(F), freshen(G)
+    G = above(G, F)
     return LinearHypergraph(
         targets=F.targets + G.targets,
         sources=F.sources + G.sources,
@@ -162,7 +163,6 @@ def trace(x: int | str | Word, F: LinearHypergraph) -> LinearHypergraph:
     if F.dom()[:len(w)] != w or F.cod()[:len(w)] != w:
         raise TypeMismatch(
             f"cannot trace {w} out of a {F.dom()} -> {F.cod()} graph")
-    H = freshen(F)
     for _ in range(len(w)):
-        H = _trace_once(H)
-    return H
+        F = _trace_once(F)
+    return F

@@ -18,8 +18,8 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
-                     Homomorphism, LinearHypergraph, embeddings, expand,
-                     fresh_ids, freshen, smooth)
+                     Homomorphism, LinearHypergraph, above, embeddings,
+                     expand, next_id, smooth)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
@@ -325,6 +325,7 @@ def pushout(m: Homomorphism, n: Homomorphism
     violating vertex is reported otherwise.  Each edge of R keeps R's
     port words: C's and R's vertices that no edge of R attaches come
     first, in that order, then each edge of R's ports in R's order.
+    R's elements take ids above C's.
     """
     K, C = m.src, m.dst
     if K.edges:
@@ -332,7 +333,7 @@ def pushout(m: Homomorphism, n: Homomorphism
     if not m.is_embedding() or not n.is_embedding():
         raise RewriteError("pushout needs a span of embeddings")
     R_orig = n.dst
-    R = freshen(R_orig)
+    R = above(R_orig, C)
     lift = dict(zip(R_orig.targets + R_orig.sources + R_orig.edges,
                     R.targets + R.sources + R.edges))
     n_t = {k: lift[v] for k, v in n.vmap_t.items()}
@@ -445,7 +446,7 @@ class _StepPlan:
     None.
 
     A step gives R's elements their host ids in one list of slots,
-    ``img``: fresh ids for R's new targets, new sources and edges, in
+    ``img``: new host ids for R's new targets, new sources and edges, in
     that order (``fresh`` of them), then the host images of ``keep_t``
     and ``keep_s``, L's elements that K maps to, in K's order, then
     INTERFACE, so slot -1 stands for it.
@@ -542,7 +543,8 @@ class _Host(GraphView):
     order they are made, except that each edge of R moves its ports,
     glued ones too, to the end in R's order, so that it keeps R's port
     words.  ``edge_seq`` numbers the edges in stored order, for the
-    search to sort by.
+    search to sort by.  ``new_ids`` counts up from ``next_id(G)``, so
+    each new element's id is above every id the host has had.
     """
 
     def __init__(self, G: LinearHypergraph) -> None:
@@ -559,6 +561,7 @@ class _Host(GraphView):
                          for lab, es in v.by_label.items()}
         self.tick = itertools.count()
         self.edge_seq = {e: next(self.tick) for e in G.edges}
+        self.new_ids = itertools.count(next_id(G))
 
     def freeze(self) -> LinearHypergraph:
         return LinearHypergraph(
@@ -610,7 +613,7 @@ class _Host(GraphView):
         """Insert one identity edge on the wire leaving target ``w``, as
         :func:`~linhyp.graphs.expand` does; return its new target, source
         and edge."""
-        t, s, e = fresh_ids(3)
+        t, s, e = itertools.islice(self.new_ids, 3)
         lab = self.vtlabels[w]
         self._add_target(t, e, lab)
         self._add_source(s, e, lab)
@@ -647,7 +650,7 @@ class _Host(GraphView):
                     " edge-attached on both sides")
 
         # the checks passed: change the host
-        img = fresh_ids(p.fresh)
+        img = list(itertools.islice(self.new_ids, p.fresh))
         img += map(vmap_t.__getitem__, p.keep_t)
         img += map(vmap_s.__getitem__, p.keep_s)
         img.append(INTERFACE)

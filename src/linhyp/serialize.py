@@ -7,8 +7,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph, assert_valid,
-                     canonical, canonical_ids, canonical_labelling,
-                     reserve_ids)
+                     canonical_ids, canonical_labelling)
 from .terms import ANON
 
 _KINDS = {int: "an integer id", str: "a string", list: "an array",
@@ -53,8 +52,11 @@ def graph_from_dict(data: dict) -> LinearHypergraph:
         if keys == carrier[1]:  # the carrier's ids in order, as saved
             keys = carrier[0]
         else:  # JSON keys are strings; an id key is an integer written plainly
-            keys = [int(k) if k.removeprefix("-").isdecimal() else k
-                    for k in d]
+            try:
+                keys = [int(k) if k.removeprefix("-").isdecimal() else k
+                        for k in d]
+            except ValueError:  # more digits than ``int`` converts
+                raise bad(f"{name}: a key is not an integer id") from None
             if list(map(str, check(keys, int, name))) != list(d):
                 raise bad(f"{name}: a key is not an integer id")
         values = list(d.values())
@@ -155,49 +157,48 @@ def load_graph(text: str) -> LinearHypergraph:
     ``ValueError`` for malformed or too deeply nested JSON or a malformed
     graph.  Both checks run in bulk (``graph_from_dict``, ``validate``),
     and walk the file entry by entry only to word the error of a bad
-    one.  Fresh ids handed out afterwards stay clear of the file's
-    ids."""
+    one.  The graph keeps the file's ids; what later adds elements to it
+    numbers them above its largest id (``graphs.next_id``)."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"not a graph file: {exc}") from exc
-    H = graph_from_dict(data)
-    assert_valid(H)
-    reserve_ids(H.targets + H.sources + H.edges)
-    return H
+    return assert_valid(graph_from_dict(data))
 
 
 def to_dot(H: LinearHypergraph) -> str:
     """Informal drawing: one dot per wire, boxes for edges, grey
-    pseudo-nodes for the interfaces."""
-    G = canonical(H)
+    pseudo-nodes for the interfaces; numbered as the canonical file is
+    (``canonical_ids``), so isomorphic graphs draw identically."""
+    targets, _, edges = canonical_labelling(H)
+    num = canonical_ids(H)
     lines = ["digraph G {", "  rankdir=LR;",
              '  node [fontname="monospace"];']
-    ins, outs = G.inputs(), G.outputs()
+    ins, outs = H.inputs(), H.outputs()
     if ins:
         lines.append('  IN [label="in", shape=plaintext, fontcolor=grey];')
     if outs:
         lines.append('  OUT [label="out", shape=plaintext, fontcolor=grey];')
-    for t in G.targets:
-        label = G.vtlabels[t]
+    for t in targets:
+        label = H.vtlabels[t]
         text = "" if label == ANON else label
-        lines.append(f'  w{t} [label="{text}", shape=point];')
-    for e in G.edges:
-        lab = G.labels[e]
+        lines.append(f'  w{num[t]} [label="{text}", shape=point];')
+    for e in edges:
+        lab = H.labels[e]
         if lab == IDENTITY_LABEL:
-            lines.append(f'  e{e} [label="", shape=diamond, color=grey];')
+            lines.append(f'  e{num[e]} [label="", shape=diamond, color=grey];')
         else:
-            lines.append(f'  e{e} [label="{lab}", shape=box];')
-    view = G.view
+            lines.append(f'  e{num[e]} [label="{lab}", shape=box];')
+    view = H.view
     tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
     for i, t in enumerate(ins):
-        lines.append(f"  IN -> w{t} [taillabel={i}, color=grey];")
+        lines.append(f"  IN -> w{num[t]} [taillabel={i}, color=grey];")
     for i, s in enumerate(outs):
-        lines.append(f"  w{conn_inv[s]} -> OUT [headlabel={i}, color=grey];")
-    for e in G.edges:
+        lines.append(f"  w{num[conn_inv[s]]} -> OUT [headlabel={i}, color=grey];")
+    for e in edges:
         for i, s in enumerate(srcs[e]):
-            lines.append(f"  w{conn_inv[s]} -> e{e} [headlabel={i}];")
+            lines.append(f"  w{num[conn_inv[s]]} -> e{num[e]} [headlabel={i}];")
         for i, t in enumerate(tgts[e]):
-            lines.append(f"  e{e} -> w{t} [taillabel={i}];")
+            lines.append(f"  e{num[e]} -> w{num[t]} [taillabel={i}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

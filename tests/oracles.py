@@ -24,7 +24,9 @@ glue in plain simple hypergraphs (``SimpleHypergraph``, ``to_simple``).
 ``conn`` inverse edge by edge, for ``GraphView`` to be checked against.
 ``graph_to_dict`` and ``graph_from_dict_per_entry`` encode and decode a
 graph file entry by entry, for the bulk writer and loader of
-``linhyp.serialize`` to be checked against.
+``linhyp.serialize`` to be checked against, and ``to_dot_of_canonical``
+draws a graph from its renumbered copy, for ``to_dot`` to be checked
+against.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -34,7 +36,8 @@ staging and global trace form of the completeness proof (``stage``,
 vertices behind identity edges.  They are plain recursive folds, meant
 for small terms.
 
-Last come the builders and checks only the tests use: ``random_graph``
+Last come the builders and checks only the tests use: ``id_source``
+numbers the ids of a graph built by hand, ``random_graph``
 draws a well-formed graph, ``gate_from_fn`` tabulates a gate, and
 ``check_coherence`` extracts a graph along many edge orders.
 """
@@ -52,9 +55,9 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, Gate, ValueLattice, eval_rules,
                              read_value_word, value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import (INTERFACE, Found, GraphView, _walk,
-                           canonical_labelling, commutes, expand,
-                           find_isomorphism, fresh_ids, smooth)
+from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
+                           _walk, canonical, canonical_labelling, commutes,
+                           expand, find_isomorphism, smooth)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, Step, find_matchings, normalize,
                             pushout, pushout_complement)
@@ -723,21 +726,22 @@ def enumerate_graphs(sig, max_t: int) -> list[LinearHypergraph]:
         for total in range(lo, max_t + 1):
             m = total - sum_cod
             n = total - sum_dom
-            edges = fresh_ids(len(labels))
-            targets = fresh_ids(m)
+            take = id_source()
+            edges = take(len(labels))
+            targets = take(m)
             left: dict[int, int | None] = {v: INTERFACE for v in targets}
             sources: list[int] = []
             right: dict[int, int | None] = {}
             for e, lab in zip(edges, labels):
-                ps = fresh_ids(len(sig.dom(lab)))
-                pt = fresh_ids(len(sig.cod(lab)))
+                ps = take(len(sig.dom(lab)))
+                pt = take(len(sig.cod(lab)))
                 for v in ps:
                     right[v] = e
                 for v in pt:
                     left[v] = e
                 sources.extend(ps)
                 targets.extend(pt)
-            outs = fresh_ids(n)
+            outs = take(n)
             for v in outs:
                 right[v] = INTERFACE
             sources.extend(outs)
@@ -1019,6 +1023,42 @@ def graph_to_dict(H: LinearHypergraph) -> dict:
     return data
 
 
+def to_dot_of_canonical(H: LinearHypergraph) -> str:
+    """``serialize.to_dot`` drawn from ``canonical(H)``, the renumbered
+    copy of H, whose ids are the numbers it draws."""
+    G = canonical(H)
+    lines = ["digraph G {", "  rankdir=LR;",
+             '  node [fontname="monospace"];']
+    ins, outs = G.inputs(), G.outputs()
+    if ins:
+        lines.append('  IN [label="in", shape=plaintext, fontcolor=grey];')
+    if outs:
+        lines.append('  OUT [label="out", shape=plaintext, fontcolor=grey];')
+    for t in G.targets:
+        label = G.vtlabels[t]
+        text = "" if label == ANON else label
+        lines.append(f'  w{t} [label="{text}", shape=point];')
+    for e in G.edges:
+        lab = G.labels[e]
+        if lab == IDENTITY_LABEL:
+            lines.append(f'  e{e} [label="", shape=diamond, color=grey];')
+        else:
+            lines.append(f'  e{e} [label="{lab}", shape=box];')
+    view = G.view
+    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
+    for i, t in enumerate(ins):
+        lines.append(f"  IN -> w{t} [taillabel={i}, color=grey];")
+    for i, s in enumerate(outs):
+        lines.append(f"  w{conn_inv[s]} -> OUT [headlabel={i}, color=grey];")
+    for e in G.edges:
+        for i, s in enumerate(srcs[e]):
+            lines.append(f"  w{conn_inv[s]} -> e{e} [headlabel={i}];")
+        for i, t in enumerate(tgts[e]):
+            lines.append(f"  e{e} -> w{t} [taillabel={i}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 _KINDS = {int: "an integer id", str: "a string", list: "an array",
           dict: "an object"}
 
@@ -1047,7 +1087,11 @@ def graph_from_dict_per_entry(data) -> LinearHypergraph:
     def table(name: str, kind: type, optional: bool = False,
               sides: bool = False) -> dict:
         d = get(name, dict, optional)
-        keys = [int(k) if k.removeprefix("-").isdecimal() else k for k in d]
+        try:
+            keys = [int(k) if k.removeprefix("-").isdecimal() else k
+                    for k in d]
+        except ValueError:  # more digits than ``int`` converts
+            raise bad(f"{name}: a key is not an integer id") from None
         if list(map(str, check(keys, int, name))) != list(d):
             raise bad(f"{name}: a key is not an integer id")
         values = list(d.values())
@@ -1080,6 +1124,14 @@ def graph_from_dict_per_entry(data) -> LinearHypergraph:
 # Builders and checks that only the tests use
 # ---------------------------------------------------------------------------
 
+def id_source(start: int = 0):
+    """A function that hands out consecutive ids from ``start`` on, ``n``
+    at a time, as a list: the ids of one graph built by hand.  Ids need
+    only be distinct within their graph."""
+    ids = itertools.count(start)
+    return lambda n: list(itertools.islice(ids, n))
+
+
 def random_graph(rng: random.Random, sig: Signature,
                  max_edges: int = 4, max_extra_wires: int = 3
                  ) -> LinearHypergraph:
@@ -1097,21 +1149,22 @@ def random_graph(rng: random.Random, sig: Signature,
     m = max(0, sum_dom - sum_cod) + rng.randint(0, max_extra_wires)
     n = m + sum_cod - sum_dom
 
-    edges = fresh_ids(k)
-    targets: list[int] = fresh_ids(m)
+    take = id_source()
+    edges = take(k)
+    targets: list[int] = take(m)
     left: dict[int, int | None] = {v: INTERFACE for v in targets}
     sources: list[int] = []
     right: dict[int, int | None] = {}
     for e, lab in zip(edges, labels):
-        ports_s = fresh_ids(len(sig.dom(lab)))
-        ports_t = fresh_ids(len(sig.cod(lab)))
+        ports_s = take(len(sig.dom(lab)))
+        ports_t = take(len(sig.cod(lab)))
         for v in ports_s:
             right[v] = e
         for v in ports_t:
             left[v] = e
         sources.extend(ports_s)
         targets.extend(ports_t)
-    outs = fresh_ids(n)
+    outs = take(n)
     for v in outs:
         right[v] = INTERFACE
     sources.extend(outs)

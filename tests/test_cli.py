@@ -1,9 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linhyp import interpret, isomorphic, load_graph, parse_term, signature
+from linhyp import (ParseError, RewriteError, TypeMismatch, interpret,
+                    isomorphic, load_graph, parse_circuit_signature,
+                    parse_rules, parse_signature, parse_term, save_graph,
+                    signature)
+from linhyp.circuits import LatticeError
 from linhyp.cli import main
+from linhyp.terms import SignatureError
 
 SIG_TEXT = """\
 f : 1 -> 1
@@ -450,3 +458,98 @@ def test_axioms_check_table(capsys):
     assert code == 0
     assert out.count("PASS") == 13
     assert "FAIL" not in out
+
+
+# Mutated rule, signature and lattice texts: the parsers raise only their
+# documented errors, and the CLI exits only with its documented codes
+# ---------------------------------------------------------------------------
+
+RULES_TEXT = """\
+copy-nat : f ; copy => copy ; f * f
+squash : f ; f => f  # a comment
+loop : tr 1 (join ; copy) => id 1
+cross : copy ; swap 1 1 => copy
+"""
+
+_TOKENS = [":", ";", "*", "=>", "->", "-", "(", ")", "[", "]", ",", "#",
+           "\n", " ", "\t", "_", "0", "1", "2", "x", "A", "é", "f",
+           "copy", "join", "tr", "id", "swap", "bot", "top", "org", "gate",
+           "arity", "values:", "bottom:", "join:"]
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """``text`` after one to three drawn changes: a deleted span, an
+    inserted or substituted token, or two lines swapped."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "swap"]))
+        if op == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 4)):]
+        elif op == "insert":
+            text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[i:]
+        elif op == "replace":
+            text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[i + 1:]
+        else:
+            lines = text.split("\n")
+            a, b = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+    return text
+
+
+@given(_mutated(SIG_TEXT), _mutated(RULES_TEXT), _mutated(LATTICE_TEXT))
+@settings(max_examples=150, deadline=None)
+def test_mutated_texts_raise_only_the_parsers_errors(sig_text, rules_text,
+                                                     lattice_text):
+    good = parse_signature(SIG_TEXT)
+    try:
+        sig = parse_signature(sig_text)
+    except SignatureError:
+        sig = good
+    for rules, s in ((rules_text, good), (RULES_TEXT, sig)):
+        try:
+            parse_rules(rules, s)
+        except (RewriteError, ParseError, TypeMismatch):
+            pass
+    try:
+        parse_circuit_signature(lattice_text)
+    except LatticeError:
+        pass
+
+
+_PREFIX = {1: "error: ", 2: "parse error: ", 3: "type error: "}
+
+
+@given(st.sampled_from(["interpret", "rewrite", "evaluate"]),
+       _mutated(SIG_TEXT), _mutated(RULES_TEXT), _mutated(LATTICE_TEXT))
+@settings(max_examples=60, deadline=None)
+def test_mutated_input_files_give_documented_exit_codes(
+        tmp_path_factory, command, sig_text, rules_text, lattice_text):
+    d = tmp_path_factory.mktemp("mutated")
+    (d / "c.sig").write_text(sig_text)
+    (d / "rules.txt").write_text(rules_text)
+    (d / "c.lattice").write_text(lattice_text)
+    (d / "c.term").write_text("f ; copy ; join")
+    (d / "l.term").write_text("tr 1 (org ; fork) * top ; org")
+    H = interpret(parse_term("f ; f ; copy ; join", parse_signature(SIG_TEXT)),
+                  parse_signature(SIG_TEXT))
+    (d / "host.json").write_text(save_graph(H))
+    argv = {"interpret": ["interpret", str(d / "c.term"), "--sig",
+                          str(d / "c.sig")],
+            "rewrite": ["rewrite", str(d / "host.json"), "--rules",
+                        str(d / "rules.txt"), "--sig", str(d / "c.sig"),
+                        "--steps", "20"],
+            "evaluate": ["evaluate", str(d / "l.term"), "--lattice",
+                         str(d / "c.lattice"), "--inputs", "bot",
+                         "--steps", "200"]}[command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code in _PREFIX:
+        assert out.getvalue() == "" and len(lines) == 1
+        assert lines[0].startswith(_PREFIX[code])
+    else:
+        assert code in (0, 4)
+        assert all(line.startswith("step ") for line in lines[:-1])

@@ -11,7 +11,7 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, compose,
                     identity, interpret, parse_term, render_term, shuffle,
                     stack, tensor, trace, type_of, untangle, validate)
 from linhyp.extract import canonical_edge_order
-from linhyp.graphs import _SUPPLY, INTERFACE, LinearHypergraph, fresh_ids
+from linhyp.graphs import INTERFACE, LinearHypergraph, next_id
 from linhyp.laws import law_signature, random_term
 from oracles import check_coherence, random_graph, shuffle_by_insertion
 
@@ -37,7 +37,7 @@ def permutation_graph(perm, labels=None):
     """Edge-free graph whose i-th target wires to the perm(i)-th source;
     wire i carries the object ``labels[i]``, unlabelled by default."""
     n = len(perm)
-    ts, ss = fresh_ids(n), fresh_ids(n)
+    ts, ss = range(n), range(n, 2 * n)
     return LinearHypergraph(
         targets=tuple(ts), sources=tuple(ss), edges=(),
         left={v: INTERFACE for v in ts},
@@ -303,9 +303,11 @@ def test_composite_definability(rng):
 
 
 def _interpret_counting_ids(t, sig):
-    before = _SUPPLY.next
+    # interpret numbers its ids from 0 in the order it draws them, and
+    # the last id it draws here survives, so the ids drawn are the ids
+    # below next_id(G)
     G = interpret(t, sig)
-    return G, _SUPPLY.next - before
+    return G, next_id(G)
 
 
 def test_extract_wide_identity_needs_no_recursion():

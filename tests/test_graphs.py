@@ -9,12 +9,12 @@ from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
                     identity, interpret, is_homomorphism, isomorphic,
                     parse_term, rename, signature, smooth, validate)
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph,
-                           canonical_labelling, fresh_ids)
+                           canonical_labelling)
 from linhyp.laws import law_signature
 from linhyp.serialize import save_graph
 from oracles import (brute_force_isomorphism,
-                     canonical_labelling_by_port_search, random_graph,
-                     tables_from_scratch, to_simple, view_tables)
+                     canonical_labelling_by_port_search, id_source,
+                     random_graph, tables_from_scratch, to_simple, view_tables)
 
 SIG = law_signature()
 
@@ -25,8 +25,9 @@ graphs = st.builds(
 
 def fork_join_example():
     """The running two-edge example: fork and join wired through a crossing."""
-    v = fresh_ids(10)
-    e0, e1 = fresh_ids(2)
+    take = id_source()
+    v = take(10)
+    e0, e1 = take(2)
     return LinearHypergraph(
         targets=(v[0], v[1], v[2], v[3], v[4]),
         sources=(v[5], v[6], v[7], v[8], v[9]),
@@ -460,36 +461,6 @@ def test_saved_file_bytes_are_pinned(text, digest):
     # the canonical labelling or the file layout
     text = save_graph(interpret(parse_term(text, SIG), SIG))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_fresh_ids_stay_unique_across_threads():
-    """Threads drawing fresh ids while others reserve ids above them
-    never get the same id twice."""
-    import sys
-    import threading
-    from linhyp.graphs import reserve_ids
-    drawn = []
-
-    def draw():
-        drawn.append([i for _ in range(2000) for i in fresh_ids(3)])
-
-    def reserve():
-        for _ in range(2000):
-            reserve_ids([fresh_ids(1)[0] + 5])
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=f) for f in (draw, reserve) * 2]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(w.is_alive() for w in workers)
-    ids = [i for block in drawn for i in block]
-    assert len(ids) == len(set(ids)) == 2 * 2000 * 3
 
 
 def test_zero_arity_edges_everywhere():

@@ -9,10 +9,11 @@ import pytest
 
 from linhyp import (canonical, expand, freshen, interpret, isomorphic,
                     load_graph, normalize, parse_rules, parse_term, rename,
-                    save_graph, signature, to_dot, validate)
-from linhyp.graphs import LinearHypergraph, _report, _well_formed, fresh_ids
+                    save_graph, signature, tensor, to_dot, validate)
+from linhyp.graphs import LinearHypergraph, _report, _well_formed, next_id
 from linhyp.laws import law_signature
-from oracles import graph_from_dict_per_entry, graph_to_dict, random_graph
+from oracles import (graph_from_dict_per_entry, graph_to_dict, random_graph,
+                     to_dot_of_canonical)
 
 SIG = law_signature()
 GSIG = signature({"f": ("A", "B"), "g": ("B", "A"),
@@ -82,19 +83,19 @@ def test_save_raises_on_duplicate_edge_ids():
 
 
 def test_loaded_ids_stay_clear_of_fresh_ids():
-    """A file whose ids lie just above the fresh-id supply rewrites as it
-    does in memory: loading moves the supply past the file's ids."""
+    """A file whose ids lie just above the in-memory graph's rewrites as
+    that graph does: steps number new ids above the host's own."""
     sig = signature({"f": (1, 1)})
     rules = parse_rules("ff : f ; f => f", sig)
     H = interpret(parse_term("f ; f ; f ; f ; f ; f", sig), sig)
-    start = fresh_ids(1)[0] + 1
-    # edges first, so the first fresh ids would name live edges
+    start = next_id(H) + 1
+    # edges first, so ids counted from the file's least id would name
+    # live edges
     ids = list(H.edges) + list(H.targets) + list(H.sources)
     raw = rename(H, {x: start + i for i, x in enumerate(ids)})
     loaded = load_graph(save_graph(raw, canonicalize=False))
     assert loaded == raw
-    assert fresh_ids(1)[0] >= start + len(ids)
-    got = normalize(loaded, rules)  # first, while the supply is still low
+    got = normalize(loaded, rules)
     want = normalize(H, rules)
     assert len(got.steps) == len(want.steps) == 5
     assert validate(got.graph) == []
@@ -183,6 +184,45 @@ def test_dot_marks_identity_edges_grey():
     H = interpret(parse_term("f", SIG), SIG)
     grown = expand(H, H.targets[0])
     assert "diamond" in to_dot(grown)
+
+
+_LOOPS = [interpret(parse_term(t, SIG), SIG)
+          for t in ("tr 1 (f)", "tr 1 (f ; f) * tr 1 (f)",
+                    "tr 2 (h ; swap 1 1)", "tr 1 (g ; k) * f")]
+
+
+@st.composite
+def _drawn_graphs(draw) -> LinearHypergraph:
+    """Random graphs, some beside interface-free loops, some with an
+    identity edge, some with labelled wires."""
+    H = draw(graphs)
+    if draw(st.booleans()):
+        H = tensor(draw(st.sampled_from(_LOOPS)), H)
+    if H.targets and draw(st.booleans()):
+        H = expand(H, draw(st.sampled_from(H.targets)))
+    if draw(st.booleans()):
+        lab = draw(st.sampled_from(["A", "wire"]))
+        H = replace(H, vtlabels=dict.fromkeys(H.targets, lab),
+                    vslabels=dict.fromkeys(H.sources, lab))
+    return H
+
+
+@given(_drawn_graphs())
+@settings(max_examples=100, deadline=None)
+def test_dot_is_drawn_as_from_the_canonical_copy(H):
+    assert to_dot(H) == to_dot_of_canonical(H)
+
+
+@pytest.mark.parametrize("name", ["left", "conn", "vtlabels"])
+def test_key_of_more_digits_than_int_converts_is_a_bad_key(name):
+    H = interpret(parse_term("f * g ; h", GSIG), GSIG)
+    data = json.loads(save_graph(H))
+    table = data[name]
+    table["1" * 5000] = table.pop(next(iter(table)))
+    text = json.dumps(data)
+    want = (ValueError, f"not a graph file: {name}: a key is not an integer id")
+    assert _outcome(load_graph, text) == want
+    assert _outcome(_load_per_entry, text) == want
 
 
 # Files mutated from saved graphs: the bulk loader against the per-entry
