@@ -8,6 +8,7 @@ one edge side or the interface, so wires never split or merge.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -661,7 +662,9 @@ class PatternTables:
     stored order of their first edges, each as its edges in walk order
     from that first edge, and ``starts`` lists per component the labels
     it holds and its first edge of each: the edges its search may start
-    at.  ``bare_wires`` run from L's input interface straight to its
+    at.  ``repeats`` pairs each label that L holds more than once with
+    its count: a host with fewer edges of that label has no map.
+    ``bare_wires`` run from L's input interface straight to its
     output interface.  ``out_wires`` leave an edge for the output
     interface and ``in_wires`` enter an edge from the input interface:
     their loose ends are bound last when matching up to homeomorphism,
@@ -686,6 +689,8 @@ class PatternTables:
             for e in comp:
                 first.setdefault(L.labels[e], e)
             self.starts.append((tuple(first), tuple(first.values())))
+        self.repeats = tuple((lab, n) for lab, n in
+                             Counter(L.labels.values()).items() if n > 1)
         left, right, conn = L.left, L.right, L.conn
         self.bare_wires = [t for t in L.targets if left[t] is INTERFACE
                            and right[conn[t]] is INTERFACE]
@@ -719,7 +724,10 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     component's first edge, the component's completions are collected,
     each propagated once, and sorted by G's stored order
     (``G.edge_seq``) of the first edge's image before the search goes
-    on, which keeps the order above.
+    on, which keeps the order above.  A host with fewer edges of one
+    label than L has (``PatternTables.repeats``) is refused before any
+    search: no injective map exists, but the nested loops would try
+    every combination of images.
 
     The search takes G's tables to agree with each other, as every
     ``GraphView`` builds them and ``rewrite._Host`` keeps them: each
@@ -747,6 +755,8 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     """
     P = L.pattern
     get = G.by_label.get
+    if any(len(get(lab, ())) < n for lab, n in P.repeats):
+        return iter(())
     starts = []
     for labels, edges in P.starts:
         if len(edges) > 1:

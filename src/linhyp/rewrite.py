@@ -6,15 +6,18 @@ interface (pushout complement), and glues ``R`` back in (pushout).
 Rules whose interface legs would collapse a straight-through wire are
 saturated with identity edges first; matching such rules transparently
 expands the host on the wires the identity edges need.  Every step is
-made in place on a mutable copy of the host (``_Host``); the pushout
-constructions build the same graph and are kept as its reference.
+made in place on a mutable copy of the host (``_Host``), by one
+function compiled per rule from its plan (``_StepPlan``,
+``_compile_step``); the pushout constructions build the same graph and
+are kept as its reference.
 """
 from __future__ import annotations
 
-import itertools
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
@@ -29,6 +32,10 @@ from .terms import (ParseError, Signature, Term, TypeMismatch, _is_name,
 
 class RewriteError(Exception):
     pass
+
+
+_INCOHERENT = ("not boundary coherent: interface vertex {} is edge-attached"
+               " on both sides")
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,12 @@ class RewriteRule:
     def _step(self) -> _StepPlan:
         """What a DPO step of this rule does at any match."""
         return _StepPlan(self)
+
+    @cached_property
+    def _stepper(self) -> Callable[..., None]:
+        """That step compiled (:func:`_compile_step`), on the rule's first
+        step."""
+        return _compile_step(self._step)
 
 
 @dataclass(frozen=True)
@@ -345,9 +358,7 @@ def pushout(m: Homomorphism, n: Homomorphism
     ends += [(k, C.right[m.vmap_s[k]], R.right[n_s[k]]) for k in K.sources]
     for k, c_edge, r_edge in ends:
         if c_edge is not INTERFACE and r_edge is not INTERFACE:
-            raise RewriteError(
-                f"not boundary coherent: interface vertex {k} is"
-                " edge-attached on both sides")
+            raise RewriteError(_INCOHERENT.format(k))
 
     r_only_t = tuple(v for v in R.targets if v not in rep_t)
     r_only_s = tuple(v for v in R.sources if v not in rep_s)
@@ -445,18 +456,19 @@ class _StepPlan:
     that is not an embedding.  The other fields are set only when it is
     None.
 
-    A step gives R's elements their host ids in one list of slots,
-    ``img``: new host ids for R's new targets, new sources and edges, in
-    that order (``fresh`` of them), then the host images of ``keep_t``
-    and ``keep_s``, L's elements that K maps to, in K's order, then
-    INTERFACE, so slot -1 stands for it.
+    A step gives R's elements their host ids through numbered slots:
+    new host ids for R's new targets, new sources and edges, in that
+    order (``fresh`` of them), then the host images of ``keep_t`` and
+    ``keep_s``, L's elements that K maps to, in K's order; slot -1
+    stands for INTERFACE.
 
     - ``check_t`` and ``check_s`` pair a K vertex with its L vertex
       where that L vertex is on the interface and R's is attached: only
       there can the host be attached too, which boundary coherence
       forbids.
     - ``kill_t``, ``kill_s`` and ``kill_e`` are L's elements outside K's
-      image, which the step deletes.
+      image, which the step deletes; ``kill_e`` pairs each edge with
+      its label.
     - ``glue_t`` and ``glue_s`` give the slots of a kept vertex and of
       the edge R attaches it to (or -1), where L or R attaches it.
     - ``new_t``, ``new_s``, ``links`` and ``edges`` make R's new
@@ -479,13 +491,13 @@ class _StepPlan:
         kept_t, kept_s = set(self.keep_t), set(self.keep_s)
         self.kill_t = [v for v in L.targets if v not in kept_t]
         self.kill_s = [v for v in L.sources if v not in kept_s]
-        self.kill_e = list(L.edges)
+        self.kill_e = [(e, L.labels[e]) for e in L.edges]
 
         glued_t = {rl.vmap_t[k]: i for i, k in enumerate(K.targets)}
         glued_s = {rl.vmap_s[k]: i for i, k in enumerate(K.sources)}
         new_t = [v for v in R.targets if v not in glued_t]
         new_s = [v for v in R.sources if v not in glued_s]
-        slots = itertools.count()
+        slots = count()
         slot_t = {v: next(slots) for v in new_t}
         slot_s = {v: next(slots) for v in new_s}
         slot_e = {e: next(slots) for e in R.edges}
@@ -528,6 +540,101 @@ class _StepPlan:
         return check, glue
 
 
+def _compile_step(p: _StepPlan) -> Callable[..., None]:
+    """The step ``p`` plans, emitted as one straight-line Python
+    function ``step(H, vmap_t, vmap_s, emap)`` that rewrites the
+    :class:`_Host` H in place at a match.
+
+    Each slot is a local: the fresh ids come from one ``islice`` of
+    ``H.new_ids``, a kept vertex's from the match.  The boundary
+    coherence checks come first, so a refused step writes nothing.  The
+    deletes, glues and inserts follow, over the host's tables bound to
+    locals, writing each table in the order the plan gives: a killed
+    edge's ``by_label`` bucket is fetched once per label, as L gives it,
+    and dropped once empty; a fresh vertex of R enters ``targets`` or
+    ``sources`` with its edge, where a glued port is moved.  The step
+    smooths last, when an identity edge is left.  As in
+    :func:`~linhyp.graphs._compile_search`, the source holds only
+    keywords, local names, table names and port counts: ids, labels and
+    error texts are bound to it as constants, and it holds no reference
+    to the rule.
+    """
+    consts: dict = {islice: "islice", RewriteError: "RewriteError",
+                    IDENTITY_LABEL: "IDENTITY_LABEL"}  # bound, by value
+    body: list[str] = []
+
+    def const(c) -> str:
+        if c not in consts:
+            consts[c] = f"k{len(consts)}"
+        return consts[c]
+
+    def x(i: int) -> str:  # a slot's local
+        return f"x{i}" if i >= 0 else "None"
+
+    def word(slots: Sequence[int]) -> str:
+        return f"({''.join(x(j) + ', ' for j in slots)})"
+
+    for side, vmap, checks in (("left", "vmap_t", p.check_t),
+                               ("right", "vmap_s", p.check_s)):
+        body += [f"if {side}[{vmap}[{const(v)}]] is not None: raise"
+                 f" RewriteError({const(_INCOHERENT.format(k))})"
+                 for k, v in checks]
+    if p.fresh:
+        body.append(f"{word(range(p.fresh))} = islice(H.new_ids, {p.fresh})")
+    loads = len(body)  # where the kept slots the step uses are loaded
+    for v in p.kill_t:
+        body += [f"y = vmap_t[{const(v)}]", "del conn_inv[conn.pop(y)]",
+                 "del targets[y], left[y], vtlabels[y]"]
+    for v in p.kill_s:
+        body += [f"y = vmap_s[{const(v)}]",
+                 "del sources[y], right[y], vslabels[y]"]
+    killed: dict[str, list[int]] = {}
+    for e, lab in p.kill_e:
+        killed.setdefault(lab, []).append(e)
+    for lab, es in killed.items():
+        body.append(f"b = by_label[{const(lab)}]")
+        for e in es:
+            body += [f"y = emap[{const(e)}]",
+                     "del labels[y], tgts[y], srcs[y], edge_seq[y], b[y]"]
+        body.append(f"if not b: del by_label[{const(lab)}]")
+    body += [f"left[{x(i)}] = {x(j)}" for i, j in p.glue_t]
+    body += [f"right[{x(i)}] = {x(j)}" for i, j in p.glue_s]
+    for order, side, labs, new in (("targets", "left", "vtlabels", p.new_t),
+                                   ("sources", "right", "vslabels", p.new_s)):
+        for i, j, lab in new:
+            if j < 0:  # else it enters ``order`` with its edge
+                body.append(f"{order}[{x(i)}] = None")
+            body += [f"{side}[{x(i)}] = {x(j)}", f"{labs}[{x(i)}] = {const(lab)}"]
+    body += [f"conn[{x(i)}], conn_inv[{x(j)}] = {x(j)}, {x(i)}"
+             for i, j in p.links]
+    for i, lab, ts, ss in p.edges:
+        for order, ports in (("targets", ts), ("sources", ss)):
+            for j in ports:  # the edge's ports go last, in R's order
+                if j >= p.fresh:
+                    body.append(f"del {order}[{x(j)}]")
+                body.append(f"{order}[{x(j)}] = None")
+        body += [f"labels[{x(i)}] = {const(lab)}",
+                 f"tgts[{x(i)}], srcs[{x(i)}] = {word(ts)}, {word(ss)}",
+                 f"by_label.setdefault({const(lab)}, {{}})[{x(i)}] = None",
+                 f"edge_seq[{x(i)}] = next(tick)"]
+    body.append("if IDENTITY_LABEL in by_label: H.smooth()")
+    used = set(re.findall(r"\w+", "\n".join(body)))
+    keep = [("vmap_t", v) for v in p.keep_t] + [("vmap_s", v) for v in p.keep_s]
+    body[loads:loads] = [f"{x(i)} = {vmap}[{const(v)}]" for i, (vmap, v)
+                         in enumerate(keep, p.fresh) if x(i) in used]
+    tables = [t for t in ("targets", "sources", "labels", "left", "right",
+                          "conn", "conn_inv", "vtlabels", "vslabels", "tgts",
+                          "srcs", "by_label", "edge_seq", "tick") if t in used]
+    source = "\n".join(
+        [f"def _bind({', '.join(consts.values())}):",
+         "    def step(H, vmap_t, vmap_s, emap):",
+         f"        {', '.join(tables)} = H.{', H.'.join(tables)}"]
+        + ["        " + line for line in body] + ["    return step"])
+    scope: dict = {}
+    exec(compile(source, "<compiled step>", "exec"), scope)
+    return scope.pop("_bind")(*consts)
+
+
 class _Host(GraphView):
     """A host graph that DPO steps rewrite in place: the one step engine
     behind :func:`normalize`, :func:`normal_forms` and :func:`apply_rewrite`.
@@ -559,9 +666,9 @@ class _Host(GraphView):
         self.tgts, self.srcs = dict(v.tgts), dict(v.srcs)
         self.by_label = {lab: dict.fromkeys(es)
                          for lab, es in v.by_label.items()}
-        self.tick = itertools.count()
+        self.tick = count()
         self.edge_seq = {e: next(self.tick) for e in G.edges}
-        self.new_ids = itertools.count(next_id(G))
+        self.new_ids = count(next_id(G))
 
     def freeze(self) -> LinearHypergraph:
         return LinearHypergraph(
@@ -570,56 +677,23 @@ class _Host(GraphView):
             conn=self.conn, labels=self.labels, vtlabels=self.vtlabels,
             vslabels=self.vslabels)
 
-    # -- elements -----------------------------------------------------------
-
-    def _add_target(self, t: int, e: int | None, lab: str) -> None:
-        self.targets[t] = None
-        self.left[t] = e
-        self.vtlabels[t] = lab
-
-    def _add_source(self, s: int, e: int | None, lab: str) -> None:
-        self.sources[s] = None
-        self.right[s] = e
-        self.vslabels[s] = lab
-
-    def _add_edge(self, e: int, lab: str, tgts: tuple[int, ...],
-                  srcs: tuple[int, ...]) -> None:
-        self.labels[e] = lab
-        self.tgts[e] = tgts
-        self.srcs[e] = srcs
-        self.by_label.setdefault(lab, {})[e] = None
-        self.edge_seq[e] = next(self.tick)
-
-    def _link(self, t: int, s: int) -> None:
-        self.conn[t] = s
-        self.conn_inv[s] = t
-
-    def _drop_target(self, t: int) -> None:
-        del self.targets[t], self.left[t], self.vtlabels[t]
-
-    def _drop_source(self, s: int) -> None:
-        del self.sources[s], self.right[s], self.vslabels[s]
-
-    def _drop_edge(self, e: int) -> None:
-        lab = self.labels.pop(e)
-        del self.by_label[lab][e], self.tgts[e], self.srcs[e]
-        del self.edge_seq[e]
-        if not self.by_label[lab]:
-            del self.by_label[lab]
-
     # -- steps --------------------------------------------------------------
 
     def expand(self, w: int) -> tuple[int, int, int]:
         """Insert one identity edge on the wire leaving target ``w``, as
         :func:`~linhyp.graphs.expand` does; return its new target, source
         and edge."""
-        t, s, e = itertools.islice(self.new_ids, 3)
-        lab = self.vtlabels[w]
-        self._add_target(t, e, lab)
-        self._add_source(s, e, lab)
-        self._add_edge(e, IDENTITY_LABEL, (t,), (s,))
-        self._link(t, self.conn[w])
-        self._link(w, s)
+        t, s, e = islice(self.new_ids, 3)
+        self.targets[t] = self.sources[s] = None
+        self.left[t] = self.right[s] = e
+        self.vtlabels[t] = self.vslabels[s] = self.vtlabels[w]
+        self.labels[e] = IDENTITY_LABEL
+        self.tgts[e], self.srcs[e] = (t,), (s,)
+        self.by_label.setdefault(IDENTITY_LABEL, {})[e] = None
+        self.edge_seq[e] = next(self.tick)
+        self.conn[t] = after = self.conn[w]
+        self.conn_inv[after] = t
+        self.conn[w], self.conn_inv[s] = s, w
         return t, s, e
 
     def rewrite(self, rule: RewriteRule, vmap_t: dict[int, int],
@@ -631,70 +705,28 @@ class _Host(GraphView):
         their order, of :func:`pushout_complement`, :func:`pushout` and
         :func:`~linhyp.graphs.smooth` at that match.  The match must be
         an embedding, as :func:`~linhyp.graphs.embeddings` yields it and
-        :func:`apply_rewrite` checks it; the rule's part of the work is
-        ``rule._step``'s.
+        :func:`apply_rewrite` checks it.  A span the plan
+        (``rule._step``) refuses raises here; any other step is the
+        rule's compiled step (``rule._stepper``, :func:`_compile_step`).
         """
         p = rule._step
         if p.error is not None:
             raise RewriteError(p.error)
-        left, right = self.left, self.right
-        for k, v in p.check_t:
-            if left[vmap_t[v]] is not INTERFACE:
-                raise RewriteError(
-                    f"not boundary coherent: interface vertex {k} is"
-                    " edge-attached on both sides")
-        for k, v in p.check_s:
-            if right[vmap_s[v]] is not INTERFACE:
-                raise RewriteError(
-                    f"not boundary coherent: interface vertex {k} is"
-                    " edge-attached on both sides")
-
-        # the checks passed: change the host
-        img = list(itertools.islice(self.new_ids, p.fresh))
-        img += map(vmap_t.__getitem__, p.keep_t)
-        img += map(vmap_s.__getitem__, p.keep_s)
-        img.append(INTERFACE)
-        for t in map(vmap_t.__getitem__, p.kill_t):
-            del self.conn_inv[self.conn.pop(t)]
-            self._drop_target(t)
-        for s in map(vmap_s.__getitem__, p.kill_s):
-            self._drop_source(s)
-        for e in map(emap.__getitem__, p.kill_e):
-            self._drop_edge(e)
-        for i, j in p.glue_t:
-            left[img[i]] = img[j]
-        for i, j in p.glue_s:
-            right[img[i]] = img[j]
-        for i, j, lab in p.new_t:
-            self._add_target(img[i], img[j], lab)
-        for i, j, lab in p.new_s:
-            self._add_source(img[i], img[j], lab)
-        for i, j in p.links:
-            self._link(img[i], img[j])
-        targets, sources = self.targets, self.sources
-        for i, lab, ts, ss in p.edges:
-            ts = tuple([img[j] for j in ts])
-            ss = tuple([img[j] for j in ss])
-            for v in ts:  # the edge's ports go last, in R's order
-                targets[v] = targets.pop(v)
-            for v in ss:
-                sources[v] = sources.pop(v)
-            self._add_edge(img[i], lab, ts, ss)
-        self.smooth()
+        rule._stepper(self, vmap_t, vmap_s, emap)
 
     def smooth(self) -> None:
         """Remove every identity edge, splicing the wire through it, as
         :func:`~linhyp.graphs.smooth` does.  After the first step the
         only identity edges are those the last step made."""
-        for e in list(self.by_label.get(IDENTITY_LABEL, ())):
+        for e in self.by_label.pop(IDENTITY_LABEL, ()):
             (t,), (s,) = self.tgts[e], self.srcs[e]
             before = self.conn_inv.pop(s)
             after = self.conn.pop(t)
             if before != t:  # else a loop of this identity edge alone
-                self._link(before, after)
-            self._drop_target(t)
-            self._drop_source(s)
-            self._drop_edge(e)
+                self.conn[before], self.conn_inv[after] = after, before
+            del self.targets[t], self.left[t], self.vtlabels[t]
+            del self.sources[s], self.right[s], self.vslabels[s]
+            del self.labels[e], self.tgts[e], self.srcs[e], self.edge_seq[e]
 
 
 def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
@@ -748,7 +780,9 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     Returns the normal forms reached (deduplicated up to isomorphism)
     and whether the state bound cut the search short.  A state's
     successors are its steps at every match, in :func:`matchings` order,
-    each on a fresh :class:`_Host` copy of the state.
+    each on a fresh :class:`_Host` copy of the state.  As in
+    :func:`normalize`, a rule is not searched in a state that lacks one
+    of its edge labels.
     """
     rules = [r for r in rules if r.L.targets or r.L.edges]
     seen = {save_graph(G)}  # canonical files: one per isomorphism class
@@ -760,6 +794,8 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
         cur = frontier.popleft()
         succs = []
         for rule in rules:
+            if not cur.view.by_label.keys() >= rule.labels:
+                continue
             pattern, chains = rule._search
             for found in embeddings(pattern, cur.view, True):
                 host = _Host(cur)

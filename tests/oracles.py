@@ -18,6 +18,8 @@ quadratic wiring term that the library's merge sort replaced.
 with the library but build each DPO step from the paper's constructions,
 ``pushout_complement``, ``pushout`` and ``smooth``, which the library
 keeps as the reference for its one in-place step engine.
+``rewrite_by_plan`` is that engine's step interpreted from the rule's
+plan, which the library compiles instead.
 ``boundary_coherent`` and ``glue_simple`` state the gluing condition and
 glue in plain simple hypergraphs (``SimpleHypergraph``, ``to_simple``).
 ``tables_from_scratch`` derives a graph's port tables, port index and
@@ -59,8 +61,9 @@ from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
                            _walk, canonical, canonical_labelling, commutes,
                            expand, find_isomorphism, smooth)
 from linhyp.interp import interpret
-from linhyp.rewrite import (NormalizeResult, Step, find_matchings, normalize,
-                            pushout, pushout_complement)
+from linhyp.rewrite import (NormalizeResult, RewriteError, Step,
+                            find_matchings, normalize, pushout,
+                            pushout_complement)
 from linhyp.serialize import save_graph
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch, Word, as_word, type_of)
@@ -386,6 +389,63 @@ def apply_by_pushouts(G: LinearHypergraph, rule, match) -> LinearHypergraph:
     k_to_c, _ = pushout_complement(rule.left_leg, match.embedding)
     H, _, _ = pushout(k_to_c, rule.right_leg)
     return smooth(H)
+
+
+def rewrite_by_plan(host, rule, vmap_t: dict[int, int],
+                    vmap_s: dict[int, int], emap: dict[int, int]) -> None:
+    """``_Host.rewrite`` as a loop over ``rule._step``, the plan the
+    library compiles each rule's step from: one list of slots, one
+    element at a time, each killed edge's label read from the host."""
+    p = rule._step
+    if p.error is not None:
+        raise RewriteError(p.error)
+    left, right, conn, conn_inv = host.left, host.right, host.conn, host.conn_inv
+    targets, sources, by_label = host.targets, host.sources, host.by_label
+    for side, vmap, checks in ((left, vmap_t, p.check_t),
+                               (right, vmap_s, p.check_s)):
+        for k, v in checks:
+            if side[vmap[v]] is not INTERFACE:
+                raise RewriteError(
+                    f"not boundary coherent: interface vertex {k} is"
+                    " edge-attached on both sides")
+    # the checks passed: change the host
+    img = list(itertools.islice(host.new_ids, p.fresh))
+    img += map(vmap_t.__getitem__, p.keep_t)
+    img += map(vmap_s.__getitem__, p.keep_s)
+    img.append(INTERFACE)
+    for t in map(vmap_t.__getitem__, p.kill_t):
+        del conn_inv[conn.pop(t)]
+        del targets[t], left[t], host.vtlabels[t]
+    for s in map(vmap_s.__getitem__, p.kill_s):
+        del sources[s], right[s], host.vslabels[s]
+    for e in (emap[e] for e, _ in p.kill_e):
+        lab = host.labels.pop(e)
+        del by_label[lab][e], host.tgts[e], host.srcs[e], host.edge_seq[e]
+        if not by_label[lab]:
+            del by_label[lab]
+    for i, j in p.glue_t:
+        left[img[i]] = img[j]
+    for i, j in p.glue_s:
+        right[img[i]] = img[j]
+    for i, j, lab in p.new_t:
+        targets[img[i]], left[img[i]], host.vtlabels[img[i]] = None, img[j], lab
+    for i, j, lab in p.new_s:
+        sources[img[i]], right[img[i]], host.vslabels[img[i]] = (None, img[j],
+                                                                 lab)
+    for i, j in p.links:
+        conn[img[i]], conn_inv[img[j]] = img[j], img[i]
+    for i, lab, ts, ss in p.edges:
+        ts = tuple([img[j] for j in ts])
+        ss = tuple([img[j] for j in ss])
+        for v in ts:  # the edge's ports go last, in R's order
+            targets[v] = targets.pop(v)
+        for v in ss:
+            sources[v] = sources.pop(v)
+        e = img[i]
+        host.labels[e], host.tgts[e], host.srcs[e] = lab, ts, ss
+        by_label.setdefault(lab, {})[e] = None
+        host.edge_seq[e] = next(host.tick)
+    host.smooth()
 
 
 def normal_forms_by_pushouts(G: LinearHypergraph, rules,

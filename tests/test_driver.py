@@ -4,8 +4,11 @@
 labels the host lacks and rewrites one mutable copy of the host in
 place; `normalize_by_enumeration` lists every match of each rule and
 builds each step's graph with the pure pushout constructions.  Both must
-take the same steps to the same normal form.
+take the same steps to the same normal form.  Each step the driver
+makes with a rule's compiled step must also leave the host's tables as
+`rewrite_by_plan`, the rule's plan interpreted, leaves them.
 """
+import itertools
 import random
 
 import pytest
@@ -18,7 +21,8 @@ from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
                            validate)
 from linhyp.laws import random_term
 from linhyp.terms import signature, tensor_all
-from oracles import embeds, normalize_by_enumeration
+from oracles import (embeds, normal_forms_by_pushouts,
+                     normalize_by_enumeration, rewrite_by_plan)
 from test_circuits import belnap_sig, two_point_sig
 
 RSIG = signature({"f": (1, 1), "p": (1, 1), "c": (1, 2), "d": (1, 2),
@@ -289,6 +293,73 @@ def test_every_match_the_driver_applies_is_an_embedding(monkeypatch):
     assert len(applied) > 500
 
 
+# the tables of a rewrite._Host beside ``by_label``, whose buckets are
+# dicts too
+HOST_TABLES = ("targets", "sources", "labels", "left", "right", "conn",
+               "conn_inv", "vtlabels", "vslabels", "tgts", "srcs", "edge_seq")
+
+
+def _counters(H):
+    """The next fresh id and edge number of a host, left to come."""
+    n, t = next(H.new_ids), next(H.tick)
+    H.new_ids, H.tick = itertools.count(n), itertools.count(t)
+    return n, t
+
+
+def host_tables(H):
+    """Every table of a host as lists in insertion order, and its
+    counters."""
+    return ([list(getattr(H, name).items()) for name in HOST_TABLES]
+            + [[(lab, list(es)) for lab, es in H.by_label.items()],
+               _counters(H)])
+
+
+def _host_copy(H):
+    twin = rewrite._Host.__new__(rewrite._Host)
+    for name in HOST_TABLES:
+        setattr(twin, name, dict(getattr(H, name)))
+    twin.by_label = {lab: dict(es) for lab, es in H.by_label.items()}
+    n, t = _counters(H)
+    twin.new_ids, twin.tick = itertools.count(n), itertools.count(t)
+    return twin
+
+
+def test_compiled_steps_agree_with_the_plan_interpreted(monkeypatch):
+    """Every step of the driver's runs on the rewrite hosts, the loop
+    hosts (whose matches split host wires), circuits under both lattices
+    and the ``glue`` rule is replayed on a copy of its host by
+    :func:`rewrite_by_plan`: every table ends the same, in insertion
+    order, and so do the next fresh id and edge number."""
+    replayed = []
+    real = rewrite._Host.rewrite
+
+    def both(self, rule, vmap_t, vmap_s, emap):
+        twin = _host_copy(self)
+        rewrite_by_plan(twin, rule, vmap_t, vmap_s, emap)
+        real(self, rule, vmap_t, vmap_s, emap)
+        assert host_tables(self) == host_tables(twin)
+        replayed.append(rule.name)
+
+    splits = _counting_expand(monkeypatch)
+    monkeypatch.setattr(rewrite._Host, "rewrite", both)
+    rng = random.Random(5)
+    for _ in range(40):
+        normalize(_host(rng), RULES)
+    for _ in range(8):
+        normalize(_loops(rng, rng.randint(8, 12)), RULES)
+    for csig in (two_point_sig(), belnap_sig()):
+        for G in _circuits(csig, rng, 20):
+            normalize(G, eval_rules(csig), max_steps=40)
+    glue = parse_rules("glue : f ; c => c ; p * id 1\n", RSIG)
+    G = interpret(_chain([Gen("f"), Gen("c"), Tensor(Gen("f"), Gen("p")),
+                          Tensor(Gen("c"), Gen("c"))]), RSIG)
+    normalize(G, glue + RULES)
+    names = {r.name for r in RULES}
+    assert names | {"glue"} <= set(replayed)
+    assert len(set(replayed) - names) >= 10 and len(replayed) > 500
+    assert splits
+
+
 def test_normalize_cost_per_step_builds_no_graph(monkeypatch):
     """A step changes the host in place: a run builds port tables and
     graphs a fixed number of times, whatever the length of the chain."""
@@ -355,11 +426,16 @@ def test_rules_whose_labels_the_host_lacks_are_not_searched(monkeypatch):
     rng = random.Random(7)
     hosts = [_host(rng) for _ in range(10)]
     expected = [normalize_by_enumeration(G, RULES) for G in hosts]
-    searched = []
+    expected_nfs = []
+    for G in hosts:
+        nfs, exhausted = normal_forms_by_pushouts(G, RULES, max_states=50)
+        expected_nfs.append((list(map(save_graph, nfs)), exhausted))
+    searched, views = [], []
     real = rewrite.embeddings
 
     def recording(L, G, up_to_homeo=False):
         searched.append((L, set(G.labels.values())))
+        views.append(G)
         return real(L, G, up_to_homeo)
 
     monkeypatch.setattr(rewrite, "embeddings", recording)
@@ -375,3 +451,15 @@ def test_rules_whose_labels_the_host_lacks_are_not_searched(monkeypatch):
     hh = RULES[0].L
     assert sum(L is hh for L, _ in searched) < sum(
         len(r.steps) + 1 for r in got)
+
+    # `normal_forms` skips them too, in every state, and finds what
+    # listing every rule's matches finds
+    searched.clear()
+    views.clear()
+    for G, want in zip(hosts, expected_nfs):
+        nfs, exhausted = normal_forms(G, RULES, max_states=50)
+        assert (list(map(save_graph, nfs)), exhausted) == want
+    for L, present in searched:
+        assert set(L.labels.values()) - {IDENTITY_LABEL} <= present
+    states = len({id(G) for G in views})  # views keeps each one alive
+    assert 0 < sum(L is hh for L, _ in searched) < states

@@ -1,5 +1,11 @@
 import dataclasses
+import gc
+import io
 import random
+import re
+import time
+import tokenize
+import weakref
 
 import pytest
 
@@ -12,14 +18,17 @@ from linhyp import (Gen, Homomorphism, Id, Matching, ParseError, Seq, Swap,
 from linhyp.circuits import eval_rules
 from linhyp.graphs import IDENTITY_LABEL
 from linhyp.laws import law_signature, random_term
-from linhyp.terms import signature, type_of
+from linhyp.terms import signature, tensor_all, type_of
 from oracles import (apply_by_pushouts, boundary_coherent,
                      brute_force_complements, brute_force_matchings,
                      glue_simple, normal_forms_by_pushouts,
                      normalize_by_enumeration, random_graph,
                      tables_from_scratch, trace_mono, view_tables)
+from linhyp import rewrite
 from test_circuits import belnap_sig, two_point_sig
-from test_driver import RULES, _circuits, _host, _numbered
+from test_driver import (RSIG, RULE_TEXT, RULES, _circuits, _host, _numbered,
+                         host_tables)
+from test_embeddings import ODD_SIG, TABLES, _odd_chain
 
 SIG = law_signature()
 CSIG = signature({"join": (2, 1), "f": (1, 1), "copy": (1, 2)})
@@ -693,8 +702,6 @@ def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
     graph :func:`apply_rewrite` returns, has in its view the port
     tables, port index and ``conn`` inverse an edge-by-edge derivation
     gives."""
-    from linhyp import rewrite
-
     checked = []
     real = rewrite._Host.rewrite
 
@@ -717,3 +724,138 @@ def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
             for m in find_matchings(rule.L, G, up_to_homeo=True):
                 H = apply_rewrite(G, rule, m)
                 assert view_tables(H) == tables_from_scratch(H)
+
+
+# ---------------------------------------------------------------------------
+# The compiled step
+# ---------------------------------------------------------------------------
+
+# the only names a compiled step's source may hold: its keywords, its
+# locals, the host tables and counters it reads and its constants
+STEP_NAMES = re.compile(
+    r"(def|return|if|is|not|None|raise|del|in|_bind|step|H|vmap_t|vmap_s"
+    r"|emap|islice|RewriteError|IDENTITY_LABEL|next|pop|setdefault|smooth"
+    r"|new_ids|tick|sources|x\d+|k\d+|y|b"
+    rf"|{TABLES})")
+
+
+def _compiling(monkeypatch):
+    """Keep the source of every step compiled from here on."""
+    sources = []
+    real = compile
+
+    def keeping(source, *args):
+        sources.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(rewrite, "compile", keeping, raising=False)
+    return sources
+
+
+def test_compiled_steps_hold_no_label_text(monkeypatch):
+    """A rule whose labels would break generated source if pasted into
+    it steps as the list search steps, and its step's source holds no
+    string and no name but its own, its labels being bound."""
+    sources = _compiling(monkeypatch)
+    side = Tensor(_odd_chain('a"b', "\\", "}\n{", "ünï€ß"),
+                  _odd_chain("x0", "x0"))
+    rule = rule_from_terms(side, Tensor(Gen("splits"), Gen("G")), ODD_SIG,
+                           "odd")
+    G = interpret(tensor_all([side, _odd_chain("x0", "G"), side]), ODD_SIG)
+    res = normalize(G, [rule])
+    want = normalize_by_enumeration(G, [rule])
+    assert [s.rule for s in res.steps] == ["odd"] * 2
+    assert _numbered(res.graph) == _numbered(want.graph)
+    assert len(sources) == 1
+    (source,) = sources
+    assert source.isascii()
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    assert not [t for t in tokens if t.type == tokenize.STRING]
+    assert all(STEP_NAMES.fullmatch(t.string)
+               for t in tokens if t.type == tokenize.NAME)
+    step = rule._stepper
+    assert not [c for c in step.__code__.co_consts if isinstance(c, str)]
+    bound = {cell.cell_contents for cell in step.__closure__}
+    assert bound >= set(rule.L.labels.values()) | set(rule.R.labels.values())
+
+
+def test_steps_compile_once_per_rule(monkeypatch):
+    """Over ``normalize``, ``normal_forms`` and ``apply_rewrite`` runs,
+    which step many times with each rule, no rule's step is compiled
+    twice."""
+    compiled = []
+    real = rewrite._compile_step
+
+    def counting(plan):
+        compiled.append(plan)  # keeps each id(plan) unique
+        return real(plan)
+
+    monkeypatch.setattr(rewrite, "_compile_step", counting)
+    rules = parse_rules(RULE_TEXT, RSIG)
+    rng = random.Random(3)
+    hosts = [_host(rng) for _ in range(6)]
+    steps = 0
+    for G in hosts:
+        steps += len(normalize(G, rules).steps)
+        normal_forms(G, rules, max_states=12)
+        for rule in rules:
+            for m in find_matchings(rule.L, G, up_to_homeo=True):
+                apply_rewrite(G, rule, m)
+    assert steps > len(rules) and compiled
+    assert len({id(plan) for plan in compiled}) == len(compiled) <= len(rules)
+
+
+def test_a_rule_with_a_compiled_step_is_freed_without_the_collector():
+    """The step a rule caches holds no reference back to it."""
+    rules = parse_rules(RULE_TEXT, RSIG)
+    res = normalize(interpret(parse_term("f ; f ; f", RSIG), RSIG), rules)
+    assert [s.rule for s in res.steps] == ["ff", "ff"]
+    gc.disable()
+    try:
+        rule = next(r for r in rules if r.name == "ff")
+        assert "_stepper" in vars(rule)
+        ref = weakref.ref(rule)
+        del rule, rules
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("host", ["copy ; f * id 1", "f ; f"],
+                         ids=["target", "source"])
+def test_a_step_refused_for_boundary_coherence_writes_nothing(host):
+    """The compiled step checks boundary coherence before its first
+    write: a refused step leaves every table of the host, and its
+    counters, as they were."""
+    rule = _incoherent_glue()
+    assert rule._step.error is None
+    G = interpret(parse_term(host, CSIG), CSIG)
+    match = find_matchings(rule.L, G, up_to_homeo=True)[0]
+    m = match.embedding
+    H = rewrite._Host(match.host)
+    before = host_tables(H)
+    with pytest.raises(RewriteError, match="not boundary coherent"):
+        H.rewrite(rule, m.vmap_t, m.vmap_s, m.emap)
+    assert "_stepper" in vars(rule)
+    assert host_tables(H) == before
+
+
+def test_impossible_label_counts_are_refused_at_once():
+    """``f`` tensored k times has no match in k - 1 ``f`` in tensor.  The
+    nested search would try every combination of images (about eight
+    times longer per k; 126 ms at k = 9); counting L's labels refuses
+    it before any search, through ``normalize``, ``find_matchings`` and
+    ``normal_forms``."""
+    k = 12
+    sig = signature({"f": (1, 1)})
+    rule = rule_from_terms(tensor_all([Gen("f")] * k), Id(k), sig, "drop")
+    assert rule.L.pattern.repeats == (("f", k),)
+    G = interpret(tensor_all([Gen("f")] * (k - 1)), sig)
+    start = time.perf_counter()
+    res = normalize(G, [rule])
+    assert res.steps == [] and not res.exhausted
+    assert find_matchings(rule.L, G) == []
+    assert find_matchings(rule.L, G, up_to_homeo=True) == []
+    nfs, exhausted = normal_forms(G, [rule])
+    assert nfs == [G] and not exhausted
+    assert time.perf_counter() - start < 1
