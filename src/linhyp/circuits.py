@@ -15,7 +15,7 @@ from functools import cached_property
 from .graphs import (INTERFACE, LinearHypergraph, canonical_labelling,
                      next_id)
 from .interp import interpret
-from .rewrite import RewriteRule, normalize, rule_from_terms
+from .rewrite import RewriteRule, RuleSet, normalize, rule_from_terms
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, signature,
                     tensor_all)
 
@@ -148,11 +148,11 @@ class CircuitSignature:
         return signature(gens)
 
     @cached_property
-    def _eval_rules(self) -> tuple[RewriteRule, ...]:
+    def _eval_rules(self) -> RuleSet:
         # compiled on first use, not at parse time: a parsed signature
         # that never evaluates pays nothing
-        return tuple(_circuit_rules(self, axioms=False)
-                     + _cartesian_rules(self, units=False))
+        return RuleSet(_circuit_rules(self, axioms=False)
+                       + _cartesian_rules(self, units=False))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def _circuit_rules(csig: CircuitSignature,
     return rules
 
 
-def eval_rules(csig: CircuitSignature) -> tuple[RewriteRule, ...]:
+def eval_rules(csig: CircuitSignature) -> RuleSet:
     """The value-pushing subset used by the evaluator, ordered so value
     reduction always wins over structural rules.
 
@@ -310,7 +310,7 @@ def eval_rules(csig: CircuitSignature) -> tuple[RewriteRule, ...]:
     equalities, not reduction steps, so they stay out; rules with an
     empty left side match vacuously and stay out too.  Neither is
     compiled.  The rules are compiled on the first call for ``csig`` and
-    kept on it, so later calls return the same tuple.
+    kept on it as one :class:`~linhyp.rewrite.RuleSet`, a tuple.
     """
     return csig._eval_rules
 
@@ -447,12 +447,16 @@ def evaluate(circuit: Term | LinearHypergraph,
                 **{so: H.vtlabels[t] for t, so in zip(cut, cut_outs)}}
     read = cut_outs + list(outs)
     rules = eval_rules(csig)
+    new = in_edges + cut_edges  # the open graph's tables, built once
+    tables = ({**{e: (v,) for e, v in zip(new, [*ins, *cut_tgts])},
+               **H.view.tgts}, {**dict.fromkeys(new, ()), **H.view.srcs},
+              dict(zip(conn.values(), conn)))
 
     w = (csig.lattice.bottom,) * k
     for _ in range(max_unfoldings):
         G = LinearHypergraph(targets, sources, edges, left, right, conn,
                              {**labels, **dict(zip(cut_edges, w))},
-                             vtlabels, vslabels)
+                             vtlabels, vslabels).with_tables(*tables)
         result = normalize(G, rules, max_steps=max_steps)
         if result.exhausted:
             return UNPRODUCTIVE

@@ -119,7 +119,10 @@ def cmd_evaluate(args) -> int:
     csig = parse_circuit_signature(_read(args.lattice))
     sig = csig.signature()
     term = parse_term(_read(args.term_file).strip(), sig)
-    inputs = tuple(v for v in args.inputs.split(",") if v) if args.inputs else ()
+    inputs = tuple(args.inputs.split(",")) if args.inputs else ()
+    if "" in inputs:
+        raise ValueError(f"--inputs: empty value at position"
+                         f" {inputs.index('') + 1}")
     out = evaluate(term, inputs, csig, max_steps=args.steps)
     if out is UNPRODUCTIVE:
         print("UNPRODUCTIVE")

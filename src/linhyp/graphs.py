@@ -30,19 +30,20 @@ class GraphView:
     its edge's port tuple, the inverse of ``conn``, the edges by label
     and each edge's stored position (``edge_seq``, a number that grows
     along the stored order).  Iterating ``targets`` and each
-    ``by_label`` entry gives them in stored order.  The port index, the
-    label index and ``edge_seq`` are built on first use.  The view holds
-    no reference to the graph, which caches it: a cycle would keep every
-    graph alive until the cyclic collector runs.
+    ``by_label`` entry gives them in stored order.  The port tables and
+    ``conn`` inverse are derived or handed over (``with_tables``); the
+    port index, the label index and ``edge_seq`` are built on first use.
+    The view holds no reference to the graph, which caches it: a cycle
+    would keep every graph alive until the cyclic collector runs.
     """
 
-    def __init__(self, H: LinearHypergraph) -> None:
+    def __init__(self, H: LinearHypergraph, tables=None) -> None:
         self.targets, self._edges = H.targets, H.edges
         self.left, self.right, self.conn = H.left, H.right, H.conn
         self.labels, self.vtlabels, self.vslabels = (H.labels, H.vtlabels,
                                                      H.vslabels)
-        self.tgts, self.srcs = H.port_tables()
-        self.conn_inv = H.conn_inv()
+        self.tgts, self.srcs, self.conn_inv = (
+            (*H.port_tables(), H.conn_inv()) if tables is None else tables)
 
     @cached_property
     def port_index(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -118,8 +119,14 @@ class LinearHypergraph:
 
     @cached_property
     def view(self) -> GraphView:
-        """The graph's tables for matching, built once."""
+        """The graph's tables for matching, built once or handed over."""
         return GraphView(self)
+
+    def with_tables(self, tgts, srcs, conn_inv) -> LinearHypergraph:
+        """The graph, its view made of tables its maker holds: those
+        ``GraphView`` derives, in its order (``conn_inv`` in any)."""
+        self.__dict__["view"] = GraphView(self, (tgts, srcs, conn_inv))
+        return self
 
     @cached_property
     def labelling(self) -> Labelling:

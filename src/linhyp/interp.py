@@ -19,8 +19,9 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     and trace map to the corresponding graph operations.  Built in one
     iterative post-order pass, so the term may be arbitrarily deep.
     Identities and swaps allocate nothing: each is a permutation
-    ``(dom, cod, src)`` whose output ``j`` carries input ``src[j]``, and
-    composition and tensor of two permutations compose them as lists.
+    ``(dom, cod, src, off)`` whose output ``j`` carries input
+    ``src[j] + off``; composition composes two as lists, and tensor
+    joins the shorter into the longer (or copies both under 64 wires).
     Each maximal run of identities and swaps thus becomes one permutation,
     which gets two ids per wire only when something needs vertices: a
     generator, a trace, a composition or tensor with a built graph, or
@@ -32,7 +33,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     constant is that of the graph built: each generator's shape is looked
     up once per call, and each port or spliced wire costs only the
     dictionary writes of its entries, with no helper call per generator
-    or wire.  Ids are numbered from 0 in the order they are drawn.
+    or wire.  Ids are numbered from 0 in the order they are drawn, and
+    the edges' port tuples recorded then are handed to the graph's view.
     The stored orders match the fold of :mod:`linhyp.ops` combinators:
     leaf vertices and edges in left-to-right leaf order, minus the
     spliced ones.  Dispatch is on the exact node class, as in
@@ -46,16 +48,18 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     conn_inv: dict[int, int] = {}
     edges: list[int] = []
     labels: dict[int, str] = {}
+    tgts, srcs = {}, {}            # each edge's port tuples, as drawn
     shapes: dict[str, tuple] = {}  # generator -> (dom + cod, m, m + n)
 
     def cat(a: Ends, b: Ends) -> Ends:
-        """``a`` then ``b``, copying the shorter one into the longer; a
-        list that takes a shorter one in front becomes a deque, so a
-        right-nested tensor shifts nothing."""
+        """``a`` then ``b``, copying the shorter one into the longer, a
+        tuple as a list; a list that takes a shorter one in front
+        becomes a deque, so a right-nested tensor shifts nothing."""
         if len(a) >= len(b):
+            a = list(a) if type(a) is tuple else a
             a.extend(b)
             return a
-        if type(b) is list:
+        if type(b) is not deque:
             b = deque(b)
         b.extendleft(reversed(a))
         return b
@@ -74,24 +78,23 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
 
     def materialise() -> None:
         """Give the pending permutations vertices, in stack order: wire
-        ``j`` joins target ``ids[src[j]]`` to source ``ids[k + j]``."""
+        ``j`` joins target ``ids[src[j] + off]`` to source ``ids[k + j]``."""
         nonlocal pending
         for p in range(len(values) - pending, len(values)):
-            dom, cod, src = values[p]
+            dom, cod, src, off = values[p]
             k = len(dom)
             ids = list(islice(new_ids, 2 * k))
-            for j in range(k):
-                v, s = ids[src[j]], ids[k + j]
-                targets[ids[j]] = dom[j]
-                sources[s] = cod[j]
+            for j, (a, b, x) in enumerate(zip(dom, cod, src)):
+                v, s = ids[x + off], ids[k + j]
+                targets[ids[j]], sources[s] = a, b
                 conn[v] = s
                 conn_inv[s] = v
             values[p] = (ids[:k], ids[k:])
         pending = 0
 
     # interfaces of finished subterms: (input targets, output sources), or
-    # for the last ``pending`` ones a permutation (dom, cod, src) whose
-    # output j carries input src[j]
+    # for the last ``pending`` ones a permutation (dom, cod, src, off)
+    # whose output j carries input src[j] + off
     values: list = []
     pending = 0
     new_ids = count()
@@ -126,12 +129,13 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                     left[v] = e
             edges.append(e)
             labels[e] = u.name
+            tgts[e], srcs[e] = tuple(ids[m:k]), tuple(ids[k:k + m])
             values.append((ids[:m], ids[k + m:-1]))
         elif kind is Id or kind is Swap:
             a, b = (u.word, ()) if kind is Id else (u.upper, u.lower)
             # the a-block leaves below the b-block
             values.append((a + b, b + a, [*range(len(a), len(a) + len(b)),
-                                          *range(len(a))]))
+                                          *range(len(a))], 0))
             pending += 1
         elif kind is not Seq and kind is not Tensor and kind is not Trace:
             raise TypeMismatch(f"not a term: {u!r}", u)
@@ -144,17 +148,25 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             else:
                 todo += [(u.bottom, False), (u.top, False)]
         elif pending >= 2 and kind is not Trace:  # both operands pending
-            (f_dom, f_cod, f_src), (g_dom, g_cod, g_src) = \
+            (f_dom, f_cod, f_src, f_off), (g_dom, g_cod, g_src, g_off) = \
                 values[-2], values.pop()
             pending -= 1
-            if kind is Tensor:
-                k = len(f_dom)
+            if kind is Tensor and (k := len(f_dom)) + len(g_dom) < 64:
                 values[-1] = (f_dom + g_dom, f_cod + g_cod,
-                              f_src + [k + j for j in g_src])
-                continue
-            if f_cod != g_dom:
+                              f_src + [k + j for j in g_src], 0)
+            elif kind is Tensor:
+                # g's inputs follow f's k: the shorter joins the longer,
+                # and only its src entries are shifted, to the longer's off
+                off = f_off if k >= len(g_dom) else g_off + k
+                src = (cat(f_src, [j + g_off + k - off for j in g_src])
+                       if k >= len(g_dom) else
+                       cat([j + f_off - off for j in f_src], g_src))
+                values[-1] = (cat(f_dom, g_dom), cat(f_cod, g_cod), src, off)
+            elif tuple(f_cod) != tuple(g_dom):
                 raise mismatch(f_cod, g_dom, u)
-            values[-1] = (f_dom, g_cod, [f_src[j] for j in g_src])
+            else:
+                f_src = list(f_src) if type(f_src) is deque else f_src
+                values[-1] = (f_dom, g_cod, [f_src[j + g_off] for j in g_src], f_off)
         else:
             if pending:
                 materialise()
@@ -192,7 +204,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     if pending:
         materialise()
     # fresh dicts: the working ones keep the capacity of their peak size
-    return LinearHypergraph(
+    H = LinearHypergraph(
         targets=tuple(targets),
         sources=tuple(sources),
         edges=tuple(edges),
@@ -203,6 +215,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
         vtlabels=dict(targets),
         vslabels=dict(sources),
     )
+    return H.with_tables(tgts, srcs, dict(zip(H.conn.values(), H.conn)))
 
 
 def equal_mod_stmc(s: Term, t: Term, sig: Signature) -> bool:

@@ -70,6 +70,25 @@ class RewriteRule:
         return _compile_step(self._step)
 
 
+class RuleSet(tuple):
+    """Rules in their order of priority, and a label index that fills as
+    hosts ask it; it holds only the rules, so it goes with them."""
+
+    def __init__(self, rules: Sequence[RewriteRule] = ()) -> None:
+        self._by_labels: dict[frozenset[str], tuple[RewriteRule, ...]] = {}
+
+    def for_labels(self, labels: dict[str, object]) -> tuple[RewriteRule, ...]:
+        """In order, the rules whose labels are all keys of ``labels`` (a
+        host's ``by_label``), less any empty left side: it matches forever."""
+        key = frozenset(labels)
+        rules = self._by_labels.get(key)
+        if rules is None:
+            rules = self._by_labels[key] = tuple(
+                r for r in self
+                if r.labels <= key and (r.L.targets or r.L.edges))
+        return rules
+
+
 @dataclass(frozen=True)
 class Matching:
     """An embedding of a rule's left side into a host graph.
@@ -672,10 +691,9 @@ class _Host(GraphView):
 
     def freeze(self) -> LinearHypergraph:
         return LinearHypergraph(
-            targets=tuple(self.targets), sources=tuple(self.sources),
-            edges=tuple(self.labels), left=self.left, right=self.right,
-            conn=self.conn, labels=self.labels, vtlabels=self.vtlabels,
-            vslabels=self.vslabels)
+            tuple(self.targets), tuple(self.sources), tuple(self.labels),
+            self.left, self.right, self.conn, self.labels, self.vtlabels,
+            self.vslabels).with_tables(self.tgts, self.srcs, self.conn_inv)
 
     # -- steps --------------------------------------------------------------
 
@@ -736,8 +754,8 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     Each step takes the first rule's first match under the canonical
     order, so runs are reproducible; :func:`normal_forms` explores every
     match order instead.  Matches are drawn lazily, so a step searches
-    no further than its first match, and a rule is not searched at all
-    while the host lacks one of its edge labels.  The search for each
+    no further than its first match, and a :class:`RuleSet` label index
+    skips each rule whose labels the host lacks.  The search for each
     component of a left side starts at its edge whose label is rarest in
     the host, which leaves the order of matches unchanged (see
     :func:`~linhyp.graphs.embeddings`).  The host is copied once and each
@@ -749,18 +767,15 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     still matches; a run that reaches its normal form on the last step
     allowed is not exhausted.
     """
-    # a rule whose left side is the empty graph matches everywhere and
-    # rewrites nothing; the driver would never terminate on it
-    rules = [r for r in rules if r.L.targets or r.L.edges]
+    rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     host = _Host(G)
     steps: list[Step] = []
     while True:
-        for rule in rules:
-            if host.by_label.keys() >= rule.labels:
-                pattern, chains = rule._search
-                found = next(embeddings(pattern, host, True), None)
-                if found is not None:
-                    break
+        for rule in rules.for_labels(host.by_label):
+            pattern, chains = rule._search
+            found = next(embeddings(pattern, host, True), None)
+            if found is not None:
+                break
         else:
             return NormalizeResult(host.freeze() if steps else G, steps)
         if len(steps) >= max_steps:
@@ -781,10 +796,10 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     and whether the state bound cut the search short.  A state's
     successors are its steps at every match, in :func:`matchings` order,
     each on a fresh :class:`_Host` copy of the state.  As in
-    :func:`normalize`, a rule is not searched in a state that lacks one
-    of its edge labels.
+    :func:`normalize`, the label index skips each rule whose edge labels
+    a state lacks.
     """
-    rules = [r for r in rules if r.L.targets or r.L.edges]
+    rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
     seen = {save_graph(G)}  # canonical files: one per isomorphism class
     frontier = deque([G])
     nfs: list[LinearHypergraph] = []
@@ -793,9 +808,7 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     while frontier:
         cur = frontier.popleft()
         succs = []
-        for rule in rules:
-            if not cur.view.by_label.keys() >= rule.labels:
-                continue
+        for rule in rules.for_labels(cur.view.by_label):
             pattern, chains = rule._search
             for found in embeddings(pattern, cur.view, True):
                 host = _Host(cur)

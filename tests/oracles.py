@@ -19,11 +19,16 @@ with the library but build each DPO step from the paper's constructions,
 ``pushout_complement``, ``pushout`` and ``smooth``, which the library
 keeps as the reference for its one in-place step engine.
 ``rewrite_by_plan`` is that engine's step interpreted from the rule's
-plan, which the library compiles instead.
+plan, which the library compiles instead.  ``normalize_by_scan`` and
+``normal_forms_by_scan`` choose each step's rules by testing every
+rule's labels against the host, where the library asks its rule set's
+label index.
 ``boundary_coherent`` and ``glue_simple`` state the gluing condition and
 glue in plain simple hypergraphs (``SimpleHypergraph``, ``to_simple``).
 ``tables_from_scratch`` derives a graph's port tables, port index and
-``conn`` inverse edge by edge, for ``GraphView`` to be checked against.
+``conn`` inverse edge by edge, for ``GraphView`` to be checked against,
+and ``tables_in_order`` lists a view's tables, for the tables handed to
+a view to be checked against ``GraphView``'s own.
 ``graph_to_dict`` and ``graph_from_dict_per_entry`` encode and decode a
 graph file entry by entry, for the bulk writer and loader of
 ``linhyp.serialize`` to be checked against, and ``to_dot_of_canonical``
@@ -61,9 +66,9 @@ from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
                            _walk, canonical, canonical_labelling, commutes,
                            expand, find_isomorphism, smooth)
 from linhyp.interp import interpret
-from linhyp.rewrite import (NormalizeResult, RewriteError, Step,
-                            find_matchings, normalize, pushout,
-                            pushout_complement)
+from linhyp.rewrite import (NormalizeResult, RewriteError, Step, _complete,
+                            _Host, embeddings, find_matchings, normalize,
+                            pushout, pushout_complement)
 from linhyp.serialize import save_graph
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch, Word, as_word, type_of)
@@ -384,6 +389,68 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
         steps.append(Step(len(steps) + 1, rule.name, matched_edges))
 
 
+def normalize_by_scan(G: LinearHypergraph, rules,
+                      max_steps: int = 10000) -> NormalizeResult:
+    """``normalize`` choosing each step's rule by testing every rule's
+    labels against the host's, in order, instead of asking the rule
+    set's label index; the step engine is the library's."""
+    rules = [r for r in rules if r.L.targets or r.L.edges]
+    host = _Host(G)
+    steps: list[Step] = []
+    while True:
+        for rule in rules:
+            if host.by_label.keys() >= rule.labels:
+                pattern, chains = rule._search
+                found = next(embeddings(pattern, host, True), None)
+                if found is not None:
+                    break
+        else:
+            return NormalizeResult(host.freeze() if steps else G, steps)
+        if len(steps) >= max_steps:
+            return NormalizeResult(host.freeze() if steps else G, steps,
+                                   exhausted=True)
+        vmap_t, vmap_s, emap = _complete(rule.L, chains, found, host.expand)
+        steps.append(Step(len(steps) + 1, rule.name,
+                          tuple(sorted(emap.values()))))
+        host.rewrite(rule, vmap_t, vmap_s, emap)
+
+
+def normal_forms_by_scan(G: LinearHypergraph, rules, max_steps: int = 10000,
+                         max_states: int = 2000
+                         ) -> tuple[list[LinearHypergraph], bool]:
+    """``normal_forms`` with each state's rules chosen by the scan of
+    :func:`normalize_by_scan`."""
+    rules = [r for r in rules if r.L.targets or r.L.edges]
+    seen = {save_graph(G)}
+    frontier = deque([G])
+    nfs: list[LinearHypergraph] = []
+    expansions = 0
+    while frontier:
+        cur = frontier.popleft()
+        succs = []
+        for rule in rules:
+            if not cur.view.by_label.keys() >= rule.labels:
+                continue
+            pattern, chains = rule._search
+            for found in embeddings(pattern, cur.view, True):
+                host = _Host(cur)
+                host.rewrite(rule,
+                             *_complete(rule.L, chains, found, host.expand))
+                succs.append(host.freeze())
+        if not succs:
+            nfs.append(cur)
+            continue
+        expansions += 1
+        if expansions > max_steps or len(seen) > max_states:
+            return nfs, True
+        for s in succs:
+            key = save_graph(s)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(s)
+    return nfs, False
+
+
 def apply_by_pushouts(G: LinearHypergraph, rule, match) -> LinearHypergraph:
     """One DPO step at the given match: complement, glue, smooth."""
     k_to_c, _ = pushout_complement(rule.left_leg, match.embedding)
@@ -523,6 +590,14 @@ def tables_from_scratch(H: LinearHypergraph) -> tuple:
     index = tuple({v: ports.index(v) for ports in side.values() for v in ports}
                   for side in (tgts, srcs))
     return tgts, srcs, index, {H.conn[t]: t for t in H.targets}
+
+
+def tables_in_order(view) -> tuple:
+    """A view's port tables and ``conn`` inverse as lists of entries in
+    insertion order: to compare tables handed to a view with those
+    ``GraphView(H)`` derives."""
+    return tuple(list(t.items()) for t in (view.tgts, view.srcs,
+                                          view.conn_inv))
 
 
 def view_tables(H: LinearHypergraph) -> tuple:

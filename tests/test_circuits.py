@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -12,10 +14,11 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, UNPRODUCTIVE,
 from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
                              eval_rules, feedback_wires)
 from linhyp.terms import Swap
-from linhyp.graphs import INTERFACE
+from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
+                     tables_in_order,
                      feedback_wires_by_labelled_walk, gate_from_fn)
 
 # Belnap gates via the evidence-pair encoding: each value is a pair of
@@ -413,6 +416,65 @@ def test_evaluate_rounds_bounded_by_feedback(monkeypatch, rng):
     loop = Trace(1, Seq(Seq(Gen("org"), Gen(FORK)), Id(2)))
     assert evaluate(loop, ("top",), two_point_sig()) == ("top",)
     assert len(calls) == 2
+
+
+def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
+    """The open graph's port tables and ``conn`` inverse, built once from
+    the circuit's, are those ``GraphView`` derives for each round's
+    graph, entry for entry and in insertion order, on looped circuits
+    with one to three cut wires and their inputs as value edges; an
+    evaluation from a term derives no port table at all."""
+    import linhyp.circuits as circuits
+
+    rounds, checked = [], []
+    real = circuits.normalize
+
+    def recording(G, rules, max_steps):
+        rounds.append(G)
+        return real(G, rules, max_steps)
+
+    monkeypatch.setattr(circuits, "normalize", recording)
+    derived = []
+    real_tables = LinearHypergraph.port_tables
+    monkeypatch.setattr(LinearHypergraph, "port_tables",
+                        lambda H: derived.append(H) or real_tables(H))
+    for csig in (two_point_sig(), belnap_sig()):
+        eval_rules(csig)  # compiling the rules derives their graphs' tables
+        for x in (1, 2, 3, 1, 2, 3):
+            looped, inputs = _random_feedback(rng, csig, x)
+            del rounds[:], derived[:]
+            evaluate(looped, inputs, csig)
+            assert rounds and derived == []
+            for G in rounds:
+                assert tables_in_order(G.view) == tables_in_order(
+                    GraphView(G))
+            checked.append(len(rounds))
+    assert max(checked) > 1  # a circuit that took more than one round
+
+
+def test_a_rounds_graph_is_freed_without_the_collector(monkeypatch):
+    """A round's graph shares the open graph's tables through its view
+    and holds no cycle: once ``evaluate`` returns, it goes without the
+    cyclic collector."""
+    import linhyp.circuits as circuits
+
+    refs = []
+    real = circuits.normalize
+
+    def recording(G, rules, max_steps):
+        refs.append(weakref.ref(G))
+        return real(G, rules, max_steps)
+
+    monkeypatch.setattr(circuits, "normalize", recording)
+    loop = Trace(1, Seq(Seq(Gen("org"), Gen(FORK)), Id(2)))
+    csig = two_point_sig()
+    eval_rules(csig)
+    gc.disable()
+    try:
+        assert evaluate(loop, ("top",), csig) == ("top",)
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def _discarded(H, e):

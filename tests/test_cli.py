@@ -430,6 +430,27 @@ def test_evaluate_command(files, capsys, tmp_path):
     assert err == "error: --steps must be 0 or more, not -1\n"
 
 
+@pytest.mark.parametrize("inputs,position", [
+    ("bot,,top", 2), (",bot,top", 1), ("bot,top,", 3), (",", 1)])
+def test_evaluate_refuses_an_empty_input_value(files, capsys, tmp_path,
+                                               inputs, position):
+    """A stray comma leaves an empty value, which is refused: dropping it
+    ran the two-input ``org`` on ``bot,,top`` as if on ``bot,top``.  An
+    empty or omitted ``--inputs`` still means no inputs."""
+    t = tmp_path / "circ.term"
+    t.write_text("org")
+    lattice = str(files / "two.lattice")
+    code, out, err = run(capsys, "evaluate", str(t), "--lattice", lattice,
+                         "--inputs", inputs)
+    assert (code, out) == (1, "")
+    assert err == f"error: --inputs: empty value at position {position}\n"
+    const = tmp_path / "const.term"
+    const.write_text("top")
+    for given in ((), ("--inputs", "")):
+        assert run(capsys, "evaluate", str(const), "--lattice", lattice,
+                   *given) == (0, "top\n", "")
+
+
 def test_evaluate_deep_chain(capsys, tmp_path):
     # cutting every wire would take 101 rounds, over the default 64
     lattice = tmp_path / "buf.lattice"

@@ -6,10 +6,14 @@ place; `normalize_by_enumeration` lists every match of each rule and
 builds each step's graph with the pure pushout constructions.  Both must
 take the same steps to the same normal form.  Each step the driver
 makes with a rule's compiled step must also leave the host's tables as
-`rewrite_by_plan`, the rule's plan interpreted, leaves them.
+`rewrite_by_plan`, the rule's plan interpreted, leaves them, and the
+rules its label index gives must be those `normalize_by_scan` tests
+one by one.
 """
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -17,12 +21,14 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normal_forms,
                     normalize, parse_rules, rename, save_graph)
 from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
-from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
-                           validate)
+from linhyp.graphs import (IDENTITY_LABEL, GraphView, LinearHypergraph,
+                           PatternTables, validate)
 from linhyp.laws import random_term
+from linhyp.rewrite import RuleSet
 from linhyp.terms import signature, tensor_all
-from oracles import (embeds, normal_forms_by_pushouts,
-                     normalize_by_enumeration, rewrite_by_plan)
+from oracles import (embeds, normal_forms_by_pushouts, normal_forms_by_scan,
+                     normalize_by_enumeration, normalize_by_scan,
+                     rewrite_by_plan, tables_in_order)
 from test_circuits import belnap_sig, two_point_sig
 
 RSIG = signature({"f": (1, 1), "p": (1, 1), "c": (1, 2), "d": (1, 2),
@@ -229,9 +235,23 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
     inverse, label index and edge numbering are those of the graph it
     stands for.  ``glue`` puts an f's output beside a new p on a c that
     R lists the other way round: the glued c keeps R's port order, as in
-    :func:`pushout`."""
-    checked = []
+    :func:`pushout`.  Every graph ``freeze`` makes, also in
+    ``normal_forms``, hands the host's tables to its view: the port
+    tables are ``GraphView(H)``'s in insertion order, and the ``conn``
+    inverse has its entries (steps reorder them; nothing reads the
+    order)."""
+    checked, frozen = [], []
     real = rewrite._Host.rewrite
+    real_freeze = rewrite._Host.freeze
+
+    def freezing(self):
+        H = real_freeze(self)
+        fresh = tables_in_order(GraphView(H))
+        assert tables_in_order(H.view)[:2] == fresh[:2]
+        assert H.view.conn_inv == GraphView(H).conn_inv
+        assert H.view.tgts is self.tgts and H.view.conn_inv is self.conn_inv
+        frozen.append(H)
+        return H
 
     def checking(self, *args):
         real(self, *args)
@@ -249,16 +269,19 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
         checked.append(len(H.edges))
 
     monkeypatch.setattr(rewrite._Host, "rewrite", checking)
+    monkeypatch.setattr(rewrite._Host, "freeze", freezing)
     glue = parse_rules("glue : f ; c => c ; p * id 1\n", RSIG)
     rng = random.Random(9)
     for _ in range(10):
-        assert_same_run(_host(rng), RULES)
+        G = _host(rng)
+        assert_same_run(G, RULES)
+        normal_forms(G, RULES, max_states=20)
     for G in _circuits(two_point_sig(), rng, 10):
         assert_same_run(G, eval_rules(two_point_sig()), max_steps=40)
     G = interpret(_chain([Gen("f"), Gen("c"), Tensor(Gen("f"), Gen("p")),
                           Tensor(Gen("c"), Gen("c"))]), RSIG)
     assert_same_run(G, glue + RULES)
-    assert len(checked) > 100
+    assert len(checked) > 100 and len(frozen) > 200
 
 
 def test_every_match_the_driver_applies_is_an_embedding(monkeypatch):
@@ -463,3 +486,80 @@ def test_rules_whose_labels_the_host_lacks_are_not_searched(monkeypatch):
         assert set(L.labels.values()) - {IDENTITY_LABEL} <= present
     states = len({id(G) for G in views})  # views keeps each one alive
     assert 0 < sum(L is hh for L, _ in searched) < states
+
+
+# ``idw`` has only an identity edge on its left side, so no labels: every
+# host with a wire matches it, after the rules before it; ``unit`` has an
+# empty left side and is never tried
+EDGE_CASES = parse_rules("unit : id 0 => id 0\n", RSIG) + RULES + parse_rules(
+    "idw : id 1 => id 1\n", RSIG)
+
+
+def _index_runs():
+    """Hosts and rule sets for the label index: the driver's hosts and
+    loops under its rules (with and without ``unit`` and ``idw``), and
+    random two-point and Belnap circuits under the evaluator's rules."""
+    rng = random.Random(13)
+    for i in range(30):
+        G = _host(rng) if i % 3 else _loops(rng, rng.randint(2, 6))
+        yield G, RULES, 200
+        yield G, EDGE_CASES, 30
+    for csig in (two_point_sig(), belnap_sig()):
+        for G in _circuits(csig, rng, 25):
+            yield G, eval_rules(csig), 60
+
+
+def test_the_label_index_picks_what_the_scan_picks():
+    """Each step draws only the rules the rule set's index gives for the
+    host's labels, and takes what testing every rule's labels in order
+    takes: the same steps, the same graph (saved bytes and every table
+    in stored order) and the same ``exhausted`` flag; ``normal_forms``
+    finds the same normal forms, in order, and flag.  A plain list and
+    its rule set give the same runs, and each rule set keeps one entry
+    of its index per set of host labels."""
+    runs, outcomes, cut_short = 0, set(), set()
+    for G, rules, max_steps in _index_runs():
+        want = normalize_by_scan(G, rules, max_steps)
+        for given in (rules, RuleSet(rules)):
+            got = normalize(G, given, max_steps)
+            assert got.steps == want.steps
+            assert got.exhausted == want.exhausted
+            assert _numbered(got.graph) == _numbered(want.graph)
+            assert save_graph(got.graph) == save_graph(want.graph)
+        nfs, exhausted = normal_forms(G, rules, max_steps, max_states=10)
+        want_nfs, want_exhausted = normal_forms_by_scan(G, rules, max_steps,
+                                                        max_states=10)
+        assert exhausted == want_exhausted
+        assert list(map(save_graph, nfs)) == list(map(save_graph, want_nfs))
+        runs += 1
+        outcomes.add((bool(want.steps), want.exhausted))
+        cut_short.add(exhausted)
+    # runs with no step, to a normal form, and out of budget
+    assert runs == 110 and outcomes == {(False, False), (True, False),
+                                        (True, True)}
+    assert cut_short == {False, True}
+    assert "idw" in {s.rule for s in normalize(_host(random.Random(1)),
+                                               EDGE_CASES, 30).steps}
+    rules = eval_rules(belnap_sig())
+    for G in _circuits(belnap_sig(), random.Random(2), 10):
+        normalize(G, rules, 60)
+    assert len(rules._by_labels) > 1
+    for key, chosen in rules._by_labels.items():
+        assert list(chosen) == [r for r in rules if r.labels <= key
+                                and (r.L.targets or r.L.edges)]
+
+
+def test_graphs_and_rule_sets_are_freed_without_the_collector():
+    """A graph ``freeze`` makes and a rule set with its filled index hold
+    no cycle: once dropped, with the cyclic collector off, they go."""
+    gc.disable()
+    try:
+        rules = RuleSet(parse_rules(RULE_TEXT, RSIG))
+        res = normalize(interpret(_chain([Gen("f")] * 4), RSIG), rules)
+        assert [s.rule for s in res.steps] == ["ff"] * 3
+        assert "view" in vars(res.graph) and rules._by_labels
+        graph, rule = weakref.ref(res.graph), weakref.ref(rules[1])
+        del res, rules
+        assert graph() is None and rule() is None
+    finally:
+        gc.enable()

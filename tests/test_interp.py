@@ -1,4 +1,8 @@
+import gc
+import math
 import random
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +11,10 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
                     equal_mod_stmc, extract_term, find_isomorphism, identity,
                     interpret, parse_term, rename, signature, type_of,
                     validate)
+from linhyp.graphs import GraphView, LinearHypergraph
 from linhyp.laws import axiom_schemes, law_signature, random_term
-from oracles import interpret_by_combinators, random_graph
+from linhyp.terms import tensor_all
+from oracles import interpret_by_combinators, random_graph, tables_in_order
 
 SIG = law_signature()
 
@@ -311,3 +317,133 @@ def test_right_and_left_nested_tensors_give_one_stored_order():
         perm = dict(zip(R.targets + R.sources + R.edges,
                         L.targets + L.sources + L.edges))
         assert rename(R, perm) == L
+
+
+# -- nested tensors of wiring, and the tables handed to the view -------------
+
+def _wiring(rng, w, depth):
+    """A random term ``w -> w`` of identities and swaps only."""
+    pick = rng.choice(["id", "swap"] + ["ten", "ten", "seq"] * (depth > 0))
+    if pick == "id":
+        return Id(w)
+    a = rng.randint(0, w)
+    if pick == "swap":
+        return Swap(a, w - a)
+    if pick == "ten":
+        return Tensor(_wiring(rng, a, depth - 1), _wiring(rng, w - a, depth - 1))
+    return Seq(_wiring(rng, w, depth - 1), _wiring(rng, w, depth - 1))
+
+
+def _nested(n, leaf, right):
+    """``n`` copies of ``leaf`` tensored, nested to the right or left."""
+    t = leaf
+    for _ in range(n - 1):
+        t = Tensor(leaf, t) if right else Tensor(t, leaf)
+    return t
+
+
+def test_builder_matches_combinator_fold_on_nested_wiring():
+    """Tensoring two pending permutations copies both under 64 wires,
+    and else joins the shorter into the longer and shifts only the
+    shorter one's entries: random trees of identities and swaps, narrow
+    and wide, bare and then fed into generators, keep the fold's stored
+    order."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        w = rng.randint(0, 12) if seed % 2 else rng.randint(40, 160)
+        t = _wiring(rng, w, rng.randint(1, 8))
+        assert_same_stored_order(t, SIG)
+        assert_same_stored_order(Seq(t, tensor_all([Gen("f")] * w)), SIG)
+    for leaf in (Id(1), Swap(1, 1), Swap(2, 1)):
+        for right in (True, False):
+            assert_same_stored_order(_nested(9, leaf, right), SIG)
+    # right-nested, each side holds an offset: the shorter one's entries
+    # are shifted by it, in front of the longer or behind it
+    for a, b in ((35, 50), (80, 25)):
+        t = Tensor(_nested(a, Swap(1, 1), True), _nested(b, Swap(2, 1), True))
+        assert_same_stored_order(t, SIG)
+        u = Tensor(_nested(a, Swap(1, 1), False), _nested(b, Swap(1, 2), True))
+        assert_same_stored_order(Seq(t, u), SIG)
+
+
+def _slope(points):
+    """The least-squares slope of log time against log size."""
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(t) for _, t in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+@pytest.mark.parametrize("leaf,right", [(Id(1), True), (Swap(1, 1), False)],
+                         ids=["right-nested-ids", "left-nested-swaps"])
+def test_nested_tensors_of_wiring_interpret_in_linear_time(leaf, right):
+    """``id 1 * (id 1 * ...)`` and ``(... * swap 1 1) * swap 1 1`` up to
+    16000 leaf wires: copying both permutations at every level was
+    quadratic (a log-log slope near 2; 0.8 s for 8000 right-nested
+    identities); joining the shorter into the longer keeps the slope at
+    most 1.2.  Each rung is the best of five runs without the cyclic
+    collector."""
+    points = []
+    for wires in (2000, 4000, 8000, 16000):
+        t = _nested(wires // len(type_of(leaf, SIG)[0]), leaf, right)
+        best = math.inf
+        gc.disable()
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                H = interpret(t, SIG)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        assert H.arity() == (wires, wires) and not H.edges
+        points.append((wires, best))
+    assert _slope(points) <= 1.2, points
+
+
+OSIG = signature({"f": (1, 1), "g": (1, 2), "h": (2, 2), "k": (2, 1),
+                  "u": (0, 1), "z": (1, 0), "o": (0, 0)})
+
+
+def test_interpret_hands_its_tables_to_the_view(monkeypatch):
+    """The port tables and ``conn`` inverse that ``interpret`` records
+    as it draws ids are those ``GraphView(H)`` derives, entry for entry
+    and in insertion order, on random terms with traces and ``0 -> 0``
+    generators, labelled terms and nested wiring; no port table is
+    derived."""
+    terms = [(_nested(40, Id(1), True), SIG), (_nested(40, Swap(1, 1), False),
+                                             SIG),
+             (Gen("o"), OSIG), (Tensor(Gen("o"), Trace(1, Gen("f"))), OSIG)]
+    for seed in range(400):
+        rng = random.Random(seed)
+        if seed % 4 == 3:
+            m, n = (tuple(rng.choice("AB") for _ in range(rng.randint(0, 2)))
+                    for _ in range(2))
+            terms.append((random_labelled_term(rng, m, n, 1 + seed % 6), LSIG))
+        elif seed % 4 == 2:
+            terms.append((_wiring(rng, rng.randint(0, 100), 6), SIG))
+        else:
+            terms.append((random_term(rng, OSIG, rng.randint(0, 2),
+                                      rng.randint(0, 2), 1 + seed % 6), OSIG))
+    derived = []
+    real = LinearHypergraph.port_tables
+    monkeypatch.setattr(LinearHypergraph, "port_tables",
+                        lambda H: derived.append(H) or real(H))
+    graphs = [interpret(t, sig) for t, sig in terms]
+    for H in graphs:
+        assert tables_in_order(H.view) == tables_in_order(GraphView(H))
+    assert len(derived) == len(graphs)  # one per GraphView(H) above
+    assert any(H.labels and not H.targets for H in graphs)
+
+
+def test_an_interpreted_graph_is_freed_without_the_collector():
+    """The view ``interpret`` attaches holds no reference to its graph."""
+    gc.disable()
+    try:
+        H = interpret(parse_term("tr 1 (g ; h) ; f ; z", SIG), SIG)
+        assert "view" in vars(H) and H.view.by_label
+        ref = weakref.ref(H)
+        del H
+        assert ref() is None
+    finally:
+        gc.enable()
