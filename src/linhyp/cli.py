@@ -101,6 +101,10 @@ def cmd_rewrite(args) -> int:
     rules = parse_rules(_read(args.rules), sig)
     if args.strategy == "exhaustive":
         nfs, exhausted = normal_forms(H, rules, max_steps=args.steps)
+        if not nfs and not exhausted:
+            print("error: no normal form reached: every rewrite sequence"
+                  " returns to a graph already seen", file=sys.stderr)
+            return EXIT_BUDGET
         result = NormalizeResult(nfs[0] if nfs else H, [], exhausted)
     else:
         result = normalize(H, rules, max_steps=args.steps)

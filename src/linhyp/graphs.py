@@ -576,22 +576,21 @@ class Homomorphism:
                 and len(set(self.emap.values())) == len(self.emap))
 
     def is_isomorphism(self) -> bool:
+        """Bijective maps that commute and keep the interfaces in order,
+        checked in one pass with one set per map: a map keyed by F's
+        elements whose images take in all of G's, of which there are as
+        many, is a bijection (a graph's elements never repeat)."""
         F, G = self.src, self.dst
-        if not self.is_embedding():
-            return False
-        if (len(F.targets) != len(G.targets)
-                or len(F.sources) != len(G.sources)
-                or len(F.edges) != len(G.edges)):
-            return False
-        fin, gin = F.inputs(), G.inputs()
-        fout, gout = F.outputs(), G.outputs()
-        if len(fin) != len(gin) or len(fout) != len(gout):
-            return False
-        if any(self.vmap_t[a] != b for a, b in zip(fin, gin)):
-            return False
-        if any(self.vmap_s[a] != b for a, b in zip(fout, gout)):
-            return False
-        return True
+        for m, f, g in ((self.vmap_t, F.targets, G.targets),
+                        (self.vmap_s, F.sources, G.sources),
+                        (self.emap, F.edges, G.edges)):
+            if not (len(f) == len(g) == len(m) and all(map(m.__contains__, f))
+                    and set(m.values()).issuperset(g)):
+                return False
+        vt, vs = self.vmap_t, self.vmap_s
+        return (commutes(F, G.view, vt, vs, self.emap)
+                and tuple(map(vt.__getitem__, F.inputs())) == G.inputs()
+                and tuple(map(vs.__getitem__, F.outputs())) == G.outputs())
 
     def then(self, other: "Homomorphism") -> "Homomorphism":
         if other.src is not self.dst and other.src != self.dst:

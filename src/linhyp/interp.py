@@ -220,7 +220,16 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
 
 def equal_mod_stmc(s: Term, t: Term, sig: Signature) -> bool:
     """Equality of terms modulo the traced symmetric monoidal equations,
-    decided by isomorphism of their graphs."""
-    if type_of(s, sig) != type_of(t, sig):
-        raise TypeMismatch("terms to compare must share a type")
-    return find_isomorphism(interpret(s, sig), interpret(t, sig)) is not None
+    decided by isomorphism of their graphs.  Each side is typed once, by
+    :func:`interpret`; ``type_of``, which raises exactly where it does,
+    runs only then, on ``s`` and then ``t``, to word the error."""
+    try:
+        F, G = interpret(s, sig), interpret(t, sig)
+    except TypeMismatch as exc:
+        error = exc
+    else:
+        if F.dom() != G.dom() or F.cod() != G.cod():
+            raise TypeMismatch("terms to compare must share a type")
+        return find_isomorphism(F, G) is not None
+    type_of(s, sig), type_of(t, sig)  # outside the handler: unchained
+    raise error

@@ -793,7 +793,8 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     """Breadth-first exploration of every rewrite order.
 
     Returns the normal forms reached (deduplicated up to isomorphism)
-    and whether the state bound cut the search short.  A state's
+    and whether the state bound cut the search short; ``([], False)``
+    means every rewrite sequence returns to a state already seen.  A state's
     successors are its steps at every match, in :func:`matchings` order,
     each on a fresh :class:`_Host` copy of the state.  As in
     :func:`normalize`, the label index skips each rule whose edge labels

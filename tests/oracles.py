@@ -13,6 +13,10 @@ every graph, and ``embeds``, which checks a match on the host
 ``normalize`` rewrites with the commuting check of
 ``Homomorphism.is_embedding``.  ``shuffle_by_insertion`` is the
 quadratic wiring term that the library's merge sort replaced.
+``is_isomorphism_by_embedding`` checks an isomorphism witness through
+``is_embedding``, where the library checks it in one pass, and
+``equal_mod_stmc_typed_first`` types both sides with ``type_of`` before
+interpreting them, where the library lets ``interpret`` type them.
 
 ``apply_by_pushouts`` and ``normal_forms_by_pushouts`` share matching
 with the library but build each DPO step from the paper's constructions,
@@ -72,6 +76,37 @@ from linhyp.rewrite import (NormalizeResult, RewriteError, Step, _complete,
 from linhyp.serialize import save_graph
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch, Word, as_word, type_of)
+
+
+def is_isomorphism_by_embedding(h: Homomorphism) -> bool:
+    """``Homomorphism.is_isomorphism`` checked the long way: an embedding
+    (``is_homomorphism``, whose sets and scans check the keys and images,
+    and three injective maps) onto carriers of G's sizes that keeps the
+    inputs and outputs in order."""
+    F, G = h.src, h.dst
+    if not h.is_embedding():
+        return False
+    if (len(F.targets) != len(G.targets)
+            or len(F.sources) != len(G.sources)
+            or len(F.edges) != len(G.edges)):
+        return False
+    fin, gin = F.inputs(), G.inputs()
+    fout, gout = F.outputs(), G.outputs()
+    if len(fin) != len(gin) or len(fout) != len(gout):
+        return False
+    if any(h.vmap_t[a] != b for a, b in zip(fin, gin)):
+        return False
+    if any(h.vmap_s[a] != b for a, b in zip(fout, gout)):
+        return False
+    return True
+
+
+def equal_mod_stmc_typed_first(s: Term, t: Term, sig: Signature) -> bool:
+    """``equal_mod_stmc`` with both sides typed by ``type_of`` before
+    either is interpreted, so every type error is the one it words."""
+    if type_of(s, sig) != type_of(t, sig):
+        raise TypeMismatch("terms to compare must share a type")
+    return find_isomorphism(interpret(s, sig), interpret(t, sig)) is not None
 
 
 def brute_force_isomorphism(F: LinearHypergraph,

@@ -376,6 +376,31 @@ def test_rewrite_exhaustive_strategy(files, capsys, tmp_path):
     assert json.loads(out2) == json.loads(g.read_text())
 
 
+@pytest.mark.parametrize("rule", ["idw : id 1 => id 1", "same : f => f",
+                                  "turn : f ; f => f ; f"])
+def test_rewrite_exhaustive_without_a_normal_form_is_an_error(
+        files, capsys, tmp_path, rule):
+    """Rules under which every rewrite sequence comes back to a graph
+    already seen reach no normal form: nothing is written, one error line
+    says why, and the exit code is that of a budget run out."""
+    sig = files / "circuit.sig"
+    rules = tmp_path / "rules.txt"
+    rules.write_text(rule + "\n")
+    t = tmp_path / "chain.term"
+    t.write_text("f ; f")
+    g = tmp_path / "g.json"
+    _, out, _ = run(capsys, "interpret", str(t), "--sig", str(sig))
+    g.write_text(out)
+    dot = tmp_path / "g.dot"
+    for budget in ([], ["--steps", "5"]):
+        assert run(capsys, "rewrite", str(g), "--rules", str(rules), "--sig",
+                   str(sig), "--strategy", "exhaustive", "--dot", str(dot),
+                   *budget) == (
+            4, "", "error: no normal form reached: every rewrite sequence"
+            " returns to a graph already seen\n")
+        assert not dot.exists()
+
+
 def test_rewrite_rule_errors_name_their_line(files, capsys, tmp_path):
     """A rule file's errors name their line and keep their exit codes."""
     sig = files / "circuit.sig"

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
                     equal_mod_stmc, expand, find_isomorphism, freshen,
                     identity, interpret, is_homomorphism, isomorphic,
-                    parse_term, rename, signature, smooth, validate)
+                    parse_term, rename, signature, smooth, tensor, validate)
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph,
-                           canonical_labelling)
+                           canonical_labelling, next_id)
 from linhyp.laws import law_signature
 from linhyp.serialize import save_graph
 from oracles import (brute_force_isomorphism,
                      canonical_labelling_by_port_search, id_source,
-                     random_graph, tables_from_scratch, to_simple, view_tables)
+                     is_isomorphism_by_embedding, random_graph,
+                     tables_from_scratch, to_simple, view_tables)
 
 SIG = law_signature()
 
@@ -383,6 +385,146 @@ def _shuffled_ids(H, rng):
     """H with its ids permuted at random and its stored order kept."""
     ids = list(H.targets) + list(H.sources) + list(H.edges)
     return rename(H, dict(zip(ids, rng.sample(ids, len(ids)))))
+
+
+def _reordered(H, rng):
+    """H with its ids renamed at random and its stored orders shuffled,
+    its inputs and its outputs each kept in order."""
+    H = _shuffled_ids(H, rng)
+
+    def shuffle(vs, ends):
+        kept = iter([v for v in vs if v in ends])
+        return tuple(next(kept) if v in ends else v
+                     for v in rng.sample(vs, len(vs)))
+
+    return replace(H, targets=shuffle(H.targets, set(H.inputs())),
+                   sources=shuffle(H.sources, set(H.outputs())),
+                   edges=tuple(rng.sample(H.edges, len(H.edges))))
+
+
+def _paired(F, G):
+    """The one candidate ``find_isomorphism`` checks: the canonical
+    labellings of F and G paired position by position."""
+    vmap_t, vmap_s, emap = (dict(zip(f, g)) for f, g in zip(
+        canonical_labelling(F), canonical_labelling(G)))
+    return Homomorphism(F, G, {v: vmap_t[v] for v in F.targets},
+                        {v: vmap_s[v] for v in F.sources},
+                        {e: emap[e] for e in F.edges})
+
+
+def _iso_check_pairs(seed, gsig):
+    """Graph pairs of equal sizes, half of them isomorphic: random graphs
+    and loop families against a reordered copy, or against a reordered
+    copy of themselves with two wires' far ends exchanged."""
+    rng = random.Random(seed)
+    graphs = [random_graph(rng, SIG, max_edges=m, max_extra_wires=w)
+              for m in (1, 3, 6, 12) for w in (0, 1, 3) for _ in range(8)]
+    graphs += [_loop_family(fam) for fam in _families(4)[::3]]
+    graphs += [interpret(parse_term(text, gsig), gsig) for text in (
+        "f * g ; h", "tr [B] (g ; f) * h", "g * f ; swap [A] [B] ; h")]
+    pairs = []
+    for i, H in enumerate(graphs):
+        G = H
+        if i % 2 and len(H.targets) >= 2:
+            a, b = rng.sample(H.targets, 2)
+            G = replace(H, conn={**H.conn, a: H.conn[b], b: H.conn[a]})
+        pairs.append((H, _reordered(G, rng)))
+    return pairs
+
+
+def _moved(vs, a, b):
+    """``vs`` with the entries ``a`` and ``b`` in each other's place."""
+    return tuple(b if v == a else a if v == b else v for v in vs)
+
+
+def _corrupted(h, rng):
+    """Copies of the witness ``h``, each wrong in exactly one way: in one
+    map, two images swapped, one image repeated, a key missing, a key
+    added or replaced by one of neither graph, an image of neither
+    graph, an edge sent to an edge of another label; or, in G, two
+    ports of an edge or two inputs or outputs in each other's place, or
+    one wire's object label changed; or F doubled, each element of its
+    second copy sent where the first copy's is."""
+    F, G = h.src, h.dst
+    foreign = next_id(F) + next_id(G)
+    maps = {"vmap_t": h.vmap_t, "vmap_s": h.vmap_s, "emap": h.emap}
+    out = []
+    for name, m in maps.items():
+        keys = list(m)
+        if len(keys) >= 2:
+            a, b = rng.sample(keys, 2)
+            out.append(replace(h, **{name: {**m, a: m[b], b: m[a]}}))
+            out.append(replace(h, **{name: {**m, a: m[b]}}))
+        if keys:
+            a = rng.choice(keys)
+            out.append(replace(h, **{name: {k: v for k, v in m.items()
+                                            if k != a}}))
+            out.append(replace(h, **{name: {
+                foreign if k == a else k: v for k, v in m.items()}}))
+            out.append(replace(h, **{name: {**m, a: foreign}}))
+            out.append(replace(h, **{name: {**m, foreign: m[a]}}))
+        out.append(replace(h, **{name: {**m, foreign: foreign + 1}}))
+    unlike = [(e, d) for e in F.edges for d in F.edges
+              if F.labels[e] != F.labels[d]]
+    if unlike:
+        e, d = rng.choice(unlike)
+        out.append(replace(h, emap={**h.emap, e: h.emap[d], d: h.emap[e]}))
+    tgts, srcs = G.view.tgts, G.view.srcs
+    for e in G.edges:
+        for ports, field in ((tgts[e], "targets"), (srcs[e], "sources")):
+            if len(ports) >= 2:
+                a, b = rng.sample(ports, 2)
+                out.append(replace(h, dst=replace(
+                    G, **{field: _moved(getattr(G, field), a, b)})))
+    for ends, field in ((G.inputs(), "targets"), (G.outputs(), "sources")):
+        if len(ends) >= 2:
+            a, b = rng.sample(ends, 2)
+            out.append(replace(h, dst=replace(
+                G, **{field: _moved(getattr(G, field), a, b)})))
+    if G.targets:
+        v = rng.choice(G.targets)
+        out.append(replace(h, dst=replace(
+            G, vtlabels={**G.vtlabels, v: "Z"},
+            vslabels={**G.vslabels, G.conn[v]: "Z"})))
+    twice = tensor(F, F)
+    out.append(Homomorphism(twice, G, *(
+        {**m, **dict(zip(both[len(one):], map(m.__getitem__, one)))}
+        for m, one, both in ((h.vmap_t, F.targets, twice.targets),
+                             (h.vmap_s, F.sources, twice.sources),
+                             (h.emap, F.edges, twice.edges)))))
+    return out
+
+
+def test_one_pass_iso_check_agrees_with_the_embedding_check(gsig):
+    """The witness check against its reference on the maps that pair two
+    canonical labellings, and on witnesses spoilt in one way each."""
+    rng = random.Random(5)
+    paired, spoilt = {True: 0, False: 0}, 0
+    for F, G in _iso_check_pairs(23, gsig):
+        h = _paired(F, G)
+        want = is_isomorphism_by_embedding(h)
+        assert h.is_isomorphism() is want
+        paired[want] += 1
+        for bad in _corrupted(h, rng) if want else ():
+            assert bad.is_isomorphism() is is_isomorphism_by_embedding(bad)
+            spoilt += 1
+    assert paired[True] >= 40 and paired[False] >= 40 and spoilt >= 700
+
+
+def test_iso_witnesses_are_those_of_the_embedding_check(gsig):
+    """``find_isomorphism`` answers as the paired labellings checked by
+    the reference do, with the same maps in the same key order."""
+    found = 0
+    for F, G in _iso_check_pairs(29, gsig):
+        w, h = find_isomorphism(F, G), _paired(F, G)
+        if not is_isomorphism_by_embedding(h):
+            assert w is None
+            continue
+        found += 1
+        for got, want in ((w.vmap_t, h.vmap_t), (w.vmap_s, h.vmap_s),
+                          (w.emap, h.emap)):
+            assert list(got.items()) == list(want.items())
+    assert found >= 40
 
 
 def test_labelling_keeps_the_port_search_codes():

@@ -3,6 +3,7 @@ import math
 import random
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
 from linhyp.graphs import GraphView, LinearHypergraph
 from linhyp.laws import axiom_schemes, law_signature, random_term
 from linhyp.terms import tensor_all
-from oracles import interpret_by_combinators, random_graph, tables_in_order
+from oracles import (equal_mod_stmc_typed_first, interpret_by_combinators,
+                     random_graph, tables_in_order)
 
 SIG = law_signature()
 
@@ -293,6 +295,116 @@ def test_wiring_type_error_names_both_words():
     with pytest.raises(TypeMismatch, match=r"^cannot compose: \[B,A\] does"
                                            r" not match \[A,B\]$"):
         interpret(Seq(Swap("A", "B"), Id(("A", "B"))), LSIG)
+
+
+# -- typing each side once in equal_mod_stmc ----------------------------------
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # any exception: the two sides are compared
+        return exc
+
+
+def assert_same_verdict_or_error(s, t, sig):
+    """``equal_mod_stmc`` answers as the version that types both sides
+    first, or raises its error: class, message and node, unchained."""
+    got = _outcome(equal_mod_stmc, s, t, sig)
+    want = _outcome(equal_mod_stmc_typed_first, s, t, sig)
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want) and got.subterm is want.subterm
+        assert got.__cause__ is None and got.__context__ is None
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+@pytest.mark.parametrize("t, sig", [(t, sig) for t, sig, *_ in TYPE_ERRORS])
+def test_equal_mod_stmc_raises_the_error_type_of_words(t, sig, side):
+    """An ill-typed side, or two, raises the error ``type_of`` raises
+    for the first of them, though only ``interpret`` types the sides."""
+    other = next(u for u, usig, *_ in TYPE_ERRORS if usig is sig
+                 and u is not t)
+    s, u = {"left": (t, Gen("f")), "right": (Gen("f"), t),
+            "both": (t, other)}[side]
+    with pytest.raises(TypeMismatch):
+        equal_mod_stmc(s, u, sig)
+    assert_same_verdict_or_error(s, u, sig)
+
+
+@pytest.mark.parametrize("s, t, sig", [
+    (Gen("f"), Gen("g"), SIG), (Gen("g"), Gen("k"), SIG),
+    (Id(1), Id(2), SIG), (Trace(1, Gen("h")), Gen("g"), SIG),
+    (Gen("f"), Gen("g"), LSIG), (Id("A"), Id("B"), LSIG),
+    (Gen("f"), Id("A"), LSIG), (Gen("g"), Id("A"), LSIG),
+    (Swap("A", "B"), Swap("B", "A"), LSIG),
+])
+def test_equal_mod_stmc_refuses_sides_of_other_types(s, t, sig):
+    with pytest.raises(TypeMismatch,
+                       match="^terms to compare must share a type$"):
+        equal_mod_stmc(s, t, sig)
+    assert_same_verdict_or_error(s, t, sig)
+
+
+def _mutated(t, rng, names, word):
+    """``t`` with one generator name, identity or swap word, or trace
+    word, drawn at random, replaced by a random one."""
+    fields = {Seq: ("left", "right"), Tensor: ("top", "bottom"),
+              Trace: ("body",)}
+    spots, todo = [], [(t, ())]
+    while todo:
+        u, path = todo.pop()
+        if type(u) in (Gen, Id, Swap, Trace):
+            spots.append(path)
+        todo += [(getattr(u, f), path + (f,)) for f in fields.get(type(u), ())]
+
+    def rebuild(u, path):
+        if path:
+            return replace(u, **{path[0]: rebuild(getattr(u, path[0]),
+                                                  path[1:])})
+        if type(u) is Gen:
+            return Gen(rng.choice(names))
+        if type(u) is Id:
+            return Id(word())
+        if type(u) is Swap:
+            return replace(u, **{rng.choice(["upper", "lower"]): word()})
+        return replace(u, loop=word())
+
+    return rebuild(t, rng.choice(spots))
+
+
+def test_interpret_raises_exactly_where_type_of_does():
+    """The premise of typing once: over mutated terms of both
+    signatures, ``interpret`` raises ``TypeMismatch`` exactly when
+    ``type_of`` does, and otherwise builds a graph of that type; and
+    ``equal_mod_stmc`` answers, or raises, as the version that types
+    both sides first."""
+    rng = random.Random(23)
+
+    def word(sig):
+        if sig is SIG:
+            return rng.randint(0, 3)
+        return tuple(rng.choice("AB") for _ in range(rng.randint(0, 3)))
+
+    typed = 0
+    for i in range(600):
+        sig = SIG if i % 2 else LSIG
+        if sig is SIG:
+            t = random_term(rng, SIG, rng.randint(0, 2), rng.randint(0, 2))
+        else:
+            t = random_labelled_term(rng, word(LSIG), word(LSIG), 3)
+        bad = _mutated(t, rng, [*sig.generators, "nope"], lambda: word(sig))
+        ty, H = _outcome(type_of, bad, sig), _outcome(interpret, bad, sig)
+        if isinstance(ty, Exception):
+            assert type(ty) is type(H) is TypeMismatch
+        else:
+            typed += 1
+            assert (H.dom(), H.cod()) == ty
+        for s, u in ((bad, t), (t, bad), (bad, bad)):
+            assert_same_verdict_or_error(s, u, sig)
+    assert 150 <= typed <= 450
 
 
 @pytest.mark.parametrize("nested", ["left", "right"])
