@@ -395,7 +395,6 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
 def evaluate(circuit: Term | LinearHypergraph,
              inputs: tuple[str, ...] | list[str],
              csig: CircuitSignature,
-             max_unfoldings: int = 64,
              max_steps: int = 10000):
     """Run a circuit on concrete input values by graph reduction.
 
@@ -406,11 +405,12 @@ def evaluate(circuit: Term | LinearHypergraph,
     the values at the cut outputs and the circuit outputs.  The cut
     values start at bottom and are iterated until they repeat; for
     monotone gates that is the least fixed point, reached within
-    height(lattice) * |feedback wires| + 1 rounds, and ``max_unfoldings``
-    bounds the number of rounds.  A loop-free circuit takes one round.
-    ``max_steps`` bounds each round's reduction.  Returns the output
-    value word, or UNPRODUCTIVE when any budget is exhausted or
-    reduction gets stuck (delays holding non-bottom values do that).
+    height(lattice) * |feedback wires| + 1 rounds, and the rounds are
+    bounded by (|values| - 1) * |feedback wires| + 1, at least that.  A
+    loop-free circuit takes one round.  ``max_steps`` bounds each round.
+    Returns the output value word, or UNPRODUCTIVE when a round's step
+    budget or the round bound runs out or reduction gets stuck (delays
+    holding non-bottom values do that).
     """
     H = (interpret(circuit, csig.signature()) if isinstance(circuit, Term)
          else circuit)
@@ -453,7 +453,7 @@ def evaluate(circuit: Term | LinearHypergraph,
               dict(zip(conn.values(), conn)))
 
     w = (csig.lattice.bottom,) * k
-    for _ in range(max_unfoldings):
+    for _ in range((len(csig.lattice.values) - 1) * k + 1):
         G = LinearHypergraph(targets, sources, edges, left, right, conn,
                              {**labels, **dict(zip(cut_edges, w))},
                              vtlabels, vslabels).with_tables(*tables)

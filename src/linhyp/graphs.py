@@ -138,6 +138,12 @@ class LinearHypergraph:
         """The graph's tables as a pattern to match, built once."""
         return PatternTables(self)
 
+    @cached_property
+    def _smoothed(self) -> LinearHypergraph:
+        """The graph without its identity edges (:func:`smooth`), built
+        once: what matching searches for when the graph is a left side."""
+        return smooth(self)
+
     def __repr__(self) -> str:
         m, n = self.arity()
         return (f"LinearHypergraph({m}->{n}, |T|={len(self.targets)},"
@@ -1041,36 +1047,40 @@ def expand(H: LinearHypergraph, w: int) -> LinearHypergraph:
 
 
 def smooth(H: LinearHypergraph) -> LinearHypergraph:
-    """Remove every identity edge, splicing the wire through it."""
+    """Remove every identity edge, plugging its source port into its
+    target port (:func:`_plug`)."""
     idents = [e for e in H.edges if H.labels[e] == IDENTITY_LABEL]
     if not idents:
         return H
-    view = H.view
-    tgts, srcs = view.tgts, view.srcs
-    conn, conn_inv = dict(H.conn), dict(view.conn_inv)
-    dead_t: set[int] = set()
-    dead_s: set[int] = set()
-    for e in idents:
-        (t_e,), (s_e,) = tgts[e], srcs[e]
-        before = conn_inv[s_e]
-        if before == t_e:
-            # a loop made of this identity edge alone: it vanishes
-            del conn[t_e]
-        else:
-            after = conn[t_e]
-            conn[before] = after
-            conn_inv[after] = before
-            del conn[t_e]
-        dead_t.add(t_e)
-        dead_s.add(s_e)
+    tgts, srcs = H.view.tgts, H.view.srcs
+    return _plug(H, [srcs[e][0] for e in idents],
+                 [tgts[e][0] for e in idents], idents)
+
+
+def _plug(H: LinearHypergraph, outs: Iterable[int], ins: Iterable[int],
+          drop: Iterable[int] = ()) -> LinearHypergraph:
+    """``H`` with the wire entering each source of ``outs`` continued
+    where the wire leaving the target beside it in ``ins`` went, through
+    any number of plugged pairs, and those vertices and the edges in
+    ``drop`` deleted, in one pass and in stored order: the one splice of
+    composition, trace and smoothing."""
+    nxt = dict(zip(outs, ins))
+    dead_t, drop = set(nxt.values()), set(drop)
+    conn = H.conn
+    plugged: dict[int, int] = {}
+    for t, s in conn.items():
+        if t not in dead_t:
+            while s in nxt:
+                s = conn[nxt[s]]
+            plugged[t] = s
     return LinearHypergraph(
         targets=tuple(v for v in H.targets if v not in dead_t),
-        sources=tuple(v for v in H.sources if v not in dead_s),
-        edges=tuple(e for e in H.edges if e not in idents),
+        sources=tuple(v for v in H.sources if v not in nxt),
+        edges=tuple(e for e in H.edges if e not in drop),
         left={v: e for v, e in H.left.items() if v not in dead_t},
-        right={v: e for v, e in H.right.items() if v not in dead_s},
-        conn=conn,
-        labels={e: lab for e, lab in H.labels.items() if e not in idents},
+        right={v: e for v, e in H.right.items() if v not in nxt},
+        conn=plugged,
+        labels={e: lab for e, lab in H.labels.items() if e not in drop},
         vtlabels={v: lab for v, lab in H.vtlabels.items() if v not in dead_t},
-        vslabels={v: lab for v, lab in H.vslabels.items() if v not in dead_s},
+        vslabels={v: lab for v, lab in H.vslabels.items() if v not in nxt},
     )

@@ -2,14 +2,15 @@
 
 These make linear hypergraphs a symmetric traced monoidal structure:
 identities and swaps are edge-free wiring, generators are single edges,
-and composition / tensor / trace combine graphs.  The constructors
-number their ids from 0, and composition and tensor renumber only the
-second operand, above the first (``graphs.above``), so callers never
-manage id disjointness.
+and composition / tensor / trace combine graphs; composition and trace
+are each one splice (``graphs._plug``).  The constructors number their
+ids from 0, and composition and tensor renumber only the second operand,
+above the first (``graphs.above``), so callers never manage id
+disjointness.
 """
 from __future__ import annotations
 
-from .graphs import INTERFACE, LinearHypergraph, above
+from .graphs import INTERFACE, LinearHypergraph, _plug, above
 from .terms import Signature, TypeMismatch, Word, as_word
 
 
@@ -76,41 +77,13 @@ def swap(m: int | str | Word, n: int | str | Word) -> LinearHypergraph:
 
 
 def compose(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
-    """Plug the outputs of ``F`` into the inputs of ``G``."""
+    """Plug the outputs of ``F`` into the inputs of ``G``, in their
+    tensor (``graphs._plug``)."""
     if F.cod() != G.dom():
         raise TypeMismatch(
             f"cannot compose: {F.cod()} does not match {G.dom()}")
-    G = above(G, F)
-    f_outs = F.outputs()
-    g_ins = G.inputs()
-    out_pos = {v: i for i, v in enumerate(f_outs)}
-    dead_s = set(f_outs)
-    dead_t = set(g_ins)
-
-    conn: dict[int, int] = {}
-    for t in F.targets:
-        s = F.conn[t]
-        if s in dead_s:
-            conn[t] = G.conn[g_ins[out_pos[s]]]
-        else:
-            conn[t] = s
-    for t in G.targets:
-        if t not in dead_t:
-            conn[t] = G.conn[t]
-
-    return LinearHypergraph(
-        targets=F.targets + tuple(t for t in G.targets if t not in dead_t),
-        sources=tuple(s for s in F.sources if s not in dead_s) + G.sources,
-        edges=F.edges + G.edges,
-        left={**F.left, **{v: e for v, e in G.left.items() if v not in dead_t}},
-        right={**{v: e for v, e in F.right.items() if v not in dead_s}, **G.right},
-        conn=conn,
-        labels={**F.labels, **G.labels},
-        vtlabels={**F.vtlabels,
-                  **{v: l for v, l in G.vtlabels.items() if v not in dead_t}},
-        vslabels={**{v: l for v, l in F.vslabels.items() if v not in dead_s},
-                  **G.vslabels},
-    )
+    FG = tensor(F, G)
+    return _plug(FG, F.outputs(), FG.inputs()[len(F.inputs()):])
 
 
 def tensor(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
@@ -129,40 +102,11 @@ def tensor(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
     )
 
 
-def _trace_once(F: LinearHypergraph) -> LinearHypergraph:
-    ins, outs = F.inputs(), F.outputs()
-    if not ins or not outs or F.vtlabels[ins[0]] != F.vslabels[outs[0]]:
-        raise TypeMismatch("trace needs matching first input and output wires")
-    t0, s0 = ins[0], outs[0]
-    loop_to = F.conn[t0]
-    conn = {}
-    for t in F.targets:
-        if t == t0:
-            continue
-        s = F.conn[t]
-        conn[t] = loop_to if s == s0 else s
-    return LinearHypergraph(
-        targets=tuple(v for v in F.targets if v != t0),
-        sources=tuple(v for v in F.sources if v != s0),
-        edges=F.edges,
-        left={v: e for v, e in F.left.items() if v != t0},
-        right={v: e for v, e in F.right.items() if v != s0},
-        conn=conn,
-        labels=dict(F.labels),
-        vtlabels={v: l for v, l in F.vtlabels.items() if v != t0},
-        vslabels={v: l for v, l in F.vslabels.items() if v != s0},
-    )
-
-
 def trace(x: int | str | Word, F: LinearHypergraph) -> LinearHypergraph:
-    """Feed the first ``x`` outputs back into the first ``x`` inputs.
-
-    Built by repeated single-wire tracing.
-    """
+    """Feed the first ``x`` outputs back into the first ``x`` inputs, all
+    in one splice (``graphs._plug``)."""
     w = as_word(x)
     if F.dom()[:len(w)] != w or F.cod()[:len(w)] != w:
         raise TypeMismatch(
             f"cannot trace {w} out of a {F.dom()} -> {F.cod()} graph")
-    for _ in range(len(w)):
-        F = _trace_once(F)
-    return F
+    return _plug(F, F.outputs()[:len(w)], F.inputs()[:len(w)])

@@ -18,11 +18,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
                      Homomorphism, LinearHypergraph, above, embeddings,
-                     expand, next_id, smooth)
+                     expand, next_id)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
@@ -240,12 +240,13 @@ def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
 def _pattern(L: LinearHypergraph
              ) -> tuple[LinearHypergraph, list[tuple[int, list[int]]]]:
     """The graph the search matches for L: L itself or, when L carries
-    identity edges, L smoothed, with the identity chains that matching
-    expands the host along."""
+    identity edges, L smoothed (kept on L, so that its searches are
+    compiled once), with the identity chains that matching expands the
+    host along."""
     if not any(L.labels[e] == IDENTITY_LABEL for e in L.edges):
         return L, []
     chains = _identity_chains(L)
-    return smooth(L), chains
+    return L._smoothed, chains
 
 
 def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
@@ -269,13 +270,8 @@ def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
 
 def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
                    up_to_homeo: bool = False) -> list[Matching]:
-    """All ways the pattern L embeds into G, in :func:`matchings` order."""
-    return list(matchings(L, G, up_to_homeo))
-
-
-def matchings(L: LinearHypergraph, G: LinearHypergraph,
-              up_to_homeo: bool = False) -> Iterator[Matching]:
-    """Yield the ways the pattern L embeds into G, one at a time.
+    """All ways the pattern L embeds into G, in the order of
+    :func:`~linhyp.graphs.embeddings`.
 
     Identity edges in L match by expanding the corresponding wire of G,
     so the returned host may be a homeomorphic expansion of G.  With
@@ -284,6 +280,7 @@ def matchings(L: LinearHypergraph, G: LinearHypergraph,
     redex need this).
     """
     pattern, chains = _pattern(L)
+    out = []
     for found in embeddings(pattern, G.view, up_to_homeo):
         host = G
 
@@ -293,7 +290,8 @@ def matchings(L: LinearHypergraph, G: LinearHypergraph,
             return host.targets[-1], host.sources[-1], host.edges[-1]
 
         vmap_t, vmap_s, emap = _complete(L, chains, found, split)
-        yield Matching(Homomorphism(L, host, vmap_t, vmap_s, emap), host)
+        out.append(Matching(Homomorphism(L, host, vmap_t, vmap_s, emap), host))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +759,7 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     :func:`~linhyp.graphs.embeddings`).  The host is copied once and each
     step changes it in place (:meth:`_Host.rewrite`), in O(|L| + |R|)
     beyond the search; it takes the same steps to the same graph as
-    :func:`apply_rewrite` at the first of :func:`matchings`.
+    :func:`apply_rewrite` at the first of :func:`find_matchings`.
 
     ``exhausted`` is set when ``max_steps`` steps are taken and some rule
     still matches; a run that reaches its normal form on the last step
@@ -794,9 +792,10 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
 
     Returns the normal forms reached (deduplicated up to isomorphism)
     and whether the state bound cut the search short; ``([], False)``
-    means every rewrite sequence returns to a state already seen.  A state's
-    successors are its steps at every match, in :func:`matchings` order,
-    each on a fresh :class:`_Host` copy of the state.  As in
+    means every rewrite sequence returns to a state already seen.  A
+    state's successors are its steps at every match, in
+    :func:`find_matchings` order, each on a fresh :class:`_Host` copy of
+    the state.  As in
     :func:`normalize`, the label index skips each rule whose edge labels
     a state lacks.
     """

@@ -115,12 +115,6 @@ class Term:
 
     __slots__ = ()
 
-    def __rshift__(self, other: "Term") -> "Seq":
-        return Seq(self, other)
-
-    def __matmul__(self, other: "Term") -> "Tensor":
-        return Tensor(self, other)
-
     def __repr__(self) -> str:
         return f"<{render_term(self)}>"
 
@@ -549,5 +543,7 @@ def _parse_word(text: str, lineno: int) -> Word:
         inner = text[1:-1].strip()
         if not inner:
             return ()
-        return tuple(part.strip() for part in inner.split(","))
+        labels = tuple(part.strip() for part in inner.split(","))
+        if all(map(_is_name, labels)):  # each one a term can write
+            return labels
     raise SignatureError(f"line {lineno}: bad word {text!r}")

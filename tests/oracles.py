@@ -45,12 +45,17 @@ staging and global trace form of the completeness proof (``stage``,
 ``global_trace_form``, ``is_trace_free``), the inductive composite swap
 ``swap_recursive``, and ``trace_mono``, the trace that keeps its loop
 vertices behind identity edges.  They are plain recursive folds, meant
-for small terms.
+for small terms.  ``compose_by_rewiring``, ``trace_by_single_wires``
+and ``smooth_by_splicing`` write out on their own the three splices
+that the library makes with one helper (``graphs._plug``); the
+library's must give the same tables, ids and errors.
 
 Last come the builders and checks only the tests use: ``id_source``
 numbers the ids of a graph built by hand, ``random_graph``
-draws a well-formed graph, ``gate_from_fn`` tabulates a gate, and
-``check_coherence`` extracts a graph along many edge orders.
+draws a well-formed graph, ``feedback_ladder`` builds a circuit whose
+feedback takes one round per rung, ``gate_from_fn`` tabulates a gate,
+``check_coherence`` extracts a graph along many edge orders, and
+``log_log_slope`` fits a size ladder's times.
 """
 from __future__ import annotations
 
@@ -67,8 +72,8 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              read_value_word, value_row)
 from linhyp.extract import extract_term
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
-                           _walk, canonical, canonical_labelling, commutes,
-                           expand, find_isomorphism, smooth)
+                           _walk, above, canonical, canonical_labelling,
+                           commutes, expand, find_isomorphism, smooth)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, RewriteError, Step, _complete,
                             _Host, embeddings, find_matchings, normalize,
@@ -1096,8 +1101,8 @@ def trace_mono(x: int | str | Word, F: LinearHypergraph
     for t in loop_in:
         E = expand(E, t)
     H = ops.trace(x, E)
-    # trace copies E onto fresh ids and drops the loop vertices, keeping
-    # the order of the rest; F's loop vertices live on as the ports of
+    # trace keeps E's ids and drops the loop vertices, keeping the order
+    # of the rest; F's loop vertices live on as the ports of
     # the identity edges, which expand appended in loop order
     ren = dict(zip([v for v in E.targets if v not in loop_in], H.targets))
     ren.update(zip([v for v in E.sources if v not in loop_out], H.sources))
@@ -1107,6 +1112,122 @@ def trace_mono(x: int | str | Word, F: LinearHypergraph
     return H, Homomorphism(F, H, {v: ren[v] for v in F.targets},
                            {v: ren[v] for v in F.sources},
                            {e: ren[e] for e in F.edges})
+
+
+def compose_by_rewiring(F: LinearHypergraph, G: LinearHypergraph
+                        ) -> LinearHypergraph:
+    """Composition rewired by hand: each target of ``F`` whose wire ends
+    at an output of ``F`` is wired to where the input of ``G`` beside it
+    went, and the rest of both graphs is copied."""
+    if F.cod() != G.dom():
+        raise TypeMismatch(
+            f"cannot compose: {F.cod()} does not match {G.dom()}")
+    G = above(G, F)
+    f_outs = F.outputs()
+    g_ins = G.inputs()
+    out_pos = {v: i for i, v in enumerate(f_outs)}
+    dead_s = set(f_outs)
+    dead_t = set(g_ins)
+
+    conn: dict[int, int] = {}
+    for t in F.targets:
+        s = F.conn[t]
+        if s in dead_s:
+            conn[t] = G.conn[g_ins[out_pos[s]]]
+        else:
+            conn[t] = s
+    for t in G.targets:
+        if t not in dead_t:
+            conn[t] = G.conn[t]
+
+    return LinearHypergraph(
+        targets=F.targets + tuple(t for t in G.targets if t not in dead_t),
+        sources=tuple(s for s in F.sources if s not in dead_s) + G.sources,
+        edges=F.edges + G.edges,
+        left={**F.left, **{v: e for v, e in G.left.items() if v not in dead_t}},
+        right={**{v: e for v, e in F.right.items() if v not in dead_s}, **G.right},
+        conn=conn,
+        labels={**F.labels, **G.labels},
+        vtlabels={**F.vtlabels,
+                  **{v: l for v, l in G.vtlabels.items() if v not in dead_t}},
+        vslabels={**{v: l for v, l in F.vslabels.items() if v not in dead_s},
+                  **G.vslabels},
+    )
+
+
+def _trace_once(F: LinearHypergraph) -> LinearHypergraph:
+    ins, outs = F.inputs(), F.outputs()
+    if not ins or not outs or F.vtlabels[ins[0]] != F.vslabels[outs[0]]:
+        raise TypeMismatch("trace needs matching first input and output wires")
+    t0, s0 = ins[0], outs[0]
+    loop_to = F.conn[t0]
+    conn = {}
+    for t in F.targets:
+        if t == t0:
+            continue
+        s = F.conn[t]
+        conn[t] = loop_to if s == s0 else s
+    return LinearHypergraph(
+        targets=tuple(v for v in F.targets if v != t0),
+        sources=tuple(v for v in F.sources if v != s0),
+        edges=F.edges,
+        left={v: e for v, e in F.left.items() if v != t0},
+        right={v: e for v, e in F.right.items() if v != s0},
+        conn=conn,
+        labels=dict(F.labels),
+        vtlabels={v: l for v, l in F.vtlabels.items() if v != t0},
+        vslabels={v: l for v, l in F.vslabels.items() if v != s0},
+    )
+
+
+def trace_by_single_wires(x: int | str | Word, F: LinearHypergraph
+                          ) -> LinearHypergraph:
+    """Trace by repeated single-wire tracing: one copy of the graph per
+    traced wire, so quadratic in the number of wires."""
+    w = as_word(x)
+    if F.dom()[:len(w)] != w or F.cod()[:len(w)] != w:
+        raise TypeMismatch(
+            f"cannot trace {w} out of a {F.dom()} -> {F.cod()} graph")
+    for _ in range(len(w)):
+        F = _trace_once(F)
+    return F
+
+
+def smooth_by_splicing(H: LinearHypergraph) -> LinearHypergraph:
+    """Every identity edge removed one at a time, splicing the wire
+    through it in a copy of ``conn`` and its inverse."""
+    idents = [e for e in H.edges if H.labels[e] == IDENTITY_LABEL]
+    if not idents:
+        return H
+    view = H.view
+    tgts, srcs = view.tgts, view.srcs
+    conn, conn_inv = dict(H.conn), dict(view.conn_inv)
+    dead_t: set[int] = set()
+    dead_s: set[int] = set()
+    for e in idents:
+        (t_e,), (s_e,) = tgts[e], srcs[e]
+        before = conn_inv[s_e]
+        if before == t_e:
+            # a loop made of this identity edge alone: it vanishes
+            del conn[t_e]
+        else:
+            after = conn[t_e]
+            conn[before] = after
+            conn_inv[after] = before
+            del conn[t_e]
+        dead_t.add(t_e)
+        dead_s.add(s_e)
+    return LinearHypergraph(
+        targets=tuple(v for v in H.targets if v not in dead_t),
+        sources=tuple(v for v in H.sources if v not in dead_s),
+        edges=tuple(e for e in H.edges if e not in idents),
+        left={v: e for v, e in H.left.items() if v not in dead_t},
+        right={v: e for v, e in H.right.items() if v not in dead_s},
+        conn=conn,
+        labels={e: lab for e, lab in H.labels.items() if e not in idents},
+        vtlabels={v: lab for v, lab in H.vtlabels.items() if v not in dead_t},
+        vslabels={v: lab for v, lab in H.vslabels.items() if v not in dead_s},
+    )
 
 
 def shuffle_by_insertion(H: LinearHypergraph) -> Term:
@@ -1354,6 +1475,28 @@ def random_graph(rng: random.Random, sig: Signature,
     )
 
 
+def feedback_ladder(k: int, gate: str = "org") -> Term:
+    """``k`` rungs ``gate ; fork`` : 2 -> 2 in a row, of type 2 -> 2.
+    Each rung's second output feeds the next rung's second input, and
+    each rung's first output feeds back to the previous rung's first
+    input.  The ladder's first input is the first rung's second input,
+    its second input the last rung's first, and its outputs are the
+    first rung's first output and the last rung's second.  A depth-first walk from the first rung cuts the
+    ``k - 1`` backward wires, so a value entering the last rung moves
+    back one cut wire per round of ``evaluate``."""
+    rung = Seq(Gen(gate), Gen(FORK))
+    t = Seq(Swap(1, 1), rung)
+    for _ in range(k - 1):
+        # (a_i, b_1, a_{i+1}) -> (c_{i+1}, c_1, d_{i+1}), traced on the
+        # feedback c_{i+1} -> a_i
+        t = Trace(1, Seq(Seq(Seq(Seq(Tensor(Swap(1, 1), Id(1)),
+                                     Tensor(t, Id(1))),
+                                 Tensor(Id(1), Swap(1, 1))),
+                             Tensor(Id(1), rung)),
+                         Tensor(Swap(1, 1), Id(1))))
+    return t
+
+
 def gate_from_fn(name: str, arity: int, fn, lattice: ValueLattice) -> Gate:
     """The gate whose truth table is ``fn`` on every row of values."""
     table = {vs: fn(*vs)
@@ -1383,3 +1526,12 @@ def check_coherence(H: LinearHypergraph, sig: Signature,
     graphs = [interpret(extract_term(H, o), sig) for o in orders]
     first = graphs[0]
     return all(find_isomorphism(first, G) is not None for G in graphs[1:])
+
+
+def log_log_slope(points) -> float:
+    """The least-squares slope of log time against log size."""
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(t) for _, t in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import weakref
 
@@ -18,8 +19,8 @@ from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
-                     tables_in_order,
-                     feedback_wires_by_labelled_walk, gate_from_fn)
+                     feedback_ladder, feedback_wires_by_labelled_walk,
+                     gate_from_fn, tables_in_order)
 
 # Belnap gates via the evidence-pair encoding: each value is a pair of
 # "can be true" / "can be false" bits, and bitwise-monotone boolean maps
@@ -267,6 +268,23 @@ def test_evaluate_feedback_reaches_fixed_point():
     late = Trace(1, Seq(Seq(Tensor(Id(1), Gen("top")), Gen(JOIN)),
                         Gen(FORK)))
     assert evaluate(late, (), csig) == ("top",)
+
+
+@pytest.mark.parametrize("k", [3, 70])
+def test_evaluate_takes_as_many_rounds_as_the_ladder_needs(k, monkeypatch):
+    """On a ladder of ``k`` rungs ``org ; fork`` whose ``k - 1`` backward
+    wires are cut, ``top`` entering the last rung moves back one cut wire
+    per round: ``k`` rounds in all.  A fixed cap of 64 rounds reported
+    ``UNPRODUCTIVE`` from k = 65 on; the bound (|values| - 1) * |cut| + 1
+    is exactly ``k`` here."""
+    csig = two_point_sig()
+    ladder = feedback_ladder(k)
+    assert len(feedback_wires(interpret(ladder, csig.signature()))) == k - 1
+    rounds = _count_normalize(monkeypatch)
+    assert evaluate(ladder, ("bot", "top"), csig) == ("top", "top")
+    assert len(rounds) == k
+    assert evaluate(ladder, ("bot", "bot"), csig) == ("bot", "bot")
+    assert "max_unfoldings" not in inspect.signature(evaluate).parameters
 
 
 def test_evaluate_delay_loop_unproductive():

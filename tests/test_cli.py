@@ -1,17 +1,24 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linhyp import (ParseError, RewriteError, TypeMismatch, interpret,
-                    isomorphic, load_graph, parse_circuit_signature,
-                    parse_rules, parse_signature, parse_term, save_graph,
-                    signature)
+import linhyp
+from linhyp import (ParseError, RewriteError, TypeMismatch, extract_term,
+                    interpret, isomorphic, load_graph,
+                    parse_circuit_signature, parse_rules, parse_signature,
+                    parse_term, render_term, save_graph, signature)
 from linhyp.circuits import LatticeError
 from linhyp.cli import main
 from linhyp.terms import SignatureError
+from oracles import feedback_ladder
 
 SIG_TEXT = """\
 f : 1 -> 1
@@ -476,8 +483,21 @@ def test_evaluate_refuses_an_empty_input_value(files, capsys, tmp_path,
                    *given) == (0, "top\n", "")
 
 
+def test_evaluate_a_long_feedback_ladder(files, capsys, tmp_path):
+    """The 70-rung ladder of ``org ; fork`` has 69 cut wires and needs 70
+    rounds; a fixed cap of 64 rounds printed ``UNPRODUCTIVE`` and exited
+    4."""
+    t = tmp_path / "ladder.term"
+    t.write_text(render_term(extract_term(interpret(
+        feedback_ladder(70), parse_circuit_signature(LATTICE_TEXT)
+        .signature()))) + "\n")
+    assert run(capsys, "evaluate", str(t), "--lattice",
+               str(files / "two.lattice"), "--inputs", "bot,top") == (
+        0, "top,top\n", "")
+
+
 def test_evaluate_deep_chain(capsys, tmp_path):
-    # cutting every wire would take 101 rounds, over the default 64
+    # a loop-free chain takes one round; cutting every wire would take 101
     lattice = tmp_path / "buf.lattice"
     lattice.write_text(LATTICE_TEXT + "gate buf arity 1: bot -> bot\n"
                        "gate buf arity 1: top -> top\n")
@@ -599,3 +619,48 @@ def test_mutated_input_files_give_documented_exit_codes(
     else:
         assert code in (0, 4)
         assert all(line.startswith("step ") for line in lines[:-1])
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# ``linhyp`` in the README's shell blocks runs this function: it runs
+# the CLI module with the test's interpreter, passes its output on, and
+# logs the exit code, the subcommand and the output's last line
+_LINHYP = r'''
+linhyp() {
+  local out code
+  out=$("$PY" -m linhyp.cli "$@"); code=$?
+  printf '%s\n' "$out"
+  printf '%s\t%s\t%s\n' "$code" "$1" "${out##*$'\n'}" >> "$LOG"
+}
+'''
+
+
+def _cli_blocks() -> list[str]:
+    """The ``sh`` blocks of the README's ``## CLI`` section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```sh\n(.*?)```", section, re.S)
+
+
+def test_readme_cli_examples_run(tmp_path):
+    """Every command of the README's CLI section runs, in a fresh
+    directory, and exits 0; the ``evaluate`` example prints ``top``."""
+    blocks = _cli_blocks()
+    calls = sum(line.startswith("linhyp ")
+                for block in blocks for line in block.splitlines())
+    assert len(blocks) >= 2 and calls >= 6
+    log = tmp_path / "codes.log"
+    env = {**os.environ, "PY": sys.executable, "LOG": str(log),
+           "PYTHONPATH": os.pathsep.join(
+               [str(Path(linhyp.__file__).parent.parent),
+                os.environ.get("PYTHONPATH", "")])}
+    for block in blocks:
+        done = subprocess.run(["bash", "-e", "-c", _LINHYP + block],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    runs = [line.split("\t") for line in log.read_text().splitlines()]
+    assert len(runs) == calls
+    assert [code for code, _, _ in runs] == ["0"] * calls, runs
+    assert [last for _, cmd, last in runs if cmd == "evaluate"] == ["top"]

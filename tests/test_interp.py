@@ -16,7 +16,7 @@ from linhyp.graphs import GraphView, LinearHypergraph
 from linhyp.laws import axiom_schemes, law_signature, random_term
 from linhyp.terms import tensor_all
 from oracles import (equal_mod_stmc_typed_first, interpret_by_combinators,
-                     random_graph, tables_in_order)
+                     log_log_slope, random_graph, tables_in_order)
 
 SIG = law_signature()
 
@@ -478,15 +478,6 @@ def test_builder_matches_combinator_fold_on_nested_wiring():
         assert_same_stored_order(Seq(t, u), SIG)
 
 
-def _slope(points):
-    """The least-squares slope of log time against log size."""
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-            / sum((x - mx) ** 2 for x in xs))
-
-
 @pytest.mark.parametrize("leaf,right", [(Id(1), True), (Swap(1, 1), False)],
                          ids=["right-nested-ids", "left-nested-swaps"])
 def test_nested_tensors_of_wiring_interpret_in_linear_time(leaf, right):
@@ -510,7 +501,7 @@ def test_nested_tensors_of_wiring_interpret_in_linear_time(leaf, right):
             gc.enable()
         assert H.arity() == (wires, wires) and not H.edges
         points.append((wires, best))
-    assert _slope(points) <= 1.2, points
+    assert log_log_slope(points) <= 1.2, points
 
 
 OSIG = signature({"f": (1, 1), "g": (1, 2), "h": (2, 2), "k": (2, 1),

@@ -1,4 +1,7 @@
+import gc
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (IDENTITY_LABEL, Gen, TypeMismatch, compose,
                     find_isomorphism, generator, identity, interpret,
                     isomorphic, smooth, swap, tensor, trace, validate)
-from linhyp.graphs import LinearHypergraph
-from linhyp.laws import law_signature
-from oracles import random_graph, swap_recursive, trace_mono
+from linhyp.graphs import LinearHypergraph, expand
+from linhyp.laws import law_signature, random_term
+from linhyp.terms import signature, tensor_all
+from oracles import (compose_by_rewiring, log_log_slope, random_graph,
+                     smooth_by_splicing, swap_recursive, trace_by_single_wires,
+                     trace_mono)
 
 SIG = law_signature()
 
@@ -234,3 +240,115 @@ def test_constructor_outputs_validate(H):
     assert validate(tensor(H, H), SIG) == []
     assert validate(compose(H, identity(n)), SIG) == []
     assert validate(trace(1, tensor(identity(1), H))) == []
+
+
+LSIG = signature({"p": (("A",), ("A", "B")), "q": (("B", "A"), ("A",)),
+                  "r": ((), ("B",))})
+
+
+def _tables(H: LinearHypergraph) -> tuple:
+    """Every table of ``H`` as a list, in stored order, with its ids."""
+    return (H.targets, H.sources, H.edges,
+            *(list(t.items()) for t in (H.left, H.right, H.conn, H.labels,
+                                        H.vtlabels, H.vslabels)))
+
+
+def _outcome(fn, *args) -> tuple:
+    try:
+        return _tables(fn(*args))
+    except TypeMismatch as exc:
+        return type(exc), str(exc)
+
+
+def _labelled_graph(rng: random.Random) -> LinearHypergraph:
+    """A tensor of labelled generators, identities and swaps, traced
+    where its first input and output agree."""
+    parts = [rng.choice([lambda: generator(rng.choice("pqr"), LSIG),
+                         lambda: identity(rng.choice([("A",), ("B", "A")])),
+                         lambda: swap(("A",), ("B",))])()
+             for _ in range(rng.randint(1, 4))]
+    H = parts[0]
+    for P in parts[1:]:
+        H = tensor(H, P)
+    if H.dom()[:1] and H.dom()[:1] == H.cod()[:1] and rng.random() < 0.5:
+        H = trace(H.dom()[:1], H)
+    return H
+
+
+def _expanded(rng: random.Random, H: LinearHypergraph) -> LinearHypergraph:
+    """``H`` with chains of identity edges on random wires, and loops of
+    identity edges where a traced wire is kept (``trace_mono``)."""
+    dom, cod = H.dom(), H.cod()
+    k = next((i for i, (a, b) in enumerate(zip(dom, cod)) if a != b),
+             min(len(dom), len(cod)))
+    if k and rng.random() < 0.5:
+        H, _ = trace_mono(dom[:rng.randint(1, k)], H)
+    for _ in range(rng.randint(0, 4)):
+        if H.targets:
+            H = expand(H, rng.choice(H.targets))
+    return H
+
+
+def _draw(rng: random.Random) -> LinearHypergraph:
+    kind = rng.randrange(4)
+    if kind == 0:
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        return interpret(random_term(rng, SIG, m, n, depth=rng.randint(1, 3)),
+                         SIG)
+    if kind == 1:
+        return random_graph(rng, SIG, max_edges=4, max_extra_wires=3)
+    if kind == 2:
+        return _labelled_graph(rng)
+    return _expanded(rng, rng.choice([random_graph(rng, SIG),
+                                      identity(rng.randint(1, 3)),
+                                      _labelled_graph(rng)]))
+
+
+def test_one_splice_gives_the_parents_compose_trace_and_smooth(rng):
+    """``compose``, ``trace`` and ``smooth`` share one splice
+    (``graphs._plug``); on random terms, random graphs, labelled graphs
+    and graphs with chains and loops of identity edges they give the
+    tables, stored order, dict order and ids of the three splices each
+    written out on its own, and the same error on a mistyped call."""
+    calls = errors = 0
+    for _ in range(150):
+        F = _draw(rng)
+        dom, cod = F.dom(), F.cod()
+        for x in range(min(len(dom), len(cod)) + 2):
+            for w in dict.fromkeys([x, dom[:x], cod[:x]]):
+                assert (_outcome(trace, w, F)
+                        == _outcome(trace_by_single_wires, w, F))
+                calls += 1
+        G = _draw(rng)
+        for A, B in ((F, G), (G, F), (F, F), (F, identity(cod)),
+                     (identity(dom), F)):
+            got = _outcome(compose, A, B)
+            assert got == _outcome(compose_by_rewiring, A, B)
+            errors += got[0] is TypeMismatch
+            calls += 1
+        for H in (F, _expanded(rng, F)):
+            assert _tables(smooth(H)) == _tables(smooth_by_splicing(H))
+            calls += 1
+    assert calls >= 1000 and errors >= 100
+
+
+def test_tracing_half_the_wires_of_a_wide_tensor_is_linear():
+    """``trace(n // 2, f^{⊗n})`` for n = 2000 to 16000: tracing one wire
+    at a time copied the graph once per wire, a log-log slope near 2
+    (16 s for n = 8000); one splice keeps it at most 1.2.  Each rung is
+    the best of five runs without the cyclic collector."""
+    points = []
+    for n in (2000, 4000, 8000, 16000):
+        F = interpret(tensor_all([Gen("f")] * n), SIG)
+        best = math.inf
+        gc.disable()
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                H = trace(n // 2, F)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        assert H.arity() == (n - n // 2, n - n // 2) and len(H.edges) == n
+        points.append((n, best))
+    assert log_log_slope(points) <= 1.2, points

@@ -16,7 +16,7 @@ from linhyp import (Gen, Homomorphism, Id, Matching, ParseError, Seq, Swap,
                     parse_term, pushout, pushout_complement, rule_from_terms,
                     saturate_rule, save_graph, tensor, validate)
 from linhyp.circuits import eval_rules
-from linhyp.graphs import IDENTITY_LABEL
+from linhyp.graphs import IDENTITY_LABEL, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import signature, tensor_all, type_of
 from oracles import (apply_by_pushouts, boundary_coherent,
@@ -327,6 +327,59 @@ def test_pattern_with_closed_identity_loop_rejected():
     assert [loop.labels[e] for e in loop.edges] == [IDENTITY_LABEL]
     with pytest.raises(RewriteError):
         find_matchings(loop, interpret(Gen("f"), SIG))
+
+
+def test_a_loop_of_identity_edges_beside_chains_is_refused():
+    """A closed loop of identity edges is refused with its reason even
+    when the left side's other identity edges form chains that could
+    anchor a match: the loop itself has no surviving target."""
+    F = interpret(Gen("h"), SIG)
+    F = expand(expand(F, F.inputs()[0]), F.inputs()[0])  # a 2-edge chain
+    loop, _ = trace_mono(1, identity(1))
+    loop = expand(loop, loop.targets[0])  # two identity edges in a cycle
+    L = tensor(F, loop)
+    assert sum(lab == IDENTITY_LABEL for lab in L.labels.values()) == 4
+    for up_to_homeo in (False, True):
+        with pytest.raises(RewriteError) as info:
+            find_matchings(L, interpret(Gen("h"), SIG), up_to_homeo)
+        assert str(info.value) == ("left side contains a closed loop of"
+                                   " identity edges; it cannot anchor a"
+                                   " match")
+
+
+def test_find_matchings_compiles_a_left_side_with_identity_edges_once(
+        monkeypatch):
+    """A saturated left side is searched as its smoothed copy, which is
+    kept on it, as its view is: each call used to smooth it anew and
+    compile a new search.  Repeated calls compile each search once and
+    give the same matches."""
+    from linhyp import graphs
+
+    compiled = []
+    real = graphs._compile_search
+
+    def counting(P, starts, up_to_homeo):
+        compiled.append((starts, up_to_homeo))
+        return real(P, starts, up_to_homeo)
+
+    monkeypatch.setattr(graphs, "_compile_search", counting)
+    rule = parse_rules("slide : f * id 1 => id 1 * f", SIG)[0]
+    assert IDENTITY_LABEL in rule.L.labels.values()
+    G = interpret(parse_term("f * f ; h ; f * id 1", SIG), SIG)
+
+    def maps(up_to_homeo):
+        return [(m.embedding.vmap_t, m.embedding.vmap_s, m.embedding.emap,
+                 view_tables(m.host))
+                for m in find_matchings(rule.L, G, up_to_homeo)]
+
+    for up_to_homeo in (False, True):
+        first = maps(up_to_homeo)
+        assert len(first) == 15
+        for _ in range(20):
+            assert maps(up_to_homeo) == first
+    assert len(compiled) == len(set(compiled)) == 2
+    normalize(G, [rule], max_steps=3)
+    assert len(compiled) == 2
 
 
 def test_matching_through_a_loop_needs_homeomorphism():

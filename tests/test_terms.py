@@ -138,6 +138,24 @@ def test_parse_signature_reads_only_decimal_digits_as_numbers(text):
     assert str(info.value) == f"line 1: bad word {text!r}"
 
 
+@pytest.mark.parametrize("text", ["[A B]", "[,]", "[A,]", "[1x]", "[A;B]",
+                                  "[A,,B]", "[f-g]"])
+def test_parse_signature_refuses_labels_no_term_can_write(text):
+    """A bracketed label must be one name token: ``[A B]``, ``[,]`` and
+    the rest were read as the labels ``'A B'``, ``''`` and so on, and
+    every ``id [...]`` over them was then refused."""
+    with pytest.raises(SignatureError) as info:
+        parse_signature(f"f : {text} -> 1\n")
+    assert str(info.value) == f"line 1: bad word {text!r}"
+
+
+def test_every_signature_label_can_be_written_in_a_term():
+    sig = parse_signature("f : [A, b_2 ,é, tr] -> [_]\n")
+    assert sig.dom("f") == ("A", "b_2", "é", "tr")
+    t = parse_term("id [A,b_2, é,tr] ; f", sig)
+    assert type_of(t, sig) == (("A", "b_2", "é", "tr"), ("_",))
+
+
 def test_parse_signature_takes_every_name_token():
     sig = parse_signature("_ : 1 -> 1\nf_1 : 1 -> 2\n  Gx2 : 0 -> 1\n"
                           "é² : 1 -> 1\n")
