@@ -742,7 +742,7 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     every combination of images.
 
     The search takes G's tables to agree with each other, as every
-    ``GraphView`` builds them and ``rewrite._Host`` keeps them: each
+    ``GraphView`` builds them and ``_Host`` keeps them: each
     edge's port tuples list, in order, the vertices whose ``left`` or
     ``right`` is that edge, ``conn_inv`` inverts ``conn``, and
     ``by_label`` lists just the edges of each label.  So it checks only
@@ -1027,60 +1027,110 @@ def expand(H: LinearHypergraph, w: int) -> LinearHypergraph:
     """Insert one identity edge on the wire leaving target vertex ``w``."""
     if w not in H.conn:
         raise ValueError(f"{w} is not a target vertex")
-    t_new, s_new, e_new = islice(count(next_id(H)), 3)
-    lab = H.vtlabels[w]
-    conn = dict(H.conn)
-    old = conn[w]
-    conn[w] = s_new
-    conn[t_new] = old
-    return LinearHypergraph(
-        targets=H.targets + (t_new,),
-        sources=H.sources + (s_new,),
-        edges=H.edges + (e_new,),
-        left={**H.left, t_new: e_new},
-        right={**H.right, s_new: e_new},
-        conn=conn,
-        labels={**H.labels, e_new: IDENTITY_LABEL},
-        vtlabels={**H.vtlabels, t_new: lab},
-        vslabels={**H.vslabels, s_new: lab},
-    )
+    h = _Host(H)
+    h.expand(w)
+    return h.freeze()
 
 
 def smooth(H: LinearHypergraph) -> LinearHypergraph:
     """Remove every identity edge, plugging its source port into its
-    target port (:func:`_plug`)."""
-    idents = [e for e in H.edges if H.labels[e] == IDENTITY_LABEL]
-    if not idents:
+    target port (:meth:`_Host.smooth`)."""
+    if IDENTITY_LABEL not in H.labels.values():
         return H
-    tgts, srcs = H.view.tgts, H.view.srcs
-    return _plug(H, [srcs[e][0] for e in idents],
-                 [tgts[e][0] for e in idents], idents)
+    h = _Host(H)
+    h.smooth()
+    return h.freeze()
 
 
-def _plug(H: LinearHypergraph, outs: Iterable[int], ins: Iterable[int],
-          drop: Iterable[int] = ()) -> LinearHypergraph:
-    """``H`` with the wire entering each source of ``outs`` continued
-    where the wire leaving the target beside it in ``ins`` went, through
-    any number of plugged pairs, and those vertices and the edges in
-    ``drop`` deleted, in one pass and in stored order: the one splice of
-    composition, trace and smoothing."""
-    nxt = dict(zip(outs, ins))
-    dead_t, drop = set(nxt.values()), set(drop)
-    conn = H.conn
-    plugged: dict[int, int] = {}
-    for t, s in conn.items():
-        if t not in dead_t:
-            while s in nxt:
-                s = conn[nxt[s]]
-            plugged[t] = s
-    return LinearHypergraph(
-        targets=tuple(v for v in H.targets if v not in dead_t),
-        sources=tuple(v for v in H.sources if v not in nxt),
-        edges=tuple(e for e in H.edges if e not in drop),
-        left={v: e for v, e in H.left.items() if v not in dead_t},
-        right={v: e for v, e in H.right.items() if v not in nxt},
-        conn=plugged,
-        labels={e: lab for e, lab in H.labels.items() if e not in drop},
-        vtlabels={v: lab for v, lab in H.vtlabels.items() if v not in dead_t},
-        vslabels={v: lab for v, lab in H.vslabels.items() if v not in nxt},
-    )
+class _Host(GraphView):
+    """A graph edited in place: the one splice (:meth:`plug`), the one
+    split (:meth:`expand`), and the host that the DPO steps of
+    :mod:`linhyp.rewrite` rewrite in place.
+
+    It keeps the tables of a :class:`GraphView` current, so the search
+    reads it live; only the port index, which the search reads of the
+    pattern and never of the host, is not kept.  ``targets``,
+    ``sources`` and ``labels`` are insertion-ordered and list the
+    vertices and edges in the stored order that
+    :func:`~linhyp.rewrite.pushout_complement`,
+    :func:`~linhyp.rewrite.pushout` and :func:`smooth` give, which the
+    tests check it against: survivors keep their order and new elements
+    follow in the order they are made, except that each edge of R moves
+    its ports, glued ones too, to the end in R's order, so that it keeps
+    R's port words.  ``edge_seq`` numbers the edges in stored order, for
+    the search to sort by.  ``new_ids`` counts up from ``next_id(G)``, so
+    each new element's id is above every id the host has had.
+    """
+
+    def __init__(self, G: LinearHypergraph) -> None:
+        # every table is a mutable copy of the view's, in stored order
+        v = G.view
+        self.targets = dict.fromkeys(G.targets)
+        self.sources = dict.fromkeys(G.sources)
+        self.labels = {e: G.labels[e] for e in G.edges}
+        self.left, self.right = dict(G.left), dict(G.right)
+        self.conn, self.conn_inv = dict(G.conn), dict(v.conn_inv)
+        self.vtlabels, self.vslabels = dict(G.vtlabels), dict(G.vslabels)
+        self.tgts, self.srcs = dict(v.tgts), dict(v.srcs)
+        self.by_label = {lab: dict.fromkeys(es)
+                         for lab, es in v.by_label.items()}
+        self.tick = count()
+        self.edge_seq = {e: next(self.tick) for e in G.edges}
+        self.new_ids = count(next_id(G))
+
+    def freeze(self) -> LinearHypergraph:
+        return LinearHypergraph(
+            tuple(self.targets), tuple(self.sources), tuple(self.labels),
+            self.left, self.right, self.conn, self.labels, self.vtlabels,
+            self.vslabels).with_tables(self.tgts, self.srcs, self.conn_inv)
+
+    def plug(self, outs: Iterable[int], ins: Iterable[int]) -> None:
+        """Continue the wire entering each source of ``outs`` where the
+        wire leaving the target beside it in ``ins`` went, and delete
+        those vertices: the one splice of composition, trace and
+        smoothing.  A wire runs on through any number of plugged pairs,
+        and one that closes on itself vanishes."""
+        for s, t in zip(outs, ins):
+            before, after = self.conn_inv.pop(s), self.conn.pop(t)
+            if before != t:  # else the wire closes on itself
+                self.conn[before], self.conn_inv[after] = after, before
+            del self.targets[t], self.left[t], self.vtlabels[t]
+            del self.sources[s], self.right[s], self.vslabels[s]
+
+    def smooth(self) -> None:
+        """Remove every identity edge, plugging its source port into its
+        target port."""
+        for e in self.by_label.pop(IDENTITY_LABEL, ()):
+            self.plug(self.srcs.pop(e), self.tgts.pop(e))
+            del self.labels[e], self.edge_seq[e]
+
+    def expand(self, w: int) -> tuple[int, int, int]:
+        """Insert one identity edge on the wire leaving target ``w``;
+        return its new target, source and edge."""
+        t, s, e = islice(self.new_ids, 3)
+        self.targets[t] = self.sources[s] = None
+        self.left[t] = self.right[s] = e
+        self.vtlabels[t] = self.vslabels[s] = self.vtlabels[w]
+        self.labels[e] = IDENTITY_LABEL
+        self.tgts[e], self.srcs[e] = (t,), (s,)
+        self.by_label.setdefault(IDENTITY_LABEL, {})[e] = None
+        self.edge_seq[e] = next(self.tick)
+        self.conn[t] = after = self.conn[w]
+        self.conn_inv[after] = t
+        self.conn[w], self.conn_inv[s] = s, w
+        return t, s, e
+
+    def rewrite(self, rule, vmap_t: dict[int, int], vmap_s: dict[int, int],
+                emap: dict[int, int]) -> None:
+        """One DPO step of ``rule`` at a match of its left side, in
+        O(|L| + |R|): the rule's step (``rule._stepper``), compiled from
+        its plan, or the error of a span the plan refuses.
+
+        Delete the image of L less K's, glue a fresh copy of R along K,
+        and splice out the identity edges: the graph and the errors, in
+        their order, of :func:`~linhyp.rewrite.pushout_complement`,
+        :func:`~linhyp.rewrite.pushout` and :func:`smooth` at that match.
+        The match must be an embedding, as :func:`embeddings` yields it
+        and :func:`~linhyp.rewrite.apply_rewrite` checks it.
+        """
+        rule._stepper(self, vmap_t, vmap_s, emap)

@@ -3,14 +3,14 @@
 These make linear hypergraphs a symmetric traced monoidal structure:
 identities and swaps are edge-free wiring, generators are single edges,
 and composition / tensor / trace combine graphs; composition and trace
-are each one splice (``graphs._plug``).  The constructors number their
+are each one splice (``graphs._Host.plug``).  The constructors number their
 ids from 0, and composition and tensor renumber only the second operand,
 above the first (``graphs.above``), so callers never manage id
 disjointness.
 """
 from __future__ import annotations
 
-from .graphs import INTERFACE, LinearHypergraph, _plug, above
+from .graphs import INTERFACE, LinearHypergraph, _Host, above
 from .terms import Signature, TypeMismatch, Word, as_word
 
 
@@ -78,12 +78,14 @@ def swap(m: int | str | Word, n: int | str | Word) -> LinearHypergraph:
 
 def compose(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
     """Plug the outputs of ``F`` into the inputs of ``G``, in their
-    tensor (``graphs._plug``)."""
+    tensor (``graphs._Host.plug``)."""
     if F.cod() != G.dom():
         raise TypeMismatch(
             f"cannot compose: {F.cod()} does not match {G.dom()}")
     FG = tensor(F, G)
-    return _plug(FG, F.outputs(), FG.inputs()[len(F.inputs()):])
+    h = _Host(FG)
+    h.plug(F.outputs(), FG.inputs()[len(F.inputs()):])
+    return h.freeze()
 
 
 def tensor(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
@@ -104,9 +106,11 @@ def tensor(F: LinearHypergraph, G: LinearHypergraph) -> LinearHypergraph:
 
 def trace(x: int | str | Word, F: LinearHypergraph) -> LinearHypergraph:
     """Feed the first ``x`` outputs back into the first ``x`` inputs, all
-    in one splice (``graphs._plug``)."""
+    in one splice (``graphs._Host.plug``)."""
     w = as_word(x)
     if F.dom()[:len(w)] != w or F.cod()[:len(w)] != w:
         raise TypeMismatch(
             f"cannot trace {w} out of a {F.dom()} -> {F.cod()} graph")
-    return _plug(F, F.outputs()[:len(w)], F.inputs()[:len(w)])
+    h = _Host(F)
+    h.plug(F.outputs()[:len(w)], F.inputs()[:len(w)])
+    return h.freeze()

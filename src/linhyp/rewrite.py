@@ -6,7 +6,7 @@ interface (pushout complement), and glues ``R`` back in (pushout).
 Rules whose interface legs would collapse a straight-through wire are
 saturated with identity edges first; matching such rules transparently
 expands the host on the wires the identity edges need.  Every step is
-made in place on a mutable copy of the host (``_Host``), by one
+made in place on a mutable copy of the host (``graphs._Host``), by one
 function compiled per rule from its plan (``_StepPlan``,
 ``_compile_step``); the pushout constructions build the same graph and
 are kept as its reference.
@@ -20,9 +20,9 @@ from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Sequence
 
-from .graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
-                     Homomorphism, LinearHypergraph, above, embeddings,
-                     expand, next_id)
+from .graphs import (IDENTITY_LABEL, INTERFACE, Found, Homomorphism,
+                     LinearHypergraph, _Host, above, embeddings, expand,
+                     smooth)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
@@ -66,8 +66,14 @@ class RewriteRule:
     @cached_property
     def _stepper(self) -> Callable[..., None]:
         """That step compiled (:func:`_compile_step`), on the rule's first
-        step."""
-        return _compile_step(self._step)
+        step; for a span the plan refuses, a step that raises its error."""
+        error = self._step.error
+        if error is None:
+            return _compile_step(self._step)
+
+        def refuse(*_) -> None:
+            raise RewriteError(error)
+        return refuse
 
 
 class RuleSet(tuple):
@@ -151,14 +157,12 @@ def saturate_rule(rule: RewriteRule) -> RewriteRule:
     """Expand straight-through wires on either side with identity edges
     so that both interface legs become embeddings.  Idempotent."""
     L, R = rule.L, rule.R
-    changed = False
     for t in _straight_wires(L):
         L = expand(L, t)
-        changed = True
     for t in _straight_wires(R):
         R = expand(R, t)
-        changed = True
-    if not changed and rule.left_leg.is_embedding() and rule.right_leg.is_embedding():
+    if (L is rule.L and R is rule.R and rule.left_leg.is_embedding()
+            and rule.right_leg.is_embedding()):
         return rule
     return _make_rule(rule.name, L, R)
 
@@ -243,10 +247,9 @@ def _pattern(L: LinearHypergraph
     identity edges, L smoothed (kept on L, so that its searches are
     compiled once), with the identity chains that matching expands the
     host along."""
-    if not any(L.labels[e] == IDENTITY_LABEL for e in L.edges):
+    if IDENTITY_LABEL not in L.labels.values():
         return L, []
-    chains = _identity_chains(L)
-    return L._smoothed, chains
+    return L._smoothed, _identity_chains(L)
 
 
 def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
@@ -652,99 +655,6 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
     return scope.pop("_bind")(*consts)
 
 
-class _Host(GraphView):
-    """A host graph that DPO steps rewrite in place: the one step engine
-    behind :func:`normalize`, :func:`normal_forms` and :func:`apply_rewrite`.
-
-    It keeps the tables of a :class:`GraphView` current, so the search
-    reads it live; only the port index, which the search reads of the
-    pattern and never of the host, is not kept.  ``targets``,
-    ``sources`` and ``labels`` are insertion-ordered and list the
-    vertices and edges in the stored order that
-    :func:`pushout_complement`, :func:`pushout` and
-    :func:`~linhyp.graphs.smooth` give, which the tests check it
-    against: survivors keep their order and new elements follow in the
-    order they are made, except that each edge of R moves its ports,
-    glued ones too, to the end in R's order, so that it keeps R's port
-    words.  ``edge_seq`` numbers the edges in stored order, for the
-    search to sort by.  ``new_ids`` counts up from ``next_id(G)``, so
-    each new element's id is above every id the host has had.
-    """
-
-    def __init__(self, G: LinearHypergraph) -> None:
-        # every table is a mutable copy of the view's, in stored order
-        v = G.view
-        self.targets = dict.fromkeys(G.targets)
-        self.sources = dict.fromkeys(G.sources)
-        self.labels = {e: G.labels[e] for e in G.edges}
-        self.left, self.right = dict(G.left), dict(G.right)
-        self.conn, self.conn_inv = dict(G.conn), dict(v.conn_inv)
-        self.vtlabels, self.vslabels = dict(G.vtlabels), dict(G.vslabels)
-        self.tgts, self.srcs = dict(v.tgts), dict(v.srcs)
-        self.by_label = {lab: dict.fromkeys(es)
-                         for lab, es in v.by_label.items()}
-        self.tick = count()
-        self.edge_seq = {e: next(self.tick) for e in G.edges}
-        self.new_ids = count(next_id(G))
-
-    def freeze(self) -> LinearHypergraph:
-        return LinearHypergraph(
-            tuple(self.targets), tuple(self.sources), tuple(self.labels),
-            self.left, self.right, self.conn, self.labels, self.vtlabels,
-            self.vslabels).with_tables(self.tgts, self.srcs, self.conn_inv)
-
-    # -- steps --------------------------------------------------------------
-
-    def expand(self, w: int) -> tuple[int, int, int]:
-        """Insert one identity edge on the wire leaving target ``w``, as
-        :func:`~linhyp.graphs.expand` does; return its new target, source
-        and edge."""
-        t, s, e = islice(self.new_ids, 3)
-        self.targets[t] = self.sources[s] = None
-        self.left[t] = self.right[s] = e
-        self.vtlabels[t] = self.vslabels[s] = self.vtlabels[w]
-        self.labels[e] = IDENTITY_LABEL
-        self.tgts[e], self.srcs[e] = (t,), (s,)
-        self.by_label.setdefault(IDENTITY_LABEL, {})[e] = None
-        self.edge_seq[e] = next(self.tick)
-        self.conn[t] = after = self.conn[w]
-        self.conn_inv[after] = t
-        self.conn[w], self.conn_inv[s] = s, w
-        return t, s, e
-
-    def rewrite(self, rule: RewriteRule, vmap_t: dict[int, int],
-                vmap_s: dict[int, int], emap: dict[int, int]) -> None:
-        """One DPO step at a match of ``rule.L``, in O(|L| + |R|).
-
-        Delete the image of L less K's, glue a fresh copy of R along K,
-        and splice out the identity edges: the graph and the errors, in
-        their order, of :func:`pushout_complement`, :func:`pushout` and
-        :func:`~linhyp.graphs.smooth` at that match.  The match must be
-        an embedding, as :func:`~linhyp.graphs.embeddings` yields it and
-        :func:`apply_rewrite` checks it.  A span the plan
-        (``rule._step``) refuses raises here; any other step is the
-        rule's compiled step (``rule._stepper``, :func:`_compile_step`).
-        """
-        p = rule._step
-        if p.error is not None:
-            raise RewriteError(p.error)
-        rule._stepper(self, vmap_t, vmap_s, emap)
-
-    def smooth(self) -> None:
-        """Remove every identity edge, splicing the wire through it, as
-        :func:`~linhyp.graphs.smooth` does.  After the first step the
-        only identity edges are those the last step made."""
-        for e in self.by_label.pop(IDENTITY_LABEL, ()):
-            (t,), (s,) = self.tgts[e], self.srcs[e]
-            before = self.conn_inv.pop(s)
-            after = self.conn.pop(t)
-            if before != t:  # else a loop of this identity edge alone
-                self.conn[before], self.conn_inv[after] = after, before
-            del self.targets[t], self.left[t], self.vtlabels[t]
-            del self.sources[s], self.right[s], self.vslabels[s]
-            del self.labels[e], self.tgts[e], self.srcs[e], self.edge_seq[e]
-
-
 def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
               max_steps: int = 10000) -> NormalizeResult:
     """Apply rules until no rule matches or the step budget runs out.
@@ -756,16 +666,19 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     skips each rule whose labels the host lacks.  The search for each
     component of a left side starts at its edge whose label is rarest in
     the host, which leaves the order of matches unchanged (see
-    :func:`~linhyp.graphs.embeddings`).  The host is copied once and each
-    step changes it in place (:meth:`_Host.rewrite`), in O(|L| + |R|)
-    beyond the search; it takes the same steps to the same graph as
-    :func:`apply_rewrite` at the first of :func:`find_matchings`.
+    :func:`~linhyp.graphs.embeddings`).  The host is smoothed and copied
+    once, so rewriting works up to its identity edges, and each step
+    changes it in place (:meth:`_Host.rewrite`), in O(|L| + |R|) beyond
+    the search; it takes the same steps to the same graph as
+    :func:`apply_rewrite` at the first of :func:`find_matchings` on the
+    smoothed host.
 
     ``exhausted`` is set when ``max_steps`` steps are taken and some rule
     still matches; a run that reaches its normal form on the last step
     allowed is not exhausted.
     """
     rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
+    G = smooth(G)
     host = _Host(G)
     steps: list[Step] = []
     while True:
@@ -795,11 +708,11 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     means every rewrite sequence returns to a state already seen.  A
     state's successors are its steps at every match, in
     :func:`find_matchings` order, each on a fresh :class:`_Host` copy of
-    the state.  As in
-    :func:`normalize`, the label index skips each rule whose edge labels
-    a state lacks.
+    the state.  As in :func:`normalize`, the input is smoothed first,
+    and the label index skips each rule whose edge labels a state lacks.
     """
     rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
+    G = smooth(G)
     seen = {save_graph(G)}  # canonical files: one per isomorphism class
     frontier = deque([G])
     nfs: list[LinearHypergraph] = []

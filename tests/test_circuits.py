@@ -10,12 +10,13 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, UNPRODUCTIVE,
                     belnap, cartesian_rules, circuit_rules, copy_term,
                     delete_term, evaluate, find_matchings,
                     interpret, isomorphic, merge_term,
-                    normalize, parse_circuit_signature, two_point, type_of,
+                    normalize, parse_circuit_signature, parse_term,
+                    two_point, type_of,
                     validate, value_row)
 from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
                              eval_rules, feedback_wires)
 from linhyp.terms import Swap
-from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph
+from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph, expand
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
@@ -247,6 +248,18 @@ def test_evaluate_round_may_use_its_whole_step_budget():
     circuit = Seq(Gen("top"), Gen(FORK))
     assert evaluate(circuit, (), csig, max_steps=1) == ("top", "top")
     assert evaluate(circuit, (), csig, max_steps=0) is UNPRODUCTIVE
+
+
+@pytest.mark.parametrize("term", ["id 1", "amp"])
+def test_evaluate_a_circuit_with_an_identity_edge(term):
+    """A circuit graph may carry identity edges (``validate`` accepts
+    them): with one on its input wire, ``id 1`` and the one-input gate
+    give what they give without it."""
+    csig = two_point_sig()
+    C = interpret(parse_term(term, csig.signature()), csig.signature())
+    for v in ("bot", "top"):
+        assert evaluate(expand(C, C.targets[0]), (v,), csig) == (v,)
+        assert evaluate(C, (v,), csig) == (v,)
 
 
 def test_evaluate_checks_inputs():

@@ -17,7 +17,8 @@ from linhyp import (ParseError, RewriteError, TypeMismatch, extract_term,
                     parse_term, render_term, save_graph, signature)
 from linhyp.circuits import LatticeError
 from linhyp.cli import main
-from linhyp.terms import SignatureError
+from linhyp.graphs import expand
+from linhyp.terms import Gen, SignatureError
 from oracles import feedback_ladder
 
 SIG_TEXT = """\
@@ -381,6 +382,25 @@ def test_rewrite_exhaustive_strategy(files, capsys, tmp_path):
     assert code == 4
     assert err == "step budget (0) exhausted\n"
     assert json.loads(out2) == json.loads(g.read_text())
+
+
+def test_rewrite_a_graph_file_with_an_identity_edge(files, capsys, tmp_path):
+    """A graph file may hold ``@id`` edges: ``f ; @id ; f`` is rewritten
+    up to them, by either strategy."""
+    sig = files / "circuit.sig"
+    rules = tmp_path / "rules.txt"
+    rules.write_text("squash : f ; f => f\n")
+    full_sig = signature({"f": (1, 1)})
+    G = interpret(parse_term("f ; f", full_sig), full_sig)
+    g = tmp_path / "g.json"
+    g.write_text(save_graph(expand(G, G.view.tgts[G.edges[0]][0])))
+    assert '"@id"' in g.read_text()
+    for strategy, err_lines in (("deterministic", 1), ("exhaustive", 0)):
+        code, out, err = run(capsys, "rewrite", str(g), "--rules", str(rules),
+                             "--sig", str(sig), "--strategy", strategy)
+        assert code == 0 and err.count("rule squash") == err_lines
+        assert save_graph(load_graph(out)) == save_graph(
+            interpret(Gen("f"), full_sig))
 
 
 @pytest.mark.parametrize("rule", ["idw : id 1 => id 1", "same : f => f",

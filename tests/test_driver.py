@@ -13,13 +13,14 @@ one by one.
 import gc
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
 
 from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normal_forms,
                     normalize, parse_rules, rename, save_graph)
-from linhyp import rewrite
+from linhyp import graphs, rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
 from linhyp.graphs import (IDENTITY_LABEL, GraphView, LinearHypergraph,
                            PatternTables, validate)
@@ -171,12 +172,15 @@ def test_driver_agrees_on_long_chains(n, max_steps):
 
 
 def _counting_expand(monkeypatch):
-    """Count the identity edges the driver inserts into its host."""
+    """Count the identity edges the driver inserts into its host.  The
+    list search splits a copy through ``graphs.expand``, which makes the
+    same in-place split on a host of its own: those are not counted."""
     calls = []
     real = rewrite._Host.expand
 
     def counting(self, w):
-        calls.append(w)
+        if sys._getframe(1).f_code is not graphs.expand.__code__:
+            calls.append(w)
         return real(self, w)
 
     monkeypatch.setattr(rewrite._Host, "expand", counting)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (IDENTITY_LABEL, Gen, TypeMismatch, compose,
                     find_isomorphism, generator, identity, interpret,
                     isomorphic, smooth, swap, tensor, trace, validate)
-from linhyp.graphs import LinearHypergraph, expand
+from linhyp.graphs import LinearHypergraph, _Host, expand
 from linhyp.laws import law_signature, random_term
+from linhyp.serialize import save_graph
 from linhyp.terms import signature, tensor_all
 from oracles import (compose_by_rewiring, log_log_slope, random_graph,
                      smooth_by_splicing, swap_recursive, trace_by_single_wires,
@@ -305,8 +306,8 @@ def _draw(rng: random.Random) -> LinearHypergraph:
 
 
 def test_one_splice_gives_the_parents_compose_trace_and_smooth(rng):
-    """``compose``, ``trace`` and ``smooth`` share one splice
-    (``graphs._plug``); on random terms, random graphs, labelled graphs
+    """``compose``, ``trace`` and ``smooth`` share one in-place splice
+    (``graphs._Host.plug``); on random terms, random graphs, labelled graphs
     and graphs with chains and loops of identity edges they give the
     tables, stored order, dict order and ids of the three splices each
     written out on its own, and the same error on a mistyped call."""
@@ -351,4 +352,54 @@ def test_tracing_half_the_wires_of_a_wide_tensor_is_linear():
             gc.enable()
         assert H.arity() == (n - n // 2, n - n // 2) and len(H.edges) == n
         points.append((n, best))
+    assert log_log_slope(points) <= 1.2, points
+
+
+def _best_of_five_ladder(build, op) -> list[tuple[int, float]]:
+    """``op(build(n))`` for n = 2000 to 16000, each rung the best of
+    five runs without the cyclic collector."""
+    points = []
+    for n in (2000, 4000, 8000, 16000):
+        G = build(n)
+        best = math.inf
+        gc.disable()
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                op(G)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        points.append((n, best))
+    return points
+
+
+def _wide_tensor(n: int) -> LinearHypergraph:
+    return interpret(tensor_all([Gen("f")] * n), SIG)
+
+
+def test_composing_a_wide_tensor_with_itself_is_linear():
+    """``compose(F, F)`` for F = f^{⊗n}: one splice of all n wires in
+    their tensor keeps the log-log slope at most 1.2."""
+    H = compose(_wide_tensor(4), _wide_tensor(4))
+    assert H.arity() == (4, 4) and len(H.edges) == 8
+    points = _best_of_five_ladder(_wide_tensor, lambda F: compose(F, F))
+    assert log_log_slope(points) <= 1.2, points
+
+
+def _every_wire_split(n: int) -> LinearHypergraph:
+    """f^{⊗n} with an identity edge on each of its 2n wires."""
+    F = _wide_tensor(n)
+    h = _Host(F)
+    for t in F.targets:
+        h.expand(t)
+    return h.freeze()
+
+
+def test_smoothing_every_wire_of_a_wide_tensor_is_linear():
+    """``smooth`` of f^{⊗n} with an identity edge on every wire: 2n
+    plugs in place keep the log-log slope at most 1.2."""
+    H = smooth(_every_wire_split(4))
+    assert save_graph(H) == save_graph(_wide_tensor(4))
+    points = _best_of_five_ladder(_every_wire_split, smooth)
     assert log_log_slope(points) <= 1.2, points

@@ -453,6 +453,51 @@ def test_exhaustive_unique_normal_form():
     assert isomorphic(nfs[0], interpret(Gen("f"), sig))
 
 
+HSIG = signature({"f": (1, 1), "g": (1, 1), "h": (1, 1), "k": (1, 1)})
+FF_HH = parse_rules("ff : f ; f => g\nhh : h ; h => k\n", HSIG)
+
+
+def _split_after_first(G, label):
+    """``G`` with an identity edge on the wire leaving its first edge
+    labelled ``label``: ``f ; f`` becomes ``f ; @id ; f``."""
+    e = next(e for e in G.edges if G.labels[e] == label)
+    return expand(G, G.view.tgts[e][0])
+
+
+def test_rewriting_works_up_to_the_hosts_identity_edges():
+    """A host's own identity edges are smoothed before the first search:
+    ``f ; @id ; f`` takes its ``ff`` step in ``normalize`` and
+    ``normal_forms`` alike, and the graph that no rule matches comes
+    back smoothed."""
+    H = _split_after_first(interpret(parse_term("f ; f", HSIG), HSIG), "f")
+    g = interpret(Gen("g"), HSIG)
+    res = normalize(H, FF_HH)
+    assert [s.rule for s in res.steps] == ["ff"] and not res.exhausted
+    assert isomorphic(res.graph, g)
+    nfs, exhausted = normal_forms(H, FF_HH)
+    assert not exhausted and len(nfs) == 1 and isomorphic(nfs[0], g)
+    lone = _split_after_first(interpret(Gen("h"), HSIG), "h")
+    res = normalize(lone, FF_HH)
+    assert res.steps == [] and isomorphic(res.graph, interpret(Gen("h"), HSIG))
+    assert IDENTITY_LABEL not in res.graph.labels.values()
+
+
+def test_a_redex_behind_an_identity_edge_matches_before_any_step():
+    """In ``(f ; f) * (h ; @id ; h)``, ``hh`` matches from the start: it
+    takes the first step when it comes first, and with ``hh`` alone."""
+    M = _split_after_first(
+        interpret(parse_term("(f ; f) * (h ; h)", HSIG), HSIG), "h")
+    for rules, order, nf in ((FF_HH, ["ff", "hh"], "g * k"),
+                             (FF_HH[::-1], ["hh", "ff"], "g * k"),
+                             (FF_HH[1:], ["hh"], "(f ; f) * k")):
+        want = interpret(parse_term(nf, HSIG), HSIG)
+        res = normalize(M, rules)
+        assert [s.rule for s in res.steps] == order
+        assert isomorphic(res.graph, want)
+        nfs, exhausted = normal_forms(M, rules)
+        assert not exhausted and len(nfs) == 1 and isomorphic(nfs[0], want)
+
+
 def test_parse_rules_file():
     text = """
     # structural rules
