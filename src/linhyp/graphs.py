@@ -762,8 +762,10 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     Every yielded map is total and injective once split, and commutes.
     Its dicts are its own, so a caller may complete them in place while
     the search goes on.  The rewriting driver stops at the first map
-    and rewrites the host it searched; the exhaustive one rewrites a
-    fresh copy of the graph at every map, and matching expands a copy.
+    and completes it on the host it searched, which it then rewrites;
+    the exhaustive search and :func:`~linhyp.rewrite.find_matchings`
+    complete every map one way (``rewrite._matches``), on a fresh copy
+    of the graph where the map splits its wires.
     """
     P = L.pattern
     get = G.by_label.get

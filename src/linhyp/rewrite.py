@@ -5,9 +5,13 @@ step finds an embedding of ``L`` in a host graph, removes ``L`` up to the
 interface (pushout complement), and glues ``R`` back in (pushout).
 Rules whose interface legs would collapse a straight-through wire are
 saturated with identity edges first; matching such rules transparently
-expands the host on the wires the identity edges need.  Every step is
-made in place on a mutable copy of the host (``graphs._Host``), by one
-function compiled per rule from its plan (``_StepPlan``,
+expands the host on the wires the identity edges need.  Matching and
+rewriting work up to the host's own identity edges: the host is smoothed
+first.  The driver completes its matches on its one mutable copy of the
+host (``graphs._Host``); :func:`find_matchings` and :func:`normal_forms`
+complete theirs one way (``_matches``), on a fresh copy for each match
+that splits host wires.  Every step is made in place on such a copy, by
+one function compiled per rule from its plan (``_StepPlan``,
 ``_compile_step``); the pushout constructions build the same graph and
 are kept as its reference.
 """
@@ -18,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, Homomorphism,
                      LinearHypergraph, _Host, above, embeddings, expand,
@@ -99,9 +103,11 @@ class RuleSet(tuple):
 class Matching:
     """An embedding of a rule's left side into a host graph.
 
-    ``host`` is the graph the embedding lands in: the original graph, or
-    a homeomorphic expansion of it when the left side carries identity
-    edges.
+    ``host`` is the graph the embedding lands in (``embedding.dst``): the
+    searched graph once smoothed.  A match that splits host wires has a
+    copy of that graph of its own, expanded on the wires where the left
+    side carries identity edges or, up to homeomorphism, where two of
+    its boundary wires share one host wire.
     """
 
     embedding: Homomorphism
@@ -220,21 +226,12 @@ def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
     heads = [e for e in id_edges
              if not is_ident(L.left[conn_inv[srcs[e][0]]])]
     chains: list[tuple[int, list[int]]] = []
-    used: set[int] = set()
-    for h in heads:
+    for h in heads:  # no two runs meet: an edge has one edge before it
         chain = [h]
-        used.add(h)
-        cur = h
-        while True:
-            nxt = L.right[L.conn[tgts[cur][0]]]
-            if is_ident(nxt):
-                chain.append(nxt)
-                used.add(nxt)
-                cur = nxt
-            else:
-                break
+        while is_ident(nxt := L.right[L.conn[tgts[chain[-1]][0]]]):
+            chain.append(nxt)
         chains.append((conn_inv[srcs[h][0]], chain))
-    if len(used) != len(id_edges):
+    if sum(len(chain) for _, chain in chains) != len(id_edges):
         raise RewriteError(
             "left side contains a closed loop of identity edges; it cannot"
             " anchor a match")
@@ -271,30 +268,38 @@ def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
     return vmap_t, vmap_s, emap
 
 
+def _matches(L: LinearHypergraph, G: LinearHypergraph,
+             up_to_homeo: bool) -> Iterator[tuple]:
+    """Each map of L into G that :func:`~linhyp.graphs.embeddings` finds,
+    in its order, completed (:func:`_complete`): the graph it lands in,
+    and L's maps of targets, sources and edges into that graph.  A map
+    that needs no split lands in G itself, any other in a fresh
+    :class:`_Host` copy of G, split where the map needs it and frozen."""
+    pattern, chains = _pattern(L)
+    for found in embeddings(pattern, G.view, up_to_homeo):
+        if found[3] or chains:
+            host = _Host(G)
+            maps = _complete(L, chains, found, host.expand)
+            yield host.freeze(), *maps
+        else:
+            yield G, *found[:3]
+
+
 def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
                    up_to_homeo: bool = False) -> list[Matching]:
-    """All ways the pattern L embeds into G, in the order of
-    :func:`~linhyp.graphs.embeddings`.
+    """All ways the pattern L embeds into G up to G's identity edges, in
+    the order of :func:`~linhyp.graphs.embeddings`.
 
-    Identity edges in L match by expanding the corresponding wire of G,
-    so the returned host may be a homeomorphic expansion of G.  With
-    ``up_to_homeo``, boundary wires of L may also share one host wire
-    (the rewrite theory works up to wire homeomorphism; loops through a
-    redex need this).
+    G is smoothed first, as :func:`normalize` and :func:`normal_forms`
+    smooth their input, and each match lands in the smoothed G or, where
+    it splits host wires, in a copy of its own (``Matching.host``).
+    Identity edges in L match by expanding that copy on the wires they
+    need.  With ``up_to_homeo``, boundary wires of L may also share one
+    host wire (the rewrite theory works up to wire homeomorphism; loops
+    through a redex need this).
     """
-    pattern, chains = _pattern(L)
-    out = []
-    for found in embeddings(pattern, G.view, up_to_homeo):
-        host = G
-
-        def split(t: int) -> tuple[int, int, int]:
-            nonlocal host
-            host = expand(host, t)
-            return host.targets[-1], host.sources[-1], host.edges[-1]
-
-        vmap_t, vmap_s, emap = _complete(L, chains, found, split)
-        out.append(Matching(Homomorphism(L, host, vmap_t, vmap_s, emap), host))
-    return out
+    return [Matching(Homomorphism(L, H, *maps), H)
+            for H, *maps in _matches(L, smooth(G), up_to_homeo)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +440,19 @@ def pushout(m: Homomorphism, n: Homomorphism
 
 def apply_rewrite(G: LinearHypergraph, rule: RewriteRule,
                   match: Matching) -> LinearHypergraph:
-    """One DPO step at the given match, on a copy of ``match.host`` (G
-    or an expansion of it), by :meth:`_Host.rewrite`: it gives what
-    :func:`pushout_complement`, :func:`pushout` and
-    :func:`~linhyp.graphs.smooth` give and raises what they raise."""
-    if not match.embedding.is_embedding():
-        raise RewriteError("pushout complement needs embeddings")
+    """One DPO step at the given match, by :meth:`_Host.rewrite`: it
+    gives what :func:`pushout_complement`, :func:`pushout` and
+    :func:`~linhyp.graphs.smooth` give and raises what they raise.
+
+    G is the graph the match was found in; the step is taken on a copy
+    of ``match.host``, the graph the match lands in (G smoothed, or a
+    copy of it expanded where the match needs it).  The match must be one of the
+    rule's left side, or of a graph equal to it."""
     m = match.embedding
+    if m.src != rule.L:
+        raise RewriteError(f"not a match of rule {rule.name}'s left side")
+    if not m.is_embedding():
+        raise RewriteError("pushout complement needs embeddings")
     host = _Host(match.host)
     host.rewrite(rule, m.vmap_t, m.vmap_s, m.emap)
     return host.freeze()
@@ -670,8 +681,7 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     once, so rewriting works up to its identity edges, and each step
     changes it in place (:meth:`_Host.rewrite`), in O(|L| + |R|) beyond
     the search; it takes the same steps to the same graph as
-    :func:`apply_rewrite` at the first of :func:`find_matchings` on the
-    smoothed host.
+    :func:`apply_rewrite` at the first of :func:`find_matchings`.
 
     ``exhausted`` is set when ``max_steps`` steps are taken and some rule
     still matches; a run that reaches its normal form on the last step
@@ -722,11 +732,9 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
         cur = frontier.popleft()
         succs = []
         for rule in rules.for_labels(cur.view.by_label):
-            pattern, chains = rule._search
-            for found in embeddings(pattern, cur.view, True):
-                host = _Host(cur)
-                host.rewrite(rule,
-                             *_complete(rule.L, chains, found, host.expand))
+            for H, *maps in _matches(rule.L, cur, True):
+                host = _Host(H)
+                host.rewrite(rule, *maps)
                 succs.append(host.freeze())
         if not succs:
             nfs.append(cur)

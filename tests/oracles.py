@@ -409,7 +409,8 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
     every match of each rule in turn and takes the first rule's first
     match.  It shares matching with the driver under test, and builds
     each step's graph with the pushout constructions
-    (:func:`apply_by_pushouts`), not in place."""
+    (:func:`apply_by_pushouts`), not in place.  Its graph comes back
+    smoothed, as the driver's does, also when it takes no step."""
     rules = [r for r in rules if r.L.targets or r.L.edges]
     current = G
     steps: list[Step] = []
@@ -420,10 +421,9 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
             if ms:
                 hit = (rule, ms[0])
                 break
-        if hit is None:
-            return NormalizeResult(current, steps, exhausted=False)
-        if len(steps) >= max_steps:
-            return NormalizeResult(current, steps, exhausted=True)
+        if hit is None or len(steps) >= max_steps:
+            return NormalizeResult(smooth(current), steps,
+                                   exhausted=hit is not None)
         rule, match = hit
         matched_edges = tuple(sorted(match.embedding.emap.values()))
         current = apply_by_pushouts(current, rule, match)
@@ -560,9 +560,11 @@ def normal_forms_by_pushouts(G: LinearHypergraph, rules,
                              max_steps: int = 10000, max_states: int = 2000
                              ) -> tuple[list[LinearHypergraph], bool]:
     """``normal_forms`` with every match listed first and every step
-    built by :func:`apply_by_pushouts`."""
+    built by :func:`apply_by_pushouts`.  Its states are smoothed, as the
+    driver's are: G's own identity edges are left to ``find_matchings``,
+    and only the key and a normal form of G are smoothed here."""
     rules = [r for r in rules if r.L.targets or r.L.edges]
-    seen = {save_graph(G)}  # canonical files: one per isomorphism class
+    seen = {save_graph(smooth(G))}  # canonical files: one per class
     frontier = deque([G])
     nfs: list[LinearHypergraph] = []
     expansions = 0
@@ -574,7 +576,7 @@ def normal_forms_by_pushouts(G: LinearHypergraph, rules,
             for match in find_matchings(rule.L, cur, up_to_homeo=True):
                 succs.append(apply_by_pushouts(cur, rule, match))
         if not succs:
-            nfs.append(cur)
+            nfs.append(smooth(cur))
             continue
         expansions += 1
         if expansions > max_steps or len(seen) > max_states:

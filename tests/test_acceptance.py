@@ -224,8 +224,10 @@ def test_criterion_8_term_graph_parity():
             expected = interpret(t_after, SIG)
             ms = find_matchings(rule.L, G, up_to_homeo=True)
             assert ms, "subterm occurrence not found"
-            assert any(isomorphic(apply_rewrite(G, rule, m), expected)
-                       for m in ms)
+            # a lone match is the occurrence of l in C: it must give C[r]
+            results = [isomorphic(apply_rewrite(G, rule, m), expected)
+                       for m in ms]
+            assert all(results) if len(ms) == 1 else any(results)
             done += 1
 
 

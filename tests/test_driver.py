@@ -20,10 +20,10 @@ import pytest
 
 from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normal_forms,
                     normalize, parse_rules, rename, save_graph)
-from linhyp import graphs, rewrite
+from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
 from linhyp.graphs import (IDENTITY_LABEL, GraphView, LinearHypergraph,
-                           PatternTables, validate)
+                           PatternTables, expand, validate)
 from linhyp.laws import random_term
 from linhyp.rewrite import RuleSet
 from linhyp.terms import signature, tensor_all
@@ -158,6 +158,22 @@ def test_lazy_driver_agrees_on_rewrite_hosts():
     assert taken == {"hh", "ff", "copy-nat", "counit", "k-drop"}
 
 
+def _with_identity_edges(rng, G):
+    """G with one to three identity edges on wires chosen at random."""
+    for _ in range(rng.randint(1, 3)):
+        G = expand(G, rng.choice(G.targets))
+    return G
+
+
+def test_lazy_driver_agrees_on_hosts_with_identity_edges():
+    """The driver and the list search both rewrite up to the host's
+    identity edges: ``normalize`` and ``find_matchings`` smooth it
+    before they search."""
+    rng = random.Random(7)
+    for _ in range(40):
+        assert_same_run(_with_identity_edges(rng, _host(rng)), RULES)
+
+
 @pytest.mark.parametrize("n,max_steps", [(160, 200), (320, 400), (640, 64)],
                          ids=["160", "320", "640"])
 def test_driver_agrees_on_long_chains(n, max_steps):
@@ -172,14 +188,15 @@ def test_driver_agrees_on_long_chains(n, max_steps):
 
 
 def _counting_expand(monkeypatch):
-    """Count the identity edges the driver inserts into its host.  The
-    list search splits a copy through ``graphs.expand``, which makes the
-    same in-place split on a host of its own: those are not counted."""
+    """Count the identity edges the driver inserts into its host: the
+    splits that ``normalize`` has ``_complete`` make.  The list search
+    makes the same in-place splits through ``find_matchings``, on a
+    fresh copy for each match that splits: those are not counted."""
     calls = []
     real = rewrite._Host.expand
 
     def counting(self, w):
-        if sys._getframe(1).f_code is not graphs.expand.__code__:
+        if sys._getframe(2).f_code is rewrite.normalize.__code__:
             calls.append(w)
         return real(self, w)
 
@@ -218,10 +235,11 @@ def test_rejected_candidates_leave_no_trace(monkeypatch):
         [Trace(1, Seq(Gen("w"), Gen("f")))] * 4
         + [Trace(1, Seq(Gen("f"), Gen("f")))]), RSIG)
     expanded = []
-    real = rewrite.expand
-    monkeypatch.setattr(rewrite, "expand",
-                        lambda H, w: expanded.append(w) or real(H, w))
-    listed = normalize_by_enumeration(host, RULES)
+    real = rewrite._Host.expand
+    with monkeypatch.context() as patch:
+        patch.setattr(rewrite._Host, "expand",
+                      lambda H, w: expanded.append(w) or real(H, w))
+        listed = normalize_by_enumeration(host, RULES)
     assert len(expanded) == 2  # both rotations of the 2-loop
     splits = _counting_expand(monkeypatch)
     res = assert_same_run(host, RULES)

@@ -235,6 +235,21 @@ def test_find_matchings_two_copies():
     assert len(find_matchings(L, G)) == 2
 
 
+def test_only_a_match_that_splits_gets_a_copy_of_the_host():
+    """A match that splits no host wire lands in the smoothed host
+    itself, so listing the matches of ``f ; f`` along a chain copies no
+    graph; a saturated left side splits, so each of its matches lands in
+    a copy of its own."""
+    rules = parse_rules("ff : f ; f => f\ngrow : id 1 => f\n", RSIG)
+    G = interpret(parse_term("f ; f ; f ; f", RSIG), RSIG)
+    ms = find_matchings(rules[0].L, G)
+    assert len(ms) == 3 and all(m.host is G for m in ms)
+    ms = find_matchings(rules[1].L, G)
+    assert len(ms) == 5
+    assert len({id(m.host) for m in ms} | {id(G)}) == 6
+    assert all(m.host is m.embedding.dst for m in ms)
+
+
 def test_find_matchings_complete_vs_brute_force(rng):
     for _ in range(25):
         L = random_graph(rng, SIG, max_edges=2, max_extra_wires=1)
@@ -496,6 +511,57 @@ def test_a_redex_behind_an_identity_edge_matches_before_any_step():
         assert isomorphic(res.graph, want)
         nfs, exhausted = normal_forms(M, rules)
         assert not exhausted and len(nfs) == 1 and isomorphic(nfs[0], want)
+
+
+def test_find_matchings_works_up_to_the_hosts_identity_edges():
+    """``find_matchings`` smooths its host as the drivers do: ``f ; @id ;
+    f`` has one match of ``ff``, with and without ``up_to_homeo``, and
+    the step there gives the graph ``normalize`` takes it to."""
+    ff = FF_HH[0]
+    H = _split_after_first(interpret(parse_term("f ; f", HSIG), HSIG), "f")
+    want = normalize(H, [ff], 1).graph
+    for up_to_homeo in (False, True):
+        ms = find_matchings(ff.L, H, up_to_homeo)
+        assert len(ms) == 1
+        assert ms[0].host is ms[0].embedding.dst
+        assert IDENTITY_LABEL not in ms[0].host.labels.values()
+        assert isomorphic(apply_rewrite(H, ff, ms[0]), want)
+
+
+def test_the_list_searches_agree_on_hosts_with_identity_edges():
+    """The pushout-built list searches rewrite up to the host's identity
+    edges as the drivers do, and return a graph no rule matches smoothed
+    too."""
+    hosts = [_split_after_first(interpret(parse_term(t, HSIG), HSIG), lab)
+             for t, lab in (("f ; f", "f"), ("h", "h"),
+                            ("(f ; f) * (h ; h)", "h"))]
+    for H in hosts:
+        want = normalize(H, FF_HH)
+        got = normalize_by_enumeration(H, FF_HH)
+        assert [s.rule for s in got.steps] == [s.rule for s in want.steps]
+        assert save_graph(got.graph) == save_graph(want.graph)
+        want_nfs, want_exhausted = normal_forms(H, FF_HH)
+        got_nfs, got_exhausted = normal_forms_by_pushouts(H, FF_HH)
+        assert list(map(save_graph, got_nfs)) == list(map(save_graph,
+                                                          want_nfs))
+        assert got_exhausted == want_exhausted
+
+
+def test_apply_rewrite_refuses_another_rules_match():
+    """A match of one rule's left side is no match of another's: the
+    step raises ``RewriteError``, not a ``KeyError`` from inside it.  A
+    left side equal to the rule's, made apart from it, is accepted."""
+    ff, hh = FF_HH
+    G = interpret(parse_term("(f ; f) * (h ; h)", HSIG), HSIG)
+    for rule, other in ((ff, hh), (hh, ff)):
+        m = find_matchings(rule.L, G)[0]
+        with pytest.raises(RewriteError, match="left side"):
+            apply_rewrite(G, other, m)
+    twin = parse_rules("ff : f ; f => g\n", HSIG)[0]
+    assert twin.L is not ff.L and twin.L == ff.L
+    m = find_matchings(twin.L, G)[0]
+    assert isomorphic(apply_rewrite(G, ff, m),
+                      interpret(parse_term("g * (h ; h)", HSIG), HSIG))
 
 
 def test_parse_rules_file():
