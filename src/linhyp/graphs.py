@@ -150,6 +150,10 @@ class LinearHypergraph:
                 f" edges={[self.labels[e] for e in self.edges]})")
 
 
+#: The graph with no vertices and no edges, where a build starts.
+EMPTY = LinearHypergraph((), (), (), {}, {}, {}, {})
+
+
 # ---------------------------------------------------------------------------
 # Well-formedness
 # ---------------------------------------------------------------------------
@@ -347,8 +351,8 @@ def next_id(H: LinearHypergraph) -> int:
 
     Ids need only be distinct within their graph, so every operation
     that adds elements to a graph numbers them from here."""
-    return max(max(H.targets, default=-1), max(H.sources, default=-1),
-               max(H.edges, default=-1)) + 1
+    return max(max(H.targets or (-1,)), max(H.sources or (-1,)),
+               max(H.edges or (-1,))) + 1
 
 
 def above(H: LinearHypergraph, F: LinearHypergraph) -> LinearHypergraph:
@@ -1046,7 +1050,8 @@ def smooth(H: LinearHypergraph) -> LinearHypergraph:
 
 class _Host(GraphView):
     """A graph edited in place: the one splice (:meth:`plug`), the one
-    split (:meth:`expand`), and the host that the DPO steps of
+    split (:meth:`expand`), the graph :func:`~linhyp.interp.interpret`
+    builds, from :data:`EMPTY`, and the host that the DPO steps of
     :mod:`linhyp.rewrite` rewrite in place.
 
     It keeps the tables of a :class:`GraphView` current, so the search
@@ -1077,7 +1082,7 @@ class _Host(GraphView):
         self.by_label = {lab: dict.fromkeys(es)
                          for lab, es in v.by_label.items()}
         self.tick = count()
-        self.edge_seq = {e: next(self.tick) for e in G.edges}
+        self.edge_seq = dict(zip(G.edges, self.tick))
         self.new_ids = count(next_id(G))
 
     def freeze(self) -> LinearHypergraph:
@@ -1089,9 +1094,9 @@ class _Host(GraphView):
     def plug(self, outs: Iterable[int], ins: Iterable[int]) -> None:
         """Continue the wire entering each source of ``outs`` where the
         wire leaving the target beside it in ``ins`` went, and delete
-        those vertices: the one splice of composition, trace and
-        smoothing.  A wire runs on through any number of plugged pairs,
-        and one that closes on itself vanishes."""
+        those vertices: the one splice of interpretation, composition,
+        trace and smoothing.  A wire runs on through any number of
+        plugged pairs, and one that closes on itself vanishes."""
         for s, t in zip(outs, ins):
             before, after = self.conn_inv.pop(s), self.conn.pop(t)
             if before != t:  # else the wire closes on itself

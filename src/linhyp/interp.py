@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 from collections import deque
-from itertools import count, islice
+from itertools import islice
 
-from .graphs import LinearHypergraph, find_isomorphism
+from .graphs import (EMPTY, INTERFACE, LinearHypergraph, _Host,
+                     find_isomorphism)
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, Trace,
                     TypeMismatch, render_word, type_of)
 
@@ -25,30 +26,29 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     Each maximal run of identities and swaps thus becomes one permutation,
     which gets two ids per wire only when something needs vertices: a
     generator, a trace, a composition or tensor with a built graph, or
-    the end of the pass.  Generators allocate their ids once, composition
-    and trace splice wires in place, and tensor joins the two interface
-    lists.  Apart from bulk list joins the cost is linear in the number
-    of nodes plus the total word length of the identity and swap leaves;
-    the ids drawn for an extracted term are linear in the graph.  The
-    constant is that of the graph built: each generator's shape is looked
-    up once per call, and each port or spliced wire costs only the
-    dictionary writes of its entries, with no helper call per generator
-    or wire.  Ids are numbered from 0 in the order they are drawn, and
-    the edges' port tuples recorded then are handed to the graph's view.
-    The stored orders match the fold of :mod:`linhyp.ops` combinators:
-    leaf vertices and edges in left-to-right leaf order, minus the
-    spliced ones.  Dispatch is on the exact node class, as in
-    :func:`linhyp.terms.type_of`.
+    the end of the pass.  Generators and permutations write the ids
+    they draw into one :class:`~linhyp.graphs._Host`, started empty,
+    composition and trace list the wires they splice, and tensor joins
+    the two interface lists; one :meth:`~linhyp.graphs._Host.plug`
+    splices the listed wires at the end, as no splice touches a vertex
+    still on an interface.  Apart from bulk list joins the cost is
+    linear in the number of nodes plus the total word length of the
+    identity and swap leaves; the ids drawn for an extracted term are
+    linear in the graph.  The constant is that of the graph built: each
+    generator's shape is looked up once per call, and each port costs
+    only the dictionary writes of its entries, with no helper call per
+    generator or wire.  Ids are numbered from 0 in the order they are
+    drawn, and the host hands its tables to the graph's view, the
+    ``conn`` inverse rebuilt in ``conn`` order.  The stored orders match
+    the fold of :mod:`linhyp.ops` combinators: leaf vertices and edges
+    in left-to-right leaf order, minus the spliced ones.  Dispatch is on
+    the exact node class, as in :func:`linhyp.terms.type_of`.
     """
-    targets: dict[int, str] = {}   # live target vertex -> object label
-    sources: dict[int, str] = {}   # live source vertex -> object label
-    left: dict[int, int] = {}      # edge ports only; others are INTERFACE
-    right: dict[int, int] = {}
-    conn: dict[int, int] = {}
-    conn_inv: dict[int, int] = {}
-    edges: list[int] = []
-    labels: dict[int, str] = {}
-    tgts, srcs = {}, {}            # each edge's port tuples, as drawn
+    H = _Host(EMPTY)
+    targets, sources, left, right = H.targets, H.sources, H.left, H.right
+    vtlabels, vslabels, conn, conn_inv = (H.vtlabels, H.vslabels, H.conn,
+                                          H.conn_inv)
+    labels, tgts, srcs, new_ids = H.labels, H.tgts, H.srcs, H.new_ids
     shapes: dict[str, tuple] = {}  # generator -> (dom + cod, m, m + n)
 
     def cat(a: Ends, b: Ends) -> Ends:
@@ -85,10 +85,11 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             k = len(dom)
             ids = list(islice(new_ids, 2 * k))
             for j, (a, b, x) in enumerate(zip(dom, cod, src)):
-                v, s = ids[x + off], ids[k + j]
-                targets[ids[j]], sources[s] = a, b
-                conn[v] = s
-                conn_inv[s] = v
+                v, s, w = ids[j], ids[k + j], ids[x + off]
+                targets[v] = sources[s] = None
+                left[v] = right[s] = INTERFACE
+                vtlabels[v], vslabels[s] = a, b
+                conn[w], conn_inv[s] = s, w
             values[p] = (ids[:k], ids[k:])
         pending = 0
 
@@ -97,7 +98,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     # whose output j carries input src[j] + off
     values: list = []
     pending = 0
-    new_ids = count()
+    cut_outs, cut_ins = [], []  # the wires to splice, plugged at the end
     todo: list[tuple[Term, bool]] = [(t, False)]
     while todo:
         u, ready = todo.pop()
@@ -120,14 +121,13 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
             e = ids[-1]
             for j in range(k):
                 v, s = ids[j], ids[k + j]
-                targets[v] = sources[s] = word[j]
-                conn[v] = s
-                conn_inv[s] = v
+                targets[v] = sources[s] = None
+                vtlabels[v] = vslabels[s] = word[j]
+                conn[v], conn_inv[s] = s, v
                 if j < m:
-                    right[s] = e
+                    left[v], right[s] = INTERFACE, e
                 else:
-                    left[v] = e
-            edges.append(e)
+                    left[v], right[s] = e, INTERFACE
             labels[e] = u.name
             tgts[e], srcs[e] = tuple(ids[m:k]), tuple(ids[k:k + m])
             values.append((ids[:m], ids[k + m:-1]))
@@ -174,8 +174,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                 ins, outs = values[-1]
                 x = u.loop
                 k = len(x)
-                dom = tuple(map(targets.__getitem__, islice(ins, k)))
-                cod = tuple(map(sources.__getitem__, islice(outs, k)))
+                dom = tuple(map(vtlabels.__getitem__, islice(ins, k)))
+                cod = tuple(map(vslabels.__getitem__, islice(outs, k)))
                 if dom != x or cod != x:
                     raise TypeMismatch(
                         f"cannot trace {render_word(x)} out of a graph whose"
@@ -187,35 +187,20 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                 if kind is Tensor:
                     values[-1] = (cat(f_ins, ins), cat(outs, g_outs))
                     continue
-                cod = tuple(map(sources.__getitem__, outs))
-                dom = tuple(map(targets.__getitem__, ins))
+                cod = tuple(map(vslabels.__getitem__, outs))
+                dom = tuple(map(vtlabels.__getitem__, ins))
                 if cod != dom:
                     raise mismatch(cod, dom, u)
                 values[-1] = (f_ins, g_outs)
-            # splice: the wire entering output o now continues where
-            # input i's wire went
-            for o, i in zip(outs, ins):
-                before, after = conn_inv.pop(o), conn.pop(i)
-                del sources[o], targets[i]
-                if before != i:  # else a bare wire closed on itself vanishes
-                    conn[before] = after
-                    conn_inv[after] = before
+            cut_outs += outs
+            cut_ins += ins
 
     if pending:
         materialise()
-    # fresh dicts: the working ones keep the capacity of their peak size
-    H = LinearHypergraph(
-        targets=tuple(targets),
-        sources=tuple(sources),
-        edges=tuple(edges),
-        left={v: left.get(v) for v in targets},
-        right={v: right.get(v) for v in sources},
-        conn={v: conn[v] for v in targets},
-        labels=labels,
-        vtlabels=dict(targets),
-        vslabels=dict(sources),
-    )
-    return H.with_tables(tgts, srcs, dict(zip(H.conn.values(), H.conn)))
+    H.plug(cut_outs, cut_ins)
+    # the view derives its ``conn`` inverse in ``conn`` order
+    H.conn_inv = dict(zip(conn.values(), conn))
+    return H.freeze()
 
 
 def equal_mod_stmc(s: Term, t: Term, sig: Signature) -> bool:

@@ -10,10 +10,10 @@ rewriting work up to the host's own identity edges: the host is smoothed
 first.  The driver completes its matches on its one mutable copy of the
 host (``graphs._Host``); :func:`find_matchings` and :func:`normal_forms`
 complete theirs one way (``_matches``), on a fresh copy for each match
-that splits host wires.  Every step is made in place on such a copy, by
-one function compiled per rule from its plan (``_StepPlan``,
-``_compile_step``); the pushout constructions build the same graph and
-are kept as its reference.
+that splits host wires, which :func:`normal_forms` then rewrites.  Every
+step is made in place on such a copy, by one function compiled per rule
+from its plan (``_StepPlan``, ``_compile_step``); the pushout
+constructions build the same graph and are kept as its reference.
 """
 from __future__ import annotations
 
@@ -268,21 +268,22 @@ def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
     return vmap_t, vmap_s, emap
 
 
-def _matches(L: LinearHypergraph, G: LinearHypergraph,
+def _matches(L: LinearHypergraph, search: tuple, G: LinearHypergraph,
              up_to_homeo: bool) -> Iterator[tuple]:
-    """Each map of L into G that :func:`~linhyp.graphs.embeddings` finds,
-    in its order, completed (:func:`_complete`): the graph it lands in,
-    and L's maps of targets, sources and edges into that graph.  A map
-    that needs no split lands in G itself, any other in a fresh
-    :class:`_Host` copy of G, split where the map needs it and frozen."""
-    pattern, chains = _pattern(L)
+    """Each map of L into G that :func:`~linhyp.graphs.embeddings` finds
+    for L's ``search`` (its :func:`_pattern`), in its order, completed
+    (:func:`_complete`): the host it lands in, and L's maps of targets,
+    sources and edges into that host.  A map that needs no split lands
+    in G itself, and its host is None; any other lands in a fresh
+    :class:`_Host` copy of G, split where the map needs it and left
+    live, for the caller to freeze or rewrite."""
+    pattern, chains = search
     for found in embeddings(pattern, G.view, up_to_homeo):
         if found[3] or chains:
             host = _Host(G)
-            maps = _complete(L, chains, found, host.expand)
-            yield host.freeze(), *maps
+            yield host, _complete(L, chains, found, host.expand)
         else:
-            yield G, *found[:3]
+            yield None, found[:3]
 
 
 def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
@@ -298,8 +299,12 @@ def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
     host wire (the rewrite theory works up to wire homeomorphism; loops
     through a redex need this).
     """
-    return [Matching(Homomorphism(L, H, *maps), H)
-            for H, *maps in _matches(L, smooth(G), up_to_homeo)]
+    G = smooth(G)
+    matches = []
+    for host, maps in _matches(L, _pattern(L), G, up_to_homeo):
+        H = G if host is None else host.freeze()
+        matches.append(Matching(Homomorphism(L, H, *maps), H))
+    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +722,9 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     and whether the state bound cut the search short; ``([], False)``
     means every rewrite sequence returns to a state already seen.  A
     state's successors are its steps at every match, in
-    :func:`find_matchings` order, each on a fresh :class:`_Host` copy of
-    the state.  As in :func:`normalize`, the input is smoothed first,
+    :func:`find_matchings` order, each on one fresh :class:`_Host` copy
+    of the state: the copy the match was completed on where it splits
+    host wires.  As in :func:`normalize`, the input is smoothed first,
     and the label index skips each rule whose edge labels a state lacks.
     """
     rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
@@ -732,8 +738,9 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
         cur = frontier.popleft()
         succs = []
         for rule in rules.for_labels(cur.view.by_label):
-            for H, *maps in _matches(rule.L, cur, True):
-                host = _Host(H)
+            for host, maps in _matches(rule.L, rule._search, cur, True):
+                if host is None:
+                    host = _Host(cur)
                 host.rewrite(rule, *maps)
                 succs.append(host.freeze())
         if not succs:

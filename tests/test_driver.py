@@ -455,6 +455,45 @@ def test_normal_forms_builds_each_search_pattern_once(monkeypatch):
         assert len(built) <= len(rules)
 
 
+def test_normal_forms_finds_each_left_sides_chains_once(monkeypatch):
+    """A left side's identity chains are found once per rule, with its
+    search pattern (``RewriteRule._search``), not once per state."""
+    calls = []
+    real = rewrite._identity_chains
+    monkeypatch.setattr(rewrite, "_identity_chains",
+                        lambda L: calls.append(L) or real(L))
+    rules = parse_rules("k-drop : k * id 1 => id 2", RSIG)
+    kf = Tensor(Gen("k"), Gen("f"))
+    G = interpret(_chain([kf, kf, kf]), RSIG)
+    nfs, exhausted = normal_forms(G, rules)
+    assert len(nfs) == 1 and not exhausted
+    assert len(calls) <= len(rules)
+
+
+def test_normal_forms_builds_one_host_per_successor(monkeypatch):
+    """Each successor is rewritten on one fresh ``_Host``: a match that
+    splits host wires, as ``ff`` does on a loop of two f, is rewritten
+    on the copy it was completed on, and any other on a copy of the
+    state."""
+    built, rewritten, splits = [], [], []
+    real_init, real_rewrite = rewrite._Host.__init__, rewrite._Host.rewrite
+    real_expand = rewrite._Host.expand
+    monkeypatch.setattr(rewrite._Host, "__init__",
+                        lambda self, G: built.append(G) or real_init(self, G))
+    monkeypatch.setattr(rewrite._Host, "rewrite", lambda self, *args:
+                        rewritten.append(self) or real_rewrite(self, *args))
+    monkeypatch.setattr(rewrite._Host, "expand", lambda self, w:
+                        splits.append(w) or real_expand(self, w))
+    loop = [Trace(1, _chain([Gen("f")] * n)) for n in (2, 3, 4)]
+    for t in loop + [Tensor(loop[0], loop[1])]:
+        G = interpret(t, RSIG)
+        for seen in (built, rewritten, splits):
+            seen.clear()
+        nfs, exhausted = normal_forms(G, RULES)
+        assert nfs and not exhausted and splits
+        assert len(built) == len(rewritten) == len(set(map(id, rewritten)))
+
+
 @pytest.mark.parametrize("make_sig", [two_point_sig, belnap_sig],
                          ids=["two-point", "belnap"])
 def test_lazy_driver_agrees_on_circuits(make_sig):

@@ -12,6 +12,7 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
                     equal_mod_stmc, extract_term, find_isomorphism, identity,
                     interpret, parse_term, rename, signature, type_of,
                     validate)
+from linhyp import graphs
 from linhyp.graphs import GraphView, LinearHypergraph
 from linhyp.laws import axiom_schemes, law_signature, random_term
 from linhyp.terms import tensor_all
@@ -537,6 +538,29 @@ def test_interpret_hands_its_tables_to_the_view(monkeypatch):
         assert tables_in_order(H.view) == tables_in_order(GraphView(H))
     assert len(derived) == len(graphs)  # one per GraphView(H) above
     assert any(H.labels and not H.targets for H in graphs)
+
+
+def test_interpret_splices_through_the_hosts_plug(monkeypatch):
+    """Composition and trace splice their wires with ``_Host.plug``, the
+    splice of every graph operation: here each output of the first h is
+    plugged into the input of the second beside it, and the second's
+    first output into the first's first input.  Ids count from 0 in the
+    order drawn: h's inputs, its edge's targets and sources, its outputs
+    and then the edge."""
+    plugged = []
+    real = graphs._Host.plug
+
+    def recording(self, outs, ins):
+        outs, ins = list(outs), list(ins)
+        plugged.extend(zip(outs, ins))
+        real(self, outs, ins)
+
+    monkeypatch.setattr(graphs._Host, "plug", recording)
+    H = interpret(Trace(1, Seq(Gen("h"), Gen("h"))), SIG)
+    assert plugged == [(6, 9), (7, 10), (15, 0)]
+    assert validate(H, SIG) == [] and H.arity() == (1, 1)
+    assert find_isomorphism(H, interpret_by_combinators(
+        Trace(1, Seq(Gen("h"), Gen("h"))), SIG))
 
 
 def test_an_interpreted_graph_is_freed_without_the_collector():
