@@ -17,10 +17,10 @@ from .ops import compose, generator, identity, swap, tensor, trace
 from .interp import equal_mod_stmc, interpret
 from .extract import (canonical_edge_order, extract_term, shuffle, stack,
                       untangle)
-from .rewrite import (Matching, NormalizeResult, RewriteError, RewriteRule,
-                      Step, apply_rewrite, find_matchings, normal_forms,
-                      normalize, parse_rules, pushout, pushout_complement,
-                      RuleSet, rule_from_terms, saturate_rule)
+from .rewrite import (NormalizeResult, RewriteError, RewriteRule, Step,
+                      apply_rewrite, find_matchings, normal_forms, normalize,
+                      parse_rules, pushout, pushout_complement, RuleSet,
+                      rule_from_terms, saturate_rule)
 from .circuits import (UNPRODUCTIVE, CircuitSignature, Gate, ValueLattice,
                        belnap, cartesian_rules, circuit_rules, copy_term,
                        delete_term, evaluate, lattice_from_join, merge_term,

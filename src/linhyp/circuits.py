@@ -48,6 +48,9 @@ class ValueLattice:
 
     def __post_init__(self) -> None:
         vals = self.values
+        for i, a in enumerate(vals):
+            if a in vals[:i]:
+                raise LatticeError(f"duplicate value {a!r}")
         if self.bottom not in vals:
             raise LatticeError(f"bottom {self.bottom!r} is not a value")
         for a, b in itertools.product(vals, vals):
@@ -478,28 +481,31 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
     """Parse a lattice/gate description.
 
     Lines: ``values: v ...``, ``bottom: v``, ``join: a b -> c`` rows, and
-    ``gate NAME arity N: v ... -> v`` truth-table rows.
+    ``gate NAME arity N: v ... -> v`` truth-table rows.  A second
+    ``values:`` or ``bottom:`` line, or a row given twice, is refused.
     """
-    values: list[str] = []
-    bottom: str | None = None
+    decls: dict[str, str] = {}  # the values: and bottom: lines' bodies
     join_rows: dict[tuple[str, str], str] = {}
     gate_rows: dict[str, tuple[int, dict[tuple[str, ...], str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("values:"):
-            values = line.split(":", 1)[1].split()
-        elif line.startswith("bottom:"):
-            bottom = line.split(":", 1)[1].strip()
+        if line.startswith(("values:", "bottom:")):
+            head, body = line.split(":", 1)
+            if head in decls:
+                raise LatticeError(f"line {lineno}: {head}: given twice")
+            decls[head] = body
         elif line.startswith("join:"):
             body = line.split(":", 1)[1]
             try:
                 args, res = body.split("->")
                 a, b = args.split()
-                join_rows[(a, b)] = res.strip()
             except ValueError:
                 raise LatticeError(f"line {lineno}: bad join row")
+            if (a, b) in join_rows:
+                raise LatticeError(f"line {lineno}: join {a} {b} given twice")
+            join_rows[(a, b)] = res.strip()
         elif line.startswith("gate "):
             head, colon, body = line.partition(":")
             parts = head.split()
@@ -515,15 +521,19 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
                 raise LatticeError(f"line {lineno}: bad gate row")
             if len(row) != arity:
                 raise LatticeError(f"line {lineno}: row arity mismatch")
-            gate_rows.setdefault(name, (arity, {}))
-            if gate_rows[name][0] != arity:
+            known, table = gate_rows.setdefault(name, (arity, {}))
+            if known != arity:
                 raise LatticeError(f"line {lineno}: gate {name} arity changed")
-            gate_rows[name][1][row] = res.strip()
+            if row in table:
+                raise LatticeError(f"line {lineno}: gate {name} row"
+                                   f" {' '.join(row)} given twice")
+            table[row] = res.strip()
         else:
             raise LatticeError(f"line {lineno}: unrecognised line {line!r}")
+    values, bottom = decls.get("values", "").split(), decls.get("bottom")
     if not values or bottom is None:
         raise LatticeError("missing values: or bottom: declaration")
-    lattice = ValueLattice(tuple(values), bottom, join_rows)
+    lattice = ValueLattice(tuple(values), bottom.strip(), join_rows)
     gates = {name: Gate(name, arity, table)
              for name, (arity, table) in gate_rows.items()}
     return CircuitSignature(lattice, gates)

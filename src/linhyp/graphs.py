@@ -683,11 +683,11 @@ class PatternTables:
     ``bare_wires`` run from L's input interface straight to its
     output interface.  ``out_wires`` leave an edge for the output
     interface and ``in_wires`` enter an edge from the input interface:
-    their loose ends are bound last when matching up to homeomorphism,
-    so propagation does not cross them.  ``searches`` holds the compiled searches (:func:`_compile_search`)
-    by each component's start edge and ``up_to_homeo``, each compiled on
-    its first use.  The tables hold no reference to L, which caches
-    them: a cycle would keep every pattern alive until the cyclic
+    their loose ends are bound last, up to homeomorphism, so propagation
+    does not cross them.  ``searches`` holds the compiled searches
+    (:func:`_compile_search`) by each component's start edge, each
+    compiled on its first use.  The tables hold no reference to L, which
+    caches them: a cycle would keep every pattern alive until the cyclic
     collector runs.
     """
 
@@ -717,19 +717,17 @@ class PatternTables:
         self.searches: dict[tuple, Search] = {}
 
 
-def embeddings(L: LinearHypergraph, G: GraphView,
-               up_to_homeo: bool = False) -> Iterator[Found]:
-    """Yield maps of L into the graph whose tables are G, in a
-    deterministic order.
+def embeddings(L: LinearHypergraph, G: GraphView) -> Iterator[Found]:
+    """Yield maps of L into the graph whose tables are G, up to wire
+    homeomorphism, in a deterministic order.
 
     The wire-propagation engine behind matching: fixing the image of an
     edge fixes its ports, their wires and the edges beyond, so each
     choice is propagated to closure, and a clash rejects it.  The whole
     search is one generator compiled for L (:func:`_compile_search`) per
-    choice of start edges and ``up_to_homeo``, on the first search that
-    needs it, and cached on L's pattern tables
-    (``PatternTables.searches``); its source holds no text of L.  The
-    maps come ordered by the host image of each edge
+    choice of start edges, on the first search that needs it, and cached
+    on L's pattern tables (``PatternTables.searches``); its source holds
+    no text of L.  The maps come ordered by the host image of each edge
     component's first edge in L's stored order, in G's stored order,
     component by component; bare wires of L then range over the
     remaining wires of G.  L's interfaces may land anywhere.
@@ -753,13 +751,13 @@ def embeddings(L: LinearHypergraph, G: GraphView,
     forward: it does not walk back from a port to the edge it was
     reached from, nor along a wire to the end it was reached from.
 
-    With ``up_to_homeo`` the loose ends of L's boundary wires are bound
-    last.  When the wire leaving the matched part re-enters it
-    immediately (a loop through the pattern's boundary), the host wire
-    must be split with an identity edge so both boundary wires fit.  The
-    engine changes nothing: each yielded map comes with its list of
-    splits ``(t, s, t2)``, in the order they are to be made, and the
-    caller expands the host on the wire leaving target ``t``, mapping L's
+    The loose ends of L's boundary wires are bound last.  When the wire
+    leaving the matched part re-enters it immediately (a loop through
+    the pattern's boundary), the host wire must be split with an
+    identity edge so both boundary wires fit.  The engine changes
+    nothing: each yielded map comes with its list of splits
+    ``(t, s, t2)``, in the order they are to be made, and the caller
+    expands the host on the wire leaving target ``t``, mapping L's
     source ``s`` to the new source and L's target ``t2`` to the new
     target.  A candidate the search rejects thus leaves no trace.
 
@@ -781,16 +779,14 @@ def embeddings(L: LinearHypergraph, G: GraphView,
             sizes = [len(get(lab, ())) for lab in labels]
             edges = edges[sizes.index(min(sizes)):]
         starts.append(edges[0])
-    key = (*starts, up_to_homeo)
+    key = tuple(starts)
     search = P.searches.get(key)
     if search is None:
-        search = P.searches[key] = _compile_search(L, tuple(starts),
-                                                   up_to_homeo)
+        search = P.searches[key] = _compile_search(L, key)
     return search(G)
 
 
-def _compile_search(L: LinearHypergraph, starts: tuple[int, ...],
-                    up_to_homeo: bool) -> Search:
+def _compile_search(L: LinearHypergraph, starts: tuple[int, ...]) -> Search:
     """The search for maps of L, starting each component at its edge in
     ``starts``, emitted as one Python generator function.
 
@@ -817,7 +813,7 @@ def _compile_search(L: LinearHypergraph, starts: tuple[int, ...],
     takes about 1 ms.
     """
     P, lv = L.pattern, L.view
-    ins, outs = (P.in_wires, P.out_wires) if up_to_homeo else ((), ())
+    ins, outs = P.in_wires, P.out_wires
     # per vertex kind: its object labels, the wires propagation does not
     # cross, the wire to its far end and the edge it sits on, in L and
     # as host tables

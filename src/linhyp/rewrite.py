@@ -5,10 +5,11 @@ step finds an embedding of ``L`` in a host graph, removes ``L`` up to the
 interface (pushout complement), and glues ``R`` back in (pushout).
 Rules whose interface legs would collapse a straight-through wire are
 saturated with identity edges first; matching such rules transparently
-expands the host on the wires the identity edges need.  Matching and
+expands the host on the wires the identity edges need.  Both matching and
 rewriting work up to the host's own identity edges: the host is smoothed
-first.  The driver completes its matches on its one mutable copy of the
-host (``graphs._Host``); :func:`find_matchings` and :func:`normal_forms`
+first.  A match is an embedding of L into the graph it lands in.  The
+driver completes its matches on its one mutable copy of the host
+(``graphs._Host``); :func:`find_matchings` and :func:`normal_forms`
 complete theirs one way (``_matches``), on a fresh copy for each match
 that splits host wires, which :func:`normal_forms` then rewrites.  Every
 step is made in place on such a copy, by one function compiled per rule
@@ -97,21 +98,6 @@ class RuleSet(tuple):
                 r for r in self
                 if r.labels <= key and (r.L.targets or r.L.edges))
         return rules
-
-
-@dataclass(frozen=True)
-class Matching:
-    """An embedding of a rule's left side into a host graph.
-
-    ``host`` is the graph the embedding lands in (``embedding.dst``): the
-    searched graph once smoothed.  A match that splits host wires has a
-    copy of that graph of its own, expanded on the wires where the left
-    side carries identity edges or, up to homeomorphism, where two of
-    its boundary wires share one host wire.
-    """
-
-    embedding: Homomorphism
-    host: LinearHypergraph
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +196,7 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
 
 
 # ---------------------------------------------------------------------------
-# Matching
+# Matches
 # ---------------------------------------------------------------------------
 
 def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
@@ -268,17 +254,18 @@ def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
     return vmap_t, vmap_s, emap
 
 
-def _matches(L: LinearHypergraph, search: tuple, G: LinearHypergraph,
-             up_to_homeo: bool) -> Iterator[tuple]:
-    """Each map of L into G that :func:`~linhyp.graphs.embeddings` finds
-    for L's ``search`` (its :func:`_pattern`), in its order, completed
-    (:func:`_complete`): the host it lands in, and L's maps of targets,
-    sources and edges into that host.  A map that needs no split lands
-    in G itself, and its host is None; any other lands in a fresh
-    :class:`_Host` copy of G, split where the map needs it and left
-    live, for the caller to freeze or rewrite."""
+def _matches(L: LinearHypergraph, search: tuple,
+             G: LinearHypergraph) -> Iterator[tuple]:
+    """Each map of L into G up to homeomorphism that
+    :func:`~linhyp.graphs.embeddings` finds for L's ``search`` (its
+    :func:`_pattern`), in its order, completed (:func:`_complete`): the
+    host it lands in, and L's maps of targets, sources and edges into
+    that host.  A map that needs no split lands in G itself, and its host
+    is None; any other lands in a fresh :class:`_Host` copy of G, split
+    where the map needs it and left live, for the caller to freeze or
+    rewrite."""
     pattern, chains = search
-    for found in embeddings(pattern, G.view, up_to_homeo):
+    for found in embeddings(pattern, G.view):
         if found[3] or chains:
             host = _Host(G)
             yield host, _complete(L, chains, found, host.expand)
@@ -286,25 +273,21 @@ def _matches(L: LinearHypergraph, search: tuple, G: LinearHypergraph,
             yield None, found[:3]
 
 
-def find_matchings(L: LinearHypergraph, G: LinearHypergraph,
-                   up_to_homeo: bool = False) -> list[Matching]:
-    """All ways the pattern L embeds into G up to G's identity edges, in
-    the order of :func:`~linhyp.graphs.embeddings`.
+def find_matchings(L: LinearHypergraph,
+                   G: LinearHypergraph) -> list[Homomorphism]:
+    """All ways the pattern L embeds into G up to wire homeomorphism, in
+    the order of :func:`~linhyp.graphs.embeddings`: the matches
+    :func:`normal_forms` rewrites, in its order.
 
-    G is smoothed first, as :func:`normalize` and :func:`normal_forms`
-    smooth their input, and each match lands in the smoothed G or, where
-    it splits host wires, in a copy of its own (``Matching.host``).
-    Identity edges in L match by expanding that copy on the wires they
-    need.  With ``up_to_homeo``, boundary wires of L may also share one
-    host wire (the rewrite theory works up to wire homeomorphism; loops
-    through a redex need this).
+    G is smoothed first, as the drivers smooth their input.  Each match
+    is an embedding into the smoothed G or, where it splits host wires,
+    into a copy of its own, expanded where L carries identity edges or
+    where two of L's boundary wires share one host wire (a loop through
+    the redex).
     """
     G = smooth(G)
-    matches = []
-    for host, maps in _matches(L, _pattern(L), G, up_to_homeo):
-        H = G if host is None else host.freeze()
-        matches.append(Matching(Homomorphism(L, H, *maps), H))
-    return matches
+    return [Homomorphism(L, G if host is None else host.freeze(), *maps)
+            for host, maps in _matches(L, _pattern(L), G)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +426,20 @@ def pushout(m: Homomorphism, n: Homomorphism
 # Steps and the driver
 # ---------------------------------------------------------------------------
 
-def apply_rewrite(G: LinearHypergraph, rule: RewriteRule,
-                  match: Matching) -> LinearHypergraph:
+def apply_rewrite(rule: RewriteRule, match: Homomorphism) -> LinearHypergraph:
     """One DPO step at the given match, by :meth:`_Host.rewrite`: it
     gives what :func:`pushout_complement`, :func:`pushout` and
     :func:`~linhyp.graphs.smooth` give and raises what they raise.
 
-    G is the graph the match was found in; the step is taken on a copy
-    of ``match.host``, the graph the match lands in (G smoothed, or a
-    copy of it expanded where the match needs it).  The match must be one of the
+    The step is taken on a copy of ``match.dst``, the graph the match
+    lands in (see :func:`find_matchings`).  The match must be one of the
     rule's left side, or of a graph equal to it."""
-    m = match.embedding
-    if m.src != rule.L:
+    if match.src != rule.L:
         raise RewriteError(f"not a match of rule {rule.name}'s left side")
-    if not m.is_embedding():
+    if not match.is_embedding():
         raise RewriteError("pushout complement needs embeddings")
-    host = _Host(match.host)
-    host.rewrite(rule, m.vmap_t, m.vmap_s, m.emap)
+    host = _Host(match.dst)
+    host.rewrite(rule, match.vmap_t, match.vmap_s, match.emap)
     return host.freeze()
 
 
@@ -699,7 +679,7 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
     while True:
         for rule in rules.for_labels(host.by_label):
             pattern, chains = rule._search
-            found = next(embeddings(pattern, host, True), None)
+            found = next(embeddings(pattern, host), None)
             if found is not None:
                 break
         else:
@@ -738,7 +718,7 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
         cur = frontier.popleft()
         succs = []
         for rule in rules.for_labels(cur.view.by_label):
-            for host, maps in _matches(rule.L, rule._search, cur, True):
+            for host, maps in _matches(rule.L, rule._search, cur):
                 if host is None:
                     host = _Host(cur)
                 host.rewrite(rule, *maps)

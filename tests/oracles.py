@@ -204,12 +204,12 @@ class _Conflict(Exception):
     """A partial map that no embedding extends."""
 
 
-def embeddings_from_first_edge(L: LinearHypergraph, G: GraphView,
-                               up_to_homeo: bool = False) -> Iterator[Found]:
-    """The embedding search with no search plan: it pins each edge
-    component of L by its first edge in stored order, trying every edge
-    of G with that label in stored order, and copies its partial map for
-    each candidate.  :func:`linhyp.graphs.embeddings` must yield the same
+def embeddings_from_first_edge(L: LinearHypergraph,
+                               G: GraphView) -> Iterator[Found]:
+    """The embedding search up to homeomorphism with no search plan: it
+    pins each edge component of L by its first edge in stored order,
+    trying every edge of G with that label in stored order, and copies
+    its partial map for each candidate.  :func:`linhyp.graphs.embeddings` must yield the same
     maps in the same order."""
     lv = L.view
     ltgts, lsrcs, lconn_inv = lv.tgts, lv.srcs, lv.conn_inv
@@ -236,7 +236,7 @@ def embeddings_from_first_edge(L: LinearHypergraph, G: GraphView,
     bare_wires = [t for t in L.targets
                   if L.left[t] is INTERFACE
                   and L.right[L.conn[t]] is INTERFACE]
-    # boundary wires whose loose end is bound late in homeo mode
+    # boundary wires whose loose end is bound last
     out_wires = [t for t in L.targets
                  if L.left[t] is not INTERFACE
                  and L.right[L.conn[t]] is INTERFACE]
@@ -266,8 +266,7 @@ def embeddings_from_first_edge(L: LinearHypergraph, G: GraphView,
                 if L.vtlabels[a] != G.vtlabels[b]:
                     raise _Conflict
                 partner = L.conn[a]
-                defer = (up_to_homeo
-                         and L.left[a] is not INTERFACE
+                defer = (L.left[a] is not INTERFACE
                          and L.right[partner] is INTERFACE)
                 if not defer:
                     put(state, "s", partner, G.conn[b])
@@ -284,8 +283,7 @@ def embeddings_from_first_edge(L: LinearHypergraph, G: GraphView,
                 if L.vslabels[a] != G.vslabels[b]:
                     raise _Conflict
                 partner = lconn_inv[a]
-                defer = (up_to_homeo
-                         and L.right[a] is not INTERFACE
+                defer = (L.right[a] is not INTERFACE
                          and L.left[partner] is INTERFACE)
                 if not defer:
                     put(state, "t", partner, gconn_inv[b])
@@ -356,7 +354,7 @@ def embeddings_from_first_edge(L: LinearHypergraph, G: GraphView,
     def finish(state) -> Found | None:
         tmap, smap, emap = (dict(state[k][0]) for k in "tse")
         splits: list[tuple[int, int, int]] = []
-        if up_to_homeo and not resolve_boundary(
+        if not resolve_boundary(
                 tmap, smap, set(state["t"][1]), set(state["s"][1]), splits):
             return None
         if (len(tmap) + len(splits) != len(L.targets)
@@ -417,7 +415,7 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
     while True:
         hit = None
         for rule in rules:
-            ms = find_matchings(rule.L, current, up_to_homeo=True)
+            ms = find_matchings(rule.L, current)
             if ms:
                 hit = (rule, ms[0])
                 break
@@ -425,8 +423,8 @@ def normalize_by_enumeration(G: LinearHypergraph, rules,
             return NormalizeResult(smooth(current), steps,
                                    exhausted=hit is not None)
         rule, match = hit
-        matched_edges = tuple(sorted(match.embedding.emap.values()))
-        current = apply_by_pushouts(current, rule, match)
+        matched_edges = tuple(sorted(match.emap.values()))
+        current = apply_by_pushouts(rule, match)
         steps.append(Step(len(steps) + 1, rule.name, matched_edges))
 
 
@@ -442,7 +440,7 @@ def normalize_by_scan(G: LinearHypergraph, rules,
         for rule in rules:
             if host.by_label.keys() >= rule.labels:
                 pattern, chains = rule._search
-                found = next(embeddings(pattern, host, True), None)
+                found = next(embeddings(pattern, host), None)
                 if found is not None:
                     break
         else:
@@ -473,7 +471,7 @@ def normal_forms_by_scan(G: LinearHypergraph, rules, max_steps: int = 10000,
             if not cur.view.by_label.keys() >= rule.labels:
                 continue
             pattern, chains = rule._search
-            for found in embeddings(pattern, cur.view, True):
+            for found in embeddings(pattern, cur.view):
                 host = _Host(cur)
                 host.rewrite(rule,
                              *_complete(rule.L, chains, found, host.expand))
@@ -492,9 +490,9 @@ def normal_forms_by_scan(G: LinearHypergraph, rules, max_steps: int = 10000,
     return nfs, False
 
 
-def apply_by_pushouts(G: LinearHypergraph, rule, match) -> LinearHypergraph:
+def apply_by_pushouts(rule, match: Homomorphism) -> LinearHypergraph:
     """One DPO step at the given match: complement, glue, smooth."""
-    k_to_c, _ = pushout_complement(rule.left_leg, match.embedding)
+    k_to_c, _ = pushout_complement(rule.left_leg, match)
     H, _, _ = pushout(k_to_c, rule.right_leg)
     return smooth(H)
 
@@ -573,8 +571,8 @@ def normal_forms_by_pushouts(G: LinearHypergraph, rules,
         cur = frontier.popleft()
         succs = []
         for rule in rules:
-            for match in find_matchings(rule.L, cur, up_to_homeo=True):
-                succs.append(apply_by_pushouts(cur, rule, match))
+            for match in find_matchings(rule.L, cur):
+                succs.append(apply_by_pushouts(rule, match))
         if not succs:
             nfs.append(smooth(cur))
             continue

@@ -108,7 +108,7 @@ def test_value_axioms_one_step(make):
         G = interpret(term, sig)
         ms = find_matchings(rule.L, G)
         assert ms, rule.name
-        H = apply_rewrite(G, rule, ms[0])
+        H = apply_rewrite(rule, ms[0])
         assert isomorphic(H, interpret(expect, sig)), rule.name
 
     for v in lat.values:
@@ -146,7 +146,7 @@ def test_copy_unit_rule_is_empty_noop():
     G = interpret(Gen("org"), csig.signature())
     ms = find_matchings(unit.L, G)
     assert len(ms) == 1
-    assert isomorphic(apply_rewrite(G, unit, ms[0]), G)
+    assert isomorphic(apply_rewrite(unit, ms[0]), G)
 
 
 def test_copy_naturality_is_the_worked_span():
@@ -160,7 +160,7 @@ def test_copy_naturality_is_the_worked_span():
                      sig)
     ms = find_matchings(rule.L, host)
     assert len(ms) == 1
-    stepped = apply_rewrite(host, rule, ms[0])
+    stepped = apply_rewrite(rule, ms[0])
     expect = interpret(
         Seq(Seq(Gen(FORK), Tensor(Gen("amp"), Gen("amp"))),
             Tensor(Gen(STUB), Id(1))), sig)
@@ -634,6 +634,39 @@ def test_parse_circuit_signature_errors():
             "values: a\nbottom: a\njoin: a a -> a\ngate g arity 2: a -> a\n")
 
 
+_TWO_POINT_TEXT = "\n".join(["values: bot top", "bottom: bot"] + [
+    f"join: {a} {b} -> {'top' if 'top' in (a, b) else 'bot'}"
+    for a in ("bot", "top") for b in ("bot", "top")] + [
+    f"gate amp arity 1: {a} -> {a}" for a in ("bot", "top")]) + "\n"
+
+
+@pytest.mark.parametrize("line,error", [
+    ("values: bot top", "line 9: values: given twice"),
+    ("bottom: top", "line 9: bottom: given twice"),
+    ("join: top bot -> bot", "line 9: join top bot given twice"),
+    ("gate amp arity 1: top -> bot", "line 9: gate amp row top given twice"),
+], ids=["values", "bottom", "join", "gate"])
+def test_parse_circuit_signature_refuses_repeats(line, error):
+    """A declaration or a table row given twice is refused, naming its
+    line, as rule and signature files refuse a name given twice; the
+    last one used to win silently."""
+    assert parse_circuit_signature(_TWO_POINT_TEXT).gates["amp"].table[
+        ("top",)] == "top"
+    with pytest.raises(LatticeError) as info:
+        parse_circuit_signature(_TWO_POINT_TEXT + line + "\n")
+    assert str(info.value) == error
+
+
+def test_a_lattice_refuses_a_repeated_value():
+    with pytest.raises(LatticeError) as info:
+        ValueLattice(("a", "b", "a"), "a", {
+            (x, y): max(x, y) for x in "ab" for y in "ab"})
+    assert str(info.value) == "duplicate value 'a'"
+    with pytest.raises(LatticeError) as info:
+        parse_circuit_signature("values: a a\nbottom: a\njoin: a a -> a\n")
+    assert str(info.value) == "duplicate value 'a'"
+
+
 def test_parse_circuit_signature_reads_only_decimal_arities():
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature(
@@ -669,11 +702,7 @@ def test_eval_rules_compile_once_on_first_use(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "rule_from_terms", counting)
-    text = "\n".join(["values: bot top", "bottom: bot"] + [
-        f"join: {a} {b} -> {'top' if 'top' in (a, b) else 'bot'}"
-        for a in ("bot", "top") for b in ("bot", "top")] + [
-        f"gate amp arity 1: {a} -> {a}" for a in ("bot", "top")])
-    csig = parse_circuit_signature(text)
+    csig = parse_circuit_signature(_TWO_POINT_TEXT)
     csig.signature()
     assert compiled == []  # parsing compiles nothing
     rules = eval_rules(csig)
@@ -684,7 +713,7 @@ def test_eval_rules_compile_once_on_first_use(monkeypatch):
     assert evaluate(Gen("amp"), ("bot",), csig) == ("bot",)
     assert len(compiled) == count
     # another signature object compiles its own rules
-    other = parse_circuit_signature(text)
+    other = parse_circuit_signature(_TWO_POINT_TEXT)
     assert eval_rules(other) is not rules
     assert [r.name for r in eval_rules(other)] == [r.name for r in rules]
 

@@ -245,6 +245,12 @@ def test_deeply_nested_graph_file_is_malformed(capsys, tmp_path, command):
      "join undefined on (bot, bot)"),
     ("evaluate", None, LATTICE_TEXT + "gate g arity x: bot -> bot\n",
      "line 11: expected 'gate NAME arity N: row'"),
+    ("evaluate", None, LATTICE_TEXT + "gate org arity 2: top top -> bot\n",
+     "line 11: gate org row top top given twice"),
+    ("evaluate", None, LATTICE_TEXT + "bottom: top\n",
+     "line 11: bottom: given twice"),
+    ("evaluate", None, "values: bot bot\nbottom: bot\n",
+     "duplicate value 'bot'"),
 ])
 def test_bad_signature_or_lattice_file_exit_code(capsys, tmp_path, command,
                                                  sig_text, lattice_text,

@@ -18,8 +18,8 @@ import weakref
 
 import pytest
 
-from linhyp import (Gen, Id, Seq, Tensor, Trace, interpret, normal_forms,
-                    normalize, parse_rules, rename, save_graph)
+from linhyp import (Gen, Id, Seq, Tensor, Trace, find_matchings, interpret,
+                    normal_forms, normalize, parse_rules, rename, save_graph)
 from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
 from linhyp.graphs import (IDENTITY_LABEL, GraphView, LinearHypergraph,
@@ -494,6 +494,36 @@ def test_normal_forms_builds_one_host_per_successor(monkeypatch):
         assert len(built) == len(rewritten) == len(set(map(id, rewritten)))
 
 
+def test_find_matchings_lists_what_one_expansion_rewrites(monkeypatch):
+    """``find_matchings`` matches up to homeomorphism, as both drivers
+    do: it finds the one match of ``k`` through the loop of ``tr 1 (k)``,
+    and on loop hosts it lists, in order, the matches that one
+    ``normal_forms`` expansion rewrites, one ``_Host.rewrite`` call
+    each."""
+    rewritten = []
+    real = rewrite._Host.rewrite
+
+    def recording(self, rule, vmap_t, vmap_s, emap):
+        rewritten.append((rule.name, dict(vmap_t), dict(vmap_s), dict(emap)))
+        real(self, rule, vmap_t, vmap_s, emap)
+
+    monkeypatch.setattr(rewrite._Host, "rewrite", recording)
+    loop = [Trace(1, _chain([Gen("f")] * n)) for n in (2, 3, 4)]
+    hosts = [interpret(t, RSIG) for t in loop + [Tensor(loop[0], loop[1]),
+                                                  Trace(1, Gen("k"))]]
+    hosts.append(_loops(random.Random(3), 6))
+    rules = RULES + parse_rules("kk : k => k", RSIG)
+    (m,) = find_matchings(rules[-1].L, hosts[-2])
+    assert m.dst is not hosts[-2] and m.is_embedding()
+    for G in hosts:
+        rewritten.clear()
+        nfs, exhausted = normal_forms(G, rules, max_steps=0)
+        assert exhausted and rewritten
+        listed = [(r.name, m.vmap_t, m.vmap_s, m.emap)
+                  for r in rules for m in find_matchings(r.L, G)]
+        assert listed == rewritten
+
+
 @pytest.mark.parametrize("make_sig", [two_point_sig, belnap_sig],
                          ids=["two-point", "belnap"])
 def test_lazy_driver_agrees_on_circuits(make_sig):
@@ -517,10 +547,10 @@ def test_rules_whose_labels_the_host_lacks_are_not_searched(monkeypatch):
     searched, views = [], []
     real = rewrite.embeddings
 
-    def recording(L, G, up_to_homeo=False):
+    def recording(L, G):
         searched.append((L, set(G.labels.values())))
         views.append(G)
-        return real(L, G, up_to_homeo)
+        return real(L, G)
 
     monkeypatch.setattr(rewrite, "embeddings", recording)
     got = [normalize(G, RULES) for G in hosts]

@@ -91,9 +91,7 @@ def _starts_elsewhere(P, G):
 
 
 def _assert_same_maps(P, G):
-    for homeo in (False, True):
-        assert (list(embeddings(P, G, homeo))
-                == list(embeddings_from_first_edge(P, G, homeo)))
+    assert list(embeddings(P, G)) == list(embeddings_from_first_edge(P, G))
 
 
 def _component(P, comp):
@@ -146,7 +144,7 @@ def test_same_maps_in_the_same_order_as_the_oracle():
         found += first is not None
         collide += _images_collide(P, G)
         bare += bool(first and P.pattern.bare_wires and P.pattern.components)
-        split += any(s for *_, s in embeddings(P, G, True))
+        split += any(s for *_, s in embeddings(P, G))
     assert components == {1, 2, 3}
     assert elsewhere >= 15 and found >= 40
     assert collide >= 6 and bare >= 5 and split >= 10
@@ -310,8 +308,7 @@ def test_compiled_plans_hold_no_label_text(monkeypatch):
     assert all('a\\"b' in text for text in files[::2])
     L, R, G = map(load_graph, files)
 
-    found = [(m.embedding.vmap_t, m.embedding.vmap_s, m.embedding.emap)
-             for m in find_matchings(L, G)]
+    found = [(m.vmap_t, m.vmap_s, m.emap) for m in find_matchings(L, G)]
     assert found == [(t, s, e) for t, s, e, _ in
                      embeddings_from_first_edge(L, G.view)]
     assert len(found) == 10
@@ -324,8 +321,7 @@ def test_compiled_plans_hold_no_label_text(monkeypatch):
         "step 2: rule odd at edges [66, 67, 72, 73, 77, 80]"]
 
     searches = L.pattern.searches
-    assert {key[-1] for key in searches} == {False, True}
-    assert all(len(key) == len(L.pattern.components) + 1 for key in searches)
+    assert all(len(key) == len(L.pattern.components) for key in searches)
     assert len(sources) >= len(searches)
     # up to homeomorphism, L's boundary wires are bound in code of their own
     assert any("splits.append" in source for source in sources)
@@ -337,25 +333,25 @@ def test_compiled_plans_hold_no_label_text(monkeypatch):
         assert source.isascii()
     labels = set(L.labels.values())
     objects = set(L.vtlabels.values()) | set(L.vslabels.values())
-    for key, search in searches.items():
+    for search in searches.values():
         assert not [c for c in search.__code__.co_consts
                     if isinstance(c, str)]
         bound = {cell.cell_contents for cell in search.__closure__}
         assert bound & labels
-        if key[-1]:  # the boundary code checks the wires' object labels
-            assert bound >= objects
+        # the boundary code checks the wires' object labels
+        assert bound >= objects
 
 
 def test_plans_compile_once_per_pattern_start_and_flag(monkeypatch):
-    """Over ``normalize`` runs, which all match up to homeomorphism, no
-    search is compiled twice."""
+    """Over ``normalize`` runs, no search is compiled twice for one
+    pattern and one choice of start edges."""
     compiled, patterns = [], []
     real = graphs._compile_search
 
-    def counting(L, starts, up_to_homeo):
+    def counting(L, starts):
         patterns.append(L)  # keeps each id(L) unique
-        compiled.append((id(L), starts, up_to_homeo))
-        return real(L, starts, up_to_homeo)
+        compiled.append((id(L), starts))
+        return real(L, starts)
 
     monkeypatch.setattr(graphs, "_compile_search", counting)
     rules = parse_rules("""
@@ -379,8 +375,7 @@ def test_a_pattern_with_compiled_plans_is_freed_without_the_collector():
     G = _host(rng, P).view
     gc.disable()
     try:
-        for homeo in (False, True):
-            list(embeddings(P, G, homeo))
+        list(embeddings(P, G))
         assert P.pattern.searches
         ref = weakref.ref(P)
         del P

@@ -98,12 +98,12 @@ def test_literal_graph_gets_valid_results_from_every_operation(low):
         matches = find_matchings(rule.L, G)
         assert matches
         for m in matches:
-            assert validate(m.host, SIG) == []
-            assert m.embedding.is_embedding()
-            assert validate(apply_rewrite(G, rule, m), SIG) == []
-            assert validate(apply_by_pushouts(G, rule, m), SIG) == []
-            assert isomorphic(apply_rewrite(G, rule, m),
-                              apply_by_pushouts(G, rule, m))
+            assert validate(m.dst, SIG) == []
+            assert m.is_embedding()
+            assert validate(apply_rewrite(rule, m), SIG) == []
+            assert validate(apply_by_pushouts(rule, m), SIG) == []
+            assert isomorphic(apply_rewrite(rule, m),
+                              apply_by_pushouts(rule, m))
 
     # ``wrap`` never stops: each step matches the f the last one made
     result = normalize(literal(), rules[:1], max_steps=3)
