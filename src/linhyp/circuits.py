@@ -12,8 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import (INTERFACE, LinearHypergraph, canonical_labelling,
-                     next_id)
+from .graphs import INTERFACE, LinearHypergraph, _Host, canonical_labelling
 from .interp import interpret
 from .rewrite import RewriteRule, RuleSet, normalize, rule_from_terms
 from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, signature,
@@ -402,10 +401,13 @@ def evaluate(circuit: Term | LinearHypergraph,
     """Run a circuit on concrete input values by graph reduction.
 
     Feedback is handled by unfolding on the graph.  The circuit's
-    :func:`feedback_wires` are cut open: each round puts value edges on
-    the circuit inputs and on the consumer end of every cut wire, makes
-    each cut wire's producer end an extra output, normalizes, and reads
-    the values at the cut outputs and the circuit outputs.  The cut
+    :func:`feedback_wires` are cut open: each round builds its open graph
+    from the circuit's in one :class:`~linhyp.graphs._Host`, where it
+    cuts each input's wire with the input's value edge
+    (:meth:`~linhyp.graphs._Host.cut`) and plugs the bare end away, and
+    cuts each feedback wire with a value edge for the round's value, its
+    producer end an extra output; it then normalizes, and reads the
+    values at the cut outputs and the circuit outputs.  The cut
     values start at bottom and are iterated until they repeat; for
     monotone gates that is the least fixed point, reached within
     height(lattice) * |feedback wires| + 1 rounds, and the rounds are
@@ -425,42 +427,17 @@ def evaluate(circuit: Term | LinearHypergraph,
     if bad:
         raise ValueError(f"unknown values {bad}")
 
-    # the open graph: each cut wire t -> s becomes t -> (new output) and
-    # (new value edge) -> s; the inputs become value edges' ports
     cut = feedback_wires(H)
     k = len(cut)
-    ids = itertools.count(next_id(H))
-    in_edges = [next(ids) for _ in ins]
-    cut_edges, cut_tgts, cut_outs = ([next(ids) for _ in cut]
-                                     for _ in range(3))
-    conn = dict(H.conn)
-    for t, tv, so in zip(cut, cut_tgts, cut_outs):
-        conn[tv] = conn[t]
-        conn[t] = so
-    targets = H.targets + tuple(cut_tgts)
-    sources = H.sources + tuple(cut_outs)
-    edges = tuple(in_edges) + tuple(cut_edges) + H.edges
-    left = {**H.left, **dict(zip(ins, in_edges)),
-            **dict(zip(cut_tgts, cut_edges))}
-    right = {**H.right, **dict.fromkeys(cut_outs, INTERFACE)}
-    labels = {**H.labels, **dict(zip(in_edges, inputs))}
-    vtlabels = {**H.vtlabels,
-                **{tv: H.vtlabels[t] for t, tv in zip(cut, cut_tgts)}}
-    vslabels = {**H.vslabels,
-                **{so: H.vtlabels[t] for t, so in zip(cut, cut_outs)}}
-    read = cut_outs + list(outs)
     rules = eval_rules(csig)
-    new = in_edges + cut_edges  # the open graph's tables, built once
-    tables = ({**{e: (v,) for e, v in zip(new, [*ins, *cut_tgts])},
-               **H.view.tgts}, {**dict.fromkeys(new, ()), **H.view.srcs},
-              dict(zip(conn.values(), conn)))
-
     w = (csig.lattice.bottom,) * k
     for _ in range((len(csig.lattice.values) - 1) * k + 1):
-        G = LinearHypergraph(targets, sources, edges, left, right, conn,
-                             {**labels, **dict(zip(cut_edges, w))},
-                             vtlabels, vslabels).with_tables(*tables)
-        result = normalize(G, rules, max_steps=max_steps)
+        h = _Host(H)
+        h.plug([h.cut(t, v)[0] for t, v in zip(ins, inputs)], ins)
+        read = [h.cut(t, v)[0] for t, v in zip(cut, w)] + list(outs)
+        # the view derives its ``conn`` inverse in ``conn`` order
+        h.conn_inv = dict(zip(h.conn.values(), h.conn))
+        result = normalize(h.freeze(), rules, max_steps=max_steps)
         if result.exhausted:
             return UNPRODUCTIVE
         vals = read_value_word(result.graph, csig, read)

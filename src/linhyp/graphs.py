@@ -31,8 +31,9 @@ class GraphView:
     and each edge's stored position (``edge_seq``, a number that grows
     along the stored order).  Iterating ``targets`` and each
     ``by_label`` entry gives them in stored order.  The port tables and
-    ``conn`` inverse are derived or handed over (``with_tables``); the
-    port index, the label index and ``edge_seq`` are built on first use.
+    ``conn`` inverse are derived, or handed over by the host a graph is
+    frozen from (``_Host.freeze``); the port index, the label index and
+    ``edge_seq`` are built on first use.
     The view holds no reference to the graph, which caches it: a cycle
     would keep every graph alive until the cyclic collector runs.
     """
@@ -121,12 +122,6 @@ class LinearHypergraph:
     def view(self) -> GraphView:
         """The graph's tables for matching, built once or handed over."""
         return GraphView(self)
-
-    def with_tables(self, tgts, srcs, conn_inv) -> LinearHypergraph:
-        """The graph, its view made of tables its maker holds: those
-        ``GraphView`` derives, in its order (``conn_inv`` in any)."""
-        self.__dict__["view"] = GraphView(self, (tgts, srcs, conn_inv))
-        return self
 
     @cached_property
     def labelling(self) -> Labelling:
@@ -1026,7 +1021,8 @@ def isomorphic(F: LinearHypergraph, G: LinearHypergraph) -> bool:
 # ---------------------------------------------------------------------------
 
 def expand(H: LinearHypergraph, w: int) -> LinearHypergraph:
-    """Insert one identity edge on the wire leaving target vertex ``w``."""
+    """Insert one identity edge on the wire leaving target vertex ``w``
+    (:meth:`_Host.expand`)."""
     if w not in H.conn:
         raise ValueError(f"{w} is not a target vertex")
     h = _Host(H)
@@ -1044,15 +1040,16 @@ def smooth(H: LinearHypergraph) -> LinearHypergraph:
     return h.freeze()
 
 
-class _Host(GraphView):
+class _Host:
     """A graph edited in place: the one splice (:meth:`plug`), the one
-    split (:meth:`expand`), the graph :func:`~linhyp.interp.interpret`
-    builds, from :data:`EMPTY`, and the host that the DPO steps of
-    :mod:`linhyp.rewrite` rewrite in place.
+    split (:meth:`cut`), the graph :func:`~linhyp.interp.interpret`
+    builds, from :data:`EMPTY`, the open graph of each round of
+    :func:`~linhyp.circuits.evaluate`, and the host that the DPO steps
+    of :mod:`linhyp.rewrite` rewrite in place.
 
-    It keeps the tables of a :class:`GraphView` current, so the search
-    reads it live; only the port index, which the search reads of the
-    pattern and never of the host, is not kept.  ``targets``,
+    It keeps current every table of a :class:`GraphView` that the search
+    reads of a host, so the search reads it live; it has no port index,
+    which the search reads only of the pattern.  ``targets``,
     ``sources`` and ``labels`` are insertion-ordered and list the
     vertices and edges in the stored order that
     :func:`~linhyp.rewrite.pushout_complement`,
@@ -1082,10 +1079,15 @@ class _Host(GraphView):
         self.new_ids = count(next_id(G))
 
     def freeze(self) -> LinearHypergraph:
-        return LinearHypergraph(
+        """The graph, its view made of the host's tables: those
+        ``GraphView`` derives, in its order (``conn_inv`` in any)."""
+        H = LinearHypergraph(
             tuple(self.targets), tuple(self.sources), tuple(self.labels),
             self.left, self.right, self.conn, self.labels, self.vtlabels,
-            self.vslabels).with_tables(self.tgts, self.srcs, self.conn_inv)
+            self.vslabels)
+        H.__dict__["view"] = GraphView(H, (self.tgts, self.srcs,
+                                           self.conn_inv))
+        return H
 
     def plug(self, outs: Iterable[int], ins: Iterable[int]) -> None:
         """Continue the wire entering each source of ``outs`` where the
@@ -1107,21 +1109,31 @@ class _Host(GraphView):
             self.plug(self.srcs.pop(e), self.tgts.pop(e))
             del self.labels[e], self.edge_seq[e]
 
-    def expand(self, w: int) -> tuple[int, int, int]:
-        """Insert one identity edge on the wire leaving target ``w``;
-        return its new target, source and edge."""
+    def cut(self, w: int, label: str) -> tuple[int, int]:
+        """Cut the wire leaving target ``w``: ``w`` now ends at a new
+        output, and a new edge ``label`` with no source port feeds the
+        rest of the wire from its one target, so the graph stays linear;
+        the one split.  Return the new output and edge."""
         t, s, e = islice(self.new_ids, 3)
         self.targets[t] = self.sources[s] = None
-        self.left[t] = self.right[s] = e
+        self.left[t], self.right[s] = e, INTERFACE
         self.vtlabels[t] = self.vslabels[s] = self.vtlabels[w]
-        self.labels[e] = IDENTITY_LABEL
-        self.tgts[e], self.srcs[e] = (t,), (s,)
-        self.by_label.setdefault(IDENTITY_LABEL, {})[e] = None
+        self.labels[e] = label
+        self.tgts[e], self.srcs[e] = (t,), ()
+        self.by_label.setdefault(label, {})[e] = None
         self.edge_seq[e] = next(self.tick)
         self.conn[t] = after = self.conn[w]
         self.conn_inv[after] = t
         self.conn[w], self.conn_inv[s] = s, w
-        return t, s, e
+        return s, e
+
+    def expand(self, w: int) -> tuple[int, int, int]:
+        """Insert one identity edge on the wire leaving target ``w``: the
+        :meth:`cut`, its new edge taking the loose end as its source
+        port.  Return the edge's new target, source and id."""
+        s, e = self.cut(w, IDENTITY_LABEL)
+        self.right[s], self.srcs[e] = e, (s,)
+        return self.tgts[e][0], s, e
 
     def rewrite(self, rule, vmap_t: dict[int, int], vmap_s: dict[int, int],
                 emap: dict[int, int]) -> None:

@@ -394,13 +394,15 @@ def test_evaluate_deep_chains_match_dataflow_oracle(n):
 
 
 def _count_normalize(monkeypatch):
+    """The graphs ``evaluate`` normalizes, one per round, as it calls
+    ``normalize``."""
     import linhyp.circuits as circuits
 
     calls = []
     real = circuits.normalize
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "normalize", counting)
@@ -481,6 +483,31 @@ def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
                     GraphView(G))
             checked.append(len(rounds))
     assert max(checked) > 1  # a circuit that took more than one round
+
+
+def test_each_rounds_open_graph_has_no_inputs_and_the_cut_outputs(
+        monkeypatch, rng):
+    """Each round's open graph, built in one ``_Host`` from the circuit's
+    by cutting its input and feedback wires, is well formed over the
+    circuit signature, has no inputs and has one output more per cut
+    wire than the circuit, on looped circuits with one to three cut
+    wires over both lattices."""
+    rounds = _count_normalize(monkeypatch)
+    seen = set()
+    for csig in (two_point_sig(), belnap_sig()):
+        for x in (1, 2, 3) * 4:
+            looped, inputs = _random_feedback(rng, csig, x)
+            H = interpret(looped, csig.signature())
+            k = len(feedback_wires(H))
+            del rounds[:]
+            evaluate(looped, inputs, csig)
+            for G in rounds:
+                assert validate(G, csig.signature()) == []
+                assert G.dom() == ()
+                assert len(G.outputs()) == len(H.outputs()) + k
+            seen.add((k, len(rounds)))
+    # the sample has two-wire cuts and circuits that take several rounds
+    assert {k for k, _ in seen} >= {1, 2} and max(r for _, r in seen) > 1
 
 
 def test_a_rounds_graph_is_freed_without_the_collector(monkeypatch):

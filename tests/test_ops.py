@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (IDENTITY_LABEL, Gen, TypeMismatch, compose,
                     find_isomorphism, generator, identity, interpret,
                     isomorphic, smooth, swap, tensor, trace, validate)
-from linhyp.graphs import LinearHypergraph, _Host, expand
+from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph, _Host, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.serialize import save_graph
 from linhyp.terms import signature, tensor_all
 from oracles import (compose_by_rewiring, log_log_slope, random_graph,
-                     smooth_by_splicing, swap_recursive, trace_by_single_wires,
-                     trace_mono)
+                     smooth_by_splicing, swap_recursive, tables_in_order,
+                     trace_by_single_wires, trace_mono)
 
 SIG = law_signature()
 
@@ -331,6 +331,33 @@ def test_one_splice_gives_the_parents_compose_trace_and_smooth(rng):
             assert _tables(smooth(H)) == _tables(smooth_by_splicing(H))
             calls += 1
     assert calls >= 1000 and errors >= 100
+
+
+def test_a_cut_host_freezes_to_the_port_tables_of_its_graph(rng):
+    """``_Host.cut``, the one split, on random graphs, some cuts on wires
+    already cut: each adds one output and one edge with a target port
+    and no source port, and the frozen graph is well formed, its view
+    holding the port tables ``GraphView`` derives, entry for entry and
+    in insertion order, and its ``conn`` inverse."""
+    cuts = 0
+    for _ in range(200):
+        F = _draw(rng)
+        h = _Host(F)
+        made = []
+        for _ in range(rng.randint(1, 4) if F.targets else 0):
+            w = rng.choice(list(h.targets))
+            made.append(h.cut(w, "v" + h.vtlabels[w]))
+        H = h.freeze()
+        assert validate(H) == []
+        assert H.arity() == (len(F.inputs()), len(F.outputs()) + len(made))
+        for s, e in made:
+            assert H.right[s] is INTERFACE
+            assert H.view.srcs[e] == () and len(H.view.tgts[e]) == 1
+        fresh = GraphView(H)
+        assert tables_in_order(H.view)[:2] == tables_in_order(fresh)[:2]
+        assert H.view.conn_inv == fresh.conn_inv
+        cuts += len(made)
+    assert cuts > 300
 
 
 def test_tracing_half_the_wires_of_a_wide_tensor_is_linear():
