@@ -15,8 +15,8 @@ from functools import cached_property
 from .graphs import INTERFACE, LinearHypergraph, _Host, canonical_labelling
 from .interp import interpret
 from .rewrite import RewriteRule, RuleSet, normalize, rule_from_terms
-from .terms import (Gen, Id, Seq, Signature, Swap, Tensor, Term, signature,
-                    tensor_all)
+from .terms import (_RESERVED_NAMES, Gen, Id, Seq, Signature, Swap, Tensor,
+                    Term, _is_name, signature, tensor_all)
 
 FORK, JOIN, STUB, DELAY = "fork", "join", "stub", "delay"
 
@@ -57,6 +57,10 @@ class ValueLattice:
                 raise LatticeError(f"join undefined on ({a}, {b})")
             if self.join_table[(a, b)] not in vals:
                 raise LatticeError(f"join({a}, {b}) is not a value")
+        for a, b in self.join_table:
+            if a not in vals or b not in vals:
+                raise LatticeError(f"join defined on ({a}, {b}), which are"
+                                   " not both values")
         for a in vals:
             if self.join(a, a) != a:
                 raise LatticeError(f"join not idempotent at {a}")
@@ -130,6 +134,11 @@ class CircuitSignature:
         for row in rows:
             if row not in gate.table or gate.table[row] not in lat.values:
                 raise LatticeError(f"gate {gate.name}: bad row {row}")
+        known = set(rows)
+        for row in gate.table:
+            if row not in known:
+                raise LatticeError(f"gate {gate.name}: row {row} is not a"
+                                   " row of values")
         for lo, hi in itertools.product(rows, rows):
             if all(lat.leq(a, b) for a, b in zip(lo, hi)):
                 if not lat.leq(gate.table[lo], gate.table[hi]):
@@ -454,12 +463,25 @@ def evaluate(circuit: Term | LinearHypergraph,
 # Lattice description files
 # ---------------------------------------------------------------------------
 
+def _check_name(name: str, kind: str, lineno: int) -> str:
+    """``name``, refused, naming its line, where a term cannot spell it
+    as a generator: not one name token, or a name the terms reserve."""
+    if not _is_name(name):
+        raise LatticeError(
+            f"line {lineno}: {name!r} is not a {kind} name (a letter or '_',"
+            " then letters, digits or '_')")
+    if name in _RESERVED_NAMES:
+        raise LatticeError(f"line {lineno}: {kind} name {name!r} is reserved")
+    return name
+
+
 def parse_circuit_signature(text: str) -> CircuitSignature:
     """Parse a lattice/gate description.
 
     Lines: ``values: v ...``, ``bottom: v``, ``join: a b -> c`` rows, and
     ``gate NAME arity N: v ... -> v`` truth-table rows.  A second
-    ``values:`` or ``bottom:`` line, or a row given twice, is refused.
+    ``values:`` or ``bottom:`` line, a row given twice, or a value or
+    gate name that no term can spell, is refused, naming its line.
     """
     decls: dict[str, str] = {}  # the values: and bottom: lines' bodies
     join_rows: dict[tuple[str, str], str] = {}
@@ -472,6 +494,9 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             head, body = line.split(":", 1)
             if head in decls:
                 raise LatticeError(f"line {lineno}: {head}: given twice")
+            if head == "values":
+                for value in body.split():
+                    _check_name(value, "value", lineno)
             decls[head] = body
         elif line.startswith("join:"):
             body = line.split(":", 1)[1]
@@ -490,7 +515,7 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
                     or not parts[3].isdecimal()):
                 raise LatticeError(
                     f"line {lineno}: expected 'gate NAME arity N: row'")
-            name, arity = parts[1], int(parts[3])
+            name, arity = _check_name(parts[1], "gate", lineno), int(parts[3])
             try:
                 args, res = body.split("->")
                 row = tuple(args.split())

@@ -38,11 +38,13 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     generator's shape is looked up once per call, and each port costs
     only the dictionary writes of its entries, with no helper call per
     generator or wire.  Ids are numbered from 0 in the order they are
-    drawn, and the host hands its tables to the graph's view, the
-    ``conn`` inverse rebuilt in ``conn`` order.  The stored orders match
-    the fold of :mod:`linhyp.ops` combinators: leaf vertices and edges
-    in left-to-right leaf order, minus the spliced ones.  Dispatch is on
-    the exact node class, as in :func:`linhyp.terms.type_of`.
+    drawn, ``conn`` lists its entries in target order, and the host
+    hands its tables to the graph's view, the ``conn`` inverse rebuilt
+    in ``conn`` order.  The stored orders match the fold of the
+    :mod:`linhyp.ops` combinators over the leaves this builds: leaf
+    vertices and edges in left-to-right leaf order, minus the spliced
+    ones.  Dispatch is on the exact node class, as in
+    :func:`linhyp.terms.type_of`.
     """
     H = _Host(EMPTY)
     targets, sources, left, right = H.targets, H.sources, H.left, H.right
@@ -78,18 +80,21 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
 
     def materialise() -> None:
         """Give the pending permutations vertices, in stack order: wire
-        ``j`` joins target ``ids[src[j] + off]`` to source ``ids[k + j]``."""
+        ``j`` joins target ``ids[src[j] + off]`` to source ``ids[k + j]``,
+        written into ``conn`` in target order."""
         nonlocal pending
         for p in range(len(values) - pending, len(values)):
             dom, cod, src, off = values[p]
             k = len(dom)
             ids = list(islice(new_ids, 2 * k))
+            to = [None] * k  # each target's source
             for j, (a, b, x) in enumerate(zip(dom, cod, src)):
-                v, s, w = ids[j], ids[k + j], ids[x + off]
+                v, s, i = ids[j], ids[k + j], x + off
                 targets[v] = sources[s] = None
                 left[v] = right[s] = INTERFACE
                 vtlabels[v], vslabels[s] = a, b
-                conn[w], conn_inv[s] = s, w
+                to[i], conn_inv[s] = s, ids[i]
+            conn.update(zip(ids, to))
             values[p] = (ids[:k], ids[k:])
         pending = 0
 

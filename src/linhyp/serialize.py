@@ -181,14 +181,15 @@ def to_dot(H: LinearHypergraph) -> str:
         lines.append('  OUT [label="out", shape=plaintext, fontcolor=grey];')
     for t in targets:
         label = H.vtlabels[t]
-        text = "" if label == ANON else label
+        text = "" if label == ANON else _dot_string(label)
         lines.append(f'  w{num[t]} [label="{text}", shape=point];')
     for e in edges:
         lab = H.labels[e]
         if lab == IDENTITY_LABEL:
             lines.append(f'  e{num[e]} [label="", shape=diamond, color=grey];')
         else:
-            lines.append(f'  e{num[e]} [label="{lab}", shape=box];')
+            text = _dot_string(lab)
+            lines.append(f'  e{num[e]} [label="{text}", shape=box];')
     view = H.view
     tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
     for i, t in enumerate(ins):
@@ -202,3 +203,9 @@ def to_dot(H: LinearHypergraph) -> str:
             lines.append(f"  e{num[e]} -> w{num[t]} [taillabel={i}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_string(label: str) -> str:
+    """``label`` as the body of a quoted DOT string: a backslash or a
+    double quote is escaped, so it reads back as itself."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')

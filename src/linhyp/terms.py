@@ -521,6 +521,9 @@ def parse_signature(text: str) -> Signature:
             raise SignatureError(
                 f"line {lineno}: {name!r} is not a generator name (a letter"
                 " or '_', then letters, digits or '_')")
+        if name in _RESERVED_NAMES:
+            raise SignatureError(
+                f"line {lineno}: generator name {name!r} is reserved")
         if name in gens:
             raise SignatureError(f"line {lineno}: bad or duplicate name {name!r}")
         gens[name] = (_parse_word(dom_part.strip(), lineno),
@@ -537,13 +540,15 @@ def _is_name(text: str) -> bool:
 
 
 def _parse_word(text: str, lineno: int) -> Word:
+    """A signature file's WORD, read by the term grammar's own reader; a
+    wire count, one ``nat`` token, is read without building the reader,
+    which would double the time to read a signature of wire counts."""
     if text.isdecimal():
         return word(int(text))
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return ()
-        labels = tuple(part.strip() for part in inner.split(","))
-        if all(map(_is_name, labels)):  # each one a term can write
-            return labels
-    raise SignatureError(f"line {lineno}: bad word {text!r}")
+    try:
+        parser = _Parser(text)
+        w = parser.word()
+        parser.finish()
+    except ParseError:
+        raise SignatureError(f"line {lineno}: bad word {text!r}") from None
+    return w

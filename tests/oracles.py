@@ -143,7 +143,9 @@ def brute_force_isomorphism(F: LinearHypergraph,
 
 def interpret_by_combinators(t: Term, sig: Signature) -> LinearHypergraph:
     """The graph of a term as a recursive fold of the graph combinators,
-    each of which copies its operands onto fresh ids."""
+    each of which copies its operands onto fresh ids.  Its leaves are
+    ``interpret``'s own graphs, so it checks the combinators' splices;
+    ``tests/test_ops.py`` pins the leaves by their tables."""
     if isinstance(t, Gen):
         return ops.generator(t.name, sig)
     if isinstance(t, Id):
@@ -1315,6 +1317,12 @@ def graph_to_dict(H: LinearHypergraph) -> dict:
     return data
 
 
+def _escaped(label: str) -> str:
+    """``label`` in a quoted DOT string, a backslash before each quote
+    and backslash."""
+    return "".join("\\" + c if c in '"\\' else c for c in label)
+
+
 def to_dot_of_canonical(H: LinearHypergraph) -> str:
     """``serialize.to_dot`` drawn from ``canonical(H)``, the renumbered
     copy of H, whose ids are the numbers it draws."""
@@ -1328,14 +1336,14 @@ def to_dot_of_canonical(H: LinearHypergraph) -> str:
         lines.append('  OUT [label="out", shape=plaintext, fontcolor=grey];')
     for t in G.targets:
         label = G.vtlabels[t]
-        text = "" if label == ANON else label
+        text = "" if label == ANON else _escaped(label)
         lines.append(f'  w{t} [label="{text}", shape=point];')
     for e in G.edges:
         lab = G.labels[e]
         if lab == IDENTITY_LABEL:
             lines.append(f'  e{e} [label="", shape=diamond, color=grey];')
         else:
-            lines.append(f'  e{e} [label="{lab}", shape=box];')
+            lines.append(f'  e{e} [label="{_escaped(lab)}", shape=box];')
     view = G.view
     tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
     for i, t in enumerate(ins):

@@ -15,6 +15,7 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, UNPRODUCTIVE,
                     validate, value_row)
 from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
                              eval_rules, feedback_wires)
+from linhyp.cli import main
 from linhyp.terms import Swap
 from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph, expand
 from linhyp.laws import random_term
@@ -682,6 +683,51 @@ def test_parse_circuit_signature_refuses_repeats(line, error):
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature(_TWO_POINT_TEXT + line + "\n")
     assert str(info.value) == error
+
+
+_NAME_RULE = "(a letter or '_', then letters, digits or '_')"
+
+
+@pytest.mark.parametrize("text,error", [
+    (_TWO_POINT_TEXT + "join: x y -> bot\n",
+     "join defined on (x, y), which are not both values"),
+    (_TWO_POINT_TEXT + "gate amp arity 1: x -> top\n",
+     "gate amp: row ('x',) is not a row of values"),
+    (_TWO_POINT_TEXT.replace("values: bot top", "values: bot top 1x"),
+     f"line 1: '1x' is not a value name {_NAME_RULE}"),
+    (_TWO_POINT_TEXT + "gate 1x arity 1: bot -> bot\n",
+     f"line 9: '1x' is not a gate name {_NAME_RULE}"),
+    (_TWO_POINT_TEXT.replace("values: bot top", "values: bot top id"),
+     "line 1: value name 'id' is reserved"),
+    (_TWO_POINT_TEXT + "gate swap arity 1: bot -> bot\n",
+     "line 9: gate name 'swap' is reserved"),
+    (_TWO_POINT_TEXT + "gate tr arity 1: bot -> bot\n",
+     "line 9: gate name 'tr' is reserved"),
+], ids=["join-row", "gate-row", "value-1x", "gate-1x", "value-id",
+        "gate-swap", "gate-tr"])
+def test_a_lattice_file_refuses_what_no_term_can_use(text, error, tmp_path,
+                                                     capsys):
+    """A join or gate row over a name outside ``values:`` was kept as a
+    dead table entry; a value or gate name no term can spell, or one the
+    terms reserve, passed the parse and failed only later, without its
+    line.  Each is refused, and ``linhyp evaluate`` exits 1 on it."""
+    with pytest.raises(LatticeError) as info:
+        parse_circuit_signature(text)
+    assert str(info.value) == error
+    (tmp_path / "bad.lattice").write_text(text)
+    (tmp_path / "t.term").write_text("bot")
+    code = main(["evaluate", str(tmp_path / "t.term"),
+                 "--lattice", str(tmp_path / "bad.lattice")])
+    assert code == 1 and capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_a_lattice_refuses_a_join_row_outside_its_values():
+    table = {(a, b): max(a, b) for a in "ab" for b in "ab"}
+    assert ValueLattice(("a", "b"), "a", table).join("a", "b") == "b"
+    with pytest.raises(LatticeError) as info:
+        ValueLattice(("a", "b"), "a", {**table, ("a", "c"): "b"})
+    assert str(info.value) == ("join defined on (a, c), which are not both"
+                               " values")
 
 
 def test_a_lattice_refuses_a_repeated_value():

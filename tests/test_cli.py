@@ -14,7 +14,7 @@ import linhyp
 from linhyp import (ParseError, RewriteError, TypeMismatch, extract_term,
                     interpret, isomorphic, load_graph,
                     parse_circuit_signature, parse_rules, parse_signature,
-                    parse_term, render_term, save_graph, signature)
+                    parse_term, render_term, save_graph, signature, to_dot)
 from linhyp.circuits import LatticeError
 from linhyp.cli import main
 from linhyp.graphs import expand
@@ -116,6 +116,26 @@ def test_dot_export(files, capsys, tmp_path):
     run(capsys, "interpret", str(files / "example.term"),
         "--sig", str(files / "circuit.sig"), "--dot", str(dot))
     assert dot.read_text() == first
+
+
+def test_dot_export_escapes_quotes_and_backslashes(files, capsys, tmp_path):
+    """A graph file may carry any string label; ``--dot`` escapes a quote
+    or backslash in it, so the file stays valid DOT."""
+    g = tmp_path / "odd.json"
+    g.write_text(json.dumps({**_GOOD_GRAPH,
+                             "edges": [{"id": 4, "label": 'a"b'}],
+                             "vtlabels": {"0": "c\\d", "1": "c\\d"},
+                             "vslabels": {"2": "c\\d", "3": "c\\d"}}))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("squash : f ; f => f\n")
+    dot = tmp_path / "odd.dot"
+    code, out, _ = run(capsys, "rewrite", str(g), "--rules", str(rules),
+                       "--sig", str(files / "circuit.sig"), "--dot", str(dot))
+    assert code == 0
+    text = dot.read_text()
+    assert '[label="a\\"b", shape=box]' in text
+    assert '[label="c\\\\d", shape=point]' in text
+    assert text == to_dot(load_graph(out))
 
 
 def test_extract_round_trip(files, capsys, tmp_path):

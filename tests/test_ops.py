@@ -12,7 +12,7 @@ from linhyp import (IDENTITY_LABEL, Gen, TypeMismatch, compose,
 from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph, _Host, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.serialize import save_graph
-from linhyp.terms import signature, tensor_all
+from linhyp.terms import Swap, Tensor, signature, tensor_all
 from oracles import (compose_by_rewiring, log_log_slope, random_graph,
                      smooth_by_splicing, swap_recursive, tables_in_order,
                      trace_by_single_wires, trace_mono)
@@ -252,6 +252,49 @@ def _tables(H: LinearHypergraph) -> tuple:
     return (H.targets, H.sources, H.edges,
             *(list(t.items()) for t in (H.left, H.right, H.conn, H.labels,
                                         H.vtlabels, H.vslabels)))
+
+
+def test_identity_and_swap_are_pinned_table_for_table():
+    """The wiring leaves, labelled, against tables written out by hand:
+    ids from 0, inputs then outputs, ``conn`` in target order."""
+    assert _tables(identity(("A", "B"))) == (
+        (0, 1), (2, 3), (), [(0, None), (1, None)], [(2, None), (3, None)],
+        [(0, 2), (1, 3)], [], [(0, "A"), (1, "B")], [(2, "A"), (3, "B")])
+    assert _tables(swap(("A",), ("B", "C"))) == (
+        (0, 1, 2), (3, 4, 5), (), [(0, None), (1, None), (2, None)],
+        [(3, None), (4, None), (5, None)], [(0, 5), (1, 3), (2, 4)], [],
+        [(0, "A"), (1, "B"), (2, "C")], [(3, "B"), (4, "C"), (5, "A")])
+
+
+@pytest.mark.parametrize("name,tables,ports", [
+    ("h", ((0, 1, 2, 3), (4, 5, 6, 7), (8,),
+           [(0, None), (1, None), (2, 8), (3, 8)],
+           [(4, 8), (5, 8), (6, None), (7, None)],
+           [(0, 4), (1, 5), (2, 6), (3, 7)], [(8, "h")],
+           [(v, "_") for v in range(4)], [(s, "_") for s in range(4, 8)]),
+     ({8: (2, 3)}, {8: (4, 5)})),
+    ("u", ((0,), (1,), (2,), [(0, 2)], [(1, None)], [(0, 1)], [(2, "u")],
+           [(0, "_")], [(1, "_")]), ({2: (0,)}, {2: ()})),
+    ("z", ((0,), (1,), (2,), [(0, None)], [(1, 2)], [(0, 1)], [(2, "z")],
+           [(0, "_")], [(1, "_")]), ({2: ()}, {2: (1,)})),
+], ids=["2-2", "0-1", "1-0"])
+def test_generator_is_pinned_table_for_table(name, tables, ports):
+    """A generator's graph: its inputs and the edge's targets, then the
+    edge's sources and the outputs, then the edge."""
+    H = generator(name, SIG)
+    assert _tables(H) == tables
+    assert (H.view.tgts, H.view.srcs) == ports == H.port_tables()
+
+
+def test_interpret_lists_conn_in_target_order(rng):
+    """Every graph ``interpret`` builds lists ``conn`` in its stored
+    target order, on random terms with swaps, alone and composed."""
+    for _ in range(300):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        t = random_term(rng, SIG, m, n, depth=rng.randint(1, 4))
+        H = interpret(Tensor(Swap(rng.randint(0, 2), rng.randint(1, 2)), t),
+                      SIG)
+        assert list(H.conn) == list(H.targets)
 
 
 def _outcome(fn, *args) -> tuple:

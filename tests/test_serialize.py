@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
@@ -180,6 +181,41 @@ def test_dot_mentions_every_edge_and_interface(gsig):
     assert to_dot(freshen(H)) == dot
 
 
+#: A graph file whose edge and wire labels no signature allows.
+_ODD_LABELS = json.dumps({
+    "targets": [0, 1], "sources": [2, 3],
+    "edges": [{"id": 4, "label": 'a"b'}],
+    "left": {"0": "interface", "1": 4}, "right": {"2": 4, "3": "interface"},
+    "conn": {"0": 2, "1": 3},
+    "vtlabels": {"0": "c\\d", "1": "c\\d"},
+    "vslabels": {"2": "c\\d", "3": "c\\d"}})
+
+_DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+
+
+def _dot_labels(dot: str) -> set[str]:
+    """The labels a DOT reader takes from ``dot``'s quoted strings; fails
+    on a line whose quotes do not pair up."""
+    for line in dot.splitlines():
+        assert '"' not in re.sub(_DOT_STRING, "", line), line
+    return {re.sub(r"\\(.)", r"\1", body)
+            for body in re.findall("label=" + _DOT_STRING, dot)}
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    """A loaded graph may carry any string label: a quote or backslash
+    in an edge or wire label is escaped, so DOT reads the label back,
+    and the labels a signature allows keep their bytes."""
+    dot = to_dot(load_graph(_ODD_LABELS))
+    assert '[label="a\\"b", shape=box]' in dot
+    assert '[label="c\\\\d", shape=point]' in dot
+    assert _dot_labels(dot) == {"in", "out", 'a"b', "c\\d"}
+    plain = to_dot(interpret(parse_term("f ; g", GSIG), GSIG))
+    assert '[label="f", shape=box]' in plain
+    assert '[label="B", shape=point]' in plain
+    assert _dot_labels(plain) == {"in", "out", "f", "g", "A", "B"}
+
+
 def test_dot_marks_identity_edges_grey():
     H = interpret(parse_term("f", SIG), SIG)
     grown = expand(H, H.targets[0])
@@ -201,7 +237,7 @@ def _drawn_graphs(draw) -> LinearHypergraph:
     if H.targets and draw(st.booleans()):
         H = expand(H, draw(st.sampled_from(H.targets)))
     if draw(st.booleans()):
-        lab = draw(st.sampled_from(["A", "wire"]))
+        lab = draw(st.sampled_from(["A", "wire", 'q"\\']))
         H = replace(H, vtlabels=dict.fromkeys(H.targets, lab),
                     vslabels=dict.fromkeys(H.sources, lab))
     return H

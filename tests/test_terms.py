@@ -149,6 +149,33 @@ def test_parse_signature_refuses_labels_no_term_can_write(text):
     assert str(info.value) == f"line 1: bad word {text!r}"
 
 
+@pytest.mark.parametrize("text,want", [
+    ("[a,]", None), ("[a b]", None), ("3 4", None), ("[ ]", ()),
+    ("٣", ("_",) * 3), ("²", None)])
+def test_a_signature_word_is_read_as_a_term_reads_it(text, want):
+    """A signature file's WORD is the term grammar's WORD: what ``id``
+    takes in a term, and nothing else."""
+    sig = parse_signature("f : 1 -> 1\n")
+    try:
+        in_term = type_of(parse_term(f"id {text}", sig), sig)[0]
+    except ParseError:
+        in_term = None
+    assert in_term == want
+    if want is None:
+        with pytest.raises(SignatureError) as info:
+            parse_signature(f"f : {text} -> 1\n")
+        assert str(info.value) == f"line 1: bad word {text!r}"
+    else:
+        assert parse_signature(f"f : {text} -> 1\n").dom("f") == want
+
+
+@pytest.mark.parametrize("name", ["id", "swap", "tr"])
+def test_parse_signature_names_the_line_of_a_reserved_name(name):
+    with pytest.raises(SignatureError) as info:
+        parse_signature(f"f : 1 -> 1\n{name} : 1 -> 1\n")
+    assert str(info.value) == f"line 2: generator name {name!r} is reserved"
+
+
 def test_every_signature_label_can_be_written_in_a_term():
     sig = parse_signature("f : [A, b_2 ,é, tr] -> [_]\n")
     assert sig.dom("f") == ("A", "b_2", "é", "tr")
