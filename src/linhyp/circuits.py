@@ -336,8 +336,7 @@ def read_value_word(H: LinearHypergraph, csig: CircuitSignature,
     """The values feeding the given output vertices of a fully reduced
     graph (by default all its outputs, in order), or None when one of
     them is not driven by a value edge."""
-    view = H.view
-    srcs, conn_inv = view.srcs, view.conn_inv
+    srcs, conn_inv = H.srcs, H.inv
     out: list[str] = []
     for s in H.outputs() if outputs is None else outputs:
         e = H.left[conn_inv[s]]
@@ -361,7 +360,7 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
     (Kahn's algorithm) tells a loop-free H in linear time, and only an H
     it does not peel whole is labelled and walked.
     """
-    tgts, right, conn = H.view.tgts, H.right, H.conn
+    tgts, right, conn = H.tgts, H.right, H.conn
     producers = dict.fromkeys(H.edges, 0)
     for e in H.edges:
         for t in tgts[e]:
@@ -444,8 +443,8 @@ def evaluate(circuit: Term | LinearHypergraph,
         h = _Host(H)
         h.plug([h.cut(t, v)[0] for t, v in zip(ins, inputs)], ins)
         read = [h.cut(t, v)[0] for t, v in zip(cut, w)] + list(outs)
-        # the view derives its ``conn`` inverse in ``conn`` order
-        h.conn_inv = dict(zip(h.conn.values(), h.conn))
+        # in the order the graph would derive it, ``conn`` order
+        h.inv = dict(zip(h.conn.values(), h.conn))
         result = normalize(h.freeze(), rules, max_steps=max_steps)
         if result.exhausted:
             return UNPRODUCTIVE
@@ -465,12 +464,13 @@ def evaluate(circuit: Term | LinearHypergraph,
 
 def _check_name(name: str, kind: str, lineno: int) -> str:
     """``name``, refused, naming its line, where a term cannot spell it
-    as a generator: not one name token, or a name the terms reserve."""
+    as a generator: not one name token, or a name the terms or the
+    wiring generators reserve."""
     if not _is_name(name):
         raise LatticeError(
             f"line {lineno}: {name!r} is not a {kind} name (a letter or '_',"
             " then letters, digits or '_')")
-    if name in _RESERVED_NAMES:
+    if name in _RESERVED_NAMES or name in (FORK, JOIN, STUB, DELAY):
         raise LatticeError(f"line {lineno}: {kind} name {name!r} is reserved")
     return name
 
@@ -480,12 +480,14 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
 
     Lines: ``values: v ...``, ``bottom: v``, ``join: a b -> c`` rows, and
     ``gate NAME arity N: v ... -> v`` truth-table rows.  A second
-    ``values:`` or ``bottom:`` line, a row given twice, or a value or
-    gate name that no term can spell, is refused, naming its line.
+    ``values:`` or ``bottom:`` line, a row given twice, a value or gate
+    name that no term can spell, or a row over a name outside
+    ``values:``, is refused, naming its line.
     """
     decls: dict[str, str] = {}  # the values: and bottom: lines' bodies
     join_rows: dict[tuple[str, str], str] = {}
     gate_rows: dict[str, tuple[int, dict[tuple[str, ...], str]]] = {}
+    used: list[tuple[int, str, tuple[str, ...]]] = []  # each row's values
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -507,7 +509,8 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
                 raise LatticeError(f"line {lineno}: bad join row")
             if (a, b) in join_rows:
                 raise LatticeError(f"line {lineno}: join {a} {b} given twice")
-            join_rows[(a, b)] = res.strip()
+            join_rows[(a, b)] = res = res.strip()
+            used.append((lineno, "join row", (a, b, res)))
         elif line.startswith("gate "):
             head, colon, body = line.partition(":")
             parts = head.split()
@@ -529,12 +532,18 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             if row in table:
                 raise LatticeError(f"line {lineno}: gate {name} row"
                                    f" {' '.join(row)} given twice")
-            table[row] = res.strip()
+            table[row] = res = res.strip()
+            used.append((lineno, f"gate {name} row", (*row, res)))
         else:
             raise LatticeError(f"line {lineno}: unrecognised line {line!r}")
     values, bottom = decls.get("values", "").split(), decls.get("bottom")
     if not values or bottom is None:
         raise LatticeError("missing values: or bottom: declaration")
+    for lineno, what, row in used:
+        for value in row:
+            if value not in values:
+                raise LatticeError(f"line {lineno}: {what} uses {value!r},"
+                                   " which is not a value")
     lattice = ValueLattice(tuple(values), bottom.strip(), join_rows)
     gates = {name: Gate(name, arity, table)
              for name, (arity, table) in gate_rows.items()}

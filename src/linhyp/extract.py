@@ -29,7 +29,7 @@ def untangle(H: LinearHypergraph, ord: EdgeOrder) -> LinearHypergraph:
     """Reorder vertices so inputs come first, outputs last, and each
     edge's ports form a consecutive block following ``ord``."""
     _check_order(H, ord)
-    tgts, srcs = H.view.tgts, H.view.srcs
+    tgts, srcs = H.tgts, H.srcs
     targets = list(H.inputs())
     for e in ord:
         targets.extend(tgts[e])
@@ -47,7 +47,7 @@ def stack(H: LinearHypergraph, ord: EdgeOrder) -> Term:
     """The tensor of all edge generators, in the given order."""
     _check_order(H, ord)
     parts: list[Term] = []
-    tgts = H.view.tgts
+    tgts = H.tgts
     for e in ord:
         if H.labels[e] == IDENTITY_LABEL:
             (t,) = tgts[e]

@@ -23,50 +23,21 @@ INTERFACE = None
 IDENTITY_LABEL = "@id"
 
 
-class GraphView:
-    """A graph's derived tables, the one place they are built, once per
-    graph (``LinearHypergraph.view``): beside its vertex and edge maps,
-    each edge's ordered target and source ports, each port's index in
-    its edge's port tuple, the inverse of ``conn``, the edges by label
-    and each edge's stored position (``edge_seq``, a number that grows
-    along the stored order).  Iterating ``targets`` and each
-    ``by_label`` entry gives them in stored order.  The port tables and
-    ``conn`` inverse are derived, or handed over by the host a graph is
-    frozen from (``_Host.freeze``); the port index, the label index and
-    ``edge_seq`` are built on first use.
-    The view holds no reference to the graph, which caches it: a cycle
-    would keep every graph alive until the cyclic collector runs.
-    """
-
-    def __init__(self, H: LinearHypergraph, tables=None) -> None:
-        self.targets, self._edges = H.targets, H.edges
-        self.left, self.right, self.conn = H.left, H.right, H.conn
-        self.labels, self.vtlabels, self.vslabels = (H.labels, H.vtlabels,
-                                                     H.vslabels)
-        self.tgts, self.srcs, self.conn_inv = (
-            (*H.port_tables(), H.conn_inv()) if tables is None else tables)
-
-    @cached_property
-    def port_index(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Each attached target's, and each attached source's, index in
-        its edge's target or source tuple."""
-        return ({v: i for vs in self.tgts.values() for i, v in enumerate(vs)},
-                {v: i for vs in self.srcs.values() for i, v in enumerate(vs)})
-
-    @cached_property
-    def by_label(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        for e in self._edges:
-            out.setdefault(self.labels[e], []).append(e)
-        return out
-
-    @cached_property
-    def edge_seq(self) -> dict[int, int]:
-        return {e: i for i, e in enumerate(self._edges)}
-
-
 @dataclass(frozen=True)
 class LinearHypergraph:
+    """A linear hypergraph and, beside its fields, its derived tables,
+    each built on first use: each edge's ordered target and source
+    ports (``tgts``, ``srcs``, from :meth:`port_tables`), the inverse of
+    ``conn`` (``inv``, from :meth:`conn_inv`), each port's index in its
+    edge's port tuple (``port_index``), the edges by label
+    (``by_label``) and each edge's stored position (``edge_seq``, a
+    number that grows along the stored order).  Iterating ``targets``
+    and each ``by_label`` entry gives them in stored order.  A graph
+    frozen from a host (``_Host.freeze``) gets its port tables and
+    ``inv`` from the host instead; ``dataclasses.replace`` makes a new
+    graph, which derives its own.
+    """
+
     targets: tuple[int, ...]
     sources: tuple[int, ...]
     edges: tuple[int, ...]
@@ -119,9 +90,36 @@ class LinearHypergraph:
                 {e: tuple(vs) for e, vs in srcs.items()})
 
     @cached_property
-    def view(self) -> GraphView:
-        """The graph's tables for matching, built once or handed over."""
-        return GraphView(self)
+    def tgts(self) -> dict[int, tuple[int, ...]]:
+        tgts, self.__dict__["srcs"] = self.port_tables()
+        return tgts
+
+    @cached_property
+    def srcs(self) -> dict[int, tuple[int, ...]]:
+        self.__dict__["tgts"], srcs = self.port_tables()
+        return srcs
+
+    @cached_property
+    def inv(self) -> dict[int, int]:
+        return self.conn_inv()
+
+    @cached_property
+    def port_index(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Each attached target's, and each attached source's, index in
+        its edge's target or source tuple."""
+        return ({v: i for vs in self.tgts.values() for i, v in enumerate(vs)},
+                {v: i for vs in self.srcs.values() for i, v in enumerate(vs)})
+
+    @cached_property
+    def by_label(self) -> dict[str, list[int]]:
+        out: dict[str, list[int]] = {}
+        for e in self.edges:
+            out.setdefault(self.labels[e], []).append(e)
+        return out
+
+    @cached_property
+    def edge_seq(self) -> dict[int, int]:
+        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def labelling(self) -> Labelling:
@@ -173,8 +171,8 @@ def validate(H: LinearHypergraph, sig=None) -> list[str]:
 def _well_formed(H: LinearHypergraph, sig) -> bool:
     """Whether ``_report`` finds nothing: each table's keys are its
     carrier, ``left``/``right`` name edges or the interface, ``conn`` is
-    a bijection onto the sources, and only then, on the view, each
-    distinct label and arity agrees with the identity shape, the
+    a bijection onto the sources, and only then, on the port tables,
+    each distinct label and arity agrees with the identity shape, the
     signature and the other edges of its label, and each wire keeps its
     object label."""
     tset, sset, eset = set(H.targets), set(H.sources), set(H.edges)
@@ -187,8 +185,7 @@ def _well_formed(H: LinearHypergraph, sig) -> bool:
             and H.vslabels.keys() == sset and H.labels.keys() == eset
             and ends <= eset and set(H.conn.values()) == sset):
         return False
-    view = H.view
-    tgts, srcs = view.tgts, view.srcs
+    tgts, srcs = H.tgts, H.srcs
     vt, vs = H.vtlabels.__getitem__, H.vslabels.__getitem__
     shapes = {(lab, tuple(map(vs, srcs[e])), tuple(map(vt, tgts[e])))
               for e, lab in H.labels.items()}
@@ -274,7 +271,7 @@ def _report(H: LinearHypergraph, sig) -> list[str]:
         return report
 
     # label-arity agreement
-    tgts, srcs = H.view.tgts, H.view.srcs
+    tgts, srcs = H.tgts, H.srcs
     arities: dict[str, tuple[Word, Word]] = {}
     for e in H.edges:
         lab = H.labels[e]
@@ -362,14 +359,14 @@ def freshen(H: LinearHypergraph) -> LinearHypergraph:
     return above(H, H)
 
 
-def _walk(H: LinearHypergraph, tgts: dict[int, tuple[int, ...]],
-          srcs: dict[int, tuple[int, ...]], conn_inv: dict[int, int],
-          starts: Iterable[int | None], seen: set[int]) -> list[int]:
+def _walk(H: LinearHypergraph, starts: Iterable[int | None],
+          seen: set[int]) -> list[int]:
     """The edges reached breadth-first along wires from ``starts``, less
     those in ``seen``, which it extends.  From each edge the walk visits
     the far end of each target port, then of each source port, in port
     order."""
-    right, left, conn = H.right, H.left, H.conn
+    right, left, conn, tgts, srcs, conn_inv = (H.right, H.left, H.conn,
+                                               H.tgts, H.srcs, H.inv)
     order = [e for e in dict.fromkeys(starts)
              if e is not INTERFACE and e not in seen]
     seen.update(order)
@@ -413,9 +410,8 @@ def _coded_walk(H: LinearHypergraph, anchor: int, best: list[tuple] | None
     walk reaches it, and is compared with ``best`` there: None as soon as
     the code exceeds ``best``, else the walk, the code and whether the
     code is less than ``best`` (True when there is none)."""
-    view = H.view
-    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
-    t_port, s_port = view.port_index
+    tgts, srcs, conn_inv = H.tgts, H.srcs, H.inv
+    t_port, s_port = H.port_index
     labels, right, left, conn = H.labels, H.right, H.left, H.conn
     vtlabels, vslabels = H.vtlabels, H.vslabels
     order = [anchor]
@@ -511,11 +507,10 @@ def _root(parent: dict[int, int], a: int) -> int:
 
 
 def _canonical_labelling(H: LinearHypergraph) -> Labelling:
-    view = H.view
-    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
+    tgts, srcs, conn_inv = H.tgts, H.srcs, H.inv
     ins, outs = H.inputs(), H.outputs()
     seen: set[int] = set()
-    edges = _walk(H, tgts, srcs, conn_inv, [H.right[H.conn[t]] for t in ins]
+    edges = _walk(H, [H.right[H.conn[t]] for t in ins]
                   + [H.left[conn_inv[s]] for s in outs], seen)
     coded = []
     for e in H.edges:
@@ -593,7 +588,7 @@ class Homomorphism:
                     and set(m.values()).issuperset(g)):
                 return False
         vt, vs = self.vmap_t, self.vmap_s
-        return (commutes(F, G.view, vt, vs, self.emap)
+        return (commutes(F, G, vt, vs, self.emap)
                 and tuple(map(vt.__getitem__, F.inputs())) == G.inputs()
                 and tuple(map(vs.__getitem__, F.outputs())) == G.outputs())
 
@@ -624,17 +619,19 @@ def is_homomorphism(h: Homomorphism) -> bool:
         return False
     if any(e not in g_edges for e in h.emap.values()):
         return False
-    return commutes(F, G.view, h.vmap_t, h.vmap_s, h.emap)
+    return commutes(F, G, h.vmap_t, h.vmap_s, h.emap)
 
 
-def commutes(F: LinearHypergraph, G: GraphView, vmap_t: dict[int, int],
-             vmap_s: dict[int, int], emap: dict[int, int]) -> bool:
+def commutes(F: LinearHypergraph, G: LinearHypergraph | _Host,
+             vmap_t: dict[int, int], vmap_s: dict[int, int],
+             emap: dict[int, int]) -> bool:
     """Whether total maps of F's elements into G's keep connections, edge
-    labels, ordered ports and object labels; O(|F|) given G's tables."""
+    labels, ordered ports and object labels; O(|F|) given G's tables,
+    a graph's or a host's."""
     for t in F.targets:
         if G.conn[vmap_t[t]] != vmap_s[F.conn[t]]:
             return False
-    ftgts, fsrcs = F.view.tgts, F.view.srcs
+    ftgts, fsrcs = F.tgts, F.srcs
     for e in F.edges:
         d = emap[e]
         if F.labels[e] != G.labels[d]:
@@ -657,9 +654,9 @@ def commutes(F: LinearHypergraph, G: GraphView, vmap_t: dict[int, int],
 Found = tuple[dict[int, int], dict[int, int], dict[int, int],
               list[tuple[int, int, int]]]
 
-#: A compiled search (:func:`_compile_search`): given a host's tables,
-#: it yields the maps of its pattern into that host.
-Search = Callable[[GraphView], Iterator[Found]]
+#: A compiled search (:func:`_compile_search`): given a host, a graph
+#: or a ``_Host``, it yields the maps of its pattern into that host.
+Search = Callable[["LinearHypergraph | _Host"], Iterator[Found]]
 
 # the kinds of element a search maps
 _T, _S, _E = 0, 1, 2
@@ -667,7 +664,7 @@ _T, _S, _E = 0, 1, 2
 
 class PatternTables:
     """What :func:`embeddings` reads from a pattern graph L beyond its
-    view; built once per graph, as ``LinearHypergraph.pattern``.
+    derived tables; built once per graph, as ``LinearHypergraph.pattern``.
 
     ``components`` lists L's wire-connected components in
     stored order of their first edges, each as its edges in walk order
@@ -687,13 +684,11 @@ class PatternTables:
     """
 
     def __init__(self, L: LinearHypergraph) -> None:
-        lv = L.view
         self.components: list[list[int]] = []
         placed: set[int] = set()
         for e in L.edges:
             if e not in placed:
-                self.components.append(
-                    _walk(L, lv.tgts, lv.srcs, lv.conn_inv, (e,), placed))
+                self.components.append(_walk(L, (e,), placed))
         self.starts: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
         for comp in self.components:
             first: dict[str, int] = {}
@@ -712,8 +707,9 @@ class PatternTables:
         self.searches: dict[tuple, Search] = {}
 
 
-def embeddings(L: LinearHypergraph, G: GraphView) -> Iterator[Found]:
-    """Yield maps of L into the graph whose tables are G, up to wire
+def embeddings(L: LinearHypergraph, G: LinearHypergraph | _Host
+               ) -> Iterator[Found]:
+    """Yield maps of L into the graph or host G, up to wire
     homeomorphism, in a deterministic order.
 
     The wire-propagation engine behind matching: fixing the image of an
@@ -739,9 +735,9 @@ def embeddings(L: LinearHypergraph, G: GraphView) -> Iterator[Found]:
     every combination of images.
 
     The search takes G's tables to agree with each other, as every
-    ``GraphView`` builds them and ``_Host`` keeps them: each
+    graph derives them and ``_Host`` keeps them: each
     edge's port tuples list, in order, the vertices whose ``left`` or
-    ``right`` is that edge, ``conn_inv`` inverts ``conn``, and
+    ``right`` is that edge, ``inv`` inverts ``conn``, and
     ``by_label`` lists just the edges of each label.  So it checks only
     forward: it does not walk back from a port to the edge it was
     reached from, nor along a wire to the end it was reached from.
@@ -807,7 +803,7 @@ def _compile_search(L: LinearHypergraph, starts: tuple[int, ...]) -> Search:
     search, so no text of a graph file is ever compiled.  Compiling one
     takes about 1 ms.
     """
-    P, lv = L.pattern, L.view
+    P = L.pattern
     ins, outs = P.in_wires, P.out_wires
     # per vertex kind: its object labels, the wires propagation does not
     # cross, the wire to its far end and the edge it sits on, in L and
@@ -815,7 +811,7 @@ def _compile_search(L: LinearHypergraph, starts: tuple[int, ...]) -> Search:
     vertex = {_T: ("vtlabels", L.vtlabels, set(outs), "conn", L.conn,
                    "left", L.left),
               _S: ("vslabels", L.vslabels, {L.conn[t] for t in ins},
-                   "conn_inv", lv.conn_inv, "right", L.right)}
+                   "inv", L.inv, "right", L.right)}
     consts: dict = {}  # each constant the search binds, by value
     tables: dict[str, None] = {}  # the host tables it reads
     body: list[str] = []
@@ -873,8 +869,8 @@ def _compile_search(L: LinearHypergraph, starts: tuple[int, ...]) -> Search:
             if k == _E:
                 if a != start:  # the start is drawn by its label
                     fail_if(f"{table('labels')}[{x}] != {const(L.labels[a])}")
-                for side, vk, ports in (("tgts", _T, lv.tgts[a]),
-                                        ("srcs", _S, lv.srcs[a])):
+                for side, vk, ports in (("tgts", _T, L.tgts[a]),
+                                        ("srcs", _S, L.srcs[a])):
                     p = local(f"{table(side)}[{x}]")
                     fail_if(f"len({p}) != {len(ports)}")
                     if not ports:
@@ -941,7 +937,7 @@ def _compile_search(L: LinearHypergraph, starts: tuple[int, ...]) -> Search:
 
     # up to homeomorphism, the boundary wires' loose ends: an out-wire
     # whose host wire feeds straight back into an in-wire is split there
-    ends = {a: local(f"{table('conn_inv')}[{bound[_S][L.conn[a]]}]")
+    ends = {a: local(f"{table('inv')}[{bound[_S][L.conn[a]]}]")
             for a in ins}
     loose = {}  # an out-wire's L source, and its host image
     splits = "splits" if ends and outs else "[]"
@@ -1047,11 +1043,11 @@ class _Host:
     :func:`~linhyp.circuits.evaluate`, and the host that the DPO steps
     of :mod:`linhyp.rewrite` rewrite in place.
 
-    It keeps current every table of a :class:`GraphView` that the search
-    reads of a host, so the search reads it live; it has no port index,
-    which the search reads only of the pattern.  ``targets``,
-    ``sources`` and ``labels`` are insertion-ordered and list the
-    vertices and edges in the stored order that
+    It keeps current, under the graph's names, every derived table of a
+    graph that the search reads of a host, so the search reads it live;
+    it has no port index, which the search reads only of the pattern.
+    ``targets``, ``sources`` and ``labels`` are insertion-ordered and
+    list the vertices and edges in the stored order that
     :func:`~linhyp.rewrite.pushout_complement`,
     :func:`~linhyp.rewrite.pushout` and :func:`smooth` give, which the
     tests check it against: survivors keep their order and new elements
@@ -1063,30 +1059,28 @@ class _Host:
     """
 
     def __init__(self, G: LinearHypergraph) -> None:
-        # every table is a mutable copy of the view's, in stored order
-        v = G.view
+        # every table is a mutable copy of the graph's, in stored order
         self.targets = dict.fromkeys(G.targets)
         self.sources = dict.fromkeys(G.sources)
         self.labels = {e: G.labels[e] for e in G.edges}
         self.left, self.right = dict(G.left), dict(G.right)
-        self.conn, self.conn_inv = dict(G.conn), dict(v.conn_inv)
+        self.conn, self.inv = dict(G.conn), dict(G.inv)
         self.vtlabels, self.vslabels = dict(G.vtlabels), dict(G.vslabels)
-        self.tgts, self.srcs = dict(v.tgts), dict(v.srcs)
+        self.tgts, self.srcs = dict(G.tgts), dict(G.srcs)
         self.by_label = {lab: dict.fromkeys(es)
-                         for lab, es in v.by_label.items()}
+                         for lab, es in G.by_label.items()}
         self.tick = count()
         self.edge_seq = dict(zip(G.edges, self.tick))
         self.new_ids = count(next_id(G))
 
     def freeze(self) -> LinearHypergraph:
-        """The graph, its view made of the host's tables: those
-        ``GraphView`` derives, in its order (``conn_inv`` in any)."""
+        """The graph, holding the host's port tables and ``inv`` as its
+        own: those it would derive, in its order (``inv`` in any)."""
         H = LinearHypergraph(
             tuple(self.targets), tuple(self.sources), tuple(self.labels),
             self.left, self.right, self.conn, self.labels, self.vtlabels,
             self.vslabels)
-        H.__dict__["view"] = GraphView(H, (self.tgts, self.srcs,
-                                           self.conn_inv))
+        H.__dict__.update(tgts=self.tgts, srcs=self.srcs, inv=self.inv)
         return H
 
     def plug(self, outs: Iterable[int], ins: Iterable[int]) -> None:
@@ -1096,9 +1090,9 @@ class _Host:
         trace and smoothing.  A wire runs on through any number of
         plugged pairs, and one that closes on itself vanishes."""
         for s, t in zip(outs, ins):
-            before, after = self.conn_inv.pop(s), self.conn.pop(t)
+            before, after = self.inv.pop(s), self.conn.pop(t)
             if before != t:  # else the wire closes on itself
-                self.conn[before], self.conn_inv[after] = after, before
+                self.conn[before], self.inv[after] = after, before
             del self.targets[t], self.left[t], self.vtlabels[t]
             del self.sources[s], self.right[s], self.vslabels[s]
 
@@ -1123,8 +1117,8 @@ class _Host:
         self.by_label.setdefault(label, {})[e] = None
         self.edge_seq[e] = next(self.tick)
         self.conn[t] = after = self.conn[w]
-        self.conn_inv[after] = t
-        self.conn[w], self.conn_inv[s] = s, w
+        self.inv[after] = t
+        self.conn[w], self.inv[s] = s, w
         return s, e
 
     def expand(self, w: int) -> tuple[int, int, int]:

@@ -39,8 +39,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     only the dictionary writes of its entries, with no helper call per
     generator or wire.  Ids are numbered from 0 in the order they are
     drawn, ``conn`` lists its entries in target order, and the host
-    hands its tables to the graph's view, the ``conn`` inverse rebuilt
-    in ``conn`` order.  The stored orders match the fold of the
+    hands its tables to the graph, the ``conn`` inverse rebuilt in
+    ``conn`` order.  The stored orders match the fold of the
     :mod:`linhyp.ops` combinators over the leaves this builds: leaf
     vertices and edges in left-to-right leaf order, minus the spliced
     ones.  Dispatch is on the exact node class, as in
@@ -48,8 +48,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     """
     H = _Host(EMPTY)
     targets, sources, left, right = H.targets, H.sources, H.left, H.right
-    vtlabels, vslabels, conn, conn_inv = (H.vtlabels, H.vslabels, H.conn,
-                                          H.conn_inv)
+    vtlabels, vslabels, conn, inv = H.vtlabels, H.vslabels, H.conn, H.inv
     labels, tgts, srcs, new_ids = H.labels, H.tgts, H.srcs, H.new_ids
     shapes: dict[str, tuple] = {}  # generator -> (dom + cod, m, m + n)
 
@@ -93,7 +92,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                 targets[v] = sources[s] = None
                 left[v] = right[s] = INTERFACE
                 vtlabels[v], vslabels[s] = a, b
-                to[i], conn_inv[s] = s, ids[i]
+                to[i], inv[s] = s, ids[i]
             conn.update(zip(ids, to))
             values[p] = (ids[:k], ids[k:])
         pending = 0
@@ -128,7 +127,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
                 v, s = ids[j], ids[k + j]
                 targets[v] = sources[s] = None
                 vtlabels[v] = vslabels[s] = word[j]
-                conn[v], conn_inv[s] = s, v
+                conn[v], inv[s] = s, v
                 if j < m:
                     left[v], right[s] = INTERFACE, e
                 else:
@@ -203,8 +202,8 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     if pending:
         materialise()
     H.plug(cut_outs, cut_ins)
-    # the view derives its ``conn`` inverse in ``conn`` order
-    H.conn_inv = dict(zip(conn.values(), conn))
+    # in the order the graph would derive it, ``conn`` order
+    H.inv = dict(zip(conn.values(), conn))
     return H.freeze()
 
 

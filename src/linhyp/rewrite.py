@@ -108,7 +108,6 @@ def _interface_leg(K: LinearHypergraph, X: LinearHypergraph) -> Homomorphism:
     """Map the i-th input wire of K to X's i-th input wire, and the j-th
     output wire to X's j-th output wire."""
     m = len(X.dom())
-    conn_inv = X.view.conn_inv
     ins, outs = X.inputs(), X.outputs()
     vmap_t: dict[int, int] = {}
     vmap_s: dict[int, int] = {}
@@ -119,7 +118,7 @@ def _interface_leg(K: LinearHypergraph, X: LinearHypergraph) -> Homomorphism:
         else:
             j = i - m
             vmap_s[K.conn[kt]] = outs[j]
-            vmap_t[kt] = conn_inv[outs[j]]
+            vmap_t[kt] = X.inv[outs[j]]
     return Homomorphism(K, X, vmap_t, vmap_s, {})
 
 
@@ -202,8 +201,7 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
 def _identity_chains(L: LinearHypergraph) -> list[tuple[int, list[int]]]:
     """Maximal runs of identity edges, each anchored at the surviving
     target vertex that feeds the run."""
-    view = L.view
-    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
+    tgts, srcs, conn_inv = L.tgts, L.srcs, L.inv
     id_edges = [e for e in L.edges if L.labels[e] == IDENTITY_LABEL]
 
     def is_ident(e: int | None) -> bool:
@@ -245,12 +243,11 @@ def _complete(L: LinearHypergraph, chains: list[tuple[int, list[int]]],
     vmap_t, vmap_s, emap, splits = found
     for t_w, s, t in splits:
         vmap_t[t], vmap_s[s], _ = split(t_w)
-    ltgts, lsrcs = L.view.tgts, L.view.srcs
     for t0, chain in chains:
         cur = vmap_t[t0]
         for e in chain:
-            cur, vmap_s[lsrcs[e][0]], emap[e] = split(cur)
-            vmap_t[ltgts[e][0]] = cur
+            cur, vmap_s[L.srcs[e][0]], emap[e] = split(cur)
+            vmap_t[L.tgts[e][0]] = cur
     return vmap_t, vmap_s, emap
 
 
@@ -265,7 +262,7 @@ def _matches(L: LinearHypergraph, search: tuple,
     where the map needs it and left live, for the caller to freeze or
     rewrite."""
     pattern, chains = search
-    for found in embeddings(pattern, G.view):
+    for found in embeddings(pattern, G):
         if found[3] or chains:
             host = _Host(G)
             yield host, _complete(L, chains, found, host.expand)
@@ -393,9 +390,8 @@ def pushout(m: Homomorphism, n: Homomorphism
         s = R.conn[v]
         conn[v] = rep_s.get(s, s)
 
-    rtgts, rsrcs = R.view.tgts, R.view.srcs
-    ports_t = tuple(rep_t.get(v, v) for e in R.edges for v in rtgts[e])
-    ports_s = tuple(rep_s.get(v, v) for e in R.edges for v in rsrcs[e])
+    ports_t = tuple(rep_t.get(v, v) for e in R.edges for v in R.tgts[e])
+    ports_s = tuple(rep_s.get(v, v) for e in R.edges for v in R.srcs[e])
     moved_t, moved_s = set(ports_t), set(ports_s)
     H = LinearHypergraph(
         targets=tuple(v for v in C.targets + r_only_t
@@ -533,10 +529,9 @@ class _StepPlan:
         self.new_s = [(slot_s[v], slot_e[R.right[v]], R.vslabels[v])
                       for v in new_s]
         self.links = [(slot_t[v], slot_s[R.conn[v]]) for v in new_t]
-        rtgts, rsrcs = R.view.tgts, R.view.srcs
         self.edges = [(slot_e[e], R.labels[e],
-                       [slot_t[v] for v in rtgts[e]],
-                       [slot_s[v] for v in rsrcs[e]]) for e in R.edges]
+                       [slot_t[v] for v in R.tgts[e]],
+                       [slot_s[v] for v in R.srcs[e]]) for e in R.edges]
 
     @staticmethod
     def _glue(ks: Sequence[int], keep: list[int], l_side: dict, r_map: dict,
@@ -599,7 +594,7 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
         body.append(f"{word(range(p.fresh))} = islice(H.new_ids, {p.fresh})")
     loads = len(body)  # where the kept slots the step uses are loaded
     for v in p.kill_t:
-        body += [f"y = vmap_t[{const(v)}]", "del conn_inv[conn.pop(y)]",
+        body += [f"y = vmap_t[{const(v)}]", "del inv[conn.pop(y)]",
                  "del targets[y], left[y], vtlabels[y]"]
     for v in p.kill_s:
         body += [f"y = vmap_s[{const(v)}]",
@@ -621,7 +616,7 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
             if j < 0:  # else it enters ``order`` with its edge
                 body.append(f"{order}[{x(i)}] = None")
             body += [f"{side}[{x(i)}] = {x(j)}", f"{labs}[{x(i)}] = {const(lab)}"]
-    body += [f"conn[{x(i)}], conn_inv[{x(j)}] = {x(j)}, {x(i)}"
+    body += [f"conn[{x(i)}], inv[{x(j)}] = {x(j)}, {x(i)}"
              for i, j in p.links]
     for i, lab, ts, ss in p.edges:
         for order, ports in (("targets", ts), ("sources", ss)):
@@ -639,7 +634,7 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
     body[loads:loads] = [f"{x(i)} = {vmap}[{const(v)}]" for i, (vmap, v)
                          in enumerate(keep, p.fresh) if x(i) in used]
     tables = [t for t in ("targets", "sources", "labels", "left", "right",
-                          "conn", "conn_inv", "vtlabels", "vslabels", "tgts",
+                          "conn", "inv", "vtlabels", "vslabels", "tgts",
                           "srcs", "by_label", "edge_seq", "tick") if t in used]
     source = "\n".join(
         [f"def _bind({', '.join(consts.values())}):",
@@ -717,7 +712,7 @@ def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],
     while frontier:
         cur = frontier.popleft()
         succs = []
-        for rule in rules.for_labels(cur.view.by_label):
+        for rule in rules.for_labels(cur.by_label):
             for host, maps in _matches(rule.L, rule._search, cur):
                 if host is None:
                     host = _Host(cur)

@@ -190,8 +190,7 @@ def to_dot(H: LinearHypergraph) -> str:
         else:
             text = _dot_string(lab)
             lines.append(f'  e{num[e]} [label="{text}", shape=box];')
-    view = H.view
-    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
+    tgts, srcs, conn_inv = H.tgts, H.srcs, H.inv
     for i, t in enumerate(ins):
         lines.append(f"  IN -> w{num[t]} [taillabel={i}, color=grey];")
     for i, s in enumerate(outs):

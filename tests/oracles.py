@@ -31,9 +31,10 @@ label index.
 ``boundary_coherent`` and ``glue_simple`` state the gluing condition and
 glue in plain simple hypergraphs (``SimpleHypergraph``, ``to_simple``).
 ``tables_from_scratch`` derives a graph's port tables, port index and
-``conn`` inverse edge by edge, for ``GraphView`` to be checked against,
-and ``tables_in_order`` lists a view's tables, for the tables handed to
-a view to be checked against ``GraphView``'s own.
+``conn`` inverse edge by edge, for the tables a graph derives
+(``graph_tables``) to be checked against, and ``tables_in_order`` lists
+a graph's tables, for the tables a host hands to a graph to be checked
+against those a fresh copy of the graph derives.
 ``graph_to_dict`` and ``graph_from_dict_per_entry`` encode and decode a
 graph file entry by entry, for the bulk writer and loader of
 ``linhyp.serialize`` to be checked against, and ``to_dot_of_canonical``
@@ -72,9 +73,9 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, UNPRODUCTIVE,
                              CircuitSignature, Gate, ValueLattice, eval_rules,
                              read_value_word, value_row)
 from linhyp.extract import extract_term
-from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, GraphView,
-                           _walk, above, canonical, canonical_labelling,
-                           commutes, expand, find_isomorphism, smooth)
+from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, _walk, above,
+                           canonical, canonical_labelling, commutes, expand,
+                           find_isomorphism, smooth)
 from linhyp.interp import interpret
 from linhyp.rewrite import (NormalizeResult, RewriteError, Step, _complete,
                             _Host, embeddings, find_matchings, normalize,
@@ -207,17 +208,17 @@ class _Conflict(Exception):
 
 
 def embeddings_from_first_edge(L: LinearHypergraph,
-                               G: GraphView) -> Iterator[Found]:
+                               G: LinearHypergraph | _Host
+                               ) -> Iterator[Found]:
     """The embedding search up to homeomorphism with no search plan: it
     pins each edge component of L by its first edge in stored order,
     trying every edge of G with that label in stored order, and copies
     its partial map for each candidate.  :func:`linhyp.graphs.embeddings` must yield the same
     maps in the same order."""
-    lv = L.view
-    ltgts, lsrcs, lconn_inv = lv.tgts, lv.srcs, lv.conn_inv
+    ltgts, lsrcs, lconn_inv = L.tgts, L.srcs, L.inv
     l_port_t = {v: (e, i) for e in L.edges for i, v in enumerate(ltgts[e])}
     l_port_s = {v: (e, i) for e in L.edges for i, v in enumerate(lsrcs[e])}
-    gtgts, gsrcs, gconn_inv = G.tgts, G.srcs, G.conn_inv
+    gtgts, gsrcs, gconn_inv = G.tgts, G.srcs, G.inv
 
     # the first edge in stored order of each wire-connected component
     anchors: list[int] = []
@@ -470,10 +471,10 @@ def normal_forms_by_scan(G: LinearHypergraph, rules, max_steps: int = 10000,
         cur = frontier.popleft()
         succs = []
         for rule in rules:
-            if not cur.view.by_label.keys() >= rule.labels:
+            if not cur.by_label.keys() >= rule.labels:
                 continue
             pattern, chains = rule._search
-            for found in embeddings(pattern, cur.view):
+            for found in embeddings(pattern, cur):
                 host = _Host(cur)
                 host.rewrite(rule,
                              *_complete(rule.L, chains, found, host.expand))
@@ -507,7 +508,7 @@ def rewrite_by_plan(host, rule, vmap_t: dict[int, int],
     p = rule._step
     if p.error is not None:
         raise RewriteError(p.error)
-    left, right, conn, conn_inv = host.left, host.right, host.conn, host.conn_inv
+    left, right, conn, inv = host.left, host.right, host.conn, host.inv
     targets, sources, by_label = host.targets, host.sources, host.by_label
     for side, vmap, checks in ((left, vmap_t, p.check_t),
                                (right, vmap_s, p.check_s)):
@@ -522,7 +523,7 @@ def rewrite_by_plan(host, rule, vmap_t: dict[int, int],
     img += map(vmap_s.__getitem__, p.keep_s)
     img.append(INTERFACE)
     for t in map(vmap_t.__getitem__, p.kill_t):
-        del conn_inv[conn.pop(t)]
+        del inv[conn.pop(t)]
         del targets[t], left[t], host.vtlabels[t]
     for s in map(vmap_s.__getitem__, p.kill_s):
         del sources[s], right[s], host.vslabels[s]
@@ -541,7 +542,7 @@ def rewrite_by_plan(host, rule, vmap_t: dict[int, int],
         sources[img[i]], right[img[i]], host.vslabels[img[i]] = (None, img[j],
                                                                  lab)
     for i, j in p.links:
-        conn[img[i]], conn_inv[img[j]] = img[j], img[i]
+        conn[img[i]], inv[img[j]] = img[j], img[i]
     for i, lab, ts, ss in p.edges:
         ts = tuple([img[j] for j in ts])
         ss = tuple([img[j] for j in ss])
@@ -624,7 +625,7 @@ def to_simple(H: LinearHypergraph) -> SimpleHypergraph:
 
 
 def tables_from_scratch(H: LinearHypergraph) -> tuple:
-    """What ``H.view`` derives, read off the vertex lists one edge at a
+    """What ``H`` derives, read off the vertex lists one edge at a
     time: the port tables, each port's index in its edge's port tuple,
     and the inverse of ``conn``."""
     tgts = {e: tuple(v for v in H.targets if H.left[v] == e) for e in H.edges}
@@ -635,19 +636,16 @@ def tables_from_scratch(H: LinearHypergraph) -> tuple:
     return tgts, srcs, index, {H.conn[t]: t for t in H.targets}
 
 
-def tables_in_order(view) -> tuple:
-    """A view's port tables and ``conn`` inverse as lists of entries in
-    insertion order: to compare tables handed to a view with those
-    ``GraphView(H)`` derives."""
-    return tuple(list(t.items()) for t in (view.tgts, view.srcs,
-                                          view.conn_inv))
+def tables_in_order(H: LinearHypergraph) -> tuple:
+    """A graph's port tables and ``conn`` inverse as lists of entries in
+    insertion order: to compare tables handed to a graph with those a
+    fresh ``replace(H)`` derives."""
+    return tuple(list(t.items()) for t in (H.tgts, H.srcs, H.inv))
 
 
-def view_tables(H: LinearHypergraph) -> tuple:
-    """The tables ``H.view`` holds, in :func:`tables_from_scratch`'s
-    shape."""
-    v = H.view
-    return v.tgts, v.srcs, v.port_index, v.conn_inv
+def graph_tables(H: LinearHypergraph) -> tuple:
+    """The tables ``H`` holds, in :func:`tables_from_scratch`'s shape."""
+    return H.tgts, H.srcs, H.port_index, H.inv
 
 
 def boundary_coherent(m: Homomorphism, n: Homomorphism) -> bool:
@@ -827,7 +825,7 @@ def feedback_wires_by_labelled_walk(H: LinearHypergraph) -> list[int]:
     producer to consumer, rooted in ``canonical_labelling`` order, each
     named by its producer end; computed for every graph, loop-free or
     not."""
-    tgts = H.view.tgts
+    tgts = H.tgts
     _, _, order = canonical_labelling(H)
     done: set[int] = set()
     cut: list[int] = []
@@ -1202,9 +1200,8 @@ def smooth_by_splicing(H: LinearHypergraph) -> LinearHypergraph:
     idents = [e for e in H.edges if H.labels[e] == IDENTITY_LABEL]
     if not idents:
         return H
-    view = H.view
-    tgts, srcs = view.tgts, view.srcs
-    conn, conn_inv = dict(H.conn), dict(view.conn_inv)
+    tgts, srcs = H.tgts, H.srcs
+    conn, conn_inv = dict(H.conn), dict(H.inv)
     dead_t: set[int] = set()
     dead_s: set[int] = set()
     for e in idents:
@@ -1274,16 +1271,16 @@ def canonical_labelling_by_port_search(H: LinearHypergraph
 
     ins, outs = H.inputs(), H.outputs()
     seen: set[int] = set()
-    edges = _walk(H, tgts, srcs, conn_inv, [H.right[H.conn[t]] for t in ins]
+    edges = _walk(H, [H.right[H.conn[t]] for t in ins]
                   + [H.left[conn_inv[s]] for s in outs], seen)
     coded = []
     for e in H.edges:
         if e not in seen:
-            comp = _walk(H, tgts, srcs, conn_inv, (e,), seen)
+            comp = _walk(H, (e,), seen)
             count = Counter(H.labels[a] for a in comp)
             rare = min(count, key=lambda lab: (count[lab], lab))
             coded.append(min((code(w), w) for w in (
-                comp if a == e else _walk(H, tgts, srcs, conn_inv, (a,), set())
+                comp if a == e else _walk(H, (a,), set())
                 for a in comp if H.labels[a] == rare)))
     for _, order in sorted(coded):
         edges += order
@@ -1344,8 +1341,7 @@ def to_dot_of_canonical(H: LinearHypergraph) -> str:
             lines.append(f'  e{e} [label="", shape=diamond, color=grey];')
         else:
             lines.append(f'  e{e} [label="{_escaped(lab)}", shape=box];')
-    view = G.view
-    tgts, srcs, conn_inv = view.tgts, view.srcs, view.conn_inv
+    tgts, srcs, conn_inv = G.tgts, G.srcs, G.inv
     for i, t in enumerate(ins):
         lines.append(f"  IN -> w{t} [taillabel={i}, color=grey];")
     for i, s in enumerate(outs):

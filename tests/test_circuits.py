@@ -2,6 +2,7 @@ import gc
 import inspect
 import itertools
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
                              eval_rules, feedback_wires)
 from linhyp.cli import main
 from linhyp.terms import Swap
-from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph, expand
+from linhyp.graphs import INTERFACE, LinearHypergraph, expand
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
@@ -454,10 +455,10 @@ def test_evaluate_rounds_bounded_by_feedback(monkeypatch, rng):
 
 def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
     """The open graph's port tables and ``conn`` inverse, built once from
-    the circuit's, are those ``GraphView`` derives for each round's
-    graph, entry for entry and in insertion order, on looped circuits
-    with one to three cut wires and their inputs as value edges; an
-    evaluation from a term derives no port table at all."""
+    the circuit's, are those a fresh ``replace(G)`` derives for each
+    round's graph, entry for entry and in insertion order, on looped
+    circuits with one to three cut wires and their inputs as value
+    edges; an evaluation from a term derives no port table at all."""
     import linhyp.circuits as circuits
 
     rounds, checked = [], []
@@ -480,8 +481,7 @@ def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
             evaluate(looped, inputs, csig)
             assert rounds and derived == []
             for G in rounds:
-                assert tables_in_order(G.view) == tables_in_order(
-                    GraphView(G))
+                assert tables_in_order(G) == tables_in_order(replace(G))
             checked.append(len(rounds))
     assert max(checked) > 1  # a circuit that took more than one round
 
@@ -512,8 +512,8 @@ def test_each_rounds_open_graph_has_no_inputs_and_the_cut_outputs(
 
 
 def test_a_rounds_graph_is_freed_without_the_collector(monkeypatch):
-    """A round's graph shares the open graph's tables through its view
-    and holds no cycle: once ``evaluate`` returns, it goes without the
+    """A round's graph holds the open graph's tables as its own and
+    holds no cycle: once ``evaluate`` returns, it goes without the
     cyclic collector."""
     import linhyp.circuits as circuits
 
@@ -690,9 +690,13 @@ _NAME_RULE = "(a letter or '_', then letters, digits or '_')"
 
 @pytest.mark.parametrize("text,error", [
     (_TWO_POINT_TEXT + "join: x y -> bot\n",
-     "join defined on (x, y), which are not both values"),
+     "line 9: join row uses 'x', which is not a value"),
     (_TWO_POINT_TEXT + "gate amp arity 1: x -> top\n",
-     "gate amp: row ('x',) is not a row of values"),
+     "line 9: gate amp row uses 'x', which is not a value"),
+    ("join: bot x -> top\n" + _TWO_POINT_TEXT,
+     "line 1: join row uses 'x', which is not a value"),
+    (_TWO_POINT_TEXT + "gate buf arity 1: top -> x\n",
+     "line 9: gate buf row uses 'x', which is not a value"),
     (_TWO_POINT_TEXT.replace("values: bot top", "values: bot top 1x"),
      f"line 1: '1x' is not a value name {_NAME_RULE}"),
     (_TWO_POINT_TEXT + "gate 1x arity 1: bot -> bot\n",
@@ -703,14 +707,25 @@ _NAME_RULE = "(a letter or '_', then letters, digits or '_')"
      "line 9: gate name 'swap' is reserved"),
     (_TWO_POINT_TEXT + "gate tr arity 1: bot -> bot\n",
      "line 9: gate name 'tr' is reserved"),
-], ids=["join-row", "gate-row", "value-1x", "gate-1x", "value-id",
-        "gate-swap", "gate-tr"])
+    (_TWO_POINT_TEXT.replace("values: bot top", "values: bot top fork"),
+     "line 1: value name 'fork' is reserved"),
+    (_TWO_POINT_TEXT.replace("values: bot top", "values: bot join top"),
+     "line 1: value name 'join' is reserved"),
+    (_TWO_POINT_TEXT + "gate stub arity 1: bot -> bot\n",
+     "line 9: gate name 'stub' is reserved"),
+    (_TWO_POINT_TEXT + "gate delay arity 1: bot -> bot\n",
+     "line 9: gate name 'delay' is reserved"),
+], ids=["join-row", "gate-row", "join-row-first", "gate-result", "value-1x",
+        "gate-1x", "value-id", "gate-swap", "gate-tr", "value-fork",
+        "value-join", "gate-stub", "gate-delay"])
 def test_a_lattice_file_refuses_what_no_term_can_use(text, error, tmp_path,
                                                      capsys):
     """A join or gate row over a name outside ``values:`` was kept as a
-    dead table entry; a value or gate name no term can spell, or one the
-    terms reserve, passed the parse and failed only later, without its
-    line.  Each is refused, and ``linhyp evaluate`` exits 1 on it."""
+    dead table entry, and then refused without its line; a value or gate
+    name no term can spell, or one the terms or the wiring generators
+    reserve, passed the parse and failed only later, without its line.
+    Each is refused, naming its line, also a row that comes before
+    ``values:``, and ``linhyp evaluate`` exits 1 on it."""
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature(text)
     assert str(info.value) == error

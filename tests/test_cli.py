@@ -419,7 +419,7 @@ def test_rewrite_a_graph_file_with_an_identity_edge(files, capsys, tmp_path):
     full_sig = signature({"f": (1, 1)})
     G = interpret(parse_term("f ; f", full_sig), full_sig)
     g = tmp_path / "g.json"
-    g.write_text(save_graph(expand(G, G.view.tgts[G.edges[0]][0])))
+    g.write_text(save_graph(expand(G, G.tgts[G.edges[0]][0])))
     assert '"@id"' in g.read_text()
     for strategy, err_lines in (("deterministic", 1), ("exhaustive", 0)):
         code, out, err = run(capsys, "rewrite", str(g), "--rules", str(rules),

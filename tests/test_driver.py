@@ -15,6 +15,7 @@ import itertools
 import random
 import sys
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +23,8 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, find_matchings, interpret,
                     normal_forms, normalize, parse_rules, rename, save_graph)
 from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
-from linhyp.graphs import (IDENTITY_LABEL, GraphView, LinearHypergraph,
-                           PatternTables, expand, validate)
+from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
+                           expand, validate)
 from linhyp.laws import random_term
 from linhyp.rewrite import RuleSet
 from linhyp.terms import signature, tensor_all
@@ -258,9 +259,9 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
     stands for.  ``glue`` puts an f's output beside a new p on a c that
     R lists the other way round: the glued c keeps R's port order, as in
     :func:`pushout`.  Every graph ``freeze`` makes, also in
-    ``normal_forms``, hands the host's tables to its view: the port
-    tables are ``GraphView(H)``'s in insertion order, and the ``conn``
-    inverse has its entries (steps reorder them; nothing reads the
+    ``normal_forms``, hands the host's tables to the graph: the port
+    tables are a fresh ``replace(H)``'s in insertion order, and ``inv``
+    has its entries (steps reorder them; nothing reads the
     order)."""
     checked, frozen = [], []
     real = rewrite._Host.rewrite
@@ -268,10 +269,10 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
 
     def freezing(self):
         H = real_freeze(self)
-        fresh = tables_in_order(GraphView(H))
-        assert tables_in_order(H.view)[:2] == fresh[:2]
-        assert H.view.conn_inv == GraphView(H).conn_inv
-        assert H.view.tgts is self.tgts and H.view.conn_inv is self.conn_inv
+        fresh = tables_in_order(replace(H))
+        assert tables_in_order(H)[:2] == fresh[:2]
+        assert H.inv == replace(H).inv
+        assert H.tgts is self.tgts and H.inv is self.inv
         frozen.append(H)
         return H
 
@@ -283,9 +284,9 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
             dict(self.labels), dict(self.vtlabels), dict(self.vslabels))
         assert validate(H) == []
         assert (self.tgts, self.srcs) == H.port_tables()
-        assert self.conn_inv == H.conn_inv()
+        assert self.inv == H.conn_inv()
         assert {lab: list(es) for lab, es in self.by_label.items()} == (
-            H.view.by_label)
+            H.by_label)
         assert self.edge_seq.keys() == set(H.edges)
         assert sorted(H.edges, key=self.edge_seq.__getitem__) == list(H.edges)
         checked.append(len(H.edges))
@@ -341,7 +342,7 @@ def test_every_match_the_driver_applies_is_an_embedding(monkeypatch):
 # the tables of a rewrite._Host beside ``by_label``, whose buckets are
 # dicts too
 HOST_TABLES = ("targets", "sources", "labels", "left", "right", "conn",
-               "conn_inv", "vtlabels", "vslabels", "tgts", "srcs", "edge_seq")
+               "inv", "vtlabels", "vslabels", "tgts", "srcs", "edge_seq")
 
 
 def _counters(H):
@@ -544,12 +545,12 @@ def test_rules_whose_labels_the_host_lacks_are_not_searched(monkeypatch):
     for G in hosts:
         nfs, exhausted = normal_forms_by_pushouts(G, RULES, max_states=50)
         expected_nfs.append((list(map(save_graph, nfs)), exhausted))
-    searched, views = [], []
+    searched, seen = [], []
     real = rewrite.embeddings
 
     def recording(L, G):
         searched.append((L, set(G.labels.values())))
-        views.append(G)
+        seen.append(G)
         return real(L, G)
 
     monkeypatch.setattr(rewrite, "embeddings", recording)
@@ -569,13 +570,13 @@ def test_rules_whose_labels_the_host_lacks_are_not_searched(monkeypatch):
     # `normal_forms` skips them too, in every state, and finds what
     # listing every rule's matches finds
     searched.clear()
-    views.clear()
+    seen.clear()
     for G, want in zip(hosts, expected_nfs):
         nfs, exhausted = normal_forms(G, RULES, max_states=50)
         assert (list(map(save_graph, nfs)), exhausted) == want
     for L, present in searched:
         assert set(L.labels.values()) - {IDENTITY_LABEL} <= present
-    states = len({id(G) for G in views})  # views keeps each one alive
+    states = len({id(G) for G in seen})  # seen keeps each one alive
     assert 0 < sum(L is hh for L, _ in searched) < states
 
 
@@ -648,7 +649,7 @@ def test_graphs_and_rule_sets_are_freed_without_the_collector():
         rules = RuleSet(parse_rules(RULE_TEXT, RSIG))
         res = normalize(interpret(_chain([Gen("f")] * 4), RSIG), rules)
         assert [s.rule for s in res.steps] == ["ff"] * 3
-        assert "view" in vars(res.graph) and rules._by_labels
+        assert "tgts" in vars(res.graph) and rules._by_labels
         graph, rule = weakref.ref(res.graph), weakref.ref(rules[1])
         del res, rules
         assert graph() is None and rule() is None

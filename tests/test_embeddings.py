@@ -1,7 +1,7 @@
 """The embedding search against ``embeddings_from_first_edge``, the
 oracle that pins each component of the pattern at its first stored edge
 and tries every host edge of that label: the same maps in the same
-order, read from a graph's view and from a host that ``normalize`` is
+order, read from a graph's tables and from a host that ``normalize`` is
 rewriting.  And the search's cost per rewriting step, which must not
 grow with the host when the pattern's first edge has a common label.
 """
@@ -98,7 +98,7 @@ def _component(P, comp):
     """P's component of edges ``comp`` with its boundary wires, as a
     pattern of its own."""
     es = set(comp)
-    conn_inv = P.view.conn_inv
+    conn_inv = P.inv
     ts = [t for t in P.targets
           if P.left[t] in es or P.right[P.conn[t]] in es]
     ss = [s for s in P.sources
@@ -136,7 +136,7 @@ def test_same_maps_in_the_same_order_as_the_oracle():
     components, elsewhere, found = set(), 0, 0
     collide = bare = split = 0
     for P in _patterns(rng, 60):
-        G = _with_decoys(rng, P, _host(rng, P)).view
+        G = _with_decoys(rng, P, _host(rng, P))
         _assert_same_maps(P, G)
         components.add(len(P.pattern.components))
         elsewhere += _starts_elsewhere(P, G)
@@ -162,10 +162,10 @@ def test_port_less_edges_of_one_label_take_distinct_host_edges():
              "tick * g ; tick * f * f * tick"]
     for text, count in zip(hosts, (0, 2, 6)):
         G = interpret(parse_term(text, sig), sig)
-        assert len(G.view.by_label["tick"]) == text.count("tick")
+        assert len(G.by_label["tick"]) == text.count("tick")
         want = [(h.vmap_t, h.vmap_s, h.emap)
                 for h in brute_force_matchings(P, G)]
-        got = [(t, s, e) for t, s, e, _ in embeddings(P, G.view)]
+        got = [(t, s, e) for t, s, e, _ in embeddings(P, G)]
         assert got == want and len(got) == count, text
 
 
@@ -265,7 +265,7 @@ ODD_SIG = signature({
 
 # the only names a compiled search's source may hold: its keywords and
 # builtins, its locals, the host tables it reads and its constants
-TABLES = (r"(targets|left|right|conn|conn_inv|labels|vtlabels|vslabels"
+TABLES = (r"(targets|left|right|conn|inv|labels|vtlabels|vslabels"
           r"|tgts|srcs|by_label|edge_seq)")
 SEARCH_NAMES = re.compile(
     r"(def|for|in|if|elif|else|is|not|and|None|continue|return|yield"
@@ -310,9 +310,9 @@ def test_compiled_plans_hold_no_label_text(monkeypatch):
 
     found = [(m.vmap_t, m.vmap_s, m.emap) for m in find_matchings(L, G)]
     assert found == [(t, s, e) for t, s, e, _ in
-                     embeddings_from_first_edge(L, G.view)]
+                     embeddings_from_first_edge(L, G)]
     assert len(found) == 10
-    _assert_same_maps(L, G.view)
+    _assert_same_maps(L, G)
 
     rule = saturate_rule(rewrite._make_rule("odd", L, R))
     res = normalize(G, [rule])
@@ -372,7 +372,7 @@ def test_a_pattern_with_compiled_plans_is_freed_without_the_collector():
     """The searches a pattern caches hold no reference back to it."""
     rng = random.Random(5)
     P = _patterns(rng, 1)[0]
-    G = _host(rng, P).view
+    G = _host(rng, P)
     gc.disable()
     try:
         list(embeddings(P, G))

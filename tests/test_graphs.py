@@ -12,11 +12,11 @@ from linhyp import (Gen, Homomorphism, Seq, Tensor, Trace, canonical, compose,
 from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, LinearHypergraph,
                            canonical_labelling, next_id)
 from linhyp.laws import law_signature
-from linhyp.serialize import save_graph
+from linhyp.serialize import load_graph, save_graph
 from oracles import (brute_force_isomorphism,
-                     canonical_labelling_by_port_search, id_source,
-                     is_isomorphism_by_embedding, random_graph,
-                     tables_from_scratch, to_simple, view_tables)
+                     canonical_labelling_by_port_search, graph_tables,
+                     id_source, is_isomorphism_by_embedding, random_graph,
+                     tables_from_scratch, to_simple)
 
 SIG = law_signature()
 
@@ -469,7 +469,7 @@ def _corrupted(h, rng):
     if unlike:
         e, d = rng.choice(unlike)
         out.append(replace(h, emap={**h.emap, e: h.emap[d], d: h.emap[e]}))
-    tgts, srcs = G.view.tgts, G.view.srcs
+    tgts, srcs = G.tgts, G.srcs
     for e in G.edges:
         for ports, field in ((tgts[e], "targets"), (srcs[e], "sources")):
             if len(ports) >= 2:
@@ -677,7 +677,7 @@ def test_random_graphs_validate(H):
 
 
 def test_view_tables_equal_a_derivation_from_scratch():
-    """Each graph's view holds its port tables, port index and ``conn``
+    """Each graph holds its port tables, port index and ``conn``
     inverse as an edge-by-edge derivation gives them, on random graphs
     and on graphs of terms, expanded and smoothed."""
     rng = random.Random(12)
@@ -688,4 +688,48 @@ def test_view_tables_equal_a_derivation_from_scratch():
     graphs += [expand(H, H.targets[0]) for H in graphs if H.targets]
     graphs += [smooth(H) for H in graphs]
     for H in graphs:
-        assert view_tables(H) == tables_from_scratch(H)
+        assert graph_tables(H) == tables_from_scratch(H)
+
+
+TABLE_NAMES = ("tgts", "srcs", "inv", "port_index", "by_label", "edge_seq")
+
+
+def test_replace_derives_the_tables_anew():
+    """A graph frozen from a host holds the host's port tables and
+    ``inv``; ``dataclasses.replace`` makes a graph that holds none of
+    them and derives its own, for its own ``conn`` and vertex order."""
+    H = interpret(parse_term("g ; h ; k ; f * u", SIG), SIG)
+    assert {"tgts", "srcs", "inv"} <= vars(H).keys()
+    a, b = H.targets[:2]
+    conn = {**H.conn, a: H.conn[b], b: H.conn[a]}
+    G = replace(H, conn=conn)
+    assert not vars(G).keys() & set(TABLE_NAMES)
+    assert G.inv == {s: t for t, s in conn.items()} != H.inv
+    assert (G.tgts, G.srcs) == G.port_tables() and G.tgts is not H.tgts
+    F = replace(H, targets=H.targets[::-1])
+    assert F.tgts == {e: ts[::-1] for e, ts in H.tgts.items()} != H.tgts
+    assert graph_tables(F) == tables_from_scratch(F)
+
+
+def test_a_graph_built_directly_derives_no_table(monkeypatch):
+    """Building a graph, directly, by ``replace`` or by ``rename``,
+    derives nothing: its tables are built on first use."""
+    calls = []
+    real = LinearHypergraph.port_tables
+    monkeypatch.setattr(LinearHypergraph, "port_tables",
+                        lambda H: calls.append(H) or real(H))
+    H = fork_join_example()
+    built = [H, replace(H), rename(H, {H.edges[0]: 99})]
+    assert calls == []
+    assert all(not vars(G).keys() & set(TABLE_NAMES) for G in built)
+    assert built[1].srcs == real(H)[1] and len(calls) == 1
+
+
+def test_a_left_that_names_a_missing_edge_is_reported():
+    """Validation derives no table before the shape checks pass, so a
+    graph whose ``left`` names an edge it does not have gets its report,
+    not a ``KeyError``."""
+    H = LinearHypergraph((0,), (1,), (), {0: 5}, {1: INTERFACE}, {0: 1}, {})
+    assert validate(H) == ["left(0) is not an edge of the graph"]
+    with pytest.raises(ValueError, match=r"left\(0\) is not an edge"):
+        load_graph(save_graph(H, canonicalize=False))

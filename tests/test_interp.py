@@ -13,7 +13,7 @@ from linhyp import (Gen, Id, Seq, Swap, Tensor, Trace, TypeMismatch,
                     interpret, parse_term, rename, signature, type_of,
                     validate)
 from linhyp import graphs
-from linhyp.graphs import GraphView, LinearHypergraph
+from linhyp.graphs import LinearHypergraph
 from linhyp.laws import axiom_schemes, law_signature, random_term
 from linhyp.terms import tensor_all
 from oracles import (equal_mod_stmc_typed_first, interpret_by_combinators,
@@ -432,7 +432,7 @@ def test_right_and_left_nested_tensors_give_one_stored_order():
         assert rename(R, perm) == L
 
 
-# -- nested tensors of wiring, and the tables handed to the view -------------
+# -- nested tensors of wiring, and the tables handed to the graph ------------
 
 def _wiring(rng, w, depth):
     """A random term ``w -> w`` of identities and swaps only."""
@@ -511,10 +511,10 @@ OSIG = signature({"f": (1, 1), "g": (1, 2), "h": (2, 2), "k": (2, 1),
 
 def test_interpret_hands_its_tables_to_the_view(monkeypatch):
     """The port tables and ``conn`` inverse that ``interpret`` records
-    as it draws ids are those ``GraphView(H)`` derives, entry for entry
-    and in insertion order, on random terms with traces and ``0 -> 0``
-    generators, labelled terms and nested wiring; no port table is
-    derived."""
+    as it draws ids are those a fresh ``replace(H)`` derives, entry for
+    entry and in insertion order, on random terms with traces and
+    ``0 -> 0`` generators, labelled terms and nested wiring; no port
+    table is derived."""
     terms = [(_nested(40, Id(1), True), SIG), (_nested(40, Swap(1, 1), False),
                                              SIG),
              (Gen("o"), OSIG), (Tensor(Gen("o"), Trace(1, Gen("f"))), OSIG)]
@@ -535,8 +535,8 @@ def test_interpret_hands_its_tables_to_the_view(monkeypatch):
                         lambda H: derived.append(H) or real(H))
     graphs = [interpret(t, sig) for t, sig in terms]
     for H in graphs:
-        assert tables_in_order(H.view) == tables_in_order(GraphView(H))
-    assert len(derived) == len(graphs)  # one per GraphView(H) above
+        assert tables_in_order(H) == tables_in_order(replace(H))
+    assert len(derived) == len(graphs)  # one per replace(H) above
     assert any(H.labels and not H.targets for H in graphs)
 
 
@@ -564,11 +564,12 @@ def test_interpret_splices_through_the_hosts_plug(monkeypatch):
 
 
 def test_an_interpreted_graph_is_freed_without_the_collector():
-    """The view ``interpret`` attaches holds no reference to its graph."""
+    """The tables ``interpret`` hands to its graph hold no reference back
+    to it."""
     gc.disable()
     try:
         H = interpret(parse_term("tr 1 (g ; h) ; f ; z", SIG), SIG)
-        assert "view" in vars(H) and H.view.by_label
+        assert "tgts" in vars(H) and H.by_label
         ref = weakref.ref(H)
         del H
         assert ref() is None

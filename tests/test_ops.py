@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (IDENTITY_LABEL, Gen, TypeMismatch, compose,
                     find_isomorphism, generator, identity, interpret,
                     isomorphic, smooth, swap, tensor, trace, validate)
-from linhyp.graphs import INTERFACE, GraphView, LinearHypergraph, _Host, expand
+from linhyp.graphs import INTERFACE, LinearHypergraph, _Host, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.serialize import save_graph
 from linhyp.terms import Swap, Tensor, signature, tensor_all
@@ -283,7 +284,7 @@ def test_generator_is_pinned_table_for_table(name, tables, ports):
     edge's sources and the outputs, then the edge."""
     H = generator(name, SIG)
     assert _tables(H) == tables
-    assert (H.view.tgts, H.view.srcs) == ports == H.port_tables()
+    assert (H.tgts, H.srcs) == ports == H.port_tables()
 
 
 def test_interpret_lists_conn_in_target_order(rng):
@@ -379,9 +380,9 @@ def test_one_splice_gives_the_parents_compose_trace_and_smooth(rng):
 def test_a_cut_host_freezes_to_the_port_tables_of_its_graph(rng):
     """``_Host.cut``, the one split, on random graphs, some cuts on wires
     already cut: each adds one output and one edge with a target port
-    and no source port, and the frozen graph is well formed, its view
-    holding the port tables ``GraphView`` derives, entry for entry and
-    in insertion order, and its ``conn`` inverse."""
+    and no source port, and the frozen graph is well formed, holding the
+    port tables a fresh ``replace(H)`` derives, entry for entry and in
+    insertion order, and its ``conn`` inverse."""
     cuts = 0
     for _ in range(200):
         F = _draw(rng)
@@ -395,10 +396,10 @@ def test_a_cut_host_freezes_to_the_port_tables_of_its_graph(rng):
         assert H.arity() == (len(F.inputs()), len(F.outputs()) + len(made))
         for s, e in made:
             assert H.right[s] is INTERFACE
-            assert H.view.srcs[e] == () and len(H.view.tgts[e]) == 1
-        fresh = GraphView(H)
-        assert tables_in_order(H.view)[:2] == tables_in_order(fresh)[:2]
-        assert H.view.conn_inv == fresh.conn_inv
+            assert H.srcs[e] == () and len(H.tgts[e]) == 1
+        fresh = replace(H)
+        assert tables_in_order(H)[:2] == tables_in_order(fresh)[:2]
+        assert H.inv == fresh.inv
         cuts += len(made)
     assert cuts > 300
 

@@ -21,9 +21,9 @@ from linhyp.laws import law_signature, random_term
 from linhyp.terms import signature, tensor_all, type_of
 from oracles import (apply_by_pushouts, boundary_coherent,
                      brute_force_complements, brute_force_matchings,
-                     glue_simple, normal_forms_by_pushouts,
+                     glue_simple, graph_tables, normal_forms_by_pushouts,
                      normalize_by_enumeration, random_graph,
-                     tables_from_scratch, trace_mono, view_tables)
+                     tables_from_scratch, trace_mono)
 from linhyp import rewrite
 from test_circuits import belnap_sig, two_point_sig
 from test_driver import (RSIG, RULE_TEXT, RULES, _circuits, _host, _numbered,
@@ -367,7 +367,7 @@ def test_a_loop_of_identity_edges_beside_chains_is_refused():
 def test_find_matchings_compiles_a_left_side_with_identity_edges_once(
         monkeypatch):
     """A saturated left side is searched as its smoothed copy, which is
-    kept on it, as its view is: each call used to smooth it anew and
+    kept on it, as its tables are: each call used to smooth it anew and
     compile a new search.  Repeated calls compile each search once and
     give the same matches."""
     from linhyp import graphs
@@ -385,7 +385,7 @@ def test_find_matchings_compiles_a_left_side_with_identity_edges_once(
     G = interpret(parse_term("f * f ; h ; f * id 1", SIG), SIG)
 
     def maps():
-        return [(m.vmap_t, m.vmap_s, m.emap, view_tables(m.dst))
+        return [(m.vmap_t, m.vmap_s, m.emap, graph_tables(m.dst))
                 for m in find_matchings(rule.L, G)]
 
     first = maps()
@@ -476,7 +476,7 @@ def _split_after_first(G, label):
     """``G`` with an identity edge on the wire leaving its first edge
     labelled ``label``: ``f ; f`` becomes ``f ; @id ; f``."""
     e = next(e for e in G.edges if G.labels[e] == label)
-    return expand(G, G.view.tgts[e][0])
+    return expand(G, G.tgts[e][0])
 
 
 def test_rewriting_works_up_to_the_hosts_identity_edges():
@@ -859,7 +859,7 @@ def test_one_step_on_a_lone_left_side_gives_its_right_side():
 
 def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
     """The graph a host freezes to after each in-place step, and each
-    graph :func:`apply_rewrite` returns, has in its view the port
+    graph :func:`apply_rewrite` returns, holds the port
     tables, port index and ``conn`` inverse an edge-by-edge derivation
     gives."""
     checked = []
@@ -868,7 +868,7 @@ def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
     def checking(self, *args):
         real(self, *args)
         H = self.freeze()  # shares the host's tables: checked at once
-        assert view_tables(H) == tables_from_scratch(H)
+        assert graph_tables(H) == tables_from_scratch(H)
         checked.append(H)
 
     monkeypatch.setattr(rewrite._Host, "rewrite", checking)
@@ -883,7 +883,7 @@ def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
         for rule in RULES:
             for m in find_matchings(rule.L, G):
                 H = apply_rewrite(rule, m)
-                assert view_tables(H) == tables_from_scratch(H)
+                assert graph_tables(H) == tables_from_scratch(H)
 
 
 # ---------------------------------------------------------------------------
