@@ -1028,12 +1028,38 @@ def expand(H: LinearHypergraph, w: int) -> LinearHypergraph:
 
 def smooth(H: LinearHypergraph) -> LinearHypergraph:
     """Remove every identity edge, plugging its source port into its
-    target port (:meth:`_Host.smooth`)."""
+    target port: the graph :meth:`_Host.smooth` freezes to, built from
+    the surviving entries alone, each table filtered once in its own
+    order.  Each surviving target's wire runs on through the identity
+    edges on it to the source where the chain ends; a loop made only of
+    identity edges vanishes."""
     if IDENTITY_LABEL not in H.labels.values():
         return H
-    h = _Host(H)
-    h.smooth()
-    return h.freeze()
+    ids = {e for e, lab in H.labels.items() if lab == IDENTITY_LABEL}
+    tgts, srcs, conn = H.tgts, H.srcs, H.conn
+    through = {srcs[e][0]: tgts[e][0] for e in ids}  # source port -> target
+    dead_t = set(through.values())
+
+    def end(s: int) -> int:
+        while s in through:
+            s = conn[through[s]]
+        return s
+
+    edges = tuple(e for e in H.edges if e not in ids)
+    G = LinearHypergraph(
+        tuple(v for v in H.targets if v not in dead_t),
+        tuple(v for v in H.sources if v not in through), edges,
+        {v: e for v, e in H.left.items() if v not in dead_t},
+        {v: e for v, e in H.right.items() if v not in through},
+        {t: end(s) for t, s in conn.items() if t not in dead_t},
+        {e: lab for e, lab in H.labels.items() if e not in ids},
+        {v: lab for v, lab in H.vtlabels.items() if v not in dead_t},
+        {v: lab for v, lab in H.vslabels.items() if v not in through})
+    # the surviving edges keep their ports, so their port tables carry over
+    G.__dict__.update(tgts={e: tgts[e] for e in edges},
+                      srcs={e: srcs[e] for e in edges},
+                      inv={s: t for t, s in G.conn.items()})
+    return G
 
 
 class _Host:
