@@ -9,7 +9,7 @@ one edge side or the interface, so wires never split or merge.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count, islice
@@ -1028,38 +1028,12 @@ def expand(H: LinearHypergraph, w: int) -> LinearHypergraph:
 
 def smooth(H: LinearHypergraph) -> LinearHypergraph:
     """Remove every identity edge, plugging its source port into its
-    target port: the graph :meth:`_Host.smooth` freezes to, built from
-    the surviving entries alone, each table filtered once in its own
-    order.  Each surviving target's wire runs on through the identity
-    edges on it to the source where the chain ends; a loop made only of
-    identity edges vanishes."""
+    target port (:meth:`_Host.smooth`)."""
     if IDENTITY_LABEL not in H.labels.values():
         return H
-    ids = {e for e, lab in H.labels.items() if lab == IDENTITY_LABEL}
-    tgts, srcs, conn = H.tgts, H.srcs, H.conn
-    through = {srcs[e][0]: tgts[e][0] for e in ids}  # source port -> target
-    dead_t = set(through.values())
-
-    def end(s: int) -> int:
-        while s in through:
-            s = conn[through[s]]
-        return s
-
-    edges = tuple(e for e in H.edges if e not in ids)
-    G = LinearHypergraph(
-        tuple(v for v in H.targets if v not in dead_t),
-        tuple(v for v in H.sources if v not in through), edges,
-        {v: e for v, e in H.left.items() if v not in dead_t},
-        {v: e for v, e in H.right.items() if v not in through},
-        {t: end(s) for t, s in conn.items() if t not in dead_t},
-        {e: lab for e, lab in H.labels.items() if e not in ids},
-        {v: lab for v, lab in H.vtlabels.items() if v not in dead_t},
-        {v: lab for v, lab in H.vslabels.items() if v not in through})
-    # the surviving edges keep their ports, so their port tables carry over
-    G.__dict__.update(tgts={e: tgts[e] for e in edges},
-                      srcs={e: srcs[e] for e in edges},
-                      inv={s: t for t, s in G.conn.items()})
-    return G
+    h = _Host(H)
+    h.smooth()
+    return h.freeze()
 
 
 class _Host:
@@ -1075,13 +1049,13 @@ class _Host:
     ``targets``, ``sources`` and ``labels`` are insertion-ordered and
     list the vertices and edges in the stored order that
     :func:`~linhyp.rewrite.pushout_complement`,
-    :func:`~linhyp.rewrite.pushout` and :func:`smooth` give, which the
-    tests check it against: survivors keep their order and new elements
-    follow in the order they are made, except that each edge of R moves
-    its ports, glued ones too, to the end in R's order, so that it keeps
-    R's port words.  ``edge_seq`` numbers the edges in stored order, for
-    the search to sort by.  ``new_ids`` counts up from ``next_id(G)``, so
-    each new element's id is above every id the host has had.
+    :func:`~linhyp.rewrite.pushout` and :func:`smooth` give: survivors
+    keep their order and new elements follow in the order they are
+    made, except that each edge of R moves its ports, glued ones too,
+    to the end in R's order, so that it keeps R's port words.
+    ``edge_seq`` numbers the edges in stored order, for the search to
+    sort by.  ``new_ids`` counts up from ``next_id(G)``, so each new
+    element's id is above every id the host has had.
     """
 
     def __init__(self, G: LinearHypergraph) -> None:
@@ -1109,7 +1083,7 @@ class _Host:
         H.__dict__.update(tgts=self.tgts, srcs=self.srcs, inv=self.inv)
         return H
 
-    def plug(self, outs: Iterable[int], ins: Iterable[int]) -> None:
+    def plug(self, outs: Sequence[int], ins: Sequence[int]) -> None:
         """Continue the wire entering each source of ``outs`` where the
         wire leaving the target beside it in ``ins`` went, and delete
         those vertices: the one splice of interpretation, composition,
@@ -1119,15 +1093,18 @@ class _Host:
             before, after = self.inv.pop(s), self.conn.pop(t)
             if before != t:  # else the wire closes on itself
                 self.conn[before], self.inv[after] = after, before
+        for t in ins:  # then one group of tables a pass, for locality
             del self.targets[t], self.left[t], self.vtlabels[t]
+        for s in outs:
             del self.sources[s], self.right[s], self.vslabels[s]
 
     def smooth(self) -> None:
-        """Remove every identity edge, plugging its source port into its
-        target port."""
-        for e in self.by_label.pop(IDENTITY_LABEL, ()):
-            self.plug(self.srcs.pop(e), self.tgts.pop(e))
+        """Splice out every identity edge with one :meth:`plug`."""
+        ids = self.by_label.pop(IDENTITY_LABEL, ())
+        for e in ids:
             del self.labels[e], self.edge_seq[e]
+        self.plug([self.srcs.pop(e)[0] for e in ids],
+                  [self.tgts.pop(e)[0] for e in ids])
 
     def cut(self, w: int, label: str) -> tuple[int, int]:
         """Cut the wire leaving target ``w``: ``w`` now ends at a new

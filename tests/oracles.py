@@ -21,9 +21,8 @@ interpreting them, where the library lets ``interpret`` type them.
 ``apply_by_pushouts`` and ``normal_forms_by_pushouts`` share matching
 with the library but build each DPO step from the paper's constructions,
 ``pushout_complement``, ``pushout`` and ``smooth``, which the library
-keeps as the reference for its one in-place step engine (that engine's
-``_Host.smooth`` and the library's ``smooth`` are both checked against
-``smooth_by_splicing``).
+keeps as the reference for its one in-place step engine (``smooth`` is
+that engine's splice, checked against ``smooth_by_splicing``).
 ``rewrite_by_plan`` is that engine's step interpreted from the rule's
 plan, which the library compiles instead.  ``normalize_by_scan`` and
 ``normal_forms_by_scan`` choose each step's rules by testing every
@@ -50,9 +49,8 @@ staging and global trace form of the completeness proof (``stage``,
 vertices behind identity edges.  They are plain recursive folds, meant
 for small terms.  ``compose_by_rewiring``, ``trace_by_single_wires``
 and ``smooth_by_splicing`` write out on their own the three splices
-that the library makes with one in-place splice (``graphs._Host.plug``),
-and that ``smooth`` also builds from the surviving entries alone; the
-library's must give the same tables, ids and errors.
+that the library makes with one in-place splice (``graphs._Host.plug``);
+the library's must give the same tables, ids and errors.
 
 Last come the builders and checks only the tests use: ``id_source``
 numbers the ids of a graph built by hand, ``random_graph``
