@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .graphs import INTERFACE, LinearHypergraph, _Host, canonical_labelling
 from .interp import interpret
-from .rewrite import RewriteRule, RuleSet, normalize, rule_from_terms
+from .rewrite import RewriteRule, RuleSet, _reduce, rule_from_terms
 from .terms import (_RESERVED_NAMES, Gen, Id, Seq, Signature, Swap, Tensor,
                     Term, _is_name, signature, tensor_all)
 
@@ -330,12 +330,12 @@ def eval_rules(csig: CircuitSignature) -> RuleSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def read_value_word(H: LinearHypergraph, csig: CircuitSignature,
+def read_value_word(H: LinearHypergraph | _Host, csig: CircuitSignature,
                     outputs: Sequence[int] | None = None
                     ) -> tuple[str, ...] | None:
     """The values feeding the given output vertices of a fully reduced
-    graph (by default all its outputs, in order), or None when one of
-    them is not driven by a value edge."""
+    graph, or of a :class:`~linhyp.graphs._Host` (by default all the
+    graph's outputs, in order), or None when one is not fed a value."""
     srcs, conn_inv = H.srcs, H.inv
     out: list[str] = []
     for s in H.outputs() if outputs is None else outputs:
@@ -410,17 +410,18 @@ def evaluate(circuit: Term | LinearHypergraph,
 
     Feedback is handled by unfolding on the graph.  The circuit's
     :func:`feedback_wires` are cut open: each round builds its open graph
-    from the circuit's in one :class:`~linhyp.graphs._Host`, where it
-    cuts each input's wire with the input's value edge
-    (:meth:`~linhyp.graphs._Host.cut`) and plugs the bare end away, and
-    cuts each feedback wire with a value edge for the round's value, its
-    producer end an extra output; it then normalizes, and reads the
-    values at the cut outputs and the circuit outputs.  The cut
+    from the circuit's in one :class:`~linhyp.graphs._Host`, cutting each
+    input's wire with the input's value edge
+    (:meth:`~linhyp.graphs._Host.cut`) and plugging the bare end away,
+    and each feedback wire with a value edge for the round's value, its
+    producer end an extra output.  The driver of
+    :func:`~linhyp.rewrite.normalize` reduces that host in place, and the
+    round reads the cut outputs and the circuit outputs off it.  The cut
     values start at bottom and are iterated until they repeat; for
     monotone gates that is the least fixed point, reached within
     height(lattice) * |feedback wires| + 1 rounds, and the rounds are
     bounded by (|values| - 1) * |feedback wires| + 1, at least that.  A
-    loop-free circuit takes one round.  ``max_steps`` bounds each round.
+    loop-free circuit takes one round; ``max_steps`` bounds each round.
     Returns the output value word, or UNPRODUCTIVE when a round's step
     budget or the round bound runs out or reduction gets stuck (delays
     holding non-bottom values do that).
@@ -443,12 +444,11 @@ def evaluate(circuit: Term | LinearHypergraph,
         h = _Host(H)
         h.plug([h.cut(t, v)[0] for t, v in zip(ins, inputs)], ins)
         read = [h.cut(t, v)[0] for t, v in zip(cut, w)] + list(outs)
-        # in the order the graph would derive it, ``conn`` order
+        # in ``conn`` order, the order a graph of these tables derives
         h.inv = dict(zip(h.conn.values(), h.conn))
-        result = normalize(h.freeze(), rules, max_steps=max_steps)
-        if result.exhausted:
+        if _reduce(h, rules, max_steps)[1]:
             return UNPRODUCTIVE
-        vals = read_value_word(result.graph, csig, read)
+        vals = read_value_word(h, csig, read)
         if vals is None:
             return UNPRODUCTIVE
         w_next, out_vals = vals[:k], vals[k:]

@@ -8,7 +8,7 @@ saturated with identity edges first; matching such rules transparently
 expands the host on the wires the identity edges need.  Both matching and
 rewriting work up to the host's own identity edges: the host is smoothed
 first.  A match is an embedding of L into the graph it lands in.  The
-driver completes its matches on its one mutable copy of the host
+driver (``_reduce``) completes its matches on the host it rewrites
 (``graphs._Host``); :func:`find_matchings` and :func:`normal_forms`
 complete theirs one way (``_matches``), on a fresh copy for each match
 that splits host wires, which :func:`normal_forms` then rewrites.  Every
@@ -646,30 +646,17 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
     return scope.pop("_bind")(*consts)
 
 
-def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
-              max_steps: int = 10000) -> NormalizeResult:
-    """Apply rules until no rule matches or the step budget runs out.
-
-    Each step takes the first rule's first match under the canonical
-    order, so runs are reproducible; :func:`normal_forms` explores every
-    match order instead.  Matches are drawn lazily, so a step searches
-    no further than its first match, and a :class:`RuleSet` label index
-    skips each rule whose labels the host lacks.  The search for each
-    component of a left side starts at its edge whose label is rarest in
-    the host, which leaves the order of matches unchanged (see
-    :func:`~linhyp.graphs.embeddings`).  The host is smoothed and copied
-    once, so rewriting works up to its identity edges, and each step
-    changes it in place (:meth:`_Host.rewrite`), in O(|L| + |R|) beyond
-    the search; it takes the same steps to the same graph as
-    :func:`apply_rewrite` at the first of :func:`find_matchings`.
-
-    ``exhausted`` is set when ``max_steps`` steps are taken and some rule
-    still matches; a run that reaches its normal form on the last step
-    allowed is not exhausted.
-    """
-    rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
-    G = smooth(G)
-    host = _Host(G)
+def _reduce(host: _Host, rules: RuleSet,
+            max_steps: int) -> tuple[list[Step], bool]:
+    """The driver of :func:`normalize` and of each round of
+    :func:`~linhyp.circuits.evaluate`: smooth ``host``, then rewrite it
+    in place; return the steps and whether a rule still matched when
+    they ran out.  Smoothing restarts ``new_ids`` above the largest id
+    left, where a copy of the smoothed host would start them."""
+    if IDENTITY_LABEL in host.by_label:
+        host.smooth()
+        host.new_ids = count(1 + max((*host.targets, *host.sources,
+                                      *host.labels), default=-1))
     steps: list[Step] = []
     while True:
         for rule in rules.for_labels(host.by_label):
@@ -678,14 +665,39 @@ def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
             if found is not None:
                 break
         else:
-            return NormalizeResult(host.freeze() if steps else G, steps)
+            return steps, False
         if len(steps) >= max_steps:
-            return NormalizeResult(host.freeze() if steps else G, steps,
-                                   exhausted=True)
+            return steps, True
         vmap_t, vmap_s, emap = _complete(rule.L, chains, found, host.expand)
         steps.append(Step(len(steps) + 1, rule.name,
                           tuple(sorted(emap.values()))))
         host.rewrite(rule, vmap_t, vmap_s, emap)
+
+
+def normalize(G: LinearHypergraph, rules: Sequence[RewriteRule],
+              max_steps: int = 10000) -> NormalizeResult:
+    """Apply rules until no rule matches or the step budget runs out.
+
+    Each step takes the first rule's first match under the canonical
+    order, so runs are reproducible; :func:`normal_forms` explores every
+    match order instead.  Matches are drawn lazily, a :class:`RuleSet`
+    label index skips each rule whose labels the host lacks, and each
+    component of a left side is searched from its rarest label in the
+    host, which keeps the order (see :func:`~linhyp.graphs.embeddings`).
+    G is copied once and smoothed, and each step changes the copy in
+    place (:meth:`_Host.rewrite`), in O(|L| + |R|) beyond the search: the
+    steps and graph of :func:`apply_rewrite` at the first of
+    :func:`find_matchings`.  An unchanged G is returned itself.
+
+    ``exhausted`` is set when ``max_steps`` steps are taken and some rule
+    still matches, not when the last step allowed reaches a normal form.
+    """
+    rules = rules if isinstance(rules, RuleSet) else RuleSet(rules)
+    host = _Host(G)
+    steps, exhausted = _reduce(host, rules, max_steps)
+    if steps or IDENTITY_LABEL in G.by_label:
+        G = host.freeze()
+    return NormalizeResult(G, steps, exhausted)
 
 
 def normal_forms(G: LinearHypergraph, rules: Sequence[RewriteRule],

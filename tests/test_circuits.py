@@ -1,3 +1,4 @@
+import copy
 import gc
 import inspect
 import itertools
@@ -18,7 +19,7 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
                              eval_rules, feedback_wires)
 from linhyp.cli import main
 from linhyp.terms import Swap
-from linhyp.graphs import INTERFACE, LinearHypergraph, expand
+from linhyp.graphs import IDENTITY_LABEL, INTERFACE, LinearHypergraph, expand
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
@@ -295,7 +296,7 @@ def test_evaluate_takes_as_many_rounds_as_the_ladder_needs(k, monkeypatch):
     csig = two_point_sig()
     ladder = feedback_ladder(k)
     assert len(feedback_wires(interpret(ladder, csig.signature()))) == k - 1
-    rounds = _count_normalize(monkeypatch)
+    rounds = _count_rounds(monkeypatch)
     assert evaluate(ladder, ("bot", "top"), csig) == ("top", "top")
     assert len(rounds) == k
     assert evaluate(ladder, ("bot", "bot"), csig) == ("bot", "bot")
@@ -395,24 +396,33 @@ def test_evaluate_deep_chains_match_dataflow_oracle(n):
             H, (v,), csig) == (v,)
 
 
-def _count_normalize(monkeypatch):
-    """The graphs ``evaluate`` normalizes, one per round, as it calls
-    ``normalize``."""
+def _count_rounds(monkeypatch, record=lambda host: host):
+    """What ``record`` makes of each host ``evaluate`` hands the rewrite
+    driver (``rewrite._reduce``), one per round, as it hands it over."""
     import linhyp.circuits as circuits
 
     calls = []
-    real = circuits.normalize
+    real = circuits._reduce
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(host, rules, max_steps):
+        calls.append(record(host))
+        return real(host, rules, max_steps)
 
-    monkeypatch.setattr(circuits, "normalize", counting)
+    monkeypatch.setattr(circuits, "_reduce", counting)
     return calls
 
 
+def _frozen_copy(host):
+    """The graph of a host as it stands, holding copies of the host's
+    tables, which the driver goes on to rewrite in place."""
+    twin = copy.copy(host)
+    twin.__dict__.update((name, dict(table)) for name, table
+                         in vars(host).items() if isinstance(table, dict))
+    return twin.freeze()
+
+
 def test_evaluate_normalizes_once_without_feedback(monkeypatch, rng):
-    calls = _count_normalize(monkeypatch)
+    calls = _count_rounds(monkeypatch)
     csig = two_point_sig()
     chain = _amp_chain(40)
     assert feedback_wires(interpret(chain, csig.signature())) == []
@@ -430,7 +440,7 @@ def test_evaluate_normalizes_once_without_feedback(monkeypatch, rng):
 
 
 def test_evaluate_rounds_bounded_by_feedback(monkeypatch, rng):
-    calls = _count_normalize(monkeypatch)
+    calls = _count_rounds(monkeypatch)
     seen = set()
     for csig in (two_point_sig(), belnap_sig()):
         height = _height(csig.lattice)
@@ -453,22 +463,85 @@ def test_evaluate_rounds_bounded_by_feedback(monkeypatch, rng):
     assert len(calls) == 2
 
 
+def count_host_copies(monkeypatch):
+    """The ``_Host`` copies made and the hosts frozen, counted as they
+    happen."""
+    import linhyp.graphs as graphs
+
+    made = {"hosts": 0, "freezes": 0}
+    init, freeze = graphs._Host.__init__, graphs._Host.freeze
+
+    def counting_init(self, G):
+        made["hosts"] += 1
+        init(self, G)
+
+    def counting_freeze(self):
+        made["freezes"] += 1
+        return freeze(self)
+
+    monkeypatch.setattr(graphs._Host, "__init__", counting_init)
+    monkeypatch.setattr(graphs._Host, "freeze", counting_freeze)
+    return made
+
+
+def test_evaluate_copies_the_circuit_once_a_round_and_freezes_nothing(
+        monkeypatch):
+    """From a term, ``evaluate`` makes ``interpret``'s one host and its
+    one freeze, then one ``_Host`` a round, which the rewrite driver
+    reduces in place: no round freezes a graph or copies one twice.  A
+    loop-free chain takes one round, ``tr 1 (org ; fork)`` two and a
+    three-rung ladder three."""
+    csig = two_point_sig()
+    eval_rules(csig)  # compiling the rules builds and freezes graphs
+    rounds = _count_rounds(monkeypatch)
+    made = count_host_copies(monkeypatch)
+    for circuit, inputs, want, n in [
+            (_amp_chain(5), ("top",), ("top",), 1),
+            (Trace(1, Seq(Gen("org"), Gen(FORK))), ("top",), ("top",), 2),
+            (feedback_ladder(3), ("bot", "top"), ("top", "top"), 3)]:
+        del rounds[:]
+        made.update(hosts=0, freezes=0)
+        assert evaluate(circuit, inputs, csig) == want
+        assert len(rounds) == n
+        assert made == {"hosts": 1 + n, "freezes": 1}
+
+
+def test_evaluate_graphs_with_identity_edges(rng):
+    """Identity edges inserted by ``expand`` on random wires of random
+    circuits, each feedback wire among them, change no value word: each
+    round's host is smoothed in place before it is reduced.  The words
+    are those of the circuit without them and of the data-flow oracle,
+    over both lattices, loop-free and with one to three traced wires."""
+    for csig in (two_point_sig(), belnap_sig()):
+        sig = csig.signature()
+        for i in range(24):
+            if i % 4 == 0:
+                t, H = _random_loop_free(rng, csig)
+                inputs = tuple(rng.choice(csig.lattice.values)
+                               for _ in range(len(H.dom())))
+            else:
+                t, inputs = _random_feedback(rng, csig, i % 4)
+                H = interpret(t, sig)
+            want = evaluate(t, inputs, csig)
+            assert want == dataflow_fixed_point(H, inputs, csig)
+            G = H
+            for w in feedback_wires(H):
+                G = expand(G, w)
+            for _ in range(rng.randint(1, 3)):
+                G = expand(G, rng.choice(G.targets))
+            assert IDENTITY_LABEL in G.labels.values()
+            assert evaluate(G, inputs, csig) == want
+
+
 def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
     """The open graph's port tables and ``conn`` inverse, built once from
-    the circuit's, are those a fresh ``replace(G)`` derives for each
-    round's graph, entry for entry and in insertion order, on looped
-    circuits with one to three cut wires and their inputs as value
-    edges; an evaluation from a term derives no port table at all."""
-    import linhyp.circuits as circuits
-
-    rounds, checked = [], []
-    real = circuits.normalize
-
-    def recording(G, rules, max_steps):
-        rounds.append(G)
-        return real(G, rules, max_steps)
-
-    monkeypatch.setattr(circuits, "normalize", recording)
+    the circuit's, are those a fresh ``replace(G)`` derives for the graph
+    of each round's host as it reaches the rewrite driver, entry for
+    entry and in insertion order, on looped circuits with one to three
+    cut wires and their inputs as value edges; an evaluation from a term
+    derives no port table at all."""
+    checked = []
+    rounds = _count_rounds(monkeypatch, _frozen_copy)
     derived = []
     real_tables = LinearHypergraph.port_tables
     monkeypatch.setattr(LinearHypergraph, "port_tables",
@@ -491,9 +564,9 @@ def test_each_rounds_open_graph_has_no_inputs_and_the_cut_outputs(
     """Each round's open graph, built in one ``_Host`` from the circuit's
     by cutting its input and feedback wires, is well formed over the
     circuit signature, has no inputs and has one output more per cut
-    wire than the circuit, on looped circuits with one to three cut
-    wires over both lattices."""
-    rounds = _count_normalize(monkeypatch)
+    wire than the circuit when it reaches the rewrite driver, on looped
+    circuits with one to three cut wires over both lattices."""
+    rounds = _count_rounds(monkeypatch, _frozen_copy)
     seen = set()
     for csig in (two_point_sig(), belnap_sig()):
         for x in (1, 2, 3) * 4:
@@ -512,19 +585,9 @@ def test_each_rounds_open_graph_has_no_inputs_and_the_cut_outputs(
 
 
 def test_a_rounds_graph_is_freed_without_the_collector(monkeypatch):
-    """A round's graph holds the open graph's tables as its own and
-    holds no cycle: once ``evaluate`` returns, it goes without the
-    cyclic collector."""
-    import linhyp.circuits as circuits
-
-    refs = []
-    real = circuits.normalize
-
-    def recording(G, rules, max_steps):
-        refs.append(weakref.ref(G))
-        return real(G, rules, max_steps)
-
-    monkeypatch.setattr(circuits, "normalize", recording)
+    """A round's host holds no cycle: once ``evaluate`` returns, each
+    round's host goes without the cyclic collector."""
+    refs = _count_rounds(monkeypatch, weakref.ref)
     loop = Trace(1, Seq(Seq(Gen("org"), Gen(FORK)), Id(2)))
     csig = two_point_sig()
     eval_rules(csig)

@@ -20,7 +20,8 @@ from dataclasses import replace
 import pytest
 
 from linhyp import (Gen, Id, Seq, Tensor, Trace, find_matchings, interpret,
-                    normal_forms, normalize, parse_rules, rename, save_graph)
+                    normal_forms, normalize, parse_rules, rename, save_graph,
+                    smooth)
 from linhyp import rewrite
 from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
 from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
@@ -175,6 +176,55 @@ def test_lazy_driver_agrees_on_hosts_with_identity_edges():
         assert_same_run(_with_identity_edges(rng, _host(rng)), RULES)
 
 
+def _hosts_chains_and_loops(rng):
+    """Random rewrite hosts, f-chains and loop families, each with
+    identity edges on random wires."""
+    graphs = [_host(rng) for _ in range(30)]
+    graphs += [interpret(_chain([Gen("f")] * rng.randint(2, 9)), RSIG)
+               for _ in range(8)]
+    graphs += [_loops(rng, rng.randint(2, 6)) for _ in range(8)]
+    return [_with_identity_edges(rng, G) for G in graphs]
+
+
+def test_smoothing_in_place_draws_the_ids_of_a_smoothed_copy():
+    """``normalize`` smooths its one copy of the input in place, and new
+    ids then start just above the largest id left, as on a copy of the
+    smoothed graph: from a graph and from its smoothed copy, the runs
+    take the same steps, at the same ids, to the same stored graph."""
+    rng = random.Random(11)
+    for G in _hosts_chains_and_loops(rng):
+        a, b = normalize(G, RULES, 200), normalize(smooth(G), RULES, 200)
+        assert a.steps == b.steps
+        assert (save_graph(a.graph, canonicalize=False)
+                == save_graph(b.graph, canonicalize=False))
+
+
+def test_normalize_copies_its_input_once(monkeypatch):
+    """``normalize`` makes one ``_Host`` and freezes it once when a step
+    or the smoothing changed it, and else not at all, returning its
+    input: with and without identity edges in the input."""
+    from test_circuits import count_host_copies
+
+    rng = random.Random(12)
+    graphs = _hosts_chains_and_loops(rng)
+    graphs += [smooth(G) for G in graphs]
+    # the rules' searches and steps compile on first use; normal forms,
+    # bare and with identity edges, take no step
+    done = [normalize(G, RULES).graph for G in graphs]
+    graphs += done + [_with_identity_edges(rng, G) for G in done]
+    made = count_host_copies(monkeypatch)
+    changed = 0
+    for G in graphs:
+        made.update(hosts=0, freezes=0)
+        res = normalize(G, RULES, 200)
+        smoothed = IDENTITY_LABEL in G.labels.values()
+        assert made["hosts"] == 1
+        assert made["freezes"] == (bool(res.steps) or smoothed)
+        assert (res.graph is G) == (made["freezes"] == 0)
+        changed += made["freezes"]
+    assert changed == len(graphs) - len(done)  # all but bare normal forms
+
+
 @pytest.mark.parametrize("n,max_steps", [(160, 200), (320, 400), (640, 64)],
                          ids=["160", "320", "640"])
 def test_driver_agrees_on_long_chains(n, max_steps):
@@ -190,14 +240,14 @@ def test_driver_agrees_on_long_chains(n, max_steps):
 
 def _counting_expand(monkeypatch):
     """Count the identity edges the driver inserts into its host: the
-    splits that ``normalize`` has ``_complete`` make.  The list search
+    splits that the driver (``_reduce``) has ``_complete`` make.  The list search
     makes the same in-place splits through ``find_matchings``, on a
     fresh copy for each match that splits: those are not counted."""
     calls = []
     real = rewrite._Host.expand
 
     def counting(self, w):
-        if sys._getframe(2).f_code is rewrite.normalize.__code__:
+        if sys._getframe(2).f_code is rewrite._reduce.__code__:
             calls.append(w)
         return real(self, w)
 
