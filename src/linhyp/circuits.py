@@ -19,6 +19,8 @@ from .terms import (_RESERVED_NAMES, Gen, Id, Seq, Signature, Swap, Tensor,
                     Term, _is_name, signature, tensor_all)
 
 FORK, JOIN, STUB, DELAY = "fork", "join", "stub", "delay"
+#: The wiring generators' names, which no value or gate may take.
+_WIRING_NAMES = frozenset({FORK, JOIN, STUB, DELAY})
 
 
 class _Unproductive:
@@ -119,12 +121,12 @@ class CircuitSignature:
     gates: dict[str, Gate]
 
     def __post_init__(self) -> None:
-        fixed = {FORK, JOIN, STUB, DELAY}
         names = set(self.lattice.values) | set(self.gates)
         if len(names) != len(self.lattice.values) + len(self.gates):
             raise LatticeError("value and gate names overlap")
-        if names & fixed:
-            raise LatticeError(f"names {sorted(names & fixed)} are reserved")
+        if names & _WIRING_NAMES:
+            raise LatticeError(
+                f"names {sorted(names & _WIRING_NAMES)} are reserved")
         for gate in self.gates.values():
             self._check_monotone(gate)
 
@@ -356,50 +358,38 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
     The walk follows wires from producer to consumer edge and takes its
     roots in ``canonical_labelling`` order, so isomorphic graphs get
     corresponding wires.  Every cycle of H meets the set, and a loop-free
-    H has none: a pass that peels off edges with no unpeeled producer
-    (Kahn's algorithm) tells a loop-free H in linear time, and only an H
-    it does not peel whole is labelled and walked.
+    H has none.  A depth-first walk closes a cycle, whatever its roots,
+    exactly when H has one, so the walk runs first with its roots in
+    stored order, and only an H whose first walk cuts a wire is labelled
+    and walked again.
     """
     tgts, right, conn = H.tgts, H.right, H.conn
-    producers = dict.fromkeys(H.edges, 0)
-    for e in H.edges:
-        for t in tgts[e]:
-            d = right[conn[t]]
-            if d is not INTERFACE:
-                producers[d] += 1
-    peeled = [e for e, n in producers.items() if n == 0]
-    for e in peeled:  # grows while it is read
-        for t in tgts[e]:
-            d = right[conn[t]]
-            if d is not INTERFACE:
-                producers[d] -= 1
-                if producers[d] == 0:
-                    peeled.append(d)
-    if len(peeled) == len(producers):
-        return []
-    _, _, order = canonical_labelling(H)
-    done: set[int] = set()
-    cut: list[int] = []
-    for root in order:
-        if root in done:
-            continue
-        on_path = {root}
-        stack = [(root, iter(tgts[root]))]
-        while stack:
-            e, ports = stack[-1]
-            for t in ports:
-                d = right[conn[t]]
-                if d in on_path:
-                    cut.append(t)
-                elif d is not INTERFACE and d not in done:
-                    on_path.add(d)
-                    stack.append((d, iter(tgts[d])))
-                    break
-            else:
-                stack.pop()
-                on_path.remove(e)
-                done.add(e)
-    return cut
+
+    def walk(roots) -> list[int]:
+        done: set[int] = set()
+        cut: list[int] = []
+        for root in roots:
+            if root in done:
+                continue
+            on_path = {root}
+            stack = [(root, iter(tgts[root]))]
+            while stack:
+                e, ports = stack[-1]
+                for t in ports:
+                    d = right[conn[t]]
+                    if d in on_path:
+                        cut.append(t)
+                    elif d is not INTERFACE and d not in done:
+                        on_path.add(d)
+                        stack.append((d, iter(tgts[d])))
+                        break
+                else:
+                    stack.pop()
+                    on_path.remove(e)
+                    done.add(e)
+        return cut
+
+    return walk(canonical_labelling(H)[2]) if walk(H.edges) else []
 
 
 def evaluate(circuit: Term | LinearHypergraph,
@@ -470,7 +460,7 @@ def _check_name(name: str, kind: str, lineno: int) -> str:
         raise LatticeError(
             f"line {lineno}: {name!r} is not a {kind} name (a letter or '_',"
             " then letters, digits or '_')")
-    if name in _RESERVED_NAMES or name in (FORK, JOIN, STUB, DELAY):
+    if name in _RESERVED_NAMES or name in _WIRING_NAMES:
         raise LatticeError(f"line {lineno}: {kind} name {name!r} is reserved")
     return name
 

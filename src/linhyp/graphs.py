@@ -158,53 +158,13 @@ def validate(H: LinearHypergraph, sig=None) -> list[str]:
     arity words; without one, same-labelled edges only need to agree with
     each other.
 
-    A well-formed graph is recognised in bulk (``_well_formed``), with
-    set and dict-view operations and one check per distinct label and
-    arity; only a graph that fails it is walked element by element, to
-    word the report.
+    Each clause is guarded by a bulk check, made with set and dict-view
+    operations: each table's keys are compared with their carrier once,
+    for both the missing-key and the stray-key clause, and each distinct
+    label and arity is checked once.  A clause is walked element by
+    element, in stored order, only when its guard fails, so that each
+    violation gets its own message; a well-formed graph walks none.
     """
-    if _well_formed(H, sig):
-        return []
-    return _report(H, sig)
-
-
-def _well_formed(H: LinearHypergraph, sig) -> bool:
-    """Whether ``_report`` finds nothing: each table's keys are its
-    carrier, ``left``/``right`` name edges or the interface, ``conn`` is
-    a bijection onto the sources, and only then, on the port tables,
-    each distinct label and arity agrees with the identity shape, the
-    signature and the other edges of its label, and each wire keeps its
-    object label."""
-    tset, sset, eset = set(H.targets), set(H.sources), set(H.edges)
-    ends = {*H.left.values(), *H.right.values()}
-    ends.discard(INTERFACE)
-    if not (len(tset) == len(H.targets) == len(H.sources) == len(sset)
-            and len(eset) == len(H.edges) and tset.isdisjoint(sset)
-            and H.left.keys() == tset and H.conn.keys() == tset
-            and H.vtlabels.keys() == tset and H.right.keys() == sset
-            and H.vslabels.keys() == sset and H.labels.keys() == eset
-            and ends <= eset and set(H.conn.values()) == sset):
-        return False
-    tgts, srcs = H.tgts, H.srcs
-    vt, vs = H.vtlabels.__getitem__, H.vslabels.__getitem__
-    shapes = {(lab, tuple(map(vs, srcs[e])), tuple(map(vt, tgts[e])))
-              for e, lab in H.labels.items()}
-    seen: set[str] = set()
-    for lab, dom_w, cod_w in shapes:
-        if lab == IDENTITY_LABEL:
-            if len(dom_w) != 1 or dom_w != cod_w:
-                return False
-        elif lab in seen or sig is not None and (
-                lab not in sig or dom_w != sig.dom(lab)
-                or cod_w != sig.cod(lab)):
-            return False
-        seen.add(lab)
-    return list(map(vt, H.conn)) == list(map(vs, H.conn.values()))
-
-
-def _report(H: LinearHypergraph, sig) -> list[str]:
-    """``validate``'s report, checked clause by clause and element by
-    element, so that each violation gets its own message."""
     report: list[str] = []
     tset, sset = set(H.targets), set(H.sources)
     if len(tset) != len(H.targets):
@@ -220,92 +180,120 @@ def _report(H: LinearHypergraph, sig) -> list[str]:
     eset = set(H.edges)
     if len(eset) != len(H.edges):
         report.append("duplicate edge ids")
+    # no key is missing from a table and none is stray exactly when its
+    # keys are its carrier
+    left_ok, vt_ok = H.left.keys() == tset, H.vtlabels.keys() == tset
+    right_ok, vs_ok = H.right.keys() == sset, H.vslabels.keys() == sset
+    conn_ok, labels_ok = H.conn.keys() == tset, H.labels.keys() == eset
+    if not (left_ok and vt_ok and right_ok and vs_ok and {
+            *H.left.values(), *H.right.values()} - eset <= {INTERFACE}):
+        for v in H.targets:
+            if v not in H.left:
+                report.append(f"left undefined on target {v}")
+            elif H.left[v] is not INTERFACE and H.left[v] not in eset:
+                report.append(f"left({v}) is not an edge of the graph")
+            if v not in H.vtlabels:
+                report.append(f"target {v} has no object label")
+        for v in H.sources:
+            if v not in H.right:
+                report.append(f"right undefined on source {v}")
+            elif H.right[v] is not INTERFACE and H.right[v] not in eset:
+                report.append(f"right({v}) is not an edge of the graph")
+            if v not in H.vslabels:
+                report.append(f"source {v} has no object label")
 
-    for v in H.targets:
-        if v not in H.left:
-            report.append(f"left undefined on target {v}")
-        elif H.left[v] is not INTERFACE and H.left[v] not in eset:
-            report.append(f"left({v}) is not an edge of the graph")
-        if v not in H.vtlabels:
-            report.append(f"target {v} has no object label")
-    for v in H.sources:
-        if v not in H.right:
-            report.append(f"right undefined on source {v}")
-        elif H.right[v] is not INTERFACE and H.right[v] not in eset:
-            report.append(f"right({v}) is not an edge of the graph")
-        if v not in H.vslabels:
-            report.append(f"source {v} has no object label")
+    # keyed by the distinct targets, onto the sources, one to one
+    if not (conn_ok and len(H.targets) == len(tset) == len(sset)
+            and set(H.conn.values()) == sset):
+        missing_conn = [v for v in H.targets if v not in H.conn]
+        for v in missing_conn:
+            report.append(f"conn undefined on target {v}")
+        image = [H.conn[v] for v in H.targets if v in H.conn]
+        bad = [s for s in image if s not in sset]
+        for s in bad:
+            report.append(f"conn hits {s}, which is not a source vertex")
+        if len(set(image)) != len(image):
+            seen: set[int] = set()
+            for s in image:
+                if s in seen:
+                    report.append(f"conn not injective: source {s} hit twice")
+                seen.add(s)
+        missed = sset - set(image)
+        for s in sorted(missed):
+            report.append(f"conn not surjective: source {s} never hit")
 
-    missing_conn = [v for v in H.targets if v not in H.conn]
-    for v in missing_conn:
-        report.append(f"conn undefined on target {v}")
-    image = [H.conn[v] for v in H.targets if v in H.conn]
-    bad = [s for s in image if s not in sset]
-    for s in bad:
-        report.append(f"conn hits {s}, which is not a source vertex")
-    if len(set(image)) != len(image):
-        seen: set[int] = set()
-        for s in image:
-            if s in seen:
-                report.append(f"conn not injective: source {s} hit twice")
-            seen.add(s)
-    missed = sset - set(image)
-    for s in sorted(missed):
-        report.append(f"conn not surjective: source {s} never hit")
-
-    for e in H.edges:
-        if e not in H.labels:
-            report.append(f"edge {e} has no label")
+    if not labels_ok:
+        for e in H.edges:
+            if e not in H.labels:
+                report.append(f"edge {e} has no label")
     # entries for ids the graph does not have would be dropped on save
-    for name, table, carrier, kind in (
-            ("left", H.left, tset, "target"), ("conn", H.conn, tset, "target"),
-            ("vtlabels", H.vtlabels, tset, "target"),
-            ("right", H.right, sset, "source"),
-            ("vslabels", H.vslabels, sset, "source"),
-            ("labels", H.labels, eset, "edge")):
-        for k in table:
-            if k not in carrier:
-                report.append(f"{name} has an entry for {k}, which is not a"
-                              f" {kind} of the graph")
+    if not (left_ok and conn_ok and vt_ok and right_ok and vs_ok
+            and labels_ok):
+        for name, table, carrier, kind in (
+                ("left", H.left, tset, "target"),
+                ("conn", H.conn, tset, "target"),
+                ("vtlabels", H.vtlabels, tset, "target"),
+                ("right", H.right, sset, "source"),
+                ("vslabels", H.vslabels, sset, "source"),
+                ("labels", H.labels, eset, "edge")):
+            for k in table:
+                if k not in carrier:
+                    report.append(f"{name} has an entry for {k}, which is"
+                                  f" not a {kind} of the graph")
     if report:
         return report
 
     # label-arity agreement
     tgts, srcs = H.tgts, H.srcs
-    arities: dict[str, tuple[Word, Word]] = {}
-    for e in H.edges:
-        lab = H.labels[e]
-        dom_w = tuple(H.vslabels[v] for v in srcs[e])
-        cod_w = tuple(H.vtlabels[v] for v in tgts[e])
-        if lab == IDENTITY_LABEL:
-            if len(dom_w) != 1 or len(cod_w) != 1 or dom_w != cod_w:
-                report.append(f"identity edge {e} is not a single-wire pass-through")
-            continue
-        if sig is not None:
-            if lab not in sig:
-                report.append(f"edge {e} labelled with unknown generator {lab!r}")
-            else:
-                if dom_w != sig.dom(lab):
-                    report.append(
-                        f"edge {e} ({lab}): source word {dom_w} != declared {sig.dom(lab)}")
-                if cod_w != sig.cod(lab):
-                    report.append(
-                        f"edge {e} ({lab}): target word {cod_w} != declared {sig.cod(lab)}")
-        if lab in arities and arities[lab] != (dom_w, cod_w):
-            report.append(f"edges labelled {lab!r} disagree on arity")
-        arities.setdefault(lab, (dom_w, cod_w))
+    vt, vs = H.vtlabels.__getitem__, H.vslabels.__getitem__
+    shapes = {(lab, tuple(map(vs, srcs[e])), tuple(map(vt, tgts[e])))
+              for e, lab in H.labels.items()}
+    seen: set[str] = set()
+    agree = True
+    for lab, dom_w, cod_w in shapes:
+        if (len(dom_w) != 1 or dom_w != cod_w if lab == IDENTITY_LABEL
+                else lab in seen or sig is not None and (
+                    lab not in sig or dom_w != sig.dom(lab)
+                    or cod_w != sig.cod(lab))):
+            agree = False
+            break
+        seen.add(lab)
+    if not agree:
+        arities: dict[str, tuple[Word, Word]] = {}
+        for e in H.edges:
+            lab = H.labels[e]
+            dom_w = tuple(H.vslabels[v] for v in srcs[e])
+            cod_w = tuple(H.vtlabels[v] for v in tgts[e])
+            if lab == IDENTITY_LABEL:
+                if len(dom_w) != 1 or len(cod_w) != 1 or dom_w != cod_w:
+                    report.append(f"identity edge {e} is not a single-wire pass-through")
+                continue
+            if sig is not None:
+                if lab not in sig:
+                    report.append(f"edge {e} labelled with unknown generator {lab!r}")
+                else:
+                    if dom_w != sig.dom(lab):
+                        report.append(
+                            f"edge {e} ({lab}): source word {dom_w} != declared {sig.dom(lab)}")
+                    if cod_w != sig.cod(lab):
+                        report.append(
+                            f"edge {e} ({lab}): target word {cod_w} != declared {sig.cod(lab)}")
+            if lab in arities and arities[lab] != (dom_w, cod_w):
+                report.append(f"edges labelled {lab!r} disagree on arity")
+            arities.setdefault(lab, (dom_w, cod_w))
 
     # connected vertices carry the same object label
-    for t, s in H.conn.items():
-        if H.vtlabels.get(t) != H.vslabels.get(s):
-            report.append(
-                f"wire {t}->{s} changes object label"
-                f" {H.vtlabels.get(t)!r} -> {H.vslabels.get(s)!r}")
+    if list(map(vt, H.conn)) != list(map(vs, H.conn.values())):
+        for t, s in H.conn.items():
+            if H.vtlabels.get(t) != H.vslabels.get(s):
+                report.append(
+                    f"wire {t}->{s} changes object label"
+                    f" {H.vtlabels.get(t)!r} -> {H.vslabels.get(s)!r}")
     return report
 
 
-def assert_valid(H: LinearHypergraph, sig=None) -> LinearHypergraph:
-    report = validate(H, sig)
+def assert_valid(H: LinearHypergraph) -> LinearHypergraph:
+    report = validate(H)
     if report:
         raise ValueError("malformed hypergraph: " + "; ".join(report))
     return H

@@ -525,7 +525,7 @@ def parse_signature(text: str) -> Signature:
             raise SignatureError(
                 f"line {lineno}: generator name {name!r} is reserved")
         if name in gens:
-            raise SignatureError(f"line {lineno}: bad or duplicate name {name!r}")
+            raise SignatureError(f"line {lineno}: duplicate generator name {name!r}")
         gens[name] = (_parse_word(dom_part.strip(), lineno),
                       _parse_word(cod_part.strip(), lineno))
     return Signature(gens, frozenset(

@@ -37,9 +37,11 @@ a graph's tables, for the tables a host hands to a graph to be checked
 against those a fresh copy of the graph derives.
 ``graph_to_dict`` and ``graph_from_dict_per_entry`` encode and decode a
 graph file entry by entry, for the bulk writer and loader of
-``linhyp.serialize`` to be checked against, and ``to_dot_of_canonical``
-draws a graph from its renumbered copy, for ``to_dot`` to be checked
-against.
+``linhyp.serialize`` to be checked against, ``validate_per_entry`` walks
+every well-formedness clause element by element, for the guarded
+clauses of ``graphs.validate`` to be checked against, and
+``to_dot_of_canonical`` draws a graph from its renumbered copy, for
+``to_dot`` to be checked against.
 
 The file also holds the paper's alternative constructions, which the
 library does not need but the tests compare against it: the term-level
@@ -1416,6 +1418,108 @@ def graph_from_dict_per_entry(data) -> LinearHypergraph:
         vslabels=table("vslabels", str, optional=True),
     )
 
+
+def validate_per_entry(H: LinearHypergraph, sig=None) -> list[str]:
+    """``graphs.validate`` with no bulk guard: every clause is walked
+    element by element, in stored order, on every graph.  The library's
+    guarded clauses must give the same report, message for message."""
+    report: list[str] = []
+    tset, sset = set(H.targets), set(H.sources)
+    if len(tset) != len(H.targets):
+        report.append("duplicate target vertex ids")
+    if len(sset) != len(H.sources):
+        report.append("duplicate source vertex ids")
+    if tset & sset:
+        report.append(f"targets and sources overlap: {sorted(tset & sset)}")
+    if len(H.targets) != len(H.sources):
+        report.append(
+            f"unequal vertex counts: {len(H.targets)} targets,"
+            f" {len(H.sources)} sources")
+    eset = set(H.edges)
+    if len(eset) != len(H.edges):
+        report.append("duplicate edge ids")
+
+    for v in H.targets:
+        if v not in H.left:
+            report.append(f"left undefined on target {v}")
+        elif H.left[v] is not INTERFACE and H.left[v] not in eset:
+            report.append(f"left({v}) is not an edge of the graph")
+        if v not in H.vtlabels:
+            report.append(f"target {v} has no object label")
+    for v in H.sources:
+        if v not in H.right:
+            report.append(f"right undefined on source {v}")
+        elif H.right[v] is not INTERFACE and H.right[v] not in eset:
+            report.append(f"right({v}) is not an edge of the graph")
+        if v not in H.vslabels:
+            report.append(f"source {v} has no object label")
+
+    missing_conn = [v for v in H.targets if v not in H.conn]
+    for v in missing_conn:
+        report.append(f"conn undefined on target {v}")
+    image = [H.conn[v] for v in H.targets if v in H.conn]
+    bad = [s for s in image if s not in sset]
+    for s in bad:
+        report.append(f"conn hits {s}, which is not a source vertex")
+    if len(set(image)) != len(image):
+        seen: set[int] = set()
+        for s in image:
+            if s in seen:
+                report.append(f"conn not injective: source {s} hit twice")
+            seen.add(s)
+    missed = sset - set(image)
+    for s in sorted(missed):
+        report.append(f"conn not surjective: source {s} never hit")
+
+    for e in H.edges:
+        if e not in H.labels:
+            report.append(f"edge {e} has no label")
+    # entries for ids the graph does not have would be dropped on save
+    for name, table, carrier, kind in (
+            ("left", H.left, tset, "target"), ("conn", H.conn, tset, "target"),
+            ("vtlabels", H.vtlabels, tset, "target"),
+            ("right", H.right, sset, "source"),
+            ("vslabels", H.vslabels, sset, "source"),
+            ("labels", H.labels, eset, "edge")):
+        for k in table:
+            if k not in carrier:
+                report.append(f"{name} has an entry for {k}, which is not a"
+                              f" {kind} of the graph")
+    if report:
+        return report
+
+    # label-arity agreement
+    tgts, srcs = H.tgts, H.srcs
+    arities: dict[str, tuple[Word, Word]] = {}
+    for e in H.edges:
+        lab = H.labels[e]
+        dom_w = tuple(H.vslabels[v] for v in srcs[e])
+        cod_w = tuple(H.vtlabels[v] for v in tgts[e])
+        if lab == IDENTITY_LABEL:
+            if len(dom_w) != 1 or len(cod_w) != 1 or dom_w != cod_w:
+                report.append(f"identity edge {e} is not a single-wire pass-through")
+            continue
+        if sig is not None:
+            if lab not in sig:
+                report.append(f"edge {e} labelled with unknown generator {lab!r}")
+            else:
+                if dom_w != sig.dom(lab):
+                    report.append(
+                        f"edge {e} ({lab}): source word {dom_w} != declared {sig.dom(lab)}")
+                if cod_w != sig.cod(lab):
+                    report.append(
+                        f"edge {e} ({lab}): target word {cod_w} != declared {sig.cod(lab)}")
+        if lab in arities and arities[lab] != (dom_w, cod_w):
+            report.append(f"edges labelled {lab!r} disagree on arity")
+        arities.setdefault(lab, (dom_w, cod_w))
+
+    # connected vertices carry the same object label
+    for t, s in H.conn.items():
+        if H.vtlabels.get(t) != H.vslabels.get(s):
+            report.append(
+                f"wire {t}->{s} changes object label"
+                f" {H.vtlabels.get(t)!r} -> {H.vslabels.get(s)!r}")
+    return report
 
 # Builders and checks that only the tests use
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, UNPRODUCTIVE,
                     normalize, parse_circuit_signature, parse_term,
                     two_point, type_of,
                     validate, value_row)
-from linhyp.circuits import (DELAY, FORK, JOIN, STUB, LatticeError,
-                             eval_rules, feedback_wires)
+from linhyp.circuits import (DELAY, FORK, JOIN, STUB, Gate, LatticeError,
+                             eval_rules, feedback_wires, read_value_word)
 from linhyp.cli import main
 from linhyp.terms import Swap
 from linhyp.graphs import IDENTITY_LABEL, INTERFACE, LinearHypergraph, expand
@@ -816,6 +816,87 @@ def test_a_lattice_refuses_a_repeated_value():
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature("values: a a\nbottom: a\njoin: a a -> a\n")
     assert str(info.value) == "duplicate value 'a'"
+
+
+def _outside(a, b):
+    return "c" if a == b == "b" else max(a, b)
+
+
+def _not_idempotent(a, b):
+    return "a" if a == b == "b" else max(a, b)
+
+
+def _not_associative(a, b):
+    # x and y join to the bottom o, so (x x) y is o and x (x y) is x
+    return b if a in ("o", b) else a if b == "o" else "o"
+
+
+def _lattice_text(values, join):
+    return f"values: {' '.join(values)}\nbottom: {values[0]}\n" + "".join(
+        f"join: {a} {b} -> {join(a, b)}\n" for a in values for b in values)
+
+
+@pytest.mark.parametrize("values,join,error", [
+    ("ab", _outside, "join(b, b) is not a value"),
+    ("ab", _not_idempotent, "join not idempotent at b"),
+    ("oxy", _not_associative, "join not associative at (x, x, y)"),
+], ids=["outside", "idempotent", "associative"])
+def test_a_lattice_refuses_a_join_that_is_no_semilattice(values, join,
+                                                         error):
+    with pytest.raises(LatticeError) as info:
+        ValueLattice(tuple(values), values[0],
+                     {(a, b): join(a, b) for a in values for b in values})
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("gates,error", [
+    ({"top": Gate("top", 1, {("bot",): "bot", ("top",): "top"})},
+     "value and gate names overlap"),
+    ({"g": Gate("g", 1, {("bot",): "bot"})}, "gate g: bad row ('top',)"),
+    ({"g": Gate("g", 1, {("bot",): "bot", ("top",): "x"})},
+     "gate g: bad row ('top',)"),
+    ({"g": Gate("g", 1, {("bot",): "bot", ("top",): "top", ("x",): "top"})},
+     "gate g: row ('x',) is not a row of values"),
+], ids=["overlap", "missing-row", "row-result", "row-outside"])
+def test_a_circuit_signature_refuses_a_bad_gate(gates, error):
+    with pytest.raises(LatticeError) as info:
+        CircuitSignature(two_point(), gates)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("text,error", [
+    (_TWO_POINT_TEXT + "gate amp arity 2: bot bot -> bot\n",
+     "line 9: gate amp arity changed"),
+    (_TWO_POINT_TEXT + "gate top arity 1: bot -> bot\n",
+     "value and gate names overlap"),
+    (_TWO_POINT_TEXT + "gate g arity 1: bot -> bot\n",
+     "gate g: bad row ('top',)"),
+    (_lattice_text("ab", _not_idempotent), "join not idempotent at b"),
+    (_lattice_text("oxy", _not_associative),
+     "join not associative at (x, x, y)"),
+], ids=["arity-changed", "overlap", "missing-row", "idempotent",
+        "associative"])
+def test_each_lattice_file_error_fails_evaluate(text, error, tmp_path,
+                                                 capsys):
+    """Each error a lattice file can reach is raised by the parser and
+    by ``linhyp evaluate``, which exits 1 on it.  A row's error names its
+    line; the join laws and the gate tables are checked on the whole
+    table, and their errors name the values instead."""
+    with pytest.raises(LatticeError) as info:
+        parse_circuit_signature(text)
+    assert str(info.value) == error
+    (tmp_path / "bad.lattice").write_text(text)
+    (tmp_path / "t.term").write_text("id 0")
+    code = main(["evaluate", str(tmp_path / "t.term"),
+                 "--lattice", str(tmp_path / "bad.lattice")])
+    assert code == 1 and capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_an_output_fed_straight_from_an_input_has_no_value():
+    csig = two_point_sig()
+    H = interpret(Tensor(Gen("top"), Id(1)), csig.signature())
+    assert read_value_word(H, csig) is None
+    assert read_value_word(H, csig, H.outputs()[:1]) == ("top",)
 
 
 def test_parse_circuit_signature_reads_only_decimal_arities():

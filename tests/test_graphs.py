@@ -74,6 +74,45 @@ def test_validate_arity_disagreement():
     assert any("declared" in line for line in validate(broken, FJ_SIG))
 
 
+def test_validate_names_an_edge_with_no_label():
+    H = fork_join_example()
+    e0, e1 = H.edges
+    assert validate(replace(H, labels={e0: "fork"})) == [
+        f"edge {e1} has no label"]
+
+
+def test_validate_names_an_edge_labelled_outside_the_signature():
+    H = fork_join_example()
+    only_fork = signature({"fork": (1, 2)})
+    assert validate(H) == [] and validate(H, FJ_SIG) == []
+    assert validate(H, only_fork) == [
+        f"edge {H.edges[1]} labelled with unknown generator 'join'"]
+
+
+def test_expand_refuses_a_vertex_that_is_not_a_target():
+    H = fork_join_example()
+    for w in (H.sources[0], H.edges[0], 999):
+        with pytest.raises(ValueError) as info:
+            expand(H, w)
+        assert str(info.value) == f"{w} is not a target vertex"
+
+
+def _identity_map(H):
+    return Homomorphism(H, H, {v: v for v in H.targets},
+                        {v: v for v in H.sources}, {e: e for e in H.edges})
+
+
+def test_homomorphisms_compose_only_where_one_ends_and_the_next_starts():
+    H = fork_join_example()
+    h = _identity_map(H)
+    assert h.then(h) == h
+    # an equal graph that is another object composes too
+    assert h.then(_identity_map(replace(H))).dst == H
+    with pytest.raises(ValueError) as info:
+        h.then(_identity_map(identity(1)))
+    assert str(info.value) == "homomorphisms do not compose"
+
+
 def test_rename_identity_is_noop():
     H = fork_join_example()
     assert rename(H, {}) == H

@@ -11,10 +11,10 @@ import pytest
 from linhyp import (canonical, expand, freshen, interpret, isomorphic,
                     load_graph, normalize, parse_rules, parse_term, rename,
                     save_graph, signature, tensor, to_dot, validate)
-from linhyp.graphs import LinearHypergraph, _report, _well_formed, next_id
+from linhyp.graphs import LinearHypergraph, next_id
 from linhyp.laws import law_signature
 from oracles import (graph_from_dict_per_entry, graph_to_dict, random_graph,
-                     to_dot_of_canonical)
+                     to_dot_of_canonical, validate_per_entry)
 
 SIG = law_signature()
 GSIG = signature({"f": ("A", "B"), "g": ("B", "A"),
@@ -361,7 +361,7 @@ def _load_per_entry(text: str) -> LinearHypergraph:
     """``load_graph`` as the per-entry decoder and the per-element
     report word it."""
     H = graph_from_dict_per_entry(json.loads(text))
-    report = _report(H, None)
+    report = validate_per_entry(H)
     if report:
         raise ValueError("malformed hypergraph: " + "; ".join(report))
     return H
@@ -408,16 +408,31 @@ def test_each_odd_key_and_value_is_worded_as_the_per_entry_path():
     assert len(changes) > 500
 
 
+def _unchecked_file(targets, sources, conn) -> str:
+    """A graph file with no edges, everything on the interface."""
+    return json.dumps({
+        "targets": targets, "sources": sources, "edges": [],
+        "left": dict.fromkeys(map(str, targets), "interface"),
+        "right": dict.fromkeys(map(str, sources), "interface"),
+        "conn": {str(t): s for t, s in conn.items()}})
+
+
+# a stray ``conn`` key hits the source no target hits, and a repeated
+# target hits its source twice: a guard that compares only the image of
+# ``conn`` with the sources passes both
+@example(_unchecked_file([0, 1], [2, 3], {0: 2, 1: 2, 9: 3}))
+@example(_unchecked_file([0, 1, 0], [2, 3], {0: 2, 1: 3}))
 @given(_mutated_files())
 @settings(max_examples=400, deadline=None)
 def test_bulk_validation_accepts_exactly_the_graphs_with_no_report(text):
+    """The guarded clauses of ``validate`` word the same report as the
+    walk of every clause, message for message, on mutated files."""
     try:
         H = graph_from_dict_per_entry(json.loads(text))
     except ValueError:
         return
     for sig in (None, SIG):
-        report = _report(H, sig)
-        assert _well_formed(H, sig) == (report == [])
+        assert validate(H, sig) == validate_per_entry(H, sig)
 
 
 def test_load_rejects_garbage():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from linhyp import (Gen, Id, ParseError, Seq, Swap, Tensor, Trace,
                     TypeMismatch, parse_signature, parse_term, render_term,
                     signature, tensor_all, type_of, word)
+from linhyp.cli import main
 from linhyp.interp import equal_mod_stmc, interpret
 from linhyp.graphs import find_isomorphism
 from linhyp.laws import law_signature, random_term
@@ -122,6 +123,20 @@ def test_parse_signature_file():
     sig = parse_signature(text)
     assert sig.dom("f") == word(1)
     assert sig.cod("h") == ("C", "D")
+
+
+def test_parse_signature_names_the_line_of_a_duplicate_name(tmp_path,
+                                                           capsys):
+    text = "f : 1 -> 1\ng : 1 -> 2\nf : 2 -> 1\n"
+    with pytest.raises(SignatureError) as info:
+        parse_signature(text)
+    assert str(info.value) == "line 3: duplicate generator name 'f'"
+    (tmp_path / "sig").write_text(text)
+    (tmp_path / "t.term").write_text("f")
+    assert main(["interpret", str(tmp_path / "t.term"),
+                 "--sig", str(tmp_path / "sig")]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: duplicate generator name 'f'\n")
 
 
 @pytest.mark.parametrize("name", ["f g", "1x", "f-g", "f.g", "", "x'", "²x"])
@@ -285,6 +300,42 @@ def test_deep_chains_type_render_and_compare(nested):
     odd = _chain(5000, nested, deepest="g")
     assert odd != t and not odd == t
     assert len({t, parsed, odd}) == 2 and {t: 1}.get(odd) is None
+
+
+def test_tensors_and_traces_hash_and_compare_by_structure():
+    f, g = Gen("f"), Gen("g")
+    pairs = [(Tensor(f, g), Tensor(Gen("f"), Gen("g"))),
+             (Trace(word(1), f), Trace(1, Gen("f"))),
+             (Trace(("A", "B"), Tensor(f, g)), Trace(("A", "B"), Tensor(f, g)))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    unequal = [(Tensor(f, g), Tensor(g, f)),
+               (Tensor(Tensor(f, g), f), Tensor(f, Tensor(g, f))),
+               (Trace(word(1), f), Trace(word(2), f)),
+               (Trace(("A",), f), Trace(("B",), f)),
+               (Trace(word(1), f), Tensor(f, f))]
+    for a, b in unequal:
+        assert a != b and not a == b and len({a, b}) == 2
+
+
+@pytest.mark.parametrize("kind", ["tensor", "trace"])
+def test_deep_tensors_and_traces_hash_and_compare(kind):
+    def nest(n, deepest="f", odd_loop_at=None):
+        t = Gen(deepest)
+        for i in range(n):
+            t = (Tensor(Gen("f"), t) if kind == "tensor"
+                 else Trace(word(2 if i == odd_loop_at else 1), t))
+        return t
+
+    t, same = nest(5000), nest(5000)
+    assert t is not same and t == same and hash(t) == hash(same)
+    # each differs from t only at its deepest leaf, or at one loop
+    odd = [nest(5000, deepest="g")]
+    if kind == "trace":
+        odd.append(nest(5000, odd_loop_at=0))
+    for u in odd:
+        assert u != t and not u == t and {t: 1}.get(u) is None
+    assert len({t, same, *odd}) == 1 + len(odd)
 
 
 def test_parser_takes_deep_traces_and_parentheses():
