@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import INTERFACE, LinearHypergraph, _Host, canonical_labelling
-from .interp import interpret
+from .interp import _build, _graph
 from .rewrite import RewriteRule, RuleSet, _reduce, rule_from_terms
 from .terms import (_RESERVED_NAMES, Gen, Id, Seq, Signature, Swap, Tensor,
                     Term, _is_name, signature, tensor_all)
@@ -36,7 +36,13 @@ UNPRODUCTIVE = _Unproductive()
 
 
 class LatticeError(Exception):
-    pass
+    """A refused lattice or gate table.  ``reads`` lists what the failed
+    check read: join-table keys, or gate names, so that a parser can name
+    the line of the first of them."""
+
+    def __init__(self, message: str, reads: tuple = ()) -> None:
+        super().__init__(message)
+        self.reads = reads
 
 
 @dataclass(frozen=True)
@@ -63,19 +69,23 @@ class ValueLattice:
             if a not in vals or b not in vals:
                 raise LatticeError(f"join defined on ({a}, {b}), which are"
                                    " not both values")
+        join = self.join
         for a in vals:
-            if self.join(a, a) != a:
-                raise LatticeError(f"join not idempotent at {a}")
-            if self.join(self.bottom, a) != a:
-                raise LatticeError(f"bottom is not a unit at {a}")
+            if join(a, a) != a:
+                raise LatticeError(f"join not idempotent at {a}", ((a, a),))
+            if join(self.bottom, a) != a:
+                raise LatticeError(f"bottom is not a unit at {a}",
+                                   ((self.bottom, a),))
             for b in vals:
-                if self.join(a, b) != self.join(b, a):
-                    raise LatticeError(f"join not commutative at ({a}, {b})")
+                if join(a, b) != join(b, a):
+                    raise LatticeError(f"join not commutative at ({a}, {b})",
+                                       ((a, b), (b, a)))
                 for c in vals:
-                    if (self.join(self.join(a, b), c)
-                            != self.join(a, self.join(b, c))):
+                    ab, bc = join(a, b), join(b, c)
+                    if join(ab, c) != join(a, bc):
                         raise LatticeError(
-                            f"join not associative at ({a}, {b}, {c})")
+                            f"join not associative at ({a}, {b}, {c})",
+                            ((a, b), (ab, c), (b, c), (a, bc)))
 
     def join(self, a: str, b: str) -> str:
         return self.join_table[(a, b)]
@@ -123,7 +133,8 @@ class CircuitSignature:
     def __post_init__(self) -> None:
         names = set(self.lattice.values) | set(self.gates)
         if len(names) != len(self.lattice.values) + len(self.gates):
-            raise LatticeError("value and gate names overlap")
+            raise LatticeError("value and gate names overlap", tuple(
+                g for g in self.gates if g in self.lattice.values))
         if names & _WIRING_NAMES:
             raise LatticeError(
                 f"names {sorted(names & _WIRING_NAMES)} are reserved")
@@ -135,18 +146,20 @@ class CircuitSignature:
         rows = list(itertools.product(lat.values, repeat=gate.arity))
         for row in rows:
             if row not in gate.table or gate.table[row] not in lat.values:
-                raise LatticeError(f"gate {gate.name}: bad row {row}")
+                raise LatticeError(f"gate {gate.name}: bad row {row}",
+                                   (gate.name,))
         known = set(rows)
         for row in gate.table:
             if row not in known:
                 raise LatticeError(f"gate {gate.name}: row {row} is not a"
-                                   " row of values")
+                                   " row of values", (gate.name,))
         for lo, hi in itertools.product(rows, rows):
             if all(lat.leq(a, b) for a, b in zip(lo, hi)):
                 if not lat.leq(gate.table[lo], gate.table[hi]):
                     raise LatticeError(
                         f"gate {gate.name} is not monotone: {lo} -> "
-                        f"{gate.table[lo]} but {hi} -> {gate.table[hi]}")
+                        f"{gate.table[lo]} but {hi} -> {gate.table[hi]}",
+                        (gate.name,))
 
     def signature(self) -> Signature:
         """The term signature of the circuits: values, gates and the
@@ -351,7 +364,7 @@ def read_value_word(H: LinearHypergraph | _Host, csig: CircuitSignature,
     return tuple(out)
 
 
-def feedback_wires(H: LinearHypergraph) -> list[int]:
+def feedback_wires(H: LinearHypergraph | _Host) -> list[int]:
     """The wires that close a cycle in a depth-first walk over H's edges,
     each named by its producer end (a target vertex).
 
@@ -359,10 +372,21 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
     roots in ``canonical_labelling`` order, so isomorphic graphs get
     corresponding wires.  Every cycle of H meets the set, and a loop-free
     H has none.  A depth-first walk closes a cycle, whatever its roots,
-    exactly when H has one, so the walk runs first with its roots in
-    stored order, and only an H whose first walk cuts a wire is labelled
-    and walked again.
+    exactly when H has one, so the walk runs first with its roots in the
+    order of H's ``labels``, and only an H whose first walk cuts a wire
+    is labelled and walked again.  H may be the
+    :class:`~linhyp.graphs._Host` that :func:`~linhyp.interp.interpret`
+    builds: it is walked in place, and frozen into its graph, which then
+    holds its tables, only to be labelled.
     """
+    return _feedback(H)[0]
+
+
+def _feedback(H: LinearHypergraph | _Host
+              ) -> tuple[list[int], LinearHypergraph | _Host]:
+    """:func:`feedback_wires` of H, and H, or the graph of the host H
+    where the labelled walk needed one."""
+    # the graph of a host holds the host's own tables
     tgts, right, conn = H.tgts, H.right, H.conn
 
     def walk(roots) -> list[int]:
@@ -389,7 +413,11 @@ def feedback_wires(H: LinearHypergraph) -> list[int]:
                     done.add(e)
         return cut
 
-    return walk(canonical_labelling(H)[2]) if walk(H.edges) else []
+    if not walk(H.labels):
+        return [], H
+    if type(H) is _Host:
+        H = _graph(H)
+    return walk(canonical_labelling(H)[2]), H
 
 
 def evaluate(circuit: Term | LinearHypergraph,
@@ -412,11 +440,17 @@ def evaluate(circuit: Term | LinearHypergraph,
     height(lattice) * |feedback wires| + 1 rounds, and the rounds are
     bounded by (|values| - 1) * |feedback wires| + 1, at least that.  A
     loop-free circuit takes one round; ``max_steps`` bounds each round.
+    A term is built in one host, as :func:`~linhyp.interp.interpret`
+    builds it, and walked there.  A loop-free term's one round cuts and
+    reduces that host itself, once :meth:`~linhyp.graphs._Host.index`
+    has filled its edge indexes, so nothing is frozen or copied; a term
+    with a feedback wire is frozen once, and each of its rounds copies
+    the graph, as each round of a graph input does.
     Returns the output value word, or UNPRODUCTIVE when a round's step
     budget or the round bound runs out or reduction gets stuck (delays
     holding non-bottom values do that).
     """
-    H = (interpret(circuit, csig.signature()) if isinstance(circuit, Term)
+    H = (_build(circuit, csig.signature()) if isinstance(circuit, Term)
          else circuit)
     ins, outs = H.inputs(), H.outputs()
     inputs = tuple(inputs)
@@ -426,12 +460,16 @@ def evaluate(circuit: Term | LinearHypergraph,
     if bad:
         raise ValueError(f"unknown values {bad}")
 
-    cut = feedback_wires(H)
+    cut, H = _feedback(H)
     k = len(cut)
     rules = eval_rules(csig)
     w = (csig.lattice.bottom,) * k
     for _ in range((len(csig.lattice.values) - 1) * k + 1):
-        h = _Host(H)
+        if type(H) is _Host:  # loop-free, so this round is the only one
+            h = H
+            h.index()
+        else:
+            h = _Host(H)
         h.plug([h.cut(t, v)[0] for t, v in zip(ins, inputs)], ins)
         read = [h.cut(t, v)[0] for t, v in zip(cut, w)] + list(outs)
         # in ``conn`` order, the order a graph of these tables derives
@@ -472,9 +510,13 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
     ``gate NAME arity N: v ... -> v`` truth-table rows.  A second
     ``values:`` or ``bottom:`` line, a row given twice, a value or gate
     name that no term can spell, or a row over a name outside
-    ``values:``, is refused, naming its line.
+    ``values:``, is refused, naming its line.  So is a join table that
+    breaks a law, naming the first join row in the file that the failed
+    law reads, and a gate table that lacks a row or is not monotone, or
+    a gate named like a value, naming the gate's first row.
     """
     decls: dict[str, str] = {}  # the values: and bottom: lines' bodies
+    first_line: dict[tuple[str, str] | str, int] = {}  # join row, gate
     join_rows: dict[tuple[str, str], str] = {}
     gate_rows: dict[str, tuple[int, dict[tuple[str, ...], str]]] = {}
     used: list[tuple[int, str, tuple[str, ...]]] = []  # each row's values
@@ -500,6 +542,7 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             if (a, b) in join_rows:
                 raise LatticeError(f"line {lineno}: join {a} {b} given twice")
             join_rows[(a, b)] = res = res.strip()
+            first_line[(a, b)] = lineno
             used.append((lineno, "join row", (a, b, res)))
         elif line.startswith("gate "):
             head, colon, body = line.partition(":")
@@ -523,6 +566,7 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
                 raise LatticeError(f"line {lineno}: gate {name} row"
                                    f" {' '.join(row)} given twice")
             table[row] = res = res.strip()
+            first_line.setdefault(name, lineno)
             used.append((lineno, f"gate {name} row", (*row, res)))
         else:
             raise LatticeError(f"line {lineno}: unrecognised line {line!r}")
@@ -534,7 +578,13 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             if value not in values:
                 raise LatticeError(f"line {lineno}: {what} uses {value!r},"
                                    " which is not a value")
-    lattice = ValueLattice(tuple(values), bottom.strip(), join_rows)
-    gates = {name: Gate(name, arity, table)
-             for name, (arity, table) in gate_rows.items()}
-    return CircuitSignature(lattice, gates)
+    try:
+        lattice = ValueLattice(tuple(values), bottom.strip(), join_rows)
+        return CircuitSignature(lattice, {
+            name: Gate(name, arity, table)
+            for name, (arity, table) in gate_rows.items()})
+    except LatticeError as exc:
+        lines = [first_line[r] for r in exc.reads if r in first_line]
+        if not lines:
+            raise
+        raise LatticeError(f"line {min(lines)}: {exc}") from None

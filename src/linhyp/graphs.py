@@ -1043,8 +1043,13 @@ class _Host:
     to the end in R's order, so that it keeps R's port words.
     ``edge_seq`` numbers the edges in stored order, for the search to
     sort by.  ``new_ids`` counts up from ``next_id(G)``, so each new
-    element's id is above every id the host has had.
+    element's id is above every id the host has had.  The host
+    :func:`~linhyp.interp.interpret` builds from :data:`EMPTY` leaves
+    ``by_label`` and ``edge_seq`` empty until :meth:`index` fills them.
     """
+
+    # the graph's, read off the host's tables
+    inputs, outputs = LinearHypergraph.inputs, LinearHypergraph.outputs
 
     def __init__(self, G: LinearHypergraph) -> None:
         # every table is a mutable copy of the graph's, in stored order
@@ -1060,6 +1065,14 @@ class _Host:
         self.tick = count()
         self.edge_seq = dict(zip(G.edges, self.tick))
         self.new_ids = count(next_id(G))
+
+    def index(self) -> None:
+        """Fill the empty ``by_label`` and ``edge_seq`` in one pass over
+        the edges in stored order, as a copy of the host's graph would."""
+        by_label, edge_seq, tick = self.by_label, self.edge_seq, self.tick
+        for e, lab in self.labels.items():
+            by_label.setdefault(lab, {})[e] = None
+            edge_seq[e] = next(tick)
 
     def freeze(self) -> LinearHypergraph:
         """The graph, holding the host's port tables and ``inv`` as its

@@ -14,7 +14,8 @@ Ends = list[int] | deque[int]
 
 
 def interpret(t: Term, sig: Signature) -> LinearHypergraph:
-    """The graph of a well-typed term.
+    """The graph of a well-typed term: the host :func:`_build` makes,
+    frozen by :func:`_graph`.
 
     Generators become single edges; identity, swap, composition, tensor
     and trace map to the corresponding graph operations.  Built in one
@@ -46,6 +47,23 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     ones.  Dispatch is on the exact node class, as in
     :func:`linhyp.terms.type_of`.
     """
+    return _graph(_build(t, sig))
+
+
+def _graph(H: _Host) -> LinearHypergraph:
+    """The graph of a host :func:`_build` made, holding its tables: ``H``
+    frozen, its ``conn`` inverse rebuilt in ``conn`` order, the order the
+    graph would derive it."""
+    H.inv = dict(zip(H.conn.values(), H.conn))
+    return H.freeze()
+
+
+def _build(t: Term, sig: Signature) -> _Host:
+    """The graph of a well-typed term as :func:`interpret` builds it, in
+    its live :class:`~linhyp.graphs._Host`: every table in the graph's
+    stored order but ``inv``, which lists each wire as its splices left
+    it, and ``by_label`` and ``edge_seq``, which stay empty.  ``new_ids``
+    goes on from the last id drawn."""
     H = _Host(EMPTY)
     targets, sources, left, right = H.targets, H.sources, H.left, H.right
     vtlabels, vslabels, conn, inv = H.vtlabels, H.vslabels, H.conn, H.inv
@@ -202,9 +220,7 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     if pending:
         materialise()
     H.plug(cut_outs, cut_ins)
-    # in the order the graph would derive it, ``conn`` order
-    H.inv = dict(zip(conn.values(), conn))
-    return H.freeze()
+    return H
 
 
 def equal_mod_stmc(s: Term, t: Term, sig: Signature) -> bool:

@@ -20,6 +20,7 @@ from linhyp.circuits import (DELAY, FORK, JOIN, STUB, Gate, LatticeError,
 from linhyp.cli import main
 from linhyp.terms import Swap
 from linhyp.graphs import IDENTITY_LABEL, INTERFACE, LinearHypergraph, expand
+from linhyp.interp import _build
 from linhyp.laws import random_term
 from linhyp.terms import signature
 from oracles import (dataflow_fixed_point, evaluate_by_unfolding_all_wires,
@@ -385,6 +386,46 @@ def test_evaluate_matches_dataflow_oracle_feedback(rng):
             assert got == dataflow_fixed_point(Hl, inputs, csig)
 
 
+def test_a_term_and_its_graph_evaluate_alike(monkeypatch, rng):
+    """``evaluate`` of a term, which reduces the host ``interpret``
+    builds when the term is loop-free, and ``evaluate`` of the term's
+    graph give the same word, which is the data-flow oracle's, in as
+    many rounds, on loop-free circuits and circuits with one to three
+    traced wires over both lattices; under a budget of two steps a
+    round they give the same word or both UNPRODUCTIVE, in as many
+    rounds; and ``feedback_wires`` gives the same cut on the built host
+    as on the graph."""
+    rounds = _count_rounds(monkeypatch)
+    seen = set()
+    for csig in (two_point_sig(), belnap_sig()):
+        sig = csig.signature()
+        for x in (0, 1, 2, 3) * 6:
+            if x:
+                t, inputs = _random_feedback(rng, csig, x)
+                H = interpret(t, sig)
+            else:
+                t, H = _random_loop_free(rng, csig)
+                inputs = tuple(rng.choice(csig.lattice.values)
+                               for _ in range(len(H.dom())))
+            cut = feedback_wires(H)
+            assert feedback_wires(_build(t, sig)) == cut
+            want = dataflow_fixed_point(H, inputs, csig)
+            for max_steps in (10000, 2):
+                del rounds[:]
+                got = evaluate(t, inputs, csig, max_steps)
+                n = len(rounds)
+                del rounds[:]
+                assert evaluate(H, inputs, csig, max_steps) == got
+                assert len(rounds) == n
+                assert max_steps == 2 or got == want
+                seen.add((bool(cut), n, got is UNPRODUCTIVE))
+    # loop-free and cyclic circuits, some taking several rounds, and
+    # some UNPRODUCTIVE under the small budget
+    assert {c for c, _, _ in seen} == {False, True}
+    assert max(n for _, n, _ in seen) > 1
+    assert {u for _, _, u in seen} == {False, True}
+
+
 @pytest.mark.parametrize("n", [63, 100, 200])
 def test_evaluate_deep_chains_match_dataflow_oracle(n):
     # cutting every wire needs n + 1 rounds, more than the default 64
@@ -486,24 +527,32 @@ def count_host_copies(monkeypatch):
 
 def test_evaluate_copies_the_circuit_once_a_round_and_freezes_nothing(
         monkeypatch):
-    """From a term, ``evaluate`` makes ``interpret``'s one host and its
-    one freeze, then one ``_Host`` a round, which the rewrite driver
-    reduces in place: no round freezes a graph or copies one twice.  A
-    loop-free chain takes one round, ``tr 1 (org ; fork)`` two and a
-    three-rung ladder three."""
+    """From a loop-free term, ``evaluate`` makes the one host
+    ``interpret`` builds and reduces it in place: one host, no freeze.
+    A term with a feedback wire is frozen once, then copied into one
+    ``_Host`` a round, and a graph is copied once a round and never
+    frozen: no round freezes a graph or copies one twice.  A loop-free
+    chain takes one round, ``tr 1 (org ; fork)`` two and a three-rung
+    ladder three."""
     csig = two_point_sig()
+    sig = csig.signature()
     eval_rules(csig)  # compiling the rules builds and freezes graphs
     rounds = _count_rounds(monkeypatch)
+    cases = [(_amp_chain(5), ("top",), ("top",), 1),
+             (Trace(1, Seq(Gen("org"), Gen(FORK))), ("top",), ("top",), 2),
+             (feedback_ladder(3), ("bot", "top"), ("top", "top"), 3)]
+    graphs = [interpret(circuit, sig) for circuit, *_ in cases]
     made = count_host_copies(monkeypatch)
-    for circuit, inputs, want, n in [
-            (_amp_chain(5), ("top",), ("top",), 1),
-            (Trace(1, Seq(Gen("org"), Gen(FORK))), ("top",), ("top",), 2),
-            (feedback_ladder(3), ("bot", "top"), ("top", "top"), 3)]:
-        del rounds[:]
-        made.update(hosts=0, freezes=0)
-        assert evaluate(circuit, inputs, csig) == want
-        assert len(rounds) == n
-        assert made == {"hosts": 1 + n, "freezes": 1}
+    for (circuit, inputs, want, n), G in zip(cases, graphs):
+        term_made = {"hosts": 1, "freezes": 0} if n == 1 else \
+            {"hosts": 1 + n, "freezes": 1}
+        for given, want_made in ((circuit, term_made),
+                                 (G, {"hosts": n, "freezes": 0})):
+            del rounds[:]
+            made.update(hosts=0, freezes=0)
+            assert evaluate(given, inputs, csig) == want
+            assert len(rounds) == n
+            assert made == want_made
 
 
 def test_evaluate_graphs_with_identity_edges(rng):
@@ -533,30 +582,47 @@ def test_evaluate_graphs_with_identity_edges(rng):
             assert evaluate(G, inputs, csig) == want
 
 
+def _indexed_copy(host):
+    """:func:`_frozen_copy` of a host, with copies of its edge indexes:
+    ``by_label`` as lists, as a graph derives it, and ``edge_seq``."""
+    return (_frozen_copy(host),
+            {lab: list(es) for lab, es in host.by_label.items()},
+            dict(host.edge_seq))
+
+
 def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
     """The open graph's port tables and ``conn`` inverse, built once from
-    the circuit's, are those a fresh ``replace(G)`` derives for the graph
-    of each round's host as it reaches the rewrite driver, entry for
-    entry and in insertion order, on looped circuits with one to three
-    cut wires and their inputs as value edges; an evaluation from a term
-    derives no port table at all."""
+    the circuit's, and its edge indexes, are those a fresh ``replace(G)``
+    derives for the graph of each round's host as it reaches the rewrite
+    driver, entry for entry and in insertion order, on loop-free circuits,
+    whose one round reduces the host ``interpret`` builds, and on looped
+    circuits with one to three cut wires, their inputs as value edges;
+    an evaluation from a term derives no port table at all."""
     checked = []
-    rounds = _count_rounds(monkeypatch, _frozen_copy)
+    rounds = _count_rounds(monkeypatch, _indexed_copy)
     derived = []
     real_tables = LinearHypergraph.port_tables
     monkeypatch.setattr(LinearHypergraph, "port_tables",
                         lambda H: derived.append(H) or real_tables(H))
     for csig in (two_point_sig(), belnap_sig()):
         eval_rules(csig)  # compiling the rules derives their graphs' tables
-        for x in (1, 2, 3, 1, 2, 3):
-            looped, inputs = _random_feedback(rng, csig, x)
+        for x in (0, 1, 2, 3, 0, 1, 2, 3):
+            if x:
+                circuit, inputs = _random_feedback(rng, csig, x)
+            else:
+                circuit, H = _random_loop_free(rng, csig)
+                inputs = ("bot",) * len(H.dom())
             del rounds[:], derived[:]
-            evaluate(looped, inputs, csig)
+            evaluate(circuit, inputs, csig)
             assert rounds and derived == []
-            for G in rounds:
-                assert tables_in_order(G) == tables_in_order(replace(G))
-            checked.append(len(rounds))
-    assert max(checked) > 1  # a circuit that took more than one round
+            for G, by_label, edge_seq in rounds:
+                fresh = replace(G)
+                assert tables_in_order(G) == tables_in_order(fresh)
+                assert list(by_label.items()) == list(fresh.by_label.items())
+                assert list(edge_seq.items()) == list(fresh.edge_seq.items())
+            checked.append((x, len(rounds)))
+    assert max(r for _, r in checked) > 1  # a circuit took several rounds
+    assert {r for x, r in checked if x == 0} == {1}
 
 
 def test_each_rounds_open_graph_has_no_inputs_and_the_cut_outputs(
@@ -564,29 +630,39 @@ def test_each_rounds_open_graph_has_no_inputs_and_the_cut_outputs(
     """Each round's open graph, built in one ``_Host`` from the circuit's
     by cutting its input and feedback wires, is well formed over the
     circuit signature, has no inputs and has one output more per cut
-    wire than the circuit when it reaches the rewrite driver, on looped
-    circuits with one to three cut wires over both lattices."""
+    wire than the circuit when it reaches the rewrite driver, on
+    loop-free circuits, whose one round is the host ``interpret``
+    builds, and on looped circuits with one to three cut wires, over
+    both lattices."""
     rounds = _count_rounds(monkeypatch, _frozen_copy)
     seen = set()
     for csig in (two_point_sig(), belnap_sig()):
-        for x in (1, 2, 3) * 4:
-            looped, inputs = _random_feedback(rng, csig, x)
-            H = interpret(looped, csig.signature())
+        for x in (0, 1, 2, 3) * 4:
+            if x:
+                circuit, inputs = _random_feedback(rng, csig, x)
+            else:
+                circuit, _ = _random_loop_free(rng, csig)
+            H = interpret(circuit, csig.signature())
+            if not x:
+                inputs = tuple(rng.choice(csig.lattice.values)
+                               for _ in range(len(H.dom())))
             k = len(feedback_wires(H))
             del rounds[:]
-            evaluate(looped, inputs, csig)
+            evaluate(circuit, inputs, csig)
             for G in rounds:
                 assert validate(G, csig.signature()) == []
                 assert G.dom() == ()
                 assert len(G.outputs()) == len(H.outputs()) + k
             seen.add((k, len(rounds)))
-    # the sample has two-wire cuts and circuits that take several rounds
-    assert {k for k, _ in seen} >= {1, 2} and max(r for _, r in seen) > 1
+    # the sample has loop-free circuits, two-wire cuts and circuits that
+    # take several rounds
+    assert {k for k, _ in seen} >= {0, 1, 2} and max(r for _, r in seen) > 1
 
 
 def test_a_rounds_graph_is_freed_without_the_collector(monkeypatch):
     """A round's host holds no cycle: once ``evaluate`` returns, each
-    round's host goes without the cyclic collector."""
+    round's host goes without the cyclic collector, the host a loop-free
+    term is built in too."""
     refs = _count_rounds(monkeypatch, weakref.ref)
     loop = Trace(1, Seq(Seq(Gen("org"), Gen(FORK)), Id(2)))
     csig = two_point_sig()
@@ -595,6 +671,9 @@ def test_a_rounds_graph_is_freed_without_the_collector(monkeypatch):
     try:
         assert evaluate(loop, ("top",), csig) == ("top",)
         assert len(refs) == 2 and all(ref() is None for ref in refs)
+        del refs[:]
+        assert evaluate(_amp_chain(3), ("top",), csig) == ("top",)
+        assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
 
@@ -831,16 +910,30 @@ def _not_associative(a, b):
     return b if a in ("o", b) else a if b == "o" else "o"
 
 
-def _lattice_text(values, join):
+def _right(a, b):
+    return b
+
+
+def _top_first(a, b):
+    # a semilattice whose top, not its bottom, comes first
+    return "a" if "a" in (a, b) else "b"
+
+
+def _lattice_text(values, join, rows=list):
+    """A lattice file: the values, the first as bottom, and the join rows
+    in ``rows`` of the row-major order."""
     return f"values: {' '.join(values)}\nbottom: {values[0]}\n" + "".join(
-        f"join: {a} {b} -> {join(a, b)}\n" for a in values for b in values)
+        rows([f"join: {a} {b} -> {join(a, b)}\n"
+              for a in values for b in values]))
 
 
 @pytest.mark.parametrize("values,join,error", [
     ("ab", _outside, "join(b, b) is not a value"),
     ("ab", _not_idempotent, "join not idempotent at b"),
     ("oxy", _not_associative, "join not associative at (x, x, y)"),
-], ids=["outside", "idempotent", "associative"])
+    ("ab", _right, "join not commutative at (a, b)"),
+    ("ab", _top_first, "bottom is not a unit at b"),
+], ids=["outside", "idempotent", "associative", "commutative", "unit"])
 def test_a_lattice_refuses_a_join_that_is_no_semilattice(values, join,
                                                          error):
     with pytest.raises(LatticeError) as info:
@@ -857,7 +950,9 @@ def test_a_lattice_refuses_a_join_that_is_no_semilattice(values, join,
      "gate g: bad row ('top',)"),
     ({"g": Gate("g", 1, {("bot",): "bot", ("top",): "top", ("x",): "top"})},
      "gate g: row ('x',) is not a row of values"),
-], ids=["overlap", "missing-row", "row-result", "row-outside"])
+    ({"g": Gate("g", 1, {("bot",): "top", ("top",): "bot"})},
+     "gate g is not monotone: ('bot',) -> top but ('top',) -> bot"),
+], ids=["overlap", "missing-row", "row-result", "row-outside", "monotone"])
 def test_a_circuit_signature_refuses_a_bad_gate(gates, error):
     with pytest.raises(LatticeError) as info:
         CircuitSignature(two_point(), gates)
@@ -868,20 +963,32 @@ def test_a_circuit_signature_refuses_a_bad_gate(gates, error):
     (_TWO_POINT_TEXT + "gate amp arity 2: bot bot -> bot\n",
      "line 9: gate amp arity changed"),
     (_TWO_POINT_TEXT + "gate top arity 1: bot -> bot\n",
-     "value and gate names overlap"),
+     "line 9: value and gate names overlap"),
     (_TWO_POINT_TEXT + "gate g arity 1: bot -> bot\n",
-     "gate g: bad row ('top',)"),
-    (_lattice_text("ab", _not_idempotent), "join not idempotent at b"),
+     "line 9: gate g: bad row ('top',)"),
+    (_TWO_POINT_TEXT + "gate g arity 1: bot -> top\n"
+     "gate g arity 1: top -> bot\n",
+     "line 9: gate g is not monotone: ('bot',) -> top but ('top',) -> bot"),
+    (_lattice_text("ab", _not_idempotent), "line 6: join not idempotent at b"),
+    (_lattice_text("ab", _right), "line 4: join not commutative at (a, b)"),
+    (_lattice_text("ab", _right, reversed),
+     "line 4: join not commutative at (a, b)"),
+    (_lattice_text("ab", _top_first), "line 4: bottom is not a unit at b"),
+    # the law reads rows x x (line 7), x y (8) and x o (6)
     (_lattice_text("oxy", _not_associative),
-     "join not associative at (x, x, y)"),
-], ids=["arity-changed", "overlap", "missing-row", "idempotent",
-        "associative"])
+     "line 6: join not associative at (x, x, y)"),
+    # now rows x y (line 6), x x (7) and x o (8)
+    (_lattice_text("oxy", _not_associative, reversed),
+     "line 6: join not associative at (x, x, y)"),
+], ids=["arity-changed", "overlap", "missing-row", "monotone", "idempotent",
+        "commutative", "commutative-reversed", "unit", "associative",
+        "associative-reversed"])
 def test_each_lattice_file_error_fails_evaluate(text, error, tmp_path,
                                                  capsys):
     """Each error a lattice file can reach is raised by the parser and
-    by ``linhyp evaluate``, which exits 1 on it.  A row's error names its
-    line; the join laws and the gate tables are checked on the whole
-    table, and their errors name the values instead."""
+    by ``linhyp evaluate``, which exits 1 on it, naming a line: a row's
+    error its row, a join law's the first join row in the file that the
+    law reads, and a gate table's the gate's first row."""
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature(text)
     assert str(info.value) == error
