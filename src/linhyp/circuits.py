@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import INTERFACE, LinearHypergraph, _Host, canonical_labelling
-from .interp import _build, _graph
+from .interp import _build
 from .rewrite import RewriteRule, RuleSet, _reduce, rule_from_terms
 from .terms import (_RESERVED_NAMES, Gen, Id, Seq, Signature, Swap, Tensor,
                     Term, _is_name, signature, tensor_all)
@@ -37,8 +37,9 @@ UNPRODUCTIVE = _Unproductive()
 
 class LatticeError(Exception):
     """A refused lattice or gate table.  ``reads`` lists what the failed
-    check read: join-table keys, or gate names, so that a parser can name
-    the line of the first of them."""
+    check read: join-table keys, gate names, or ``"values:"`` or
+    ``"bottom:"`` for a declaration, so that a parser can name the line
+    of the first of them."""
 
     def __init__(self, message: str, reads: tuple = ()) -> None:
         super().__init__(message)
@@ -57,9 +58,10 @@ class ValueLattice:
         vals = self.values
         for i, a in enumerate(vals):
             if a in vals[:i]:
-                raise LatticeError(f"duplicate value {a!r}")
+                raise LatticeError(f"duplicate value {a!r}", ("values:",))
         if self.bottom not in vals:
-            raise LatticeError(f"bottom {self.bottom!r} is not a value")
+            raise LatticeError(f"bottom {self.bottom!r} is not a value",
+                               ("bottom:",))
         for a, b in itertools.product(vals, vals):
             if (a, b) not in self.join_table:
                 raise LatticeError(f"join undefined on ({a}, {b})")
@@ -374,19 +376,10 @@ def feedback_wires(H: LinearHypergraph | _Host) -> list[int]:
     H has none.  A depth-first walk closes a cycle, whatever its roots,
     exactly when H has one, so the walk runs first with its roots in the
     order of H's ``labels``, and only an H whose first walk cuts a wire
-    is labelled and walked again.  H may be the
-    :class:`~linhyp.graphs._Host` that :func:`~linhyp.interp.interpret`
-    builds: it is walked in place, and frozen into its graph, which then
-    holds its tables, only to be labelled.
+    is labelled and walked again.  H may be a
+    :class:`~linhyp.graphs._Host`: it is walked in place, and frozen
+    into its graph, which holds its tables, only to be labelled.
     """
-    return _feedback(H)[0]
-
-
-def _feedback(H: LinearHypergraph | _Host
-              ) -> tuple[list[int], LinearHypergraph | _Host]:
-    """:func:`feedback_wires` of H, and H, or the graph of the host H
-    where the labelled walk needed one."""
-    # the graph of a host holds the host's own tables
     tgts, right, conn = H.tgts, H.right, H.conn
 
     def walk(roots) -> list[int]:
@@ -414,10 +407,9 @@ def _feedback(H: LinearHypergraph | _Host
         return cut
 
     if not walk(H.labels):
-        return [], H
-    if type(H) is _Host:
-        H = _graph(H)
-    return walk(canonical_labelling(H)[2]), H
+        return []
+    return walk(canonical_labelling(
+        H.freeze() if isinstance(H, _Host) else H)[2])
 
 
 def evaluate(circuit: Term | LinearHypergraph,
@@ -426,32 +418,35 @@ def evaluate(circuit: Term | LinearHypergraph,
              max_steps: int = 10000):
     """Run a circuit on concrete input values by graph reduction.
 
-    Feedback is handled by unfolding on the graph.  The circuit's
-    :func:`feedback_wires` are cut open: each round builds its open graph
-    from the circuit's in one :class:`~linhyp.graphs._Host`, cutting each
-    input's wire with the input's value edge
-    (:meth:`~linhyp.graphs._Host.cut`) and plugging the bare end away,
-    and each feedback wire with a value edge for the round's value, its
-    producer end an extra output.  The driver of
-    :func:`~linhyp.rewrite.normalize` reduces that host in place, and the
-    round reads the cut outputs and the circuit outputs off it.  The cut
-    values start at bottom and are iterated until they repeat; for
-    monotone gates that is the least fixed point, reached within
-    height(lattice) * |feedback wires| + 1 rounds, and the rounds are
-    bounded by (|values| - 1) * |feedback wires| + 1, at least that.  A
-    loop-free circuit takes one round; ``max_steps`` bounds each round.
-    A term is built in one host, as :func:`~linhyp.interp.interpret`
-    builds it, and walked there.  A loop-free term's one round cuts and
-    reduces that host itself, once :meth:`~linhyp.graphs._Host.index`
-    has filled its edge indexes, so nothing is frozen or copied; a term
-    with a feedback wire is frozen once, and each of its rounds copies
-    the graph, as each round of a graph input does.
+    Feedback is handled by unfolding on the graph.  The circuit is held
+    in one :class:`~linhyp.graphs._Host`: a term is built there as
+    :func:`~linhyp.interp.interpret` builds it, its edge indexes filled
+    by :meth:`~linhyp.graphs._Host.index`, and a graph is copied there.
+    Its :func:`feedback_wires` are found before anything is cut.  Each
+    input's wire is then cut once, with the input's value edge
+    (:meth:`~linhyp.graphs._Host.cut`), and the bare end plugged away.
+    Each round works in a copy of that host, and the last round the
+    bound allows in the host itself.  It cuts each feedback wire with a
+    value edge for the round's value, its producer end an extra output;
+    the driver of :func:`~linhyp.rewrite.normalize` reduces the round's
+    host in place, and the round reads the cut outputs and the circuit
+    outputs off it.  The cut values start at bottom and are iterated
+    until they repeat; for monotone gates that is the least fixed point,
+    reached within height(lattice) * |feedback wires| + 1 rounds, and
+    the rounds are bounded by (|values| - 1) * |feedback wires| + 1, at
+    least that.  ``max_steps`` bounds each round.  A loop-free circuit's
+    one round is the last allowed, so it is reduced in the circuit's
+    host, with no copy and no freeze; the host is frozen once, only to
+    be labelled, when the circuit has a feedback wire.
     Returns the output value word, or UNPRODUCTIVE when a round's step
     budget or the round bound runs out or reduction gets stuck (delays
     holding non-bottom values do that).
     """
-    H = (_build(circuit, csig.signature()) if isinstance(circuit, Term)
-         else circuit)
+    if isinstance(circuit, Term):
+        H = _build(circuit, csig.signature())
+        H.index()
+    else:
+        H = _Host(circuit)
     ins, outs = H.inputs(), H.outputs()
     inputs = tuple(inputs)
     if len(inputs) != len(ins):
@@ -460,20 +455,15 @@ def evaluate(circuit: Term | LinearHypergraph,
     if bad:
         raise ValueError(f"unknown values {bad}")
 
-    cut, H = _feedback(H)
+    cut = feedback_wires(H)
+    H.plug([H.cut(t, v)[0] for t, v in zip(ins, inputs)], ins)
     k = len(cut)
     rules = eval_rules(csig)
     w = (csig.lattice.bottom,) * k
-    for _ in range((len(csig.lattice.values) - 1) * k + 1):
-        if type(H) is _Host:  # loop-free, so this round is the only one
-            h = H
-            h.index()
-        else:
-            h = _Host(H)
-        h.plug([h.cut(t, v)[0] for t, v in zip(ins, inputs)], ins)
+    rounds = (len(csig.lattice.values) - 1) * k + 1
+    for i in range(rounds):
+        h = H if i == rounds - 1 else _Host(H)
         read = [h.cut(t, v)[0] for t, v in zip(cut, w)] + list(outs)
-        # in ``conn`` order, the order a graph of these tables derives
-        h.inv = dict(zip(h.conn.values(), h.conn))
         if _reduce(h, rules, max_steps)[1]:
             return UNPRODUCTIVE
         vals = read_value_word(h, csig, read)
@@ -510,13 +500,16 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
     ``gate NAME arity N: v ... -> v`` truth-table rows.  A second
     ``values:`` or ``bottom:`` line, a row given twice, a value or gate
     name that no term can spell, or a row over a name outside
-    ``values:``, is refused, naming its line.  So is a join table that
-    breaks a law, naming the first join row in the file that the failed
-    law reads, and a gate table that lacks a row or is not monotone, or
-    a gate named like a value, naming the gate's first row.
+    ``values:``, is refused, naming its line.  So is a value listed
+    twice or a bottom that is not a value, naming the declaration's
+    line, a join table that breaks a law, naming the first join row in
+    the file that the failed law reads, and a gate table that lacks a
+    row or is not monotone, or a gate named like a value, naming the
+    gate's first row.
     """
     decls: dict[str, str] = {}  # the values: and bottom: lines' bodies
-    first_line: dict[tuple[str, str] | str, int] = {}  # join row, gate
+    # join row, gate, or "values:" or "bottom:", which no gate name spells
+    first_line: dict[tuple[str, str] | str, int] = {}
     join_rows: dict[tuple[str, str], str] = {}
     gate_rows: dict[str, tuple[int, dict[tuple[str, ...], str]]] = {}
     used: list[tuple[int, str, tuple[str, ...]]] = []  # each row's values
@@ -531,7 +524,7 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             if head == "values":
                 for value in body.split():
                     _check_name(value, "value", lineno)
-            decls[head] = body
+            decls[head], first_line[head + ":"] = body, lineno
         elif line.startswith("join:"):
             body = line.split(":", 1)[1]
             try:

@@ -1027,9 +1027,10 @@ def smooth(H: LinearHypergraph) -> LinearHypergraph:
 class _Host:
     """A graph edited in place: the one splice (:meth:`plug`), the one
     split (:meth:`cut`), the graph :func:`~linhyp.interp.interpret`
-    builds, from :data:`EMPTY`, the open graph of each round of
-    :func:`~linhyp.circuits.evaluate`, and the host that the DPO steps
-    of :mod:`linhyp.rewrite` rewrite in place.
+    builds, from :data:`EMPTY`, the circuit that
+    :func:`~linhyp.circuits.evaluate` holds and each round's copy of
+    it, and the host that the DPO steps of :mod:`linhyp.rewrite`
+    rewrite in place.  ``_Host(G)`` copies a graph or a live host alike.
 
     It keeps current, under the graph's names, every derived table of a
     graph that the search reads of a host, so the search reads it live;
@@ -1048,8 +1049,9 @@ class _Host:
     ``by_label`` and ``edge_seq`` empty until :meth:`index` fills them.
     """
 
-    # the graph's, read off the host's tables
+    # the graph's, read off the host's tables, so ``_Host(host)`` copies it
     inputs, outputs = LinearHypergraph.inputs, LinearHypergraph.outputs
+    edges = property(lambda self: self.labels.keys())
 
     def __init__(self, G: LinearHypergraph) -> None:
         # every table is a mutable copy of the graph's, in stored order

@@ -15,7 +15,7 @@ Ends = list[int] | deque[int]
 
 def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     """The graph of a well-typed term: the host :func:`_build` makes,
-    frozen by :func:`_graph`.
+    frozen.
 
     Generators become single edges; identity, swap, composition, tensor
     and trace map to the corresponding graph operations.  Built in one
@@ -40,30 +40,20 @@ def interpret(t: Term, sig: Signature) -> LinearHypergraph:
     only the dictionary writes of its entries, with no helper call per
     generator or wire.  Ids are numbered from 0 in the order they are
     drawn, ``conn`` lists its entries in target order, and the host
-    hands its tables to the graph, the ``conn`` inverse rebuilt in
-    ``conn`` order.  The stored orders match the fold of the
-    :mod:`linhyp.ops` combinators over the leaves this builds: leaf
+    hands its tables to the graph.  The stored orders match the fold of
+    the :mod:`linhyp.ops` combinators over the leaves this builds: leaf
     vertices and edges in left-to-right leaf order, minus the spliced
     ones.  Dispatch is on the exact node class, as in
     :func:`linhyp.terms.type_of`.
     """
-    return _graph(_build(t, sig))
-
-
-def _graph(H: _Host) -> LinearHypergraph:
-    """The graph of a host :func:`_build` made, holding its tables: ``H``
-    frozen, its ``conn`` inverse rebuilt in ``conn`` order, the order the
-    graph would derive it."""
-    H.inv = dict(zip(H.conn.values(), H.conn))
-    return H.freeze()
+    return _build(t, sig).freeze()
 
 
 def _build(t: Term, sig: Signature) -> _Host:
     """The graph of a well-typed term as :func:`interpret` builds it, in
     its live :class:`~linhyp.graphs._Host`: every table in the graph's
-    stored order but ``inv``, which lists each wire as its splices left
-    it, and ``by_label`` and ``edge_seq``, which stay empty.  ``new_ids``
-    goes on from the last id drawn."""
+    stored order but ``by_label`` and ``edge_seq``, which stay empty.
+    ``new_ids`` goes on from the last id drawn."""
     H = _Host(EMPTY)
     targets, sources, left, right = H.targets, H.sources, H.left, H.right
     vtlabels, vslabels, conn, inv = H.vtlabels, H.vslabels, H.conn, H.inv

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 from .graphs import (IDENTITY_LABEL, INTERFACE, Found, Homomorphism,
                      LinearHypergraph, _Host, above, embeddings, expand,
-                     smooth)
+                     next_id, smooth)
 from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
@@ -655,8 +655,7 @@ def _reduce(host: _Host, rules: RuleSet,
     left, where a copy of the smoothed host would start them."""
     if IDENTITY_LABEL in host.by_label:
         host.smooth()
-        host.new_ids = count(1 + max((*host.targets, *host.sources,
-                                      *host.labels), default=-1))
+        host.new_ids = count(next_id(host))
     steps: list[Step] = []
     while True:
         for rule in rules.for_labels(host.by_label):

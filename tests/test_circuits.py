@@ -527,32 +527,79 @@ def count_host_copies(monkeypatch):
 
 def test_evaluate_copies_the_circuit_once_a_round_and_freezes_nothing(
         monkeypatch):
-    """From a loop-free term, ``evaluate`` makes the one host
-    ``interpret`` builds and reduces it in place: one host, no freeze.
-    A term with a feedback wire is frozen once, then copied into one
-    ``_Host`` a round, and a graph is copied once a round and never
-    frozen: no round freezes a graph or copies one twice.  A loop-free
-    chain takes one round, ``tr 1 (org ; fork)`` two and a three-rung
-    ladder three."""
-    csig = two_point_sig()
-    sig = csig.signature()
-    eval_rules(csig)  # compiling the rules builds and freezes graphs
+    """``evaluate`` makes one host of the circuit, the host ``interpret``
+    builds a term in or a copy of a graph, and cuts its m inputs there
+    once.  Each round but the last one the bound allows reduces a copy
+    of that host, and that last round the host itself, each cutting only
+    its k feedback wires: in n rounds, 1 + n hosts short of the bound
+    and n at it, and m + k * n cuts, from a term and from its graph
+    alike.  The host is frozen once, to be labelled, when it has a
+    feedback wire, and else never.  On two points a loop-free chain
+    takes its one round, ``tr 1 (org ; fork)`` two and a three-rung
+    ladder three, each the bound; over Belnap ``tr 1 (org ; fork)``
+    takes two of its four."""
+    import linhyp.graphs as graphs
+
+    two, four = two_point_sig(), belnap_sig()
+    loop = Trace(1, Seq(Gen("org"), Gen(FORK)))
+    # circuit, lattice, inputs, output word, rounds
+    cases = [(_amp_chain(5), two, ("top",), ("top",), 1),
+             (loop, two, ("top",), ("top",), 2),
+             (feedback_ladder(3), two, ("bot", "top"), ("top", "top"), 3),
+             (loop, four, ("tt",), ("tt",), 2)]
+    circuits = []
+    for circuit, csig, *_ in cases:
+        eval_rules(csig)  # compiling the rules builds and freezes graphs
+        G = interpret(circuit, csig.signature())
+        circuits.append((G, len(feedback_wires(G))))
     rounds = _count_rounds(monkeypatch)
-    cases = [(_amp_chain(5), ("top",), ("top",), 1),
-             (Trace(1, Seq(Gen("org"), Gen(FORK))), ("top",), ("top",), 2),
-             (feedback_ladder(3), ("bot", "top"), ("top", "top"), 3)]
-    graphs = [interpret(circuit, sig) for circuit, *_ in cases]
     made = count_host_copies(monkeypatch)
-    for (circuit, inputs, want, n), G in zip(cases, graphs):
-        term_made = {"hosts": 1, "freezes": 0} if n == 1 else \
-            {"hosts": 1 + n, "freezes": 1}
-        for given, want_made in ((circuit, term_made),
-                                 (G, {"hosts": n, "freezes": 0})):
-            del rounds[:]
+    cuts = []
+    real_cut = graphs._Host.cut
+    monkeypatch.setattr(graphs._Host, "cut", lambda self, w, label: (
+        cuts.append(w) or real_cut(self, w, label)))
+    at_bound = set()
+    for (circuit, csig, inputs, want, n), (G, k) in zip(cases, circuits):
+        bound = (len(csig.lattice.values) - 1) * k + 1
+        want_made = {"hosts": n if n == bound else 1 + n,
+                     "freezes": 1 if k else 0}
+        for given in (circuit, G):
+            del rounds[:], cuts[:]
             made.update(hosts=0, freezes=0)
             assert evaluate(given, inputs, csig) == want
             assert len(rounds) == n
             assert made == want_made
+            assert len(cuts) == len(inputs) + k * n
+        at_bound.add(n == bound)
+    assert at_bound == {False, True}
+
+
+def test_a_copy_of_a_live_host_is_the_copy_of_its_graph():
+    """``_Host(h)`` of a live host ``h`` has the tables of
+    ``_Host(h.freeze())``, in every stored order, ``by_label`` and
+    ``edge_seq`` included, and draws the same first new id: for the
+    host a term is built in, once indexed, and for a copy of its graph,
+    each with a value edge cut into every input wire and every feedback
+    wire, as ``evaluate`` cuts them."""
+    from linhyp.graphs import _Host
+
+    def tables(h):
+        return ({name: list(table.items()) if isinstance(table, dict)
+                 else table for name, table in vars(h).items()
+                 if name not in ("tick", "new_ids", "by_label")},
+                [(lab, list(es)) for lab, es in h.by_label.items()],
+                next(h.new_ids))
+
+    sig = two_point_sig().signature()
+    terms = [_amp_chain(3), Trace(1, Seq(Gen("org"), Gen(FORK))),
+             feedback_ladder(3), Tensor(Gen("top"), feedback_ladder(2))]
+    for t in terms:
+        built = _build(t, sig)
+        built.index()
+        for h in (built, _Host(interpret(t, sig))):
+            for w in feedback_wires(h) + list(h.inputs()):
+                h.cut(w, "top")
+            assert tables(_Host(h)) == tables(_Host(h.freeze()))
 
 
 def test_evaluate_graphs_with_identity_edges(rng):
@@ -594,10 +641,11 @@ def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
     """The open graph's port tables and ``conn`` inverse, built once from
     the circuit's, and its edge indexes, are those a fresh ``replace(G)``
     derives for the graph of each round's host as it reaches the rewrite
-    driver, entry for entry and in insertion order, on loop-free circuits,
-    whose one round reduces the host ``interpret`` builds, and on looped
-    circuits with one to three cut wires, their inputs as value edges;
-    an evaluation from a term derives no port table at all."""
+    driver, all but the ``conn`` inverse entry for entry and in insertion
+    order, on loop-free circuits, whose one round reduces the host
+    ``interpret`` builds, and on looped circuits with one to three cut
+    wires, their inputs as value edges; an evaluation from a term
+    derives no port table at all."""
     checked = []
     rounds = _count_rounds(monkeypatch, _indexed_copy)
     derived = []
@@ -617,7 +665,8 @@ def test_each_rounds_graph_gets_the_open_graphs_tables(monkeypatch, rng):
             assert rounds and derived == []
             for G, by_label, edge_seq in rounds:
                 fresh = replace(G)
-                assert tables_in_order(G) == tables_in_order(fresh)
+                assert tables_in_order(G)[:2] == tables_in_order(fresh)[:2]
+                assert G.inv == fresh.inv
                 assert list(by_label.items()) == list(fresh.by_label.items())
                 assert list(edge_seq.items()) == list(fresh.edge_seq.items())
             checked.append((x, len(rounds)))
@@ -894,7 +943,14 @@ def test_a_lattice_refuses_a_repeated_value():
     assert str(info.value) == "duplicate value 'a'"
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature("values: a a\nbottom: a\njoin: a a -> a\n")
-    assert str(info.value) == "duplicate value 'a'"
+    assert str(info.value) == "line 1: duplicate value 'a'"
+
+
+def test_a_lattice_refuses_a_bottom_outside_its_values():
+    with pytest.raises(LatticeError) as info:
+        ValueLattice(("a", "b"), "c", {
+            (x, y): max(x, y) for x in "ab" for y in "ab"})
+    assert str(info.value) == "bottom 'c' is not a value"
 
 
 def _outside(a, b):
@@ -980,14 +1036,27 @@ def test_a_circuit_signature_refuses_a_bad_gate(gates, error):
     # now rows x y (line 6), x x (7) and x o (8)
     (_lattice_text("oxy", _not_associative, reversed),
      "line 6: join not associative at (x, x, y)"),
+    ("# two a\nvalues: a a\nbottom: a\njoin: a a -> a\n",
+     "line 2: duplicate value 'a'"),
+    ("values: a\njoin: a a -> a\nbottom: c\n",
+     "line 3: bottom 'c' is not a value"),
+    # a gate may take a declaration's name, and its line is its own
+    ("gate values arity 1: a -> a\nvalues: a a\nbottom: a\n"
+     "join: a a -> a\n", "line 2: duplicate value 'a'"),
+    ("values: a\ngate bottom arity 1: a -> a\nbottom: b\n"
+     "join: a a -> a\n", "line 3: bottom 'b' is not a value"),
+    (_TWO_POINT_TEXT + "gate values arity 1: bot -> bot\n",
+     "line 9: gate values: bad row ('top',)"),
 ], ids=["arity-changed", "overlap", "missing-row", "monotone", "idempotent",
         "commutative", "commutative-reversed", "unit", "associative",
-        "associative-reversed"])
+        "associative-reversed", "duplicate-value", "bottom-not-a-value",
+        "gate-named-values", "gate-named-bottom", "gate-values-missing-row"])
 def test_each_lattice_file_error_fails_evaluate(text, error, tmp_path,
                                                  capsys):
     """Each error a lattice file can reach is raised by the parser and
     by ``linhyp evaluate``, which exits 1 on it, naming a line: a row's
-    error its row, a join law's the first join row in the file that the
+    error its row, a repeated value or a bottom outside the values its
+    declaration, a join law's the first join row in the file that the
     law reads, and a gate table's the gate's first row."""
     with pytest.raises(LatticeError) as info:
         parse_circuit_signature(text)

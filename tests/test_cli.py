@@ -270,7 +270,7 @@ def test_deeply_nested_graph_file_is_malformed(capsys, tmp_path, command):
     ("evaluate", None, LATTICE_TEXT + "bottom: top\n",
      "line 11: bottom: given twice"),
     ("evaluate", None, "values: bot bot\nbottom: bot\n",
-     "duplicate value 'bot'"),
+     "line 1: duplicate value 'bot'"),
 ])
 def test_bad_signature_or_lattice_file_exit_code(capsys, tmp_path, command,
                                                  sig_text, lattice_text,
