@@ -16,11 +16,13 @@ from .graphs import INTERFACE, LinearHypergraph, _Host, canonical_labelling
 from .interp import _build
 from .rewrite import RewriteRule, RuleSet, _reduce, rule_from_terms
 from .terms import (_RESERVED_NAMES, Gen, Id, Seq, Signature, Swap, Tensor,
-                    Term, _is_name, signature, tensor_all)
+                    Term, _check_name, _read_count, _read_lines,
+                    signature, tensor_all)
 
 FORK, JOIN, STUB, DELAY = "fork", "join", "stub", "delay"
 #: The wiring generators' names, which no value or gate may take.
 _WIRING_NAMES = frozenset({FORK, JOIN, STUB, DELAY})
+_RESERVED = _RESERVED_NAMES | _WIRING_NAMES  # names no value or gate may take
 
 
 class _Unproductive:
@@ -145,11 +147,12 @@ class CircuitSignature:
 
     def _check_monotone(self, gate: Gate) -> None:
         lat = self.lattice
-        rows = list(itertools.product(lat.values, repeat=gate.arity))
-        for row in rows:
+        # walked lazily: a table short of a row fails before all are built
+        for row in itertools.product(lat.values, repeat=gate.arity):
             if row not in gate.table or gate.table[row] not in lat.values:
                 raise LatticeError(f"gate {gate.name}: bad row {row}",
                                    (gate.name,))
+        rows = list(itertools.product(lat.values, repeat=gate.arity))
         known = set(rows)
         for row in gate.table:
             if row not in known:
@@ -480,19 +483,6 @@ def evaluate(circuit: Term | LinearHypergraph,
 # Lattice description files
 # ---------------------------------------------------------------------------
 
-def _check_name(name: str, kind: str, lineno: int) -> str:
-    """``name``, refused, naming its line, where a term cannot spell it
-    as a generator: not one name token, or a name the terms or the
-    wiring generators reserve."""
-    if not _is_name(name):
-        raise LatticeError(
-            f"line {lineno}: {name!r} is not a {kind} name (a letter or '_',"
-            " then letters, digits or '_')")
-    if name in _RESERVED_NAMES or name in _WIRING_NAMES:
-        raise LatticeError(f"line {lineno}: {kind} name {name!r} is reserved")
-    return name
-
-
 def parse_circuit_signature(text: str) -> CircuitSignature:
     """Parse a lattice/gate description.
 
@@ -508,65 +498,63 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
     gate's first row.
     """
     decls: dict[str, str] = {}  # the values: and bottom: lines' bodies
-    # join row, gate, or "values:" or "bottom:", which no gate name spells
-    first_line: dict[tuple[str, str] | str, int] = {}
     join_rows: dict[tuple[str, str], str] = {}
     gate_rows: dict[str, tuple[int, dict[tuple[str, ...], str]]] = {}
-    used: list[tuple[int, str, tuple[str, ...]]] = []  # each row's values
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("values:", "bottom:")):
-            head, body = line.split(":", 1)
+    # per line: its number, what it gives (a join row, a gate, or "values:"
+    # or "bottom:", which no gate name spells), and a row's values
+    read_at: list[tuple[int, tuple[str, str] | str, str, tuple[str, ...]]] = []
+
+    def read(lineno: int, line: str) -> None:
+        line = line.strip()
+        head, colon, body = line.partition(":")
+        if colon and head in ("values", "bottom"):
             if head in decls:
-                raise LatticeError(f"line {lineno}: {head}: given twice")
+                raise LatticeError(f"{head}: given twice")
             if head == "values":
                 for value in body.split():
-                    _check_name(value, "value", lineno)
-            decls[head], first_line[head + ":"] = body, lineno
-        elif line.startswith("join:"):
-            body = line.split(":", 1)[1]
+                    _check_name(value, "value", LatticeError, _RESERVED)
+            decls[head] = body
+            read_at.append((lineno, head + ":", "", ()))
+        elif colon and head == "join":
             try:
                 args, res = body.split("->")
                 a, b = args.split()
             except ValueError:
-                raise LatticeError(f"line {lineno}: bad join row")
+                raise LatticeError("bad join row")
             if (a, b) in join_rows:
-                raise LatticeError(f"line {lineno}: join {a} {b} given twice")
+                raise LatticeError(f"join {a} {b} given twice")
             join_rows[(a, b)] = res = res.strip()
-            first_line[(a, b)] = lineno
-            used.append((lineno, "join row", (a, b, res)))
-        elif line.startswith("gate "):
-            head, colon, body = line.partition(":")
+            read_at.append((lineno, (a, b), "join row", (a, b, res)))
+        elif head.startswith("gate "):
             parts = head.split()
             if (not colon or len(parts) != 4 or parts[2] != "arity"
                     or not parts[3].isdecimal()):
-                raise LatticeError(
-                    f"line {lineno}: expected 'gate NAME arity N: row'")
-            name, arity = _check_name(parts[1], "gate", lineno), int(parts[3])
+                raise LatticeError("expected 'gate NAME arity N: row'")
+            name = _check_name(parts[1], "gate", LatticeError, _RESERVED)
+            arity = _read_count(parts[3], LatticeError)
             try:
                 args, res = body.split("->")
                 row = tuple(args.split())
             except ValueError:
-                raise LatticeError(f"line {lineno}: bad gate row")
+                raise LatticeError("bad gate row")
             if len(row) != arity:
-                raise LatticeError(f"line {lineno}: row arity mismatch")
+                raise LatticeError("row arity mismatch")
             known, table = gate_rows.setdefault(name, (arity, {}))
             if known != arity:
-                raise LatticeError(f"line {lineno}: gate {name} arity changed")
+                raise LatticeError(f"gate {name} arity changed")
             if row in table:
-                raise LatticeError(f"line {lineno}: gate {name} row"
-                                   f" {' '.join(row)} given twice")
+                raise LatticeError(f"gate {name} row {' '.join(row)} given"
+                                   " twice")
             table[row] = res = res.strip()
-            first_line.setdefault(name, lineno)
-            used.append((lineno, f"gate {name} row", (*row, res)))
+            read_at.append((lineno, name, f"gate {name} row", (*row, res)))
         else:
-            raise LatticeError(f"line {lineno}: unrecognised line {line!r}")
+            raise LatticeError(f"unrecognised line {line!r}")
+
+    _read_lines(text, read, LatticeError)
     values, bottom = decls.get("values", "").split(), decls.get("bottom")
     if not values or bottom is None:
         raise LatticeError("missing values: or bottom: declaration")
-    for lineno, what, row in used:
+    for lineno, _, what, row in read_at:
         for value in row:
             if value not in values:
                 raise LatticeError(f"line {lineno}: {what} uses {value!r},"
@@ -577,7 +565,7 @@ def parse_circuit_signature(text: str) -> CircuitSignature:
             name: Gate(name, arity, table)
             for name, (arity, table) in gate_rows.items()})
     except LatticeError as exc:
-        lines = [first_line[r] for r in exc.reads if r in first_line]
+        lines = [n for n, given, _, _ in read_at if given in exc.reads]
         if not lines:
             raise
         raise LatticeError(f"line {min(lines)}: {exc}") from None

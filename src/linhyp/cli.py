@@ -1,8 +1,9 @@
 """Command-line workbench.
 
 Exit codes: 0 success, 1 malformed input (graph file, rule, signature,
-lattice, edge order, negative step budget), failed axiom check or internal
-error, 2 parse error, 3 type error, 4 budget exhausted.
+lattice, edge order, negative step budget), an unreadable input file, failed
+axiom check or internal error, 2 parse error, 3 type error, 4 budget
+exhausted.
 """
 from __future__ import annotations
 
@@ -28,7 +29,10 @@ EXIT_OK, EXIT_PARSE, EXIT_TYPE, EXIT_BUDGET = 0, 2, 3, 4
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
 def _load_sig(path: str | None) -> Signature:

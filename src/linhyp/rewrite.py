@@ -32,7 +32,7 @@ from .interp import interpret
 from .ops import identity as identity_graph
 from .serialize import save_graph
 from .terms import (ParseError, Signature, Term, TypeMismatch, _is_name,
-                    parse_term, type_of)
+                    _read_lines, parse_term, type_of)
 
 
 class RewriteError(Exception):
@@ -164,33 +164,28 @@ def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
     Errors name their line and keep their class; a parse error gives
     its position in the line as written."""
     rules: dict[str, RewriteRule] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
+
+    def read(_: int, line: str) -> None:
         try:
             name_part, rest = line.split(":", 1)
             lhs_part, rhs_part = rest.split("=>", 1)
         except ValueError:
-            raise RewriteError(f"line {lineno}: expected 'name : lhs => rhs'")
+            raise RewriteError("expected 'name : lhs => rhs'")
         name = name_part.strip()
         if not all(map(_is_name, name.split("-"))):
-            raise RewriteError(
-                f"line {lineno}: {name!r} is not a rule name (names made of"
-                " letters, digits and '_', joined by '-')")
+            raise RewriteError(f"{name!r} is not a rule name (names made of"
+                               " letters, digits and '_', joined by '-')")
         if name in rules:
-            raise RewriteError(f"line {lineno}: duplicate rule name {name!r}")
+            raise RewriteError(f"duplicate rule name {name!r}")
         # each side is parsed where it stands in the line, blanks before
         # it, so that a parse error gives its position in the line
         at = len(name_part) + 1
-        try:
-            lhs = parse_term(" " * at + lhs_part.rstrip(), sig)
-            at += len(lhs_part) + len("=>")
-            rhs = parse_term(" " * at + rhs_part.rstrip(), sig)
-            rules[name] = rule_from_terms(lhs, rhs, sig, name)
-        except (ParseError, TypeMismatch) as exc:
-            exc.args = (f"line {lineno}: {exc}",)
-            raise
+        lhs = parse_term(" " * at + lhs_part.rstrip(), sig)
+        at += len(lhs_part) + len("=>")
+        rhs = parse_term(" " * at + rhs_part.rstrip(), sig)
+        rules[name] = rule_from_terms(lhs, rhs, sig, name)
+
+    _read_lines(text, read, (RewriteError, ParseError, TypeMismatch))
     return list(rules.values())
 
 

@@ -8,7 +8,7 @@ code path.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -18,6 +18,9 @@ Word = tuple[str, ...]
 #: Object label used for unlabelled wires.  Reserved: user signatures may
 #: not declare it as an object.
 ANON = "_"
+
+#: The largest wire count or gate arity a text input may give.
+MAX_COUNT = 1_000_000
 
 
 def word(n: int) -> Word:
@@ -408,7 +411,7 @@ class _Parser:
     def word(self) -> Word:
         tok = self._next()
         if tok[0] == "nat":
-            return word(int(tok[1]))
+            return word(_read_count(tok[1], ParseError, tok[2]))
         if tok[1] == "[":
             labels: list[str] = []
             nxt = self._peek()
@@ -507,29 +510,51 @@ def render_term(t: Term) -> str:
 def parse_signature(text: str) -> Signature:
     """Signature file: one ``name : WORD -> WORD`` line per generator."""
     gens: dict[str, tuple[Word, Word]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def read(_: int, line: str) -> None:
         try:
             name_part, arrow_part = line.split(":", 1)
             dom_part, cod_part = arrow_part.split("->", 1)
         except ValueError:
-            raise SignatureError(f"line {lineno}: expected 'name : WORD -> WORD'")
-        name = name_part.strip()
-        if not _is_name(name):
-            raise SignatureError(
-                f"line {lineno}: {name!r} is not a generator name (a letter"
-                " or '_', then letters, digits or '_')")
-        if name in _RESERVED_NAMES:
-            raise SignatureError(
-                f"line {lineno}: generator name {name!r} is reserved")
+            raise SignatureError("expected 'name : WORD -> WORD'")
+        name = _check_name(name_part.strip(), "generator", SignatureError,
+                           _RESERVED_NAMES)
         if name in gens:
-            raise SignatureError(f"line {lineno}: duplicate generator name {name!r}")
-        gens[name] = (_parse_word(dom_part.strip(), lineno),
-                      _parse_word(cod_part.strip(), lineno))
+            raise SignatureError(f"duplicate generator name {name!r}")
+        gens[name] = (_parse_word(dom_part.strip()),
+                      _parse_word(cod_part.strip()))
+
+    _read_lines(text, read, SignatureError)
     return Signature(gens, frozenset(
         {lab for d, c in gens.values() for lab in (*d, *c)} | {ANON}))
+
+
+def _read_lines(text: str, read: Callable[[int, str], None],
+                errors: type[Exception] | tuple[type[Exception], ...]) -> None:
+    """The line format of signature, rule and lattice files: ``read(N,
+    line)`` for each line N of ``text``, from 1, with its ``#`` comment
+    cut, unless it is then blank.  An error of a class in ``errors`` from
+    ``read`` keeps its class, its message now starting ``line N:``."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        if line and not line.isspace():
+            try:
+                read(lineno, line)
+            except errors as exc:
+                exc.args = (f"line {lineno}: {exc}",)
+                raise
+
+
+def _check_name(name: str, kind: str, error: type[Exception],
+                reserved: frozenset[str]) -> str:
+    """``name``, refused with ``error`` where a term cannot spell it as a
+    generator: not one name token, or one of ``reserved``."""
+    if not _is_name(name):
+        raise error(f"{name!r} is not a {kind} name (a letter or '_', then"
+                    " letters, digits or '_')")
+    if name in reserved:
+        raise error(f"{kind} name {name!r} is reserved")
+    return name
 
 
 def _is_name(text: str) -> bool:
@@ -539,16 +564,27 @@ def _is_name(text: str) -> bool:
             and text.replace("_", "a").isalnum())
 
 
-def _parse_word(text: str, lineno: int) -> Word:
+def _read_count(digits: str, error: type[Exception], *args: object) -> int:
+    """The count ``digits``, decimal digits, spell, refused with
+    ``error(message, *args)`` over :data:`MAX_COUNT`."""
+    if len(digits) < 7:  # at most 999,999
+        return int(digits)
+    n = digits.lstrip("0") or "0"  # int() refuses more than 4300 digits
+    if len(n) > 7 or int(n) > MAX_COUNT:
+        raise error(f"count {digits} is over the maximum, {MAX_COUNT}", *args)
+    return int(n)
+
+
+def _parse_word(text: str) -> Word:
     """A signature file's WORD, read by the term grammar's own reader; a
     wire count, one ``nat`` token, is read without building the reader,
     which would double the time to read a signature of wire counts."""
     if text.isdecimal():
-        return word(int(text))
+        return word(_read_count(text, SignatureError))
     try:
         parser = _Parser(text)
         w = parser.word()
         parser.finish()
     except ParseError:
-        raise SignatureError(f"line {lineno}: bad word {text!r}") from None
+        raise SignatureError(f"bad word {text!r}") from None
     return w

@@ -1190,3 +1190,26 @@ def test_eval_rules_compile_only_the_rules_they_keep(monkeypatch, make_sig,
     assert axioms == {f"delay-{g}" for g, _ in gates} | {
         "-".join(("stream", g, *row)) for g, n in gates
         for row in itertools.product(csig.lattice.values, repeat=n)}
+
+
+def test_a_short_gate_table_of_arity_40_is_refused_at_its_first_gap():
+    """A gate table that lacks a row is refused at the first row it
+    lacks, before all |values| ** arity rows are built: 2 ** 40 here.
+    CI runs this under an address-space limit, where building them
+    fails with MemoryError."""
+    text = _TWO_POINT_TEXT.replace("gate amp arity 1: bot -> bot\n", "")
+    text = text.replace("gate amp arity 1: top -> top\n",
+                        "gate g arity 40: " + "bot " * 40 + "-> bot\n")
+    with pytest.raises(LatticeError) as info:
+        parse_circuit_signature(text)
+    row = ("bot",) * 39 + ("top",)
+    assert str(info.value) == f"line 7: gate g: bad row {row}"
+
+
+def test_a_gate_arity_over_the_maximum_count_is_refused():
+    for arity in ("1000001", "99999999999999999999"):
+        with pytest.raises(LatticeError) as info:
+            parse_circuit_signature(
+                _TWO_POINT_TEXT + f"gate g arity {arity}: bot -> bot\n")
+        assert str(info.value) == (f"line 9: count {arity} is over the"
+                                   " maximum, 1000000")

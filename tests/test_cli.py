@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linhyp
 from linhyp import (ParseError, RewriteError, TypeMismatch, extract_term,
@@ -299,6 +300,76 @@ def test_signature_name_the_grammar_cannot_spell_exit_code(capsys, tmp_path,
     assert code == 1 and out == ""
     assert err == (f"error: line 2: {name!r} is not a generator name (a"
                    " letter or '_', then letters, digits or '_')\n")
+
+
+_FILE_ARGS = {"interpret": ["example.term", "--sig", "circuit.sig"],
+              "rewrite": ["host.json", "--rules", "rules.txt", "--sig",
+                          "circuit.sig"],
+              "evaluate": ["top.term", "--lattice", "two.lattice"]}
+
+
+@pytest.mark.parametrize("command,slot", [
+    ("interpret", 0), ("interpret", 2), ("rewrite", 0), ("rewrite", 2),
+    ("rewrite", 4), ("evaluate", 0), ("evaluate", 2)])
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_an_unreadable_input_file_exits_1(files, capsys, command, slot, bad):
+    """A file argument that cannot be read, absent or a directory, is
+    refused with its path and the system's reason, not a traceback."""
+    sig = parse_signature(SIG_TEXT)
+    (files / "host.json").write_text(save_graph(interpret(
+        parse_term("f ; f", sig), sig)))
+    (files / "rules.txt").write_text("squash : f ; f => f\n")
+    (files / "top.term").write_text("top")
+    argv = [a if a.startswith("--") else str(files / a)
+            for a in _FILE_ARGS[command]]
+    assert run(capsys, command, *argv)[0] == 0
+    path, errno_ = ((files / "gone", errno.ENOENT) if bad == "missing"
+                    else (files, errno.EISDIR))
+    argv[slot] = str(path)
+    assert run(capsys, command, *argv) == (
+        1, "", f"error: cannot read {str(path)!r}: {os.strerror(errno_)}\n")
+
+
+_BIG = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command,sig_text,term,rules,code,err", [
+    ("interpret", f"f : {_BIG} -> 1\n", "f", None, 1,
+     f"error: line 1: count {_BIG} is over the maximum, 1000000\n"),
+    ("interpret", SIG_TEXT, f"id {_BIG}", None, 2,
+     f"parse error: count {_BIG} is over the maximum, 1000000"
+     " (at position 3)\n"),
+    ("interpret", SIG_TEXT, "id 1000001", None, 2,
+     "parse error: count 1000001 is over the maximum, 1000000"
+     " (at position 3)\n"),
+    ("evaluate", None, f"id {_BIG}", None, 2,
+     f"parse error: count {_BIG} is over the maximum, 1000000"
+     " (at position 3)\n"),
+    ("rewrite", SIG_TEXT, None, f"ok : f => f\nbig : id {_BIG} => id 1\n", 2,
+     f"parse error: line 2: count {_BIG} is over the maximum, 1000000"
+     " (at position 9)\n"),
+], ids=["signature", "interpret-term", "interpret-max-plus-one",
+        "evaluate-term", "rule"])
+def test_a_count_over_the_maximum_is_refused(files, capsys, command,
+                                             sig_text, term, rules, code,
+                                             err):
+    """A wire count over 1,000,000 in a signature, term or rule file is
+    refused with the exit code of its file's errors, naming its line or
+    position; one too long for an index was an OverflowError."""
+    if sig_text is not None:
+        (files / "c.sig").write_text(sig_text)
+    (files / "c.term").write_text(term or "f")
+    sig = parse_signature(SIG_TEXT)
+    (files / "host.json").write_text(save_graph(interpret(Gen("f"), sig)))
+    (files / "rules.txt").write_text(rules or "")
+    argv = {"interpret": [str(files / "c.term"), "--sig",
+                          str(files / "c.sig")],
+            "rewrite": [str(files / "host.json"), "--rules",
+                        str(files / "rules.txt"), "--sig",
+                        str(files / "c.sig")],
+            "evaluate": [str(files / "c.term"), "--lattice",
+                         str(files / "two.lattice")]}[command]
+    assert run(capsys, command, *argv) == (code, "", err)
 
 
 def test_extract_rejects_bad_order_entries(files, capsys, tmp_path):
@@ -665,6 +736,86 @@ def test_mutated_input_files_give_documented_exit_codes(
     else:
         assert code in (0, 4)
         assert all(line.startswith("step ") for line in lines[:-1])
+
+
+# Mutated signature, term, rule, lattice, graph and --order inputs, one
+# at a time among valid ones, through ``main``: each exits 0-4 without a
+# traceback, and a signature, rule or lattice file that its parser
+# refuses is refused naming a line, unless the error is the whole file's
+
+_TERM_TEXT = "tr 1 (join * f ; swap 1 1 ; copy * id 1)"
+_CIRCUIT_TEXT = "tr 1 (org ; fork) * top ; org"
+_SIG = parse_signature(SIG_TEXT)
+_HOST = interpret(parse_term("f ; f ; copy ; join", _SIG), _SIG)
+_VALID = {"sig": SIG_TEXT, "term": _TERM_TEXT, "rules": RULES_TEXT,
+          "lattice": LATTICE_TEXT, "circuit": _CIRCUIT_TEXT,
+          "graph": save_graph(_HOST),
+          "order": ",".join(map(str, _HOST.edges))}
+_WHOLE_FILE = re.compile(
+    r"missing values: or bottom: declaration|join undefined on ")
+
+
+@st.composite
+def _fuzzed(draw) -> tuple[str, str]:
+    """A kind of input and its valid text, mutated, maybe with a count
+    of up to 999 inserted; each run of digits is cut to three, so that
+    no count reaches 1000."""
+    kind = draw(st.sampled_from(sorted(_VALID)))
+    text = draw(_mutated(_VALID[kind]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + str(draw(st.integers(0, 999))) + text[i:]
+    return kind, re.sub(r"\d{4,}", lambda m: m[0][:3], text)
+
+
+def _refusal(kind: str, text: str) -> str | None:
+    """The message the parser of ``kind``'s file refuses ``text`` with,
+    or None."""
+    try:
+        if kind == "sig":
+            parse_signature(text)
+        elif kind == "rules":
+            parse_rules(text, _SIG)
+        elif kind == "lattice":
+            parse_circuit_signature(text)
+    except (SignatureError, RewriteError, ParseError, TypeMismatch,
+            LatticeError) as exc:
+        return str(exc)
+    return None
+
+
+@given(_fuzzed())
+@example(("sig", f"f : {_BIG} -> 1\n"))
+@example(("term", f"id {_BIG}"))
+@example(("circuit", f"id {_BIG}"))
+@example(("rules", f"big : id {_BIG} => id 1\n"))
+@example(("term", "id 1000001"))
+@example(("lattice", LATTICE_TEXT + f"gate g arity {_BIG}: bot -> bot\n"))
+@settings(max_examples=120, deadline=None)
+def test_mutated_inputs_exit_0_to_4_and_file_errors_name_a_line(
+        tmp_path_factory, case):
+    kind, text = case
+    d = tmp_path_factory.mktemp("fuzzed")
+    paths = {k: d / k for k in _VALID}
+    for k, path in paths.items():
+        path.write_text(text if k == kind else _VALID[k])
+    interpret_ = ["interpret", paths["term"], "--sig", paths["sig"]]
+    evaluate_ = ["evaluate", paths["circuit"], "--lattice", paths["lattice"],
+                 "--inputs", "bot", "--steps", "200"]
+    argv = {"sig": interpret_, "term": interpret_, "lattice": evaluate_,
+            "circuit": evaluate_,
+            "rules": ["rewrite", paths["graph"], "--rules", paths["rules"],
+                      "--sig", paths["sig"], "--steps", "20"],
+            "graph": ["extract", paths["graph"]],
+            "order": ["extract", paths["graph"], f"--order={text}"]}[kind]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (0, 1, 2, 3, 4)
+    refusal = _refusal(kind, text)
+    if refusal is not None:
+        assert re.match(r"line \d+: ", refusal) or _WHOLE_FILE.match(refusal)
+        assert err.getvalue() == f"{_PREFIX[code]}{refusal}\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -10,7 +10,7 @@ from linhyp.cli import main
 from linhyp.interp import equal_mod_stmc, interpret
 from linhyp.graphs import find_isomorphism
 from linhyp.laws import law_signature, random_term
-from linhyp.terms import SignatureError
+from linhyp.terms import MAX_COUNT, SignatureError
 from oracles import global_trace_form, is_trace_free, stage
 
 SIG = law_signature()
@@ -51,6 +51,25 @@ def test_parse_reads_only_decimal_digits_as_numbers(sig):
         parse_term("id ²", sig)
     assert str(err.value) == "unexpected character '²' (at position 3)"
     assert parse_term("id ٣", sig) == Id(word(3))  # a decimal digit
+
+
+def test_a_count_is_read_up_to_its_maximum(sig):
+    """A wire count is at most ``MAX_COUNT``; a larger one, also one too
+    long for ``int``, is refused where it stands, and leading zeros do
+    not count against it."""
+    assert MAX_COUNT == 1_000_000
+    assert type_of(parse_term("id 1000000", sig), sig)[0] == word(MAX_COUNT)
+    for zeros in ("0" * 8, "0" * 5000):
+        assert parse_term(f"id {zeros}3", sig) == Id(word(3))
+    for digits in ("1000001", "99999999999999999999", "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse_term(f"id {digits}", sig)
+        assert str(err.value) == (f"count {digits} is over the maximum,"
+                                  " 1000000 (at position 3)")
+    with pytest.raises(SignatureError) as info:
+        parse_signature("f : 1 -> 1\ng : 1000001 -> 1\n")
+    assert str(info.value) == ("line 2: count 1000001 is over the maximum,"
+                               " 1000000")
 
 
 def test_parse_unknown_generator(sig):
