@@ -158,13 +158,21 @@ class CircuitSignature:
             if row not in known:
                 raise LatticeError(f"gate {gate.name}: row {row} is not a"
                                    " row of values", (gate.name,))
-        for lo, hi in itertools.product(rows, rows):
-            if all(lat.leq(a, b) for a, b in zip(lo, hi)):
-                if not lat.leq(gate.table[lo], gate.table[hi]):
-                    raise LatticeError(
-                        f"gate {gate.name} is not monotone: {lo} -> "
-                        f"{gate.table[lo]} but {hi} -> {gate.table[hi]}",
-                        (gate.name,))
+        # the steps that raise one position to a value covering it generate
+        # the product order, so a table monotone along each is monotone
+        covers = {a: [b for b in lat.values if a != b and lat.leq(a, b)
+                      and not any(c not in (a, b) and lat.leq(a, c)
+                                  and lat.leq(c, b) for c in lat.values)]
+                  for a in lat.values}
+        for lo in rows:
+            for i, a in enumerate(lo):
+                for b in covers[a]:
+                    hi = (*lo[:i], b, *lo[i + 1:])
+                    if not lat.leq(gate.table[lo], gate.table[hi]):
+                        raise LatticeError(
+                            f"gate {gate.name} is not monotone: {lo} -> "
+                            f"{gate.table[lo]} but {hi} -> {gate.table[hi]}",
+                            (gate.name,))
 
     def signature(self) -> Signature:
         """The term signature of the circuits: values, gates and the
@@ -182,8 +190,7 @@ class CircuitSignature:
     def _eval_rules(self) -> RuleSet:
         # compiled on first use, not at parse time: a parsed signature
         # that never evaluates pays nothing
-        return RuleSet(_circuit_rules(self, axioms=False)
-                       + _cartesian_rules(self, units=False))
+        return RuleSet(_value_rules(self))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +241,6 @@ def cartesian_rules(csig: CircuitSignature) -> list[RewriteRule]:
     Naturality is instantiated per generator of the circuit signature
     (gates, join, delay); the bookkeeping rows are single instances.
     """
-    return _cartesian_rules(csig, units=True)
-
-
-def _cartesian_rules(csig: CircuitSignature,
-                     units: bool) -> list[RewriteRule]:
-    """:func:`cartesian_rules`, less ``copy-unit`` and ``del-unit``
-    unless ``units``: their left side is empty."""
     sig = csig.signature()
     rules: list[RewriteRule] = []
     natural = [(g.name, g.arity) for g in csig.gates.values()]
@@ -264,14 +264,12 @@ def _cartesian_rules(csig: CircuitSignature,
         Seq(Gen(FORK), Tensor(Id(1), Gen(STUB))), Id(1), sig, "counit-r"))
     rules.append(rule_from_terms(
         Seq(Gen(FORK), Swap(1, 1)), Gen(FORK), sig, "cocomm"))
-    if units:
-        rules.append(rule_from_terms(Id(0), Id(0), sig, "copy-unit"))
+    rules.append(rule_from_terms(Id(0), Id(0), sig, "copy-unit"))
     rules.append(rule_from_terms(
         Seq(copy_term(2), Tensor(Tensor(Id(1), Swap(1, 1)), Id(1))),
         Tensor(Gen(FORK), Gen(FORK)),
         sig, "copy-coherence"))
-    if units:
-        rules.append(rule_from_terms(Id(0), Id(0), sig, "del-unit"))
+    rules.append(rule_from_terms(Id(0), Id(0), sig, "del-unit"))
     rules.append(rule_from_terms(
         delete_term(2), Tensor(Gen(STUB), Gen(STUB)), sig, "del-coherence"))
     return rules
@@ -279,14 +277,28 @@ def _cartesian_rules(csig: CircuitSignature,
 
 def circuit_rules(csig: CircuitSignature) -> list[RewriteRule]:
     """Value, gate, delay and garbage-collection rules, one instance per
-    value combination."""
-    return _circuit_rules(csig, axioms=True)
+    value combination: the rules of :func:`eval_rules`, then each gate's
+    delay commutation and streaming instances."""
+    sig = csig.signature()
+    rules = list(eval_rules(csig))
+    for gate in csig.gates.values():
+        delays = tensor_all([Gen(DELAY)] * gate.arity)
+        rules.append(rule_from_terms(
+            Seq(delays, Gen(gate.name)), Seq(Gen(gate.name), Gen(DELAY)),
+            sig, f"delay-{gate.name}"))
+        for row in itertools.product(csig.lattice.values, repeat=gate.arity):
+            lhs = Seq(Seq(Tensor(delays, value_row(row)),
+                          merge_term(gate.arity)), Gen(gate.name))
+            rhs = Seq(Tensor(Seq(delays, Gen(gate.name)),
+                             Seq(value_row(row), Gen(gate.name))),
+                      Gen(JOIN))
+            rules.append(rule_from_terms(
+                lhs, rhs, sig, f"stream-{gate.name}-" + "-".join(row)))
+    return rules
 
 
-def _circuit_rules(csig: CircuitSignature,
-                   axioms: bool) -> list[RewriteRule]:
-    """:func:`circuit_rules`, less the delay-gate commutations and the
-    streaming instances unless ``axioms``."""
+def _value_rules(csig: CircuitSignature) -> list[RewriteRule]:
+    """The rules of :func:`eval_rules`, in their order."""
     sig = csig.signature()
     lat = csig.lattice
     rules: list[RewriteRule] = []
@@ -311,19 +323,6 @@ def _circuit_rules(csig: CircuitSignature,
     rules.append(rule_from_terms(
         Seq(Gen(DELAY), Gen(STUB)), Gen(STUB), sig, "delay-stub"))
     for gate in csig.gates.values():
-        if axioms:
-            delays = tensor_all([Gen(DELAY)] * gate.arity)
-            rules.append(rule_from_terms(
-                Seq(delays, Gen(gate.name)), Seq(Gen(gate.name), Gen(DELAY)),
-                sig, f"delay-{gate.name}"))
-            for row in itertools.product(lat.values, repeat=gate.arity):
-                lhs = Seq(Seq(Tensor(delays, value_row(row)),
-                              merge_term(gate.arity)), Gen(gate.name))
-                rhs = Seq(Tensor(Seq(delays, Gen(gate.name)),
-                                 Seq(value_row(row), Gen(gate.name))),
-                          Gen(JOIN))
-                rules.append(rule_from_terms(
-                    lhs, rhs, sig, f"stream-{gate.name}-" + "-".join(row)))
         rules.append(rule_from_terms(
             Seq(Gen(gate.name), Gen(STUB)), delete_term(gate.arity),
             sig, f"gc-{gate.name}"))
@@ -334,14 +333,18 @@ def _circuit_rules(csig: CircuitSignature,
 
 
 def eval_rules(csig: CircuitSignature) -> RuleSet:
-    """The value-pushing subset used by the evaluator, ordered so value
-    reduction always wins over structural rules.
+    """The rules the evaluator runs, in order: values through forks,
+    joins, stubs and gate rows, ``delay-bot``, ``delay-stub``, and the
+    garbage collection of a stubbed gate or join.
 
-    Streaming and delay-gate commutation instances are axiom-level
-    equalities, not reduction steps, so they stay out; rules with an
-    empty left side match vacuously and stay out too.  Neither is
-    compiled.  The rules are compiled on the first call for ``csig`` and
-    kept on it as one :class:`~linhyp.rewrite.RuleSet`, a tuple.
+    Each removes an operation edge (fork, join, delay, gate) or a stub,
+    so each lowers W, the sum over the operation edges of one plus their
+    inputs, plus the stubs: a round of :func:`evaluate` takes at most W
+    steps, W counted on the circuit.  The Cartesian rules and the delay
+    and streaming axioms (:func:`circuit_rules`) push no value and stay
+    for ``normalize`` and ``rewrite``.  The rules are compiled on the
+    first call for ``csig`` and kept on it as one
+    :class:`~linhyp.rewrite.RuleSet`, a tuple.
     """
     return csig._eval_rules
 

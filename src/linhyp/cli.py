@@ -1,9 +1,9 @@
 """Command-line workbench.
 
 Exit codes: 0 success, 1 malformed input (graph file, rule, signature,
-lattice, edge order, negative step budget), an unreadable input file, failed
-axiom check or internal error, 2 parse error, 3 type error, 4 budget
-exhausted.
+lattice, edge order, negative step budget), an unreadable input file, an
+unwritable ``--dot`` file, failed axiom check or internal error, 2 parse
+error, 3 type error, 4 budget exhausted.
 """
 from __future__ import annotations
 
@@ -35,6 +35,13 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _load_sig(path: str | None) -> Signature:
     if path is None:
         raise ParseError("a --sig file is required", 0)
@@ -51,9 +58,9 @@ def cmd_interpret(args) -> int:
         for line in report:
             print("  " + line, file=sys.stderr)
         return 1
-    sys.stdout.write(save_graph(H, canonicalize=not args.raw_ids))
     if args.dot:
-        Path(args.dot).write_text(to_dot(H))
+        _write(args.dot, to_dot(H))
+    sys.stdout.write(save_graph(H, canonicalize=not args.raw_ids))
     return EXIT_OK
 
 
@@ -112,13 +119,13 @@ def cmd_rewrite(args) -> int:
         result = NormalizeResult(nfs[0] if nfs else H, [], exhausted)
     else:
         result = normalize(H, rules, max_steps=args.steps)
+    if args.dot:
+        _write(args.dot, to_dot(result.graph))
     for step in result.steps:
         print(step, file=sys.stderr)
     if result.exhausted:
         print(f"step budget ({args.steps}) exhausted", file=sys.stderr)
     sys.stdout.write(save_graph(result.graph, canonicalize=not args.raw_ids))
-    if args.dot:
-        Path(args.dot).write_text(to_dot(result.graph))
     return EXIT_BUDGET if result.exhausted else EXIT_OK
 
 

@@ -308,6 +308,18 @@ _FILE_ARGS = {"interpret": ["example.term", "--sig", "circuit.sig"],
               "evaluate": ["top.term", "--lattice", "two.lattice"]}
 
 
+def _file_argv(files, command):
+    """The arguments of ``command`` in ``_FILE_ARGS``, each file a path in
+    ``files``, where the files are written."""
+    sig = parse_signature(SIG_TEXT)
+    (files / "host.json").write_text(save_graph(interpret(
+        parse_term("f ; f", sig), sig)))
+    (files / "rules.txt").write_text("squash : f ; f => f\n")
+    (files / "top.term").write_text("top")
+    return [a if a.startswith("--") else str(files / a)
+            for a in _FILE_ARGS[command]]
+
+
 @pytest.mark.parametrize("command,slot", [
     ("interpret", 0), ("interpret", 2), ("rewrite", 0), ("rewrite", 2),
     ("rewrite", 4), ("evaluate", 0), ("evaluate", 2)])
@@ -315,19 +327,26 @@ _FILE_ARGS = {"interpret": ["example.term", "--sig", "circuit.sig"],
 def test_an_unreadable_input_file_exits_1(files, capsys, command, slot, bad):
     """A file argument that cannot be read, absent or a directory, is
     refused with its path and the system's reason, not a traceback."""
-    sig = parse_signature(SIG_TEXT)
-    (files / "host.json").write_text(save_graph(interpret(
-        parse_term("f ; f", sig), sig)))
-    (files / "rules.txt").write_text("squash : f ; f => f\n")
-    (files / "top.term").write_text("top")
-    argv = [a if a.startswith("--") else str(files / a)
-            for a in _FILE_ARGS[command]]
+    argv = _file_argv(files, command)
     assert run(capsys, command, *argv)[0] == 0
     path, errno_ = ((files / "gone", errno.ENOENT) if bad == "missing"
                     else (files, errno.EISDIR))
     argv[slot] = str(path)
     assert run(capsys, command, *argv) == (
         1, "", f"error: cannot read {str(path)!r}: {os.strerror(errno_)}\n")
+
+
+@pytest.mark.parametrize("command", ["interpret", "rewrite"])
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_an_unwritable_dot_file_exits_1(files, capsys, command, bad):
+    """A ``--dot`` path that cannot be written, in a missing directory or
+    a directory itself, is refused with its path and the system's reason,
+    before anything else is written, not with a traceback."""
+    argv = _file_argv(files, command)
+    path, errno_ = ((files / "gone" / "g.dot", errno.ENOENT)
+                    if bad == "missing" else (files, errno.EISDIR))
+    assert run(capsys, command, *argv, "--dot", str(path)) == (
+        1, "", f"error: cannot write {str(path)!r}: {os.strerror(errno_)}\n")
 
 
 _BIG = "99999999999999999999"
