@@ -158,17 +158,14 @@ class CircuitSignature:
             if row not in known:
                 raise LatticeError(f"gate {gate.name}: row {row} is not a"
                                    " row of values", (gate.name,))
-        # the steps that raise one position to a value covering it generate
-        # the product order, so a table monotone along each is monotone
-        covers = {a: [b for b in lat.values if a != b and lat.leq(a, b)
-                      and not any(c not in (a, b) and lat.leq(a, c)
-                                  and lat.leq(c, b) for c in lat.values)]
-                  for a in lat.values}
+        # the steps that raise one position generate the product order,
+        # so a table monotone along each is monotone
         for lo in rows:
             for i, a in enumerate(lo):
-                for b in covers[a]:
+                for b in lat.values:
                     hi = (*lo[:i], b, *lo[i + 1:])
-                    if not lat.leq(gate.table[lo], gate.table[hi]):
+                    if (b != a and lat.leq(a, b)
+                            and not lat.leq(gate.table[lo], gate.table[hi])):
                         raise LatticeError(
                             f"gate {gate.name} is not monotone: {lo} -> "
                             f"{gate.table[lo]} but {hi} -> {gate.table[hi]}",
@@ -190,7 +187,38 @@ class CircuitSignature:
     def _eval_rules(self) -> RuleSet:
         # compiled on first use, not at parse time: a parsed signature
         # that never evaluates pays nothing
-        return RuleSet(_value_rules(self))
+        sig = self.signature()
+        lat = self.lattice
+        rules: list[RewriteRule] = []
+        for v in lat.values:
+            rules.append(rule_from_terms(
+                Seq(Gen(v), Gen(FORK)), Tensor(Gen(v), Gen(v)),
+                sig, f"fork-{v}"))
+        for v, w in itertools.product(lat.values, lat.values):
+            rules.append(rule_from_terms(
+                Seq(Tensor(Gen(v), Gen(w)), Gen(JOIN)), Gen(lat.join(v, w)),
+                sig, f"join-{v}-{w}"))
+        for v in lat.values:
+            rules.append(rule_from_terms(
+                Seq(Gen(v), Gen(STUB)), Id(0), sig, f"stub-{v}"))
+        for gate in self.gates.values():
+            for row in itertools.product(lat.values, repeat=gate.arity):
+                rules.append(rule_from_terms(
+                    Seq(value_row(row), Gen(gate.name)), Gen(gate.table[row]),
+                    sig, f"{gate.name}-" + "-".join(row)))
+        rules.append(rule_from_terms(
+            Seq(Gen(lat.bottom), Gen(DELAY)), Gen(lat.bottom),
+            sig, "delay-bot"))
+        rules.append(rule_from_terms(
+            Seq(Gen(DELAY), Gen(STUB)), Gen(STUB), sig, "delay-stub"))
+        for gate in self.gates.values():
+            rules.append(rule_from_terms(
+                Seq(Gen(gate.name), Gen(STUB)), delete_term(gate.arity),
+                sig, f"gc-{gate.name}"))
+        rules.append(rule_from_terms(
+            Seq(Gen(JOIN), Gen(STUB)), Tensor(Gen(STUB), Gen(STUB)),
+            sig, "gc-join"))
+        return RuleSet(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -296,40 +324,6 @@ def circuit_rules(csig: CircuitSignature) -> list[RewriteRule]:
                 lhs, rhs, sig, f"stream-{gate.name}-" + "-".join(row)))
     return rules
 
-
-def _value_rules(csig: CircuitSignature) -> list[RewriteRule]:
-    """The rules of :func:`eval_rules`, in their order."""
-    sig = csig.signature()
-    lat = csig.lattice
-    rules: list[RewriteRule] = []
-    for v in lat.values:
-        rules.append(rule_from_terms(
-            Seq(Gen(v), Gen(FORK)), Tensor(Gen(v), Gen(v)),
-            sig, f"fork-{v}"))
-    for v, w in itertools.product(lat.values, lat.values):
-        rules.append(rule_from_terms(
-            Seq(Tensor(Gen(v), Gen(w)), Gen(JOIN)), Gen(lat.join(v, w)),
-            sig, f"join-{v}-{w}"))
-    for v in lat.values:
-        rules.append(rule_from_terms(
-            Seq(Gen(v), Gen(STUB)), Id(0), sig, f"stub-{v}"))
-    for gate in csig.gates.values():
-        for row in itertools.product(lat.values, repeat=gate.arity):
-            rules.append(rule_from_terms(
-                Seq(value_row(row), Gen(gate.name)), Gen(gate.table[row]),
-                sig, f"{gate.name}-" + "-".join(row)))
-    rules.append(rule_from_terms(
-        Seq(Gen(lat.bottom), Gen(DELAY)), Gen(lat.bottom), sig, "delay-bot"))
-    rules.append(rule_from_terms(
-        Seq(Gen(DELAY), Gen(STUB)), Gen(STUB), sig, "delay-stub"))
-    for gate in csig.gates.values():
-        rules.append(rule_from_terms(
-            Seq(Gen(gate.name), Gen(STUB)), delete_term(gate.arity),
-            sig, f"gc-{gate.name}"))
-    rules.append(rule_from_terms(
-        Seq(Gen(JOIN), Gen(STUB)), Tensor(Gen(STUB), Gen(STUB)),
-        sig, "gc-join"))
-    return rules
 
 
 def eval_rules(csig: CircuitSignature) -> RuleSet:

@@ -23,7 +23,7 @@ from linhyp import (Gen, Id, Seq, Tensor, Trace, find_matchings, interpret,
                     normal_forms, normalize, parse_rules, rename, save_graph,
                     smooth)
 from linhyp import rewrite
-from linhyp.circuits import DELAY, FORK, JOIN, STUB, eval_rules
+from linhyp.circuits import DELAY, FORK, JOIN, STUB
 from linhyp.graphs import (IDENTITY_LABEL, LinearHypergraph, PatternTables,
                            expand, validate)
 from linhyp.laws import random_term
@@ -32,7 +32,7 @@ from linhyp.terms import signature, tensor_all
 from oracles import (embeds, normal_forms_by_pushouts, normal_forms_by_scan,
                      normalize_by_enumeration, normalize_by_scan,
                      rewrite_by_plan, tables_in_order)
-from test_circuits import belnap_sig, two_point_sig
+from test_circuits import belnap_sig, eval_and_cartesian_rules, two_point_sig
 
 RSIG = signature({"f": (1, 1), "p": (1, 1), "c": (1, 2), "d": (1, 2),
                   "s": (1, 0), "w": (1, 1), "h": (1, 1), "k": (1, 1)})
@@ -350,7 +350,8 @@ def test_host_tables_stay_those_of_its_graph(monkeypatch):
         assert_same_run(G, RULES)
         normal_forms(G, RULES, max_states=20)
     for G in _circuits(two_point_sig(), rng, 10):
-        assert_same_run(G, eval_rules(two_point_sig()), max_steps=40)
+        assert_same_run(G, eval_and_cartesian_rules(two_point_sig()),
+                        max_steps=40)
     G = interpret(_chain([Gen("f"), Gen("c"), Tensor(Gen("f"), Gen("p")),
                           Tensor(Gen("c"), Gen("c"))]), RSIG)
     assert_same_run(G, glue + RULES)
@@ -383,7 +384,7 @@ def test_every_match_the_driver_applies_is_an_embedding(monkeypatch):
         normalize(_loops(rng, rng.randint(8, 12)), RULES)
     for csig in (two_point_sig(), belnap_sig()):
         for G in _circuits(csig, rng, 20):
-            normalize(G, eval_rules(csig), max_steps=40)
+            normalize(G, eval_and_cartesian_rules(csig), max_steps=40)
     names = {r.name for r in RULES}
     assert names <= set(applied) and len(set(applied) - names) >= 10
     assert len(applied) > 500
@@ -445,7 +446,7 @@ def test_compiled_steps_agree_with_the_plan_interpreted(monkeypatch):
         normalize(_loops(rng, rng.randint(8, 12)), RULES)
     for csig in (two_point_sig(), belnap_sig()):
         for G in _circuits(csig, rng, 20):
-            normalize(G, eval_rules(csig), max_steps=40)
+            normalize(G, eval_and_cartesian_rules(csig), max_steps=40)
     glue = parse_rules("glue : f ; c => c ; p * id 1\n", RSIG)
     G = interpret(_chain([Gen("f"), Gen("c"), Tensor(Gen("f"), Gen("p")),
                           Tensor(Gen("c"), Gen("c"))]), RSIG)
@@ -580,7 +581,7 @@ def test_find_matchings_lists_what_one_expansion_rewrites(monkeypatch):
 def test_lazy_driver_agrees_on_circuits(make_sig):
     csig = make_sig()
     rng = random.Random(11)
-    rules = eval_rules(csig)
+    rules = eval_and_cartesian_rules(csig)
     taken = 0
     for H in _circuits(csig, rng, 20):
         taken += len(assert_same_run(H, rules, max_steps=40).steps)
@@ -640,7 +641,8 @@ EDGE_CASES = parse_rules("unit : id 0 => id 0\n", RSIG) + RULES + parse_rules(
 def _index_runs():
     """Hosts and rule sets for the label index: the driver's hosts and
     loops under its rules (with and without ``unit`` and ``idw``), and
-    random two-point and Belnap circuits under the evaluator's rules."""
+    random two-point and Belnap circuits under the evaluator's and the
+    Cartesian rules."""
     rng = random.Random(13)
     for i in range(30):
         G = _host(rng) if i % 3 else _loops(rng, rng.randint(2, 6))
@@ -648,7 +650,7 @@ def _index_runs():
         yield G, EDGE_CASES, 30
     for csig in (two_point_sig(), belnap_sig()):
         for G in _circuits(csig, rng, 25):
-            yield G, eval_rules(csig), 60
+            yield G, eval_and_cartesian_rules(csig), 60
 
 
 def test_the_label_index_picks_what_the_scan_picks():
@@ -682,7 +684,7 @@ def test_the_label_index_picks_what_the_scan_picks():
     assert cut_short == {False, True}
     assert "idw" in {s.rule for s in normalize(_host(random.Random(1)),
                                                EDGE_CASES, 30).steps}
-    rules = eval_rules(belnap_sig())
+    rules = eval_and_cartesian_rules(belnap_sig())
     for G in _circuits(belnap_sig(), random.Random(2), 10):
         normalize(G, rules, 60)
     assert len(rules._by_labels) > 1

@@ -15,7 +15,6 @@ from linhyp import (Gen, Homomorphism, Id, ParseError, Seq, Swap,
                     isomorphic, normal_forms, normalize, parse_rules,
                     parse_term, pushout, pushout_complement, rule_from_terms,
                     saturate_rule, save_graph, tensor, validate)
-from linhyp.circuits import eval_rules
 from linhyp.graphs import IDENTITY_LABEL, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import signature, tensor_all, type_of
@@ -25,7 +24,7 @@ from oracles import (apply_by_pushouts, boundary_coherent,
                      normalize_by_enumeration, random_graph,
                      tables_from_scratch, trace_mono)
 from linhyp import rewrite
-from test_circuits import belnap_sig, two_point_sig
+from test_circuits import belnap_sig, eval_and_cartesian_rules, two_point_sig
 from test_driver import (RSIG, RULE_TEXT, RULES, _circuits, _host, _numbered,
                          host_tables)
 from test_embeddings import ODD_SIG, TABLES, _odd_chain
@@ -778,12 +777,13 @@ def test_normal_forms_matches_the_pushouts():
     """:func:`normal_forms` against the list search that builds every
     step with the pushout constructions: the same normal forms, as
     canonical files in the same order, and the same ``exhausted`` flag,
-    on the driver's hosts and on circuits under the evaluator's
-    rules."""
+    on the driver's hosts and on circuits under the evaluator's and the
+    Cartesian rules."""
     rng = random.Random(5)
     cases = [(_host(rng), RULES) for _ in range(15)]
     for csig in (two_point_sig(), belnap_sig()):
-        cases += [(G, eval_rules(csig)) for G in _circuits(csig, rng, 5)]
+        cases += [(G, eval_and_cartesian_rules(csig))
+                  for G in _circuits(csig, rng, 5)]
     flags = []
     for G, rules in cases:
         got, got_exhausted = normal_forms(G, rules, max_states=12)
@@ -876,7 +876,7 @@ def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
     for _ in range(10):
         normalize(_host(rng), RULES)
     for G in _circuits(two_point_sig(), rng, 5):
-        normalize(G, eval_rules(two_point_sig()), max_steps=40)
+        normalize(G, eval_and_cartesian_rules(two_point_sig()), max_steps=40)
     assert len(checked) > 50
     monkeypatch.undo()
     for G in [_host(rng) for _ in range(5)]:
