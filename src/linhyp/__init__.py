@@ -20,7 +20,7 @@ from .extract import (canonical_edge_order, extract_term, shuffle, stack,
 from .rewrite import (NormalizeResult, RewriteError, RewriteRule, Step,
                       apply_rewrite, find_matchings, normal_forms, normalize,
                       parse_rules, pushout, pushout_complement, RuleSet,
-                      rule_from_terms, saturate_rule)
+                      rule_from_terms)
 from .circuits import (UNPRODUCTIVE, CircuitSignature, Gate, ValueLattice,
                        belnap, cartesian_rules, circuit_rules, copy_term,
                        delete_term, evaluate, lattice_from_join, merge_term,

@@ -22,7 +22,7 @@ from .laws import axiom_schemes, law_signature
 from .rewrite import (NormalizeResult, RewriteError, normal_forms, normalize,
                       parse_rules)
 from .serialize import load_graph, save_graph, to_dot
-from .terms import (ParseError, Signature, SignatureError, TypeMismatch,
+from .terms import (ParseError, SignatureError, TypeMismatch,
                     parse_signature, parse_term, render_term)
 
 EXIT_OK, EXIT_PARSE, EXIT_TYPE, EXIT_BUDGET = 0, 2, 3, 4
@@ -42,14 +42,8 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-def _load_sig(path: str | None) -> Signature:
-    if path is None:
-        raise ParseError("a --sig file is required", 0)
-    return parse_signature(_read(path))
-
-
 def cmd_interpret(args) -> int:
-    sig = _load_sig(args.sig)
+    sig = parse_signature(_read(args.sig))
     term = parse_term(_read(args.term_file).strip(), sig)
     H = interpret(term, sig)
     report = validate(H, sig)
@@ -108,7 +102,7 @@ def _check_steps(steps: int) -> None:
 def cmd_rewrite(args) -> int:
     _check_steps(args.steps)
     H = load_graph(_read(args.graph_file))
-    sig = _load_sig(args.sig)
+    sig = parse_signature(_read(args.sig))
     rules = parse_rules(_read(args.rules), sig)
     if args.strategy == "exhaustive":
         nfs, exhausted = normal_forms(H, rules, max_steps=args.steps)

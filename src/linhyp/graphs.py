@@ -1139,13 +1139,14 @@ class _Host:
                 emap: dict[int, int]) -> None:
         """One DPO step of ``rule`` at a match of its left side, in
         O(|L| + |R|): the rule's step (``rule._stepper``), compiled from
-        its plan, or the error of a span the plan refuses.
+        its plan.
 
         Delete the image of L less K's, glue a fresh copy of R along K,
-        and splice out the identity edges: the graph and the errors, in
-        their order, of :func:`~linhyp.rewrite.pushout_complement`,
-        :func:`~linhyp.rewrite.pushout` and :func:`smooth` at that match.
-        The match must be an embedding, as :func:`embeddings` yields it
-        and :func:`~linhyp.rewrite.apply_rewrite` checks it.
+        and splice out the identity edges: the graph of
+        :func:`~linhyp.rewrite.pushout_complement`,
+        :func:`~linhyp.rewrite.pushout` and :func:`smooth` at that match,
+        which a rule's span glues without a refusal.  The match must be
+        an embedding, as :func:`embeddings` yields it and
+        :func:`~linhyp.rewrite.apply_rewrite` checks it.
         """
         rule._stepper(self, vmap_t, vmap_s, emap)

@@ -39,18 +39,32 @@ class RewriteError(Exception):
     pass
 
 
-_INCOHERENT = ("not boundary coherent: interface vertex {} is edge-attached"
-               " on both sides")
-
-
 @dataclass(frozen=True)
 class RewriteRule:
+    """The rule ``L => R`` between two graphs of one type, as the span
+    ``L <- K -> R`` built on construction.  Each side is saturated: every
+    straight-through wire gets an identity edge.  K is the edge-free
+    identity graph of the type, and each leg maps K's i-th input and
+    j-th output wire to the side's.  Both legs are then embeddings, and
+    L leaves a K vertex on its interface exactly where R does, so the
+    gluing conditions hold at every embedding of L (Ehrig, Ehrig, Prange
+    & Taentzer, 2006): no step of a rule is refused."""
     name: str
     L: LinearHypergraph
-    K: LinearHypergraph
     R: LinearHypergraph
-    left_leg: Homomorphism
-    right_leg: Homomorphism
+    K: LinearHypergraph = field(init=False, compare=False)
+    left_leg: Homomorphism = field(init=False, compare=False)
+    right_leg: Homomorphism = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.L.dom(), self.L.cod()) != (self.R.dom(), self.R.cod()):
+            raise TypeMismatch("rule sides must share a type")
+        L, R = _saturated(self.L), _saturated(self.R)
+        K = identity_graph(L.dom() + L.cod())
+        for name, value in (("L", L), ("R", R), ("K", K),
+                            ("left_leg", _interface_leg(K, L)),
+                            ("right_leg", _interface_leg(K, R))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def labels(self) -> frozenset[str]:
@@ -71,14 +85,8 @@ class RewriteRule:
     @cached_property
     def _stepper(self) -> Callable[..., None]:
         """That step compiled (:func:`_compile_step`), on the rule's first
-        step; for a span the plan refuses, a step that raises its error."""
-        error = self._step.error
-        if error is None:
-            return _compile_step(self._step)
-
-        def refuse(*_) -> None:
-            raise RewriteError(error)
-        return refuse
+        step."""
+        return _compile_step(self._step)
 
 
 class RuleSet(tuple):
@@ -122,40 +130,21 @@ def _interface_leg(K: LinearHypergraph, X: LinearHypergraph) -> Homomorphism:
     return Homomorphism(K, X, vmap_t, vmap_s, {})
 
 
+def _saturated(X: LinearHypergraph) -> LinearHypergraph:
+    """X with an identity edge on each straight-through wire, or X itself
+    when it has none."""
+    outs = set(X.outputs())
+    for t in [t for t in X.inputs() if X.conn[t] in outs]:
+        X = expand(X, t)
+    return X
+
+
 def rule_from_terms(lhs: Term, rhs: Term, sig: Signature,
                     name: str = "rule") -> RewriteRule:
-    """Compile a pair of terms into a saturated rule span."""
+    """Compile a pair of terms into a rule."""
     if type_of(lhs, sig) != type_of(rhs, sig):
         raise TypeMismatch("rule sides must share a type")
-    L = interpret(lhs, sig)
-    R = interpret(rhs, sig)
-    return saturate_rule(_make_rule(name, L, R))
-
-
-def _make_rule(name: str, L: LinearHypergraph,
-               R: LinearHypergraph) -> RewriteRule:
-    K = identity_graph(L.dom() + L.cod())
-    return RewriteRule(name, L, K, R,
-                       _interface_leg(K, L), _interface_leg(K, R))
-
-
-def _straight_wires(X: LinearHypergraph) -> list[int]:
-    outs = set(X.outputs())
-    return [t for t in X.inputs() if X.conn[t] in outs]
-
-
-def saturate_rule(rule: RewriteRule) -> RewriteRule:
-    """Expand straight-through wires on either side with identity edges
-    so that both interface legs become embeddings.  Idempotent."""
-    L, R = rule.L, rule.R
-    for t in _straight_wires(L):
-        L = expand(L, t)
-    for t in _straight_wires(R):
-        R = expand(R, t)
-    if (L is rule.L and R is rule.R and rule.left_leg.is_embedding()
-            and rule.right_leg.is_embedding()):
-        return rule
-    return _make_rule(rule.name, L, R)
+    return RewriteRule(name, interpret(lhs, sig), interpret(rhs, sig))
 
 
 def parse_rules(text: str, sig: Signature) -> list[RewriteRule]:
@@ -363,7 +352,8 @@ def pushout(m: Homomorphism, n: Homomorphism
     ends += [(k, C.right[m.vmap_s[k]], R.right[n_s[k]]) for k in K.sources]
     for k, c_edge, r_edge in ends:
         if c_edge is not INTERFACE and r_edge is not INTERFACE:
-            raise RewriteError(_INCOHERENT.format(k))
+            raise RewriteError(f"not boundary coherent: interface vertex {k}"
+                               " is edge-attached on both sides")
 
     r_only_t = tuple(v for v in R.targets if v not in rep_t)
     r_only_s = tuple(v for v in R.sources if v not in rep_s)
@@ -418,13 +408,15 @@ def pushout(m: Homomorphism, n: Homomorphism
 # ---------------------------------------------------------------------------
 
 def apply_rewrite(rule: RewriteRule, match: Homomorphism) -> LinearHypergraph:
-    """One DPO step at the given match, by :meth:`_Host.rewrite`: it
-    gives what :func:`pushout_complement`, :func:`pushout` and
-    :func:`~linhyp.graphs.smooth` give and raises what they raise.
+    """One DPO step at the given match, by :meth:`_Host.rewrite`: the
+    graph :func:`pushout_complement`, :func:`pushout` and
+    :func:`~linhyp.graphs.smooth` build.
 
     The step is taken on a copy of ``match.dst``, the graph the match
-    lands in (see :func:`find_matchings`).  The match must be one of the
-    rule's left side, or of a graph equal to it."""
+    lands in (see :func:`find_matchings`).  The match must be an
+    embedding of the rule's left side, or of a graph equal to it, and is
+    refused otherwise, as :func:`pushout_complement` refuses it; the
+    rule's span passes every other check of the pushouts."""
     if match.src != rule.L:
         raise RewriteError(f"not a match of rule {rule.name}'s left side")
     if not match.is_embedding():
@@ -455,44 +447,29 @@ class _StepPlan:
     """What a DPO step of one rule does at any match, worked out once
     from the span ``L <- K -> R``, so that a step only looks the match
     up and writes the host (Ehrig, Ehrig, Prange & Taentzer, 2006, give
-    the gluing conditions as properties of the rule).
-
-    ``error`` is the error the span raises at every match, in the
-    order :func:`pushout_complement` and :func:`pushout` check: a left
-    leg that is not an embedding, an interface with edges, a right leg
-    that is not an embedding.  The other fields are set only when it is
-    None.
+    the gluing conditions as properties of the rule; a
+    :class:`RewriteRule`'s span meets them at every embedding).
 
     A step gives R's elements their host ids through numbered slots:
     new host ids for R's new targets, new sources and edges, in that
     order (``fresh`` of them), then the host images of ``keep_t`` and
-    ``keep_s``, L's elements that K maps to, in K's order; slot -1
-    stands for INTERFACE.
+    ``keep_s``, L's elements that K maps to, in K's order.
 
-    - ``check_t`` and ``check_s`` pair a K vertex with its L vertex
-      where that L vertex is on the interface and R's is attached: only
-      there can the host be attached too, which boundary coherence
-      forbids.
     - ``kill_t``, ``kill_s`` and ``kill_e`` are L's elements outside K's
       image, which the step deletes; ``kill_e`` pairs each edge with
       its label.
     - ``glue_t`` and ``glue_s`` give the slots of a kept vertex and of
-      the edge R attaches it to (or -1), where L or R attaches it.
+      the edge R attaches it to, where R attaches it (and L, which
+      attaches the same K vertices).
     - ``new_t``, ``new_s``, ``links`` and ``edges`` make R's new
       elements in R's stored order: their slots, the slots of their
-      edges, ports and wires, and their labels.
+      edges (R attaches each of them), ports and wires, and their
+      labels.
     """
 
     def __init__(self, rule: RewriteRule) -> None:
         K, L, R = rule.K, rule.L, rule.R
         ll, rl = rule.left_leg, rule.right_leg
-        self.error = (
-            "pushout complement needs embeddings" if not ll.is_embedding()
-            else "pushout interface must be edge-free" if K.edges
-            else "pushout needs a span of embeddings"
-            if not rl.is_embedding() else None)
-        if self.error is not None:
-            return
         self.keep_t = [ll.vmap_t[k] for k in K.targets]
         self.keep_s = [ll.vmap_s[k] for k in K.sources]
         kept_t, kept_s = set(self.keep_t), set(self.keep_s)
@@ -509,16 +486,14 @@ class _StepPlan:
         slot_s = {v: next(slots) for v in new_s}
         slot_e = {e: next(slots) for e in R.edges}
         self.fresh = n = next(slots)
-        slot_e[INTERFACE] = -1
         slot_t.update((v, n + i) for v, i in glued_t.items())
         n += len(K.targets)
         slot_s.update((v, n + i) for v, i in glued_s.items())
 
-        self.check_t, self.glue_t = self._glue(
-            K.targets, self.keep_t, L.left, rl.vmap_t, R.left, slot_t, slot_e)
-        self.check_s, self.glue_s = self._glue(
-            K.sources, self.keep_s, L.right, rl.vmap_s, R.right, slot_s,
-            slot_e)
+        self.glue_t = [(slot_t[v], slot_e[R.left[v]]) for v in glued_t
+                       if R.left[v] is not INTERFACE]
+        self.glue_s = [(slot_s[v], slot_e[R.right[v]]) for v in glued_s
+                       if R.right[v] is not INTERFACE]
         self.new_t = [(slot_t[v], slot_e[R.left[v]], R.vtlabels[v])
                       for v in new_t]
         self.new_s = [(slot_s[v], slot_e[R.right[v]], R.vslabels[v])
@@ -528,23 +503,6 @@ class _StepPlan:
                        [slot_t[v] for v in R.tgts[e]],
                        [slot_s[v] for v in R.srcs[e]]) for e in R.edges]
 
-    @staticmethod
-    def _glue(ks: Sequence[int], keep: list[int], l_side: dict, r_map: dict,
-              r_side: dict, slot: dict, slot_e: dict
-              ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """The coherence checks and the attachments of K's targets (or
-        of its sources), given each vertex's edge in L and in R."""
-        check, glue = [], []
-        for k, v in zip(ks, keep):
-            r = r_map[k]
-            r_edge = r_side[r]
-            if l_side[v] is INTERFACE:
-                if r_edge is INTERFACE:
-                    continue
-                check.append((k, v))
-            glue.append((slot[r], slot_e[r_edge]))
-        return check, glue
-
 
 def _compile_step(p: _StepPlan) -> Callable[..., None]:
     """The step ``p`` plans, emitted as one straight-line Python
@@ -552,21 +510,19 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
     :class:`_Host` H in place at a match.
 
     Each slot is a local: the fresh ids come from one ``islice`` of
-    ``H.new_ids``, a kept vertex's from the match.  The boundary
-    coherence checks come first, so a refused step writes nothing.  The
-    deletes, glues and inserts follow, over the host's tables bound to
-    locals, writing each table in the order the plan gives: a killed
-    edge's ``by_label`` bucket is fetched once per label, as L gives it,
-    and dropped once empty; a fresh vertex of R enters ``targets`` or
+    ``H.new_ids``, a kept vertex's from the match.  The step deletes,
+    glues and inserts over the host's tables bound to locals, writing
+    each table in the order the plan gives: a killed edge's
+    ``by_label`` bucket is fetched once per label, as L gives it, and
+    dropped once empty; a fresh vertex of R enters ``targets`` or
     ``sources`` with its edge, where a glued port is moved.  The step
     smooths last, when an identity edge is left.  As in
     :func:`~linhyp.graphs._compile_search`, the source holds only
-    keywords, local names, table names and port counts: ids, labels and
-    error texts are bound to it as constants, and it holds no reference
-    to the rule.
+    keywords, local names, table names and port counts: ids and labels
+    are bound to it as constants, and it holds no reference to the rule.
     """
-    consts: dict = {islice: "islice", RewriteError: "RewriteError",
-                    IDENTITY_LABEL: "IDENTITY_LABEL"}  # bound, by value
+    # bound, by value
+    consts: dict = {islice: "islice", IDENTITY_LABEL: "IDENTITY_LABEL"}
     body: list[str] = []
 
     def const(c) -> str:
@@ -575,16 +531,11 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
         return consts[c]
 
     def x(i: int) -> str:  # a slot's local
-        return f"x{i}" if i >= 0 else "None"
+        return f"x{i}"
 
     def word(slots: Sequence[int]) -> str:
         return f"({''.join(x(j) + ', ' for j in slots)})"
 
-    for side, vmap, checks in (("left", "vmap_t", p.check_t),
-                               ("right", "vmap_s", p.check_s)):
-        body += [f"if {side}[{vmap}[{const(v)}]] is not None: raise"
-                 f" RewriteError({const(_INCOHERENT.format(k))})"
-                 for k, v in checks]
     if p.fresh:
         body.append(f"{word(range(p.fresh))} = islice(H.new_ids, {p.fresh})")
     loads = len(body)  # where the kept slots the step uses are loaded
@@ -607,9 +558,7 @@ def _compile_step(p: _StepPlan) -> Callable[..., None]:
     body += [f"right[{x(i)}] = {x(j)}" for i, j in p.glue_s]
     for order, side, labs, new in (("targets", "left", "vtlabels", p.new_t),
                                    ("sources", "right", "vslabels", p.new_s)):
-        for i, j, lab in new:
-            if j < 0:  # else it enters ``order`` with its edge
-                body.append(f"{order}[{x(i)}] = None")
+        for i, j, lab in new:  # it enters ``order`` with its edge
             body += [f"{side}[{x(i)}] = {x(j)}", f"{labs}[{x(i)}] = {const(lab)}"]
     body += [f"conn[{x(i)}], inv[{x(j)}] = {x(j)}, {x(i)}"
              for i, j in p.links]

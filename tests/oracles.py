@@ -63,9 +63,11 @@ feedback takes one round per rung, ``gate_from_fn`` tabulates a gate,
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import time
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -79,9 +81,9 @@ from linhyp.graphs import (IDENTITY_LABEL, INTERFACE, Found, _walk, above,
                            canonical, canonical_labelling, commutes, expand,
                            find_isomorphism, smooth)
 from linhyp.interp import interpret
-from linhyp.rewrite import (NormalizeResult, RewriteError, Step, _complete,
-                            _Host, embeddings, find_matchings, normalize,
-                            pushout, pushout_complement)
+from linhyp.rewrite import (NormalizeResult, Step, _complete, _Host,
+                            embeddings, find_matchings, normalize, pushout,
+                            pushout_complement)
 from linhyp.serialize import save_graph
 from linhyp.terms import (ANON, Gen, Id, Seq, Signature, Swap, Tensor, Term,
                           Trace, TypeMismatch, Word, as_word, type_of)
@@ -508,22 +510,11 @@ def rewrite_by_plan(host, rule, vmap_t: dict[int, int],
     library compiles each rule's step from: one list of slots, one
     element at a time, each killed edge's label read from the host."""
     p = rule._step
-    if p.error is not None:
-        raise RewriteError(p.error)
     left, right, conn, inv = host.left, host.right, host.conn, host.inv
     targets, sources, by_label = host.targets, host.sources, host.by_label
-    for side, vmap, checks in ((left, vmap_t, p.check_t),
-                               (right, vmap_s, p.check_s)):
-        for k, v in checks:
-            if side[vmap[v]] is not INTERFACE:
-                raise RewriteError(
-                    f"not boundary coherent: interface vertex {k} is"
-                    " edge-attached on both sides")
-    # the checks passed: change the host
     img = list(itertools.islice(host.new_ids, p.fresh))
     img += map(vmap_t.__getitem__, p.keep_t)
     img += map(vmap_s.__getitem__, p.keep_s)
-    img.append(INTERFACE)
     for t in map(vmap_t.__getitem__, p.kill_t):
         del inv[conn.pop(t)]
         del targets[t], left[t], host.vtlabels[t]
@@ -1635,6 +1626,25 @@ def check_coherence(H: LinearHypergraph, sig: Signature,
     graphs = [interpret(extract_term(H, o), sig) for o in orders]
     first = graphs[0]
     return all(find_isomorphism(first, G) is not None for G in graphs[1:])
+
+
+def ladder_times(rungs, op) -> list[tuple[int, float]]:
+    """For each ``(size, x)`` of ``rungs``, ``(size, t)`` with ``t`` the
+    best of five timed runs of ``op(x)`` without the cyclic collector.
+    The rungs are timed round-robin, each of the five rounds timing
+    every rung once, so that a burst of load on the machine cannot land
+    on all five runs of one rung."""
+    best = [math.inf] * len(rungs)
+    gc.disable()
+    try:
+        for _ in range(5):
+            for i, (_, x) in enumerate(rungs):
+                start = time.perf_counter()
+                op(x)
+                best[i] = min(best[i], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return [(n, t) for (n, _), t in zip(rungs, best)]
 
 
 def log_log_slope(points) -> float:

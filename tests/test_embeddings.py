@@ -13,10 +13,10 @@ import re
 import tokenize
 import weakref
 
-from linhyp import (Gen, Seq, Swap, Tensor, find_matchings, interpret,
-                    load_graph, normalize, parse_rules, parse_term,
-                    rule_from_terms, saturate_rule, save_graph, signature,
-                    tensor, tensor_all, trace)
+from linhyp import (Gen, RewriteRule, Seq, Swap, Tensor, find_matchings,
+                    interpret, load_graph, normalize, parse_rules, parse_term,
+                    rule_from_terms, save_graph, signature, tensor,
+                    tensor_all, trace)
 from linhyp import graphs, rewrite
 from linhyp.graphs import LinearHypergraph, embeddings
 from linhyp.laws import law_signature, random_term
@@ -314,7 +314,7 @@ def test_compiled_plans_hold_no_label_text(monkeypatch):
     assert len(found) == 10
     _assert_same_maps(L, G)
 
-    rule = saturate_rule(rewrite._make_rule("odd", L, R))
+    rule = RewriteRule("odd", L, R)
     res = normalize(G, [rule])
     assert [str(s) for s in res.steps] == [
         "step 1: rule odd at edges [62, 63, 68, 69, 74, 78]",

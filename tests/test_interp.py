@@ -1,7 +1,5 @@
 import gc
-import math
 import random
-import time
 import weakref
 from dataclasses import replace
 
@@ -17,7 +15,8 @@ from linhyp.graphs import LinearHypergraph
 from linhyp.laws import axiom_schemes, law_signature, random_term
 from linhyp.terms import tensor_all
 from oracles import (equal_mod_stmc_typed_first, interpret_by_combinators,
-                     log_log_slope, random_graph, tables_in_order)
+                     ladder_times, log_log_slope, random_graph,
+                     tables_in_order)
 
 SIG = law_signature()
 
@@ -487,21 +486,13 @@ def test_nested_tensors_of_wiring_interpret_in_linear_time(leaf, right):
     quadratic (a log-log slope near 2; 0.8 s for 8000 right-nested
     identities); joining the shorter into the longer keeps the slope at
     most 1.2.  Each rung is the best of five runs without the cyclic
-    collector."""
-    points = []
-    for wires in (2000, 4000, 8000, 16000):
-        t = _nested(wires // len(type_of(leaf, SIG)[0]), leaf, right)
-        best = math.inf
-        gc.disable()
-        try:
-            for _ in range(5):
-                start = time.perf_counter()
-                H = interpret(t, SIG)
-                best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        assert H.arity() == (wires, wires) and not H.edges
-        points.append((wires, best))
+    collector (:func:`ladder_times`)."""
+    per_leaf = len(type_of(leaf, SIG)[0])
+    H = interpret(_nested(8 // per_leaf, leaf, right), SIG)
+    assert H.arity() == (8, 8) and not H.edges
+    points = ladder_times([(wires, _nested(wires // per_leaf, leaf, right))
+                           for wires in (2000, 4000, 8000, 16000)],
+                          lambda t: interpret(t, SIG))
     assert log_log_slope(points) <= 1.2, points
 
 

@@ -1,7 +1,4 @@
-import gc
-import math
 import random
-import time
 from dataclasses import replace
 
 import pytest
@@ -14,9 +11,9 @@ from linhyp.graphs import INTERFACE, LinearHypergraph, _Host, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.serialize import save_graph
 from linhyp.terms import Swap, Tensor, signature, tensor_all
-from oracles import (compose_by_rewiring, log_log_slope, random_graph,
-                     smooth_by_splicing, swap_recursive, tables_in_order,
-                     trace_by_single_wires, trace_mono)
+from oracles import (compose_by_rewiring, ladder_times, log_log_slope,
+                     random_graph, smooth_by_splicing, swap_recursive,
+                     tables_in_order, trace_by_single_wires, trace_mono)
 
 SIG = law_signature()
 
@@ -404,49 +401,26 @@ def test_a_cut_host_freezes_to_the_port_tables_of_its_graph(rng):
     assert cuts > 300
 
 
+def _wide_tensor(n: int) -> LinearHypergraph:
+    return interpret(tensor_all([Gen("f")] * n), SIG)
+
+
+def _ladder(build, op) -> list[tuple[int, float]]:
+    """``op(build(n))`` for n = 2000 to 16000, timed by
+    :func:`ladder_times`: each rung the best of five runs without the
+    cyclic collector."""
+    return ladder_times([(n, build(n)) for n in (2000, 4000, 8000, 16000)],
+                        op)
+
+
 def test_tracing_half_the_wires_of_a_wide_tensor_is_linear():
     """``trace(n // 2, f^{⊗n})`` for n = 2000 to 16000: tracing one wire
     at a time copied the graph once per wire, a log-log slope near 2
-    (16 s for n = 8000); one splice keeps it at most 1.2.  Each rung is
-    the best of five runs without the cyclic collector."""
-    points = []
-    for n in (2000, 4000, 8000, 16000):
-        F = interpret(tensor_all([Gen("f")] * n), SIG)
-        best = math.inf
-        gc.disable()
-        try:
-            for _ in range(5):
-                start = time.perf_counter()
-                H = trace(n // 2, F)
-                best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        assert H.arity() == (n - n // 2, n - n // 2) and len(H.edges) == n
-        points.append((n, best))
+    (16 s for n = 8000); one splice keeps it at most 1.2."""
+    H = trace(2, _wide_tensor(4))
+    assert H.arity() == (2, 2) and len(H.edges) == 4
+    points = _ladder(_wide_tensor, lambda F: trace(len(F.edges) // 2, F))
     assert log_log_slope(points) <= 1.2, points
-
-
-def _best_of_five_ladder(build, op) -> list[tuple[int, float]]:
-    """``op(build(n))`` for n = 2000 to 16000, each rung the best of
-    five runs without the cyclic collector."""
-    points = []
-    for n in (2000, 4000, 8000, 16000):
-        G = build(n)
-        best = math.inf
-        gc.disable()
-        try:
-            for _ in range(5):
-                start = time.perf_counter()
-                op(G)
-                best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        points.append((n, best))
-    return points
-
-
-def _wide_tensor(n: int) -> LinearHypergraph:
-    return interpret(tensor_all([Gen("f")] * n), SIG)
 
 
 def test_composing_a_wide_tensor_with_itself_is_linear():
@@ -454,7 +428,7 @@ def test_composing_a_wide_tensor_with_itself_is_linear():
     their tensor keeps the log-log slope at most 1.2."""
     H = compose(_wide_tensor(4), _wide_tensor(4))
     assert H.arity() == (4, 4) and len(H.edges) == 8
-    points = _best_of_five_ladder(_wide_tensor, lambda F: compose(F, F))
+    points = _ladder(_wide_tensor, lambda F: compose(F, F))
     assert log_log_slope(points) <= 1.2, points
 
 
@@ -472,5 +446,5 @@ def test_smoothing_every_wire_of_a_wide_tensor_is_linear():
     plugs in place keep the log-log slope at most 1.2."""
     H = smooth(_every_wire_split(4))
     assert save_graph(H) == save_graph(_wide_tensor(4))
-    points = _best_of_five_ladder(_every_wire_split, smooth)
+    points = _ladder(_every_wire_split, smooth)
     assert log_log_slope(points) <= 1.2, points

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import random
@@ -10,11 +9,11 @@ import weakref
 import pytest
 
 from linhyp import (Gen, Homomorphism, Id, ParseError, Seq, Swap,
-                    Tensor, Trace, TypeMismatch, RewriteError, apply_rewrite,
-                    find_matchings, identity, interpret, is_homomorphism,
-                    isomorphic, normal_forms, normalize, parse_rules,
-                    parse_term, pushout, pushout_complement, rule_from_terms,
-                    saturate_rule, save_graph, tensor, validate)
+                    Tensor, Trace, TypeMismatch, RewriteError, RewriteRule,
+                    apply_rewrite, find_matchings, identity, interpret,
+                    is_homomorphism, isomorphic, normal_forms, normalize,
+                    parse_rules, parse_term, pushout, pushout_complement,
+                    rule_from_terms, save_graph, tensor, validate)
 from linhyp.graphs import IDENTITY_LABEL, expand
 from linhyp.laws import law_signature, random_term
 from linhyp.terms import signature, tensor_all, type_of
@@ -25,8 +24,7 @@ from oracles import (apply_by_pushouts, boundary_coherent,
                      tables_from_scratch, trace_mono)
 from linhyp import rewrite
 from test_circuits import belnap_sig, eval_and_cartesian_rules, two_point_sig
-from test_driver import (RSIG, RULE_TEXT, RULES, _circuits, _host, _numbered,
-                         host_tables)
+from test_driver import RSIG, RULE_TEXT, RULES, _circuits, _host, _numbered
 from test_embeddings import ODD_SIG, TABLES, _odd_chain
 
 SIG = law_signature()
@@ -57,6 +55,9 @@ def test_rule_span_shape():
 def test_rule_type_mismatch():
     with pytest.raises(Exception):
         rule_from_terms(Gen("f"), Gen("copy"), CSIG)
+    with pytest.raises(TypeMismatch, match="^rule sides must share a type$"):
+        RewriteRule("bad", interpret(Gen("f"), CSIG),
+                    interpret(Gen("copy"), CSIG))
 
 
 def test_trivial_rule_is_identity_up_to_iso():
@@ -75,12 +76,15 @@ def test_bare_wire_rule_is_saturated():
 
 
 def test_saturate_is_idempotent():
+    """A rule built again from a rule's saturated sides keeps them, and
+    sides with no straight-through wire are kept as given."""
     rule = rule_from_terms(Id(1), Gen("f"), CSIG, "grow")
-    again = saturate_rule(rule)
-    assert len(again.L.edges) == len(rule.L.edges)
-    assert len(again.R.edges) == len(rule.R.edges)
-    untouched = copy_rule()
-    assert saturate_rule(untouched) is untouched
+    again = RewriteRule(rule.name, rule.L, rule.R)
+    assert again.L is rule.L and again.R is rule.R and again == rule
+    L, R = (interpret(parse_term(side, CSIG), CSIG)
+            for side in ("f ; copy", "copy ; f * f"))
+    untouched = RewriteRule("copy-nat-f", L, R)
+    assert untouched.L is L and untouched.R is R
 
 
 def test_boundary_coherent_rule_legs():
@@ -608,19 +612,8 @@ def test_parse_rules_names_the_line_of_term_errors(text, kind, error):
 
 
 # ---------------------------------------------------------------------------
-# The in-place step's errors against the pushouts', on hand-built spans
+# The pushouts' refusals, on hand-built spans no rule can carry
 # ---------------------------------------------------------------------------
-
-def _step_errors(rule, G):
-    """The error ``normalize`` raises at its first step, and the one the
-    pushout constructions raise at the same match."""
-    with pytest.raises(RewriteError) as in_place:
-        normalize(G, [rule])
-    match = find_matchings(rule.L, G)[0]
-    with pytest.raises(RewriteError) as pure:
-        apply_by_pushouts(rule, match)
-    return str(in_place.value), str(pure.value)
-
 
 def _f_rule():
     """``f => f``, whose interface K is one input and one output wire:
@@ -642,32 +635,68 @@ def _swapped_targets(leg):
 FF = interpret(parse_term("f ; f", CSIG), CSIG)
 
 
-def _left_leg_swapped():
+def _complements(rule, G):
+    """The leg ``K -> C`` of the pushout complement of ``rule``'s left
+    leg at each match of its left side in G."""
+    ms = find_matchings(rule.L, G)
+    assert ms
+    return [pushout_complement(rule.left_leg, m)[0] for m in ms]
+
+
+def test_left_leg_that_is_no_embedding_is_refused_at_every_match():
     rule = _f_rule()
-    return dataclasses.replace(rule, left_leg=_swapped_targets(rule.left_leg))
+    leg = _swapped_targets(rule.left_leg)
+    for m in find_matchings(rule.L, FF):
+        with pytest.raises(RewriteError,
+                           match="^pushout complement needs embeddings$"):
+            pushout_complement(leg, m)
 
 
-def _edged_interface():
-    L = interpret(Gen("f"), CSIG)
+def test_deleting_a_match_never_severs_a_wire():
+    """A one-wire interface that keeps L's input vertex but not the
+    source it feeds would sever that wire, but such a leg does not
+    commute with ``conn``: the pushout complement refuses it before
+    deleting anything."""
+    L, K = _f_rule().L, identity(1)
+    (t_in,), (s_out,) = L.inputs(), L.outputs()
+    (k,) = K.targets
+    severing = Homomorphism(K, L, {k: t_in}, {K.conn[k]: s_out}, {})
+    assert L.conn[t_in] not in severing.vmap_s.values()
+    assert not severing.is_embedding()
+    for m in find_matchings(L, FF):
+        with pytest.raises(RewriteError,
+                           match="^pushout complement needs embeddings$"):
+            pushout_complement(severing, m)
+
+
+def test_interface_with_an_edge_is_refused_at_every_match():
+    """L itself as the interface of ``f => f``: both legs are identity
+    embeddings, and the pushout refuses the edge its interface holds."""
+    L = _f_rule().L
     same = Homomorphism(L, L, {v: v for v in L.targets},
                         {v: v for v in L.sources}, {e: e for e in L.edges})
     assert same.is_embedding()
-    return dataclasses.replace(_f_rule(), K=L, L=L, R=L, left_leg=same,
-                               right_leg=same)
+    for m in find_matchings(L, FF):
+        k_to_c, _ = pushout_complement(same, m)
+        with pytest.raises(RewriteError,
+                           match="^pushout interface must be edge-free$"):
+            pushout(k_to_c, same)
 
 
-def _right_leg_swapped():
+def test_right_leg_that_is_no_embedding_is_refused_at_every_match():
     rule = _f_rule()
-    return dataclasses.replace(rule,
-                               right_leg=_swapped_targets(rule.right_leg))
+    leg = _swapped_targets(rule.right_leg)
+    for k_to_c in _complements(rule, FF):
+        with pytest.raises(RewriteError,
+                           match="^pushout needs a span of embeddings$"):
+            pushout(k_to_c, leg)
 
 
-def _incoherent_glue():
-    """``f => f`` with a right leg that glues K's input wire onto f's
+def _incoherent_glue(rule):
+    """For ``f => f``, a right leg that glues K's input wire onto f's
     output and K's output wire onto R's input: an embedding that
     attaches R at K's input target and output source, where L leaves
     the interface."""
-    rule = _f_rule()
     R, K = rule.R, rule.K
     (t_in,), (s_out,) = R.inputs(), R.outputs()
     (e,) = R.edges
@@ -676,39 +705,7 @@ def _incoherent_glue():
                         {K.conn[k_in]: s_out, K.conn[k_out]: R.conn[t_in]},
                         {})
     assert glue.is_embedding() and R.left[glue.vmap_t[k_in]] == e
-    return dataclasses.replace(rule, right_leg=glue)
-
-
-def test_left_leg_that_is_no_embedding_is_refused_at_every_match():
-    assert _step_errors(_left_leg_swapped(), FF) == (
-        "pushout complement needs embeddings",) * 2
-
-
-def test_deleting_a_match_never_severs_a_wire():
-    """A one-wire interface that keeps L's input vertex but not the
-    source it feeds would sever that wire, but such a leg does not
-    commute with ``conn``: both steps refuse the span before deleting
-    anything."""
-    rule = _f_rule()
-    L, K = rule.L, identity(1)
-    (t_in,), (s_out,) = L.inputs(), L.outputs()
-    (k,) = K.targets
-    severing = Homomorphism(K, L, {k: t_in}, {K.conn[k]: s_out}, {})
-    assert L.conn[t_in] not in severing.vmap_s.values()
-    assert not severing.is_embedding()
-    rule = dataclasses.replace(rule, K=K, left_leg=severing)
-    assert _step_errors(rule, FF) == (
-        "pushout complement needs embeddings",) * 2
-
-
-def test_interface_with_an_edge_is_refused_at_every_match():
-    assert _step_errors(_edged_interface(), FF) == (
-        "pushout interface must be edge-free",) * 2
-
-
-def test_right_leg_that_is_no_embedding_is_refused_at_every_match():
-    assert _step_errors(_right_leg_swapped(), FF) == (
-        "pushout needs a span of embeddings",) * 2
+    return glue
 
 
 @pytest.mark.parametrize("host,side,i", [("copy ; f * id 1", "targets", 0),
@@ -716,15 +713,17 @@ def test_right_leg_that_is_no_embedding_is_refused_at_every_match():
                          ids=["target", "source"])
 def test_incoherent_gluing_is_refused_where_the_host_is_attached(host, side,
                                                                   i):
-    """The host refuses :func:`_incoherent_glue` where its own edge sits
-    where R is attached too: before the match for the target, after it
-    for the source (the first f of ``f ; f`` has a host input on its
-    left)."""
-    rule = _incoherent_glue()
+    """The pushout refuses :func:`_incoherent_glue` where the host's own
+    edge sits where R is attached too: before the match for the target,
+    after it for the source (the first f of ``f ; f`` has a host input
+    on its left)."""
+    rule = _f_rule()
     k = getattr(rule.K, side)[i]
-    assert _step_errors(rule, interpret(parse_term(host, CSIG), CSIG)) == (
-        f"not boundary coherent: interface vertex {k} is edge-attached on"
-        " both sides",) * 2
+    k_to_c = _complements(rule, interpret(parse_term(host, CSIG), CSIG))[0]
+    with pytest.raises(RewriteError) as err:
+        pushout(k_to_c, _incoherent_glue(rule))
+    assert str(err.value) == (f"not boundary coherent: interface vertex {k}"
+                              " is edge-attached on both sides")
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +743,7 @@ def test_apply_rewrite_matches_the_pushouts():
     """:func:`apply_rewrite` steps on a copy of the in-place host; the
     pushout constructions give the same graph, element by element in
     stored order, at every match on the driver's hosts, and raise the
-    same error on the hand-built spans and at a match that is no
-    embedding."""
+    same error at a match that is no embedding."""
     rng = random.Random(5)
     matches = 0
     for _ in range(40):
@@ -756,21 +754,48 @@ def test_apply_rewrite_matches_the_pushouts():
                     apply_by_pushouts(rule, m))
                 matches += 1
     assert matches > 300
-    spans = [(make(), FF) for make in (
-        _left_leg_swapped, _edged_interface, _right_leg_swapped)]
-    spans += [(_incoherent_glue(), interpret(parse_term(host, CSIG), CSIG))
-              for host in ("copy ; f * id 1", "f ; f")]
-    cases = [(rule, find_matchings(rule.L, G)[0]) for rule, G in spans]
     join = rule_from_terms(Gen("join"), Gen("join"), CSIG, "join")
-    J = interpret(Gen("join"), CSIG)
-    cases.append((join, _no_embedding_match(join, J)))
-    for rule, match in cases:
-        errors = []
-        for step in (apply_rewrite, apply_by_pushouts):
-            with pytest.raises(RewriteError) as err:
-                step(rule, match)
-            errors.append(str(err.value))
-        assert errors[0] == errors[1]
+    match = _no_embedding_match(join, interpret(Gen("join"), CSIG))
+    errors = []
+    for step in (apply_rewrite, apply_by_pushouts):
+        with pytest.raises(RewriteError) as err:
+            step(join, match)
+        errors.append(str(err.value))
+    assert errors == ["pushout complement needs embeddings"] * 2
+
+
+def test_steps_of_random_rules_match_the_pushouts():
+    """Rules from random pairs of terms of one type (depth 1 to 3, with
+    traces), on hosts that hold the left side beside a random term: at
+    each of a rule's first three matches, :func:`apply_rewrite` gives
+    the pushouts' graph element by element in stored order.
+    :func:`pushout` refuses an incoherent gluing, so every rule's span
+    glues at every match, as the step engine assumes.  Some left sides
+    and some right sides have a straight-through wire, which the rule
+    saturates."""
+    sig = law_signature()
+    rng = random.Random(11)
+    matches, saturated = 0, {"L": 0, "R": 0}
+    for _ in range(200):
+        m, n = rng.randint(0, 2), rng.randint(0, 2)
+        lhs, rhs = (random_term(rng, sig, m, n, depth=rng.randint(1, 3),
+                                traces=True) for _ in range(2))
+        rule = rule_from_terms(lhs, rhs, sig, "probe")
+        for side in saturated:
+            saturated[side] += IDENTITY_LABEL in getattr(
+                rule, side).labels.values()
+        beside = random_term(rng, sig, rng.randint(0, 2), rng.randint(0, 2),
+                             depth=1, traces=True)
+        parts = [interpret(lhs, sig), interpret(beside, sig)]
+        rng.shuffle(parts)
+        ms = find_matchings(rule.L, tensor(*parts))
+        assert ms
+        for match in ms[:3]:
+            assert _numbered(apply_rewrite(rule, match)) == _numbered(
+                apply_by_pushouts(rule, match))
+            matches += 1
+    assert matches > 300
+    assert saturated["L"] and saturated["R"], saturated
 
 
 def test_normal_forms_matches_the_pushouts():
@@ -893,8 +918,8 @@ def test_frozen_hosts_have_the_tables_of_their_graphs(monkeypatch):
 # the only names a compiled step's source may hold: its keywords, its
 # locals, the host tables and counters it reads and its constants
 STEP_NAMES = re.compile(
-    r"(def|return|if|is|not|None|raise|del|in|_bind|step|H|vmap_t|vmap_s"
-    r"|emap|islice|RewriteError|IDENTITY_LABEL|next|pop|setdefault|smooth"
+    r"(def|return|if|is|not|None|del|in|_bind|step|H|vmap_t|vmap_s"
+    r"|emap|islice|IDENTITY_LABEL|next|pop|setdefault|smooth"
     r"|new_ids|tick|sources|x\d+|k\d+|y|b"
     rf"|{TABLES})")
 
@@ -979,24 +1004,6 @@ def test_a_rule_with_a_compiled_step_is_freed_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
-
-
-@pytest.mark.parametrize("host", ["copy ; f * id 1", "f ; f"],
-                         ids=["target", "source"])
-def test_a_step_refused_for_boundary_coherence_writes_nothing(host):
-    """The compiled step checks boundary coherence before its first
-    write: a refused step leaves every table of the host, and its
-    counters, as they were."""
-    rule = _incoherent_glue()
-    assert rule._step.error is None
-    G = interpret(parse_term(host, CSIG), CSIG)
-    m = find_matchings(rule.L, G)[0]
-    H = rewrite._Host(m.dst)
-    before = host_tables(H)
-    with pytest.raises(RewriteError, match="not boundary coherent"):
-        H.rewrite(rule, m.vmap_t, m.vmap_s, m.emap)
-    assert "_stepper" in vars(rule)
-    assert host_tables(H) == before
 
 
 def test_impossible_label_counts_are_refused_at_once():
