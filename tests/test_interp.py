@@ -486,13 +486,15 @@ def test_nested_tensors_of_wiring_interpret_in_linear_time(leaf, right):
     quadratic (a log-log slope near 2; 0.8 s for 8000 right-nested
     identities); joining the shorter into the longer keeps the slope at
     most 1.2.  Each rung is the best of five runs without the cyclic
-    collector (:func:`ladder_times`)."""
+    collector (:func:`ladder_times`); each rung's graph is checked once
+    more outside the timed runs."""
     per_leaf = len(type_of(leaf, SIG)[0])
-    H = interpret(_nested(8 // per_leaf, leaf, right), SIG)
-    assert H.arity() == (8, 8) and not H.edges
-    points = ladder_times([(wires, _nested(wires // per_leaf, leaf, right))
-                           for wires in (2000, 4000, 8000, 16000)],
-                          lambda t: interpret(t, SIG))
+    rungs = [(wires, _nested(wires // per_leaf, leaf, right))
+             for wires in (2000, 4000, 8000, 16000)]
+    points = ladder_times(rungs, lambda t: interpret(t, SIG))
+    for wires, t in rungs:
+        H = interpret(t, SIG)
+        assert H.arity() == (wires, wires) and not H.edges
     assert log_log_slope(points) <= 1.2, points
 
 

@@ -416,10 +416,13 @@ def _ladder(build, op) -> list[tuple[int, float]]:
 def test_tracing_half_the_wires_of_a_wide_tensor_is_linear():
     """``trace(n // 2, f^{⊗n})`` for n = 2000 to 16000: tracing one wire
     at a time copied the graph once per wire, a log-log slope near 2
-    (16 s for n = 8000); one splice keeps it at most 1.2."""
-    H = trace(2, _wide_tensor(4))
-    assert H.arity() == (2, 2) and len(H.edges) == 4
-    points = _ladder(_wide_tensor, lambda F: trace(len(F.edges) // 2, F))
+    (16 s for n = 8000); one splice keeps it at most 1.2.  Each rung's
+    trace is checked once more outside the timed runs."""
+    rungs = [(n, _wide_tensor(n)) for n in (2000, 4000, 8000, 16000)]
+    points = ladder_times(rungs, lambda F: trace(len(F.edges) // 2, F))
+    for n, F in rungs:
+        H = trace(n // 2, F)
+        assert H.arity() == (n - n // 2, n - n // 2) and len(H.edges) == n
     assert log_log_slope(points) <= 1.2, points
 
 
